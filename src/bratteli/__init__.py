@@ -13,9 +13,8 @@ Submodules:
 """
 from . import (cells, cli, diagram, laplacian, markov, measures, perron,
                specfile, substitution)
-from ._accel import backend, set_threads
 
 __all__ = ["cells", "cli", "diagram", "laplacian", "markov", "measures",
-           "perron", "specfile", "substitution", "backend", "set_threads"]
+           "perron", "specfile", "substitution"]
 
 __version__ = "1.0.0"

@@ -1,66 +1,27 @@
-"""Hot loops for random-walk and path sampling, numba-compiled when available.
+"""Lockstep numpy kernels for random-walk and path sampling.
 
-Set BRATTELI_NO_NUMBA=1 to force the pure-Python/numpy fallback; both
-backends run the identical code. The RNG is a combined multiplicative
-congruential generator (L'Ecuyer 1988): every intermediate product stays
-below 2**47, so the arithmetic is exact in int64 on either backend and the
-streams are bit-identical with and without compilation.
+The RNG is a combined multiplicative congruential generator (L'Ecuyer
+1988): every intermediate product stays below 2**47, so the arithmetic is
+exact in int64.  Each trial owns its own stream, derived affinely from
+(seed, trial index), so all trials can advance together as one int64
+array per state word.  The inverse-CDF scan advances a trial's row cursor
+only while its uniform is at or past the cumulative entry, which is exactly
+the comparison sequence of a scalar loop: every trajectory is the one a
+trial would follow on its own.
 
-Per-trial streams are derived affinely from (seed, trial index) in uint64
-array arithmetic, so trial results never depend on scheduling and a
-parallel run merges to exactly the serial answer.
+Trials run in blocks of BLOCK, which bounds the working memory of a call
+independently of the trial count; results do not depend on the block size.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_FORCED_OFF = bool(os.environ.get("BRATTELI_NO_NUMBA"))
-
-if not _FORCED_OFF:
-    try:
-        from numba import njit, prange, set_num_threads as _set_threads
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is an install extra
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-if not HAVE_NUMBA:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def deco(f):
-            return f
-        return deco
-
-    prange = range
-
-    def _set_threads(n):  # pragma: no cover - no-op fallback
-        pass
-
-
-def backend() -> str:
-    return "numba" if HAVE_NUMBA else "python"
-
-
-def set_threads(n: int | None = None) -> None:
-    """Thread count for parallel kernels; BRATTELI_THREADS when n is None."""
-    if n is None:
-        raw = os.environ.get("BRATTELI_THREADS", "")
-        if not raw.strip():
-            return
-        n = int(raw)
-    if HAVE_NUMBA and n >= 1:
-        _set_threads(n)
-
 
 M1 = 2147483563
 M2 = 2147483399
 A1 = 40014
 A2 = 40692
+
+BLOCK = 1 << 14
 
 
 def trial_seeds(seed: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
@@ -75,114 +36,94 @@ def trial_seeds(seed: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
            (s2 + np.uint64(1)).astype(np.int64)
 
 
-@njit(cache=True)
-def _walk_one(rowptr, cum, tgt, state, steps, s1, s2, start, count_returns):
-    """Advance one trajectory; returns (final state, returns, s1, s2)."""
-    cnt = 0
-    for _ in range(steps):
-        s1 = (A1 * s1) % M1
-        s2 = (A2 * s2) % M2
-        u = ((s1 - s2) % (M1 - 1)) / M1
-        j = rowptr[state]
-        while u >= cum[j]:
-            j += 1
-        state = tgt[j]
-        if count_returns and state == start:
-            cnt += 1
-    return state, cnt, s1, s2
+def _uniform(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Advance both generator words in place; one uniform in [0, 1) each."""
+    np.remainder(A1 * s1, M1, out=s1)
+    np.remainder(A2 * s2, M2, out=s2)
+    return ((s1 - s2) % (M1 - 1)) / M1
 
 
-@njit(cache=True)
+def _scan(cum, j, u):
+    """Inverse-CDF scan: advance each cursor j (in place) while
+    u >= cum[j].  Every cumulative row ends in 1.0, so no cursor leaves
+    its row."""
+    more = u >= cum[j]
+    while more.any():
+        j += more
+        more = u >= cum[j]
+    return j
+
+
+def _move(rowptr, cum, tgt, state, s1, s2):
+    """One step of the flattened chain for every trial in the arrays."""
+    return tgt[_scan(cum, rowptr[state], _uniform(s1, s2))]
+
+
 def walk_returns_kernel(rowptr, cum, tgt, start, steps, s1s, s2s):
-    out = np.zeros(s1s.shape[0], dtype=np.int64)
-    for t in range(s1s.shape[0]):
-        _, cnt, _, _ = _walk_one(rowptr, cum, tgt, start, steps,
-                                 s1s[t], s2s[t], start, True)
-        out[t] = cnt
-    return out
+    """Run every trial `steps` moves from `start`.
+
+    Returns (returns per trial, trial 0's states), the second of length
+    steps + 1 starting at `start`.
+    """
+    trials = s1s.shape[0]
+    out = np.zeros(trials, dtype=np.int64)
+    path = np.empty(steps + 1, dtype=np.int64)
+    path[0] = start
+    for lo in range(0, trials, BLOCK):
+        s1 = s1s[lo:lo + BLOCK].copy()
+        s2 = s2s[lo:lo + BLOCK].copy()
+        state = np.full(s1.shape[0], start, dtype=np.int64)
+        cnt = out[lo:lo + BLOCK]
+        for k in range(steps):
+            state = _move(rowptr, cum, tgt, state, s1, s2)
+            cnt += state == start
+            if lo == 0:
+                path[k + 1] = state[0]
+    return out, path
 
 
-@njit(cache=True)
-def walk_trace_kernel(rowptr, cum, tgt, start, steps, s1, s2):
-    out = np.empty(steps + 1, dtype=np.int64)
-    out[0] = start
-    state = np.int64(start)
-    for k in range(steps):
-        state, _, s1, s2 = _walk_one(rowptr, cum, tgt, state, 1, s1, s2,
-                                     start, False)
-        out[k + 1] = state
-    return out
-
-
-@njit(cache=True)
 def walk_hitting_kernel(rowptr, cum, tgt, level_of, start, bot, top,
                         max_steps, s1s, s2s):
-    """Absorb at the bottom or top level; 1 = top, 0 = bottom, -1 = timeout."""
-    out = np.empty(s1s.shape[0], dtype=np.int64)
-    for t in range(s1s.shape[0]):
-        s1 = s1s[t]
-        s2 = s2s[t]
-        state = np.int64(start)
-        res = np.int64(-1)
-        for _ in range(max_steps + 1):
+    """Absorb at the bottom or top level; 1 = top, 0 = bottom, -1 = timeout.
+
+    A trial is checked after 0..max_steps moves; absorbed trials leave the
+    active arrays, so stragglers cost only their own steps.
+    """
+    trials = s1s.shape[0]
+    out = np.full(trials, -1, dtype=np.int64)
+    for lo in range(0, trials, BLOCK):
+        s1 = s1s[lo:lo + BLOCK].copy()
+        s2 = s2s[lo:lo + BLOCK].copy()
+        idx = np.arange(lo, lo + s1.shape[0])
+        state = np.full(s1.shape[0], start, dtype=np.int64)
+        for k in range(max_steps + 1):
             lvl = level_of[state]
-            if lvl == bot:
-                res = 0
-                break
-            if lvl == top:
-                res = 1
-                break
-            state, _, s1, s2 = _walk_one(rowptr, cum, tgt, state, 1, s1, s2,
-                                         state, False)
-        out[t] = res
+            done = (lvl == bot) | (lvl == top)
+            if done.any():
+                out[idx[done]] = lvl[done] == top
+                live = ~done
+                idx, state, s1, s2 = idx[live], state[live], s1[live], s2[live]
+                if idx.shape[0] == 0:
+                    break
+            if k < max_steps:
+                state = _move(rowptr, cum, tgt, state, s1, s2)
     return out
 
 
-@njit(cache=True, parallel=True)
-def walk_hitting_parallel(rowptr, cum, tgt, level_of, start, bot, top,
-                          max_steps, s1s, s2s):
-    out = np.empty(s1s.shape[0], dtype=np.int64)
-    for t in prange(s1s.shape[0]):
-        s1 = s1s[t]
-        s2 = s2s[t]
-        state = np.int64(start)
-        res = np.int64(-1)
-        for _ in range(max_steps + 1):
-            lvl = level_of[state]
-            if lvl == bot:
-                res = 0
-                break
-            if lvl == top:
-                res = 1
-                break
-            state, _, s1, s2 = _walk_one(rowptr, cum, tgt, state, 1, s1, s2,
-                                         state, False)
-        out[t] = res
-    return out
-
-
-@njit(cache=True)
-def sample_chain_kernel(cumflat, rowstart, rowlen, strides, x0, depth,
-                        ncyl, s1s, s2s):
+def sample_chain_kernel(cumflat, rowstart, strides, x0, depth, ncyl,
+                        s1s, s2s):
     """Depth-step Markov chain over cell kernels; counts mixed-radix
     cylinder indices.  rowstart[k, i] locates the cumulative row of cell i
     at step k; strides give each step's positional weight in the index."""
     counts = np.zeros(ncyl, dtype=np.int64)
-    for t in range(s1s.shape[0]):
-        s1 = s1s[t]
-        s2 = s2s[t]
-        cell = np.int64(x0)
-        idx = np.int64(0)
+    for lo in range(0, s1s.shape[0], BLOCK):
+        s1 = s1s[lo:lo + BLOCK].copy()
+        s2 = s2s[lo:lo + BLOCK].copy()
+        cell = np.full(s1.shape[0], x0, dtype=np.int64)
+        idx = np.zeros(s1.shape[0], dtype=np.int64)
         for k in range(depth):
-            s1 = (A1 * s1) % M1
-            s2 = (A2 * s2) % M2
-            u = ((s1 - s2) % (M1 - 1)) / M1
             base = rowstart[k, cell]
-            j = base
-            end = base + rowlen[k]
-            while j < end - 1 and u >= cumflat[j]:
-                j += 1
-            cell = j - base
+            cell = _scan(cumflat, base.copy(), _uniform(s1, s2)) - base
             idx += cell * strides[k]
-        counts[idx] += 1
+        counts += np.bincount(idx, minlength=ncyl)
     return counts

@@ -424,11 +424,10 @@ class SampleReport:
     shape: tuple[int, ...]
     max_z: float
     tv_distance: float
-    backend: str
 
     @property
     def frequencies(self) -> np.ndarray:
-        return self.counts / max(self.trials, 1)
+        return self.counts / self.trials
 
 
 def _chain_shapes(spaces: Sequence[CellSpace],
@@ -465,19 +464,18 @@ def path_measure_sample(spaces: Sequence[CellSpace],
 
     max_z is the largest |empirical - exact| in units of the binomial
     standard error; tv_distance the total-variation gap.  Per-trial seed
-    streams make the counts reproducible in both backends.
+    streams make the counts reproducible.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     _chain_shapes(spaces, kernels, depth)
     exact = exact_cylinders(spaces, kernels, x0, depth)
     if depth == 0:
         one = np.array([trials], dtype=np.int64)
-        return SampleReport(one, np.array([1.0]), trials, 0, (),
-                            0.0, 0.0, _accel.backend())
+        return SampleReport(one, np.array([1.0]), trials, 0, (), 0.0, 0.0)
     shape = tuple(spaces[k + 1].m for k in range(depth))
     widest = max(spaces[k].m for k in range(depth))
-    longest = max(shape)
     rowstart = np.zeros((depth, widest), dtype=np.int64)
-    rowlen = np.zeros(depth, dtype=np.int64)
     cum_parts = []
     offset = 0
     for k in range(depth):
@@ -487,7 +485,6 @@ def path_measure_sample(spaces: Sequence[CellSpace],
         for i in range(spaces[k].m):
             rowstart[k, i] = offset
             offset += shape[k]
-        rowlen[k] = shape[k]
         cum_parts.append(acc.ravel())
     cumflat = np.concatenate(cum_parts)
     strides = np.ones(depth, dtype=np.int64)
@@ -495,9 +492,8 @@ def path_measure_sample(spaces: Sequence[CellSpace],
         strides[k] = strides[k + 1] * shape[k + 1]
     ncyl = int(np.prod(shape))
     s1s, s2s = _accel.trial_seeds(seed, trials)
-    counts = _accel.sample_chain_kernel(cumflat, rowstart, rowlen, strides,
-                                        np.int64(x0), np.int64(depth),
-                                        np.int64(ncyl), s1s, s2s)
+    counts = _accel.sample_chain_kernel(cumflat, rowstart, strides, x0, depth,
+                                        ncyl, s1s, s2s)
     emp = counts / trials
     p = exact.ravel()
     se = np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / trials)
@@ -505,7 +501,7 @@ def path_measure_sample(spaces: Sequence[CellSpace],
     max_z = float(np.max(np.abs(emp[ok] - p[ok]) / se[ok])) if ok.any() else 0.0
     tv = 0.5 * float(np.abs(emp - p).sum())
     return SampleReport(counts.reshape(shape), exact, trials, depth, shape,
-                        max_z, tv, _accel.backend())
+                        max_z, tv)
 
 
 def start_cell_variation(spaces: Sequence[CellSpace],

@@ -18,7 +18,6 @@ import sys
 
 import numpy as np
 
-from . import _accel
 from . import cells as cl
 from . import diagram as dg
 from . import laplacian as lp
@@ -225,7 +224,7 @@ def _analyze_walk(spec: ParsedSpec, args):
     st = lp.walk(net, start, steps=args.steps, trials=args.trials,
                  seed=args.seed)
     payload = {"start": list(start), "steps": st.steps, "trials": st.trials,
-               "seed": args.seed, "backend": st.backend,
+               "seed": args.seed, "backend": "python",
                "return_probability": st.return_probability,
                "mean_returns_per_step": st.mean_returns_per_step,
                "trace": [list(s) for s in st.trace.states]}
@@ -255,7 +254,7 @@ def _analyze_kernels(spec: ParsedSpec, args):
                "sample": {"depth": depth, "trials": samp.trials,
                           "max_z": samp.max_z,
                           "tv_distance": samp.tv_distance,
-                          "backend": samp.backend},
+                          "backend": "python"},
                "start_cell_variation":
                    cl.start_cell_variation(spaces, kernels, depth)}
     rows = [(k, lvl["duality_residual"], lvl["marginal_residual"],
@@ -271,7 +270,6 @@ _ANALYSES = {"pf": _analyze_pf, "measure": _analyze_measure,
 
 
 def cmd_analyze(args) -> int:
-    _accel.set_threads(args.threads)
     try:
         spec = load_spec(args.spec, args.depth)
         payload, rows, header = _ANALYSES[args.analysis](spec, args)
@@ -432,7 +430,6 @@ _SUITES = {"consistency": _suite_consistency, "operators": _suite_operators,
 
 
 def cmd_check(args) -> int:
-    _accel.set_threads(args.threads)
     try:
         spec = load_spec(args.spec, args.depth)
     except (SpecError, dg.DiagramError) as e:
@@ -491,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["level0", "probability", "anchored"])
     pa.add_argument("--format", choices=["csv", "json"], default="json")
     pa.add_argument("--out", default=None)
-    pa.add_argument("--threads", type=int, default=None)
     pa.set_defaults(func=cmd_analyze)
 
     pc = sub.add_parser("check", help="run invariant suites")
@@ -503,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--tol", type=float, default=1e-10)
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--format", choices=["text", "json"], default="text")
-    pc.add_argument("--threads", type=int, default=None)
     pc.set_defaults(func=cmd_check)
     return p
 

@@ -12,9 +12,8 @@ Truncation needs a boundary rule: "reflect" (default) sends the full unit
 mass across the single available side at levels 0 and N; "absorb" freezes
 the value there (M = identity on the boundary rows).
 
-The random walk runs on the flattened state space with the compiled
-kernels from _accel; per-trial seeds make every statistic independent of
-scheduling.
+The random walk runs on the flattened state space with the lockstep
+kernels from _accel; per-trial seeds fix every trajectory exactly.
 """
 from __future__ import annotations
 
@@ -274,7 +273,6 @@ class WalkStats:
     return_probability: float
     mean_returns_per_step: float
     trace: WalkTrace | None
-    backend: str
 
 
 @dataclass(frozen=True)
@@ -285,7 +283,6 @@ class HittingEstimate:
     bottom_hits: int
     timeouts: int
     trials: int
-    backend: str
 
 
 def _flatten(net: WeightedNetwork):
@@ -335,19 +332,19 @@ def walk(net: WeightedNetwork, start: tuple[int, int], steps: int,
          trials: int, seed: int = 0, record_trace: bool = True) -> WalkStats:
     """Sample the M-chain; counts returns to the start state.
 
-    Fixing the seed fixes every trajectory exactly, in either backend and
-    any thread count, because trial streams are derived from (seed, index).
+    Fixing the seed fixes every trajectory exactly, because trial streams
+    are derived from (seed, index).
     """
+    if steps < 1 or trials < 1:
+        raise ValueError(f"a walk needs steps >= 1 and trials >= 1, "
+                         f"got steps={steps}, trials={trials}")
     rowptr, cum, tgt, level_of, offsets = _flatten(net)
     s0 = _state_of(net, start, offsets)
     s1s, s2s = _accel.trial_seeds(seed, trials)
-    returns = _accel.walk_returns_kernel(rowptr, cum, tgt, np.int64(s0),
-                                         np.int64(steps), s1s, s2s)
+    returns, path = _accel.walk_returns_kernel(rowptr, cum, tgt, s0, steps,
+                                               s1s, s2s)
     trace = None
     if record_trace:
-        path = _accel.walk_trace_kernel(rowptr, cum, tgt, np.int64(s0),
-                                        np.int64(steps),
-                                        s1s[0], s2s[0])
         d = net.kernels.diagram
         states = []
         for st in path:
@@ -357,31 +354,28 @@ def walk(net: WeightedNetwork, start: tuple[int, int], steps: int,
     return WalkStats(trials, steps, returns,
                      float(np.mean(returns > 0)),
                      float(returns.sum()) / (trials * steps),
-                     trace, _accel.backend())
+                     trace)
 
 
 def hitting_probability(net: WeightedNetwork, start: tuple[int, int],
                         trials: int, seed: int = 0,
-                        max_steps: int = 10_000,
-                        parallel: bool | None = None) -> HittingEstimate:
+                        max_steps: int = 10_000) -> HittingEstimate:
     """P(reach the top level before level 0), estimated by absorbed walks.
 
     This is the Monte-Carlo counterpart of solve_harmonic with boundary
     data 0 at the bottom and 1 at the top.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rowptr, cum, tgt, level_of, offsets = _flatten(net)
     s0 = _state_of(net, start, offsets)
     s1s, s2s = _accel.trial_seeds(seed, trials)
-    if parallel is None:
-        parallel = _accel.HAVE_NUMBA and trials >= 10_000
-    kern = (_accel.walk_hitting_parallel if parallel and _accel.HAVE_NUMBA
-            else _accel.walk_hitting_kernel)
-    res = kern(rowptr, cum, tgt, level_of, np.int64(s0), np.int64(0),
-               np.int64(net.depth), np.int64(max_steps), s1s, s2s)
+    res = _accel.walk_hitting_kernel(rowptr, cum, tgt, level_of, s0, 0,
+                                     net.depth, max_steps, s1s, s2s)
     top = int(np.sum(res == 1))
     bot = int(np.sum(res == 0))
     out = int(np.sum(res == -1))
     decided = max(top + bot, 1)
     p = top / decided
     se = math.sqrt(max(p * (1.0 - p), 1e-300) / decided)
-    return HittingEstimate(p, se, top, bot, out, trials, _accel.backend())
+    return HittingEstimate(p, se, top, bot, out, trials)

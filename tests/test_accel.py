@@ -1,24 +1,20 @@
-"""Sampling backends: seed streams are exact integer arithmetic, so the
-numba-compiled kernels and the BRATTELI_NO_NUMBA=1 fallback produce
-bit-identical trajectories, and parallel hitting runs merge to the serial
-answer."""
-
-import json
-import os
-import subprocess
-import sys
+"""Sampling kernels: seed streams are exact integer arithmetic, and the
+lockstep numpy kernels reproduce, bit for bit, a plain scalar loop that
+runs one trial at a time."""
 
 import numpy as np
+import pytest
 
 from bratteli import _accel
+from bratteli import cells as cl
 from bratteli import laplacian as lp
+from bratteli import markov as mk
 
-from conftest import allones_network
+from conftest import allones_network, random_system
 
 M1, M2 = _accel.M1, _accel.M2
 
-# walk(allones depth 6, start (2,0), steps=200, trials=500, seed=42),
-# identical on both backends
+# walk(allones depth 6, start (2,0), steps=200, trials=500, seed=42)
 RETURNS_HEAD = [22, 18, 19, 21, 12, 17, 22, 17, 22, 15]
 RETURNS_TOTAL = 8525
 
@@ -55,15 +51,116 @@ def test_trial_seeds_match_integer_reference():
 
 
 def test_generator_products_fit_int64():
-    # exactness on both backends relies on never leaving int64
+    # exactness relies on never leaving int64
     assert _accel.A1 * (M1 - 1) < 2 ** 47
     assert _accel.A2 * (M2 - 1) < 2 ** 47
 
 
-def test_backend_reports_numba_state():
-    expected = "python" if os.environ.get("BRATTELI_NO_NUMBA") else "numba"
-    assert _accel.backend() == expected
-    assert _accel.HAVE_NUMBA == (expected == "numba")
+# -- scalar reference: one trial at a time, Python integers -------------------
+
+def _next(s1, s2):
+    s1 = (_accel.A1 * s1) % M1
+    s2 = (_accel.A2 * s2) % M2
+    return s1, s2, ((s1 - s2) % (M1 - 1)) / M1
+
+
+def _step(rowptr, cum, tgt, state, s1, s2):
+    s1, s2, u = _next(s1, s2)
+    j = int(rowptr[state])
+    while u >= cum[j]:
+        j += 1
+    return int(tgt[j]), s1, s2
+
+
+def ref_walk(rowptr, cum, tgt, start, steps, s1s, s2s):
+    """Returns per trial, and trial 0's states."""
+    returns, paths = [], []
+    for s1, s2 in zip(s1s.tolist(), s2s.tolist()):
+        state, cnt, path = int(start), 0, [int(start)]
+        for _ in range(steps):
+            state, s1, s2 = _step(rowptr, cum, tgt, state, s1, s2)
+            cnt += state == start
+            path.append(state)
+        returns.append(cnt)
+        paths.append(path)
+    return returns, paths[0]
+
+
+def ref_hitting(rowptr, cum, tgt, level_of, start, bot, top, max_steps,
+                s1s, s2s):
+    out = []
+    for s1, s2 in zip(s1s.tolist(), s2s.tolist()):
+        state, res = int(start), -1
+        for _ in range(max_steps + 1):
+            lvl = level_of[state]
+            if lvl == bot:
+                res = 0
+                break
+            if lvl == top:
+                res = 1
+                break
+            state, s1, s2 = _step(rowptr, cum, tgt, state, s1, s2)
+        out.append(res)
+    return out
+
+
+def ref_chain(cumflat, rowstart, strides, x0, depth, ncyl, s1s, s2s, widths):
+    """Cylinder counts; the scan also stops at the row end, widths[k]."""
+    counts = [0] * ncyl
+    for s1, s2 in zip(s1s.tolist(), s2s.tolist()):
+        cell, idx = int(x0), 0
+        for k in range(depth):
+            s1, s2, u = _next(s1, s2)
+            base = int(rowstart[k, cell])
+            j, end = base, base + widths[k]
+            while j < end - 1 and u >= cumflat[j]:
+                j += 1
+            cell = j - base
+            idx += cell * int(strides[k])
+        counts[idx] += 1
+    return counts
+
+
+def spy(monkeypatch, name):
+    """Record the arguments and result of every call to an _accel kernel."""
+    calls = []
+    real = getattr(_accel, name)
+
+    def recorded(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+    monkeypatch.setattr(_accel, name, recorded)
+    return calls
+
+
+def random_network(seed):
+    return lp.build_network(mk.dual_kernels(random_system(seed)))
+
+
+def kernel_chain():
+    nu0 = cl.CellSpace((0.5, 0.5))
+    ks = [cl.kernel_from(m) for m in ([[0.7, 0.3], [0.4, 0.6]],
+                                      [[0.2, 0.8], [0.5, 0.5]],
+                                      [[0.9, 0.1], [0.3, 0.7]])]
+    spaces = [nu0]
+    for k in ks:
+        spaces.append(cl.CellSpace(tuple(spaces[-1].nu(False)
+                                         @ k.array(False))))
+    return spaces, ks
+
+
+def uneven_chain():
+    """Cell counts 2, 3, 4, 3 with zero entries inside the rows."""
+    ks = [cl.kernel_from(m) for m in (
+        [[0.5, 0.0, 0.5], [0.1, 0.6, 0.3]],
+        [[0.25, 0.25, 0.0, 0.5], [0.0, 0.0, 1.0, 0.0], [0.4, 0.3, 0.2, 0.1]],
+        [[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.3, 0.3, 0.4]])]
+    spaces = [cl.CellSpace((0.3, 0.7))]
+    for k in ks:
+        spaces.append(cl.CellSpace(tuple(spaces[-1].nu(False)
+                                         @ k.array(False))))
+    return spaces, ks
 
 
 # -- frozen trajectories ------------------------------------------------------
@@ -74,60 +171,103 @@ def test_walk_returns_frozen_oracle():
     assert int(st.returns.sum()) == RETURNS_TOTAL
 
 
-def test_fallback_backend_matches_exactly():
-    """Same walk, hitting run, and sampler counts under BRATTELI_NO_NUMBA=1."""
-    script = r"""
-import json, sys
-sys.path.insert(0, "tests")
-from conftest import allones_network
-import numpy as np
-from bratteli import _accel, laplacian as lp
-from bratteli import cells as cl
-net = allones_network(6)
-st = lp.walk(net, (2, 0), steps=200, trials=500, seed=42)
-hit = lp.hitting_probability(net, (2, 0), trials=2000, seed=11)
-nu0 = cl.CellSpace((0.5, 0.5))
-ks = [cl.kernel_from(m) for m in ([[0.7, 0.3], [0.4, 0.6]],
-                                  [[0.2, 0.8], [0.5, 0.5]],
-                                  [[0.9, 0.1], [0.3, 0.7]])]
-spaces = [nu0]
-for k in ks:
-    spaces.append(cl.CellSpace(tuple(spaces[-1].nu(False) @ k.array(False))))
-samp = cl.path_measure_sample(spaces, ks, 0, 3, seed=9, trials=4000)
-print(json.dumps({
-    "backend": _accel.backend(),
-    "returns": st.returns.tolist(),
-    "trace": [list(s) for s in st.trace.states],
-    "hits": [hit.top_hits, hit.bottom_hits, hit.timeouts],
-    "counts": samp.counts.tolist(),
-}))
-"""
-    def run_with(no_numba: bool) -> dict:
-        env = dict(os.environ)
-        env.pop("BRATTELI_NO_NUMBA", None)
-        if no_numba:
-            env["BRATTELI_NO_NUMBA"] = "1"
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, env=env,
-                              cwd=os.path.dirname(os.path.dirname(
-                                  os.path.abspath(__file__))))
-        assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout)
+# -- lockstep equals the scalar reference ------------------------------------
 
-    fast, slow = run_with(False), run_with(True)
-    assert fast["backend"] == "numba"
-    assert slow["backend"] == "python"
-    for key in ("returns", "trace", "hits", "counts"):
-        assert fast[key] == slow[key], key
-    assert fast["returns"][:10] == RETURNS_HEAD
+def _check_walk(monkeypatch, net, start, steps, trials, seed):
+    calls = spy(monkeypatch, "walk_returns_kernel")
+    st = lp.walk(net, start, steps=steps, trials=trials, seed=seed)
+    (args, (returns, path)), = calls
+    ref_returns, ref_path = ref_walk(*args)
+    assert returns.tolist() == ref_returns
+    assert path.tolist() == ref_path
+    assert st.returns.tolist() == ref_returns
+    assert len(st.trace.states) == steps + 1
+    return st
 
 
-def test_parallel_hitting_merges_to_serial():
-    net = allones_network(6)
-    ser = lp.hitting_probability(net, (3, 1), trials=12_000, seed=5,
-                                 parallel=False)
-    par = lp.hitting_probability(net, (3, 1), trials=12_000, seed=5,
-                                 parallel=True)
-    assert (par.top_hits, par.bottom_hits, par.timeouts) == \
-        (ser.top_hits, ser.bottom_hits, ser.timeouts)
-    assert par.estimate == ser.estimate
+def test_walk_matches_scalar_reference(monkeypatch):
+    st = _check_walk(monkeypatch, allones_network(6), (2, 0), 200, 500, 42)
+    assert st.returns[:10].tolist() == RETURNS_HEAD
+
+
+def test_walk_across_blocks_matches_scalar_reference(monkeypatch):
+    trials = _accel.BLOCK + 37
+    _check_walk(monkeypatch, allones_network(4), (1, 0), 5, trials, 3)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 12])
+def test_walk_uneven_rows_matches_scalar_reference(monkeypatch, seed):
+    net = random_network(seed)
+    start = (2, net.kernels.diagram.vertices(2)[0])
+    _check_walk(monkeypatch, net, start, 60, 300, seed)
+
+
+def _check_hitting(monkeypatch, net, start, trials, seed, max_steps):
+    calls = spy(monkeypatch, "walk_hitting_kernel")
+    est = lp.hitting_probability(net, start, trials=trials, seed=seed,
+                                 max_steps=max_steps)
+    (args, res), = calls
+    assert res.tolist() == ref_hitting(*args)
+    return est
+
+
+def test_hitting_matches_scalar_reference(monkeypatch):
+    est = _check_hitting(monkeypatch, allones_network(6), (3, 1), 3000, 5,
+                         10_000)
+    assert est.timeouts == 0
+    assert est.top_hits + est.bottom_hits == 3000
+
+
+def test_hitting_timeouts_match_scalar_reference(monkeypatch):
+    est = _check_hitting(monkeypatch, allones_network(8), (4, 0), 2000, 11,
+                         6)
+    assert est.timeouts > 0 and est.top_hits + est.bottom_hits > 0
+    assert est.top_hits + est.bottom_hits + est.timeouts == 2000
+
+
+def test_hitting_zero_steps_decides_only_the_start(monkeypatch):
+    net = allones_network(4)
+    est = _check_hitting(monkeypatch, net, (2, 0), 50, 1, 0)
+    assert est.timeouts == 50
+    est = _check_hitting(monkeypatch, net, (4, 1), 50, 1, 0)
+    assert est.top_hits == 50
+
+
+def test_hitting_across_blocks_matches_scalar_reference(monkeypatch):
+    trials = _accel.BLOCK + 101
+    _check_hitting(monkeypatch, allones_network(3), (1, 0), trials, 2, 40)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 12])
+def test_hitting_uneven_rows_matches_scalar_reference(monkeypatch, seed):
+    net = random_network(seed)
+    start = (3, net.kernels.diagram.vertices(3)[0])
+    _check_hitting(monkeypatch, net, start, 400, seed, 25)
+
+
+def _check_chain(monkeypatch, spaces, kernels, x0, depth, trials, seed):
+    calls = spy(monkeypatch, "sample_chain_kernel")
+    rep = cl.path_measure_sample(spaces, kernels, x0, depth, seed=seed,
+                                 trials=trials)
+    (args, counts), = calls
+    widths = [s.m for s in spaces[1:depth + 1]]
+    assert counts.tolist() == ref_chain(*args, widths)
+    assert int(rep.counts.sum()) == trials
+    return rep
+
+
+def test_chain_matches_scalar_reference(monkeypatch):
+    spaces, ks = kernel_chain()
+    _check_chain(monkeypatch, spaces, ks, 0, 3, 4000, 9)
+
+
+def test_chain_across_blocks_matches_scalar_reference(monkeypatch):
+    spaces, ks = kernel_chain()
+    _check_chain(monkeypatch, spaces, ks, 1, 2, _accel.BLOCK + 500, 4)
+
+
+@pytest.mark.parametrize("x0", [0, 1])
+def test_chain_uneven_widths_matches_scalar_reference(monkeypatch, x0):
+    spaces, ks = uneven_chain()
+    rep = _check_chain(monkeypatch, spaces, ks, x0, 3, 3000, 21)
+    assert rep.shape == (3, 4, 3)

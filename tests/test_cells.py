@@ -298,6 +298,14 @@ def test_sampler_deterministic():
     assert np.array_equal(a.counts, b.counts)
 
 
+@pytest.mark.parametrize("depth", [0, 2])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_sampler_rejects_empty_runs(depth, trials):
+    spaces, kernels = two_cell_chain(2)
+    with pytest.raises(ValueError):
+        cl.path_measure_sample(spaces, kernels, 0, depth, trials=trials)
+
+
 def test_start_cell_variation_constant_chain_is_zero():
     nu2 = (0.25, 0.75)
     spaces = [cl.CellSpace((0.5, 0.5)), cl.CellSpace(nu2)]

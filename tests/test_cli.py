@@ -181,6 +181,22 @@ def test_analyze_kernels(capsys):
     assert d["sample"]["tv_distance"] < 0.1
 
 
+@pytest.mark.parametrize("flags", [("--trials", "0"), ("--trials", "-3"),
+                                   ("--steps", "0"), ("--steps", "-3")])
+def test_analyze_walk_rejects_empty_runs(capsys, flags):
+    rc, d = run_json(capsys, "analyze", ALLONES, "walk", *flags)
+    assert rc == 1
+    assert d["error"]["kind"] == "ValueError"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_analyze_kernels_rejects_empty_runs(capsys, trials):
+    rc, out = run(capsys, "analyze", KERNELS, "kernels", "--trials", trials)
+    assert rc == 1
+    assert "NaN" not in out
+    assert json.loads(out)["error"]["kind"] == "ValueError"
+
+
 def test_analyze_kernels_missing_block(capsys):
     rc, d = run_json(capsys, "analyze", FIBONACCI, "kernels")
     assert rc == 1

@@ -241,14 +241,27 @@ def test_hitting_matches_harmonic():
     assert abs(est.estimate - expect) < 3 * est.stderr
 
 
-def test_hitting_parallel_equals_serial():
+def test_hitting_seed_determinism():
     net = allones_network(4)
-    a = lp.hitting_probability(net, (2, 0), trials=2000, seed=9,
-                               parallel=False)
-    b = lp.hitting_probability(net, (2, 0), trials=2000, seed=9,
-                               parallel=True)
+    a = lp.hitting_probability(net, (2, 0), trials=2000, seed=9)
+    b = lp.hitting_probability(net, (2, 0), trials=2000, seed=9)
     assert (a.top_hits, a.bottom_hits, a.timeouts) == \
         (b.top_hits, b.bottom_hits, b.timeouts)
+    c = lp.hitting_probability(net, (2, 0), trials=2000, seed=10)
+    assert (a.top_hits, a.bottom_hits) != (c.top_hits, c.bottom_hits)
+
+
+@pytest.mark.parametrize("steps, trials", [(0, 10), (-3, 10), (10, 0),
+                                           (10, -3)])
+def test_walk_rejects_empty_runs(steps, trials):
+    with pytest.raises(ValueError):
+        lp.walk(allones_network(3), (1, 0), steps=steps, trials=trials)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_hitting_rejects_empty_runs(trials):
+    with pytest.raises(ValueError):
+        lp.hitting_probability(allones_network(3), (1, 0), trials=trials)
 
 
 def test_walk_start_must_exist():
