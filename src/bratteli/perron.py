@@ -324,15 +324,11 @@ def pf_solve(windows, tol: float = 1e-10, anchor: int | None = None,
     shortcut = None
 
     # -- lambda and right vector ---------------------------------------
-    if last.global_row_sum is not None:
-        lam = last.global_row_sum
-        t = np.ones(m)
-        lams = [lam] * len(windows)
-        extrapolated = False
-        shortcut = "constant-row-sums"
-        converged = True
-    elif not last.truncated and _constant_of(last.dense.sum(axis=1)) is not None:
-        lam = float(last.dense.sum(axis=1)[0])
+    row_sum = last.global_row_sum
+    if row_sum is None and not last.truncated:
+        row_sum = _constant_of(last.dense.sum(axis=1))
+    if row_sum is not None:
+        lam = row_sum
         t = np.ones(m)
         lams = [lam] * len(windows)
         extrapolated = False

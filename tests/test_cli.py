@@ -140,6 +140,14 @@ def test_analyze_laplacian_and_energy(capsys):
     assert e["qm_identity_residual"] <= 1e-12
 
 
+def test_analyze_laplacian_deep_fibonacci(capsys):
+    rc, d = run_json(capsys, "analyze", FIBONACCI, "laplacian",
+                     "--depth", "80")
+    assert rc == 0
+    assert d["max_principle_ok"] is True
+    assert len(d["levels"]) == 81
+
+
 def test_analyze_walk_deterministic(capsys):
     args = ("analyze", ALLONES, "walk", "--trials", "40", "--steps", "60",
             "--seed", "7")

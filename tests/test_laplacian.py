@@ -7,7 +7,6 @@ import pytest
 from bratteli import diagram as dg
 from bratteli import laplacian as lp
 from bratteli import markov as mk
-from bratteli import perron as pf
 
 from conftest import allones_network, random_system, uniform_allones_system
 
@@ -147,10 +146,49 @@ def test_harmonic_vector_boundary():
     assert sol.max_principle_ok
 
 
-def test_harmonic_no_convergence():
-    net = allones_network(8)
-    with pytest.raises(pf.NoConvergence):
-        lp.solve_harmonic(net, 0.0, 1.0, maxiter=3)
+def dense_harmonic_levels(net, bottom, top):
+    """The interior equations 2 f_n - phat_n f_{n+1} - qhat_{n-1} f_{n-1} = 0
+    as one dense system, with the pinned ends moved to the right side."""
+    hk = net.kernels
+    N = net.depth
+    sizes = [len(q) for q in hk.q]
+    f0 = np.broadcast_to(np.asarray(bottom, dtype=np.float64), (sizes[0],))
+    fN = np.broadcast_to(np.asarray(top, dtype=np.float64), (sizes[N],))
+    off = np.concatenate(([0], np.cumsum(sizes[1:N])))
+    A = 2.0 * np.eye(off[-1])
+    b = np.zeros(off[-1])
+    for n in range(1, N):
+        rows = slice(off[n - 1], off[n])
+        if n + 1 < N:
+            A[rows, off[n]:off[n + 1]] = -hk.phat[n]
+        else:
+            b[rows] += hk.phat[n] @ fN
+        if n > 1:
+            A[rows, off[n - 2]:off[n - 1]] = -hk.qhat[n - 1]
+        else:
+            b[rows] += hk.qhat[0] @ f0
+    x = np.linalg.solve(A, b)
+    return [f0] + [x[off[n - 1]:off[n]] for n in range(1, N)] + [fN]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 9, 33])
+@pytest.mark.parametrize("vector_boundary", [False, True])
+def test_harmonic_matches_dense_solve(seed, vector_boundary):
+    net = lp.build_network(mk.dual_kernels(random_system(seed)))
+    sizes = [len(q) for q in net.kernels.q]
+    assert len(set(sizes)) > 1
+    if vector_boundary:
+        rng = np.random.default_rng(seed)
+        bottom = rng.uniform(-1.0, 0.0, sizes[0])
+        top = rng.uniform(1.0, 2.0, sizes[-1])
+    else:
+        bottom, top = 0.0, 1.0
+    sol = lp.solve_harmonic(net, bottom, top)
+    expect = dense_harmonic_levels(net, bottom, top)
+    for got, want in zip(sol.f.values, expect):
+        assert np.abs(got - want).max() <= 1e-12
+    assert sol.residual <= 1e-12
+    assert sol.max_principle_ok
 
 
 # -- energy --------------------------------------------------------------------
