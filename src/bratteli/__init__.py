@@ -9,10 +9,10 @@ Submodules:
     laplacian     -- weighted networks, harmonic functions, random walks
     cells         -- kernel duality on finite cell spaces
     specfile      -- JSON description of all of the above
-    cli           -- command-line front end
+    cli           -- command-line front end (``python -m bratteli``)
 """
-from . import (cells, cli, diagram, laplacian, markov, measures, perron,
-               specfile, substitution)
+from . import (cells, diagram, laplacian, markov, measures, perron, specfile,
+               substitution)
 
 __all__ = ["cells", "cli", "diagram", "laplacian", "markov", "measures",
            "perron", "specfile", "substitution"]

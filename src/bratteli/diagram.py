@@ -7,14 +7,19 @@ that are countably infinite in principle (integer- or natural-indexed) are
 materialized on explicit windows; band rules declare how rows continue
 outside the window so that truncation effects can be masked downstream.
 
+A level is given as an ``entries`` dict and stored once as CSR arrays,
+built on first use (``validate`` uses them), which every row, column,
+dense and sum query reads.  Heights are computed once per ``Diagram``, as
+exact Python integers.
+
 Everything here is pure and immutable after construction.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,7 +98,7 @@ class Window:
         if self.hi < self.lo:
             raise WindowMismatch(f"empty window [{self.lo}, {self.hi}]")
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[int, ...]:
         first = math.ceil(self.lo / self.step) * self.step
         return tuple(range(first, self.hi + 1, self.step))
@@ -108,8 +113,7 @@ class Window:
         """Array position of a vertex index; raises KeyError when outside."""
         if idx not in self:
             raise KeyError(f"vertex {idx} not in window {self}")
-        first = math.ceil(self.lo / self.step) * self.step
-        return (idx - first) // self.step
+        return (idx - self.vertices[0]) // self.step
 
     def __str__(self):  # pragma: no cover - cosmetic
         s = f"[{self.lo}, {self.hi}]"
@@ -124,6 +128,24 @@ def window_of(seq_or_window) -> Window:
 
 
 # ---------------------------------------------------------------- matrices
+
+class CSR(NamedTuple):
+    """One incidence level as arrays over window positions.
+
+    Entry k joins target ``rows[k]`` to source ``indices[k]`` with
+    multiplicity ``mult[k]``; entries run by (target, source), so row i is
+    ``indptr[i]:indptr[i+1]``.  Column j lists its entries, by target, in
+    ``colperm[colptr[j]:colptr[j+1]]``.  ``mult`` is int64, or Python ints
+    (dtype object) when a multiplicity does not fit in int64.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    mult: np.ndarray
+    rows: np.ndarray
+    colptr: np.ndarray
+    colperm: np.ndarray
+
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
@@ -151,6 +173,37 @@ class IncidenceMatrix:
     exterior_rows: frozenset | None = None
     exterior_cols: frozenset | None = None
 
+    @cached_property
+    def csr(self) -> CSR:
+        """The level's arrays, built once from ``entries``.  Raises the
+        error of the first malformed entry in ``entries`` order."""
+        keys, vals = list(self.entries), list(self.entries.values())
+        rpos = {v: i for i, v in enumerate(self.targets)}
+        cpos = {w: j for j, w in enumerate(self.sources)}
+        rows = np.array([rpos.get(v, -1) for v, _ in keys], dtype=np.int64)
+        cols = np.array([cpos.get(w, -1) for _, w in keys], dtype=np.int64)
+        mult = np.array(vals)
+        good = (mult > 0) & (mult % 1 == 0)
+        for k in np.flatnonzero(~good | (rows < 0) | (cols < 0))[:1]:
+            (v, w), lvl = keys[k], self.level
+            if not good[k]:
+                raise WindowMismatch(f"entry ({v},{w}) at level {lvl} has "
+                                     f"multiplicity {vals[k]!r}")
+            if rows[k] < 0:
+                raise WindowMismatch(f"target {v} outside window "
+                                     f"{self.row_window} at level {lvl}")
+            raise InfiniteRow(lvl, v, w)
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        colperm = np.lexsort((rows, cols))
+        ints = [int(x) for x in mult[order]]
+        wide = max(ints, default=0) >= 2**63
+        mult = np.array(ints, dtype=object if wide else np.int64)
+        n_rows, n_cols = len(self.row_window), len(self.col_window)
+        return CSR(np.searchsorted(rows, np.arange(n_rows + 1)), cols, mult,
+                   rows, np.searchsorted(cols[colperm], np.arange(n_cols + 1)),
+                   colperm)
+
     # -- shape helpers -------------------------------------------------
     @property
     def targets(self) -> tuple[int, ...]:
@@ -161,19 +214,40 @@ class IncidenceMatrix:
         return self.col_window.vertices
 
     def row_entries(self, v: int) -> list[tuple[int, int]]:
-        return sorted((w, m) for (t, w), m in self.entries.items() if t == v)
+        """[(source, multiplicity), ...] of target v, by source."""
+        if v not in self.row_window:
+            return []
+        c = self.csr
+        i = self.row_window.position(v)
+        lo, hi = int(c.indptr[i]), int(c.indptr[i + 1])
+        src = self.sources
+        return [(src[j], m) for j, m in zip(c.indices[lo:hi].tolist(),
+                                            c.mult[lo:hi].tolist())]
 
     def col_entries(self, w: int) -> list[tuple[int, int]]:
-        return sorted((v, m) for (v, s), m in self.entries.items() if s == w)
+        """[(target, multiplicity), ...] of source w, by target."""
+        if w not in self.col_window:
+            return []
+        c = self.csr
+        j = self.col_window.position(w)
+        ks = c.colperm[c.colptr[j]:c.colptr[j + 1]]
+        tgt = self.targets
+        return [(tgt[i], m)
+                for i, m in zip(c.rows[ks].tolist(), c.mult[ks].tolist())]
+
+    def triplets(self) -> list[tuple[int, int, int]]:
+        """(target, source, multiplicity) of every entry, by target, source."""
+        c, tgt, src = self.csr, self.targets, self.sources
+        return [(tgt[i], src[j], m) for i, j, m in
+                zip(c.rows.tolist(), c.indices.tolist(), c.mult.tolist())]
 
     def multiplicity(self, v: int, w: int) -> int:
-        return self.entries.get((v, w), 0)
+        return dict(self.row_entries(v)).get(w, 0)
 
     def to_dense(self, dtype=np.float64) -> np.ndarray:
         out = np.zeros((len(self.row_window), len(self.col_window)), dtype=dtype)
-        rw, cw = self.row_window, self.col_window
-        for (v, w), m in self.entries.items():
-            out[rw.position(v), cw.position(w)] = m
+        c = self.csr
+        out[c.rows, c.indices] = c.mult
         return out
 
     # -- truncation masks ----------------------------------------------
@@ -201,14 +275,12 @@ class IncidenceMatrix:
 
     def row_sums(self) -> np.ndarray:
         out = np.zeros(len(self.row_window), dtype=np.int64)
-        for (v, _), m in self.entries.items():
-            out[self.row_window.position(v)] += m
+        np.add.at(out, self.csr.rows, self.csr.mult)
         return out
 
     def col_sums(self) -> np.ndarray:
         out = np.zeros(len(self.col_window), dtype=np.int64)
-        for (_, w), m in self.entries.items():
-            out[self.col_window.position(w)] += m
+        np.add.at(out, self.csr.indices, self.csr.mult)
         return out
 
 
@@ -285,6 +357,16 @@ class Diagram:
     def vertices(self, n: int) -> tuple[int, ...]:
         return self.window(n).vertices
 
+    @cached_property
+    def _heights(self) -> tuple[tuple[int, ...], ...]:
+        """H^(0..depth) as Python ints, one CSR product per level."""
+        hs = [np.ones(len(self.window(0)), dtype=object)]
+        for m in self.matrices:
+            c = m.csr
+            hs.append(np.add.reduceat(c.mult.astype(object) * hs[-1][c.indices],
+                                      c.indptr[:-1]))
+        return tuple(tuple(h.tolist()) for h in hs)
+
 
 def _matrices_equal(a: IncidenceMatrix, b: IncidenceMatrix) -> bool:
     return (dict(a.entries) == dict(b.entries)
@@ -308,43 +390,21 @@ def validate(matrices: Sequence[IncidenceMatrix]) -> Diagram:
             raise WindowMismatch(
                 f"source window of level {k} ({m.col_window}) differs from the "
                 f"target window of level {k - 1} ({mats[k - 1].row_window})")
-        seen_rows: set[int] = set()
-        seen_cols: set[int] = set()
-        for (v, w), mult in m.entries.items():
-            if mult <= 0 or int(mult) != mult:
-                raise WindowMismatch(
-                    f"entry ({v},{w}) at level {k} has multiplicity {mult!r}")
-            if v not in m.row_window:
-                raise WindowMismatch(
-                    f"target {v} outside window {m.row_window} at level {k}")
-            if w not in m.col_window:
-                raise InfiniteRow(k, v, w)
-            seen_rows.add(v)
-            seen_cols.add(w)
-        for v in m.targets:
-            if v not in seen_rows:
-                raise ZeroRow(k, v)
-        for w in m.sources:
-            if w not in seen_cols:
-                raise ZeroColumn(k, w)
+        for i in np.flatnonzero(np.diff(m.csr.indptr) == 0)[:1]:
+            raise ZeroRow(k, m.targets[i])
+        for j in np.flatnonzero(np.diff(m.csr.colptr) == 0)[:1]:
+            raise ZeroColumn(k, m.sources[j])
     stationary = all(_matrices_equal(mats[0], m) for m in mats[1:])
     return Diagram(mats, stationary)
 
 
 def stationary_diagram(matrix, depth: int, window=None) -> Diagram:
     """Repeat one dense matrix (or band-built IncidenceMatrix) ``depth`` times."""
-    if isinstance(matrix, IncidenceMatrix):
-        proto = matrix
-        mats = [IncidenceMatrix(k, proto.entries, proto.row_window,
-                                proto.col_window, proto.band,
-                                proto.row_sum_claim, proto.col_sum_claim,
-                                proto.exterior_rows, proto.exterior_cols)
-                for k in range(depth)]
-        return validate(mats)
-    proto = incidence_from_dense(0, matrix, window, window)
-    mats = [IncidenceMatrix(k, proto.entries, proto.row_window,
-                            proto.col_window)
-            for k in range(depth)]
+    proto = (matrix if isinstance(matrix, IncidenceMatrix)
+             else incidence_from_dense(0, matrix, window, window))
+    mats = [replace(proto, level=k) for k in range(depth)]
+    for m in mats[1:]:  # one level repeated: prime each copy's csr cache
+        vars(m)["csr"] = mats[0].csr
     return validate(mats)
 
 
@@ -426,31 +486,11 @@ def heights(d: Diagram, n: int) -> list[int]:
     """H^(n) = F_{n-1} ... F_0 1, exact integers aligned to vertices(n).
 
     H^(n)_v counts the paths from level 0 into v; Python integers make
-    overflow a non-issue.
+    overflow a non-issue.  Returns a copy of the diagram's cached level.
     """
     if n < 0 or n > d.depth:
         raise CutsOutOfRange(f"level {n} outside 0..{d.depth}")
-    h = {w: 1 for w in d.vertices(0)}
-    for k in range(n):
-        m = d.F(k)
-        nxt = {v: 0 for v in m.targets}
-        for (v, w), mult in m.entries.items():
-            nxt[v] += mult * h[w]
-        h = nxt
-    return [h[v] for v in d.vertices(n)]
-
-
-def all_heights(d: Diagram) -> list[list[int]]:
-    out = [[1] * len(d.vertices(0))]
-    h = {w: 1 for w in d.vertices(0)}
-    for k in range(d.depth):
-        m = d.F(k)
-        nxt = {v: 0 for v in m.targets}
-        for (v, w), mult in m.entries.items():
-            nxt[v] += mult * h[w]
-        h = nxt
-        out.append([h[v] for v in d.vertices(k + 1)])
-    return out
+    return list(d._heights[n])
 
 
 # ---------------------------------------------------------------- paths
@@ -576,32 +616,26 @@ class EdgeOrder:
         return table[target]
 
 
+def _incoming(m: IncidenceMatrix) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Each target's incoming edges as (source, rank), by source then rank."""
+    return {v: tuple((w, r) for w, mult in m.row_entries(v)
+                     for r in range(mult))
+            for v in m.targets}
+
+
 def natural_order(d: Diagram) -> EdgeOrder:
     """Sort incoming edges by (source, rank); stationary diagrams share it."""
-    def table_for(m: IncidenceMatrix):
-        t: dict[int, tuple[tuple[int, int], ...]] = {}
-        for v in m.targets:
-            pairs = []
-            for (w, mult) in m.row_entries(v):
-                pairs.extend((w, r) for r in range(mult))
-            t[v] = tuple(pairs)
-        return t
-
     if d.stationary:
-        return EdgeOrder((table_for(d.F(0)),), stationary=True)
-    return EdgeOrder(tuple(table_for(d.F(n)) for n in range(d.depth)))
+        return EdgeOrder((_incoming(d.F(0)),), stationary=True)
+    return EdgeOrder(tuple(_incoming(d.F(n)) for n in range(d.depth)))
 
 
 def check_order(d: Diagram, order: EdgeOrder) -> None:
     """Each order list must be a bijection with the incoming edge set."""
     for n in range(d.depth):
-        m = d.F(n)
-        for v in m.targets:
+        for v, expect in _incoming(d.F(n)).items():
             listed = order.order_at(n, v)
-            expect = set()
-            for (w, mult) in m.row_entries(v):
-                expect.update((w, r) for r in range(mult))
-            if set(listed) != expect or len(listed) != len(expect):
+            if set(listed) != set(expect) or len(listed) != len(expect):
                 raise WindowMismatch(
                     f"order at level {n}, target {v} is not a bijection with "
                     f"the incoming edges")

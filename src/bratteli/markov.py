@@ -78,12 +78,13 @@ class MarkovSystem:
     def phat(self, level: int) -> np.ndarray:
         """Vertex-level kernel: rows = V_level sources, cols = V_{level+1}."""
         m = self.diagram.F(level)
-        sw, tw = m.col_window, m.row_window
-        out = np.zeros((len(sw), len(tw)))
-        for (u, v), mult in m.entries.items():
+        tots = []
+        for u, v, mult in m.triplets():
             val = self.probs[level][(v, u)]
-            tot = mult * float(val) if np.isscalar(val) else float(sum(val))
-            out[sw.position(v), tw.position(u)] += tot
+            tots.append(mult * float(val) if np.isscalar(val)
+                        else float(sum(val)))
+        out = np.zeros((len(m.sources), len(m.targets)))
+        out[m.csr.indices, m.csr.rows] = tots
         return out
 
 
@@ -99,13 +100,13 @@ def validate_system(ms: MarkovSystem, tol: float = 1e-12) -> None:
             f"{len(ms.probs)} probability levels for depth {d.depth}")
     for n in range(d.depth):
         m = d.F(n)
-        keys = {(w, v) for (v, w) in m.entries}
-        if set(ms.probs[n]) != keys:
+        edges = {(w, v): mult for v, w, mult in m.triplets()}
+        if set(ms.probs[n]) != set(edges):
             raise PathInvalid(f"level {n} probabilities keyed off the edge "
                               f"set of the diagram")
         for (w, v), val in ms.probs[n].items():
             vals = (val,) if np.isscalar(val) else tuple(val)
-            mult = m.multiplicity(v, w)
+            mult = edges[(w, v)]
             if not np.isscalar(val) and len(vals) != mult:
                 raise PathInvalid(f"edge ({w}->{v}) at level {n} has "
                                   f"{len(vals)} values for {mult} edges")
@@ -225,23 +226,17 @@ def markov_from_tail_invariant(d: Diagram, nu: MeasureSequence,
     normalized: list[tuple[int, int]] = []
     for n in range(d.depth):
         m = d.F(n)
-        lo, hi = nu.level(n), nu.level(n + 1)
-        level_probs = {}
-        for (u, v), _ in m.entries.items():
-            level_probs[(v, u)] = (hi[m.row_window.position(u)]
-                                   / lo[m.col_window.position(v)])
+        c = m.csr
+        p = nu.level(n + 1)[c.rows] / nu.level(n)[c.indices]
         # outgoing sums equal (A nu^(n+1))_v / nu^(n)_v = 1 except where the
-        # window clipped the row
-        sums = {}
-        for (u, v), mult in m.entries.items():
-            sums[v] = sums.get(v, 0.0) + mult * level_probs[(v, u)]
-        for v, s in sums.items():
-            if abs(s - 1.0) > boundary_tol:
-                for (u2, v2) in m.entries:
-                    if v2 == v:
-                        level_probs[(v, u2)] /= s
-                normalized.append((n, v))
-        probs.append(level_probs)
+        # window clipped the row; each sum adds its column in target order
+        sums = np.bincount(c.indices, weights=c.mult * p,
+                           minlength=len(m.sources))
+        clipped = np.abs(sums - 1.0) > boundary_tol
+        p = p / np.where(clipped, sums, 1.0)[c.indices]
+        normalized.extend((n, m.sources[j]) for j in np.flatnonzero(clipped))
+        probs.append({(v, u): x
+                      for (u, v, _), x in zip(m.triplets(), p.tolist())})
     return MarkovSystem(d, np.asarray(nu.level(0), dtype=np.float64),
                         tuple(probs), {"normalized": tuple(normalized)})
 
@@ -256,19 +251,18 @@ def hat_vs_incidence(d: Diagram, hk: HatKernels) -> float:
     masked level by level.
     """
     worst = 0.0
-    clean = {v: True for v in d.vertices(0)}
+    clean = np.ones(len(d.vertices(0)), dtype=bool)
     for n in range(d.depth):
         F = d.F(n)
-        icols = dict(zip(F.sources, F.interior_cols()))
-        nxt = {}
-        for u in F.targets:
-            nxt[u] = all(clean[w] and icols[w] for w, _ in F.row_entries(u))
-        fhat = hat_matrix(d, n).to_dense()
-        diff = np.abs(hk.qhat[n] - fhat)
-        mask = np.array([nxt[u] for u in F.targets])
+        c = F.csr
+        ok = clean & F.interior_cols()
+        # a target stays clean when every source in its row is
+        mask = np.logical_and.reduceat(ok[c.indices], c.indptr[:-1])
+        diff = hat_matrix(d, n).to_dense()
+        np.abs(np.subtract(hk.qhat[n], diff, out=diff), out=diff)
         if mask.any():
             worst = max(worst, float(diff[mask].max()))
-        clean = nxt
+        clean = mask
     return worst
 
 

@@ -62,35 +62,40 @@ class HatMatrix:
     entries[(v, w)] = H^(n)_w * f_vw / H^(n+1)_v.  Because the truncated
     heights satisfy H^(n+1)_v = sum_w f_vw H^(n)_w by construction, every
     row sums to exactly 1 -- including rows clipped by the window.
+    ``matrix`` is the incidence level it rescales.
     """
 
     level: int
     entries: Mapping[tuple[int, int], Fraction]
-    targets: tuple[int, ...]
-    sources: tuple[int, ...]
+    matrix: IncidenceMatrix
+
+    @property
+    def targets(self) -> tuple[int, ...]:
+        return self.matrix.targets
+
+    @property
+    def sources(self) -> tuple[int, ...]:
+        return self.matrix.sources
 
     def row_sum(self, v: int) -> Fraction:
-        return sum((q for (t, _), q in self.entries.items() if t == v),
-                   Fraction(0))
+        return sum((self.entries[(v, w)]
+                    for w, _ in self.matrix.row_entries(v)), Fraction(0))
 
     def to_dense(self) -> np.ndarray:
-        tp = {v: i for i, v in enumerate(self.targets)}
-        sp = {w: j for j, w in enumerate(self.sources)}
+        c = self.matrix.csr
         out = np.zeros((len(self.targets), len(self.sources)))
-        for (v, w), q in self.entries.items():
-            out[tp[v], sp[w]] = float(q)
+        out[c.rows, c.indices] = [float(self.entries[(v, w)])
+                                  for v, w, _ in self.matrix.triplets()]
         return out
 
 
 def hat_matrix(d: Diagram, n: int) -> HatMatrix:
-    h_lo = heights(d, n)
-    h_hi = heights(d, n + 1)
     m = d.F(n)
-    lo_pos = {w: j for j, w in enumerate(m.sources)}
-    hi_pos = {v: i for i, v in enumerate(m.targets)}
-    entries = {(v, w): Fraction(h_lo[lo_pos[w]] * mult, h_hi[hi_pos[v]])
-               for (v, w), mult in m.entries.items()}
-    return HatMatrix(n, entries, m.targets, m.sources)
+    h_lo = dict(zip(m.sources, heights(d, n)))
+    h_hi = dict(zip(m.targets, heights(d, n + 1)))
+    entries = {(v, w): Fraction(h_lo[w] * mult, h_hi[v])
+               for v, w, mult in m.triplets()}
+    return HatMatrix(n, entries, m)
 
 
 # ---------------------------------------------------------------- verify
@@ -184,9 +189,8 @@ def stationary_pf_measure(d: Diagram, normalization: str = "level0",
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
     vectors = tuple(t * sd.lam ** (1 - n) for n in range(d.depth + 1))
-    hs = [np.array([float(h) for h in heights(d, n)])
-          for n in range(d.depth + 1)]
-    total = float(vectors[1] @ hs[1]) if d.depth >= 1 else float(t.sum())
+    total = (float(vectors[1] @ np.array([float(h) for h in heights(d, 1)]))
+             if d.depth >= 1 else float(t.sum()))
     meas = MeasureSequence(vectors, "CylinderValues",
                            {"lam": sd.lam, "normalization": normalization})
     report = NormalizationReport(sd.lam, raw_sum, float(t.sum()), total,

@@ -113,13 +113,14 @@ def band_window(offsets_values: Mapping[int, int], window,
         raise ValueError("support='nat' windows must start at 0")
     verts = win.vertices
     m = len(verts)
+    pos = {x: i for i, x in enumerate(verts)}
     dense = np.zeros((m, m))
     exact = {}
     for i, x in enumerate(verts):
         for o, val in band:
             y = x + o
-            if y in win:
-                dense[i, win.position(y)] += val
+            if y in pos:
+                dense[i, pos[y]] += val
                 exact[(x, y)] = exact.get((x, y), 0) + val
     def row_ok(x):
         return all((x + o in win) or (support == "nat" and x + o < 0)
@@ -155,7 +156,7 @@ def incidence_transpose(m: IncidenceMatrix) -> MatrixWindow:
         raise ValueError("transpose snapshots need equal source/target windows")
     verts = m.col_window.vertices
     dense = m.to_dense().T
-    exact = {(w, v): int(mult) for (v, w), mult in m.entries.items()}
+    exact = {(w, v): mult for v, w, mult in m.triplets()}
     # row sums of F^T are column sums of F and vice versa
     grs = float(m.col_sum_claim) if m.col_sum_claim is not None else None
     gcs = float(m.row_sum_claim) if m.row_sum_claim is not None else None
@@ -376,12 +377,13 @@ def pf_solve(windows, tol: float = 1e-10, anchor: int | None = None,
     t = t / t[anchor_pos]
 
     # -- left vector -----------------------------------------------------
-    if last.global_col_sum is not None:
+    col_sum = last.global_col_sum
+    if col_sum is None and not last.truncated:
+        col_sum = _constant_of(last.dense.sum(axis=0))
+    if col_sum is not None:
         s = np.ones(m)
         if shortcut == "constant-row-sums":
             shortcut = "constant-row-and-column-sums"
-    elif not last.truncated and _constant_of(last.dense.sum(axis=0)) is not None:
-        s = np.ones(m)
     else:
         _, s, its, _ = _power(last.dense.T, np.ones(m), maxiter)
         iterations += its

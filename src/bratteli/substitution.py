@@ -188,7 +188,7 @@ def reading_order(s: Substitution, matrix: dg.IncidenceMatrix) -> dg.EdgeOrder:
         pairs = []
         for b in img:
             w = pos[b] if decode else b
-            if (v, w) not in matrix.entries:
+            if not matrix.multiplicity(v, w):
                 continue  # letter truncated by the window
             r = counts.get(w, 0)
             counts[w] = r + 1

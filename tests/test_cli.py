@@ -5,7 +5,10 @@ versus JSON output, canonical spec emission, and seeded determinism."""
 import csv
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -240,6 +243,16 @@ def test_check_all_pass_json(capsys):
             "Adjointness", "ConstantsHarmonic", "HarmonicSolve"} <= names
 
 
+def test_check_consistency_deep_fibonacci(capsys):
+    """Heights past 2**53 still satisfy F_n H^(n) = H^(n+1) exactly."""
+    rc, d = run_json(capsys, "check", FIBONACCI, "--suite", "consistency",
+                     "--depth", "100", "--format", "json")
+    assert rc == 0
+    assert {r["invariant"]: r["passed"] for r in d["results"]} == {
+        "HeightRecursion": True, "TailInvariance": True,
+        "HatRowsSumToOne": True, "KolmogorovExtension": True}
+
+
 def test_check_kernels_suite(capsys):
     rc, d = run_json(capsys, "check", KERNELS, "--suite", "kernels",
                      "--format", "json")
@@ -280,6 +293,17 @@ def test_check_corrupted_row_text_verdict(capsys, tmp_path):
 
 
 # -- usage errors ----------------------------------------------------------------
+
+def test_python_dash_m_bratteli():
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bratteli", "validate", FIBONACCI],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["valid"] is True
+
 
 def test_unknown_analysis_is_usage_error(capsys):
     with pytest.raises(SystemExit) as ei:

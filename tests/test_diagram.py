@@ -6,6 +6,8 @@ Claimed behaviour checked here:
     - band rules materialize with truncation masks at the window edges
     - telescoping multiplies blocks in descending order (heights survive)
     - H^(n) counts paths exactly (integer arithmetic, no overflow)
+    - the stored array form answers every row/column/sum query exactly as
+      the ``entries`` dict it was built from
     - the successor visits a full odometer tower in binary-counter order
 """
 
@@ -15,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bratteli import diagram as dg
+from bratteli import substitution as sb
 
-from conftest import ALL_ONES, DRUNKEN, FIB, allones_diagram, fib_diagram
+from conftest import (ALL_ONES, DRUNKEN, FIB, allones_diagram, fib_diagram,
+                      random_system)
 
 
 # -- windows -----------------------------------------------------------------
@@ -184,10 +188,72 @@ def test_heights_satisfy_recursion(levels):
         mats.append(dg.incidence_from_dense(n, dense))
         prev_rows = len(dense)
     d = dg.validate(mats)
-    hs = dg.all_heights(d)
+    hs = [dg.heights(d, n) for n in range(d.depth + 1)]
     for n in range(d.depth):
         F = np.array(d.F(n).to_dense(dtype=np.int64), dtype=object)
         assert list(F @ np.array(hs[n], dtype=object)) == hs[n + 1]
+
+
+def test_heights_exact_past_int64():
+    d = fib_diagram(100)
+    fib = [1, 1]
+    while len(fib) < 102:
+        fib.append(fib[-1] + fib[-2])
+    # H^(n) = (F_{n+2}, F_{n+1}) with F_1 = F_2 = 1
+    assert dg.heights(d, 100) == [fib[101], fib[100]]
+    assert fib[100] > 2**63
+    assert all(type(h) is int for h in dg.heights(d, 100))
+    dg.heights(d, 100)[0] = 0               # callers get a copy
+    assert dg.heights(d, 100)[0] == fib[101]
+
+
+# -- stored array form -------------------------------------------------------
+
+def _array_form_cases():
+    nat = sb.substitution_matrix(sb.nat_length_two(), dg.Window(0, 12))
+    assert nat.exterior_rows and nat.exterior_cols
+    band = dg.band_diagram(DRUNKEN, depth=2, window=dg.Window(-20, 20, 2))
+    assert not band.F(0).interior_rows().all()
+    return {
+        "random-0": random_system(0).diagram,
+        "random-9": random_system(9, depth=4, min_m=1, max_m=7).diagram,
+        "band-clipped": band,
+        "nat-substitution": dg.stationary_diagram(nat, 2),
+        "telescoped": dg.telescope(random_system(5).diagram, (0, 2, 5, 6)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_array_form_cases()))
+def test_array_form_matches_entries(name):
+    """Every array-backed query agrees with a reference built from
+    ``entries`` alone, with plain Python ints for labels and counts."""
+    d = _array_form_cases()[name]
+    order = dg.natural_order(d)
+    for n in range(d.depth):
+        m = d.F(n)
+        ent = dict(m.entries)
+        tv, sv = m.targets, m.sources
+        dense = np.zeros((len(tv), len(sv)), dtype=np.int64)
+        for (v, w), k in ent.items():
+            dense[tv.index(v), sv.index(w)] = k
+        for v in tv:
+            row = sorted((w, k) for (t, w), k in ent.items() if t == v)
+            assert m.row_entries(v) == row
+            assert order.order_at(n, v) == tuple(
+                (w, r) for w, k in row for r in range(k))
+            assert all(type(x) is int for pair in row for x in pair)
+        for w in sv:
+            assert m.col_entries(w) == sorted(
+                (v, k) for (v, s), k in ent.items() if s == w)
+        for v in tv:
+            for w in sv + (sv[-1] + 1,):
+                got = m.multiplicity(v, w)
+                assert got == ent.get((v, w), 0) and type(got) is int
+        assert m.row_entries(tv[-1] + 1) == [] == m.col_entries(sv[-1] + 1)
+        assert np.array_equal(m.to_dense(dtype=np.int64), dense)
+        assert np.array_equal(m.to_dense(), dense.astype(np.float64))
+        assert np.array_equal(m.row_sums(), dense.sum(axis=1))
+        assert np.array_equal(m.col_sums(), dense.sum(axis=0))
 
 
 # -- paths and cylinders -----------------------------------------------------
