@@ -178,14 +178,18 @@ def _analyze_measure(spec: ParsedSpec, args):
 
 def _analyze_markov(spec: ParsedSpec, args):
     sysm = _system(spec, args.tol)
-    hk = mk.dual_kernels(sysm)
-    dev = max(float(np.abs(sysm.phat(n).sum(axis=1) - 1.0).max())
-              for n in range(sysm.depth))
+    qs = [np.asarray(sysm.q0, dtype=np.float64)]
+    devs = []
+    for n in range(sysm.depth):   # one dense P-hat per level, no Q-hat
+        P = sysm.phat(n)
+        qs.append(qs[n] @ P)
+        mk.check_mass(sysm, n + 1, qs[-1])
+        devs.append(float(np.abs(P.sum(axis=1) - 1.0).max()))
     payload = {"q0": list(map(float, sysm.q0)),
-               "stochasticity_deviation": dev,
+               "stochasticity_deviation": max(devs),
                "normalized_rows": list(sysm.meta.get("normalized", ())),
-               "q": [list(map(float, q)) for q in hk.q]}
-    rows = [(n, v, float(hk.q[n][i]))
+               "q": [list(map(float, q)) for q in qs]}
+    rows = [(n, v, float(qs[n][i]))
             for n in range(sysm.depth + 1)
             for i, v in enumerate(spec.diagram.vertices(n))]
     return payload, rows, ["level", "vertex", "q"]
@@ -307,15 +311,14 @@ def _suite_consistency(spec: ParsedSpec, tol: float, seed: int, out: list):
 
     worst = 0
     for n in range(d.depth):
-        hm = ms.hat_matrix(d, n)
-        worst = max(worst, max(abs(hm.row_sum(v) - 1) for v in hm.targets))
+        worst = max(worst, ms.hat_matrix(d, n).row_deviation())
     out.append(("consistency", "HatRowsSumToOne", float(worst), worst == 0))
 
     sysm = _system(spec, tol, strict=False)
     qs = mk.propagate_q(sysm)
     worst = 0.0
     for n in range(d.depth):
-        ext = qs[n] @ sysm.phat(n)
+        ext = qs[n + 1]   # = qs[n] @ phat(n), bit for bit
         back = float(np.abs(ext.sum() - qs[n].sum())
                      / max(qs[n].sum(), 1e-300))
         worst = max(worst, back)
@@ -336,9 +339,7 @@ def _suite_operators(spec: ParsedSpec, tol: float, seed: int, out: list):
     if dev > tol:
         return
     hk = mk.dual_kernels(sysm)
-    bal = max(_max_abs_diff(hk.q[n][:, None] * hk.phat[n],
-                            (hk.q[n + 1][:, None] * hk.qhat[n]).T)
-              for n in range(d.depth))
+    bal = max(mk.balance_gap(hk, n) for n in range(d.depth))
     out.append(("operators", "DetailedBalance", bal, bal <= tol))
     induced = spec.markov is None or spec.markov.get("from_tail_invariant")
     if induced:

@@ -17,6 +17,7 @@ Everything here is pure and immutable after construction.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
@@ -242,7 +243,16 @@ class IncidenceMatrix:
                 zip(c.rows.tolist(), c.indices.tolist(), c.mult.tolist())]
 
     def multiplicity(self, v: int, w: int) -> int:
-        return dict(self.row_entries(v)).get(w, 0)
+        """Edges between target v and source w: a binary search in v's row."""
+        try:
+            i = self.row_window.position(v)
+            j = self.col_window.position(w)
+        except KeyError:
+            return 0
+        c = self.csr
+        lo, hi = c.indptr[i:i + 2].tolist()
+        k = bisect_left(c.indices, j, lo, hi)
+        return int(c.mult[k]) if k < hi and c.indices[k] == j else 0
 
     def to_dense(self, dtype=np.float64) -> np.ndarray:
         out = np.zeros((len(self.row_window), len(self.col_window)), dtype=dtype)
@@ -253,25 +263,35 @@ class IncidenceMatrix:
     # -- truncation masks ----------------------------------------------
     def interior_rows(self) -> np.ndarray:
         """True where the window row equals the untruncated row."""
-        tv = self.targets
-        if self.exterior_rows is not None:
-            return np.array([v not in self.exterior_rows for v in tv])
-        if self.band is None:
-            return np.ones(len(tv), dtype=bool)
-        offs = [o for o, _ in self.band]
-        return np.array([all(v + o in self.col_window for o in offs)
-                         for v in tv])
+        return self._interior[0]
 
     def interior_cols(self) -> np.ndarray:
         """True where the window column receives every untruncated edge."""
-        sv = self.sources
-        if self.exterior_cols is not None:
-            return np.array([w not in self.exterior_cols for w in sv])
-        if self.band is None:
-            return np.ones(len(sv), dtype=bool)
-        offs = [o for o, _ in self.band]
-        return np.array([all(w - o in self.row_window for o in offs)
-                         for w in sv])
+        return self._interior[1]
+
+    @cached_property
+    def _interior(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row mask, column mask), built once and read-only.  A band row v
+        is interior when every v + offset lies in the source window, a band
+        column w when every w - offset lies in the target window."""
+        tv, sv = np.array(self.targets), np.array(self.sources)
+        masks = []
+        for verts, exterior, other, sign in (
+                (tv, self.exterior_rows, self.col_window, 1),
+                (sv, self.exterior_cols, self.row_window, -1)):
+            if exterior is not None:
+                ok = ~np.isin(verts, list(exterior))
+            elif self.band is None:
+                ok = np.ones(len(verts), dtype=bool)
+            else:
+                ok = np.ones(len(verts), dtype=bool)
+                for o, _ in self.band:
+                    x = verts + sign * o
+                    ok &= ((other.lo <= x) & (x <= other.hi)
+                           & (x % other.step == 0))
+            ok.flags.writeable = False
+            masks.append(ok)
+        return masks[0], masks[1]
 
     def row_sums(self) -> np.ndarray:
         out = np.zeros(len(self.row_window), dtype=np.int64)

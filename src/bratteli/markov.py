@@ -13,6 +13,17 @@ by construction.  T_P and T_Q act on level functions as P-hat / Q-hat and
 are mutually adjoint contractions between the q-weighted l2 spaces; their
 composition T_n = P-hat Q-hat is row-stochastic, fixes q^(n) on the left
 and is self-adjoint in the level-n weighted inner product.
+
+Stored form.  Both kernels are nonzero only on the edges of the level's
+incidence matrix, so a system keeps P-hat as one value per edge, in the
+CSR order of ``diagram.F(n).csr`` (``MarkovSystem.phat_edges``), computed
+once per level.  Q-hat is scattered from those values, and comparisons
+that are elementwise (detailed balance, Q-hat against the hat incidence
+matrix) read the edges alone.  The products whose float summation order
+reaches an output stay dense: ``q @ P``, row sums, T_P / T_Q, T_n and
+the Laplacian built on ``HatKernels``.  That keeps every printed number
+identical to the dense computation, so ``phat`` and ``HatKernels`` still
+hand out m x m arrays.
 """
 from __future__ import annotations
 
@@ -62,6 +73,9 @@ class MarkovSystem:
     q0: np.ndarray
     probs: tuple[Mapping[tuple[int, int], object], ...]
     meta: Mapping[str, object] = field(default_factory=dict)
+    # level -> phat_edges(level), filled on first use
+    _edges: dict[int, np.ndarray] = field(default_factory=dict, init=False,
+                                          repr=False, compare=False)
 
     @property
     def depth(self) -> int:
@@ -72,20 +86,37 @@ class MarkovSystem:
         if not 0 <= rank < mult:
             raise PathInvalid(f"no edge rank {rank} between level-{level} "
                               f"source {src} and target {tgt}")
-        val = self.probs[level][(src, tgt)]
-        return float(val) if np.isscalar(val) else float(val[rank])
+        return _rank_value(self.probs[level][(src, tgt)], rank)
+
+    def phat_edges(self, level: int) -> np.ndarray:
+        """P-hat at ``level``, one read-only value per edge of
+        ``diagram.F(level).csr``: mult * p for a shared value, the sum of
+        the per-rank values otherwise.  Computed once per level."""
+        if level not in self._edges:
+            tots = []
+            for u, v, mult in self.diagram.F(level).triplets():
+                val = self.probs[level][(v, u)]
+                tots.append(mult * float(val) if np.isscalar(val)
+                            else float(sum(val)))
+            self._edges[level] = _frozen(np.array(tots, dtype=np.float64))
+        return self._edges[level]
 
     def phat(self, level: int) -> np.ndarray:
         """Vertex-level kernel: rows = V_level sources, cols = V_{level+1}."""
         m = self.diagram.F(level)
-        tots = []
-        for u, v, mult in m.triplets():
-            val = self.probs[level][(v, u)]
-            tots.append(mult * float(val) if np.isscalar(val)
-                        else float(sum(val)))
         out = np.zeros((len(m.sources), len(m.targets)))
-        out[m.csr.indices, m.csr.rows] = tots
+        out[m.csr.indices, m.csr.rows] = self.phat_edges(level)
         return out
+
+
+def _rank_value(val, rank: int) -> float:
+    """The probability of one edge rank from a shared or per-rank value."""
+    return float(val) if np.isscalar(val) else float(val[rank])
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def validate_system(ms: MarkovSystem, tol: float = 1e-12) -> None:
@@ -132,8 +163,9 @@ def cylinder_mass(ms: MarkovSystem, p: FinitePath) -> float:
     if lvl0 != 0:
         raise PathInvalid("cylinder masses are rooted at level 0")
     mass = float(ms.q0[d.window(0).position(v0)])
+    # path_in_diagram has checked every rank against its multiplicity
     for (lvl, src, tgt, rank) in p.edges:
-        mass *= ms.edge_prob(lvl, src, tgt, rank)
+        mass *= _rank_value(ms.probs[lvl][(src, tgt)], rank)
     return mass
 
 
@@ -185,19 +217,36 @@ class HatKernels:
         return (total / mult,) * mult
 
 
+def check_mass(ms: MarkovSystem, level: int, q: np.ndarray) -> None:
+    """Raise ZeroMass when the level mass q^(level) vanished somewhere."""
+    if (q < Q_FLOOR).any():
+        raise ZeroMass(level,
+                       int(ms.diagram.vertices(level)[int(np.argmin(q))]))
+
+
 def dual_kernels(ms: MarkovSystem, split: Callable | None = None
                  ) -> HatKernels:
-    """Backward kernels qhat_n(u, v) = (q^(n)_v / q^(n+1)_u) phat_n(v, u)."""
-    qs = propagate_q(ms)
-    phats = tuple(ms.phat(n) for n in range(ms.depth))
-    qhats = []
+    """Backward kernels qhat_n(u, v) = (q^(n)_v / q^(n+1)_u) phat_n(v, u).
+
+    One pass per level: the dense P-hat, q^(n+1) = q^(n) P-hat (as in
+    propagate_q), and Q-hat scattered from the edge values of P-hat.
+    """
+    qs = [np.asarray(ms.q0, dtype=np.float64)]
+    phats, qhats = [], []
     for n in range(ms.depth):
-        q_lo, q_hi = qs[n], qs[n + 1]
-        if (q_hi < Q_FLOOR).any():
-            u = int(np.argmin(q_hi))
-            raise ZeroMass(n + 1, int(ms.diagram.vertices(n + 1)[u]))
-        qhats.append(phats[n].T * q_lo[np.newaxis, :] / q_hi[:, np.newaxis])
-    return HatKernels(ms.diagram, phats, tuple(qhats),
+        c = ms.diagram.F(n).csr
+        P = ms.phat(n)
+        q_lo, q_hi = qs[n], qs[n] @ P
+        check_mass(ms, n + 1, q_hi)
+        # Fortran order is the layout of P.T: dense products with Q-hat
+        # make the same BLAS calls, and round the same way, as always
+        Q = np.zeros(P.shape[::-1], order="F")
+        Q[c.rows, c.indices] = (ms.phat_edges(n) * q_lo[c.indices]
+                                / q_hi[c.rows])
+        qs.append(q_hi)
+        phats.append(P)
+        qhats.append(Q)
+    return HatKernels(ms.diagram, tuple(phats), tuple(qhats),
                       tuple(qs), "uniform" if split is None else "custom",
                       split)
 
@@ -223,6 +272,7 @@ def markov_from_tail_invariant(d: Diagram, nu: MeasureSequence,
             raise ZeroMeasureVertex(
                 n, int(d.vertices(n)[int(np.argmin(vec))]))
     probs = []
+    edges = {}
     normalized: list[tuple[int, int]] = []
     for n in range(d.depth):
         m = d.F(n)
@@ -237,8 +287,20 @@ def markov_from_tail_invariant(d: Diagram, nu: MeasureSequence,
         normalized.extend((n, m.sources[j]) for j in np.flatnonzero(clipped))
         probs.append({(v, u): x
                       for (u, v, _), x in zip(m.triplets(), p.tolist())})
-    return MarkovSystem(d, np.asarray(nu.level(0), dtype=np.float64),
-                        tuple(probs), {"normalized": tuple(normalized)})
+        edges[n] = _frozen(np.asarray(c.mult * p, dtype=np.float64))
+    ms = MarkovSystem(d, np.asarray(nu.level(0), dtype=np.float64),
+                      tuple(probs), {"normalized": tuple(normalized)})
+    ms._edges.update(edges)   # the edge values are at hand
+    return ms
+
+
+def balance_gap(hk: HatKernels, n: int) -> float:
+    """max |q^(n)_v phat_n(v, u) - q^(n+1)_u qhat_n(u, v)| over the edges
+    of level n; off the edges both kernels of a dual pair vanish."""
+    c = hk.diagram.F(n).csr
+    return float(np.abs(hk.q[n][c.indices] * hk.phat[n][c.indices, c.rows]
+                        - hk.q[n + 1][c.rows] * hk.qhat[n][c.rows, c.indices]
+                        ).max())
 
 
 def hat_vs_incidence(d: Diagram, hk: HatKernels) -> float:
@@ -248,7 +310,8 @@ def hat_vs_incidence(d: Diagram, hk: HatKernels) -> float:
     quantity: the dual kernel IS the row-stochastic incidence matrix.  On
     windowed truncations the identity only holds where the level masses
     propagated without touching a clipped source row, so such rows are
-    masked level by level.
+    masked level by level.  Both kernels vanish off the edges, so only
+    edges are compared.
     """
     worst = 0.0
     clean = np.ones(len(d.vertices(0)), dtype=bool)
@@ -258,10 +321,10 @@ def hat_vs_incidence(d: Diagram, hk: HatKernels) -> float:
         ok = clean & F.interior_cols()
         # a target stays clean when every source in its row is
         mask = np.logical_and.reduceat(ok[c.indices], c.indptr[:-1])
-        diff = hat_matrix(d, n).to_dense()
-        np.abs(np.subtract(hk.qhat[n], diff, out=diff), out=diff)
         if mask.any():
-            worst = max(worst, float(diff[mask].max()))
+            diff = np.abs(hk.qhat[n][c.rows, c.indices]
+                          - hat_matrix(d, n).values())
+            worst = max(worst, float(diff[mask[c.rows]].max()))
         clean = mask
     return worst
 

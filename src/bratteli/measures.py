@@ -7,7 +7,17 @@ This module verifies that recursion, builds the stationary Perron measure
 mu^(n) = t / lambda^(n-1), solves the nonstationary problem by backward
 propagation from a deep anchor, converts cylinder values to tower masses
 s^(n) = mu^(n) * H^(n), and exposes the exactly row-stochastic hat matrices
-fhat_vw = (H^(n)_w / H^(n+1)_v) f_vw in rational arithmetic.
+fhat_vw = (H^(n)_w / H^(n+1)_v) f_vw.
+
+A hat matrix is stored on the edges of its incidence level, in the CSR
+order of ``IncidenceMatrix.csr``: the exact integer numerator H^(n)_w f_vw
+of every edge and the denominator H^(n+1)_v of every row, as Python ints
+(heights outgrow int64 near depth 90).  The row check is the integer
+identity sum_w H^(n)_w f_vw = H^(n+1)_v, and the float value of an entry
+is the Python-int true division of its numerator by its denominator,
+which is correctly rounded like float(Fraction(...)).  Products with a
+hat matrix (``tower_masses``) use its dense form, because their float
+summation order reaches the output.
 
 Normalization conventions (the two useful scalings differ by lambda):
   "level0"      : sum of t over the level-0 window is 1
@@ -57,16 +67,20 @@ class MeasureSequence:
 
 @dataclass(frozen=True)
 class HatMatrix:
-    """Row-stochastic rescaling of an incidence matrix, exact rationals.
+    """Row-stochastic rescaling of an incidence matrix, held exactly.
 
-    entries[(v, w)] = H^(n)_w * f_vw / H^(n+1)_v.  Because the truncated
-    heights satisfy H^(n+1)_v = sum_w f_vw H^(n)_w by construction, every
-    row sums to exactly 1 -- including rows clipped by the window.
-    ``matrix`` is the incidence level it rescales.
+    fhat_vw = H^(n)_w * f_vw / H^(n+1)_v.  ``num`` holds the numerators
+    H^(n)_w * f_vw, one per edge of ``matrix.csr``; ``den`` holds the
+    denominators H^(n+1)_v, one per target; both are object arrays of
+    Python ints.  Because the truncated heights satisfy
+    H^(n+1)_v = sum_w f_vw H^(n)_w by construction, every row sums to
+    exactly 1 -- including rows clipped by the window.  ``matrix`` is the
+    incidence level it rescales.
     """
 
     level: int
-    entries: Mapping[tuple[int, int], Fraction]
+    num: np.ndarray
+    den: np.ndarray
     matrix: IncidenceMatrix
 
     @property
@@ -77,25 +91,46 @@ class HatMatrix:
     def sources(self) -> tuple[int, ...]:
         return self.matrix.sources
 
+    @property
+    def entries(self) -> dict[tuple[int, int], Fraction]:
+        """{(v, w): fhat_vw} as exact fractions."""
+        rows = self.matrix.csr.rows.tolist()
+        return {(v, w): Fraction(a, self.den[i]) for (v, w, _), a, i in
+                zip(self.matrix.triplets(), self.num.tolist(), rows)}
+
     def row_sum(self, v: int) -> Fraction:
-        return sum((self.entries[(v, w)]
-                    for w, _ in self.matrix.row_entries(v)), Fraction(0))
+        if v not in self.matrix.row_window:
+            return Fraction(0)
+        c = self.matrix.csr
+        i = self.matrix.row_window.position(v)
+        return Fraction(sum(self.num[c.indptr[i]:c.indptr[i + 1]].tolist()),
+                        self.den[i])
+
+    def row_deviation(self) -> Fraction:
+        """max_v |sum_w fhat_vw - 1|, exactly, from integer row sums."""
+        sums = np.add.reduceat(self.num, self.matrix.csr.indptr[:-1])
+        return max((Fraction(abs(s - h), h) for s, h in
+                    zip(sums.tolist(), self.den.tolist()) if s != h),
+                   default=Fraction(0))
+
+    def values(self) -> np.ndarray:
+        """fhat per edge as float64, each correctly rounded."""
+        quot = self.num / self.den[self.matrix.csr.rows]
+        return quot.astype(np.float64)
 
     def to_dense(self) -> np.ndarray:
         c = self.matrix.csr
         out = np.zeros((len(self.targets), len(self.sources)))
-        out[c.rows, c.indices] = [float(self.entries[(v, w)])
-                                  for v, w, _ in self.matrix.triplets()]
+        out[c.rows, c.indices] = self.values()
         return out
 
 
 def hat_matrix(d: Diagram, n: int) -> HatMatrix:
     m = d.F(n)
-    h_lo = dict(zip(m.sources, heights(d, n)))
-    h_hi = dict(zip(m.targets, heights(d, n + 1)))
-    entries = {(v, w): Fraction(h_lo[w] * mult, h_hi[v])
-               for v, w, mult in m.triplets()}
-    return HatMatrix(n, entries, m)
+    c = m.csr
+    h_lo = np.array(heights(d, n), dtype=object)
+    num = c.mult.astype(object) * h_lo[c.indices]
+    return HatMatrix(n, num, np.array(heights(d, n + 1), dtype=object), m)
 
 
 # ---------------------------------------------------------------- verify

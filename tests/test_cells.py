@@ -7,8 +7,6 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bratteli import cells as cl
 from bratteli import laplacian as lp
@@ -383,24 +381,31 @@ def test_refine_kernel_preserves_rows():
     assert fine.is_probability()
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(1, 9), min_size=2, max_size=4),
-       st.data())
-def test_refinement_commutes_with_aggregation(masses, data):
+def test_refinement_commutes_with_aggregation():
     """Refining a dual pair and aggregating back returns the original
     product measure exactly (rational arithmetic throughout)."""
-    m = len(masses)
-    total = sum(masses)
-    nu1 = cl.CellSpace(tuple(Fr(a, total) for a in masses))
-    rows = []
-    for _ in range(m):
-        w = data.draw(st.lists(st.integers(1, 9), min_size=3, max_size=3))
-        s = sum(w)
-        rows.append(tuple(Fr(a, s) for a in w))
-    P = cl.CellKernel(tuple(rows))
-    rho, nu2, Q = cl.dual_kernel(nu1, P)
-    rho_f, nu2_f, Q_f = cl.dual_kernel(cl.refine_space(nu1),
-                                       cl.refine_kernel(P))
-    back = cl.aggregate_product(rho_f)
-    assert back.matrix == rho.matrix
-    assert cl.aggregate_cells(nu2_f.masses) == nu2.masses
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=25, deadline=None)
+    @hyp.given(st.lists(st.integers(1, 9), min_size=2, max_size=4),
+               st.data())
+    def check(masses, data):
+        m = len(masses)
+        total = sum(masses)
+        nu1 = cl.CellSpace(tuple(Fr(a, total) for a in masses))
+        rows = []
+        for _ in range(m):
+            w = data.draw(st.lists(st.integers(1, 9), min_size=3,
+                                   max_size=3))
+            s = sum(w)
+            rows.append(tuple(Fr(a, s) for a in w))
+        P = cl.CellKernel(tuple(rows))
+        rho, nu2, Q = cl.dual_kernel(nu1, P)
+        rho_f, nu2_f, Q_f = cl.dual_kernel(cl.refine_space(nu1),
+                                           cl.refine_kernel(P))
+        back = cl.aggregate_product(rho_f)
+        assert back.matrix == rho.matrix
+        assert cl.aggregate_cells(nu2_f.masses) == nu2.masses
+
+    check()

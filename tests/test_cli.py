@@ -131,6 +131,21 @@ def test_analyze_markov(capsys):
     assert d["q"][0] == pytest.approx([0.5, 0.5])
 
 
+def test_analyze_markov_reports_vanished_mass(capsys, tmp_path):
+    """analyze markov builds no dual kernel, yet still reports a level mass
+    that vanished, as the dual kernel would."""
+    edges = [[lv, s, t, 1e-320 if t else 1.0] for lv in (0, 1)
+             for s in (0, 1) for t in (0, 1)]
+    p = tmp_path / "vanishing.json"
+    p.write_text(json.dumps({"matrix": [[1, 1], [1, 1]], "depth": 2,
+                             "markov": {"q0": [0.5, 0.5], "edges": edges}}))
+    for kind in ("markov", "laplacian"):
+        rc, d = run_json(capsys, "analyze", str(p), kind)
+        assert rc == 1
+        assert d["error"]["kind"] == "ZeroMass"
+        assert d["error"]["detail"].startswith("level mass q^(1)_1 vanished")
+
+
 def test_analyze_laplacian_and_energy(capsys):
     rc, d = run_json(capsys, "analyze", ALLONES, "laplacian")
     assert rc == 0

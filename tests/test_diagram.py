@@ -13,8 +13,6 @@ Claimed behaviour checked here:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bratteli import diagram as dg
 from bratteli import substitution as sb
@@ -166,32 +164,38 @@ def test_heights_fibonacci():
     assert dg.heights(d, 3) == [5, 3]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(
-    st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=4),
-             min_size=2, max_size=4),
-    min_size=1, max_size=4))
-def test_heights_satisfy_recursion(levels):
+def test_heights_satisfy_recursion():
     """F_n H^(n) = H^(n+1) exactly, on arbitrary valid dense chains."""
-    mats = []
-    prev_rows = None
-    for n, rows in enumerate(levels):
-        ncols = prev_rows if prev_rows is not None else len(rows[0])
-        dense = [(r + [1] * ncols)[:ncols] for r in rows]
-        # guarantee no empty rows/columns
-        for i, r in enumerate(dense):
-            if sum(r) == 0:
-                r[i % ncols] = 1
-        for j in range(ncols):
-            if sum(r[j] for r in dense) == 0:
-                dense[j % len(dense)][j] = 1
-        mats.append(dg.incidence_from_dense(n, dense))
-        prev_rows = len(dense)
-    d = dg.validate(mats)
-    hs = [dg.heights(d, n) for n in range(d.depth + 1)]
-    for n in range(d.depth):
-        F = np.array(d.F(n).to_dense(dtype=np.int64), dtype=object)
-        assert list(F @ np.array(hs[n], dtype=object)) == hs[n + 1]
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(st.lists(
+        st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=4),
+                 min_size=2, max_size=4),
+        min_size=1, max_size=4))
+    def check(levels):
+        mats = []
+        prev_rows = None
+        for n, rows in enumerate(levels):
+            ncols = prev_rows if prev_rows is not None else len(rows[0])
+            dense = [(r + [1] * ncols)[:ncols] for r in rows]
+            # guarantee no empty rows/columns
+            for i, r in enumerate(dense):
+                if sum(r) == 0:
+                    r[i % ncols] = 1
+            for j in range(ncols):
+                if sum(r[j] for r in dense) == 0:
+                    dense[j % len(dense)][j] = 1
+            mats.append(dg.incidence_from_dense(n, dense))
+            prev_rows = len(dense)
+        d = dg.validate(mats)
+        hs = [dg.heights(d, n) for n in range(d.depth + 1)]
+        for n in range(d.depth):
+            F = np.array(d.F(n).to_dense(dtype=np.int64), dtype=object)
+            assert list(F @ np.array(hs[n], dtype=object)) == hs[n + 1]
+
+    check()
 
 
 def test_heights_exact_past_int64():
@@ -250,10 +254,46 @@ def test_array_form_matches_entries(name):
                 got = m.multiplicity(v, w)
                 assert got == ent.get((v, w), 0) and type(got) is int
         assert m.row_entries(tv[-1] + 1) == [] == m.col_entries(sv[-1] + 1)
+        assert m.multiplicity(tv[-1] + 1, sv[0]) == 0
         assert np.array_equal(m.to_dense(dtype=np.int64), dense)
         assert np.array_equal(m.to_dense(), dense.astype(np.float64))
         assert np.array_equal(m.row_sums(), dense.sum(axis=1))
         assert np.array_equal(m.col_sums(), dense.sum(axis=0))
+
+
+def _interior_cases():
+    band = ((-2, 1), (0, 2), (2, 1))
+    rw, cw = dg.Window(-8, 8, 2), dg.Window(-9, 9)
+    rect = dg.IncidenceMatrix(
+        0, {(v, v + o): k for v in rw.vertices for o, k in band
+            if v + o in cw}, rw, cw, band=band)
+    nat = sb.substitution_matrix(sb.nat_length_two(), dg.Window(0, 12))
+    assert nat.exterior_rows and nat.exterior_cols
+    return {
+        "band-step-2": dg.band_matrix(0, dg.Window(-20, 20, 2), DRUNKEN),
+        "band-other-windows": rect,
+        "exterior-sets": nat,
+        "unbanded": random_system(9, depth=2, min_m=1, max_m=7).diagram.F(1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_interior_cases()))
+def test_interior_masks_match_vertex_definition(name):
+    m = _interior_cases()[name]
+
+    def inside(x, exterior, other, sign):
+        if exterior is not None:
+            return x not in exterior
+        return m.band is None or all(x + sign * o in other for o, _ in m.band)
+
+    rows = [inside(v, m.exterior_rows, m.col_window, 1) for v in m.targets]
+    cols = [inside(w, m.exterior_cols, m.row_window, -1) for w in m.sources]
+    for got, want in ((m.interior_rows(), rows), (m.interior_cols(), cols)):
+        assert got.dtype == bool and not got.flags.writeable
+        assert got.tolist() == want
+    if m.band is not None:
+        assert not all(rows) and any(rows)
+        assert not all(cols) and any(cols)
 
 
 # -- paths and cylinders -----------------------------------------------------

@@ -5,6 +5,8 @@
     - detailed balance ties the two kernels together exactly
     - tail-invariant-induced systems reproduce the hat incidence matrix
     - T_P / T_Q are adjoint contractions between weighted l2 levels
+    - the stored per-edge P-hat, the Q-hat scattered from it and the
+      edge-only comparisons equal the dense definitions bit for bit
 """
 
 import numpy as np
@@ -14,8 +16,10 @@ from bratteli import diagram as dg
 from bratteli import markov as mk
 from bratteli import measures as ms
 
-from conftest import (GOLDEN, allones_diagram, fib_diagram, random_system,
-                      uniform_allones_system)
+from fractions import Fraction
+
+from conftest import (DRUNKEN, GOLDEN, allones_diagram, fib_diagram,
+                      random_system, uniform_allones_system)
 
 
 def fib_induced(depth=6):
@@ -321,3 +325,95 @@ def test_composed_kernel_fixes_q_and_is_self_adjoint():
         f = rng.standard_normal(len(hk.q[n]))
         g = rng.standard_normal(len(hk.q[n]))
         assert abs(sp.inner(f, T @ g) - sp.inner(T @ f, g)) < 1e-12
+
+
+# -- stored edge form --------------------------------------------------------
+
+def _edge_form_cases():
+    clipped = dg.band_diagram(DRUNKEN, depth=4, window=dg.Window(-14, 14, 2))
+    mu, _ = ms.stationary_pf_measure(clipped)
+    induced = mk.markov_from_tail_invariant(clipped, mu)
+    assert induced.meta["normalized"]
+    # source 0: a double edge with per-rank values and a double edge with
+    # one shared value; source 1: a single edge
+    mixed = mk.MarkovSystem(
+        dg.stationary_diagram([[2, 1], [2, 0]], 3), np.array([0.3, 0.7]),
+        tuple({(0, 0): (0.25, 0.35), (0, 1): 0.2, (1, 0): 1.0}
+              for _ in range(3)))
+    return {"random-uneven": random_system(9, depth=4, min_m=1, max_m=7),
+            "explicit-mixed": mixed,
+            "clipped-band": induced}
+
+
+def _phat_reference(sysm, n):
+    """Dense P-hat from ``probs`` and ``entries`` alone."""
+    m = sysm.diagram.F(n)
+    tv, sv = m.targets, m.sources
+    out = np.zeros((len(sv), len(tv)))
+    for (w, v), val in sysm.probs[n].items():
+        mult = m.entries[(v, w)]
+        out[sv.index(w), tv.index(v)] = (mult * float(val) if np.isscalar(val)
+                                         else float(sum(val)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_edge_form_cases()))
+def test_phat_edges_match_probs(name):
+    sysm = _edge_form_cases()[name]
+    for n in range(sysm.depth):
+        ref = _phat_reference(sysm, n)
+        c = sysm.diagram.F(n).csr
+        edges = sysm.phat_edges(n)
+        assert np.array_equal(edges, ref[c.indices, c.rows])
+        assert not edges.flags.writeable
+        assert np.array_equal(sysm.phat(n), ref)
+
+
+@pytest.mark.parametrize("name", sorted(_edge_form_cases()))
+def test_dual_kernels_match_dense_formulas(name):
+    sysm = _edge_form_cases()[name]
+    hk = mk.dual_kernels(sysm)
+    rng = np.random.default_rng(1)
+    q = [np.asarray(sysm.q0, dtype=np.float64)]
+    for n in range(sysm.depth):
+        P = _phat_reference(sysm, n)
+        q.append(q[n] @ P)
+        Q = P.T * q[n][np.newaxis, :] / q[n + 1][:, np.newaxis]
+        assert np.array_equal(hk.phat[n], P)
+        assert np.array_equal(hk.qhat[n], Q)
+        # same memory layout, so the same BLAS calls and the same rounding
+        assert hk.qhat[n].flags.f_contiguous == Q.flags.f_contiguous
+        f = rng.standard_normal(len(q[n]))
+        assert np.array_equal(hk.qhat[n] @ f, Q @ f)
+        assert np.array_equal(hk.phat[n] @ hk.qhat[n], P @ Q)
+    assert all(np.array_equal(a, b) for a, b in zip(hk.q, q))
+    assert all(np.array_equal(a, b) for a, b in zip(mk.propagate_q(sysm), q))
+
+
+def test_edge_comparisons_match_dense_reference():
+    """hat_vs_incidence and balance_gap read edges only; on a clipped band
+    with masked rows they equal the dense computations exactly."""
+    d = dg.band_diagram(DRUNKEN, depth=4, window=dg.Window(-14, 14, 2))
+    mu, _ = ms.stationary_pf_measure(d)
+    hk = mk.dual_kernels(mk.markov_from_tail_invariant(d, mu))
+    worst, masked = 0.0, 0
+    clean = set(d.vertices(0))
+    for n in range(d.depth):
+        F = d.F(n)
+        tv, sv = F.targets, F.sources
+        ok = {w for w, inner in zip(sv, F.interior_cols()) if inner} & clean
+        clean = {v for v in tv if all(w in ok for w, _ in F.row_entries(v))}
+        masked += len(tv) - len(clean)
+        h_lo, h_hi = dg.heights(d, n), dg.heights(d, n + 1)
+        fhat = np.zeros((len(tv), len(sv)))
+        for (v, w), mult in F.entries.items():
+            i, j = tv.index(v), sv.index(w)
+            fhat[i, j] = float(Fraction(h_lo[j] * mult, h_hi[i]))
+        rows = [tv.index(v) for v in sorted(clean)]
+        if rows:
+            worst = max(worst, float(np.abs(hk.qhat[n] - fhat)[rows].max()))
+        lhs = hk.q[n][:, None] * hk.phat[n]
+        rhs = (hk.q[n + 1][:, None] * hk.qhat[n]).T
+        assert mk.balance_gap(hk, n) == float(np.abs(lhs - rhs).max())
+    assert masked > 0
+    assert mk.hat_vs_incidence(d, hk) == worst

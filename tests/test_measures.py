@@ -2,6 +2,7 @@
 spectral construction with its three normalizations, backward solving,
 ERS/ECS detection, and tower masses."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,48 @@ def test_hat_matrix_values_allones():
     # H^(1) = (2,2), H^(2) = (4,4): every entry 2*1/4
     assert all(q == Fraction(1, 2) for q in hm.entries.values())
     assert np.array_equal(hm.to_dense(), [[0.5, 0.5], [0.5, 0.5]])
+
+
+def test_hat_values_are_rounded_fractions_past_int64():
+    """Float entries equal float(Fraction) exactly and rows sum to 1 in
+    integers, with heights past 2^63."""
+    d = fib_diagram(100)
+    assert max(dg.heights(d, 100)) > 2**63
+    for n in range(d.depth):
+        hm = ms.hat_matrix(d, n)
+        m = d.F(n)
+        tv, sv = m.targets, m.sources
+        h_lo, h_hi = dg.heights(d, n), dg.heights(d, n + 1)
+        exact = {(v, w): Fraction(h_lo[sv.index(w)] * k, h_hi[tv.index(v)])
+                 for (v, w), k in m.entries.items()}
+        ref = np.zeros((len(tv), len(sv)))
+        for (v, w), x in exact.items():
+            ref[tv.index(v), sv.index(w)] = float(x)
+        assert np.array_equal(hm.to_dense(), ref)
+        assert hm.entries == exact
+        assert hm.row_deviation() == 0
+        assert all(hm.row_sum(v) == 1 for v in tv)
+
+
+def test_corrupted_hat_row_reports_exact_deviation():
+    d = dg.band_diagram(DRUNKEN, depth=3, window=dg.Window(-10, 10, 2))
+    hm = ms.hat_matrix(d, 2)
+    m = d.F(2)
+    k = 4                                    # an edge of target row 1
+    v, w, _ = m.triplets()[k]
+    num = hm.num.copy()
+    num[k] += 3
+    bad = dataclasses.replace(hm, num=num)
+    h_lo, h_hi = dg.heights(d, 2), dg.heights(d, 3)
+    fracs = {key: Fraction(h_lo[m.sources.index(key[1])] * mult
+                           + (3 if key == (v, w) else 0),
+                           h_hi[m.targets.index(key[0])])
+             for key, mult in m.entries.items()}
+    ref = max(abs(sum(x for (t, _), x in fracs.items() if t == u) - 1)
+              for u in m.targets)
+    assert ref == Fraction(3, h_hi[m.targets.index(v)])
+    assert bad.row_deviation() == ref
+    assert max(abs(bad.row_sum(u) - 1) for u in bad.targets) == ref
 
 
 # -- invariance --------------------------------------------------------------
