@@ -317,9 +317,8 @@ def _suite_consistency(spec: ParsedSpec, tol: float, seed: int, out: list):
     sysm = _system(spec, tol, strict=False)
     qs = mk.propagate_q(sysm)
     worst = 0.0
-    for n in range(d.depth):
-        ext = qs[n + 1]   # = qs[n] @ phat(n), bit for bit
-        back = float(np.abs(ext.sum() - qs[n].sum())
+    for n in range(d.depth):   # the extension qs[n] @ phat(n) is qs[n + 1]
+        back = float(np.abs(qs[n + 1].sum() - qs[n].sum())
                      / max(qs[n].sum(), 1e-300))
         worst = max(worst, back)
     out.append(("consistency", "KolmogorovExtension", worst, worst <= tol))
