@@ -117,13 +117,6 @@ class CellKernel:
     def is_probability(self, tol: float = 1e-12) -> bool:
         return all(abs(float(s) - 1.0) <= tol for s in self.row_mass())
 
-    def apply(self, f) -> np.ndarray:
-        """Integrate f against each row: (T f)(x) = sum_y K(x,y) f(y)."""
-        f = np.asarray(f)
-        if f.shape[0] != self.shape[1]:
-            raise DimensionMismatch("function lives on the wrong cell space")
-        return self.array(False) @ f.astype(np.float64)
-
 
 def kernel_from(matrix) -> CellKernel:
     return CellKernel(tuple(tuple(v for v in row) for row in matrix))
@@ -234,16 +227,14 @@ class MembershipReport:
     admit, decided cellwise.
 
     pair_represents: some kernel pair disintegrates rho over (nu1, nu2) --
-    equivalently both marginals vanish wherever the measures do.
-    measure_admits_rho: the same relation read as a condition on rho for
-    fixed (nu1, nu2); at cell level the two coincide.
+    equivalently both marginals vanish wherever the measures do.  Read as
+    a condition on rho for fixed (nu1, nu2) it is the same relation.
     recovery_residual: max deviation of nu1(x) kernel_rows(x,y) and
     nu2(y) kernel_cols(y,x) from rho(x,y); zero iff the recovered
     ratio kernels actually represent rho.
     """
 
     pair_represents: bool
-    measure_admits_rho: bool
     recovery_residual: float
     kernel_rows: CellKernel
     kernel_cols: CellKernel
@@ -279,7 +270,7 @@ def membership_tests(rho: ProductMeasure, nu1: CellSpace, nu2: CellSpace
                   dtype=object if exact else np.float64)
     res = max(float(np.abs(n1[:, None] * kr - R).max()),
               float(np.abs((n2[:, None] * kc).T - R).max()))
-    return MembershipReport(ac, ac, res,
+    return MembershipReport(ac, res,
                             CellKernel(tuple(tuple(r) for r in kr)),
                             CellKernel(tuple(tuple(r) for r in kc)),
                             tuple(marg1), tuple(marg2))

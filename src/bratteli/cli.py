@@ -78,17 +78,14 @@ def _fail(kind: str, detail: str) -> int:
 
 # ---------------------------------------------------------------- builders
 
-def _measure(spec: ParsedSpec, normalization: str, tol: float):
+def _measure(spec: ParsedSpec, normalization: str):
     d = spec.diagram
     if d.stationary:
-        mu, rep = ms.stationary_pf_measure(d, normalization=normalization,
-                                           tol=tol)
-        return mu, rep
+        return ms.stationary_pf_measure(d, normalization=normalization)
     return ms.solve_tail_invariant(d), None
 
 
-def _system(spec: ParsedSpec, tol: float,
-            strict: bool = True) -> mk.MarkovSystem:
+def _system(spec: ParsedSpec, strict: bool = True) -> mk.MarkovSystem:
     """Build the Markov system a spec describes (induced by default).
 
     strict=False skips the stochasticity tolerance so the check suites
@@ -98,7 +95,7 @@ def _system(spec: ParsedSpec, tol: float,
                           "normalization": "probability"}
     d = spec.diagram
     if blk.get("from_tail_invariant"):
-        mu, _ = _measure(spec, blk.get("normalization", "probability"), tol)
+        mu, _ = _measure(spec, blk.get("normalization", "probability"))
         return mk.markov_from_tail_invariant(d, mu)
     probs: list[dict] = [{} for _ in range(d.depth)]
     for (lvl, src, tgt, p) in blk["edges"]:
@@ -109,9 +106,8 @@ def _system(spec: ParsedSpec, tol: float,
     return sysm
 
 
-def _network(spec: ParsedSpec, tol: float,
-             strict: bool = True) -> lp.WeightedNetwork:
-    return lp.build_network(mk.dual_kernels(_system(spec, tol, strict)))
+def _network(spec: ParsedSpec, strict: bool = True) -> lp.WeightedNetwork:
+    return lp.build_network(mk.dual_kernels(_system(spec, strict)))
 
 
 # ---------------------------------------------------------------- validate
@@ -151,7 +147,7 @@ def _analyze_pf(spec: ParsedSpec, args):
     if not d.stationary:
         raise SpecError("pf analysis needs a stationary diagram")
     w = pf.incidence_transpose(d.F(0))
-    sd = pf.pf_solve([w], tol=args.tol)
+    sd = pf.pf_solve(w)
     rec = pf.classify_recurrence(w, sd.lam)
     payload = {"lambda": sd.lam, "classification": rec.classification,
                "residual": sd.residual, "shortcut": sd.shortcut,
@@ -163,7 +159,7 @@ def _analyze_pf(spec: ParsedSpec, args):
 
 
 def _analyze_measure(spec: ParsedSpec, args):
-    mu, rep = _measure(spec, args.normalization, args.tol)
+    mu, rep = _measure(spec, args.normalization)
     inv = ms.verify_tail_invariance(spec.diagram, mu, tol=args.tol)
     payload = {"kind": mu.kind,
                "normalization": args.normalization if rep else None,
@@ -177,7 +173,7 @@ def _analyze_measure(spec: ParsedSpec, args):
 
 
 def _analyze_markov(spec: ParsedSpec, args):
-    sysm = _system(spec, args.tol)
+    sysm = _system(spec)
     qs = [np.asarray(sysm.q0, dtype=np.float64)]
     devs = []
     for n in range(sysm.depth):   # one dense P-hat per level, no Q-hat
@@ -196,7 +192,7 @@ def _analyze_markov(spec: ParsedSpec, args):
 
 
 def _analyze_laplacian(spec: ParsedSpec, args):
-    net = _network(spec, args.tol)
+    net = _network(spec)
     sol = lp.solve_harmonic(net, 0.0, 1.0)
     payload = {"residual": sol.residual,
                "max_principle_ok": sol.max_principle_ok,
@@ -208,7 +204,7 @@ def _analyze_laplacian(spec: ParsedSpec, args):
 
 
 def _analyze_energy(spec: ParsedSpec, args):
-    net = _network(spec, args.tol)
+    net = _network(spec)
     sol = lp.solve_harmonic(net, 0.0, 1.0)
     er = lp.energy_norm(net, sol.f)
     payload = {"direct": er.direct, "operator_form": er.operator_form,
@@ -220,7 +216,7 @@ def _analyze_energy(spec: ParsedSpec, args):
 
 
 def _analyze_walk(spec: ParsedSpec, args):
-    net = _network(spec, args.tol)
+    net = _network(spec)
     level = args.start_level
     if not 0 <= level <= net.depth:
         raise SpecError(f"start level {level} outside 0..{net.depth}")
@@ -279,7 +275,7 @@ def cmd_analyze(args) -> int:
         payload, rows, header = _ANALYSES[args.analysis](spec, args)
     except (SpecError, dg.DiagramError) as e:
         return _fail(type(e).__name__, str(e))
-    except (pf.NoConvergence, pf.WindowUnstable, ms.PFFailed,
+    except (pf.NoConvergence, ms.PFFailed,
             ms.DimensionMismatch, mk.PathInvalid, mk.ZeroMass,
             mk.ZeroMeasureVertex, lp.BalanceViolation, cl.ZeroTotalMass,
             cl.NotPSD, ValueError) as e:
@@ -304,7 +300,7 @@ def _suite_consistency(spec: ParsedSpec, tol: float, seed: int, out: list):
         ok = ok and list(nxt.values()) == hs[n + 1]
     out.append(("consistency", "HeightRecursion", 0.0 if ok else 1.0, ok))
 
-    mu, _ = _measure(spec, "probability", tol)
+    mu, _ = _measure(spec, "probability")
     inv = ms.verify_tail_invariance(d, mu, tol=tol)
     out.append(("consistency", "TailInvariance", max(inv.residuals),
                 inv.passed))
@@ -314,7 +310,7 @@ def _suite_consistency(spec: ParsedSpec, tol: float, seed: int, out: list):
         worst = max(worst, ms.hat_matrix(d, n).row_deviation())
     out.append(("consistency", "HatRowsSumToOne", float(worst), worst == 0))
 
-    sysm = _system(spec, tol, strict=False)
+    sysm = _system(spec, strict=False)
     qs = mk.propagate_q(sysm)
     worst = 0.0
     for n in range(d.depth):   # the extension qs[n] @ phat(n) is qs[n + 1]
@@ -330,7 +326,7 @@ def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _suite_operators(spec: ParsedSpec, tol: float, seed: int, out: list):
-    sysm = _system(spec, tol, strict=False)
+    sysm = _system(spec, strict=False)
     d = spec.diagram
     dev = max(float(np.abs(sysm.phat(n).sum(axis=1) - 1.0).max())
               for n in range(d.depth))
@@ -373,7 +369,7 @@ def _suite_operators(spec: ParsedSpec, tol: float, seed: int, out: list):
 
 def _suite_laplacian(spec: ParsedSpec, tol: float, seed: int, out: list):
     try:
-        net = _network(spec, tol, strict=False)
+        net = _network(spec, strict=False)
     except lp.BalanceViolation as e:
         out.append(("laplacian", "ConductanceSymmetry", e.delta, False))
         return

@@ -28,7 +28,7 @@ hand out m x m arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -81,13 +81,6 @@ class MarkovSystem:
     def depth(self) -> int:
         return self.diagram.depth
 
-    def edge_prob(self, level: int, src: int, tgt: int, rank: int) -> float:
-        mult = self.diagram.F(level).multiplicity(tgt, src)
-        if not 0 <= rank < mult:
-            raise PathInvalid(f"no edge rank {rank} between level-{level} "
-                              f"source {src} and target {tgt}")
-        return _rank_value(self.probs[level][(src, tgt)], rank)
-
     def phat_edges(self, level: int) -> np.ndarray:
         """P-hat at ``level``, one read-only value per edge of
         ``diagram.F(level).csr``: mult * p for a shared value, the sum of
@@ -107,11 +100,6 @@ class MarkovSystem:
         out = np.zeros((len(m.sources), len(m.targets)))
         out[m.csr.indices, m.csr.rows] = self.phat_edges(level)
         return out
-
-
-def _rank_value(val, rank: int) -> float:
-    """The probability of one edge rank from a shared or per-rank value."""
-    return float(val) if np.isscalar(val) else float(val[rank])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -163,9 +151,11 @@ def cylinder_mass(ms: MarkovSystem, p: FinitePath) -> float:
     if lvl0 != 0:
         raise PathInvalid("cylinder masses are rooted at level 0")
     mass = float(ms.q0[d.window(0).position(v0)])
-    # path_in_diagram has checked every rank against its multiplicity
+    # path_in_diagram has checked every rank against its multiplicity; a
+    # value is shared by all parallel edges or given per rank
     for (lvl, src, tgt, rank) in p.edges:
-        mass *= _rank_value(ms.probs[lvl][(src, tgt)], rank)
+        val = ms.probs[lvl][(src, tgt)]
+        mass *= float(val) if np.isscalar(val) else float(val[rank])
     return mass
 
 
@@ -184,17 +174,14 @@ class HatKernels:
     """P-hat, Q-hat and the level masses of one Markov system.
 
     qhat[n] has rows indexed by V_{n+1} and columns by V_n (it runs the
-    chain downwards); edge-level dual probabilities split qhat(u, v) among
-    the parallel edges according to ``splitting`` (uniform by default; the
-    split is genuinely non-unique).
+    chain downwards); edge-level dual probabilities split qhat(u, v)
+    uniformly among the parallel edges (the split is genuinely non-unique).
     """
 
     diagram: Diagram
     phat: tuple[np.ndarray, ...]
     qhat: tuple[np.ndarray, ...]
     q: tuple[np.ndarray, ...]
-    splitting: str = "uniform"
-    _split_fn: Callable | None = None
 
     @property
     def depth(self) -> int:
@@ -209,11 +196,6 @@ class HatKernels:
                               f"and target {u}")
         total = float(self.qhat[level][m.row_window.position(u),
                                        m.col_window.position(v)])
-        if self._split_fn is not None:
-            parts = tuple(float(x) for x in self._split_fn(level, u, v, mult, total))
-            if len(parts) != mult:
-                raise PathInvalid("splitting policy returned wrong arity")
-            return parts
         return (total / mult,) * mult
 
 
@@ -224,8 +206,7 @@ def check_mass(ms: MarkovSystem, level: int, q: np.ndarray) -> None:
                        int(ms.diagram.vertices(level)[int(np.argmin(q))]))
 
 
-def dual_kernels(ms: MarkovSystem, split: Callable | None = None
-                 ) -> HatKernels:
+def dual_kernels(ms: MarkovSystem) -> HatKernels:
     """Backward kernels qhat_n(u, v) = (q^(n)_v / q^(n+1)_u) phat_n(v, u).
 
     One pass per level: the dense P-hat, q^(n+1) = q^(n) P-hat (as in
@@ -246,9 +227,7 @@ def dual_kernels(ms: MarkovSystem, split: Callable | None = None
         qs.append(q_hi)
         phats.append(P)
         qhats.append(Q)
-    return HatKernels(ms.diagram, tuple(phats), tuple(qhats),
-                      tuple(qs), "uniform" if split is None else "custom",
-                      split)
+    return HatKernels(ms.diagram, tuple(phats), tuple(qhats), tuple(qs))
 
 
 def markov_from_tail_invariant(d: Diagram, nu: MeasureSequence,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -184,15 +184,12 @@ def verify_tail_invariance(d: Diagram, m: MeasureSequence,
 @dataclass(frozen=True)
 class NormalizationReport:
     lam: float
-    t_sum_raw: float
     t_sum: float
     total_mass: float
-    normalization: str
-    spectral: perron.SpectralData
 
 
 def stationary_pf_measure(d: Diagram, normalization: str = "level0",
-                          windows=None, **pf_kwargs
+                          tol=None
                           ) -> tuple[MeasureSequence, NormalizationReport]:
     """mu^(n) = t / lambda^(n-1) from the Perron data of A = F^T.
 
@@ -202,14 +199,15 @@ def stationary_pf_measure(d: Diagram, normalization: str = "level0",
     "anchored" keeps pf_solve's center-anchored vector.  On truncated
     windows the level-0 sum is reported as-is; whether it stabilizes under
     window growth is the caller's diagnostic for sigma-finiteness.
+
+    ``tol`` is accepted and ignored: the solve on the diagram's one window
+    has no tolerance to set, but the benchmark workloads still pass it.
     """
     if not d.stationary:
         raise PFFailed("stationary_pf_measure needs a stationary diagram")
     try:
-        sd = perron.pf_solve(windows if windows is not None
-                             else perron.incidence_transpose(d.F(0)),
-                             **pf_kwargs)
-    except (perron.NoConvergence, perron.WindowUnstable, ValueError) as exc:
+        sd = perron.pf_solve(perron.incidence_transpose(d.F(0)))
+    except (perron.NoConvergence, ValueError) as exc:
         raise PFFailed(str(exc)) from exc
     if tuple(sd.vertices) != d.vertices(0):
         raise PFFailed("spectral window does not match the diagram window")
@@ -228,8 +226,7 @@ def stationary_pf_measure(d: Diagram, normalization: str = "level0",
              if d.depth >= 1 else float(t.sum()))
     meas = MeasureSequence(vectors, "CylinderValues",
                            {"lam": sd.lam, "normalization": normalization})
-    report = NormalizationReport(sd.lam, raw_sum, float(t.sum()), total,
-                                 normalization, sd)
+    report = NormalizationReport(sd.lam, float(t.sum()), total)
     return meas, report
 
 

@@ -6,8 +6,8 @@ the rows of the untruncated matrix, and optionally carries the exact
 constant row/column sum of the infinite matrix when a band rule guarantees
 one.  That constant-sum information gives exact eigendata (lambda = c,
 constant eigenvector) where plain truncation could never reach tight
-tolerances; everything else runs through shifted power iteration per window
-plus a safeguarded polynomial extrapolation in 1/(window size)^2.
+tolerances; everything else runs through shifted power iteration on the
+one window given.
 
 Recurrence classification follows the return-series route: with
 a^(n)_ii the diagonal of the n-th power and l_ii(n) the first-return
@@ -21,11 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .diagram import IncidenceMatrix, Window, window_of
+from .diagram import IncidenceMatrix
+
+
+_MAXITER = 200_000   # power-iteration cap
+_MARGIN = 0.25       # half-width of the Unknown band around exponent 1
 
 
 # ---------------------------------------------------------------- errors
@@ -36,13 +40,6 @@ class NoConvergence(Exception):
                          f"iterations (residual {residual:.3e})")
         self.iterations = iterations
         self.residual = residual
-
-
-class WindowUnstable(Exception):
-    def __init__(self, delta: float):
-        super().__init__(f"eigenvalue decreased by {delta:.3e} on a larger "
-                         f"window; nested windows must be nondecreasing")
-        self.delta = delta
 
 
 # ---------------------------------------------------------------- snapshots
@@ -96,56 +93,6 @@ def dense_window(matrix, vertices=None) -> MatrixWindow:
                         _constant_of(dense.sum(axis=0)))
 
 
-def band_window(offsets_values: Mapping[int, int], window,
-                support: str = "int") -> MatrixWindow:
-    """Snapshot of a band matrix A[x, x+o] = value on a window.
-
-    support="int" : the matrix lives on all of (a sublattice of) Z, so any
-                    window edge is pure truncation and the untruncated sums
-                    are the constant sum(values).
-    support="nat" : rows never existed below 0 (the window must start there);
-                    only the upper edge is truncation and no constant global
-                    sum is claimed.
-    """
-    win = window_of(window)
-    band = sorted((int(o), int(v)) for o, v in offsets_values.items())
-    if support == "nat" and win.lo != 0:
-        raise ValueError("support='nat' windows must start at 0")
-    verts = win.vertices
-    m = len(verts)
-    pos = {x: i for i, x in enumerate(verts)}
-    dense = np.zeros((m, m))
-    exact = {}
-    for i, x in enumerate(verts):
-        for o, val in band:
-            y = x + o
-            if y in pos:
-                dense[i, pos[y]] += val
-                exact[(x, y)] = exact.get((x, y), 0) + val
-    def row_ok(x):
-        return all((x + o in win) or (support == "nat" and x + o < 0)
-                   for o, _ in band)
-    def col_ok(y):
-        return all((y - o in win) or (support == "nat" and y - o < 0)
-                   for o, _ in band)
-    irows = np.array([row_ok(x) for x in verts])
-    icols = np.array([col_ok(y) for y in verts])
-    total = float(sum(v for _, v in band))
-    grs = total if support == "int" else None
-    return MatrixWindow(verts, dense, irows, icols, exact, grs, grs)
-
-
-def band_schedule(offsets_values: Mapping[int, int], halfwidths: Sequence[int],
-                  step: int = 1, support: str = "int") -> list[MatrixWindow]:
-    """Nested band snapshots, windows [-h*step, h*step] (or [0, ...] on nat)."""
-    out = []
-    for h in halfwidths:
-        lo = 0 if support == "nat" else -h * step
-        out.append(band_window(offsets_values,
-                               Window(lo, h * step, step), support))
-    return out
-
-
 def incidence_transpose(m: IncidenceMatrix) -> MatrixWindow:
     """A = F^T for one (square-window) incidence matrix.
 
@@ -180,9 +127,8 @@ class IrreducibilityReport:
     note: str = ""
 
 
-def check_irreducible_aperiodic(mw, horizon: int | None = None
-                                ) -> IrreducibilityReport:
-    """Strong connectivity within a horizon plus the cycle-length gcd.
+def check_irreducible_aperiodic(mw) -> IrreducibilityReport:
+    """Strong connectivity plus the cycle-length gcd.
 
     The period is computed from a BFS level assignment: for a strongly
     connected digraph, gcd over edges (u, v) of dist(u) + 1 - dist(v) equals
@@ -190,7 +136,7 @@ def check_irreducible_aperiodic(mw, horizon: int | None = None
     """
     dense = mw.dense if isinstance(mw, MatrixWindow) else np.asarray(mw, float)
     m = dense.shape[0]
-    horizon = horizon if horizon is not None else m
+    horizon = m
     adj = [np.nonzero(dense[i] > 0)[0] for i in range(m)]
     radj = [np.nonzero(dense[:, j] > 0)[0] for j in range(m)]
 
@@ -233,28 +179,14 @@ class SpectralData:
     left: np.ndarray
     right: np.ndarray
     vertices: tuple[int, ...]
-    classification: str
-    window: tuple[int, int]
     residual: float
-    lambdas: tuple[float, ...]
-    extrapolated: bool
     shortcut: str | None
-    st_dot: float
-    converged: bool
     iterations: int
 
 
-def _neville_at_zero(xs, ys):
-    t = list(ys)
-    for k in range(1, len(t)):
-        for i in range(len(t) - k):
-            t[i] = t[i + 1] + (t[i] - t[i + 1]) * (-xs[i + k]) / (xs[i] - xs[i + k])
-    return t[0]
-
-
-def _power(dense: np.ndarray, v0: np.ndarray, maxiter: int,
-           vec_tol: float = 1e-13):
-    """Shifted power iteration, run until the eigen-residual is tiny.
+def _power(dense: np.ndarray):
+    """Shifted power iteration from the all-ones vector, run until the
+    eigen-residual is tiny; returns (lambda, vector, iterations).
 
     The +1 shift keeps the iteration monotone-friendly for matrices with
     zero diagonal; the stopping test is on |Bv - lam v|, not on the lambda
@@ -262,12 +194,11 @@ def _power(dense: np.ndarray, v0: np.ndarray, maxiter: int,
     """
     m = dense.shape[0]
     B = dense + np.eye(m)
-    v = np.abs(v0).astype(float)
-    v /= np.abs(v).max()
+    v = np.ones(m)
     res = math.inf
     best = None
     polish = 0
-    for it in range(1, maxiter + 1):
+    for it in range(1, _MAXITER + 1):
         w = B @ v
         w /= np.abs(w).max()
         Bw = B @ w
@@ -276,136 +207,75 @@ def _power(dense: np.ndarray, v0: np.ndarray, maxiter: int,
         v = w
         if best is None or res < best[3]:
             best = (lam - 1.0, v, it, res)
-        if res < vec_tol * max(1.0, lam):
+        if res < 1e-13 * max(1.0, lam):
             # converged; keep iterating briefly in case round-off still shrinks
             polish += 1
             if polish >= 40 or res == 0.0:
-                return best
-    if best is not None and polish:
-        return best
-    raise NoConvergence(maxiter, res)
+                return best[:3]
+    if polish:
+        return best[:3]
+    raise NoConvergence(_MAXITER, res)
 
 
-def _embed(prev: np.ndarray, prev_verts, verts) -> np.ndarray:
-    pos = {v: i for i, v in enumerate(prev_verts)}
-    out = np.full(len(verts), float(np.median(prev)))
-    for i, v in enumerate(verts):
-        if v in pos:
-            out[i] = prev[pos[v]]
-    return np.maximum(out, 1e-12)
+def pf_solve(mw: MatrixWindow) -> SpectralData:
+    """Perron eigendata of one window.
 
-
-def pf_solve(windows, tol: float = 1e-10, anchor: int | None = None,
-             maxiter: int = 200_000) -> SpectralData:
-    """Perron eigendata from a nested window schedule.
-
-    windows may be a single MatrixWindow or an increasing sequence.  The
-    right vector is anchored to 1 at the window's center vertex (or at
-    ``anchor``); on fully finite matrices the left vector is scaled so that
-    s.t = 1, on truncated snapshots it is anchored too and s.t is reported
-    as a raw diagnostic.
+    The right vector is anchored to 1 at the window's center vertex.  On
+    fully finite matrices the left vector is scaled so that s.t = 1; on
+    truncated snapshots it is anchored too.
     """
-    if isinstance(windows, MatrixWindow):
-        windows = [windows]
-    windows = list(windows)
-    if not windows:
-        raise ValueError("need at least one window")
-    if any(b.size < a.size for a, b in zip(windows, windows[1:])):
-        raise ValueError("window schedule must be nondecreasing in size")
-    last = windows[-1]
-    chk = check_irreducible_aperiodic(last)
+    chk = check_irreducible_aperiodic(mw)
     if not chk.ok:
         raise ValueError(f"matrix fails irreducibility/aperiodicity on the "
                          f"largest window: {chk.note}")
 
-    m = last.size
-    anchor_pos = (m // 2 if anchor is None
-                  else list(last.vertices).index(anchor))
+    m = mw.size
+    center = m // 2
     iterations = 0
     shortcut = None
 
     # -- lambda and right vector ---------------------------------------
-    row_sum = last.global_row_sum
-    if row_sum is None and not last.truncated:
-        row_sum = _constant_of(last.dense.sum(axis=1))
+    row_sum = mw.global_row_sum
+    if row_sum is None and not mw.truncated:
+        row_sum = _constant_of(mw.dense.sum(axis=1))
     if row_sum is not None:
         lam = row_sum
         t = np.ones(m)
-        lams = [lam] * len(windows)
-        extrapolated = False
         shortcut = "constant-row-sums"
-        converged = True
-    elif last.global_col_sum is not None:
+    elif mw.global_col_sum is not None:
         # column sums pin lambda exactly; only the right vector needs iterating
-        lam = last.global_col_sum
-        lams = [lam] * len(windows)
-        extrapolated = False
+        lam = mw.global_col_sum
         shortcut = "constant-column-sums"
-        converged = True
-        _, t, its, _ = _power(last.dense, np.ones(m), maxiter)
-        iterations += its
+        _, t, iterations = _power(mw.dense)
     else:
-        lams = []
-        prev = None
-        t = None
-        for mw in windows:
-            v0 = (np.ones(mw.size) if prev is None
-                  else _embed(prev[0], prev[1], mw.vertices))
-            lam_k, vec, its, _ = _power(mw.dense, v0, maxiter)
-            iterations += its
-            lams.append(lam_k)
-            prev = (vec, mw.vertices)
-            t = vec
-        for a, b in zip(lams, lams[1:]):
-            if b < a - 1e-12 * max(1.0, abs(a)):
-                raise WindowUnstable(a - b)
-        lam = lams[-1]
-        extrapolated = False
-        if len(lams) >= 3:
-            xs = [1.0 / (w.size + 1) ** 2 for w in windows]
-            ex_all = _neville_at_zero(xs, lams)
-            ex_tail = _neville_at_zero(xs[1:], lams[1:])
-            gap = abs(lams[-1] - lams[-2])
-            if abs(ex_all - ex_tail) <= 0.05 * gap + 10 * tol * max(1.0, abs(ex_all)):
-                lam = ex_all
-                extrapolated = True
-        if len(lams) >= 2:
-            converged = (abs(lams[-1] - lams[-2]) < tol * max(1.0, abs(lam))
-                         or extrapolated)
-        else:
-            converged = not last.truncated
-    t = t / t[anchor_pos]
+        lam, t, iterations = _power(mw.dense)
+    t = t / t[center]
 
     # -- left vector -----------------------------------------------------
-    col_sum = last.global_col_sum
-    if col_sum is None and not last.truncated:
-        col_sum = _constant_of(last.dense.sum(axis=0))
+    col_sum = mw.global_col_sum
+    if col_sum is None and not mw.truncated:
+        col_sum = _constant_of(mw.dense.sum(axis=0))
     if col_sum is not None:
         s = np.ones(m)
         if shortcut == "constant-row-sums":
             shortcut = "constant-row-and-column-sums"
     else:
-        _, s, its, _ = _power(last.dense.T, np.ones(m), maxiter)
+        _, s, its = _power(mw.dense.T)
         iterations += its
-    if last.truncated:
-        s = s / s[anchor_pos]
+    if mw.truncated:
+        s = s / s[center]
     else:
         s = s / (s @ t)
 
     # -- residual on interior rows/columns -------------------------------
-    rt = np.abs(last.dense @ t - lam * t)[last.interior_rows]
-    rs = np.abs(s @ last.dense - lam * s)[last.interior_cols]
+    rt = np.abs(mw.dense @ t - lam * t)[mw.interior_rows]
+    rs = np.abs(s @ mw.dense - lam * s)[mw.interior_cols]
     residual = max(rt.max(initial=0.0) / np.abs(t).max(),
                    rs.max(initial=0.0) / np.abs(s).max())
 
-    return SpectralData(
-        lam=float(lam), left=s, right=t, vertices=last.vertices,
-        classification="Unknown",
-        window=(last.vertices[0], last.vertices[-1]),
-        residual=float(residual), lambdas=tuple(float(x) for x in lams),
-        extrapolated=extrapolated, shortcut=shortcut,
-        st_dot=float(s @ t) if last.truncated else 1.0,
-        converged=converged, iterations=iterations)
+    return SpectralData(lam=float(lam), left=s, right=t,
+                        vertices=mw.vertices, residual=float(residual),
+                        shortcut=shortcut, iterations=iterations)
 
 
 # ---------------------------------------------------------------- recurrence
@@ -525,13 +395,12 @@ class RecurrenceReport:
 
 
 def classify_recurrence(mw: MatrixWindow, lam: float, horizon: int = 32,
-                        margin: float = 0.25, vertex: int | None = None
-                        ) -> RecurrenceReport:
+                        vertex: int | None = None) -> RecurrenceReport:
     """Trend classification of the return series (not a proof).
 
     Power-law exponents are estimated at the horizon and its half; a series
     sum c*n^-alpha converges iff alpha > 1, so estimates outside
-    1 +- margin decide Transient / (Null|Positive)Recurrent and anything
+    1 +- _MARGIN decide Transient / (Null|Positive)Recurrent and anything
     inside the band is reported as Unknown.  Finite fully-interior
     irreducible matrices short-circuit to PositiveRecurrent.
     """
@@ -564,14 +433,14 @@ def classify_recurrence(mw: MatrixWindow, lam: float, horizon: int = 32,
 
     if alpha is None:
         cls = "Unknown"
-    elif alpha >= 1 + margin:
+    elif alpha >= 1 + _MARGIN:
         cls = "Transient"
-    elif alpha <= 1 - margin:
+    elif alpha <= 1 - _MARGIN:
         if beta is None:
             cls = "Unknown"
-        elif beta >= 1 + margin:
+        elif beta >= 1 + _MARGIN:
             cls = "PositiveRecurrent"
-        elif beta <= 1 - margin:
+        elif beta <= 1 - _MARGIN:
             cls = "NullRecurrent"
         else:
             cls = "Unknown"

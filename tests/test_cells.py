@@ -110,7 +110,7 @@ def test_dual_zero_row_at_positive_mass_rejected():
 def test_built_pair_is_member():
     rho, nu2, _ = cl.dual_kernel(NU1, P32)
     rep = cl.membership_tests(rho, NU1, nu2)
-    assert rep.pair_represents and rep.measure_admits_rho
+    assert rep.pair_represents
     assert rep.recovery_residual == 0
     assert tuple(rep.marginal_first) == NU1.masses
 

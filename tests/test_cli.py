@@ -97,11 +97,34 @@ def test_analyze_pf_fibonacci(capsys):
                                                           abs=1e-9)
 
 
-def test_analyze_pf_allones_shortcut(capsys):
-    rc, d = run_json(capsys, "analyze", ALLONES, "pf")
+# one spec per solve branch, pinned to the values the solver has always
+# printed: both sums known, column sums only, no shortcut, and a truncated
+# substitution window whose column-sum claim leaves a long right-vector solve
+PF_BRANCHES = {
+    "allones": (None, 2.0, "constant-row-and-column-sums", 0, 0.0),
+    "column_sums": ({"matrix": [[1, 1], [2, 0]], "depth": 2},
+                    2.0, "constant-column-sums", 1, 0.0),
+    "fibonacci": ({"matrix": [[1, 1], [1, 0]], "depth": 2},
+                  1.618033988749895, None, 36, 6.861555643110587e-16),
+    "nat_window": ({"substitution": {"name": "nat_length_two"},
+                    "window": [0, 60], "depth": 2},
+                   2.0, "constant-column-sums", 827, 2.643046068372988e-13),
+}
+
+
+@pytest.mark.parametrize("name", list(PF_BRANCHES))
+def test_analyze_pf_pinned_per_branch(capsys, tmp_path, name):
+    doc, lam, shortcut, iterations, residual = PF_BRANCHES[name]
+    spec = ALLONES
+    if doc is not None:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+    rc, d = run_json(capsys, "analyze", str(spec), "pf")
     assert rc == 0
-    assert d["lambda"] == 2.0
-    assert d["shortcut"] == "constant-row-and-column-sums"
+    assert d["lambda"] == lam
+    assert d["shortcut"] == shortcut
+    assert d["iterations"] == iterations
+    assert d["residual"] == residual
 
 
 def test_analyze_measure_csv(capsys):

@@ -186,15 +186,6 @@ def test_qhat_edges_split_uniformly():
     assert hk.qhat_edges(0, 0, 0) == (0.5, 0.5)
 
 
-def test_qhat_edges_custom_split():
-    d = dg.stationary_diagram([[2]], 2)
-    probs = tuple({(0, 0): (0.25, 0.75)} for _ in range(2))
-    sysm = mk.MarkovSystem(d, np.array([1.0]), probs)
-    hk = mk.dual_kernels(sysm, split=lambda lvl, u, v, mult, tot:
-                         [tot * 0.25, tot * 0.75])
-    assert hk.qhat_edges(0, 0, 0) == (0.25, 0.75)
-
-
 def test_zero_mass_level_detected():
     # target vertex 1 only reachable through a vanishing branch
     d = dg.stationary_diagram([[1, 1], [1, 1]], 1)

@@ -1,6 +1,5 @@
 """Spectral layer: irreducibility screening, the dominant-eigenvalue solver
-with its structural shortcuts and window extrapolation, and the
-recurrence-trend classifier."""
+with its structural shortcuts, and the recurrence-trend classifier."""
 
 import numpy as np
 import pytest
@@ -11,8 +10,10 @@ from bratteli import perron as pf
 from conftest import DRUNKEN, FIB, GOLDEN
 
 
-def drunken_windows(halfwidths=(10, 15, 20)):
-    return pf.band_schedule(DRUNKEN, halfwidths, step=2)
+def drunken_window(lo, hi):
+    """The DRUNKEN band as A = F^T on the window [lo, hi] of step 2."""
+    return pf.incidence_transpose(
+        dg.band_matrix(0, dg.Window(lo, hi, 2), DRUNKEN))
 
 
 # -- irreducibility ----------------------------------------------------------
@@ -34,7 +35,7 @@ class TestIrreducibility:
         assert not rep.ok and not rep.strongly_connected
 
     def test_drunken_band_diagonal_gives_period_one(self):
-        mw = pf.band_window(DRUNKEN, dg.Window(-20, 20, 2))
+        mw = drunken_window(-20, 20)
         rep = pf.check_irreducible_aperiodic(mw)
         assert rep.ok and rep.period == 1
 
@@ -49,7 +50,7 @@ class TestClosedForms:
         assert np.allclose(sd.right, [1.0, 1.0], atol=0)
 
     def test_fibonacci_golden_ratio(self):
-        sd = pf.pf_solve(pf.dense_window(FIB), tol=1e-12)
+        sd = pf.pf_solve(pf.dense_window(FIB))
         assert abs(sd.lam - GOLDEN) < 1e-9
         # t proportional to (phi, 1): anchored at the center vertex
         ratio = sd.right[0] / sd.right[1]
@@ -57,29 +58,19 @@ class TestClosedForms:
         assert sd.residual < 1e-10
 
     def test_drunken_exact_row_sum_shortcut(self):
-        sd = pf.pf_solve(pf.band_window(DRUNKEN, dg.Window(-40, 40, 2)))
+        sd = pf.pf_solve(drunken_window(-40, 40))
         assert sd.lam == 4.0
         assert sd.shortcut.startswith("constant-row")
         assert float(np.ptp(sd.right)) == 0.0
 
     def test_left_vector_is_eigenvector(self):
-        sd = pf.pf_solve(pf.dense_window(FIB), tol=1e-12)
+        sd = pf.pf_solve(pf.dense_window(FIB))
         A = np.array(FIB, dtype=float)
         assert np.abs(sd.left @ A - sd.lam * sd.left).max() < 1e-9
-
-    def test_window_schedule_monotone_check(self):
-        ws = drunken_windows()
-        sd = pf.pf_solve(ws)
-        assert sd.lam == 4.0  # shortcut applies on every band snapshot
 
     def test_rejects_reducible(self):
         with pytest.raises(ValueError):
             pf.pf_solve(pf.dense_window([[1, 0], [0, 1]]))
-
-    def test_rejects_shrinking_schedule(self):
-        ws = drunken_windows((20, 10))
-        with pytest.raises(ValueError):
-            pf.pf_solve(ws)
 
 
 def test_power_iteration_matches_eigh_on_random_symmetric():
@@ -87,7 +78,7 @@ def test_power_iteration_matches_eigh_on_random_symmetric():
     for _ in range(10):
         A = rng.integers(1, 5, (4, 4)).astype(float)
         A = A + A.T
-        sd = pf.pf_solve(pf.dense_window(A), tol=1e-12)
+        sd = pf.pf_solve(pf.dense_window(A))
         lam_true = float(np.linalg.eigvalsh(A)[-1])
         assert abs(sd.lam - lam_true) < 1e-9
 
@@ -125,7 +116,7 @@ class TestClassification:
         assert rep.classification == "PositiveRecurrent"
 
     def test_drunken_null_recurrent_trend(self):
-        mw = pf.band_window(DRUNKEN, dg.Window(-60, 60, 2))
+        mw = drunken_window(-60, 60)
         rep = pf.classify_recurrence(mw, 4.0, horizon=24)
         assert rep.classification == "NullRecurrent"
 
@@ -142,7 +133,7 @@ class TestClassification:
         assert rep.classification == "PositiveRecurrent"
 
     def test_horizon_shrinks_near_window_edge(self):
-        mw = pf.band_window(DRUNKEN, dg.Window(-16, 16, 2))
+        mw = drunken_window(-16, 16)
         rep = pf.classify_recurrence(mw, 4.0, horizon=40)
         assert rep.horizon < 40
         assert "horizon" in rep.note
