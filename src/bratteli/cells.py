@@ -21,8 +21,8 @@ import numpy as np
 
 from . import _accel
 from . import laplacian as lp
+from . import markov as mk
 from .diagram import IncidenceMatrix, Window, validate
-from .markov import HatKernels
 from .measures import DimensionMismatch
 
 
@@ -517,44 +517,40 @@ def start_cell_variation(spaces: Sequence[CellSpace],
 
 # ---------------------------------------------------------------- chain ops
 
+PUSH_TOL = 1e-12   # relative gap allowed between nu_k P_k and nu_{k+1}
+
+
 def chain_network(spaces: Sequence[CellSpace],
-                  kernels: Sequence[CellKernel],
-                  boundary: str = "reflect", tol: float = 1e-12
-                  ) -> lp.WeightedNetwork:
+                  kernels: Sequence[CellKernel]) -> lp.WeightedNetwork:
     """Route a kernel chain through the level-network machinery.
 
-    Levels are the cell spaces, the up kernels are the P_n, the down
-    kernels their duals; masses must be positive and consistent
-    (nu_{n+1} = nu_n P_n), since otherwise the dual is not stochastic
-    and no reversible network exists.
+    Levels are the cell spaces and edges the positive kernel entries, so
+    the chain is a Markov system on that diagram: q^(0) = nu_0 and one
+    probability per edge.  Its dual kernels and level masses come from
+    markov.dual_kernels, as for any other system.  Masses must be
+    positive and consistent (nu_{n+1} = nu_n P_n within PUSH_TOL), since
+    otherwise the dual is not stochastic and no reversible network exists.
     """
     depth = len(kernels)
     _chain_shapes(spaces, kernels, depth)
     nus = [s.nu(False) for s in spaces[:depth + 1]]
-    phats = []
-    qhats = []
+    mats, probs = [], []
     for k in range(depth):
         if (nus[k] <= 0).any() or (nus[k + 1] <= 0).any():
             raise ZeroTotalMass("chain networks need positive cell masses")
         K = kernels[k].array(False)
         push = nus[k] @ K
-        if np.abs(push - nus[k + 1]).max() > tol * max(nus[k + 1].max(), 1e-300):
+        if (np.abs(push - nus[k + 1]).max()
+                > PUSH_TOL * max(nus[k + 1].max(), 1e-300)):
             raise ValueError(f"masses at level {k + 1} are not the "
                              f"push-forward of level {k}")
-        phats.append(K)
-        qhats.append(K.T * nus[k][None, :] / nus[k + 1][:, None])
-    mats = []
-    for k in range(depth):
-        entries = {(u, w): 1 for w in range(spaces[k].m)
-                   for u in range(spaces[k + 1].m)
-                   if kernels[k].matrix[w][u] > 0}
-        mats.append(IncidenceMatrix(k, entries,
+        src, tgt = (a.tolist() for a in np.nonzero(K))
+        mats.append(IncidenceMatrix(k, dict.fromkeys(zip(tgt, src), 1),
                                     Window(0, spaces[k + 1].m - 1),
                                     Window(0, spaces[k].m - 1)))
-    d = validate(mats)
-    hk = HatKernels(d, tuple(phats), tuple(qhats),
-                    tuple(np.asarray(v) for v in nus))
-    return lp.build_network(hk, boundary=boundary)
+        probs.append(dict(zip(zip(src, tgt), K[src, tgt].tolist())))
+    system = mk.MarkovSystem(validate(mats), nus[0], tuple(probs))
+    return lp.build_network(mk.dual_kernels(system))
 
 
 def measurable_laplacian(net: lp.WeightedNetwork, F: lp.LevelFunction

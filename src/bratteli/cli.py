@@ -24,7 +24,14 @@ from . import laplacian as lp
 from . import markov as mk
 from . import measures as ms
 from . import perron as pf
+from . import substitution as sb
 from .specfile import ParsedSpec, SpecError, load_spec
+
+# every error a command reports as an error object instead of a traceback
+_ERRORS = (SpecError, dg.DiagramError, sb.EmptyImage, pf.NoConvergence,
+           ms.PFFailed, ms.DimensionMismatch, mk.PathInvalid, mk.ZeroMass,
+           mk.ZeroMeasureVertex, lp.BalanceViolation, cl.ZeroTotalMass,
+           cl.NotPSD, ValueError)
 
 
 # ---------------------------------------------------------------- output
@@ -115,7 +122,7 @@ def _network(spec: ParsedSpec, strict: bool = True) -> lp.WeightedNetwork:
 def cmd_validate(args) -> int:
     try:
         spec = load_spec(args.spec, args.depth)
-    except (SpecError, dg.DiagramError) as e:
+    except _ERRORS as e:
         report = {"valid": False,
                   "violations": [{"kind": type(e).__name__,
                                   "detail": str(e),
@@ -232,21 +239,34 @@ def _analyze_walk(spec: ParsedSpec, args):
     return payload, rows, ["trial", "returns"]
 
 
+def _cell_duality(spaces, kernels) -> list[dict]:
+    """Per-level diagnostics of each kernel's dual pair: the duality and
+    marginal residuals, the asymmetry of the two symmetric measures, and
+    the smallest eigenvalue of the singleton Gram matrix."""
+    levels = []
+    for k, K in enumerate(kernels):
+        _, nu2, Q = cl.dual_kernel(spaces[k], K)
+        l1, l2 = (np.asarray(lam, dtype=np.float64) for lam in
+                  cl.symmetric_measures(K, Q, spaces[k], nu2))
+        gram = cl.rkhs_gram(l1, [[i] for i in range(spaces[k].m)])
+        levels.append({
+            "duality_residual": cl.duality_residual(spaces[k], K, nu2, Q),
+            "marginal_residual": float(np.abs(
+                nu2.nu(False) - spaces[k + 1].nu(False)).max()),
+            "asymmetry": max(float(np.abs(l1 - l1.T).max()),
+                             float(np.abs(l2 - l2.T).max())),
+            "gram_min_eigenvalue": gram.min_eigenvalue})
+    return levels
+
+
 def _analyze_kernels(spec: ParsedSpec, args):
     if spec.kernels is None:
         raise SpecError("spec has no kernels block")
     spaces, kernels = spec.kernels
-    per_level = []
-    for k, K in enumerate(kernels):
-        rho, nu2, Q = cl.dual_kernel(spaces[k], K)
-        res = cl.duality_residual(spaces[k], K, nu2, Q)
-        lam1, lam2 = cl.symmetric_measures(K, Q, spaces[k], nu2)
-        gram = cl.rkhs_gram(np.asarray(lam1, dtype=np.float64),
-                            [[i] for i in range(spaces[k].m)])
-        per_level.append({"duality_residual": res,
-                          "marginal_residual": float(np.abs(
-                              nu2.nu(False) - spaces[k + 1].nu(False)).max()),
-                          "gram_min_eigenvalue": gram.min_eigenvalue})
+    per_level = [{key: lvl[key] for key in ("duality_residual",
+                                            "marginal_residual",
+                                            "gram_min_eigenvalue")}
+                 for lvl in _cell_duality(spaces, kernels)]
     depth = min(len(kernels), args.depth or len(kernels))
     samp = cl.path_measure_sample(spaces, kernels, 0, depth,
                                   seed=args.seed, trials=args.trials)
@@ -273,12 +293,7 @@ def cmd_analyze(args) -> int:
     try:
         spec = load_spec(args.spec, args.depth)
         payload, rows, header = _ANALYSES[args.analysis](spec, args)
-    except (SpecError, dg.DiagramError) as e:
-        return _fail(type(e).__name__, str(e))
-    except (pf.NoConvergence, ms.PFFailed,
-            ms.DimensionMismatch, mk.PathInvalid, mk.ZeroMass,
-            mk.ZeroMeasureVertex, lp.BalanceViolation, cl.ZeroTotalMass,
-            cl.NotPSD, ValueError) as e:
+    except _ERRORS as e:
         return _fail(type(e).__name__, str(e))
     _emit(args, payload, rows, header)
     return 0
@@ -399,21 +414,11 @@ def _suite_kernels(spec: ParsedSpec, tol: float, seed: int, out: list):
     if spec.kernels is None:
         return
     spaces, kernels = spec.kernels
-    worst_dual = worst_marg = worst_sym = 0.0
-    min_eig = np.inf
-    for k, K in enumerate(kernels):
-        rho, nu2, Q = cl.dual_kernel(spaces[k], K)
-        worst_dual = max(worst_dual,
-                         cl.duality_residual(spaces[k], K, nu2, Q))
-        worst_marg = max(worst_marg, float(np.abs(
-            nu2.nu(False) - spaces[k + 1].nu(False)).max()))
-        lam1, lam2 = cl.symmetric_measures(K, Q, spaces[k], nu2)
-        l1 = np.asarray(lam1, dtype=np.float64)
-        l2 = np.asarray(lam2, dtype=np.float64)
-        worst_sym = max(worst_sym, float(np.abs(l1 - l1.T).max()),
-                        float(np.abs(l2 - l2.T).max()))
-        gram = cl.rkhs_gram(l1, [[i] for i in range(spaces[k].m)])
-        min_eig = min(min_eig, gram.min_eigenvalue)
+    levels = _cell_duality(spaces, kernels)
+    worst_dual, worst_marg, worst_sym = (
+        max([0.0] + [lvl[key] for lvl in levels])
+        for key in ("duality_residual", "marginal_residual", "asymmetry"))
+    min_eig = min([np.inf] + [lvl["gram_min_eigenvalue"] for lvl in levels])
     out.append(("kernels", "DualityIdentity", worst_dual, worst_dual <= tol))
     out.append(("kernels", "MarginalPushforward", worst_marg,
                 worst_marg <= tol))
@@ -432,18 +437,13 @@ _SUITES = {"consistency": _suite_consistency, "operators": _suite_operators,
 
 
 def cmd_check(args) -> int:
-    try:
-        spec = load_spec(args.spec, args.depth)
-    except (SpecError, dg.DiagramError) as e:
-        return _fail(type(e).__name__, str(e))
     names = (list(_SUITES) if args.suite == "all" else [args.suite])
     results: list[tuple[str, str, float, bool]] = []
     try:
+        spec = load_spec(args.spec, args.depth)
         for name in names:
             _SUITES[name](spec, args.tol, args.seed, results)
-    except (SpecError, dg.DiagramError, ms.PFFailed, ms.DimensionMismatch,
-            mk.PathInvalid, mk.ZeroMass, mk.ZeroMeasureVertex,
-            cl.ZeroTotalMass, cl.NotPSD, ValueError) as e:
+    except _ERRORS as e:
         return _fail(type(e).__name__, str(e))
     ok = all(r[3] for r in results)
     if args.format == "json":

@@ -17,6 +17,7 @@ Everything here is pure and immutable after construction.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -304,6 +305,14 @@ class IncidenceMatrix:
         return out
 
 
+def _multiplicity(m, where: str) -> int:
+    """m as an int; a non-integral or non-finite m raises WindowMismatch."""
+    if not (isinstance(m, numbers.Integral) or isinstance(m, numbers.Real)
+            and math.isfinite(m) and m % 1 == 0):
+        raise WindowMismatch(f"{where} has multiplicity {m!r}")
+    return int(m)
+
+
 def incidence_from_dense(level: int, matrix, row_window=None,
                          col_window=None) -> IncidenceMatrix:
     arr = [list(row) for row in matrix]
@@ -319,7 +328,8 @@ def incidence_from_dense(level: int, matrix, row_window=None,
         for j, w in enumerate(sv):
             m = arr[i][j]
             if m:
-                entries[(v, w)] = int(m)
+                entries[(v, w)] = _multiplicity(
+                    m, f"entry ({v},{w}) at level {level}")
     return IncidenceMatrix(level, entries, rw, cw)
 
 
@@ -331,7 +341,8 @@ def band_matrix(level: int, window, offsets_values: Mapping[int, int],
     declaration is kept so that the resulting boundary rows can be masked.
     """
     win = window_of(window)
-    band = tuple(sorted((int(o), int(v)) for o, v in offsets_values.items()))
+    band = tuple(sorted((int(o), _multiplicity(v, f"band offset {o}"))
+                        for o, v in offsets_values.items()))
     if not band or any(val <= 0 for _, val in band):
         raise WindowMismatch("band rule needs positive values")
     span = max(abs(o) for o, _ in band)

@@ -8,9 +8,8 @@ not a tolerance.  The induced reversible kernel M averages half up, half
 down; the Laplacian is Delta f = c (f - Mf) with c the total conductance at
 the vertex (the level mass q on two-sided levels).
 
-Truncation needs a boundary rule: "reflect" (default) sends the full unit
-mass across the single available side at levels 0 and N; "absorb" freezes
-the value there (M = identity on the boundary rows).
+Truncation needs a boundary rule, and there is one: levels 0 and N have a
+single neighbouring level, so M sends the full unit mass across that side.
 
 Harmonic functions with pinned bottom and top levels solve a
 block-tridiagonal system, because each level couples only to its two
@@ -72,56 +71,49 @@ class LevelFunction:
 @dataclass(frozen=True)
 class WeightedNetwork:
     kernels: HatKernels
-    conduct: tuple[np.ndarray, ...]       # c_n(v, u), shape m_n x m_{n+1}
     vertex_mass: tuple[np.ndarray, ...]   # total conductance at each vertex
-    boundary: str = "reflect"
-    mass_vs_q_dev: float = 0.0
+    mass_vs_q_dev: float
 
     @property
     def depth(self) -> int:
         return self.kernels.depth
 
 
-def build_network(hk: HatKernels, boundary: str = "reflect",
-                  tol: float = 1e-12) -> WeightedNetwork:
-    """Conductances from the kernel pair, with the symmetry check.
+BALANCE_TOL = 1e-12   # relative gap allowed between the two balance sides
 
-    The two detailed-balance sides are computed independently and compared;
-    a mismatch beyond tol (relative) means the supplied kernels are not a
-    dual pair and raises BalanceViolation.  Vertex masses are recomputed
-    from the conductances; on two-sided levels they reproduce q^(n) and the
-    worst deviation is kept as a diagnostic.
+
+def build_network(hk: HatKernels) -> WeightedNetwork:
+    """Vertex masses from the kernel pair, with the symmetry check.
+
+    The conductance c_n(v, u) is computed from both detailed-balance sides
+    independently; a relative mismatch beyond BALANCE_TOL means the
+    supplied kernels are not a dual pair and raises BalanceViolation.  The
+    conductances themselves are not kept: each level's row sums go to the
+    masses of V_n and its column sums to those of V_{n+1}.  On two-sided
+    levels the masses reproduce q^(n) and the worst deviation is kept as a
+    diagnostic.
     """
-    if boundary not in ("reflect", "absorb"):
-        raise ValueError(f"unknown boundary policy {boundary!r}")
     if hk.depth < 1:
         raise DimensionMismatch("a network needs at least two levels")
-    conduct = []
+    masses = [np.zeros(len(q)) for q in hk.q]
     for n in range(hk.depth):
         up = 0.5 * hk.q[n][:, None] * hk.phat[n]
         down = 0.5 * (hk.q[n + 1][:, None] * hk.qhat[n]).T
         delta = np.abs(up - down)
         scale = np.maximum(np.abs(up), 1e-300)
-        if (delta > tol * scale).any():
+        if (delta > BALANCE_TOL * scale).any():
             v, u = np.unravel_index(int(np.argmax(delta / scale)), up.shape)
             verts_lo = hk.diagram.vertices(n)
             verts_hi = hk.diagram.vertices(n + 1)
             raise BalanceViolation(n, int(verts_lo[v]), int(verts_hi[u]),
                                    float(delta[v, u]))
-        conduct.append(up)
-    masses = []
+        masses[n] += up.sum(axis=1)
+        masses[n + 1] += up.sum(axis=0)
     dev = 0.0
-    for n in range(hk.depth + 1):
-        m = np.zeros(len(hk.q[n]))
-        if n < hk.depth:
-            m += conduct[n].sum(axis=1)
-        if n > 0:
-            m += conduct[n - 1].sum(axis=0)
-        if 0 < n < hk.depth:
-            dev = max(dev, float(np.abs(m - hk.q[n]).max()
-                                 / max(hk.q[n].max(), 1e-300)))
-        masses.append(m)
-    return WeightedNetwork(hk, tuple(conduct), tuple(masses), boundary, dev)
+    for n in range(1, hk.depth):
+        dev = max(dev, float(np.abs(masses[n] - hk.q[n]).max()
+                             / max(hk.q[n].max(), 1e-300)))
+    return WeightedNetwork(hk, tuple(masses), dev)
 
 
 # ---------------------------------------------------------------- operators
@@ -137,7 +129,7 @@ def _check_f(net: WeightedNetwork, f: LevelFunction):
 
 def apply_M(net: WeightedNetwork, f: LevelFunction) -> LevelFunction:
     """Mf_n = (1/2)(phat_n f_{n+1} + qhat_{n-1} f_{n-1}) on interior levels;
-    boundary rows follow the network's policy."""
+    the boundary rows take their one side with full weight."""
     _check_f(net, f)
     hk = net.kernels
     N = net.depth
@@ -147,8 +139,6 @@ def apply_M(net: WeightedNetwork, f: LevelFunction) -> LevelFunction:
         dn = hk.qhat[n - 1] @ f.values[n - 1] if n > 0 else None
         if up is not None and dn is not None:
             out.append(0.5 * (up + dn))
-        elif net.boundary == "absorb":
-            out.append(f.values[n].copy())
         else:
             out.append(up if up is not None else dn)
     return LevelFunction(tuple(out))
@@ -285,7 +275,7 @@ class WalkStats:
     returns: np.ndarray
     return_probability: float
     mean_returns_per_step: float
-    trace: WalkTrace | None
+    trace: WalkTrace
 
 
 @dataclass(frozen=True)
@@ -322,8 +312,6 @@ def _flatten(net: WeightedNetwork):
                 row = hk.qhat[n - 1][i]
                 moves += [(w_dn * row[j], offsets[n - 1] + j)
                           for j in np.nonzero(row)[0]]
-            if net.boundary == "absorb" and (n == 0 or n == N):
-                moves = [(1.0, offsets[n] + i)]
             acc = np.cumsum([p for p, _ in moves])
             acc[-1] = 1.0
             cum.extend(acc.tolist())
@@ -342,8 +330,9 @@ def _state_of(net: WeightedNetwork, start: tuple[int, int],
 
 
 def walk(net: WeightedNetwork, start: tuple[int, int], steps: int,
-         trials: int, seed: int = 0, record_trace: bool = True) -> WalkStats:
-    """Sample the M-chain; counts returns to the start state.
+         trials: int, seed: int = 0) -> WalkStats:
+    """Sample the M-chain; counts returns to the start state and traces
+    trial 0.
 
     Fixing the seed fixes every trajectory exactly, because trial streams
     are derived from (seed, index).
@@ -356,18 +345,15 @@ def walk(net: WeightedNetwork, start: tuple[int, int], steps: int,
     s1s, s2s = _accel.trial_seeds(seed, trials)
     returns, path = _accel.walk_returns_kernel(rowptr, cum, tgt, s0, steps,
                                                s1s, s2s)
-    trace = None
-    if record_trace:
-        d = net.kernels.diagram
-        states = []
-        for st in path:
-            lvl = int(level_of[st])
-            states.append((lvl, int(d.vertices(lvl)[st - offsets[lvl]])))
-        trace = WalkTrace(tuple(states), seed)
+    d = net.kernels.diagram
+    states = []
+    for st in path:
+        lvl = int(level_of[st])
+        states.append((lvl, int(d.vertices(lvl)[st - offsets[lvl]])))
     return WalkStats(trials, steps, returns,
                      float(np.mean(returns > 0)),
                      float(returns.sum()) / (trials * steps),
-                     trace)
+                     WalkTrace(tuple(states), seed))
 
 
 def hitting_probability(net: WeightedNetwork, start: tuple[int, int],

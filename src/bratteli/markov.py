@@ -36,6 +36,7 @@ from .diagram import Diagram, FinitePath, path_in_diagram
 from .measures import DimensionMismatch, MeasureSequence, hat_matrix
 
 Q_FLOOR = 1e-300  # below this a level mass is treated as identically zero
+CLIP_TOL = 1e-9   # outgoing sums further than this from 1 mark a clipped row
 
 
 class PathInvalid(Exception):
@@ -108,10 +109,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def validate_system(ms: MarkovSystem, tol: float = 1e-12) -> None:
-    """Positivity exactly on edges, stochastic rows within tol."""
+    """Finite positive values exactly on edges, stochastic rows within
+    tol."""
     d = ms.diagram
     if len(ms.q0) != len(d.window(0)):
         raise DimensionMismatch("q0 does not match the level-0 window")
+    q0 = np.asarray(ms.q0, dtype=np.float64)
+    for j in np.flatnonzero(~np.isfinite(q0))[:1]:
+        raise PathInvalid(f"non-finite q0 entry {q0[j]} at level-0 vertex "
+                          f"{d.vertices(0)[j]}")
     if (np.asarray(ms.q0) <= 0).any():
         raise ZeroMeasureVertex(0, int(d.vertices(0)[int(np.argmin(ms.q0))]))
     if len(ms.probs) != d.depth:
@@ -129,9 +135,9 @@ def validate_system(ms: MarkovSystem, tol: float = 1e-12) -> None:
             if not np.isscalar(val) and len(vals) != mult:
                 raise PathInvalid(f"edge ({w}->{v}) at level {n} has "
                                   f"{len(vals)} values for {mult} edges")
-            if any(x <= 0 for x in vals):
-                raise PathInvalid(f"nonpositive probability on edge "
-                                  f"({w}->{v}) at level {n}")
+            if not all(0 < x < np.inf for x in vals):
+                raise PathInvalid(f"nonpositive or non-finite probability "
+                                  f"on edge ({w}->{v}) at level {n}")
         sums = ms.phat(n).sum(axis=1)
         bad = np.abs(sums - 1.0) > tol
         if bad.any():
@@ -230,8 +236,8 @@ def dual_kernels(ms: MarkovSystem) -> HatKernels:
     return HatKernels(ms.diagram, tuple(phats), tuple(qhats), tuple(qs))
 
 
-def markov_from_tail_invariant(d: Diagram, nu: MeasureSequence,
-                               boundary_tol: float = 1e-9) -> MarkovSystem:
+def markov_from_tail_invariant(d: Diagram, nu: MeasureSequence
+                               ) -> MarkovSystem:
     """The Markov system whose cylinder masses reproduce a tail-invariant
     measure: p^(n) on every edge v -> u equals nu^(n+1)_u / nu^(n)_v.
 
@@ -261,7 +267,7 @@ def markov_from_tail_invariant(d: Diagram, nu: MeasureSequence,
         # window clipped the row; each sum adds its column in target order
         sums = np.bincount(c.indices, weights=c.mult * p,
                            minlength=len(m.sources))
-        clipped = np.abs(sums - 1.0) > boundary_tol
+        clipped = np.abs(sums - 1.0) > CLIP_TOL
         p = p / np.where(clipped, sums, 1.0)[c.indices]
         normalized.extend((n, m.sources[j]) for j in np.flatnonzero(clipped))
         probs.append({(v, u): x

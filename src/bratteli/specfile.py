@@ -9,6 +9,7 @@ misspellings should fail loudly, not silently change the analysis.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import cells as cl
@@ -79,7 +80,10 @@ def _parse_substitution(block) -> sb.Substitution:
                  and all(isinstance(k, str) and isinstance(v, str)
                          for k, v in rules.items()),
                  "rules must map letters to words")
-        return sb.from_strings(rules)
+        try:
+            return sb.from_strings(rules)
+        except KeyError as e:   # an image uses a letter without a rule
+            raise SpecError(e.args[0]) from e
     _require("offsets_word" in block, "substitution needs rules, a name, or "
              "an offsets_word")
     exceptions = {int(k): tuple(v) for k, v in
@@ -135,7 +139,7 @@ def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
             diagram = dg.stationary_diagram(doc["matrix"], depth, win)
         elif kind == "band":
             _require("window" in doc, "band rules need a window")
-            band = {int(k): int(v) for k, v in doc["band"].items()}
+            band = {int(k): v for k, v in doc["band"].items()}
             diagram = dg.band_diagram(band, depth,
                                       _as_window(doc["window"], "window"))
         else:
@@ -179,6 +183,9 @@ def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
             for e in blk["edges"]:
                 _require(isinstance(e, (list, tuple)) and len(e) == 4,
                          "markov edges are [level, source, target, p]")
+                _require(0 <= int(e[0]) < diagram.depth,
+                         f"markov edge level {e[0]} outside "
+                         f"0..{diagram.depth - 1}")
                 edges.append((int(e[0]), int(e[1]), int(e[2]),
                               tuple(float(x) for x in e[3])
                               if isinstance(e[3], (list, tuple))
@@ -232,10 +239,18 @@ def emit_canonical(doc: dict) -> dict:
     return out
 
 
+def _finite(text: str) -> float:
+    """JSON number parser that refuses NaN, Infinity and overflow."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise SpecError(f"not valid JSON: {text} is not a finite number")
+    return x
+
+
 def load_spec(path: str, depth_override: int | None = None) -> ParsedSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_finite, parse_constant=_finite)
         except json.JSONDecodeError as e:
             raise SpecError(f"not valid JSON: {e}") from e
     return parse_spec(doc, depth_override)

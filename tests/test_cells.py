@@ -3,6 +3,7 @@ measure pairs, symmetric quadratic forms, Gram positivity, operator
 factorization, path sampling against exact tensor contraction, and the
 refinement/aggregation round trip."""
 
+import pathlib
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -10,6 +11,9 @@ import pytest
 
 from bratteli import cells as cl
 from bratteli import laplacian as lp
+from bratteli import specfile as sf
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples_specs"
 
 NU1 = cl.CellSpace((Fr(1, 3), Fr(1, 6), Fr(1, 2)))
 P32 = cl.kernel_from([[Fr(1, 2), Fr(1, 2)],
@@ -337,6 +341,46 @@ def test_chain_network_and_measurable_laplacian():
             cnt += 1.0
         expect += cnt * F.values[n]
         assert np.abs(delta.values[n] - expect).max() < 1e-15
+
+
+def test_chain_network_matches_direct_formulas():
+    """The network of the example chain, built through the Markov layer,
+    equals the one the chain's own formulas give, bit for bit:
+    P = K, Q = K^T nu_k / nu_{k+1}, q = the given masses, and vertex
+    masses summed from dense conductances."""
+    spec = sf.load_spec(str(EXAMPLES / "kernels.json"))
+    spaces, kernels = spec.kernels
+    net = cl.chain_network(spaces, kernels)
+    hk = net.kernels
+    nus = [s.nu(False) for s in spaces]
+    conduct = []
+    for k, kernel in enumerate(kernels):
+        K = kernel.array(False)
+        assert np.array_equal(hk.phat[k], K)
+        assert np.array_equal(hk.qhat[k], K.T * nus[k][None, :]
+                              / nus[k + 1][:, None])
+        assert hk.qhat[k].flags.f_contiguous
+        conduct.append(0.5 * nus[k][:, None] * K)
+    for n, nu in enumerate(nus):
+        assert np.array_equal(hk.q[n], nu)
+        mass = np.zeros(len(nu))
+        if n < len(kernels):
+            mass += conduct[n].sum(axis=1)
+        if n > 0:
+            mass += conduct[n - 1].sum(axis=0)
+        assert np.array_equal(net.vertex_mass[n], mass)
+
+
+def test_chain_network_rational_masses_within_ulps():
+    """Exact input: q on later levels is the propagated float, a few ulps
+    from the rounded exact mass at most."""
+    _, nu2, _ = cl.dual_kernel(NU1, P32)
+    P2 = cl.kernel_from([[Fr(1, 3), Fr(2, 3)], [Fr(5, 7), Fr(2, 7)]])
+    _, nu3, _ = cl.dual_kernel(nu2, P2)
+    spaces = [NU1, nu2, nu3]
+    net = cl.chain_network(spaces, [P32, P2])
+    for q, space in zip(net.kernels.q, spaces):
+        np.testing.assert_array_max_ulp(q, space.nu(False), maxulp=4)
 
 
 def test_chain_network_rejects_inconsistent_masses():

@@ -330,6 +330,65 @@ def test_check_corrupted_row_text_verdict(capsys, tmp_path):
     assert "FAIL" in out
 
 
+# -- malformed specs -----------------------------------------------------------
+
+def _uniform_edges(levels):
+    return [[lv, s, t, 0.5] for lv in levels for s in (0, 1) for t in (0, 1)]
+
+
+_ALLONES_2 = '{"matrix": [[1, 1], [1, 1]], "depth": 2, '
+MALFORMED = {
+    "unknown_letter": ('{"substitution": {"rules": {"a": "ax"}}, "depth": 3}',
+                       "SpecError"),
+    "empty_image": ('{"substitution": {"rules": {"a": ""}}, "depth": 3}',
+                    "EmptyImage"),
+    "edge_level_past_depth": (
+        _ALLONES_2 + '"markov": {"q0": [0.5, 0.5], "edges": %s}}'
+        % json.dumps(_uniform_edges((0, 1)) + [[5, 0, 0, 0.5]]),
+        "SpecError"),
+    "edge_level_negative": (
+        _ALLONES_2 + '"markov": {"q0": [0.5, 0.5], "edges": %s}}'
+        % json.dumps(_uniform_edges((0, -1))), "SpecError"),
+    "fractional_band_offset": (
+        '{"band": {"0.5": 2, "2": 1}, "window": [-10, 10, 2], "depth": 2}',
+        "ValueError"),
+    "nan_cell_mass": ('{"matrix": [[1]], "depth": 2, "kernels": {"nu0": '
+                      '[0.5, NaN], "chain": [[[0.5, 0.5], [0.5, 0.5]]]}}',
+                      "SpecError"),
+    "negative_cell_mass": ('{"matrix": [[1]], "depth": 2, "kernels": {"nu0": '
+                           '[0.5, -0.5], "chain": [[[0.5, 0.5], '
+                           '[0.5, 0.5]]]}}', "ZeroTotalMass"),
+    "fractional_matrix_entry": ('{"matrix": [[1.5, 1], [1, 1]], "depth": 2}',
+                                "WindowMismatch"),
+    "fractional_band_value": ('{"band": {"-2": 1, "0": 1.5, "2": 1}, '
+                              '"window": [-10, 10, 2], "depth": 2}',
+                              "WindowMismatch"),
+    "nan_q0": (_ALLONES_2 + '"markov": {"q0": [NaN, 0.5], "edges": %s}}'
+               % json.dumps(_uniform_edges((0, 1))), "SpecError"),
+    "infinite_probability": (
+        _ALLONES_2 + '"markov": {"q0": [0.5, 0.5], "edges": %s}}'
+        % json.dumps(_uniform_edges((0, 1))).replace("0.5]]", "1e999]]"),
+        "SpecError"),
+}
+
+
+@pytest.mark.parametrize("command", [("validate",), ("analyze", "markov"),
+                                     ("check",)])
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_spec_is_an_error_object(capsys, tmp_path, name, command):
+    text, kind = MALFORMED[name]
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    rc = cli.main([command[0], str(p), *command[1:]])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert err == ""
+    report = json.loads(out)
+    got = (report["violations"][0] if command[0] == "validate"
+           else report["error"])
+    assert got["kind"] == kind
+
+
 # -- usage errors ----------------------------------------------------------------
 
 def test_python_dash_m_bratteli():

@@ -26,9 +26,10 @@ def alternating(net):
 # -- construction ------------------------------------------------------------
 
 def test_uniform_conductances_are_one_eighth():
+    # every conductance is 1/8: two edges per end vertex, four inside
     net = allones_network(4)
-    for c in net.conduct:
-        assert np.array_equal(c, np.full((2, 2), 0.125))
+    for n, m in enumerate(net.vertex_mass):
+        assert np.array_equal(m, np.full(2, 0.25 if n in (0, 4) else 0.5))
     assert net.mass_vs_q_dev == 0.0
 
 
@@ -42,9 +43,9 @@ def test_vertex_masses_match_q_inside():
 
 def test_deterministic_chain_conductance():
     net = deterministic_network(2)
-    # single edge per vertex: c = q/2 on it
-    for c in net.conduct:
-        assert np.array_equal(np.sort(c.ravel()), [0.0, 0.0, 0.25, 0.25])
+    # single edge per vertex and level pair: c = q/2 = 1/4 on it
+    for n, m in enumerate(net.vertex_mass):
+        assert np.array_equal(m, np.full(2, 0.5 if n == 1 else 0.25))
 
 
 def test_balance_violation_detected():
@@ -56,16 +57,27 @@ def test_balance_violation_detected():
     assert exc.value.level == 0
 
 
-def test_unknown_boundary_rejected():
-    hk = mk.dual_kernels(uniform_allones_system(2))
-    with pytest.raises(ValueError):
-        lp.build_network(hk, boundary="periodic")
+def two_pass_masses(hk):
+    """Vertex masses as sums over dense conductance matrices: the row sums
+    of the level above, then the column sums of the level below."""
+    conduct = [0.5 * hk.q[n][:, None] * hk.phat[n] for n in range(hk.depth)]
+    masses = []
+    for n in range(hk.depth + 1):
+        m = np.zeros(len(hk.q[n]))
+        if n < hk.depth:
+            m += conduct[n].sum(axis=1)
+        if n > 0:
+            m += conduct[n - 1].sum(axis=0)
+        masses.append(m)
+    return masses
 
 
 def test_random_networks_build():
     for seed in (0, 4, 8):
         net = lp.build_network(mk.dual_kernels(random_system(seed)))
         assert net.mass_vs_q_dev < 1e-12
+        for got, want in zip(net.vertex_mass, two_pass_masses(net.kernels)):
+            assert np.array_equal(got, want)
 
 
 # -- M and Delta -------------------------------------------------------------
@@ -91,16 +103,6 @@ def test_alternating_mode():
         # interior: Delta f = 2 q (-1)^n with q = 1/2
         assert np.array_equal(delta.values[n], np.full(2, (-1.0) ** n))
     assert np.array_equal(delta.values[0], np.full(2, 0.5))
-
-
-def test_absorbing_boundary_freezes_ends():
-    hk = mk.dual_kernels(uniform_allones_system(3))
-    net = lp.build_network(hk, boundary="absorb")
-    f = alternating(net)
-    mf = lp.apply_M(net, f)
-    assert np.array_equal(mf.values[0], f.values[0])
-    assert np.array_equal(mf.values[3], f.values[3])
-    assert np.array_equal(mf.values[1], -f.values[1])
 
 
 def test_qM_identity():

@@ -40,6 +40,22 @@ class TestValidate:
         with pytest.raises(mk.ZeroMeasureVertex):
             mk.validate_system(bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_q0_must_be_finite(self, value):
+        sysm = uniform_allones_system(2)
+        bad = mk.MarkovSystem(sysm.diagram, np.array([value, 0.5]),
+                              sysm.probs)
+        with pytest.raises(mk.PathInvalid, match="non-finite q0"):
+            mk.validate_system(bad)
+
+    @pytest.mark.parametrize("value", [np.nan, (np.nan,)])
+    def test_probabilities_must_be_finite(self, value):
+        sysm = uniform_allones_system(2)
+        probs = tuple(dict(p) for p in sysm.probs)
+        probs[1][(0, 1)] = value
+        with pytest.raises(mk.PathInvalid, match="non-finite probability"):
+            mk.validate_system(mk.MarkovSystem(sysm.diagram, sysm.q0, probs))
+
     def test_rows_must_be_stochastic(self):
         sysm = uniform_allones_system(2)
         probs = tuple(dict(p) for p in sysm.probs)

@@ -3,6 +3,7 @@ unknown fields, optional order/markov/kernel blocks, and a canonical form
 that round-trips through the parser."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,39 @@ def test_structure_errors_keep_their_kind():
     # zero row at level 0 is a diagram defect, not a schema defect
     with pytest.raises(dg.ZeroRow):
         parse({"matrix": [[1, 0], [0, 0]], "depth": 2})
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"matrix": [[1.5, 1], [1, 1]], "depth": 2}, "entry (0,0) at level 0"),
+    ({"matrix": [[1, float("inf")], [1, 1]], "depth": 2},
+     "entry (0,1) at level 0"),
+    ({"band": {"-2": 1, "0": 1.5, "2": 1}, "window": [-10, 10, 2],
+      "depth": 2}, "band offset 0"),
+])
+def test_non_integral_multiplicity_rejected(doc, where):
+    with pytest.raises(dg.WindowMismatch,
+                       match="^" + re.escape(f"{where} has multiplicity")):
+        parse(doc)
+
+
+def test_integral_float_multiplicities_stored_as_ints():
+    ps = parse({"matrix": [[2.0, 1], [1, 1]], "depth": 2})
+    assert ps.diagram.F(0).entries == {(0, 0): 2, (0, 1): 1, (1, 0): 1,
+                                       (1, 1): 1}
+    assert all(type(m) is int for m in ps.diagram.F(0).entries.values())
+    band = parse({"band": {"-2": 1, "0": 2.0, "2": 1}, "window": [-10, 10, 2],
+                  "depth": 2})
+    assert band.diagram.F(0).band == ((-2, 1), (0, 2), (2, 1))
+    assert type(band.diagram.F(0).band[1][1]) is int
+
+
+def test_markov_edge_level_must_be_below_depth():
+    edges = [[lv, s, t, 0.5] for lv in (0, 1) for s in (0, 1) for t in (0, 1)]
+    with pytest.raises(sf.SpecError,
+                       match=r"markov edge level 2 outside 0\.\.1"):
+        parse({"matrix": [[1, 1], [1, 1]], "depth": 2,
+               "markov": {"q0": [0.5, 0.5],
+                          "edges": edges + [[2, 0, 0, 0.5]]}})
 
 
 # -- unknown fields are rejected at every level --------------------------------
@@ -271,6 +305,15 @@ def test_load_spec_examples(tmp_path):
 def test_load_spec_bad_json(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{ not json", encoding="utf-8")
+    with pytest.raises(sf.SpecError, match="not valid JSON"):
+        sf.load_spec(str(p))
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_load_spec_rejects_non_finite_numbers(tmp_path, number):
+    p = tmp_path / "nan.json"
+    p.write_text('{"matrix": [[1]], "depth": 2, "kernels": {"nu0": [%s], '
+                 '"chain": [[[1.0]]]}}' % number, encoding="utf-8")
     with pytest.raises(sf.SpecError, match="not valid JSON"):
         sf.load_spec(str(p))
 
