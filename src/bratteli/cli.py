@@ -40,20 +40,11 @@ def _f(x) -> str:
     return "%.17g" % float(x)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    return obj
+def _json(obj) -> str:
+    """Indented JSON with sorted keys.  np.float64 is a float and prints
+    as one; other numpy scalars and arrays go through ``tolist``."""
+    return json.dumps(obj, sort_keys=True, indent=2,
+                      default=lambda o: o.tolist()) + "\n"
 
 
 def _emit(args, payload: dict, rows: list | None, header: list | None) -> None:
@@ -67,7 +58,7 @@ def _emit(args, payload: dict, rows: list | None, header: list | None) -> None:
                         for x in row])
         text = buf.getvalue()
     else:
-        text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+        text = _json(payload)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -77,9 +68,7 @@ def _emit(args, payload: dict, rows: list | None, header: list | None) -> None:
 
 
 def _fail(kind: str, detail: str) -> int:
-    sys.stdout.write(json.dumps(
-        {"error": {"kind": kind, "detail": detail}}, sort_keys=True,
-        indent=2) + "\n")
+    sys.stdout.write(_json({"error": {"kind": kind, "detail": detail}}))
     return 1
 
 
@@ -128,12 +117,10 @@ def cmd_validate(args) -> int:
                                   "detail": str(e),
                                   **{k: getattr(e, k) for k in
                                      ("level", "vertex") if hasattr(e, k)}}]}
-        sys.stdout.write(json.dumps(_jsonable(report), sort_keys=True,
-                                    indent=2) + "\n")
+        sys.stdout.write(_json(report))
         return 1
     if args.emit_spec:
-        sys.stdout.write(json.dumps(spec.canonical, sort_keys=True,
-                                    indent=2) + "\n")
+        sys.stdout.write(_json(spec.canonical))
         return 0
     d = spec.diagram
     report = {"valid": True,
@@ -142,8 +129,7 @@ def cmd_validate(args) -> int:
               "level_sizes": [len(d.window(n)) for n in range(d.depth + 1)],
               "has_markov": spec.markov is not None,
               "has_kernels": spec.kernels is not None}
-    sys.stdout.write(json.dumps(_jsonable(report), sort_keys=True,
-                                indent=2) + "\n")
+    sys.stdout.write(_json(report))
     return 0
 
 
@@ -153,9 +139,8 @@ def _analyze_pf(spec: ParsedSpec, args):
     d = spec.diagram
     if not d.stationary:
         raise SpecError("pf analysis needs a stationary diagram")
-    w = pf.incidence_transpose(d.F(0))
-    sd = pf.pf_solve(w)
-    rec = pf.classify_recurrence(w, sd.lam)
+    sd = pf.pf_solve(d.F(0))
+    rec = pf.classify_recurrence(d.F(0), sd.lam)
     payload = {"lambda": sd.lam, "classification": rec.classification,
                "residual": sd.residual, "shortcut": sd.shortcut,
                "iterations": sd.iterations,
@@ -451,8 +436,7 @@ def cmd_check(args) -> int:
                    "results": [{"suite": s, "invariant": n,
                                 "residual": v, "passed": p}
                                for (s, n, v, p) in results]}
-        sys.stdout.write(json.dumps(_jsonable(payload), sort_keys=True,
-                                    indent=2) + "\n")
+        sys.stdout.write(_json(payload))
     else:
         width = max((len(r[1]) for r in results), default=10)
         for (s, n, v, p) in results:

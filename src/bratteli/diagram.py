@@ -295,12 +295,14 @@ class IncidenceMatrix:
         return masks[0], masks[1]
 
     def row_sums(self) -> np.ndarray:
-        out = np.zeros(len(self.row_window), dtype=np.int64)
+        """Exact row sums, in the dtype of ``csr.mult``."""
+        out = np.zeros(len(self.row_window), dtype=self.csr.mult.dtype)
         np.add.at(out, self.csr.rows, self.csr.mult)
         return out
 
     def col_sums(self) -> np.ndarray:
-        out = np.zeros(len(self.col_window), dtype=np.int64)
+        """Exact column sums, in the dtype of ``csr.mult``."""
+        out = np.zeros(len(self.col_window), dtype=self.csr.mult.dtype)
         np.add.at(out, self.csr.indices, self.csr.mult)
         return out
 
@@ -400,9 +402,14 @@ class Diagram:
 
 
 def _matrices_equal(a: IncidenceMatrix, b: IncidenceMatrix) -> bool:
-    return (dict(a.entries) == dict(b.entries)
-            and a.row_window == b.row_window
-            and a.col_window == b.col_window)
+    """Same windows and the same CSR entries; copies sharing one ``csr``
+    (as ``stationary_diagram`` makes them) are equal at once."""
+    if a.row_window != b.row_window or a.col_window != b.col_window:
+        return False
+    ca, cb = a.csr, b.csr
+    return ca is cb or (np.array_equal(ca.indptr, cb.indptr)
+                        and np.array_equal(ca.indices, cb.indices)
+                        and np.array_equal(ca.mult, cb.mult))
 
 
 def validate(matrices: Sequence[IncidenceMatrix]) -> Diagram:
@@ -453,20 +460,31 @@ def _sparse_product(high: IncidenceMatrix, low: IncidenceMatrix,
     if high.col_window != low.row_window:
         raise WindowMismatch("incompatible windows in telescoping product")
     by_target: dict[int, list[tuple[int, int]]] = {}
-    for (u, w), m in low.entries.items():
+    for u, w, m in low.triplets():
         by_target.setdefault(u, []).append((w, m))
     out: dict[tuple[int, int], int] = {}
-    for (v, u), m2 in high.entries.items():
+    for v, u, m2 in high.triplets():
         for w, m1 in by_target.get(u, ()):
             key = (v, w)
             out[key] = out.get(key, 0) + m2 * m1
     return IncidenceMatrix(level, out, high.row_window, low.col_window)
 
 
-def _exterior_set(m: IncidenceMatrix, rows: bool) -> set:
-    verts = m.targets if rows else m.sources
-    mask = m.interior_rows() if rows else m.interior_cols()
-    return {v for v, ok in zip(verts, mask) if not ok}
+def _exterior(block: Sequence[IncidenceMatrix], rows: bool):
+    """Vertices whose row (column) of the block product lost entries to a
+    window edge: exterior on their own level, or joined to such a vertex
+    on the level below (above).  None when there are none."""
+    mats = block if rows else block[::-1]
+    bad = None
+    for f in mats:
+        c = f.csr
+        own = ~(f.interior_rows() if rows else f.interior_cols())
+        if bad is not None:
+            here, there = (c.rows, c.indices) if rows else (c.indices, c.rows)
+            own[here[bad[there]]] = True
+        bad = own
+    verts = mats[-1].targets if rows else mats[-1].sources
+    return frozenset(v for v, b in zip(verts, bad) if b) or None
 
 
 def telescope(d: Diagram, cuts: Sequence[int]) -> Diagram:
@@ -490,14 +508,6 @@ def telescope(d: Diagram, cuts: Sequence[int]) -> Diagram:
         prod = block[0]
         for f in block[1:]:
             prod = _sparse_product(f, prod, level=k)
-        ext_r = _exterior_set(block[0], rows=True)
-        for f in block[1:]:
-            ext_r = (_exterior_set(f, rows=True)
-                     | {v for (v, w) in f.entries if w in ext_r})
-        ext_c = _exterior_set(block[-1], rows=False)
-        for f in reversed(block[:-1]):
-            ext_c = (_exterior_set(f, rows=False)
-                     | {w for (v, w) in f.entries if v in ext_c})
         rclaims = [f.row_sum_claim for f in block]
         cclaims = [f.col_sum_claim for f in block]
         rsum = math.prod(rclaims) if all(c is not None for c in rclaims) else None
@@ -505,9 +515,8 @@ def telescope(d: Diagram, cuts: Sequence[int]) -> Diagram:
         mats.append(IncidenceMatrix(
             k, prod.entries, prod.row_window, prod.col_window,
             block[0].band if len(block) == 1 else None,
-            rsum, csum,
-            frozenset(ext_r) if ext_r else None,
-            frozenset(ext_c) if ext_c else None))
+            rsum, csum, _exterior(block, rows=True),
+            _exterior(block, rows=False)))
     return validate(mats)
 
 

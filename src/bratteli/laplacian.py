@@ -289,37 +289,53 @@ class HittingEstimate:
 
 
 def _flatten(net: WeightedNetwork):
-    """CSR-like move table of the M-chain over all (level, vertex) states."""
+    """CSR-like move table of the M-chain over all (level, vertex) states.
+
+    State (n, i) moves up along column i of F(n), targets ascending, with
+    P-hat weights, then down along row i of F(n-1), sources ascending, with
+    Q-hat weights; a move of weight 0 is dropped.  Each state's cumulative
+    sums run in that order, with the last forced to 1.
+    """
     hk = net.kernels
+    d = hk.diagram
     sizes = [len(q) for q in hk.q]
     offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
     level_of = np.concatenate([np.full(s, n, dtype=np.int64)
                                for n, s in enumerate(sizes)])
-    rowptr = [0]
-    cum: list[float] = []
-    tgt: list[int] = []
     N = net.depth
+    rowptr, cum, tgt = [], [], []
+    base = 0
     for n, s in enumerate(sizes):
-        for i in range(s):
-            moves: list[tuple[float, int]] = []
-            if n < N:
-                w_up = 1.0 if n == 0 else 0.5
-                row = hk.phat[n][i]
-                moves += [(w_up * row[j], offsets[n + 1] + j)
-                          for j in np.nonzero(row)[0]]
-            if n > 0:
-                w_dn = 1.0 if n == N else 0.5
-                row = hk.qhat[n - 1][i]
-                moves += [(w_dn * row[j], offsets[n - 1] + j)
-                          for j in np.nonzero(row)[0]]
-            acc = np.cumsum([p for p, _ in moves])
-            acc[-1] = 1.0
-            cum.extend(acc.tolist())
-            tgt.extend(j for _, j in moves)
-            rowptr.append(len(cum))
-    return (np.asarray(rowptr[:-1], dtype=np.int64),
-            np.asarray(cum, dtype=np.float64),
-            np.asarray(tgt, dtype=np.int64), level_of, offsets)
+        parts = []   # (state, kernel value, destination, weight) per side
+        if n < N:
+            c = d.F(n).csr
+            i, j = c.indices[c.colperm], c.rows[c.colperm]
+            parts.append((i, hk.phat[n][i, j], offsets[n + 1] + j,
+                          1.0 if n == 0 else 0.5))
+        if n > 0:
+            c = d.F(n - 1).csr
+            parts.append((c.rows, hk.qhat[n - 1][c.rows, c.indices],
+                          offsets[n - 1] + c.indices, 1.0 if n == N else 0.5))
+        state, val, dest, prob = (np.concatenate(x) for x in zip(*[
+            (i, v, t, w * v) for i, v, t, w in parts]))
+        keep = np.flatnonzero(val != 0)
+        keep = keep[np.argsort(state[keep], kind="stable")]
+        state, prob, dest = state[keep], prob[keep], dest[keep]
+        counts = np.bincount(state, minlength=s)
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+        col = np.arange(len(state)) - ptr[state]
+        # one padded row per state, so each cumulative sum stays sequential
+        pad = np.zeros((s, int(counts.max())))
+        pad[state, col] = prob
+        acc = np.cumsum(pad, axis=1)[state, col]
+        acc[ptr[1:] - 1] = 1.0
+        rowptr.append(base + ptr[:-1])
+        cum.append(acc)
+        tgt.append(dest)
+        base += len(state)
+    return (np.concatenate(rowptr).astype(np.int64),
+            np.concatenate(cum), np.concatenate(tgt).astype(np.int64),
+            level_of, offsets)
 
 
 def _state_of(net: WeightedNetwork, start: tuple[int, int],

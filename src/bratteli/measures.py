@@ -206,11 +206,9 @@ def stationary_pf_measure(d: Diagram, normalization: str = "level0",
     if not d.stationary:
         raise PFFailed("stationary_pf_measure needs a stationary diagram")
     try:
-        sd = perron.pf_solve(perron.incidence_transpose(d.F(0)))
+        sd = perron.pf_solve(d.F(0))
     except (perron.NoConvergence, ValueError) as exc:
         raise PFFailed(str(exc)) from exc
-    if tuple(sd.vertices) != d.vertices(0):
-        raise PFFailed("spectral window does not match the diagram window")
     t_raw = sd.right
     raw_sum = float(t_raw.sum())
     if normalization == "level0":

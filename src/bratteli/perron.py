@@ -1,13 +1,15 @@
-"""Perron-Frobenius analysis for countable nonnegative matrices.
+"""Perron-Frobenius analysis of one square incidence level, A = F^T.
 
-Matrices are handled through finite window snapshots (`MatrixWindow`).  A
-snapshot knows which of its rows/columns are *interior*, i.e. identical to
-the rows of the untruncated matrix, and optionally carries the exact
-constant row/column sum of the infinite matrix when a band rule guarantees
-one.  That constant-sum information gives exact eigendata (lambda = c,
-constant eigenvector) where plain truncation could never reach tight
-tolerances; everything else runs through shifted power iteration on the
-one window given.
+Every function here takes the level's ``IncidenceMatrix`` and reads it
+through its CSR arrays.  The level knows which of its rows/columns are
+*interior*, i.e. identical to those of the untruncated matrix, and may
+claim the exact constant row/column sum of the infinite matrix when a band
+rule guarantees one.  That constant-sum information gives exact eigendata
+(lambda = c, constant eigenvector) where plain truncation could never reach
+tight tolerances; everything else runs through shifted power iteration on
+the dense window.  The graph questions (strong connectivity, period, the
+safe horizon of the return series) are answered by one breadth-first
+search over neighbour lists built from the same arrays.
 
 Recurrence classification follows the return-series route: with
 a^(n)_ii the diagonal of the n-th power and l_ii(n) the first-return
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -42,78 +43,47 @@ class NoConvergence(Exception):
         self.residual = residual
 
 
-# ---------------------------------------------------------------- snapshots
-
-@dataclass(frozen=True)
-class MatrixWindow:
-    """Finite snapshot of a (possibly infinite) nonnegative matrix.
-
-    exact keeps integer entries keyed by vertex pairs for the return-series
-    arithmetic; global_row_sum / global_col_sum are set when the untruncated
-    matrix provably has that constant sum on every row / column.
-    """
-
-    vertices: tuple[int, ...]
-    dense: np.ndarray
-    interior_rows: np.ndarray
-    interior_cols: np.ndarray
-    exact: Mapping[tuple[int, int], int] | None = None
-    global_row_sum: float | None = None
-    global_col_sum: float | None = None
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def truncated(self) -> bool:
-        return not (self.interior_rows.all() and self.interior_cols.all())
-
+# ---------------------------------------------------------------- graph
 
 def _constant_of(sums: np.ndarray):
     return float(sums[0]) if len(sums) and np.all(sums == sums[0]) else None
 
 
-def dense_window(matrix, vertices=None) -> MatrixWindow:
-    """Snapshot of a genuinely finite matrix (nothing is truncated)."""
-    dense = np.asarray(matrix, dtype=np.float64)
-    m = dense.shape[0]
-    if dense.shape != (m, m):
-        raise ValueError(f"need a square matrix, got {dense.shape}")
-    if (dense < 0).any():
-        raise ValueError("matrix entries must be nonnegative")
-    verts = tuple(vertices) if vertices is not None else tuple(range(m))
-    ones = np.ones(m, dtype=bool)
-    exact = None
-    if np.all(dense == np.round(dense)):
-        exact = {(verts[i], verts[j]): int(dense[i, j])
-                 for i in range(m) for j in range(m) if dense[i, j]}
-    return MatrixWindow(verts, dense, ones, ones, exact,
-                        _constant_of(dense.sum(axis=1)),
-                        _constant_of(dense.sum(axis=0)))
+def _truncated(m: IncidenceMatrix) -> bool:
+    return not (m.interior_rows().all() and m.interior_cols().all())
 
 
-def incidence_transpose(m: IncidenceMatrix) -> MatrixWindow:
-    """A = F^T for one (square-window) incidence matrix.
-
-    Rows of A are indexed by source vertices, so A's interior rows are F's
-    interior columns and vice versa.
-    """
+def _adjacency(m: IncidenceMatrix):
+    """A = F^T as neighbour lists over window positions: i -> j when F has
+    an edge from source i to target j.  Returns the forward targets, their
+    multiplicities (exact ints) and the backward sources, each ascending."""
     if m.row_window != m.col_window:
         raise ValueError("transpose snapshots need equal source/target windows")
-    verts = m.col_window.vertices
-    dense = m.to_dense().T
-    exact = {(w, v): mult for v, w, mult in m.triplets()}
-    # row sums of F^T are column sums of F and vice versa
-    grs = float(m.col_sum_claim) if m.col_sum_claim is not None else None
-    gcs = float(m.row_sum_claim) if m.row_sum_claim is not None else None
-    if m.interior_rows().all() and m.interior_cols().all():
-        if grs is None:
-            grs = _constant_of(dense.sum(axis=1).astype(np.int64))
-        if gcs is None:
-            gcs = _constant_of(dense.sum(axis=0).astype(np.int64))
-    return MatrixWindow(verts, dense, m.interior_cols(), m.interior_rows(),
-                        exact, grs, gcs)
+    c = m.csr
+    size = len(m.col_window)
+    cp, rp = c.colptr.tolist(), c.indptr.tolist()
+    tgt, mult = c.rows[c.colperm].tolist(), c.mult[c.colperm].tolist()
+    src = c.indices.tolist()
+    return ([tgt[cp[i]:cp[i + 1]] for i in range(size)],
+            [mult[cp[i]:cp[i + 1]] for i in range(size)],
+            [src[rp[j]:rp[j + 1]] for j in range(size)])
+
+
+def _bfs(nbr: list, start: int, horizon: int) -> np.ndarray:
+    """Step distances from ``start`` up to ``horizon``; -1 where unreached."""
+    dist = [-1] * len(nbr)
+    dist[start] = 0
+    frontier, d = [start], 0
+    while frontier and d < horizon:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in nbr[u]:
+                if dist[v] < 0:
+                    dist[v] = d
+                    nxt.append(v)
+        frontier = nxt
+    return np.array(dist, dtype=np.int64)
 
 
 # ---------------------------------------------------------------- structure
@@ -127,46 +97,23 @@ class IrreducibilityReport:
     note: str = ""
 
 
-def check_irreducible_aperiodic(mw) -> IrreducibilityReport:
-    """Strong connectivity plus the cycle-length gcd.
+def check_irreducible_aperiodic(m: IncidenceMatrix) -> IrreducibilityReport:
+    """Strong connectivity of A = F^T plus its cycle-length gcd.
 
     The period is computed from a BFS level assignment: for a strongly
     connected digraph, gcd over edges (u, v) of dist(u) + 1 - dist(v) equals
-    the gcd of all return lengths.
+    the gcd of all return lengths (Seneta, Non-negative Matrices and Markov
+    Chains, 1981).
     """
-    dense = mw.dense if isinstance(mw, MatrixWindow) else np.asarray(mw, float)
-    m = dense.shape[0]
-    horizon = m
-    adj = [np.nonzero(dense[i] > 0)[0] for i in range(m)]
-    radj = [np.nonzero(dense[:, j] > 0)[0] for j in range(m)]
-
-    def bfs(neigh):
-        dist = np.full(m, -1)
-        dist[0] = 0
-        frontier = [0]
-        d = 0
-        while frontier and d < horizon:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in neigh[u]:
-                    if dist[v] < 0:
-                        dist[v] = d
-                        nxt.append(v)
-            frontier = nxt
-        return dist
-
-    fwd, bwd = bfs(adj), bfs(radj)
-    connected = bool((fwd >= 0).all() and (bwd >= 0).all())
-    if not connected:
+    fwd, _, bwd = _adjacency(m)
+    horizon = len(fwd)
+    dist = _bfs(fwd, 0, horizon)
+    if (dist < 0).any() or (_bfs(bwd, 0, horizon) < 0).any():
         return IrreducibilityReport(
             False, False, None, horizon,
             f"not strongly connected within horizon {horizon}")
-    g = 0
-    for u in range(m):
-        for v in adj[u]:
-            g = math.gcd(g, int(fwd[u]) + 1 - int(fwd[v]))
-    g = abs(g)
+    c = m.csr
+    g = int(abs(np.gcd.reduce(dist[c.indices] + 1 - dist[c.rows])))
     return IrreducibilityReport(g == 1, True, g, horizon,
                                 "" if g == 1 else f"period {g}")
 
@@ -217,64 +164,70 @@ def _power(dense: np.ndarray):
     raise NoConvergence(_MAXITER, res)
 
 
-def pf_solve(mw: MatrixWindow) -> SpectralData:
-    """Perron eigendata of one window.
+def pf_solve(m: IncidenceMatrix) -> SpectralData:
+    """Perron eigendata of A = F^T on the level's window.
 
     The right vector is anchored to 1 at the window's center vertex.  On
-    fully finite matrices the left vector is scaled so that s.t = 1; on
-    truncated snapshots it is anchored too.
+    untruncated levels the left vector is scaled so that s.t = 1; on
+    truncated ones it is anchored too.
     """
-    chk = check_irreducible_aperiodic(mw)
+    chk = check_irreducible_aperiodic(m)
     if not chk.ok:
         raise ValueError(f"matrix fails irreducibility/aperiodicity on the "
                          f"largest window: {chk.note}")
 
-    m = mw.size
-    center = m // 2
+    A = m.to_dense().T   # rows are sources; a Fortran-ordered view
+    size = A.shape[0]
+    center = size // 2
+    truncated = _truncated(m)
     iterations = 0
     shortcut = None
 
+    # A's row sums are F's column sums and vice versa; the windowed sums
+    # decide only when nothing is truncated
+    row_sum, col_sum = m.col_sum_claim, m.row_sum_claim
+    if not truncated:
+        if row_sum is None:
+            row_sum = _constant_of(m.col_sums())
+        if col_sum is None:
+            col_sum = _constant_of(m.row_sums())
+
     # -- lambda and right vector ---------------------------------------
-    row_sum = mw.global_row_sum
-    if row_sum is None and not mw.truncated:
-        row_sum = _constant_of(mw.dense.sum(axis=1))
     if row_sum is not None:
-        lam = row_sum
-        t = np.ones(m)
+        lam = float(row_sum)
+        t = np.ones(size)
         shortcut = "constant-row-sums"
-    elif mw.global_col_sum is not None:
+    elif col_sum is not None:
         # column sums pin lambda exactly; only the right vector needs iterating
-        lam = mw.global_col_sum
+        lam = float(col_sum)
         shortcut = "constant-column-sums"
-        _, t, iterations = _power(mw.dense)
+        _, t, iterations = _power(A)
     else:
-        lam, t, iterations = _power(mw.dense)
+        lam, t, iterations = _power(A)
     t = t / t[center]
 
     # -- left vector -----------------------------------------------------
-    col_sum = mw.global_col_sum
-    if col_sum is None and not mw.truncated:
-        col_sum = _constant_of(mw.dense.sum(axis=0))
     if col_sum is not None:
-        s = np.ones(m)
+        s = np.ones(size)
         if shortcut == "constant-row-sums":
             shortcut = "constant-row-and-column-sums"
     else:
-        _, s, its = _power(mw.dense.T)
+        _, s, its = _power(A.T)
         iterations += its
-    if mw.truncated:
+    if truncated:
         s = s / s[center]
     else:
         s = s / (s @ t)
 
     # -- residual on interior rows/columns -------------------------------
-    rt = np.abs(mw.dense @ t - lam * t)[mw.interior_rows]
-    rs = np.abs(s @ mw.dense - lam * s)[mw.interior_cols]
+    rt = np.abs(A @ t - lam * t)[m.interior_cols()]
+    rs = np.abs(s @ A - lam * s)[m.interior_rows()]
     residual = max(rt.max(initial=0.0) / np.abs(t).max(),
                    rs.max(initial=0.0) / np.abs(s).max())
 
     return SpectralData(lam=float(lam), left=s, right=t,
-                        vertices=mw.vertices, residual=float(residual),
+                        vertices=m.col_window.vertices,
+                        residual=float(residual),
                         shortcut=shortcut, iterations=iterations)
 
 
@@ -298,69 +251,48 @@ class ReturnSeries:
         return len(self.a)
 
 
-def _neighbor_map(mw: MatrixWindow):
-    if mw.exact is None:
-        raise ValueError("return series need exact integer entries")
-    nbr: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), mult in mw.exact.items():
-        nbr.setdefault(i, []).append((j, mult))
-    return nbr
-
-
-def return_series(mw: MatrixWindow, vertex: int | None = None,
-                  horizon: int = 12) -> ReturnSeries:
-    verts = mw.vertices
-    if vertex is None:
-        vertex = verts[len(verts) // 2]
-    nbr = _neighbor_map(mw)
-
+def _series(fwd, wts, start: int, horizon: int):
+    """(a, ell) of the window position ``start``, in exact Python ints."""
     def step(row):
         out: dict[int, int] = {}
         for k, wgt in row.items():
-            for j, mult in nbr.get(k, ()):
+            for j, mult in zip(fwd[k], wts[k]):
                 out[j] = out.get(j, 0) + wgt * mult
         return out
 
-    row = {vertex: 1}
-    a = []
+    row, a = {start: 1}, []
     for _ in range(horizon):
         row = step(row)
-        a.append(row.get(vertex, 0))
-    first = step({vertex: 1})
-    ell = []
+        a.append(row.get(start, 0))
+    first, ell = step({start: 1}), []
     for _ in range(horizon):
-        ell.append(first.get(vertex, 0))
-        first.pop(vertex, None)
+        ell.append(first.pop(start, 0))
         first = step(first)
-    return ReturnSeries(vertex, tuple(a), tuple(ell))
+    return tuple(a), tuple(ell)
 
 
-def _safe_horizon(mw: MatrixWindow, vertex: int, horizon: int) -> int:
-    """Largest n such that length-n paths from the vertex only cross
-    interior rows (so the windowed series equals the infinite one)."""
-    nbr = _neighbor_map(mw)
-    interior = {v: bool(ok) for v, ok in zip(mw.vertices, mw.interior_rows)}
-    dist = {vertex: 0}
-    frontier = [vertex]
-    d_bad = horizon
-    d = 0
-    while frontier and d < horizon:
-        d += 1
-        nxt = []
-        for u in frontier:
-            if not interior.get(u, False):
-                d_bad = min(d_bad, dist[u])
-                continue
-            for j, _ in nbr.get(u, ()):
-                if j not in dist:
-                    dist[j] = d
-                    nxt.append(j)
-        frontier = nxt
-    if not interior.get(vertex, True):
-        return 0
-    # length-n paths step from vertices at distance <= n-1, so a bad row at
-    # distance d contaminates lengths >= d+1
-    return min(horizon, d_bad)
+def return_series(m: IncidenceMatrix, vertex: int | None = None,
+                  horizon: int = 12) -> ReturnSeries:
+    fwd, wts, _ = _adjacency(m)
+    verts = m.col_window.vertices
+    if vertex is None:
+        vertex = verts[len(verts) // 2]
+    a, ell = _series(fwd, wts, m.col_window.position(vertex), horizon)
+    return ReturnSeries(vertex, a, ell)
+
+
+def _safe_horizon(m: IncidenceMatrix, fwd, start: int, horizon: int) -> int:
+    """Largest n such that length-n paths from ``start`` only cross
+    interior rows of A (so the windowed series equals the infinite one).
+
+    A shortest path to the nearest non-interior row crosses interior rows
+    only, so that row's plain BFS distance d is where the window starts to
+    matter: length-n paths step from rows at distance <= n-1, so a bad row
+    at distance d contaminates lengths >= d+1.
+    """
+    dist = _bfs(fwd, start, horizon)
+    bad = dist[(dist >= 0) & ~m.interior_cols()]
+    return int(bad.min(initial=horizon))
 
 
 def _tail_exponent(ns, us):
@@ -394,7 +326,7 @@ class RecurrenceReport:
     note: str = ""
 
 
-def classify_recurrence(mw: MatrixWindow, lam: float, horizon: int = 32,
+def classify_recurrence(m: IncidenceMatrix, lam: float, horizon: int = 32,
                         vertex: int | None = None) -> RecurrenceReport:
     """Trend classification of the return series (not a proof).
 
@@ -404,32 +336,33 @@ def classify_recurrence(mw: MatrixWindow, lam: float, horizon: int = 32,
     inside the band is reported as Unknown.  Finite fully-interior
     irreducible matrices short-circuit to PositiveRecurrent.
     """
-    verts = mw.vertices
+    fwd, wts, _ = _adjacency(m)
+    verts = m.col_window.vertices
     if vertex is None:
         vertex = verts[len(verts) // 2]
-    chk = check_irreducible_aperiodic(mw)
-    if not mw.truncated and chk.strongly_connected:
-        rs = return_series(mw, vertex, min(horizon, 2 * mw.size + 4))
-        ns = range(1, rs.horizon + 1)
+    start = m.col_window.position(vertex)
+    if not _truncated(m) and check_irreducible_aperiodic(m).strongly_connected:
+        a, ell = _series(fwd, wts, start, min(horizon, 2 * len(verts) + 4))
+        ns = range(1, len(a) + 1)
         return RecurrenceReport(
-            "PositiveRecurrent", None, None, rs.horizon,
-            sum(a * lam ** -n for n, a in zip(ns, rs.a)),
-            sum(n * e * lam ** -n for n, e in zip(ns, rs.ell)),
+            "PositiveRecurrent", None, None, len(a),
+            sum(x * lam ** -n for n, x in zip(ns, a)),
+            sum(n * e * lam ** -n for n, e in zip(ns, ell)),
             None, "finite irreducible matrix")
 
-    h = _safe_horizon(mw, vertex, horizon)
+    h = _safe_horizon(m, fwd, start, horizon)
     note = "" if h == horizon else (
         f"horizon reduced to {h}: longer paths leave the interior window")
-    rs = return_series(mw, vertex, h)
+    a, ell = _series(fwd, wts, start, h)
     ns = list(range(1, h + 1))
     loglam = math.log(lam)
-    u = [math.exp(math.log(a) - n * loglam) if a > 0 else 0.0
-         for n, a in zip(ns, rs.a)]
+    u = [math.exp(math.log(x) - n * loglam) if x > 0 else 0.0
+         for n, x in zip(ns, a)]
     v = [n * math.exp(math.log(e) - n * loglam) if e > 0 else 0.0
-         for n, e in zip(ns, rs.ell)]
+         for n, e in zip(ns, ell)]
     alpha = _tail_exponent(ns, u)
     beta = _tail_exponent(ns, v)
-    lam_hat = math.exp(math.log(rs.a[-1]) / h) if rs.a[-1] > 0 else None
+    lam_hat = math.exp(math.log(a[-1]) / h) if h and a[-1] > 0 else None
 
     if alpha is None:
         cls = "Unknown"

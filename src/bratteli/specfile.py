@@ -49,6 +49,13 @@ def _require(cond: bool, msg: str):
         raise SpecError(msg)
 
 
+def _integral(x, where: str) -> int:
+    """x as an int; a number with a fractional part raises SpecError."""
+    _require(not isinstance(x, float) or x.is_integer(),
+             f"{where} must be an integer, got {x!r}")
+    return int(x)
+
+
 def _check_fields(block: dict, allowed: set, where: str):
     unknown = set(block) - allowed
     _require(not unknown, f"unknown field(s) in {where}: {sorted(unknown)}")
@@ -70,7 +77,8 @@ def _parse_substitution(block) -> sb.Substitution:
         _require(name in _NAMED_SUBSTITUTIONS,
                  f"unknown substitution name {name!r}")
         if name == "odometer":
-            return _NAMED_SUBSTITUTIONS[name](int(block.get("k", 2)))
+            return _NAMED_SUBSTITUTIONS[name](
+                _integral(block.get("k", 2), "odometer 'k'"))
         _require("k" not in block, f"{name!r} takes no 'k'")
         return _NAMED_SUBSTITUTIONS[name]()
     if "rules" in block:
@@ -183,10 +191,12 @@ def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
             for e in blk["edges"]:
                 _require(isinstance(e, (list, tuple)) and len(e) == 4,
                          "markov edges are [level, source, target, p]")
-                _require(0 <= int(e[0]) < diagram.depth,
+                lvl, src, tgt = [_integral(x, f"markov edge {what}") for x, what
+                                 in zip(e, ("level", "source", "target"))]
+                _require(0 <= lvl < diagram.depth,
                          f"markov edge level {e[0]} outside "
                          f"0..{diagram.depth - 1}")
-                edges.append((int(e[0]), int(e[1]), int(e[2]),
+                edges.append((lvl, src, tgt,
                               tuple(float(x) for x in e[3])
                               if isinstance(e[3], (list, tuple))
                               else float(e[3])))

@@ -44,7 +44,7 @@ ERS_232 = [
 
 
 def _pf_of(d: dg.Diagram) -> pf.SpectralData:
-    return pf.pf_solve(pf.incidence_transpose(d.F(0)))
+    return pf.pf_solve(d.F(0))
 
 
 def test_criterion_01_pf_closed_forms():

@@ -101,20 +101,23 @@ def test_analyze_pf_fibonacci(capsys):
 # printed: both sums known, column sums only, no shortcut, and a truncated
 # substitution window whose column-sum claim leaves a long right-vector solve
 PF_BRANCHES = {
-    "allones": (None, 2.0, "constant-row-and-column-sums", 0, 0.0),
+    "allones": (None, 2.0, "constant-row-and-column-sums", 0, 0.0,
+                "PositiveRecurrent"),
     "column_sums": ({"matrix": [[1, 1], [2, 0]], "depth": 2},
-                    2.0, "constant-column-sums", 1, 0.0),
+                    2.0, "constant-column-sums", 1, 0.0, "PositiveRecurrent"),
     "fibonacci": ({"matrix": [[1, 1], [1, 0]], "depth": 2},
-                  1.618033988749895, None, 36, 6.861555643110587e-16),
+                  1.618033988749895, None, 36, 6.861555643110587e-16,
+                  "PositiveRecurrent"),
     "nat_window": ({"substitution": {"name": "nat_length_two"},
                     "window": [0, 60], "depth": 2},
-                   2.0, "constant-column-sums", 827, 2.643046068372988e-13),
+                   2.0, "constant-column-sums", 827, 2.643046068372988e-13,
+                   "Unknown"),
 }
 
 
 @pytest.mark.parametrize("name", list(PF_BRANCHES))
 def test_analyze_pf_pinned_per_branch(capsys, tmp_path, name):
-    doc, lam, shortcut, iterations, residual = PF_BRANCHES[name]
+    doc, lam, shortcut, iterations, residual, cls = PF_BRANCHES[name]
     spec = ALLONES
     if doc is not None:
         spec = tmp_path / "spec.json"
@@ -125,6 +128,7 @@ def test_analyze_pf_pinned_per_branch(capsys, tmp_path, name):
     assert d["shortcut"] == shortcut
     assert d["iterations"] == iterations
     assert d["residual"] == residual
+    assert d["classification"] == cls
 
 
 def test_analyze_measure_csv(capsys):
@@ -365,6 +369,23 @@ MALFORMED = {
                               "WindowMismatch"),
     "nan_q0": (_ALLONES_2 + '"markov": {"q0": [NaN, 0.5], "edges": %s}}'
                % json.dumps(_uniform_edges((0, 1))), "SpecError"),
+    "fractional_odometer_k": (
+        '{"substitution": {"name": "odometer", "k": 2.7}, "depth": 3}',
+        "SpecError"),
+    "edge_level_fractional": (
+        _ALLONES_2 + '"markov": {"q0": [0.5, 0.5], "edges": %s}}'
+        % json.dumps(_uniform_edges((0, 1.7))), "SpecError"),
+    "edge_level_half": (
+        _ALLONES_2 + '"markov": {"q0": [0.5, 0.5], "edges": %s}}'
+        % json.dumps(_uniform_edges((0.5, 1))), "SpecError"),
+    "edge_source_fractional": (
+        _ALLONES_2 + '"markov": {"q0": [0.5, 0.5], "edges": %s}}'
+        % json.dumps(_uniform_edges((0, 1)) + [[0, 0.5, 0, 0.5]]),
+        "SpecError"),
+    "edge_target_fractional": (
+        _ALLONES_2 + '"markov": {"q0": [0.5, 0.5], "edges": %s}}'
+        % json.dumps(_uniform_edges((0, 1)) + [[1, 1, 1.25, 0.5]]),
+        "SpecError"),
     "infinite_probability": (
         _ALLONES_2 + '"markov": {"q0": [0.5, 0.5], "edges": %s}}'
         % json.dumps(_uniform_edges((0, 1))).replace("0.5]]", "1e999]]"),

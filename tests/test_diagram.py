@@ -55,6 +55,23 @@ def test_allones_valid_stationary():
     assert d.vertices(0) == (0, 1)
 
 
+def test_stationarity_compares_levels_not_their_storage():
+    # separately built copies of one level share no csr but are equal
+    same = [dg.incidence_from_dense(k, FIB) for k in range(3)]
+    assert dg.validate(same).stationary
+    # float and int multiplicities give the same level
+    assert dg.validate([dg.incidence_from_dense(0, [[1, 1], [1, 0]]),
+                        dg.incidence_from_dense(1, [[1.0, 1.0], [1.0, 0.0]])
+                        ]).stationary
+    for other in ([[1, 1], [1, 1]], [[1, 1], [2, 0]], [[1, 0], [1, 1]]):
+        assert not dg.validate([dg.incidence_from_dense(0, FIB),
+                                dg.incidence_from_dense(1, other)]).stationary
+    # the same arrays over another source window
+    moved = dg.incidence_from_dense(0, FIB, col_window=dg.Window(10, 11))
+    assert not dg.validate([moved, dg.incidence_from_dense(1, FIB)]
+                           ).stationary
+
+
 def test_zero_row_rejected():
     m = dg.incidence_from_dense(0, [[1, 0], [0, 0]])
     with pytest.raises(dg.ZeroRow) as exc:
@@ -133,6 +150,19 @@ def test_telescope_bad_cuts():
     for cuts in ((1, 3), (0, 3, 2), (0, 9), (0,)):
         with pytest.raises(dg.CutsOutOfRange):
             dg.telescope(d, cuts)
+
+
+def test_telescope_propagates_truncation():
+    # a product row (column) is exterior when it is clipped itself or
+    # reaches a clipped row (column) through the other level
+    d = dg.band_diagram(DRUNKEN, 3, dg.Window(-20, 20, 2))
+    t = dg.telescope(d, (0, 2, 3))
+    two, one = t.F(0), t.F(1)
+    assert two.band is None and one.band == d.F(0).band
+    assert two.exterior_rows == two.exterior_cols == {-20, -18, 18, 20}
+    assert one.exterior_rows == one.exterior_cols == {-20, 20}
+    assert two.row_sum_claim == two.col_sum_claim == 16
+    assert not t.stationary
 
 
 def test_telescope_preserves_heights():

@@ -8,7 +8,10 @@ from bratteli import diagram as dg
 from bratteli import laplacian as lp
 from bratteli import markov as mk
 
-from conftest import allones_network, random_system, uniform_allones_system
+from bratteli import measures as ms
+
+from conftest import (DRUNKEN, allones_network, random_system,
+                      uniform_allones_system)
 
 
 def deterministic_network(depth=2):
@@ -270,6 +273,61 @@ def test_walk_return_frequency_matches_transfer_matrix():
     exact_mean = float(np.sum(probs)) / steps
     se = np.sqrt(exact_mean * (1 - exact_mean) / (trials * steps))
     assert abs(stats.mean_returns_per_step - exact_mean) < 4 * se
+
+
+def _dense_row_flatten(net):
+    """Reference move table: np.nonzero over the dense P-hat and Q-hat rows
+    of one state at a time, up-moves first."""
+    hk = net.kernels
+    sizes = [len(q) for q in hk.q]
+    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    level_of = np.concatenate([np.full(s, n, dtype=np.int64)
+                               for n, s in enumerate(sizes)])
+    rowptr, cum, tgt = [0], [], []
+    N = net.depth
+    for n, s in enumerate(sizes):
+        for i in range(s):
+            moves = []
+            if n < N:
+                row = hk.phat[n][i]
+                moves += [((1.0 if n == 0 else 0.5) * row[j], offsets[n + 1] + j)
+                          for j in np.nonzero(row)[0]]
+            if n > 0:
+                row = hk.qhat[n - 1][i]
+                moves += [((1.0 if n == N else 0.5) * row[j], offsets[n - 1] + j)
+                          for j in np.nonzero(row)[0]]
+            acc = np.cumsum([p for p, _ in moves])
+            acc[-1] = 1.0
+            cum.extend(acc.tolist())
+            tgt.extend(j for _, j in moves)
+            rowptr.append(len(cum))
+    return (np.asarray(rowptr[:-1], dtype=np.int64),
+            np.asarray(cum, dtype=np.float64),
+            np.asarray(tgt, dtype=np.int64), level_of, offsets)
+
+
+def clipped_band_network():
+    """The DRUNKEN band on a small window: clipped rows were renormalized."""
+    d = dg.band_diagram(DRUNKEN, 4, dg.Window(-12, 12, 2))
+    mu, _ = ms.stationary_pf_measure(d, normalization="probability")
+    sysm = mk.markov_from_tail_invariant(d, mu)
+    assert sysm.meta["normalized"]
+    return lp.build_network(mk.dual_kernels(sysm))
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda seed=seed: lp.build_network(mk.dual_kernels(random_system(seed)))
+      for seed in range(8)),
+    clipped_band_network, lambda: allones_network(5), deterministic_network],
+    ids=[*(f"random{seed}" for seed in range(8)), "clipped_band", "allones",
+         "deterministic"])
+def test_flatten_matches_dense_rows(make):
+    net = make()
+    names = ("rowptr", "cum", "tgt", "level_of", "offsets")
+    for name, got, want in zip(names, lp._flatten(net),
+                               _dense_row_flatten(net)):
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
 
 
 def test_hitting_matches_harmonic():

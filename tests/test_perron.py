@@ -6,51 +6,77 @@ import pytest
 
 from bratteli import diagram as dg
 from bratteli import perron as pf
+from bratteli import substitution as sb
 
 from conftest import DRUNKEN, FIB, GOLDEN
 
 
+def level(A):
+    """The square incidence level F = A^T, so that pf analyses A."""
+    return dg.incidence_from_dense(0, np.transpose(A))
+
+
 def drunken_window(lo, hi):
-    """The DRUNKEN band as A = F^T on the window [lo, hi] of step 2."""
-    return pf.incidence_transpose(
-        dg.band_matrix(0, dg.Window(lo, hi, 2), DRUNKEN))
+    """The DRUNKEN band on the window [lo, hi] of step 2 (symmetric, so
+    A = F^T = F)."""
+    return dg.band_matrix(0, dg.Window(lo, hi, 2), DRUNKEN)
+
+
+def nat_window(hi):
+    return sb.substitution_matrix(sb.nat_length_two(), dg.Window(0, hi))
 
 
 # -- irreducibility ----------------------------------------------------------
 
 class TestIrreducibility:
     def test_allones_aperiodic(self):
-        rep = pf.check_irreducible_aperiodic(np.array([[1.0, 1], [1, 1]]))
+        rep = pf.check_irreducible_aperiodic(level([[1, 1], [1, 1]]))
         assert rep.ok and rep.strongly_connected
         assert rep.period == 1
 
     def test_two_cycle_period_two(self):
-        rep = pf.check_irreducible_aperiodic(np.array([[0.0, 1], [1, 0]]))
+        rep = pf.check_irreducible_aperiodic(level([[0, 1], [1, 0]]))
         assert not rep.ok
         assert rep.period == 2
 
-    def test_disconnected(self):
+    def test_three_cycle_period_three(self):
         rep = pf.check_irreducible_aperiodic(
-            np.array([[1.0, 0], [0, 1]]))
+            level([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+        assert not rep.ok and rep.strongly_connected
+        assert rep.period == 3
+        assert rep.note == "period 3"
+
+    def test_disconnected(self):
+        rep = pf.check_irreducible_aperiodic(level([[1, 0], [0, 1]]))
         assert not rep.ok and not rep.strongly_connected
 
+    def test_one_way_is_not_strongly_connected(self):
+        # every vertex is reachable from vertex 0, but 0 from no other
+        rep = pf.check_irreducible_aperiodic(level([[1, 1], [0, 1]]))
+        assert not rep.strongly_connected
+
     def test_drunken_band_diagonal_gives_period_one(self):
-        mw = drunken_window(-20, 20)
-        rep = pf.check_irreducible_aperiodic(mw)
+        rep = pf.check_irreducible_aperiodic(drunken_window(-20, 20))
         assert rep.ok and rep.period == 1
+
+    def test_non_square_level_rejected(self):
+        m = dg.IncidenceMatrix(0, {(0, 0): 1, (1, 1): 1, (2, 0): 1},
+                               dg.Window(0, 2), dg.Window(0, 1))
+        with pytest.raises(ValueError, match="equal source/target windows"):
+            pf.check_irreducible_aperiodic(m)
 
 
 # -- pf_solve ----------------------------------------------------------------
 
 class TestClosedForms:
     def test_allones_exact(self):
-        sd = pf.pf_solve(pf.dense_window([[1, 1], [1, 1]]))
+        sd = pf.pf_solve(level([[1, 1], [1, 1]]))
         assert sd.lam == 2.0
         assert sd.shortcut == "constant-row-and-column-sums"
         assert np.allclose(sd.right, [1.0, 1.0], atol=0)
 
     def test_fibonacci_golden_ratio(self):
-        sd = pf.pf_solve(pf.dense_window(FIB))
+        sd = pf.pf_solve(level(FIB))
         assert abs(sd.lam - GOLDEN) < 1e-9
         # t proportional to (phi, 1): anchored at the center vertex
         ratio = sd.right[0] / sd.right[1]
@@ -64,13 +90,13 @@ class TestClosedForms:
         assert float(np.ptp(sd.right)) == 0.0
 
     def test_left_vector_is_eigenvector(self):
-        sd = pf.pf_solve(pf.dense_window(FIB))
+        sd = pf.pf_solve(level(FIB))
         A = np.array(FIB, dtype=float)
         assert np.abs(sd.left @ A - sd.lam * sd.left).max() < 1e-9
 
     def test_rejects_reducible(self):
         with pytest.raises(ValueError):
-            pf.pf_solve(pf.dense_window([[1, 0], [0, 1]]))
+            pf.pf_solve(level([[1, 0], [0, 1]]))
 
 
 def test_power_iteration_matches_eigh_on_random_symmetric():
@@ -78,7 +104,7 @@ def test_power_iteration_matches_eigh_on_random_symmetric():
     for _ in range(10):
         A = rng.integers(1, 5, (4, 4)).astype(float)
         A = A + A.T
-        sd = pf.pf_solve(pf.dense_window(A))
+        sd = pf.pf_solve(level(A))
         lam_true = float(np.linalg.eigvalsh(A)[-1])
         assert abs(sd.lam - lam_true) < 1e-9
 
@@ -86,54 +112,133 @@ def test_power_iteration_matches_eigh_on_random_symmetric():
 def test_column_sum_shortcut():
     # constant column sums pin lambda without constant rows
     A = [[2, 1], [1, 2]]
-    sd = pf.pf_solve(pf.dense_window(A))
+    sd = pf.pf_solve(level(A))
     assert sd.lam == 3.0
+
+
+def test_asymmetric_matrix_vectors_are_right_and_left():
+    A = np.array([[1.0, 2.0], [3.0, 1.0]])   # no constant sums
+    sd = pf.pf_solve(level(A))
+    assert sd.shortcut is None
+    assert abs(sd.lam - (1.0 + np.sqrt(6.0))) < 1e-12
+    assert np.abs(A @ sd.right - sd.lam * sd.right).max() < 1e-12
+    assert np.abs(sd.left @ A - sd.lam * sd.left).max() < 1e-12
+
+
+def test_multiplicity_beyond_int64_gives_exact_sum():
+    sd = pf.pf_solve(level([[2 ** 70]]))
+    assert sd.lam == float(2 ** 70)
+    assert sd.shortcut == "constant-row-and-column-sums"
 
 
 # -- return series -----------------------------------------------------------
 
 def test_return_series_allones():
-    mw = pf.dense_window([[1, 1], [1, 1]])
-    rs = pf.return_series(mw, 0, horizon=6)
+    rs = pf.return_series(level([[1, 1], [1, 1]]), 0, horizon=6)
     # a^(n)_00 = 2^(n-1); first returns stay inside {1}, so l(n) = 1
     assert rs.a == (1, 2, 4, 8, 16, 32)
     assert rs.ell == (1, 1, 1, 1, 1, 1)
 
 
-def test_return_series_needs_exact_entries():
-    mw = pf.MatrixWindow((0, 1), np.array([[0.5, 0.5], [0.5, 0.5]]),
-                         np.ones(2, bool), np.ones(2, bool), None, None, None)
-    with pytest.raises(ValueError):
-        pf.return_series(mw)
+def _dict_series(m, vertex, horizon):
+    """Reference: step a row vector keyed by vertex labels through the
+    level's triplets (A = F^T steps from source w to target v)."""
+    nbr = {}
+    for v, w, mult in m.triplets():
+        nbr.setdefault(w, []).append((v, mult))
+
+    def step(row):
+        out = {}
+        for k, wgt in row.items():
+            for j, mult in nbr.get(k, ()):
+                out[j] = out.get(j, 0) + wgt * mult
+        return out
+
+    row, a = {vertex: 1}, []
+    for _ in range(horizon):
+        row = step(row)
+        a.append(row.get(vertex, 0))
+    first, ell = step({vertex: 1}), []
+    for _ in range(horizon):
+        ell.append(first.get(vertex, 0))
+        first.pop(vertex, None)
+        first = step(first)
+    return tuple(a), tuple(ell)
+
+
+def _dict_horizon(m, vertex, horizon):
+    """Reference: BFS from the vertex through interior rows of A only; the
+    first non-interior row met at distance d bounds the horizon by d."""
+    interior = dict(zip(m.sources, m.interior_cols()))
+    nbr = {}
+    for v, w, _ in m.triplets():
+        nbr.setdefault(w, []).append(v)
+    if not interior[vertex]:
+        return 0
+    dist, frontier, d, bad = {vertex: 0}, [vertex], 0, horizon
+    while frontier and d < horizon:
+        d += 1
+        nxt = []
+        for u in frontier:
+            if not interior[u]:
+                bad = min(bad, dist[u])
+                continue
+            for j in nbr.get(u, ()):
+                if j not in dist:
+                    dist[j] = d
+                    nxt.append(j)
+        frontier = nxt
+    return min(horizon, bad)
+
+
+@pytest.mark.parametrize("m, lam, horizon", [
+    (drunken_window(-60, 60), 4.0, 24),
+    (drunken_window(-16, 16), 4.0, 40),
+    (nat_window(80), 2.0, 24),
+], ids=["drunken60", "drunken16", "nat80"])
+def test_series_and_horizon_match_dict_reference(m, lam, horizon):
+    verts = m.sources
+    for vertex in sorted({verts[0], verts[2], verts[len(verts) // 2],
+                          verts[-3], verts[-1]}):
+        h = _dict_horizon(m, vertex, horizon)
+        rep = pf.classify_recurrence(m, lam, horizon=horizon, vertex=vertex)
+        assert rep.horizon == h
+        rs = pf.return_series(m, vertex, horizon)
+        assert (rs.a, rs.ell) == _dict_series(m, vertex, horizon)
+        assert all(type(x) is int for x in rs.a + rs.ell)
 
 
 # -- recurrence classification ------------------------------------------------
 
 class TestClassification:
     def test_finite_irreducible_positive_recurrent(self):
-        mw = pf.dense_window([[1, 1], [1, 1]])
-        rep = pf.classify_recurrence(mw, 2.0)
+        rep = pf.classify_recurrence(level([[1, 1], [1, 1]]), 2.0)
         assert rep.classification == "PositiveRecurrent"
 
     def test_drunken_null_recurrent_trend(self):
-        mw = drunken_window(-60, 60)
-        rep = pf.classify_recurrence(mw, 4.0, horizon=24)
+        rep = pf.classify_recurrence(drunken_window(-60, 60), 4.0,
+                                     horizon=24)
         assert rep.classification == "NullRecurrent"
 
     def test_nat_substitution_positive_recurrent_trend(self):
         # probe near the bottom of the alphabet, where return loops are
         # short and the window never interferes within the horizon
-        from bratteli import substitution as sb
-        s = sb.nat_length_two()
-        m = sb.substitution_matrix(s, dg.Window(0, 80))
-        mw = pf.incidence_transpose(m)
-        sd = pf.pf_solve(mw)
+        m = nat_window(80)
+        sd = pf.pf_solve(m)
         assert abs(sd.lam - 2.0) < 1e-6
-        rep = pf.classify_recurrence(mw, sd.lam, horizon=24, vertex=2)
+        rep = pf.classify_recurrence(m, sd.lam, horizon=24, vertex=2)
         assert rep.classification == "PositiveRecurrent"
 
     def test_horizon_shrinks_near_window_edge(self):
-        mw = drunken_window(-16, 16)
-        rep = pf.classify_recurrence(mw, 4.0, horizon=40)
+        rep = pf.classify_recurrence(drunken_window(-16, 16), 4.0,
+                                     horizon=40)
         assert rep.horizon < 40
         assert "horizon" in rep.note
+
+    def test_vertex_outside_the_interior_gives_unknown(self):
+        # a window-edge vertex has no return length free of truncation
+        rep = pf.classify_recurrence(drunken_window(-16, 16), 4.0,
+                                     vertex=-16)
+        assert rep.horizon == 0
+        assert rep.classification == "Unknown"
+        assert rep.lam_hat is None

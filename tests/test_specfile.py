@@ -50,6 +50,10 @@ def test_substitution_by_name():
 def test_substitution_odometer_takes_k():
     ps = parse({"substitution": {"name": "odometer", "k": 3}, "depth": 2})
     assert ps.diagram.F(0).entries == {(0, 0): 3}
+    ps = parse({"substitution": {"name": "odometer", "k": 3.0}, "depth": 2})
+    assert ps.diagram.F(0).entries == {(0, 0): 3}
+    with pytest.raises(sf.SpecError, match="odometer 'k' must be an integer"):
+        parse({"substitution": {"name": "odometer", "k": 2.7}, "depth": 2})
     with pytest.raises(sf.SpecError, match="takes no 'k'"):
         parse({"substitution": {"name": "fibonacci", "k": 2}, "depth": 2})
 
@@ -235,6 +239,16 @@ def test_markov_explicit_block():
                 "markov": {"q0": [1.0], "edges": [[0, 0, 0, 1.0]]}})
     assert ps.markov["q0"] == (1.0,)
     assert ps.markov["edges"] == ((0, 0, 0, 1.0),)
+    ps = parse({"matrix": [[1]], "depth": 2,
+                "markov": {"q0": [1.0], "edges": [[0.0, 0, 0.0, 1.0]]}})
+    assert all(type(x) is int for x in ps.markov["edges"][0][:3])
+    for k, what in enumerate(("level", "source", "target")):
+        edge = [0, 0, 0, 1.0]
+        edge[k] = 0.5
+        with pytest.raises(sf.SpecError,
+                           match=f"markov edge {what} must be an integer"):
+            parse({"matrix": [[1]], "depth": 2,
+                   "markov": {"q0": [1.0], "edges": [edge]}})
 
 
 def test_markov_explicit_needs_q0_and_edges():
