@@ -534,7 +534,7 @@ def chain_network(spaces: Sequence[CellSpace],
     depth = len(kernels)
     _chain_shapes(spaces, kernels, depth)
     nus = [s.nu(False) for s in spaces[:depth + 1]]
-    mats, probs = [], []
+    mats, Ks = [], []
     for k in range(depth):
         if (nus[k] <= 0).any() or (nus[k + 1] <= 0).any():
             raise ZeroTotalMass("chain networks need positive cell masses")
@@ -548,8 +548,12 @@ def chain_network(spaces: Sequence[CellSpace],
         mats.append(IncidenceMatrix(k, dict.fromkeys(zip(tgt, src), 1),
                                     Window(0, spaces[k + 1].m - 1),
                                     Window(0, spaces[k].m - 1)))
-        probs.append(dict(zip(zip(src, tgt), K[src, tgt].tolist())))
-    system = mk.MarkovSystem(validate(mats), nus[0], tuple(probs))
+        Ks.append(K)
+    d = validate(mats)
+    # cells are numbered from 0, so CSR positions are the cell indices
+    system = mk.shared_value_system(
+        d, nus[0], [K[d.F(k).csr.indices, d.F(k).csr.rows]
+                    for k, K in enumerate(Ks)])
     return lp.build_network(mk.dual_kernels(system))
 
 

@@ -295,7 +295,7 @@ def _suite_consistency(spec: ParsedSpec, tol: float, seed: int, out: list):
         m = d.F(n)
         h = dict(zip(m.sources, hs[n]))
         nxt = dict.fromkeys(m.targets, 0)
-        for (v, w), mult in m.entries.items():
+        for v, w, mult in m.triplets():
             nxt[v] += mult * h[w]
         ok = ok and list(nxt.values()) == hs[n + 1]
     out.append(("consistency", "HeightRecursion", 0.0 if ok else 1.0, ok))
@@ -343,19 +343,21 @@ def _suite_operators(spec: ParsedSpec, tol: float, seed: int, out: list):
                     devqf <= tol))
     rng = np.random.default_rng(seed)
     worst_adj = worst_con = worst_fix = 0.0
-    for n in range(d.depth):
+    for n in range(d.depth):   # one dense kernel pair at a time
+        P, Q = hk.phat[n], hk.qhat[n]
         sp_lo = mk.space(hk, n)
         sp_hi = mk.space(hk, n + 1)
         for _ in range(20):
             f = rng.standard_normal(len(hk.q[n]))
             g = rng.standard_normal(len(hk.q[n + 1]))
-            lhs = sp_lo.inner(f, mk.apply_TP(hk, n, g))
-            rhs = sp_hi.inner(mk.apply_TQ(hk, n, f), g)
+            lhs = sp_lo.inner(f, mk.apply_TP(P, g))
+            rhs = sp_hi.inner(mk.apply_TQ(Q, f), g)
             worst_adj = max(worst_adj, abs(lhs - rhs))
             worst_con = max(worst_con,
-                            sp_lo.norm(mk.apply_TP(hk, n, g)) - sp_hi.norm(g),
-                            sp_hi.norm(mk.apply_TQ(hk, n, f)) - sp_lo.norm(f))
-        T = mk.compose_Tn(hk, n)
+                            sp_lo.norm(mk.apply_TP(P, g)) - sp_hi.norm(g),
+                            sp_hi.norm(mk.apply_TQ(Q, f)) - sp_lo.norm(f))
+        T = mk.compose_Tn(P, Q)
+        del P, Q
         worst_fix = max(worst_fix,
                         float(np.abs(T.sum(axis=1) - 1.0).max()),
                         float(np.abs(hk.q[n] @ T - hk.q[n]).max()),

@@ -243,17 +243,23 @@ class IncidenceMatrix:
         return [(tgt[i], src[j], m) for i, j, m in
                 zip(c.rows.tolist(), c.indices.tolist(), c.mult.tolist())]
 
-    def multiplicity(self, v: int, w: int) -> int:
-        """Edges between target v and source w: a binary search in v's row."""
+    def edge_index(self, v: int, w: int) -> int:
+        """Position of the entry (target v, source w) in ``csr``, or -1 when
+        there is none: a binary search in v's row."""
         try:
             i = self.row_window.position(v)
             j = self.col_window.position(w)
         except KeyError:
-            return 0
+            return -1
         c = self.csr
         lo, hi = c.indptr[i:i + 2].tolist()
         k = bisect_left(c.indices, j, lo, hi)
-        return int(c.mult[k]) if k < hi and c.indices[k] == j else 0
+        return k if k < hi and c.indices[k] == j else -1
+
+    def multiplicity(self, v: int, w: int) -> int:
+        """Edges between target v and source w."""
+        k = self.edge_index(v, w)
+        return int(self.csr.mult[k]) if k >= 0 else 0
 
     def to_dense(self, dtype=np.float64) -> np.ndarray:
         out = np.zeros((len(self.row_window), len(self.col_window)), dtype=dtype)
@@ -656,24 +662,39 @@ class EdgeOrder:
         return table[target]
 
 
-def _incoming(m: IncidenceMatrix) -> dict[int, tuple[tuple[int, int], ...]]:
-    """Each target's incoming edges as (source, rank), by source then rank."""
-    return {v: tuple((w, r) for w, mult in m.row_entries(v)
+class _Incoming(Mapping):
+    """Each target's incoming edges as (source, rank), by source then rank,
+    built for one target at a time on lookup: a level's table would hold
+    one pair per parallel edge."""
+
+    def __init__(self, m: IncidenceMatrix):
+        self._m = m
+
+    def __getitem__(self, v: int) -> tuple[tuple[int, int], ...]:
+        if v not in self._m.row_window:
+            raise KeyError(v)
+        return tuple((w, r) for w, mult in self._m.row_entries(v)
                      for r in range(mult))
-            for v in m.targets}
+
+    def __iter__(self):
+        return iter(self._m.targets)
+
+    def __len__(self) -> int:
+        return len(self._m.targets)
 
 
 def natural_order(d: Diagram) -> EdgeOrder:
-    """Sort incoming edges by (source, rank); stationary diagrams share it."""
+    """Sort incoming edges by (source, rank); stationary diagrams share it.
+    Nothing is built until ``order_at`` asks for a target."""
     if d.stationary:
-        return EdgeOrder((_incoming(d.F(0)),), stationary=True)
-    return EdgeOrder(tuple(_incoming(d.F(n)) for n in range(d.depth)))
+        return EdgeOrder((_Incoming(d.F(0)),), stationary=True)
+    return EdgeOrder(tuple(_Incoming(d.F(n)) for n in range(d.depth)))
 
 
 def check_order(d: Diagram, order: EdgeOrder) -> None:
     """Each order list must be a bijection with the incoming edge set."""
     for n in range(d.depth):
-        for v, expect in _incoming(d.F(n)).items():
+        for v, expect in _Incoming(d.F(n)).items():
             listed = order.order_at(n, v)
             if set(listed) != set(expect) or len(listed) != len(expect):
                 raise WindowMismatch(

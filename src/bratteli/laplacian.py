@@ -16,6 +16,12 @@ block-tridiagonal system, because each level couples only to its two
 neighbours; solve_harmonic eliminates it directly, level by level, with
 no tolerance or iteration budget.
 
+The network keeps no dense kernel: ``HatKernels`` stores P-hat and Q-hat
+as edge values, and every level loop here builds its level's dense
+``hk.phat[n]`` / ``hk.qhat[n]`` once, uses it, and drops it.  The walk's
+move table reads the edge values directly.  solve_harmonic still keeps
+every elimination block G_n, so its memory grows as depth x m^2.
+
 The random walk runs on the flattened state space with the lockstep
 kernels from _accel; per-trial seeds fix every trajectory exactly.
 """
@@ -207,9 +213,9 @@ def solve_harmonic(net: WeightedNetwork, bottom, top) -> HarmonicSolution:
     g = f[0]
     eliminated = [None]
     for n in range(1, N):
-        D = 2.0 * np.eye(len(hk.q[n])) - hk.qhat[n - 1] @ G
-        Gg = np.linalg.solve(D, np.column_stack((hk.phat[n],
-                                                 hk.qhat[n - 1] @ g)))
+        Q = hk.qhat[n - 1]
+        D = 2.0 * np.eye(len(hk.q[n])) - Q @ G
+        Gg = np.linalg.solve(D, np.column_stack((hk.phat[n], Q @ g)))
         G, g = Gg[:, :-1], Gg[:, -1]
         eliminated.append((G, g))
     for n in range(N - 1, 0, -1):
@@ -251,10 +257,11 @@ def energy_norm(net: WeightedNetwork, f: LevelFunction) -> EnergyReport:
     oper = 0.0
     for n in range(net.depth):
         fn, fn1 = f.values[n], f.values[n + 1]
+        P = hk.phat[n]
         diff = fn[:, None] - fn1[None, :]
-        direct += 0.5 * float(np.sum(hk.q[n][:, None] * hk.phat[n] * diff ** 2))
+        direct += 0.5 * float(np.sum(hk.q[n][:, None] * P * diff ** 2))
         nn = float(np.sum(hk.q[n] * fn * fn))
-        cross = float(np.sum(hk.q[n] * fn * (hk.phat[n] @ fn1)))
+        cross = float(np.sum(hk.q[n] * fn * (P @ fn1)))
         nn1 = float(np.sum(hk.q[n + 1] * fn1 * fn1))
         oper += 0.5 * (nn - 2.0 * cross + nn1)
     return EnergyReport(direct, oper)
@@ -309,12 +316,12 @@ def _flatten(net: WeightedNetwork):
         parts = []   # (state, kernel value, destination, weight) per side
         if n < N:
             c = d.F(n).csr
-            i, j = c.indices[c.colperm], c.rows[c.colperm]
-            parts.append((i, hk.phat[n][i, j], offsets[n + 1] + j,
+            parts.append((c.indices[c.colperm], hk.phat_values[n][c.colperm],
+                          offsets[n + 1] + c.rows[c.colperm],
                           1.0 if n == 0 else 0.5))
         if n > 0:
             c = d.F(n - 1).csr
-            parts.append((c.rows, hk.qhat[n - 1][c.rows, c.indices],
+            parts.append((c.rows, hk.qhat_values[n - 1],
                           offsets[n - 1] + c.indices, 1.0 if n == N else 0.5))
         state, val, dest, prob = (np.concatenate(x) for x in zip(*[
             (i, v, t, w * v) for i, v, t, w in parts]))

@@ -15,24 +15,26 @@ composition T_n = P-hat Q-hat is row-stochastic, fixes q^(n) on the left
 and is self-adjoint in the level-n weighted inner product.
 
 Stored form.  Both kernels are nonzero only on the edges of the level's
-incidence matrix, so a system keeps P-hat as one value per edge, in the
-CSR order of ``diagram.F(n).csr`` (``MarkovSystem.phat_edges``), computed
-once per level.  Q-hat is scattered from those values, and comparisons
+incidence matrix, so each is kept as one value per edge, in the CSR order
+of ``diagram.F(n).csr``: ``MarkovSystem.phat_edges`` for P-hat, computed
+once per level, and ``HatKernels.qhat_values`` for Q-hat.  Comparisons
 that are elementwise (detailed balance, Q-hat against the hat incidence
 matrix) read the edges alone.  The products whose float summation order
 reaches an output stay dense: ``q @ P``, row sums, T_P / T_Q, T_n and
-the Laplacian built on ``HatKernels``.  That keeps every printed number
-identical to the dense computation, so ``phat`` and ``HatKernels`` still
-hand out m x m arrays.
+the Laplacian.  A dense kernel exists only while its level is processed:
+``hk.phat[n]`` and ``hk.qhat[n]`` scatter a fresh array from the edge
+values on every index, the same array with the same layout that a dense
+computation would hold, so every printed number stays identical while
+memory grows with the number of edges instead of depth x m^2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import InitVar, dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .diagram import Diagram, FinitePath, path_in_diagram
+from .diagram import Diagram, FinitePath, IncidenceMatrix, path_in_diagram
 from .measures import DimensionMismatch, MeasureSequence, hat_matrix
 
 Q_FLOOR = 1e-300  # below this a level mass is treated as identically zero
@@ -65,18 +67,23 @@ class MarkovSystem:
     """q^(0) plus edge-resolved transition probabilities per level.
 
     probs[n] maps a source/target pair (v in V_n, u in V_{n+1}) to either a
-    single float (one shared value for all parallel edges -- the storage
-    used by tail-invariant-induced systems) or a tuple with one value per
-    edge rank.
+    single float (one shared value for all parallel edges) or a tuple with
+    one value per edge rank.  ``phat_values``, when given, are the levels'
+    ``phat_edges`` arrays, so they are not recomputed from probs.
     """
 
     diagram: Diagram
     q0: np.ndarray
     probs: tuple[Mapping[tuple[int, int], object], ...]
     meta: Mapping[str, object] = field(default_factory=dict)
+    phat_values: InitVar[Sequence[np.ndarray] | None] = None
     # level -> phat_edges(level), filled on first use
     _edges: dict[int, np.ndarray] = field(default_factory=dict, init=False,
                                           repr=False, compare=False)
+
+    def __post_init__(self, phat_values):
+        for n, vals in enumerate(phat_values or ()):
+            self._edges[n] = _frozen(np.asarray(vals, dtype=np.float64))
 
     @property
     def depth(self) -> int:
@@ -97,10 +104,61 @@ class MarkovSystem:
 
     def phat(self, level: int) -> np.ndarray:
         """Vertex-level kernel: rows = V_level sources, cols = V_{level+1}."""
-        m = self.diagram.F(level)
-        out = np.zeros((len(m.sources), len(m.targets)))
-        out[m.csr.indices, m.csr.rows] = self.phat_edges(level)
-        return out
+        return _scatter(self.diagram.F(level), self.phat_edges(level), False)
+
+
+class _SharedProbs(Mapping):
+    """One level of ``MarkovSystem.probs`` when parallel edges share a
+    value: the per-edge array, in the CSR order of the level, turned into
+    the {(source, target): p} dict on the first lookup or iteration."""
+
+    def __init__(self, m: IncidenceMatrix, p: np.ndarray):
+        self._m, self._p, self._table = m, p, None
+
+    def _dict(self) -> dict:
+        if self._table is None:
+            self._table = {(v, u): x for (u, v, _), x in
+                           zip(self._m.triplets(), self._p.tolist())}
+        return self._table
+
+    def __getitem__(self, key):
+        return (self._table or self._dict())[key]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self) -> int:
+        return len(self._p)
+
+
+def shared_value_system(d: Diagram, q0, p_levels: Sequence[np.ndarray],
+                        meta: Mapping[str, object] | None = None
+                        ) -> MarkovSystem:
+    """The system with probability p_levels[n][k] on every parallel edge of
+    entry k of ``d.F(n).csr``.  Its ``probs`` dicts are built only if
+    something reads them."""
+    return MarkovSystem(
+        d, np.asarray(q0, dtype=np.float64),
+        tuple(_SharedProbs(d.F(n), p) for n, p in enumerate(p_levels)),
+        {} if meta is None else meta,
+        phat_values=[d.F(n).csr.mult * p for n, p in enumerate(p_levels)])
+
+
+def _scatter(m: IncidenceMatrix, values: np.ndarray, dual: bool
+             ) -> np.ndarray:
+    """A level's dense kernel from its edge values: sources x targets, or
+    for a dual kernel targets x sources in Fortran order.  Fortran order
+    is the layout of P.T, so dense products with Q-hat make the same BLAS
+    calls, and round the same way, as a transposed P-hat would."""
+    c = m.csr
+    shape = (len(c.colptr) - 1, len(c.indptr) - 1)   # sources, targets
+    if dual:
+        out = np.zeros(shape[::-1], order="F")
+        out[c.rows, c.indices] = values
+    else:
+        out = np.zeros(shape)
+        out[c.indices, c.rows] = values
+    return out
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -175,34 +233,62 @@ def propagate_q(ms: MarkovSystem) -> list[np.ndarray]:
 
 # ---------------------------------------------------------------- duals
 
+class _DenseLevels:
+    """``hk.phat`` / ``hk.qhat``: indexing by level scatters a fresh dense
+    kernel from the edge values; nothing is cached."""
+
+    __slots__ = ("_diagram", "_values", "_dual")
+
+    def __init__(self, diagram: Diagram, values: tuple, dual: bool):
+        self._diagram, self._values, self._dual = diagram, values, dual
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, n: int) -> np.ndarray:
+        return _scatter(self._diagram.F(n), self._values[n], self._dual)
+
+
 @dataclass(frozen=True)
 class HatKernels:
     """P-hat, Q-hat and the level masses of one Markov system.
 
-    qhat[n] has rows indexed by V_{n+1} and columns by V_n (it runs the
-    chain downwards); edge-level dual probabilities split qhat(u, v)
-    uniformly among the parallel edges (the split is genuinely non-unique).
+    Each kernel is stored as one read-only value per edge of level n, in
+    the CSR order of ``diagram.F(n).csr``: phat_values[n] is P-hat
+    (``MarkovSystem.phat_edges``), qhat_values[n] the dual value on the
+    same edge.  ``phat[n]`` (rows V_n, columns V_{n+1}) and ``qhat[n]``
+    (rows V_{n+1}, columns V_n: it runs the chain downwards) build the
+    dense kernel afresh on every index.  Edge-level dual probabilities
+    split qhat(u, v) uniformly among the parallel edges (the split is
+    genuinely non-unique).
     """
 
     diagram: Diagram
-    phat: tuple[np.ndarray, ...]
-    qhat: tuple[np.ndarray, ...]
     q: tuple[np.ndarray, ...]
+    phat_values: tuple[np.ndarray, ...]
+    qhat_values: tuple[np.ndarray, ...]
 
     @property
     def depth(self) -> int:
         return self.diagram.depth
 
+    @property
+    def phat(self) -> _DenseLevels:
+        return _DenseLevels(self.diagram, self.phat_values, False)
+
+    @property
+    def qhat(self) -> _DenseLevels:
+        return _DenseLevels(self.diagram, self.qhat_values, True)
+
     def qhat_edges(self, level: int, u: int, v: int) -> tuple[float, ...]:
         """Per-rank dual probabilities for the edges between v and u."""
         m = self.diagram.F(level)
-        mult = m.multiplicity(u, v)
-        if mult == 0:
+        k = m.edge_index(u, v)
+        if k < 0:
             raise PathInvalid(f"no edges between level-{level} source {v} "
                               f"and target {u}")
-        total = float(self.qhat[level][m.row_window.position(u),
-                                       m.col_window.position(v)])
-        return (total / mult,) * mult
+        mult = int(m.csr.mult[k])
+        return (float(self.qhat_values[level][k]) / mult,) * mult
 
 
 def check_mass(ms: MarkovSystem, level: int, q: np.ndarray) -> None:
@@ -216,24 +302,22 @@ def dual_kernels(ms: MarkovSystem) -> HatKernels:
     """Backward kernels qhat_n(u, v) = (q^(n)_v / q^(n+1)_u) phat_n(v, u).
 
     One pass per level: the dense P-hat, q^(n+1) = q^(n) P-hat (as in
-    propagate_q), and Q-hat scattered from the edge values of P-hat.
+    propagate_q), and the Q-hat edge values from the edge values of P-hat;
+    the dense P-hat is dropped before the next level.
     """
     qs = [np.asarray(ms.q0, dtype=np.float64)]
-    phats, qhats = [], []
+    qvals = []
     for n in range(ms.depth):
         c = ms.diagram.F(n).csr
-        P = ms.phat(n)
-        q_lo, q_hi = qs[n], qs[n] @ P
+        q_lo = qs[n]
+        q_hi = q_lo @ ms.phat(n)
         check_mass(ms, n + 1, q_hi)
-        # Fortran order is the layout of P.T: dense products with Q-hat
-        # make the same BLAS calls, and round the same way, as always
-        Q = np.zeros(P.shape[::-1], order="F")
-        Q[c.rows, c.indices] = (ms.phat_edges(n) * q_lo[c.indices]
-                                / q_hi[c.rows])
+        qvals.append(_frozen(ms.phat_edges(n) * q_lo[c.indices]
+                             / q_hi[c.rows]))
         qs.append(q_hi)
-        phats.append(P)
-        qhats.append(Q)
-    return HatKernels(ms.diagram, tuple(phats), tuple(qhats), tuple(qs))
+    return HatKernels(ms.diagram, tuple(qs),
+                      tuple(ms.phat_edges(n) for n in range(ms.depth)),
+                      tuple(qvals))
 
 
 def markov_from_tail_invariant(d: Diagram, nu: MeasureSequence
@@ -241,9 +325,9 @@ def markov_from_tail_invariant(d: Diagram, nu: MeasureSequence
     """The Markov system whose cylinder masses reproduce a tail-invariant
     measure: p^(n) on every edge v -> u equals nu^(n+1)_u / nu^(n)_v.
 
-    All parallel edges share the value, so it is stored once per vertex
-    pair.  On windowed truncations the outgoing sums at clipped source
-    vertices fall short of 1; those rows are renormalized (and recorded in
+    All parallel edges share the value (``shared_value_system``).  On
+    windowed truncations the outgoing sums at clipped source vertices fall
+    short of 1; those rows are renormalized (and recorded in
     meta["normalized"]) since a window cannot carry the lost mass.
     """
     if nu.kind != "CylinderValues":
@@ -256,8 +340,7 @@ def markov_from_tail_invariant(d: Diagram, nu: MeasureSequence
         if (vec <= 0).any():
             raise ZeroMeasureVertex(
                 n, int(d.vertices(n)[int(np.argmin(vec))]))
-    probs = []
-    edges = {}
+    ps = []
     normalized: list[tuple[int, int]] = []
     for n in range(d.depth):
         m = d.F(n)
@@ -268,24 +351,18 @@ def markov_from_tail_invariant(d: Diagram, nu: MeasureSequence
         sums = np.bincount(c.indices, weights=c.mult * p,
                            minlength=len(m.sources))
         clipped = np.abs(sums - 1.0) > CLIP_TOL
-        p = p / np.where(clipped, sums, 1.0)[c.indices]
+        ps.append(p / np.where(clipped, sums, 1.0)[c.indices])
         normalized.extend((n, m.sources[j]) for j in np.flatnonzero(clipped))
-        probs.append({(v, u): x
-                      for (u, v, _), x in zip(m.triplets(), p.tolist())})
-        edges[n] = _frozen(np.asarray(c.mult * p, dtype=np.float64))
-    ms = MarkovSystem(d, np.asarray(nu.level(0), dtype=np.float64),
-                      tuple(probs), {"normalized": tuple(normalized)})
-    ms._edges.update(edges)   # the edge values are at hand
-    return ms
+    return shared_value_system(d, nu.level(0), ps,
+                               {"normalized": tuple(normalized)})
 
 
 def balance_gap(hk: HatKernels, n: int) -> float:
     """max |q^(n)_v phat_n(v, u) - q^(n+1)_u qhat_n(u, v)| over the edges
     of level n; off the edges both kernels of a dual pair vanish."""
     c = hk.diagram.F(n).csr
-    return float(np.abs(hk.q[n][c.indices] * hk.phat[n][c.indices, c.rows]
-                        - hk.q[n + 1][c.rows] * hk.qhat[n][c.rows, c.indices]
-                        ).max())
+    return float(np.abs(hk.q[n][c.indices] * hk.phat_values[n]
+                        - hk.q[n + 1][c.rows] * hk.qhat_values[n]).max())
 
 
 def hat_vs_incidence(d: Diagram, hk: HatKernels) -> float:
@@ -307,8 +384,7 @@ def hat_vs_incidence(d: Diagram, hk: HatKernels) -> float:
         # a target stays clean when every source in its row is
         mask = np.logical_and.reduceat(ok[c.indices], c.indptr[:-1])
         if mask.any():
-            diff = np.abs(hk.qhat[n][c.rows, c.indices]
-                          - hat_matrix(d, n).values())
+            diff = np.abs(hk.qhat_values[n] - hat_matrix(d, n).values())
             worst = max(worst, float(diff[mask[c.rows]].max()))
         clean = mask
     return worst
@@ -339,25 +415,32 @@ def space(hk: HatKernels, n: int) -> WeightedSeqSpace:
     return WeightedSeqSpace(n, hk.q[n])
 
 
-def apply_TP(hk: HatKernels, n: int, f) -> np.ndarray:
-    """(T_P f)(v) = sum over outgoing edges of p * f(target): V_{n+1} -> V_n."""
+def apply_TP(P: np.ndarray, f) -> np.ndarray:
+    """(T_P f)(v) = sum over outgoing edges of p * f(target): V_{n+1} -> V_n,
+    with P = hk.phat[n]."""
     f = np.asarray(f, dtype=np.float64)
-    if f.shape != (hk.phat[n].shape[1],):
+    if f.shape != (P.shape[1],):
         raise DimensionMismatch(
-            f"T_P at level {n} expects a vector on V_{n + 1}")
-    return hk.phat[n] @ f
+            f"T_P expects a vector on V_{{n+1}} ({P.shape[1]} vertices)")
+    return P @ f
 
 
-def apply_TQ(hk: HatKernels, n: int, g) -> np.ndarray:
-    """(T_Q g)(u) = sum over incoming edges of qhat * g(source): V_n -> V_{n+1}."""
+def apply_TQ(Q: np.ndarray, g) -> np.ndarray:
+    """(T_Q g)(u) = sum over incoming edges of qhat * g(source): V_n -> V_{n+1},
+    with Q = hk.qhat[n]."""
     g = np.asarray(g, dtype=np.float64)
-    if g.shape != (hk.qhat[n].shape[1],):
+    if g.shape != (Q.shape[1],):
         raise DimensionMismatch(
-            f"T_Q at level {n} expects a vector on V_{n}")
-    return hk.qhat[n] @ g
+            f"T_Q expects a vector on V_n ({Q.shape[1]} vertices)")
+    return Q @ g
 
 
-def compose_Tn(hk: HatKernels, n: int) -> np.ndarray:
-    """T-hat_n = P-hat_n Q-hat_n: row-stochastic, fixes q^(n) on the left,
-    self-adjoint in the q^(n)-weighted inner product."""
-    return hk.phat[n] @ hk.qhat[n]
+def compose_Tn(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """T-hat_n = P-hat_n Q-hat_n, from P = hk.phat[n] and Q = hk.qhat[n]:
+    row-stochastic, fixes q^(n) on the left, self-adjoint in the
+    q^(n)-weighted inner product."""
+    if Q.shape != P.shape[::-1]:
+        raise DimensionMismatch(
+            f"T_n needs a {P.shape[1]}x{P.shape[0]} dual kernel, got "
+            f"{Q.shape[0]}x{Q.shape[1]}")
+    return P @ Q

@@ -136,18 +136,19 @@ def test_criterion_05_operator_suite():
         hk = mk.dual_kernels(random_system(seed))
         for n in range(hk.diagram.depth):
             lo, hi = mk.space(hk, n), mk.space(hk, n + 1)
+            P, Q = hk.phat[n], hk.qhat[n]
             for _ in range(2):
                 f = rng.standard_normal(len(hk.q[n]))
                 g = rng.standard_normal(len(hk.q[n + 1]))
                 worst_adj = max(worst_adj,
-                                abs(lo.inner(f, mk.apply_TP(hk, n, g))
-                                    - hi.inner(mk.apply_TQ(hk, n, f), g)))
+                                abs(lo.inner(f, mk.apply_TP(P, g))
+                                    - hi.inner(mk.apply_TQ(Q, f), g)))
                 worst_con = max(
                     worst_con,
-                    lo.norm(mk.apply_TP(hk, n, g)) - hi.norm(g),
-                    hi.norm(mk.apply_TQ(hk, n, f)) - lo.norm(f))
+                    lo.norm(mk.apply_TP(P, g)) - hi.norm(g),
+                    hi.norm(mk.apply_TQ(Q, f)) - lo.norm(f))
                 pairs += 1
-            T = mk.compose_Tn(hk, n)
+            T = mk.compose_Tn(P, Q)
             worst_fix = max(worst_fix,
                             float(np.abs(hk.q[n] @ T - hk.q[n]).max()))
     assert pairs >= 100

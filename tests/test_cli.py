@@ -2,6 +2,7 @@
 specs, exit codes (0 ok, 1 failed validation or invariant, 2 usage), CSV
 versus JSON output, canonical spec emission, and seeded determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -9,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -439,3 +441,49 @@ def test_bad_choice_value_is_usage_error(capsys):
     with pytest.raises(SystemExit) as ei:
         cli.main(["check", ALLONES, "--suite", "nope"])
     assert ei.value.code == 2
+
+
+def test_operators_suite_holds_one_level_of_dense_kernels(tmp_path):
+    """check --suite operators on a 401-vertex band at depth 20 keeps at
+    most a few levels' dense kernel pairs alive at once, not one per
+    level."""
+    p = tmp_path / "band.json"
+    p.write_text(json.dumps({"band": {"-2": 1, "0": 2, "2": 1},
+                             "window": [-400, 400, 2], "depth": 20}))
+    m = 401
+    pair = 2 * m * m * 8   # bytes of one level's dense P-hat and Q-hat
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(["check", str(p), "--suite", "operators"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0, out.getvalue()
+    assert peak < 5 * pair, f"peak {peak / pair:.1f} level pairs"
+
+
+def test_huge_multiplicity_loads_without_edge_tables(tmp_path):
+    """A multiplicity of 2^53 + 1 costs nothing to load: the natural edge
+    order is built per target, and only when asked for.  Runs under an
+    address-space limit so that a regression fails instead of exhausting
+    memory."""
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"matrix": [[9007199254740993, 1],
+                                        [1, 9007199254740993]],
+                             "depth": 2}))
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    for argv in (["validate"], ["analyze", "pf"], ["analyze", "measure"],
+                 ["check"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bratteli", argv[0], str(p), *argv[1:]],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 0, (argv, proc.stdout, proc.stderr)

@@ -53,8 +53,8 @@ def test_deterministic_chain_conductance():
 
 def test_balance_violation_detected():
     hk = mk.dual_kernels(uniform_allones_system(2))
-    skew = tuple(q * 1.1 for q in hk.qhat)
-    bad = mk.HatKernels(hk.diagram, hk.phat, skew, hk.q)
+    skew = tuple(q * 1.1 for q in hk.qhat_values)
+    bad = mk.HatKernels(hk.diagram, hk.q, hk.phat_values, skew)
     with pytest.raises(lp.BalanceViolation) as exc:
         lp.build_network(bad)
     assert exc.value.level == 0
@@ -81,6 +81,46 @@ def test_random_networks_build():
         assert net.mass_vs_q_dev < 1e-12
         for got, want in zip(net.vertex_mass, two_pass_masses(net.kernels)):
             assert np.array_equal(got, want)
+
+
+def _arrays(obj, seen=None):
+    """Every ndarray reachable from obj through containers and the
+    attributes of package objects."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if isinstance(obj, dict):
+        children = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (tuple, list, set, frozenset)):
+        children = obj
+    elif type(obj).__module__.startswith("bratteli."):
+        children = [*getattr(obj, "__dict__", {}).values(),
+                    *(getattr(obj, k) for k in getattr(obj, "__slots__", ())
+                      if hasattr(obj, k))]
+    else:
+        return
+    for child in children:
+        yield from _arrays(child, seen)
+
+
+def test_networks_hold_no_dense_kernel():
+    """Kernels are stored as edge values: no 2-D array is reachable from
+    dual_kernels or build_network, also after the network was used."""
+    d = dg.band_diagram(DRUNKEN, depth=5, window=dg.Window(-14, 14, 2))
+    mu, _ = ms.stationary_pf_measure(d)
+    for sysm in (random_system(1), mk.markov_from_tail_invariant(d, mu)):
+        hk = mk.dual_kernels(sysm)
+        assert all(a.ndim == 1 for a in _arrays(hk))
+        net = lp.build_network(hk)
+        sol = lp.solve_harmonic(net, 0.0, 1.0)
+        lp.energy_norm(net, sol.f)
+        lp.walk(net, (0, sysm.diagram.vertices(0)[0]), steps=5, trials=3)
+        found = list(_arrays(net))
+        assert found and all(a.ndim == 1 for a in found)
 
 
 # -- M and Delta -------------------------------------------------------------

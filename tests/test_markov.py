@@ -273,12 +273,12 @@ def test_TP_preserves_constants():
     hk = mk.dual_kernels(random_system(2))
     for n in range(hk.depth):
         ones = np.ones(hk.phat[n].shape[1])
-        assert np.abs(mk.apply_TP(hk, n, ones) - 1.0).max() < 1e-12
+        assert np.abs(mk.apply_TP(hk.phat[n], ones) - 1.0).max() < 1e-12
 
 
 def test_TP_kills_odd_mode_on_uniform():
     hk = mk.dual_kernels(uniform_allones_system(3))
-    out = mk.apply_TP(hk, 0, np.array([1.0, -1.0]))
+    out = mk.apply_TP(hk.phat[0], np.array([1.0, -1.0]))
     assert np.array_equal(out, [0.0, 0.0])
 
 
@@ -290,8 +290,8 @@ def test_operators_are_contractions():
         for _ in range(20):
             f = rng.standard_normal(len(hk.q[n + 1]))
             g = rng.standard_normal(len(hk.q[n]))
-            assert lo.norm(mk.apply_TP(hk, n, f)) <= hi.norm(f) + 1e-12
-            assert hi.norm(mk.apply_TQ(hk, n, g)) <= lo.norm(g) + 1e-12
+            assert lo.norm(mk.apply_TP(hk.phat[n], f)) <= hi.norm(f) + 1e-12
+            assert hi.norm(mk.apply_TQ(hk.qhat[n], g)) <= lo.norm(g) + 1e-12
 
 
 def test_operators_are_adjoint():
@@ -303,29 +303,30 @@ def test_operators_are_adjoint():
         for _ in range(20):
             f = rng.standard_normal(len(hk.q[n]))
             g = rng.standard_normal(len(hk.q[n + 1]))
-            lhs = lo.inner(f, mk.apply_TP(hk, n, g))
-            rhs = hi.inner(mk.apply_TQ(hk, n, f), g)
+            lhs = lo.inner(f, mk.apply_TP(hk.phat[n], g))
+            rhs = hi.inner(mk.apply_TQ(hk.qhat[n], f), g)
             worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-10
 
 
 def test_composed_kernel_uniform():
     hk = mk.dual_kernels(uniform_allones_system(3))
-    assert np.allclose(mk.compose_Tn(hk, 1), 0.5, rtol=0, atol=1e-15)
+    assert np.allclose(mk.compose_Tn(hk.phat[1], hk.qhat[1]), 0.5, rtol=0,
+                       atol=1e-15)
 
 
 def test_composed_kernel_deterministic_is_identity():
     d = dg.stationary_diagram([[0, 1], [1, 0]], 2)
     probs = tuple({(0, 1): 1.0, (1, 0): 1.0} for _ in range(2))
     hk = mk.dual_kernels(mk.MarkovSystem(d, np.array([0.4, 0.6]), probs))
-    assert np.array_equal(mk.compose_Tn(hk, 0), np.eye(2))
+    assert np.array_equal(mk.compose_Tn(hk.phat[0], hk.qhat[0]), np.eye(2))
 
 
 def test_composed_kernel_fixes_q_and_is_self_adjoint():
     hk = mk.dual_kernels(random_system(13))
     rng = np.random.default_rng(31)
     for n in range(hk.depth):
-        T = mk.compose_Tn(hk, n)
+        T = mk.compose_Tn(hk.phat[n], hk.qhat[n])
         assert np.abs(T.sum(axis=1) - 1.0).max() < 1e-12
         assert np.abs(hk.q[n] @ T - hk.q[n]).max() < 1e-13
         sp = mk.space(hk, n)
@@ -389,12 +390,47 @@ def test_dual_kernels_match_dense_formulas(name):
         assert np.array_equal(hk.phat[n], P)
         assert np.array_equal(hk.qhat[n], Q)
         # same memory layout, so the same BLAS calls and the same rounding
-        assert hk.qhat[n].flags.f_contiguous == Q.flags.f_contiguous
+        assert hk.phat[n].flags.c_contiguous
+        assert hk.qhat[n].flags.f_contiguous and Q.flags.f_contiguous
+        c = sysm.diagram.F(n).csr
+        assert np.array_equal(hk.phat_values[n], P[c.indices, c.rows])
+        assert np.array_equal(hk.qhat_values[n], Q[c.rows, c.indices])
         f = rng.standard_normal(len(q[n]))
         assert np.array_equal(hk.qhat[n] @ f, Q @ f)
         assert np.array_equal(hk.phat[n] @ hk.qhat[n], P @ Q)
     assert all(np.array_equal(a, b) for a, b in zip(hk.q, q))
     assert all(np.array_equal(a, b) for a, b in zip(mk.propagate_q(sysm), q))
+
+
+def test_dense_kernels_are_built_per_index():
+    """hk.phat / hk.qhat hold no array: each index scatters a fresh one
+    from the read-only edge values."""
+    hk = mk.dual_kernels(random_system(3))
+    assert len(hk.phat) == len(hk.qhat) == hk.depth
+    assert hk.phat[0] is not hk.phat[0]
+    assert np.array_equal(hk.qhat[-1], hk.qhat[hk.depth - 1])
+    with pytest.raises(IndexError):
+        hk.phat[hk.depth]
+    for vals in hk.phat_values + hk.qhat_values:
+        assert vals.ndim == 1 and not vals.flags.writeable
+
+
+def test_induced_probs_are_built_on_first_read():
+    """An induced system's probs levels stay edge arrays until read, and
+    then give the same dict as the edge values."""
+    d = dg.band_diagram(DRUNKEN, depth=4, window=dg.Window(-14, 14, 2))
+    mu, _ = ms.stationary_pf_measure(d)
+    sysm = mk.markov_from_tail_invariant(d, mu)
+    hk = mk.dual_kernels(sysm)
+    mk.hat_vs_incidence(d, hk)
+    assert all(level._table is None for level in sysm.probs)
+    for n in range(d.depth):
+        m = d.F(n)
+        expect = {(v, u): x / mult for (u, v, mult), x in
+                  zip(m.triplets(), sysm.phat_edges(n).tolist())}
+        # multiplicities are 1 or 2, so dividing by them is exact
+        assert len(sysm.probs[n]) == len(expect)
+        assert dict(sysm.probs[n]) == expect
 
 
 def test_edge_comparisons_match_dense_reference():
