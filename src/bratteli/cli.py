@@ -166,15 +166,9 @@ def _analyze_measure(spec: ParsedSpec, args):
 
 def _analyze_markov(spec: ParsedSpec, args):
     sysm = _system(spec)
-    qs = [np.asarray(sysm.q0, dtype=np.float64)]
-    devs = []
-    for n in range(sysm.depth):   # one dense P-hat per level, no Q-hat
-        P = sysm.phat(n)
-        qs.append(qs[n] @ P)
-        mk.check_mass(sysm, n + 1, qs[-1])
-        devs.append(float(np.abs(P.sum(axis=1) - 1.0).max()))
+    qs = mk.dual_kernels(sysm).q   # ZeroMass where a level mass vanished
     payload = {"q0": list(map(float, sysm.q0)),
-               "stochasticity_deviation": max(devs),
+               "stochasticity_deviation": max(sysm.levels.stochasticity),
                "normalized_rows": list(sysm.meta.get("normalized", ())),
                "q": [list(map(float, q)) for q in qs]}
     rows = [(n, v, float(qs[n][i]))
@@ -310,8 +304,7 @@ def _suite_consistency(spec: ParsedSpec, tol: float, seed: int, out: list):
         worst = max(worst, ms.hat_matrix(d, n).row_deviation())
     out.append(("consistency", "HatRowsSumToOne", float(worst), worst == 0))
 
-    sysm = _system(spec, strict=False)
-    qs = mk.propagate_q(sysm)
+    qs = _system(spec, strict=False).levels.q
     worst = 0.0
     for n in range(d.depth):   # the extension qs[n] @ phat(n) is qs[n + 1]
         back = float(np.abs(qs[n + 1].sum() - qs[n].sum())
@@ -328,8 +321,7 @@ def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
 def _suite_operators(spec: ParsedSpec, tol: float, seed: int, out: list):
     sysm = _system(spec, strict=False)
     d = spec.diagram
-    dev = max(float(np.abs(sysm.phat(n).sum(axis=1) - 1.0).max())
-              for n in range(d.depth))
+    dev = max(sysm.levels.stochasticity)
     out.append(("operators", "StochasticityViolation", dev, dev <= tol))
     if dev > tol:
         return
@@ -350,12 +342,12 @@ def _suite_operators(spec: ParsedSpec, tol: float, seed: int, out: list):
         for _ in range(20):
             f = rng.standard_normal(len(hk.q[n]))
             g = rng.standard_normal(len(hk.q[n + 1]))
-            lhs = sp_lo.inner(f, mk.apply_TP(P, g))
-            rhs = sp_hi.inner(mk.apply_TQ(Q, f), g)
-            worst_adj = max(worst_adj, abs(lhs - rhs))
+            Pg, Qf = mk.apply_TP(P, g), mk.apply_TQ(Q, f)
+            worst_adj = max(worst_adj,
+                            abs(sp_lo.inner(f, Pg) - sp_hi.inner(Qf, g)))
             worst_con = max(worst_con,
-                            sp_lo.norm(mk.apply_TP(P, g)) - sp_hi.norm(g),
-                            sp_hi.norm(mk.apply_TQ(Q, f)) - sp_lo.norm(f))
+                            sp_lo.norm(Pg) - sp_hi.norm(g),
+                            sp_hi.norm(Qf) - sp_lo.norm(f))
         T = mk.compose_Tn(P, Q)
         del P, Q
         worst_fix = max(worst_fix,
@@ -473,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--steps", type=int, default=1_000)
     pa.add_argument("--start-level", type=int, default=0)
     pa.add_argument("--normalization", default="level0",
-                    choices=["level0", "probability", "anchored"])
+                    choices=ms.NORMALIZATIONS)
     pa.add_argument("--format", choices=["csv", "json"], default="json")
     pa.add_argument("--out", default=None)
     pa.set_defaults(func=cmd_analyze)

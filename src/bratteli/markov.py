@@ -26,11 +26,16 @@ the Laplacian.  A dense kernel exists only while its level is processed:
 values on every index, the same array with the same layout that a dense
 computation would hold, so every printed number stays identical while
 memory grows with the number of edges instead of depth x m^2.
+
+``MarkovSystem.levels`` owns the one dense sweep over the levels, cached
+on the system: q^(n+1) = q^(n) P-hat_n and each level's largest
+|row sum - 1|.  Every reader of the masses or row deviations uses it.
 """
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,6 +110,25 @@ class MarkovSystem:
     def phat(self, level: int) -> np.ndarray:
         """Vertex-level kernel: rows = V_level sources, cols = V_{level+1}."""
         return _scatter(self.diagram.F(level), self.phat_edges(level), False)
+
+    @cached_property
+    def levels(self) -> LevelSweep:
+        """One dense P-hat per level, dropped before the next; checks nothing."""
+        q = [_frozen(np.asarray(self.q0, dtype=np.float64).view())]
+        devs = []
+        for n in range(self.depth):
+            P = self.phat(n)
+            devs.append(float(np.abs(P.sum(axis=1) - 1.0).max()))
+            q.append(_frozen(q[n] @ P))
+            del P
+        return LevelSweep(tuple(q), tuple(devs))
+
+
+class LevelSweep(NamedTuple):
+    """Read-only q^(0..depth) (q[0] views q0) and, per level n,
+    stochasticity[n] = max_v |sum_u P-hat_n(v, u) - 1|."""
+    q: tuple[np.ndarray, ...]
+    stochasticity: tuple[float, ...]
 
 
 class _SharedProbs(Mapping):
@@ -197,11 +221,11 @@ def validate_system(ms: MarkovSystem, tol: float = 1e-12) -> None:
                 raise PathInvalid(f"nonpositive or non-finite probability "
                                   f"on edge ({w}->{v}) at level {n}")
         sums = ms.phat(n).sum(axis=1)
-        bad = np.abs(sums - 1.0) > tol
-        if bad.any():
-            w = d.vertices(n)[int(np.argmax(np.abs(sums - 1.0)))]
+        j = int(np.argmax(np.abs(sums - 1.0)))   # the worst row
+        if abs(sums[j] - 1.0) > tol:
             raise PathInvalid(f"outgoing probabilities at level {n} vertex "
-                              f"{w} sum to {sums[bad][0]!r}, not 1")
+                              f"{d.vertices(n)[j]} sum to {float(sums[j])}, "
+                              f"not 1")
 
 
 # ---------------------------------------------------------------- masses
@@ -221,14 +245,6 @@ def cylinder_mass(ms: MarkovSystem, p: FinitePath) -> float:
         val = ms.probs[lvl][(src, tgt)]
         mass *= float(val) if np.isscalar(val) else float(val[rank])
     return mass
-
-
-def propagate_q(ms: MarkovSystem) -> list[np.ndarray]:
-    """q^(n+1) = q^(n) P-hat_n for n = 0..depth-1."""
-    q = [np.asarray(ms.q0, dtype=np.float64)]
-    for n in range(ms.depth):
-        q.append(q[-1] @ ms.phat(n))
-    return q
 
 
 # ---------------------------------------------------------------- duals
@@ -291,33 +307,23 @@ class HatKernels:
         return (float(self.qhat_values[level][k]) / mult,) * mult
 
 
-def check_mass(ms: MarkovSystem, level: int, q: np.ndarray) -> None:
-    """Raise ZeroMass when the level mass q^(level) vanished somewhere."""
-    if (q < Q_FLOOR).any():
-        raise ZeroMass(level,
-                       int(ms.diagram.vertices(level)[int(np.argmin(q))]))
-
-
 def dual_kernels(ms: MarkovSystem) -> HatKernels:
     """Backward kernels qhat_n(u, v) = (q^(n)_v / q^(n+1)_u) phat_n(v, u).
 
-    One pass per level: the dense P-hat, q^(n+1) = q^(n) P-hat (as in
-    propagate_q), and the Q-hat edge values from the edge values of P-hat;
-    the dense P-hat is dropped before the next level.
+    The level masses are ``ms.levels.q``; ZeroMass names the first level
+    whose mass vanished somewhere.  The Q-hat edge values come from the
+    edge values of P-hat, so nothing dense is built here.
     """
-    qs = [np.asarray(ms.q0, dtype=np.float64)]
+    q = ms.levels.q
+    for n in range(1, ms.depth + 1):
+        if (q[n] < Q_FLOOR).any():
+            raise ZeroMass(n, int(ms.diagram.vertices(n)[q[n].argmin()]))
+    pvals = tuple(ms.phat_edges(n) for n in range(ms.depth))
     qvals = []
-    for n in range(ms.depth):
+    for n, p in enumerate(pvals):
         c = ms.diagram.F(n).csr
-        q_lo = qs[n]
-        q_hi = q_lo @ ms.phat(n)
-        check_mass(ms, n + 1, q_hi)
-        qvals.append(_frozen(ms.phat_edges(n) * q_lo[c.indices]
-                             / q_hi[c.rows]))
-        qs.append(q_hi)
-    return HatKernels(ms.diagram, tuple(qs),
-                      tuple(ms.phat_edges(n) for n in range(ms.depth)),
-                      tuple(qvals))
+        qvals.append(_frozen(p * q[n][c.indices] / q[n + 1][c.rows]))
+    return HatKernels(ms.diagram, q, pvals, tuple(qvals))
 
 
 def markov_from_tail_invariant(d: Diagram, nu: MeasureSequence

@@ -188,6 +188,9 @@ class NormalizationReport:
     total_mass: float
 
 
+NORMALIZATIONS = ("level0", "probability", "anchored")
+
+
 def stationary_pf_measure(d: Diagram, normalization: str = "level0",
                           tol=None
                           ) -> tuple[MeasureSequence, NormalizationReport]:

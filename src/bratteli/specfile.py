@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from . import cells as cl
 from . import diagram as dg
+from . import measures as ms
 from . import substitution as sb
 
 
@@ -182,11 +183,16 @@ def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
         if blk.get("from_tail_invariant"):
             _require(set(blk) <= {"from_tail_invariant", "normalization"},
                      "induced markov blocks take only a normalization")
-            markov = {"from_tail_invariant": True,
-                      "normalization": blk.get("normalization", "probability")}
+            norm = blk.get("normalization", "probability")
+            _require(norm in ms.NORMALIZATIONS,
+                     f"unknown markov normalization {norm!r}; expected one "
+                     f"of {', '.join(ms.NORMALIZATIONS)}")
+            markov = {"from_tail_invariant": True, "normalization": norm}
         else:
             _require("q0" in blk and "edges" in blk,
                      "explicit markov blocks need q0 and edges")
+            _require("normalization" not in blk,
+                     "explicit markov blocks take no normalization")
             edges = []
             for e in blk["edges"]:
                 _require(isinstance(e, (list, tuple)) and len(e) == 4,

@@ -336,6 +336,132 @@ def test_check_corrupted_row_text_verdict(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def _spec(tmp_path, name, doc):
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+# level 0 leaves vertex 1 of level 1 with a mass of about 1e-320
+_VANISHING_LEVEL0 = [[0, 0, 0, 1.0], [0, 0, 1, 1e-320],
+                     [0, 1, 0, 1.0], [0, 1, 1, 1e-320]]
+
+
+def test_vanished_mass_and_bad_rows_keep_their_precedence(capsys, tmp_path):
+    """The level sweep raises nothing.  A vanished mass is ZeroMass only
+    where a dual kernel is built, and a bad row, even at a later level,
+    is reported before it."""
+    zm = _spec(tmp_path, "zm.json", {
+        "matrix": [[1, 1], [1, 1]], "depth": 1,
+        "markov": {"q0": [0.5, 0.5], "edges": _VANISHING_LEVEL0}})
+    rc, out = run(capsys, "check", zm, "--suite", "consistency")
+    assert (rc, out.splitlines()[-1]) == (0, "all passed")
+    for argv in (["check"], ["check", "--suite", "operators"],
+                 ["analyze", "markov"]):
+        rc, d = run_json(capsys, argv[0], zm, *argv[1:])
+        assert rc == 1
+        assert d["error"]["kind"] == "ZeroMass"
+        assert d["error"]["detail"].startswith("level mass q^(1)_1 vanished;")
+
+    later = [[lv, s, t, 0.3 if (lv, s, t) == (2, 0, 1) else 0.5]
+             for lv in (1, 2) for s in (0, 1) for t in (0, 1)]
+    corrupt = _spec(tmp_path, "zm_corrupt.json", {
+        "matrix": [[1, 1], [1, 1]], "depth": 3,
+        "markov": {"q0": [0.5, 0.5], "edges": _VANISHING_LEVEL0 + later}})
+    rc, out = run(capsys, "check", corrupt, "--suite", "operators")
+    assert rc == 1
+    assert out.splitlines()[0].split() == [
+        "operators", "StochasticityViolation", "0.19999999999999996", "FAIL"]
+    rc, out = run(capsys, "check", corrupt, "--suite", "consistency")
+    assert rc == 1
+    assert out.splitlines()[3].split() == [
+        "consistency", "KolmogorovExtension", "0.099999999999999978", "FAIL"]
+
+
+def test_operators_suite_builds_each_dense_kernel_once(tmp_path, monkeypatch):
+    """check --suite operators scatters three dense kernels per level (the
+    level sweep's P-hat, then the P-hat and Q-hat of the samples) and
+    makes each operator product once per sample."""
+    from bratteli import markov as mk
+    calls = dict.fromkeys(("_scatter", "apply_TP", "apply_TQ"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mk, name, counted(name, getattr(mk, name)))
+    p = _spec(tmp_path, "band.json", {"band": {"-2": 1, "0": 2, "2": 1},
+                                      "window": [-20, 20, 2], "depth": 6})
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = cli.main(["check", p, "--suite", "operators"])
+    assert rc == 0, out.getvalue()
+    assert calls == {"_scatter": 3 * 6, "apply_TP": 20 * 6,
+                     "apply_TQ": 20 * 6}
+
+
+def test_stochastic_row_error_names_the_worst_row(capsys, tmp_path):
+    """The error gives the worst row's vertex with that row's own sum."""
+    p = _spec(tmp_path, "rows.json", {
+        "triplets": [[0, 0, 0, 1], [0, 1, 0, 1], [0, 1, 1, 1],
+                     [1, 0, 0, 2], [1, 0, 1, 1], [1, 1, 1, 1]],
+        "windows": [[0, 1], [0, 1], [0, 1]],
+        "markov": {"q0": [0.5, 0.5],
+                   "edges": [[0, 0, 0, 0.5], [0, 0, 1, 0.5], [0, 1, 1, 1.0],
+                             [1, 0, 0, [0.4, 0.4]], [1, 1, 0, 0.3],
+                             [1, 1, 1, 0.3]]}})
+    rc, d = run_json(capsys, "analyze", p, "markov")
+    assert rc == 1
+    assert d["error"] == {"kind": "PathInvalid",
+                          "detail": "outgoing probabilities at level 1 "
+                                    "vertex 1 sum to 0.6, not 1"}
+
+
+def test_nonstationary_diagram_measure_and_pf(capsys, tmp_path):
+    """A triplet diagram takes the tail-invariant solve, which has no
+    Perron normalization; pf analysis refuses it."""
+    p = _spec(tmp_path, "trip.json", {
+        "triplets": [[0, 0, 0, 1], [0, 1, 0, 1], [0, 1, 1, 1],
+                     [1, 0, 0, 2], [1, 0, 1, 1], [1, 1, 1, 1]],
+        "windows": [[0, 1], [0, 1], [0, 1]]})
+    rc, out = run(capsys, "check", p)
+    assert (rc, out.splitlines()[-1]) == (0, "all passed")
+    rc, d = run_json(capsys, "analyze", p, "measure")
+    assert rc == 0
+    assert d["lambda"] is None and d["normalization"] is None
+    assert d["max_invariance_residual"] == 0.0
+    rc, d = run_json(capsys, "analyze", p, "pf")
+    assert rc == 1
+    assert d["error"] == {"kind": "SpecError",
+                          "detail": "pf analysis needs a stationary diagram"}
+
+
+def test_laplacian_suite_reports_conductance_asymmetry(capsys, monkeypatch):
+    """Dual kernels that are not a dual pair fail ConductanceSymmetry with
+    the violation's delta, and the suite stops there."""
+    from bratteli import laplacian as lp
+    from bratteli import markov as mk
+    dual = mk.dual_kernels
+
+    def skewed(sysm):
+        hk = dual(sysm)
+        return mk.HatKernels(hk.diagram, hk.q, hk.phat_values,
+                             tuple(q * 1.1 for q in hk.qhat_values))
+
+    monkeypatch.setattr(mk, "dual_kernels", skewed)
+    with pytest.raises(lp.BalanceViolation) as exc:
+        cli._network(cli.load_spec(ALLONES), strict=False)
+    assert exc.value.delta > 0
+    rc, d = run_json(capsys, "check", ALLONES, "--suite", "laplacian",
+                     "--format", "json")
+    assert rc == 1
+    assert d["results"] == [{"suite": "laplacian",
+                             "invariant": "ConductanceSymmetry",
+                             "residual": exc.value.delta, "passed": False}]
+
+
 # -- malformed specs -----------------------------------------------------------
 
 def _uniform_edges(levels):

@@ -130,7 +130,7 @@ def test_extension_sum_identity():
 # -- q propagation -----------------------------------------------------------
 
 def test_propagate_uniform_fixed_point():
-    qs = mk.propagate_q(uniform_allones_system(6))
+    qs = uniform_allones_system(6).levels.q
     for q in qs:
         assert np.allclose(q, 0.5, rtol=0, atol=1e-15)
 
@@ -141,13 +141,13 @@ def test_propagate_point_mass_stays_stochastic():
     q0 = np.zeros(m0)
     q0[0] = 1.0
     probed = mk.MarkovSystem(sysm.diagram, q0 + 1e-14, sysm.probs)
-    for q in mk.propagate_q(probed):
+    for q in probed.levels.q:
         assert abs(q.sum() - 1.0) < 1e-12
 
 
 def test_induced_q_equals_height_times_measure():
     d, mu, sysm = fib_induced(6)
-    qs = mk.propagate_q(sysm)
+    qs = sysm.levels.q
     for n in range(7):
         hs = np.array(dg.heights(d, n), dtype=float)
         assert np.abs(qs[n] - hs * mu.level(n)).max() < 1e-13
@@ -208,8 +208,23 @@ def test_zero_mass_level_detected():
     probs = ({(0, 0): 1.0 - 1e-320, (0, 1): 1e-320,
               (1, 0): 1.0 - 1e-320, (1, 1): 1e-320},)
     sysm = mk.MarkovSystem(d, np.array([0.5, 0.5]), probs)
-    with pytest.raises(mk.ZeroMass):
+    assert sysm.levels.q[1][1] < mk.Q_FLOOR   # the sweep itself raises nothing
+    with pytest.raises(mk.ZeroMass) as exc:
         mk.dual_kernels(sysm)
+    assert (exc.value.level, exc.value.vertex) == (1, 1)
+
+
+def test_level_sweep_is_cached_and_read_only():
+    """The sweep runs once per system; its masses are shared with every
+    dual built from it, so they are read-only, q0 included."""
+    sysm = random_system(4)
+    sweep = sysm.levels
+    assert sysm.levels is sweep
+    assert mk.dual_kernels(sysm).q is sweep.q
+    assert len(sweep.q) == sysm.depth + 1
+    assert len(sweep.stochasticity) == sysm.depth
+    assert not any(q.flags.writeable for q in sweep.q)
+    assert sysm.q0.flags.writeable
 
 
 # -- induced systems ---------------------------------------------------------
@@ -386,6 +401,8 @@ def test_dual_kernels_match_dense_formulas(name):
     for n in range(sysm.depth):
         P = _phat_reference(sysm, n)
         q.append(q[n] @ P)
+        assert sysm.levels.stochasticity[n] == np.abs(P.sum(axis=1)
+                                                      - 1.0).max()
         Q = P.T * q[n][np.newaxis, :] / q[n + 1][:, np.newaxis]
         assert np.array_equal(hk.phat[n], P)
         assert np.array_equal(hk.qhat[n], Q)
@@ -398,8 +415,9 @@ def test_dual_kernels_match_dense_formulas(name):
         f = rng.standard_normal(len(q[n]))
         assert np.array_equal(hk.qhat[n] @ f, Q @ f)
         assert np.array_equal(hk.phat[n] @ hk.qhat[n], P @ Q)
+    assert hk.q is sysm.levels.q
+    assert len(hk.q) == len(q)
     assert all(np.array_equal(a, b) for a, b in zip(hk.q, q))
-    assert all(np.array_equal(a, b) for a, b in zip(mk.propagate_q(sysm), q))
 
 
 def test_dense_kernels_are_built_per_index():

@@ -234,6 +234,30 @@ def test_markov_induced_rejects_extras():
                "markov": {"from_tail_invariant": True, "q0": [1.0]}})
 
 
+def test_markov_induced_normalization_must_be_known():
+    for norm in ("level0", "probability", "anchored"):
+        ps = parse({"matrix": [[1, 1], [1, 1]], "depth": 3,
+                    "markov": {"from_tail_invariant": True,
+                               "normalization": norm}})
+        assert ps.markov["normalization"] == norm
+    # stationary or not, the value is checked when the spec is read
+    for doc in ({"matrix": [[1, 1], [1, 1]], "depth": 3},
+                {"triplets": [[0, 0, 0, 1], [0, 1, 0, 1], [0, 1, 1, 1],
+                              [1, 0, 0, 2], [1, 0, 1, 1], [1, 1, 1, 1]],
+                 "windows": [[0, 1], [0, 1], [0, 1]]}):
+        with pytest.raises(sf.SpecError,
+                           match="unknown markov normalization 'bogus'"):
+            parse({**doc, "markov": {"from_tail_invariant": True,
+                                     "normalization": "bogus"}})
+
+
+def test_markov_explicit_takes_no_normalization():
+    with pytest.raises(sf.SpecError, match="take no normalization"):
+        parse({"matrix": [[1]], "depth": 2,
+               "markov": {"q0": [1.0], "edges": [[0, 0, 0, 1.0]],
+                          "normalization": "probability"}})
+
+
 def test_markov_explicit_block():
     ps = parse({"matrix": [[1]], "depth": 2,
                 "markov": {"q0": [1.0], "edges": [[0, 0, 0, 1.0]]}})
