@@ -385,10 +385,15 @@ def hitting_probability(net: WeightedNetwork, start: tuple[int, int],
     """P(reach the top level before level 0), estimated by absorbed walks.
 
     This is the Monte-Carlo counterpart of solve_harmonic with boundary
-    data 0 at the bottom and 1 at the top.
+    data 0 at the bottom and 1 at the top.  Each trial is checked for
+    absorption before its first move and after each of up to max_steps
+    moves; a trial still walking after max_steps moves is a timeout and
+    is left out of the estimate.  max_steps = 0 decides only the start.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be at least 0, got {max_steps}")
     rowptr, cum, tgt, level_of, offsets = _flatten(net)
     s0 = _state_of(net, start, offsets)
     s1s, s2s = _accel.trial_seeds(seed, trials)

@@ -274,9 +274,7 @@ class HatKernels:
     (``MarkovSystem.phat_edges``), qhat_values[n] the dual value on the
     same edge.  ``phat[n]`` (rows V_n, columns V_{n+1}) and ``qhat[n]``
     (rows V_{n+1}, columns V_n: it runs the chain downwards) build the
-    dense kernel afresh on every index.  Edge-level dual probabilities
-    split qhat(u, v) uniformly among the parallel edges (the split is
-    genuinely non-unique).
+    dense kernel afresh on every index.
     """
 
     diagram: Diagram
@@ -295,16 +293,6 @@ class HatKernels:
     @property
     def qhat(self) -> _DenseLevels:
         return _DenseLevels(self.diagram, self.qhat_values, True)
-
-    def qhat_edges(self, level: int, u: int, v: int) -> tuple[float, ...]:
-        """Per-rank dual probabilities for the edges between v and u."""
-        m = self.diagram.F(level)
-        k = m.edge_index(u, v)
-        if k < 0:
-            raise PathInvalid(f"no edges between level-{level} source {v} "
-                              f"and target {u}")
-        mult = int(m.csr.mult[k])
-        return (float(self.qhat_values[level][k]) / mult,) * mult
 
 
 def dual_kernels(ms: MarkovSystem) -> HatKernels:

@@ -2,6 +2,8 @@
 lockstep numpy kernels reproduce, bit for bit, a plain scalar loop that
 runs one trial at a time."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -51,9 +53,49 @@ def test_trial_seeds_match_integer_reference():
 
 
 def test_generator_products_fit_int64():
-    # exactness relies on never leaving int64
+    # the words are float64 arrays of exact integers: every product a*s
+    # fits in 47 bits, inside int64 and inside float64's 53-bit mantissa
     assert _accel.A1 * (M1 - 1) < 2 ** 47
     assert _accel.A2 * (M2 - 1) < 2 ** 47
+    for a, m in ((_accel.A1, M1), (_accel.A2, M2)):
+        assert a * (m - 1) < 2 ** 53
+        # m is prime, so a*s/m (0 < s < m) is never an integer and lies at
+        # least 1/m from one; the quotient is below a, so its rounding
+        # (half an ulp of a) cannot carry it across: floor is exact
+        assert all(m % p for p in range(2, math.isqrt(m) + 1))
+        assert math.ulp(float(a)) < 1 / m
+
+
+def _preimages(a, m, targets):
+    """States s with a*s = target (mod m)."""
+    inv = pow(a, -1, m)
+    return [x * inv % m for x in targets]
+
+
+@pytest.mark.parametrize("a, m", [(_accel.A1, M1), (_accel.A2, M2)])
+def test_float_words_match_integer_recursion(a, m):
+    rng = np.random.default_rng(20)
+    ref = ([1, m - 1] + _preimages(a, m, [1, -1, 2, -2])
+           + rng.integers(1, m, 100_000).tolist())
+    s = np.array(ref, dtype=np.float64)
+    t = np.empty_like(s)
+    for _ in range(4):
+        _accel._advance(s, a, m, t)
+        ref = [a * x % m for x in ref]
+        assert np.array_equal(s, np.array(ref, dtype=np.float64))
+
+
+def test_float_uniform_matches_integer_formula():
+    # advanced words that put s1 - s2 at 0, at both signs of 1 and at the
+    # ends of its range
+    ends = [(1, 1), (7, 7), (2, 1), (1, 2), (M1 - 1, 1), (1, M2 - 1),
+            (M1 - 1, M2 - 1), (12345, 678910)]
+    s1 = _preimages(_accel.A1, M1, [e[0] for e in ends])
+    s2 = _preimages(_accel.A2, M2, [e[1] for e in ends])
+    f1, f2 = np.array(s1, dtype=np.float64), np.array(s2, dtype=np.float64)
+    u = _accel._uniform(f1, f2, np.empty_like(f1))
+    assert [(int(x), int(y)) for x, y in zip(f1, f2)] == ends
+    assert u.tolist() == [_next(x, y)[2] for x, y in zip(s1, s2)]
 
 
 # -- scalar reference: one trial at a time, Python integers -------------------
@@ -86,12 +128,13 @@ def ref_walk(rowptr, cum, tgt, start, steps, s1s, s2s):
     return returns, paths[0]
 
 
-def ref_hitting(rowptr, cum, tgt, level_of, start, bot, top, max_steps,
-                s1s, s2s):
+def ref_hitting_moves(rowptr, cum, tgt, level_of, start, bot, top,
+                      max_steps, s1s, s2s):
+    """(result, moves) per trial; a timeout counts its max_steps moves."""
     out = []
     for s1, s2 in zip(s1s.tolist(), s2s.tolist()):
-        state, res = int(start), -1
-        for _ in range(max_steps + 1):
+        state, res, moves = int(start), -1, 0
+        for moves in range(max_steps + 1):
             lvl = level_of[state]
             if lvl == bot:
                 res = 0
@@ -100,8 +143,12 @@ def ref_hitting(rowptr, cum, tgt, level_of, start, bot, top, max_steps,
                 res = 1
                 break
             state, s1, s2 = _step(rowptr, cum, tgt, state, s1, s2)
-        out.append(res)
+        out.append((res, moves))
     return out
+
+
+def ref_hitting(*args):
+    return [res for res, _ in ref_hitting_moves(*args)]
 
 
 def ref_chain(cumflat, rowstart, strides, x0, depth, ncyl, s1s, s2s, widths):
@@ -236,6 +283,40 @@ def test_hitting_zero_steps_decides_only_the_start(monkeypatch):
 def test_hitting_across_blocks_matches_scalar_reference(monkeypatch):
     trials = _accel.BLOCK + 101
     _check_hitting(monkeypatch, allones_network(3), (1, 0), trials, 2, 40)
+
+
+def test_hitting_pool_timeouts_match_scalar_reference(monkeypatch):
+    # refilled trials join at different steps, so their deadlines differ
+    trials = 2 * _accel.BLOCK + 37
+    est = _check_hitting(monkeypatch, allones_network(8), (4, 0), trials, 8,
+                         5)
+    assert est.timeouts > _accel.BLOCK
+    assert est.top_hits > 0 and est.bottom_hits > 0
+
+
+@pytest.mark.parametrize("start, side", [((0, 1), "bottom_hits"),
+                                         ((4, 0), "top_hits")])
+def test_hitting_absorbing_start_over_a_block(monkeypatch, start, side):
+    trials = _accel.BLOCK + 3
+    est = _check_hitting(monkeypatch, allones_network(4), start, trials, 6,
+                         10)
+    assert getattr(est, side) == trials
+
+
+def test_hitting_pool_pays_one_straggler_tail(monkeypatch):
+    # a block at a time pays each block's longest walk; the refilled pool
+    # moves fewer times than their sum
+    moves = spy(monkeypatch, "_move")
+    calls = spy(monkeypatch, "walk_hitting_kernel")
+    trials = 2 * _accel.BLOCK + 37
+    lp.hitting_probability(allones_network(6), (1, 0), trials=trials, seed=3)
+    (args, res), = calls
+    ref = ref_hitting_moves(*args)
+    assert res.tolist() == [r for r, _ in ref]
+    longest = [max(m for _, m in ref[lo:lo + _accel.BLOCK])
+               for lo in range(0, trials, _accel.BLOCK)]
+    assert len(moves) < sum(longest)
+    assert len(moves) >= max(m for _, m in ref)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 12])

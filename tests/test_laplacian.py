@@ -402,6 +402,13 @@ def test_hitting_rejects_empty_runs(trials):
         lp.hitting_probability(allones_network(3), (1, 0), trials=trials)
 
 
+@pytest.mark.parametrize("max_steps", [-1, -50])
+def test_hitting_rejects_negative_max_steps(max_steps):
+    with pytest.raises(ValueError, match=f"max_steps .*{max_steps}"):
+        lp.hitting_probability(allones_network(3), (1, 0), trials=10,
+                               max_steps=max_steps)
+
+
 def test_walk_start_must_exist():
     net = allones_network(3)
     with pytest.raises(KeyError):

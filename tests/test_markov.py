@@ -194,12 +194,15 @@ def test_deterministic_chain_dual_is_permutation():
         assert np.array_equal(hk.qhat[n], swap)
 
 
-def test_qhat_edges_split_uniformly():
+def test_qhat_value_covers_parallel_edges():
+    # one value per vertex pair: the dual of two parallel edges with
+    # ranked probabilities 0.25 and 0.75 carries their whole mass
     d = dg.stationary_diagram([[2]], 2)
     probs = tuple({(0, 0): (0.25, 0.75)} for _ in range(2))
     sysm = mk.MarkovSystem(d, np.array([1.0]), probs)
     hk = mk.dual_kernels(sysm)
-    assert hk.qhat_edges(0, 0, 0) == (0.5, 0.5)
+    assert d.F(0).csr.mult.tolist() == [2]
+    assert hk.qhat_values[0].tolist() == [1.0]
 
 
 def test_zero_mass_level_detected():
