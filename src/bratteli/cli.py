@@ -4,7 +4,9 @@ Three commands over one JSON spec format: ``validate`` (structure check,
 machine-readable report), ``analyze`` (run one analysis and print CSV or
 JSON), ``check`` (run invariant suites and exit 0 only if all hold).
 All floating output keeps full round-trip precision so downstream diffs
-are exact; fixed seeds give byte-identical output.
+are exact; fixed seeds give byte-identical output.  Each command builds
+one analysis context, whose stages (measure, Markov system, dual kernels,
+network) are computed at most once per command.
 
 Exit codes: 0 success, 1 validation or invariant failure, 2 usage error.
 """
@@ -15,6 +17,7 @@ import csv
 import io
 import json
 import sys
+from functools import cached_property
 
 import numpy as np
 
@@ -47,9 +50,9 @@ def _json(obj) -> str:
                       default=lambda o: o.tolist()) + "\n"
 
 
-def _emit(args, payload: dict, rows: list | None, header: list | None) -> None:
-    """JSON object, or CSV when rows were supplied and csv requested."""
-    if getattr(args, "format", "json") == "csv" and rows is not None:
+def _emit(args, payload: dict, rows, header: list) -> None:
+    """JSON object, or CSV when requested; only CSV iterates the rows."""
+    if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(header)
@@ -59,9 +62,8 @@ def _emit(args, payload: dict, rows: list | None, header: list | None) -> None:
         text = buf.getvalue()
     else:
         text = _json(payload)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -72,38 +74,48 @@ def _fail(kind: str, detail: str) -> int:
     return 1
 
 
-# ---------------------------------------------------------------- builders
+# ---------------------------------------------------------------- context
 
-def _measure(spec: ParsedSpec, normalization: str):
-    d = spec.diagram
-    if d.stationary:
-        return ms.stationary_pf_measure(d, normalization=normalization)
-    return ms.solve_tail_invariant(d), None
+class _Context:
+    """One command's analysis chain over one spec: each stage is built on
+    first use and kept for the command, unless it raised.  check is not
+    strict, so a bad explicit row is a failed invariant, not an error."""
 
+    def __init__(self, spec: ParsedSpec, strict: bool):
+        self.spec, self.diagram, self.strict = spec, spec.diagram, strict
+        self.induced = spec.markov is None or "edges" not in spec.markov
+        self._measures: dict = {}
 
-def _system(spec: ParsedSpec, strict: bool = True) -> mk.MarkovSystem:
-    """Build the Markov system a spec describes (induced by default).
+    def measure(self, normalization: str):
+        """(measure, normalization report or None), once per normalization."""
+        if normalization not in self._measures:
+            d = self.diagram
+            self._measures[normalization] = (
+                ms.stationary_pf_measure(d, normalization=normalization)
+                if d.stationary else (ms.solve_tail_invariant(d), None))
+        return self._measures[normalization]
 
-    strict=False skips the stochasticity tolerance so the check suites
-    can report a corrupted row as a failed invariant instead of dying.
-    """
-    blk = spec.markov or {"from_tail_invariant": True,
-                          "normalization": "probability"}
-    d = spec.diagram
-    if blk.get("from_tail_invariant"):
-        mu, _ = _measure(spec, blk.get("normalization", "probability"))
-        return mk.markov_from_tail_invariant(d, mu)
-    probs: list[dict] = [{} for _ in range(d.depth)]
-    for (lvl, src, tgt, p) in blk["edges"]:
-        probs[lvl][(src, tgt)] = p
-    sysm = mk.MarkovSystem(d, np.asarray(blk["q0"], dtype=np.float64),
-                           tuple(probs))
-    mk.validate_system(sysm, tol=1e-12 if strict else float("inf"))
-    return sysm
+    @cached_property
+    def system(self) -> mk.MarkovSystem:
+        d, blk = self.diagram, self.spec.markov
+        if self.induced:
+            norm = "probability" if blk is None else blk["normalization"]
+            return mk.markov_from_tail_invariant(d, self.measure(norm)[0])
+        probs: list[dict] = [{} for _ in range(d.depth)]
+        for (lvl, src, tgt, p) in blk["edges"]:
+            probs[lvl][(src, tgt)] = p
+        sysm = mk.MarkovSystem(d, np.asarray(blk["q0"], dtype=np.float64),
+                               tuple(probs))
+        mk.validate_system(sysm, tol=1e-12 if self.strict else float("inf"))
+        return sysm
 
+    @cached_property
+    def kernels(self) -> mk.HatKernels:
+        return mk.dual_kernels(self.system)
 
-def _network(spec: ParsedSpec, strict: bool = True) -> lp.WeightedNetwork:
-    return lp.build_network(mk.dual_kernels(_system(spec, strict)))
+    @cached_property
+    def network(self) -> lp.WeightedNetwork:
+        return lp.build_network(self.kernels)
 
 
 # ---------------------------------------------------------------- validate
@@ -135,8 +147,8 @@ def cmd_validate(args) -> int:
 
 # ---------------------------------------------------------------- analyze
 
-def _analyze_pf(spec: ParsedSpec, args):
-    d = spec.diagram
+def _analyze_pf(ctx: _Context, args):
+    d = ctx.diagram
     if not d.stationary:
         raise SpecError("pf analysis needs a stationary diagram")
     sd = pf.pf_solve(d.F(0))
@@ -146,51 +158,51 @@ def _analyze_pf(spec: ParsedSpec, args):
                "iterations": sd.iterations,
                "vertices": list(sd.vertices),
                "right": list(sd.right), "left": list(sd.left)}
-    rows = [(v, sd.right[i], sd.left[i]) for i, v in enumerate(sd.vertices)]
+    rows = ((v, sd.right[i], sd.left[i]) for i, v in enumerate(sd.vertices))
     return payload, rows, ["vertex", "right", "left"]
 
 
-def _analyze_measure(spec: ParsedSpec, args):
-    mu, rep = _measure(spec, args.normalization)
-    inv = ms.verify_tail_invariance(spec.diagram, mu, tol=args.tol)
+def _analyze_measure(ctx: _Context, args):
+    mu, rep = ctx.measure(args.normalization)
+    inv = ms.verify_tail_invariance(ctx.diagram, mu, tol=args.tol)
     payload = {"kind": mu.kind,
                "normalization": args.normalization if rep else None,
                "lambda": rep.lam if rep else None,
                "max_invariance_residual": max(inv.residuals),
                "levels": [list(mu.level(n)) for n in range(mu.depth + 1)]}
-    rows = [(n, v, float(mu.level(n)[i]))
+    rows = ((n, v, float(mu.level(n)[i]))
             for n in range(mu.depth + 1)
-            for i, v in enumerate(spec.diagram.vertices(n))]
+            for i, v in enumerate(ctx.diagram.vertices(n)))
     return payload, rows, ["level", "vertex", "value"]
 
 
-def _analyze_markov(spec: ParsedSpec, args):
-    sysm = _system(spec)
-    qs = mk.dual_kernels(sysm).q   # ZeroMass where a level mass vanished
+def _analyze_markov(ctx: _Context, args):
+    sysm = ctx.system
+    qs = ctx.kernels.q   # ZeroMass where a level mass vanished
     payload = {"q0": list(map(float, sysm.q0)),
                "stochasticity_deviation": max(sysm.levels.stochasticity),
                "normalized_rows": list(sysm.meta.get("normalized", ())),
                "q": [list(map(float, q)) for q in qs]}
-    rows = [(n, v, float(qs[n][i]))
+    rows = ((n, v, float(qs[n][i]))
             for n in range(sysm.depth + 1)
-            for i, v in enumerate(spec.diagram.vertices(n))]
+            for i, v in enumerate(ctx.diagram.vertices(n)))
     return payload, rows, ["level", "vertex", "q"]
 
 
-def _analyze_laplacian(spec: ParsedSpec, args):
-    net = _network(spec)
+def _analyze_laplacian(ctx: _Context, args):
+    net = ctx.network
     sol = lp.solve_harmonic(net, 0.0, 1.0)
     payload = {"residual": sol.residual,
                "max_principle_ok": sol.max_principle_ok,
                "levels": [list(v) for v in sol.f.values]}
-    rows = [(n, v, float(sol.f.values[n][i]))
+    rows = ((n, v, float(sol.f.values[n][i]))
             for n in range(net.depth + 1)
-            for i, v in enumerate(spec.diagram.vertices(n))]
+            for i, v in enumerate(ctx.diagram.vertices(n)))
     return payload, rows, ["level", "vertex", "value"]
 
 
-def _analyze_energy(spec: ParsedSpec, args):
-    net = _network(spec)
+def _analyze_energy(ctx: _Context, args):
+    net = ctx.network
     sol = lp.solve_harmonic(net, 0.0, 1.0)
     er = lp.energy_norm(net, sol.f)
     payload = {"direct": er.direct, "operator_form": er.operator_form,
@@ -201,12 +213,12 @@ def _analyze_energy(spec: ParsedSpec, args):
     return payload, rows, ["direct", "operator_form", "agreement"]
 
 
-def _analyze_walk(spec: ParsedSpec, args):
-    net = _network(spec)
+def _analyze_walk(ctx: _Context, args):
+    net = ctx.network
     level = args.start_level
     if not 0 <= level <= net.depth:
         raise SpecError(f"start level {level} outside 0..{net.depth}")
-    start = (level, spec.diagram.vertices(level)[0])
+    start = (level, ctx.diagram.vertices(level)[0])
     st = lp.walk(net, start, steps=args.steps, trials=args.trials,
                  seed=args.seed)
     payload = {"start": list(start), "steps": st.steps, "trials": st.trials,
@@ -214,7 +226,7 @@ def _analyze_walk(spec: ParsedSpec, args):
                "return_probability": st.return_probability,
                "mean_returns_per_step": st.mean_returns_per_step,
                "trace": [list(s) for s in st.trace.states]}
-    rows = [(t, int(r)) for t, r in enumerate(st.returns)]
+    rows = ((t, int(r)) for t, r in enumerate(st.returns))
     return payload, rows, ["trial", "returns"]
 
 
@@ -238,10 +250,10 @@ def _cell_duality(spaces, kernels) -> list[dict]:
     return levels
 
 
-def _analyze_kernels(spec: ParsedSpec, args):
-    if spec.kernels is None:
+def _analyze_kernels(ctx: _Context, args):
+    if ctx.spec.kernels is None:
         raise SpecError("spec has no kernels block")
-    spaces, kernels = spec.kernels
+    spaces, kernels = ctx.spec.kernels
     per_level = [{key: lvl[key] for key in ("duality_residual",
                                             "marginal_residual",
                                             "gram_min_eigenvalue")}
@@ -256,8 +268,8 @@ def _analyze_kernels(spec: ParsedSpec, args):
                           "backend": "python"},
                "start_cell_variation":
                    cl.start_cell_variation(spaces, kernels, depth)}
-    rows = [(k, lvl["duality_residual"], lvl["marginal_residual"],
-             lvl["gram_min_eigenvalue"]) for k, lvl in enumerate(per_level)]
+    rows = ((k, lvl["duality_residual"], lvl["marginal_residual"],
+             lvl["gram_min_eigenvalue"]) for k, lvl in enumerate(per_level))
     return payload, rows, ["level", "duality_residual", "marginal_residual",
                            "gram_min_eigenvalue"]
 
@@ -270,8 +282,8 @@ _ANALYSES = {"pf": _analyze_pf, "measure": _analyze_measure,
 
 def cmd_analyze(args) -> int:
     try:
-        spec = load_spec(args.spec, args.depth)
-        payload, rows, header = _ANALYSES[args.analysis](spec, args)
+        ctx = _Context(load_spec(args.spec, args.depth), strict=True)
+        payload, rows, header = _ANALYSES[args.analysis](ctx, args)
     except _ERRORS as e:
         return _fail(type(e).__name__, str(e))
     _emit(args, payload, rows, header)
@@ -280,36 +292,24 @@ def cmd_analyze(args) -> int:
 
 # ---------------------------------------------------------------- check
 
-def _suite_consistency(spec: ParsedSpec, tol: float, seed: int, out: list):
-    d = spec.diagram
-    hs = [dg.heights(d, n) for n in range(d.depth + 1)]
-    ok = True
-    for n in range(d.depth):
-        # F_n H^(n) in exact integers, from the level's own entries
-        m = d.F(n)
-        h = dict(zip(m.sources, hs[n]))
-        nxt = dict.fromkeys(m.targets, 0)
-        for v, w, mult in m.triplets():
-            nxt[v] += mult * h[w]
-        ok = ok and list(nxt.values()) == hs[n + 1]
+def _suite_consistency(ctx: _Context, tol: float, seed: int, out: list):
+    d = ctx.diagram
+    # H^(n+1)_v = sum_w f_vw H^(n)_w exactly iff every hat row sums to 1
+    worst = max([0] + [ms.hat_matrix(d, n).row_deviation()
+                       for n in range(d.depth)])
+    ok = worst == 0
     out.append(("consistency", "HeightRecursion", 0.0 if ok else 1.0, ok))
 
-    mu, _ = _measure(spec, "probability")
+    mu, _ = ctx.measure("probability")
     inv = ms.verify_tail_invariance(d, mu, tol=tol)
     out.append(("consistency", "TailInvariance", max(inv.residuals),
                 inv.passed))
+    out.append(("consistency", "HatRowsSumToOne", float(worst), ok))
 
-    worst = 0
-    for n in range(d.depth):
-        worst = max(worst, ms.hat_matrix(d, n).row_deviation())
-    out.append(("consistency", "HatRowsSumToOne", float(worst), worst == 0))
-
-    qs = _system(spec, strict=False).levels.q
-    worst = 0.0
-    for n in range(d.depth):   # the extension qs[n] @ phat(n) is qs[n + 1]
-        back = float(np.abs(qs[n + 1].sum() - qs[n].sum())
-                     / max(qs[n].sum(), 1e-300))
-        worst = max(worst, back)
+    # the extension q^(n) @ phat(n) is q^(n+1): compare level totals
+    tot = [q.sum() for q in ctx.system.levels.q]
+    worst = max([0.0] + [float(np.abs(b - a) / max(a, 1e-300))
+                         for a, b in zip(tot, tot[1:])])
     out.append(("consistency", "KolmogorovExtension", worst, worst <= tol))
 
 
@@ -318,18 +318,16 @@ def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(np.subtract(a, b, out=a), out=a).max())
 
 
-def _suite_operators(spec: ParsedSpec, tol: float, seed: int, out: list):
-    sysm = _system(spec, strict=False)
-    d = spec.diagram
-    dev = max(sysm.levels.stochasticity)
+def _suite_operators(ctx: _Context, tol: float, seed: int, out: list):
+    d = ctx.diagram
+    dev = max(ctx.system.levels.stochasticity)
     out.append(("operators", "StochasticityViolation", dev, dev <= tol))
     if dev > tol:
         return
-    hk = mk.dual_kernels(sysm)
+    hk = ctx.kernels
     bal = max(mk.balance_gap(hk, n) for n in range(d.depth))
     out.append(("operators", "DetailedBalance", bal, bal <= tol))
-    induced = spec.markov is None or spec.markov.get("from_tail_invariant")
-    if induced:
+    if ctx.induced:
         devqf = mk.hat_vs_incidence(d, hk)
         out.append(("operators", "DualEqualsHatIncidence", devqf,
                     devqf <= tol))
@@ -337,8 +335,7 @@ def _suite_operators(spec: ParsedSpec, tol: float, seed: int, out: list):
     worst_adj = worst_con = worst_fix = 0.0
     for n in range(d.depth):   # one dense kernel pair at a time
         P, Q = hk.phat[n], hk.qhat[n]
-        sp_lo = mk.space(hk, n)
-        sp_hi = mk.space(hk, n + 1)
+        sp_lo, sp_hi = mk.space(hk, n), mk.space(hk, n + 1)
         for _ in range(20):
             f = rng.standard_normal(len(hk.q[n]))
             g = rng.standard_normal(len(hk.q[n + 1]))
@@ -361,9 +358,9 @@ def _suite_operators(spec: ParsedSpec, tol: float, seed: int, out: list):
                 worst_fix <= tol))
 
 
-def _suite_laplacian(spec: ParsedSpec, tol: float, seed: int, out: list):
+def _suite_laplacian(ctx: _Context, tol: float, seed: int, out: list):
     try:
-        net = _network(spec, strict=False)
+        net = ctx.network
     except lp.BalanceViolation as e:
         out.append(("laplacian", "ConductanceSymmetry", e.delta, False))
         return
@@ -372,8 +369,7 @@ def _suite_laplacian(spec: ParsedSpec, tol: float, seed: int, out: list):
                 net.mass_vs_q_dev <= tol))
     qm = lp.qM_identity_residual(net)
     out.append(("laplacian", "QHalfSumIdentity", qm, qm <= tol))
-    const = lp.LevelFunction.constant(net, 1.0)
-    dc = lp.apply_Delta(net, const)
+    dc = lp.apply_Delta(net, lp.LevelFunction.constant(net, 1.0))
     cres = max(float(np.abs(v).max()) for v in dc.values)
     out.append(("laplacian", "ConstantsHarmonic", cres, cres <= tol))
     rng = np.random.default_rng(seed)
@@ -389,10 +385,10 @@ def _suite_laplacian(spec: ParsedSpec, tol: float, seed: int, out: list):
                     sol.max_principle_ok and sol.residual <= tol))
 
 
-def _suite_kernels(spec: ParsedSpec, tol: float, seed: int, out: list):
-    if spec.kernels is None:
+def _suite_kernels(ctx: _Context, tol: float, seed: int, out: list):
+    if ctx.spec.kernels is None:
         return
-    spaces, kernels = spec.kernels
+    spaces, kernels = ctx.spec.kernels
     levels = _cell_duality(spaces, kernels)
     worst_dual, worst_marg, worst_sym = (
         max([0.0] + [lvl[key] for lvl in levels])
@@ -419,9 +415,9 @@ def cmd_check(args) -> int:
     names = (list(_SUITES) if args.suite == "all" else [args.suite])
     results: list[tuple[str, str, float, bool]] = []
     try:
-        spec = load_spec(args.spec, args.depth)
+        ctx = _Context(load_spec(args.spec, args.depth), strict=False)
         for name in names:
-            _SUITES[name](spec, args.tol, args.seed, results)
+            _SUITES[name](ctx, args.tol, args.seed, results)
     except _ERRORS as e:
         return _fail(type(e).__name__, str(e))
     ok = all(r[3] for r in results)

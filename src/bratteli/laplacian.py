@@ -389,6 +389,7 @@ def hitting_probability(net: WeightedNetwork, start: tuple[int, int],
     absorption before its first move and after each of up to max_steps
     moves; a trial still walking after max_steps moves is a timeout and
     is left out of the estimate.  max_steps = 0 decides only the start.
+    With no decided trial the estimate is nan and its stderr infinite.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -402,7 +403,9 @@ def hitting_probability(net: WeightedNetwork, start: tuple[int, int],
     top = int(np.sum(res == 1))
     bot = int(np.sum(res == 0))
     out = int(np.sum(res == -1))
-    decided = max(top + bot, 1)
+    decided = top + bot
+    if decided == 0:
+        return HittingEstimate(math.nan, math.inf, top, bot, out, trials)
     p = top / decided
     se = math.sqrt(max(p * (1.0 - p), 1e-300) / decided)
     return HittingEstimate(p, se, top, bot, out, trials)

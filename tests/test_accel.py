@@ -276,8 +276,11 @@ def test_hitting_zero_steps_decides_only_the_start(monkeypatch):
     net = allones_network(4)
     est = _check_hitting(monkeypatch, net, (2, 0), 50, 1, 0)
     assert est.timeouts == 50
+    # no decided trial: no estimate, not a certain 0
+    assert math.isnan(est.estimate) and est.stderr == math.inf
     est = _check_hitting(monkeypatch, net, (4, 1), 50, 1, 0)
     assert est.top_hits == 50
+    assert est.estimate == 1.0 and est.stderr == math.sqrt(1e-300 / 50)
 
 
 def test_hitting_across_blocks_matches_scalar_reference(monkeypatch):

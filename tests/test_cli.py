@@ -402,6 +402,44 @@ def test_operators_suite_builds_each_dense_kernel_once(tmp_path, monkeypatch):
                      "apply_TQ": 20 * 6}
 
 
+def test_check_builds_each_stage_once(tmp_path, monkeypatch):
+    """One command builds the analysis chain once: the Perron measure, the
+    induced system, its level sweep, the dual kernels and the network are
+    shared by every suite that reads them.  Nothing is kept from one
+    command to the next, so the second command builds its own chain."""
+    from functools import cached_property
+
+    from bratteli import laplacian as lp
+    from bratteli import markov as mk
+    from bratteli import measures as ms
+    stages = ("stationary_pf_measure", "markov_from_tail_invariant",
+              "levels", "dual_kernels", "build_network")
+    calls = dict.fromkeys(stages, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod, name in ((ms, "stationary_pf_measure"),
+                      (mk, "markov_from_tail_invariant"),
+                      (mk, "dual_kernels"), (lp, "build_network")):
+        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    sweep = cached_property(counted("levels", mk.MarkovSystem.levels.func))
+    sweep.__set_name__(mk.MarkovSystem, "levels")
+    monkeypatch.setattr(mk.MarkovSystem, "levels", sweep)
+    p = _spec(tmp_path, "band.json", {"band": {"-2": 1, "0": 2, "2": 1},
+                                      "window": [-20, 20, 2], "depth": 6})
+    for suite, want in (("all", (1, 1, 1, 1, 1)),
+                        ("consistency", (1, 1, 1, 0, 0))):
+        calls.update(dict.fromkeys(stages, 0))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            rc = cli.main(["check", p, "--suite", suite])
+        assert rc == 0, out.getvalue()
+        assert calls == dict(zip(stages, want)), suite
+
+
 def test_stochastic_row_error_names_the_worst_row(capsys, tmp_path):
     """The error gives the worst row's vertex with that row's own sum."""
     p = _spec(tmp_path, "rows.json", {
@@ -452,7 +490,7 @@ def test_laplacian_suite_reports_conductance_asymmetry(capsys, monkeypatch):
 
     monkeypatch.setattr(mk, "dual_kernels", skewed)
     with pytest.raises(lp.BalanceViolation) as exc:
-        cli._network(cli.load_spec(ALLONES), strict=False)
+        cli._Context(cli.load_spec(ALLONES), strict=False).network
     assert exc.value.delta > 0
     rc, d = run_json(capsys, "check", ALLONES, "--suite", "laplacian",
                      "--format", "json")
