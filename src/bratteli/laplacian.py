@@ -18,9 +18,12 @@ no tolerance or iteration budget.
 
 The network keeps no dense kernel: ``HatKernels`` stores P-hat and Q-hat
 as edge values, and every level loop here builds its level's dense
-``hk.phat[n]`` / ``hk.qhat[n]`` once, uses it, and drops it.  The walk's
-move table reads the edge values directly.  solve_harmonic still keeps
-every elimination block G_n, so its memory grows as depth x m^2.
+``hk.phat[n]`` / ``hk.qhat[n]`` once, uses it, and drops it.  energy_norm
+also takes a batch of functions, one (B, m_n) array per level, and
+builds each level's kernel once for the whole batch; every function's
+energies keep the bits they have alone.  The walk's move table reads the
+edge values directly.  solve_harmonic still keeps every elimination
+block G_n, so its memory grows as depth x m^2.
 
 The random walk runs on the flattened state space with the lockstep
 kernels from _accel; per-trial seeds fix every trajectory exactly.
@@ -34,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _accel
-from .markov import HatKernels
+from .markov import HatKernels, apply_TP
 from .measures import DimensionMismatch
 
 
@@ -52,7 +55,8 @@ class BalanceViolation(Exception):
 
 @dataclass(frozen=True)
 class LevelFunction:
-    """One real vector per level, 0..N."""
+    """One real vector per level, 0..N; for a batch of B functions (which
+    energy_norm takes), one (B, m_n) array per level."""
 
     values: tuple[np.ndarray, ...]
 
@@ -124,12 +128,17 @@ def build_network(hk: HatKernels) -> WeightedNetwork:
 
 # ---------------------------------------------------------------- operators
 
-def _check_f(net: WeightedNetwork, f: LevelFunction):
+def _check_f(net: WeightedNetwork, f: LevelFunction, batch: bool = False):
+    """f has the network's levels; with batch, every level may also be a
+    (B, m_n) stack of B functions, the same B on every level."""
     if f.depth != net.depth:
         raise DimensionMismatch(
             f"function has {f.depth + 1} levels, network {net.depth + 1}")
+    lead = f.values[0].shape[:-1]
+    if lead and not (batch and len(lead) == 1):
+        raise DimensionMismatch(f"level 0 has shape {f.values[0].shape}")
     for n, vec in enumerate(f.values):
-        if vec.shape != net.kernels.q[n].shape:
+        if vec.shape != lead + net.kernels.q[n].shape:
             raise DimensionMismatch(f"level {n} length mismatch")
 
 
@@ -235,12 +244,37 @@ def solve_harmonic(net: WeightedNetwork, bottom, top) -> HarmonicSolution:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    direct: float
-    operator_form: float
+    """The two energy forms: floats for one function, arrays of B values
+    for a batch of B."""
+
+    direct: float | np.ndarray
+    operator_form: float | np.ndarray
 
     @property
-    def agreement(self) -> float:
+    def agreement(self) -> float | np.ndarray:
         return abs(self.direct - self.operator_form) / (1.0 + abs(self.direct))
+
+
+ENERGY_CHUNK = 2 ** 16   # elements per block of direct-term temporaries
+
+
+def _direct_terms(q: np.ndarray, P: np.ndarray, fn: np.ndarray,
+                  fn1: np.ndarray) -> np.ndarray:
+    """(1/2) sum over v, u of q_v P(v, u) (fn(v) - fn1(u))^2, one value per
+    row of the (B, m_n) and (B, m_{n+1}) stacks fn, fn1.  Each row's
+    m_n x m_{n+1} terms are summed as one contiguous block, as np.sum sums
+    them for one function.  The terms are formed for a block of rows at a
+    time, at most ENERGY_CHUNK elements but one row at least, so a batch
+    peaks at the memory of one function."""
+    qP = q[:, None] * P
+    out = np.empty(len(fn))
+    step = max(1, ENERGY_CHUNK // P.size)
+    for s in range(0, len(fn), step):
+        diff = fn[s:s + step, :, None] - fn1[s:s + step, None, :]
+        np.square(diff, out=diff)
+        diff *= qP
+        out[s:s + step] = 0.5 * diff.reshape(len(diff), -1).sum(axis=-1)
+    return out
 
 
 def energy_norm(net: WeightedNetwork, f: LevelFunction) -> EnergyReport:
@@ -250,20 +284,29 @@ def energy_norm(net: WeightedNetwork, f: LevelFunction) -> EnergyReport:
     pairs; operator_form expands the square into weighted norms and the
     T_P cross term.  Equality is an algebraic identity (the cross-level
     weight is q^(n+1) because q propagates through phat).
+
+    f is one function, giving floats, or a batch of B functions whose
+    levels are (B, m_n) arrays, giving arrays of B values; the sample axis
+    leads.  Each level's P-hat is scattered once for the whole batch.
+    Every function keeps its own accumulators, added in level order, and
+    each of its sums reduces the same values in the same order as when it
+    is alone, so a batch gives each function's energies bit for bit.
     """
-    _check_f(net, f)
+    _check_f(net, f, batch=True)
     hk = net.kernels
-    direct = 0.0
-    oper = 0.0
+    vals = [np.atleast_2d(v) for v in f.values]   # (B, m_n) per level
+    direct = np.zeros(len(vals[0]))
+    oper = np.zeros(len(vals[0]))
     for n in range(net.depth):
-        fn, fn1 = f.values[n], f.values[n + 1]
+        fn, fn1 = vals[n], vals[n + 1]
         P = hk.phat[n]
-        diff = fn[:, None] - fn1[None, :]
-        direct += 0.5 * float(np.sum(hk.q[n][:, None] * P * diff ** 2))
-        nn = float(np.sum(hk.q[n] * fn * fn))
-        cross = float(np.sum(hk.q[n] * fn * (P @ fn1)))
-        nn1 = float(np.sum(hk.q[n + 1] * fn1 * fn1))
+        direct += _direct_terms(hk.q[n], P, fn, fn1)
+        nn = np.sum(hk.q[n] * fn * fn, axis=-1)
+        cross = np.sum(hk.q[n] * fn * apply_TP(P, fn1), axis=-1)
+        nn1 = np.sum(hk.q[n + 1] * fn1 * fn1, axis=-1)
         oper += 0.5 * (nn - 2.0 * cross + nn1)
+    if f.values[0].ndim == 1:
+        return EnergyReport(float(direct[0]), float(oper[0]))
     return EnergyReport(direct, oper)
 
 

@@ -388,45 +388,59 @@ def hat_vs_incidence(d: Diagram, hk: HatKernels) -> float:
 
 @dataclass(frozen=True)
 class WeightedSeqSpace:
-    """l2 space on one level window with weights q^(n)."""
+    """l2 space on one level window with weights q^(n).
+
+    ``inner`` and ``norm`` reduce over the last axis: two vectors give a
+    float, two stacks of B vectors (shape (B, m)) give B values, each the
+    same float that its pair of vectors alone gives.
+    """
 
     level: int
     weights: np.ndarray
+    vertices: Sequence[int]   # the window's vertex labels, for errors
 
     def __post_init__(self):
         if (self.weights <= 0).any():
             raise ZeroMass(self.level,
-                           int(np.argmin(self.weights)))
+                           int(self.vertices[int(np.argmin(self.weights))]))
 
-    def inner(self, f, g) -> float:
-        return float(np.sum(self.weights * np.asarray(f) * np.asarray(g)))
+    def inner(self, f, g):
+        r = np.sum(self.weights * np.asarray(f) * np.asarray(g), axis=-1)
+        return float(r) if r.ndim == 0 else r
 
-    def norm(self, f) -> float:
-        return float(np.sqrt(self.inner(f, f)))
+    def norm(self, f):
+        r = np.sqrt(self.inner(f, f))
+        return float(r) if r.ndim == 0 else r
 
 
 def space(hk: HatKernels, n: int) -> WeightedSeqSpace:
-    return WeightedSeqSpace(n, hk.q[n])
+    return WeightedSeqSpace(n, hk.q[n], hk.diagram.vertices(n))
+
+
+def _stack_product(K: np.ndarray, f, where: str) -> np.ndarray:
+    """K applied to a vector, or to each row of a (B, k) stack.  The stack
+    goes through matmul as B column vectors, so each row makes the same
+    gemv call that the row alone makes and gets the same bits; a
+    ``K @ F.T`` would be one gemm, which rounds differently."""
+    f = np.asarray(f, dtype=np.float64)
+    if f.ndim not in (1, 2) or f.shape[-1] != K.shape[1]:
+        raise DimensionMismatch(
+            f"{where} ({K.shape[1]} vertices), got shape {f.shape}")
+    return (K @ f[..., None])[..., 0]
 
 
 def apply_TP(P: np.ndarray, f) -> np.ndarray:
     """(T_P f)(v) = sum over outgoing edges of p * f(target): V_{n+1} -> V_n,
-    with P = hk.phat[n]."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (P.shape[1],):
-        raise DimensionMismatch(
-            f"T_P expects a vector on V_{{n+1}} ({P.shape[1]} vertices)")
-    return P @ f
+    with P = hk.phat[n].  f is one vector on V_{n+1}, or a (B, m_{n+1})
+    stack of them, giving a (B, m_n) stack."""
+    return _stack_product(P, f, "T_P expects vectors on V_{n+1}")
 
 
 def apply_TQ(Q: np.ndarray, g) -> np.ndarray:
     """(T_Q g)(u) = sum over incoming edges of qhat * g(source): V_n -> V_{n+1},
-    with Q = hk.qhat[n]."""
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != (Q.shape[1],):
-        raise DimensionMismatch(
-            f"T_Q expects a vector on V_n ({Q.shape[1]} vertices)")
-    return Q @ g
+    with Q = hk.qhat[n].  g is one vector on V_n, or a (B, m_n) stack of
+    them, giving a (B, m_{n+1}) stack."""
+    return _stack_product(Q, g, "T_Q expects vectors on V_n")
 
 
 def compose_Tn(P: np.ndarray, Q: np.ndarray) -> np.ndarray:

@@ -217,6 +217,22 @@ def test_zero_mass_level_detected():
     assert (exc.value.level, exc.value.vertex) == (1, 1)
 
 
+def test_space_names_the_vanished_vertex_by_label():
+    """A level-0 mass of zero passes dual_kernels (it checks levels 1..N)
+    and is caught by the weighted space, which names the vertex label,
+    not its window position."""
+    d = dg.band_diagram(DRUNKEN, depth=2, window=dg.Window(-4, 4, 2))
+    mu, _ = ms.stationary_pf_measure(d)
+    induced = mk.markov_from_tail_invariant(d, mu)
+    q0 = np.array(induced.q0)
+    q0[d.window(0).position(-2)] = 0.0
+    hk = mk.dual_kernels(mk.MarkovSystem(d, q0, induced.probs))
+    with pytest.raises(mk.ZeroMass) as exc:
+        mk.space(hk, 0)
+    assert (exc.value.level, exc.value.vertex) == (0, -2)
+    assert "q^(0)_-2" in str(exc.value)
+
+
 def test_level_sweep_is_cached_and_read_only():
     """The sweep runs once per system; its masses are shared with every
     dual built from it, so they are read-only, q0 included."""
