@@ -10,12 +10,25 @@ scan advances a trial's row cursor only while its uniform is at or past
 the cumulative entry, which is exactly the comparison sequence of a scalar
 loop: every trajectory is the one a trial would follow on its own.
 
-At most BLOCK trials walk at once, which bounds the working memory of a
-call independently of the trial count.  Fixed-length walks run block after
-block; absorbed walks share one pool that a finished trial's slot refills
-from the unstarted ones.  Results depend on neither.
+The two walk kernels split their trials into contiguous shards, one per
+available CPU and at least SHARD_MIN trials each.  Shard 0 runs in the
+calling process; every other shard runs in a child made by os.fork, which
+writes its results into an anonymous shared mapping.  With one CPU, fewer
+than 2 * SHARD_MIN trials, or no fork on the platform, a kernel runs
+in-process.  sample_chain_kernel always runs in-process: its jobs are too
+short to repay a fork.
+
+In each process at most BLOCK trials walk at once, which bounds that
+process's working memory independently of the trial count.  Fixed-length
+walks run block after block; absorbed walks share one pool that a finished
+trial's slot refills from the unstarted ones of its shard.  Results depend
+on none of this, because every trial has its own stream.
 """
 from __future__ import annotations
+
+import mmap
+import os
+from functools import partial
 
 import numpy as np
 
@@ -25,16 +38,18 @@ A1 = 40014
 A2 = 40692
 
 BLOCK = 1 << 14
+SHARD_MIN = 1 << 12
 
 
 def trial_seeds(seed: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """Independent (s1, s2) state pairs per trial, exact uint64 mixing."""
     idx = np.arange(trials, dtype=np.uint64)
-    base = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    s1 = (base * np.uint64(2654435761)
-          + idx * np.uint64(40503) + np.uint64(12345)) % np.uint64(M1 - 1)
-    s2 = (base * np.uint64(1779033703)
-          + idx * np.uint64(69069) + np.uint64(97531)) % np.uint64(M2 - 1)
+    # The seed's words are Python ints reduced mod 2**64: a numpy scalar
+    # product wraps the same way but warns about overflow.
+    b1 = np.uint64(seed * 2654435761 % 2 ** 64)
+    b2 = np.uint64(seed * 1779033703 % 2 ** 64)
+    s1 = (b1 + idx * np.uint64(40503) + np.uint64(12345)) % np.uint64(M1 - 1)
+    s2 = (b2 + idx * np.uint64(69069) + np.uint64(97531)) % np.uint64(M2 - 1)
     return (s1 + np.uint64(1)).astype(np.int64), \
            (s2 + np.uint64(1)).astype(np.int64)
 
@@ -85,51 +100,136 @@ def _words(s: np.ndarray) -> np.ndarray:
     return s.astype(np.float64)
 
 
+def _shards(trials: int) -> list[tuple[int, int]]:
+    """(lo, hi) of each contiguous shard of range(trials): one per
+    available CPU, at least SHARD_MIN trials each; one where the platform
+    cannot fork or report its CPU set."""
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            else 1)
+    k = max(1, min(cpus, trials // SHARD_MIN))
+    return [(trials * i // k, trials * (i + 1) // k) for i in range(k)]
+
+
+def _child(run, lo, hi, out):
+    """A forked shard's whole life.  It leaves through os._exit whatever
+    happens, so it runs no atexit handler, flushes no buffer it inherited,
+    and never returns into the parent's code; an error's traceback goes
+    straight to file descriptor 2."""
+    code = 1
+    try:
+        run(lo, hi, out)
+        code = 0
+    except BaseException:
+        import traceback
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
+
+
+def _fan_out(name, trials, run):
+    """Call run(lo, hi, out) once per shard of range(trials); each call
+    fills out[lo:hi] of the one int64 array returned, so results come in
+    trial order.
+
+    Shard 0 runs in this process, every other one in a forked child that
+    writes into an anonymous shared mapping.  A child runs only
+    elementwise numpy code, never BLAS, whose thread pool is the one
+    other thread a numpy process holds at the fork.  A shard whose fork
+    fails runs here, as do the ones after it: a process limit costs time,
+    not an answer.  Every child is reaped before return; one that failed
+    raises RuntimeError naming the kernel.
+    """
+    shards = _shards(trials)
+    out = (np.empty(trials, dtype=np.int64) if len(shards) == 1 else
+           np.frombuffer(mmap.mmap(-1, 8 * trials), dtype=np.int64))
+    local, children = shards[:1], []
+    try:
+        for i, (lo, hi) in enumerate(shards[1:], 1):
+            try:
+                pid = os.fork()
+            except OSError:
+                local += shards[i:]
+                break
+            if pid == 0:
+                _child(run, lo, hi, out)
+            children.append((pid, lo, hi))
+        for lo, hi in local:
+            run(lo, hi, out)
+    finally:
+        statuses = [os.waitpid(pid, 0)[1] for pid, _, _ in children]
+    for (_, lo, hi), status in zip(children, statuses):
+        if status:
+            raise RuntimeError(
+                f"{name}: the forked shard of trials [{lo}, {hi}) failed "
+                f"(exit code {os.waitstatus_to_exitcode(status)})")
+    return out
+
+
 def walk_returns_kernel(rowptr, cum, tgt, start, steps, s1s, s2s):
     """Run every trial `steps` moves from `start`.
 
     Returns (returns per trial, trial 0's states), the second of length
     steps + 1 starting at `start`.
     """
-    trials = s1s.shape[0]
     width = np.diff(rowptr, append=cum.shape[0])
-    out = np.zeros(trials, dtype=np.int64)
     path = np.empty(steps + 1, dtype=np.int64)
     path[0] = start
-    for lo in range(0, trials, BLOCK):
-        s1 = _words(s1s[lo:lo + BLOCK])
-        s2 = _words(s2s[lo:lo + BLOCK])
+    out = _fan_out("walk_returns_kernel", s1s.shape[0],
+                   partial(_walk_returns_range, rowptr, width, cum, tgt,
+                           start, steps, s1s, s2s, path))
+    return out, path
+
+
+def _walk_returns_range(rowptr, width, cum, tgt, start, steps, s1s, s2s,
+                        path, lo, hi, out):
+    """Trials lo..hi-1 of walk_returns_kernel, block after block: their
+    returns into out[lo:hi], and trial 0's states into path if lo is 0."""
+    out[lo:hi] = 0
+    for b in range(lo, hi, BLOCK):
+        e = min(b + BLOCK, hi)
+        s1 = _words(s1s[b:e])
+        s2 = _words(s2s[b:e])
         t = np.empty_like(s1)
-        state = np.full(s1.shape[0], start, dtype=np.int64)
-        cnt = out[lo:lo + BLOCK]
+        state = np.full(e - b, start, dtype=np.int64)
+        cnt = out[b:e]
         for k in range(steps):
             state = _move(rowptr, width, cum, tgt, state, s1, s2, t)
             cnt += state == start
-            if lo == 0:
+            if b == 0:
                 path[k + 1] = state[0]
-    return out, path
 
 
 def walk_hitting_kernel(rowptr, cum, tgt, level_of, start, bot, top,
                         max_steps, s1s, s2s):
     """Absorb at the bottom or top level; 1 = top, 0 = bottom, -1 = timeout.
 
-    A trial is checked after 0..max_steps moves.  Up to BLOCK trials walk
-    at once; a finished trial's slot goes to the next unstarted one, which
-    times out max_steps moves after it joined, so a run has a single
-    straggler tail however many trials it has.
+    A trial is checked after 0..max_steps moves.  Up to BLOCK trials of a
+    shard walk at once; a finished trial's slot goes to the shard's next
+    unstarted one, which times out max_steps moves after it joined, so a
+    shard has a single straggler tail however many trials it has.
     """
     trials = s1s.shape[0]
-    out = np.full(trials, -1, dtype=np.int64)
     first = level_of[start]
     # Every trial starts at `start`, so the check before its first move
     # (absorbed, or out of steps) is the same for all of them: made once.
     if first == bot or first == top:
-        out[:] = first == top
-        return out
+        return np.full(trials, int(first == top), dtype=np.int64)
     if max_steps <= 0:
-        return out
+        return np.full(trials, -1, dtype=np.int64)
     width = np.diff(rowptr, append=cum.shape[0])
+    return _fan_out("walk_hitting_kernel", trials,
+                    partial(_walk_hitting_range, rowptr, width, cum, tgt,
+                            level_of, start, bot, top, max_steps, s1s, s2s))
+
+
+def _walk_hitting_range(rowptr, width, cum, tgt, level_of, start, bot, top,
+                        max_steps, s1s, s2s, lo, hi, out):
+    """Trials lo..hi-1 of walk_hitting_kernel, one refilled pool: their
+    results into out[lo:hi]."""
+    out, s1s, s2s = out[lo:hi], s1s[lo:hi], s2s[lo:hi]
+    out[:] = -1
+    trials = hi - lo
     n = min(trials, BLOCK)
     idx = np.arange(n)
     state = np.full(n, start, dtype=np.int64)
@@ -163,7 +263,6 @@ def walk_hitting_kernel(rowptr, cum, tgt, level_of, start, bot, top,
             idx, state, s1, s2, deadline = (
                 a[live] for a in (idx, state, s1, s2, deadline))
             t = t[:idx.shape[0]]
-    return out
 
 
 def sample_chain_kernel(cumflat, rowstart, strides, x0, depth, ncyl,

@@ -3,6 +3,8 @@ lockstep numpy kernels reproduce, bit for bit, a plain scalar loop that
 runs one trial at a time."""
 
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +52,27 @@ def test_trial_seeds_match_integer_reference():
         r1 = ((42 * 2654435761 + t * 40503 + 12345) % 2 ** 64) % (M1 - 1) + 1
         r2 = ((42 * 1779033703 + t * 69069 + 97531) % 2 ** 64) % (M2 - 1) + 1
         assert int(s1[t]) == r1 and int(s2[t]) == r2
+
+
+# trial_seeds(seed, 2) at the parent commit, whose numpy scalar product
+# gave the same words with an overflow warning for these seeds
+SEED_WORDS = {
+    -3: ([626668895, 626709398], [1105696617, 1105765686]),
+    -1: ([1640573293, 1640613796], [368797227, 368866296]),
+    0: ([12346, 52849], [97532, 166601]),
+    7: ([1401194177, 1401234680], [1715916463, 1715985532]),
+    2 ** 40: ([1170421014, 1170461517], [1443024408, 1443093477]),
+    10 ** 12: ([1316062668, 1316103171], [954889420, 954958489]),
+    2 ** 63 + 5: ([387304571, 387345074], [305457455, 305526524]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SEED_WORDS))
+def test_trial_seeds_wrap_without_warning(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s1, s2 = _accel.trial_seeds(seed, 2)
+    assert (s1.tolist(), s2.tolist()) == SEED_WORDS[seed]
 
 
 def test_generator_products_fit_int64():
@@ -181,6 +204,28 @@ def spy(monkeypatch, name):
     return calls
 
 
+def cpus(monkeypatch, n):
+    """Make the kernels see n available CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def count_forks(monkeypatch, fail_at=None):
+    """Count, in this process, the children the kernels fork; once
+    `fail_at` have been forked, every further fork raises OSError."""
+    forks = []
+    real = os.fork
+
+    def counted():
+        if len(forks) == fail_at:
+            raise OSError("no more processes")
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
 def random_network(seed):
     return lp.build_network(mk.dual_kernels(random_system(seed)))
 
@@ -308,7 +353,9 @@ def test_hitting_absorbing_start_over_a_block(monkeypatch, start, side):
 
 def test_hitting_pool_pays_one_straggler_tail(monkeypatch):
     # a block at a time pays each block's longest walk; the refilled pool
-    # moves fewer times than their sum
+    # moves fewer times than their sum.  One shard, so that every move is
+    # made, and counted, in this process.
+    cpus(monkeypatch, 1)
     moves = spy(monkeypatch, "_move")
     calls = spy(monkeypatch, "walk_hitting_kernel")
     trials = 2 * _accel.BLOCK + 37
@@ -355,3 +402,115 @@ def test_chain_uneven_widths_matches_scalar_reference(monkeypatch, x0):
     spaces, ks = uneven_chain()
     rep = _check_chain(monkeypatch, spaces, ks, x0, 3, 3000, 21)
     assert rep.shape == (3, 4, 3)
+
+
+# -- shards: forked children give the answers of one process -----------------
+
+# (trials, forks at 1, 2 and 3 CPUs): below, across and above SHARD_MIN,
+# none a multiple of 2 or 3 shards, the last with shards over a BLOCK
+SHARD_TRIALS = [(_accel.SHARD_MIN - 1, [0, 0, 0]),
+                (2 * _accel.SHARD_MIN + 1, [0, 1, 1]),
+                (3 * _accel.SHARD_MIN + 1, [0, 1, 2]),
+                (2 * _accel.BLOCK + 1, [0, 1, 2])]
+
+
+def walk_call(trials):
+    net = allones_network(4)
+    return lambda: lp.walk(net, (1, 0), steps=5, trials=trials, seed=3)
+
+
+def _sharded_calls(monkeypatch, call):
+    """The call's results at 1, 2 and 3 CPUs, and the forks each made."""
+    forked = count_forks(monkeypatch)
+    results, forks = [], []
+    for n in (1, 2, 3):
+        cpus(monkeypatch, n)
+        before = len(forked)
+        results.append(call())
+        forks.append(len(forked) - before)
+    return results, forks
+
+
+@pytest.mark.parametrize("trials, want_forks", SHARD_TRIALS)
+def test_sharded_walk_equals_one_shard(monkeypatch, trials, want_forks):
+    calls = spy(monkeypatch, "walk_returns_kernel")
+    stats, forks = _sharded_calls(monkeypatch, walk_call(trials))
+    assert forks == want_forks
+    (_, (returns, path)), *rest = calls
+    assert returns.shape == (trials,)
+    for _, (r, p) in rest:
+        assert r.tolist() == returns.tolist()
+        assert p.tolist() == path.tolist()
+    assert len({st.trace for st in stats}) == 1
+
+
+@pytest.mark.parametrize("trials, want_forks", SHARD_TRIALS)
+@pytest.mark.parametrize("start, max_steps", [((4, 0), 6), ((8, 1), 6),
+                                              ((4, 0), 0)])
+def test_sharded_hitting_equals_one_shard(monkeypatch, trials, want_forks,
+                                          start, max_steps):
+    # (4, 0) with 6 steps has timeouts; (8, 1) starts absorbed at the top
+    # and 0 steps decides only the start, so neither walks or forks
+    net = allones_network(8)
+    calls = spy(monkeypatch, "walk_hitting_kernel")
+    estimates, forks = _sharded_calls(
+        monkeypatch, lambda: lp.hitting_probability(
+            net, start, trials=trials, seed=8, max_steps=max_steps))
+    (_, res), *rest = calls
+    assert res.shape == (trials,)
+    for _, r in rest:
+        assert r.tolist() == res.tolist()
+    if start == (4, 0) and max_steps:
+        assert forks == want_forks
+        assert estimates[0].timeouts > 0
+    else:
+        assert forks == [0, 0, 0]
+
+
+@pytest.mark.parametrize("fail_at", [0, 1])
+def test_fork_failure_runs_shards_in_process(monkeypatch, fail_at):
+    trials = 3 * _accel.SHARD_MIN + 1
+    cpus(monkeypatch, 1)
+    want = walk_call(trials)()
+    cpus(monkeypatch, 3)
+    forked = count_forks(monkeypatch, fail_at)
+    got = walk_call(trials)()
+    assert len(forked) == fail_at
+    assert got.returns.tolist() == want.returns.tolist()
+    assert got.trace == want.trace
+
+
+def test_no_fork_below_two_shards(monkeypatch):
+    cpus(monkeypatch, 3)
+    monkeypatch.setattr(
+        os, "fork", lambda: pytest.fail("forked for one shard of trials"))
+    st = walk_call(2 * _accel.SHARD_MIN - 1)()
+    assert st.returns.shape == (2 * _accel.SHARD_MIN - 1,)
+
+
+@pytest.mark.parametrize("kernel, rng", [
+    ("walk_returns_kernel", "_walk_returns_range"),
+    ("walk_hitting_kernel", "_walk_hitting_range")])
+def test_failing_child_raises_and_is_reaped(monkeypatch, capfd, kernel,
+                                            rng):
+    cpus(monkeypatch, 2)
+    real = getattr(_accel, rng)
+
+    def failing(*args):
+        lo = args[-3]
+        if lo > 0:
+            raise ValueError(f"shard at {lo} fails")
+        return real(*args)
+    monkeypatch.setattr(_accel, rng, failing)
+    trials = 2 * _accel.SHARD_MIN + 1
+    net = allones_network(4)
+    with pytest.raises(RuntimeError, match=kernel):
+        if kernel == "walk_returns_kernel":
+            lp.walk(net, (1, 0), steps=5, trials=trials, seed=1)
+        else:
+            lp.hitting_probability(net, (1, 0), trials=trials, seed=1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert f"shard at {trials // 2} fails" in err
