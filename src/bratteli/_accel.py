@@ -11,12 +11,14 @@ the cumulative entry, which is exactly the comparison sequence of a scalar
 loop: every trajectory is the one a trial would follow on its own.
 
 The two walk kernels split their trials into contiguous shards, one per
-available CPU and at least SHARD_MIN trials each.  Shard 0 runs in the
-calling process; every other shard runs in a child made by os.fork, which
-writes its results into an anonymous shared mapping.  With one CPU, fewer
-than 2 * SHARD_MIN trials, or no fork on the platform, a kernel runs
-in-process.  sample_chain_kernel always runs in-process: its jobs are too
-short to repay a fork.
+available CPU, when the call has enough work to repay a fork: each shard
+needs at least SHARD_MIN trials and SHARD_WORK trial-moves (trials times
+steps for fixed-length walks; for absorbed walks, an estimate capped by
+max_steps).  Shard 0 runs in the calling process; every other shard runs
+in a child made by os.fork, which writes its results into an anonymous
+shared mapping.  With one CPU, too little work, or no fork on the
+platform, a kernel runs in-process.  sample_chain_kernel always runs
+in-process: its jobs are too short to repay a fork.
 
 In each process at most BLOCK trials walk at once, which bounds that
 process's working memory independently of the trial count.  Fixed-length
@@ -27,6 +29,7 @@ on none of this, because every trial has its own stream.
 from __future__ import annotations
 
 import mmap
+import operator
 import os
 from functools import partial
 
@@ -38,14 +41,28 @@ A1 = 40014
 A2 = 40692
 
 BLOCK = 1 << 14
-SHARD_MIN = 1 << 12
+# A forked shard costs milliseconds (the fork, copy-on-write faults, the
+# reaping), and each process pays numpy's per-step call overhead in full,
+# so a shard needs both trials and trial-moves to repay it.  Timed on a
+# 2-CPU x86-64 host, one call per fresh process, all-ones walks of
+# 200000 x 3, 20000 x 30 and 50000 x 10 ran 15-55% slower in 2 shards;
+# from 2**20 trial-moves per shard of 8192 trials or more, 2 shards were
+# 25-40% faster, while shards of 4096 trials gained 8-15% at best.
+SHARD_MIN = 1 << 13
+SHARD_WORK = 1 << 20
+# CFS quota and period, in microseconds: cgroup v2's one file, then v1's two
+_QUOTA_FILES = (("/sys/fs/cgroup/cpu.max",),
+                ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us",
+                 "/sys/fs/cgroup/cpu/cpu.cfs_period_us"))
 
 
 def trial_seeds(seed: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """Independent (s1, s2) state pairs per trial, exact uint64 mixing."""
     idx = np.arange(trials, dtype=np.uint64)
     # The seed's words are Python ints reduced mod 2**64: a numpy scalar
-    # product wraps the same way but warns about overflow.
+    # product wraps the same way but warns about overflow, and a numpy
+    # integer seed cannot hold 2**64.
+    seed = operator.index(seed)
     b1 = np.uint64(seed * 2654435761 % 2 ** 64)
     b2 = np.uint64(seed * 1779033703 % 2 ** 64)
     s1 = (b1 + idx * np.uint64(40503) + np.uint64(12345)) % np.uint64(M1 - 1)
@@ -100,37 +117,67 @@ def _words(s: np.ndarray) -> np.ndarray:
     return s.astype(np.float64)
 
 
-def _shards(trials: int) -> list[tuple[int, int]]:
-    """(lo, hi) of each contiguous shard of range(trials): one per
-    available CPU, at least SHARD_MIN trials each; one where the platform
-    cannot fork or report its CPU set."""
-    cpus = (len(os.sched_getaffinity(0))
-            if hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            else 1)
-    k = max(1, min(cpus, trials // SHARD_MIN))
+def _cpu_quota():
+    """Whole CPUs allowed by this process's cgroup CPU quota (at least 1),
+    or None where no quota is set or none can be read."""
+    for files in _QUOTA_FILES:
+        try:
+            words = []
+            for name in files:
+                with open(name) as f:
+                    words += f.read().split()
+        except OSError:
+            continue
+        try:
+            quota, period = map(int, words)
+        except ValueError:  # v2's "max": no quota
+            return None
+        return max(1, quota // period) if quota > 0 and period > 0 else None
+    return None
+
+
+def _cpus() -> int:
+    """CPUs a shard may use: the affinity set, capped by a CPU quota; 1
+    where the platform cannot fork or report its CPU set."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    quota = _cpu_quota()
+    cpus = len(os.sched_getaffinity(0))
+    return cpus if quota is None else min(cpus, quota)
+
+
+def _shards(trials: int, work: int) -> list[tuple[int, int]]:
+    """(lo, hi) of each contiguous shard of range(trials): one per CPU,
+    each with at least SHARD_MIN trials and SHARD_WORK of the call's
+    `work` trial-moves, and at least one shard."""
+    k = min(trials // SHARD_MIN, work // SHARD_WORK)
+    if k > 1:  # only a call that could shard asks for the CPUs
+        k = min(k, _cpus())
+    k = max(1, k)
     return [(trials * i // k, trials * (i + 1) // k) for i in range(k)]
 
 
 def _child(run, lo, hi, out):
     """A forked shard's whole life.  It leaves through os._exit whatever
     happens, so it runs no atexit handler, flushes no buffer it inherited,
-    and never returns into the parent's code; an error's traceback goes
-    straight to file descriptor 2."""
+    and never returns into the parent's code.  An error's traceback goes
+    straight to file descriptor 2; an interrupt, which the parent gets
+    too, leaves quietly."""
     code = 1
     try:
         run(lo, hi, out)
         code = 0
-    except BaseException:
+    except Exception:
         import traceback
         os.write(2, traceback.format_exc().encode())
     finally:
         os._exit(code)
 
 
-def _fan_out(name, trials, run):
-    """Call run(lo, hi, out) once per shard of range(trials); each call
-    fills out[lo:hi] of the one int64 array returned, so results come in
-    trial order.
+def _fan_out(name, trials, work, run):
+    """Call run(lo, hi, out) once per shard of range(trials), a job of
+    about `work` trial-moves; each call fills out[lo:hi] of the one int64
+    array returned, so results come in trial order.
 
     Shard 0 runs in this process, every other one in a forked child that
     writes into an anonymous shared mapping.  A child runs only
@@ -140,7 +187,7 @@ def _fan_out(name, trials, run):
     not an answer.  Every child is reaped before return; one that failed
     raises RuntimeError naming the kernel.
     """
-    shards = _shards(trials)
+    shards = _shards(trials, work)
     out = (np.empty(trials, dtype=np.int64) if len(shards) == 1 else
            np.frombuffer(mmap.mmap(-1, 8 * trials), dtype=np.int64))
     local, children = shards[:1], []
@@ -175,7 +222,8 @@ def walk_returns_kernel(rowptr, cum, tgt, start, steps, s1s, s2s):
     width = np.diff(rowptr, append=cum.shape[0])
     path = np.empty(steps + 1, dtype=np.int64)
     path[0] = start
-    out = _fan_out("walk_returns_kernel", s1s.shape[0],
+    trials = s1s.shape[0]
+    out = _fan_out("walk_returns_kernel", trials, trials * steps,
                    partial(_walk_returns_range, rowptr, width, cum, tgt,
                            start, steps, s1s, s2s, path))
     return out, path
@@ -218,7 +266,9 @@ def walk_hitting_kernel(rowptr, cum, tgt, level_of, start, bot, top,
     if max_steps <= 0:
         return np.full(trials, -1, dtype=np.int64)
     width = np.diff(rowptr, append=cum.shape[0])
-    return _fan_out("walk_hitting_kernel", trials,
+    # the mean number of moves of an unbiased +-1 walk between the levels
+    moves = min(max_steps, (first - bot) * (top - first))
+    return _fan_out("walk_hitting_kernel", trials, trials * moves,
                     partial(_walk_hitting_range, rowptr, width, cum, tgt,
                             level_of, start, bot, top, max_steps, s1s, s2s))
 

@@ -54,8 +54,8 @@ def test_trial_seeds_match_integer_reference():
         assert int(s1[t]) == r1 and int(s2[t]) == r2
 
 
-# trial_seeds(seed, 2) at the parent commit, whose numpy scalar product
-# gave the same words with an overflow warning for these seeds
+# trial_seeds(seed, 2) as the former numpy scalar product gave them, with
+# an overflow warning for these seeds
 SEED_WORDS = {
     -3: ([626668895, 626709398], [1105696617, 1105765686]),
     -1: ([1640573293, 1640613796], [368797227, 368866296]),
@@ -67,12 +67,16 @@ SEED_WORDS = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(SEED_WORDS))
-def test_trial_seeds_wrap_without_warning(seed):
+@pytest.mark.parametrize("seed, words", [
+    *((s, s) for s in sorted(SEED_WORDS)),
+    (np.int64(7), 7), (np.uint64(7), 7), (np.int64(-3), -3),
+    (np.uint64(2 ** 63 + 5), 2 ** 63 + 5)])
+def test_trial_seeds_wrap_without_warning(seed, words):
+    # a numpy integer seed gives the words of the same Python int
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         s1, s2 = _accel.trial_seeds(seed, 2)
-    assert (s1.tolist(), s2.tolist()) == SEED_WORDS[seed]
+    assert (s1.tolist(), s2.tolist()) == SEED_WORDS[words]
 
 
 def test_generator_products_fit_int64():
@@ -205,8 +209,20 @@ def spy(monkeypatch, name):
 
 
 def cpus(monkeypatch, n):
-    """Make the kernels see n available CPUs."""
+    """Make the kernels see n available CPUs and no CPU quota."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(_accel, "_QUOTA_FILES", ())
+
+
+# shard size for the tests that compare shard counts, so that short walks
+# shard; the real thresholds are tested on their own
+SMALL = 1 << 12
+
+
+@pytest.fixture
+def small_shards(monkeypatch):
+    monkeypatch.setattr(_accel, "SHARD_MIN", SMALL)
+    monkeypatch.setattr(_accel, "SHARD_WORK", SMALL)
 
 
 def count_forks(monkeypatch, fail_at=None):
@@ -406,11 +422,11 @@ def test_chain_uneven_widths_matches_scalar_reference(monkeypatch, x0):
 
 # -- shards: forked children give the answers of one process -----------------
 
-# (trials, forks at 1, 2 and 3 CPUs): below, across and above SHARD_MIN,
+# (trials, forks at 1, 2 and 3 CPUs): below, across and above SMALL,
 # none a multiple of 2 or 3 shards, the last with shards over a BLOCK
-SHARD_TRIALS = [(_accel.SHARD_MIN - 1, [0, 0, 0]),
-                (2 * _accel.SHARD_MIN + 1, [0, 1, 1]),
-                (3 * _accel.SHARD_MIN + 1, [0, 1, 2]),
+SHARD_TRIALS = [(SMALL - 1, [0, 0, 0]),
+                (2 * SMALL + 1, [0, 1, 1]),
+                (3 * SMALL + 1, [0, 1, 2]),
                 (2 * _accel.BLOCK + 1, [0, 1, 2])]
 
 
@@ -431,6 +447,7 @@ def _sharded_calls(monkeypatch, call):
     return results, forks
 
 
+@pytest.mark.usefixtures("small_shards")
 @pytest.mark.parametrize("trials, want_forks", SHARD_TRIALS)
 def test_sharded_walk_equals_one_shard(monkeypatch, trials, want_forks):
     calls = spy(monkeypatch, "walk_returns_kernel")
@@ -444,6 +461,7 @@ def test_sharded_walk_equals_one_shard(monkeypatch, trials, want_forks):
     assert len({st.trace for st in stats}) == 1
 
 
+@pytest.mark.usefixtures("small_shards")
 @pytest.mark.parametrize("trials, want_forks", SHARD_TRIALS)
 @pytest.mark.parametrize("start, max_steps", [((4, 0), 6), ((8, 1), 6),
                                               ((4, 0), 0)])
@@ -467,9 +485,10 @@ def test_sharded_hitting_equals_one_shard(monkeypatch, trials, want_forks,
         assert forks == [0, 0, 0]
 
 
+@pytest.mark.usefixtures("small_shards")
 @pytest.mark.parametrize("fail_at", [0, 1])
 def test_fork_failure_runs_shards_in_process(monkeypatch, fail_at):
-    trials = 3 * _accel.SHARD_MIN + 1
+    trials = 3 * SMALL + 1
     cpus(monkeypatch, 1)
     want = walk_call(trials)()
     cpus(monkeypatch, 3)
@@ -480,14 +499,80 @@ def test_fork_failure_runs_shards_in_process(monkeypatch, fail_at):
     assert got.trace == want.trace
 
 
-def test_no_fork_below_two_shards(monkeypatch):
-    cpus(monkeypatch, 3)
+def forks_or_fail(monkeypatch, want):
+    """Count forks where some are wanted; otherwise a fork fails the test."""
+    if want:
+        return count_forks(monkeypatch)
     monkeypatch.setattr(
-        os, "fork", lambda: pytest.fail("forked for one shard of trials"))
-    st = walk_call(2 * _accel.SHARD_MIN - 1)()
-    assert st.returns.shape == (2 * _accel.SHARD_MIN - 1,)
+        os, "fork", lambda: pytest.fail("forked below the fork gate"))
+    return []
 
 
+# 2 shards need 2 * SHARD_MIN trials and 2 * SHARD_WORK trial-moves
+TWO = 2 * _accel.SHARD_MIN
+TWO_STEPS = 2 * _accel.SHARD_WORK // TWO
+
+
+@pytest.mark.parametrize("trials, steps, want_forks", [
+    (TWO - 1, 4 * TWO_STEPS, 0), (TWO, TWO_STEPS - 1, 0),
+    (TWO, TWO_STEPS, 1)])
+def test_walk_forks_only_for_enough_work(monkeypatch, trials, steps,
+                                         want_forks):
+    cpus(monkeypatch, 3)
+    forked = forks_or_fail(monkeypatch, want_forks)
+    st = lp.walk(allones_network(4), (1, 0), steps=steps, trials=trials,
+                 seed=3)
+    assert len(forked) == want_forks
+    assert st.returns.shape == (trials,)
+
+
+@pytest.mark.parametrize("start, max_steps, want_forks", [
+    ((15, 0), 10_000, 1),            # 15 * 15 moves expected
+    ((15, 0), TWO_STEPS, 1),         # capped by max_steps
+    ((15, 0), TWO_STEPS - 1, 0),
+    ((1, 0), 10_000, 0)])            # 1 * 29 moves expected
+def test_hitting_forks_only_for_enough_work(monkeypatch, start, max_steps,
+                                            want_forks):
+    cpus(monkeypatch, 3)
+    forked = forks_or_fail(monkeypatch, want_forks)
+    est = lp.hitting_probability(allones_network(30), start, trials=TWO,
+                                 seed=5, max_steps=max_steps)
+    assert len(forked) == want_forks
+    assert est.trials == TWO
+
+
+@pytest.mark.parametrize("n, quota, want", [(8, None, 8), (8, 3, 3),
+                                            (2, 3, 2), (1, None, 1)])
+def test_shards_capped_by_cpus_and_quota(monkeypatch, n, quota, want):
+    cpus(monkeypatch, n)
+    monkeypatch.setattr(_accel, "_cpu_quota", lambda: quota)
+    big = 16 * _accel.SHARD_MIN
+    shards = _accel._shards(big, 16 * _accel.SHARD_WORK)
+    assert len(shards) == want
+    assert shards[0][0] == 0 and shards[-1][1] == big
+    assert all(a[1] == b[0] for a, b in zip(shards, shards[1:]))
+    assert len(_accel._shards(big, 2 * _accel.SHARD_WORK)) == min(want, 2)
+
+
+@pytest.mark.parametrize("texts, want", [
+    (["200000 100000\n"], 2), (["150000 100000\n"], 1),
+    (["50000 100000\n"], 1), (["max 100000\n"], None),
+    (["250000\n", "100000\n"], 2), (["-1\n", "100000\n"], None),
+    ([], None)])
+def test_cpu_quota_reads_cgroup_files(monkeypatch, tmp_path, texts, want):
+    # cgroup v2 keeps quota and period in one file, v1 in two; a missing
+    # file moves on to the next layout
+    names = []
+    for i, text in enumerate(texts):
+        (tmp_path / str(i)).write_text(text)
+        names.append(str(tmp_path / str(i)))
+    missing = (str(tmp_path / "missing"),)
+    monkeypatch.setattr(_accel, "_QUOTA_FILES",
+                        (missing, tuple(names) or missing))
+    assert _accel._cpu_quota() == want
+
+
+@pytest.mark.usefixtures("small_shards")
 @pytest.mark.parametrize("kernel, rng", [
     ("walk_returns_kernel", "_walk_returns_range"),
     ("walk_hitting_kernel", "_walk_hitting_range")])
@@ -502,7 +587,7 @@ def test_failing_child_raises_and_is_reaped(monkeypatch, capfd, kernel,
             raise ValueError(f"shard at {lo} fails")
         return real(*args)
     monkeypatch.setattr(_accel, rng, failing)
-    trials = 2 * _accel.SHARD_MIN + 1
+    trials = 2 * SMALL + 1
     net = allones_network(4)
     with pytest.raises(RuntimeError, match=kernel):
         if kernel == "walk_returns_kernel":
@@ -514,3 +599,22 @@ def test_failing_child_raises_and_is_reaped(monkeypatch, capfd, kernel,
     out, err = capfd.readouterr()
     assert out == ""
     assert f"shard at {trials // 2} fails" in err
+
+
+@pytest.mark.usefixtures("small_shards")
+def test_interrupted_child_exits_quietly(monkeypatch, capfd):
+    # Ctrl-C reaches every process of the group and the parent reports
+    # it, so a child leaves without a traceback of its own
+    cpus(monkeypatch, 2)
+    real = _accel._walk_returns_range
+
+    def interrupted(*args):
+        if args[-3] > 0:
+            raise KeyboardInterrupt
+        return real(*args)
+    monkeypatch.setattr(_accel, "_walk_returns_range", interrupted)
+    with pytest.raises(RuntimeError, match="walk_returns_kernel"):
+        walk_call(2 * SMALL + 1)()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert capfd.readouterr() == ("", "")
