@@ -1,4 +1,4 @@
-"""Lockstep numpy kernels for random-walk and path sampling.
+"""Lockstep numpy sampling on the one move-table layout every sampler walks.
 
 The RNG is a combined multiplicative congruential generator (L'Ecuyer
 1988).  Each trial owns its own stream, derived affinely from (seed, trial
@@ -22,9 +22,9 @@ in-process: its jobs are too short to repay a fork.
 
 In each process at most BLOCK trials walk at once, which bounds that
 process's working memory independently of the trial count.  Fixed-length
-walks run block after block; absorbed walks share one pool that a finished
-trial's slot refills from the unstarted ones of its shard.  Results depend
-on none of this, because every trial has its own stream.
+walks and chains run block after block (_lockstep); absorbed walks share
+one pool that a finished trial's slot refills from the unstarted ones of
+its shard.  Results depend on none of this: every trial has its stream.
 """
 from __future__ import annotations
 
@@ -96,20 +96,55 @@ def _uniform(s1: np.ndarray, s2: np.ndarray, t: np.ndarray) -> np.ndarray:
     return u
 
 
-def _scan(cum, j, u, longest):
-    """Inverse-CDF scan: advance each cursor j (in place) while
-    u >= cum[j].  A cursor stops at the first entry above u and stays
-    there, and every row ends in 1.0 > u, so longest - 1 passes stop
-    every cursor within its row, longest being the longest of their rows."""
-    for _ in range(longest - 1):
-        j += u >= cum[j]
-    return j
-
-
 def _move(rowptr, width, cum, tgt, state, s1, s2, t):
-    """One step of the flattened chain for every trial in the arrays."""
-    return tgt[_scan(cum, rowptr[state], _uniform(s1, s2, t),
-                     int(width[state].max()))]
+    """One inverse-CDF step for every trial in the arrays.  Every row ends
+    in 1.0 > u, so the longest row's length - 1 passes stop every cursor."""
+    j = rowptr[state]
+    u = _uniform(s1, s2, t)
+    for _ in range(int(width[state].max()) - 1):
+        j += u >= cum[j]
+    return tgt[j]
+
+
+def move_table(levels):
+    """The move table of a level-by-level chain; no other module builds
+    one.  `levels` yields (size, state, prob, dest) per level: move i goes
+    from the level's state[i] (0..size-1) to dest[i], counting all levels'
+    states in turn, with probability prob[i].  Returns (rowptr, cum, tgt):
+    state g's moves start at rowptr[g], in given order; cum rows end in 1.0."""
+    rowptr, cum, tgt = [], [], []
+    base = 0
+    for size, state, prob, dest in levels:
+        order = np.argsort(state, kind="stable")
+        state, prob, dest = state[order], prob[order], dest[order]
+        counts = np.bincount(state, minlength=size)
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+        col = np.arange(len(state)) - ptr[state]
+        # one padded row per state, so each cumulative sum stays sequential
+        pad = np.zeros((size, int(counts.max())))
+        pad[state, col] = prob
+        acc = np.cumsum(pad, axis=1)[state, col]
+        acc[ptr[1:] - 1] = 1.0
+        rowptr.append(base + ptr[:-1])
+        cum.append(acc)
+        tgt.append(dest)
+        base += len(state)
+    return (np.concatenate(rowptr).astype(np.int64), np.concatenate(cum),
+            np.concatenate(tgt).astype(np.int64))
+
+
+def _lockstep(rowptr, cum, tgt, start, steps, s1s, s2s, lo, hi):
+    """Trials lo..hi-1 walk `steps` moves each from `start`, BLOCK at a
+    time: yields (b, k, states after move k) for the block from trial b."""
+    width = np.diff(rowptr, append=cum.shape[0])
+    for b in range(lo, hi, BLOCK):
+        e = min(b + BLOCK, hi)
+        s1, s2 = _words(s1s[b:e]), _words(s2s[b:e])
+        t = np.empty_like(s1)
+        state = np.full(s1.shape[0], start, dtype=np.int64)
+        for k in range(steps):
+            state = _move(rowptr, width, cum, tgt, state, s1, s2, t)
+            yield b, k, state
 
 
 def _words(s: np.ndarray) -> np.ndarray:
@@ -219,33 +254,25 @@ def walk_returns_kernel(rowptr, cum, tgt, start, steps, s1s, s2s):
     Returns (returns per trial, trial 0's states), the second of length
     steps + 1 starting at `start`.
     """
-    width = np.diff(rowptr, append=cum.shape[0])
     path = np.empty(steps + 1, dtype=np.int64)
     path[0] = start
     trials = s1s.shape[0]
     out = _fan_out("walk_returns_kernel", trials, trials * steps,
-                   partial(_walk_returns_range, rowptr, width, cum, tgt,
-                           start, steps, s1s, s2s, path))
+                   partial(_walk_returns_range, rowptr, cum, tgt, start,
+                           steps, s1s, s2s, path))
     return out, path
 
 
-def _walk_returns_range(rowptr, width, cum, tgt, start, steps, s1s, s2s,
-                        path, lo, hi, out):
+def _walk_returns_range(rowptr, cum, tgt, start, steps, s1s, s2s, path,
+                        lo, hi, out):
     """Trials lo..hi-1 of walk_returns_kernel, block after block: their
     returns into out[lo:hi], and trial 0's states into path if lo is 0."""
     out[lo:hi] = 0
-    for b in range(lo, hi, BLOCK):
-        e = min(b + BLOCK, hi)
-        s1 = _words(s1s[b:e])
-        s2 = _words(s2s[b:e])
-        t = np.empty_like(s1)
-        state = np.full(e - b, start, dtype=np.int64)
-        cnt = out[b:e]
-        for k in range(steps):
-            state = _move(rowptr, width, cum, tgt, state, s1, s2, t)
-            cnt += state == start
-            if b == 0:
-                path[k + 1] = state[0]
+    for b, k, state in _lockstep(rowptr, cum, tgt, start, steps, s1s, s2s,
+                                 lo, hi):
+        out[b:b + state.shape[0]] += state == start
+        if b == 0:
+            path[k + 1] = state[0]
 
 
 def walk_hitting_kernel(rowptr, cum, tgt, level_of, start, bot, top,
@@ -315,25 +342,17 @@ def _walk_hitting_range(rowptr, width, cum, tgt, level_of, start, bot, top,
             t = t[:idx.shape[0]]
 
 
-def sample_chain_kernel(cumflat, rowstart, strides, x0, depth, ncyl,
+def sample_chain_kernel(rowptr, cum, tgt, offsets, strides, x0, ncyl,
                         s1s, s2s):
-    """Depth-step Markov chain over cell kernels; counts mixed-radix
-    cylinder indices.  rowstart[k, i] locates the cumulative row of cell i
-    at step k; strides give each step's positional weight in the index,
-    so step k's rows have ncyl // strides[0] cells at k = 0 and
-    strides[k - 1] // strides[k] after."""
-    widths = np.concatenate(([ncyl], strides[:-1])) // strides
+    """Cylinder counts of a chain whose move table takes the cells of space
+    k, table-wide states offsets[k] on, to those of space k + 1.  Every
+    trial moves len(strides) times from cell x0; its cylinder index is the
+    sum over steps k of (state - offsets[k + 1]) * strides[k]."""
     counts = np.zeros(ncyl, dtype=np.int64)
-    for lo in range(0, s1s.shape[0], BLOCK):
-        s1 = _words(s1s[lo:lo + BLOCK])
-        s2 = _words(s2s[lo:lo + BLOCK])
-        t = np.empty_like(s1)
-        cell = np.full(s1.shape[0], x0, dtype=np.int64)
-        idx = np.zeros(s1.shape[0], dtype=np.int64)
-        for k in range(depth):
-            base = rowstart[k, cell]
-            cell = _scan(cumflat, base.copy(), _uniform(s1, s2, t),
-                         int(widths[k])) - base
-            idx += cell * strides[k]
-        counts += np.bincount(idx, minlength=ncyl)
+    for _, k, state in _lockstep(rowptr, cum, tgt, x0, len(strides), s1s,
+                                 s2s, 0, s1s.shape[0]):
+        cell = (state - offsets[k + 1]) * strides[k]
+        idx = cell if k == 0 else idx + cell
+        if k == len(strides) - 1:
+            counts += np.bincount(idx, minlength=ncyl)
     return counts

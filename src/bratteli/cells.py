@@ -114,8 +114,9 @@ class CellKernel:
     def row_mass(self, exact: bool | None = None) -> np.ndarray:
         return self.array(exact).sum(axis=1)
 
-    def is_probability(self, tol: float = 1e-12) -> bool:
-        return all(abs(float(s) - 1.0) <= tol for s in self.row_mass())
+    def is_probability(self) -> bool:
+        """Every row sums to 1 within 1e-12."""
+        return all(abs(float(s) - 1.0) <= 1e-12 for s in self.row_mass())
 
 
 def kernel_from(matrix) -> CellKernel:
@@ -162,7 +163,7 @@ class ProductMeasure:
 
 # ---------------------------------------------------------------- duality
 
-def dual_kernel(nu1: CellSpace, P: CellKernel, exact: bool | None = None
+def dual_kernel(nu1: CellSpace, P: CellKernel
                 ) -> tuple[ProductMeasure, CellSpace, CellKernel]:
     """The product measure and dual kernel determined by (nu1, P).
 
@@ -178,8 +179,7 @@ def dual_kernel(nu1: CellSpace, P: CellKernel, exact: bool | None = None
     if P.shape[0] != nu1.m:
         raise DimensionMismatch(
             f"kernel has {P.shape[0]} rows for {nu1.m} cells")
-    if exact is None:
-        exact = nu1.exact and P.exact
+    exact = nu1.exact and P.exact
     nu = nu1.nu(exact)
     K = P.array(exact)
     mass = K.sum(axis=1)
@@ -347,9 +347,12 @@ class FactorizationReport:
     basis: str
 
 
+FACTOR_TOL = 1e-10   # relative asymmetry and negative spectrum allowed
+RANK_TOL = 1e-12     # eigenvalues below this share of the largest drop
+
+
 def factorization_check(R_hat, nu1: CellSpace, basis: str = "natural",
-                        seed: int = 0, rank_tol: float = 1e-12,
-                        tol: float = 1e-10) -> FactorizationReport:
+                        seed: int = 0) -> FactorizationReport:
     """Factor a weighted-self-adjoint PSD operator through a dual pair.
 
     R_hat (m1 x m1) must be self-adjoint in the nu1-weighted inner
@@ -372,17 +375,17 @@ def factorization_check(R_hat, nu1: CellSpace, basis: str = "natural",
     W = R / nu[None, :]
     scale = max(float(np.abs(W).max()), 1e-300)
     asym = float(np.abs(W - W.T).max())
-    if asym > tol * scale:
+    if asym > FACTOR_TOL * scale:
         raise NotPSD("operator is not self-adjoint in the weighted inner "
                      f"product (asymmetry {asym:.3e})", asym)
     W = 0.5 * (W + W.T)
     sig, U = np.linalg.eigh(W)
-    if sig[0] < -tol * max(sig[-1], 1.0):
+    if sig[0] < -FACTOR_TOL * max(sig[-1], 1.0):
         raise NotPSD(f"negative spectrum: min eigenvalue {sig[0]:.3e}",
                      float(sig[0]))
     sig = np.clip(sig, 0.0, None)[::-1]
     U = U[:, ::-1]
-    keep = sig > rank_tol * max(sig[0], 1e-300)
+    keep = sig > RANK_TOL * max(sig[0], 1e-300)
     if not keep.any():
         raise ZeroTotalMass("operator is numerically zero")
     r = int(keep.sum())
@@ -454,37 +457,34 @@ def path_measure_sample(spaces: Sequence[CellSpace],
     against the exact tensor contraction.
 
     max_z is the largest |empirical - exact| in units of the binomial
-    standard error; tv_distance the total-variation gap.  Per-trial seed
-    streams make the counts reproducible.
+    standard error; tv_distance the total-variation gap.  The trials walk
+    a move table, and per-trial seed streams make the counts reproducible.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     _chain_shapes(spaces, kernels, depth)
+    if not 0 <= x0 < spaces[0].m:
+        raise DimensionMismatch(f"start cell {x0} is not a cell of space 0")
     exact = exact_cylinders(spaces, kernels, x0, depth)
     if depth == 0:
         one = np.array([trials], dtype=np.int64)
         return SampleReport(one, np.array([1.0]), trials, 0, (), 0.0, 0.0)
-    shape = tuple(spaces[k + 1].m for k in range(depth))
-    widest = max(spaces[k].m for k in range(depth))
-    rowstart = np.zeros((depth, widest), dtype=np.int64)
-    cum_parts = []
-    offset = 0
-    for k in range(depth):
-        K = kernels[k].array(False)
-        acc = np.cumsum(K, axis=1)
-        acc[:, -1] = 1.0
-        for i in range(spaces[k].m):
-            rowstart[k, i] = offset
-            offset += shape[k]
-        cum_parts.append(acc.ravel())
-    cumflat = np.concatenate(cum_parts)
+    sizes = [s.m for s in spaces[:depth + 1]]
+    shape = tuple(sizes[1:])
+    # cells of space k move to those of k + 1; zero entries are moves too,
+    # so each row's cumulative sums are those of np.cumsum(K, axis=1)
+    offsets = np.cumsum([0] + sizes)
+    rowptr, cum, tgt = _accel.move_table(
+        (m, np.repeat(np.arange(m), w), kernels[k].array(False).ravel(),
+         offsets[k + 1] + np.tile(np.arange(w), m))
+        for k, (m, w) in enumerate(zip(sizes, shape)))
     strides = np.ones(depth, dtype=np.int64)
     for k in range(depth - 2, -1, -1):
         strides[k] = strides[k + 1] * shape[k + 1]
     ncyl = int(np.prod(shape))
     s1s, s2s = _accel.trial_seeds(seed, trials)
-    counts = _accel.sample_chain_kernel(cumflat, rowstart, strides, x0, depth,
-                                        ncyl, s1s, s2s)
+    counts = _accel.sample_chain_kernel(rowptr, cum, tgt, offsets, strides,
+                                        x0, ncyl, s1s, s2s)
     emp = counts / trials
     p = exact.ravel()
     se = np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / trials)
@@ -532,6 +532,8 @@ def chain_network(spaces: Sequence[CellSpace],
     otherwise the dual is not stochastic and no reversible network exists.
     """
     depth = len(kernels)
+    if depth == 0:
+        raise DimensionMismatch("a chain network needs at least one kernel")
     _chain_shapes(spaces, kernels, depth)
     nus = [s.nu(False) for s in spaces[:depth + 1]]
     mats, Ks = [], []

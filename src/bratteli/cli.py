@@ -453,6 +453,16 @@ def cmd_check(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+def non_negative(text: str) -> int:
+    """An integer argument of at least 0, such as check's --seed, which
+    seeds numpy's default_rng."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="bratteli",
@@ -488,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "kernels", "all"])
     pc.add_argument("--depth", type=int, default=None)
     pc.add_argument("--tol", type=float, default=1e-10)
-    pc.add_argument("--seed", type=int, default=0)
+    pc.add_argument("--seed", type=non_negative, default=0)
     pc.add_argument("--format", choices=["text", "json"], default="text")
     pc.set_defaults(func=cmd_check)
     return p

@@ -731,9 +731,10 @@ def vershik_successor(d: Diagram, order: EdgeOrder, p: FinitePath):
     return None
 
 
-def vershik_orbit(d: Diagram, order: EdgeOrder, start: FinitePath,
-                  limit: int = DEFAULT_PATH_CAP) -> list[FinitePath]:
-    """Iterate the successor from ``start`` until the maximal path."""
+def vershik_orbit(d: Diagram, order: EdgeOrder, start: FinitePath
+                  ) -> list[FinitePath]:
+    """Iterate the successor from ``start`` until the maximal path; more
+    than DEFAULT_PATH_CAP paths raise TooManyPaths."""
     out = [start]
     cur = start
     while True:
@@ -742,5 +743,5 @@ def vershik_orbit(d: Diagram, order: EdgeOrder, start: FinitePath,
             return out
         out.append(nxt)
         cur = nxt
-        if len(out) > limit:
-            raise TooManyPaths(limit, f">{limit}")
+        if len(out) > DEFAULT_PATH_CAP:
+            raise TooManyPaths(DEFAULT_PATH_CAP, f">{DEFAULT_PATH_CAP}")

@@ -21,12 +21,12 @@ as edge values, and every level loop here builds its level's dense
 ``hk.phat[n]`` / ``hk.qhat[n]`` once, uses it, and drops it.  energy_norm
 also takes a batch of functions, one (B, m_n) array per level, and
 builds each level's kernel once for the whole batch; every function's
-energies keep the bits they have alone.  The walk's move table reads the
-edge values directly.  solve_harmonic still keeps every elimination
-block G_n, so its memory grows as depth x m^2.
+energies keep the bits they have alone.  The walk's move table and
+build_network's balance test read the edge values directly.  solve_harmonic
+still keeps every elimination block G_n, so its memory grows as depth x m^2.
 
-The random walk runs on the flattened state space with the lockstep
-kernels from _accel; per-trial seeds fix every trajectory exactly.
+The random walk runs on a move table of all (level, vertex) states with
+the lockstep kernels from _accel; per-trial seeds fix every trajectory.
 """
 from __future__ import annotations
 
@@ -95,10 +95,11 @@ BALANCE_TOL = 1e-12   # relative gap allowed between the two balance sides
 def build_network(hk: HatKernels) -> WeightedNetwork:
     """Vertex masses from the kernel pair, with the symmetry check.
 
-    The conductance c_n(v, u) is computed from both detailed-balance sides
-    independently; a relative mismatch beyond BALANCE_TOL means the
-    supplied kernels are not a dual pair and raises BalanceViolation.  The
-    conductances themselves are not kept: each level's row sums go to the
+    The conductance c_n(v, u) is computed on the edges from both
+    detailed-balance sides independently; a relative mismatch beyond
+    BALANCE_TOL means the supplied kernels are not a dual pair and raises
+    BalanceViolation.  The conductances themselves are not kept: each
+    level's are scattered into one dense array, whose row sums go to the
     masses of V_n and its column sums to those of V_{n+1}.  On two-sided
     levels the masses reproduce q^(n) and the worst deviation is kept as a
     diagnostic.
@@ -107,18 +108,23 @@ def build_network(hk: HatKernels) -> WeightedNetwork:
         raise DimensionMismatch("a network needs at least two levels")
     masses = [np.zeros(len(q)) for q in hk.q]
     for n in range(hk.depth):
-        up = 0.5 * hk.q[n][:, None] * hk.phat[n]
-        down = 0.5 * (hk.q[n + 1][:, None] * hk.qhat[n]).T
+        c = hk.diagram.F(n).csr
+        up = 0.5 * hk.q[n][c.indices] * hk.phat_values[n]
+        down = 0.5 * (hk.q[n + 1][c.rows] * hk.qhat_values[n])
         delta = np.abs(up - down)
         scale = np.maximum(np.abs(up), 1e-300)
         if (delta > BALANCE_TOL * scale).any():
-            v, u = np.unravel_index(int(np.argmax(delta / scale)), up.shape)
-            verts_lo = hk.diagram.vertices(n)
-            verts_hi = hk.diagram.vertices(n + 1)
-            raise BalanceViolation(n, int(verts_lo[v]), int(verts_hi[u]),
-                                   float(delta[v, u]))
-        masses[n] += up.sum(axis=1)
-        masses[n + 1] += up.sum(axis=0)
+            # the first worst edge in (source, target) order, the
+            # row-major order of a sources x targets array
+            e = c.colperm[int(np.argmax((delta / scale)[c.colperm]))]
+            v, u = c.indices[e], c.rows[e]
+            raise BalanceViolation(n, int(hk.diagram.vertices(n)[v]),
+                                   int(hk.diagram.vertices(n + 1)[u]),
+                                   float(delta[e]))
+        dense = np.zeros((len(hk.q[n]), len(hk.q[n + 1])))
+        dense[c.indices, c.rows] = up
+        masses[n] += dense.sum(axis=1)
+        masses[n + 1] += dense.sum(axis=0)
     dev = 0.0
     for n in range(1, hk.depth):
         dev = max(dev, float(np.abs(masses[n] - hk.q[n]).max()
@@ -339,12 +345,12 @@ class HittingEstimate:
 
 
 def _flatten(net: WeightedNetwork):
-    """CSR-like move table of the M-chain over all (level, vertex) states.
+    """The move table of the M-chain over all (level, vertex) states.
 
     State (n, i) moves up along column i of F(n), targets ascending, with
     P-hat weights, then down along row i of F(n-1), sources ascending, with
     Q-hat weights; a move of weight 0 is dropped.  Each state's cumulative
-    sums run in that order, with the last forced to 1.
+    sums run in that order (see _accel.move_table).
     """
     hk = net.kernels
     d = hk.diagram
@@ -353,9 +359,8 @@ def _flatten(net: WeightedNetwork):
     level_of = np.concatenate([np.full(s, n, dtype=np.int64)
                                for n, s in enumerate(sizes)])
     N = net.depth
-    rowptr, cum, tgt = [], [], []
-    base = 0
-    for n, s in enumerate(sizes):
+
+    def level(n, s):
         parts = []   # (state, kernel value, destination, weight) per side
         if n < N:
             c = d.F(n).csr
@@ -368,23 +373,10 @@ def _flatten(net: WeightedNetwork):
                           offsets[n - 1] + c.indices, 1.0 if n == N else 0.5))
         state, val, dest, prob = (np.concatenate(x) for x in zip(*[
             (i, v, t, w * v) for i, v, t, w in parts]))
-        keep = np.flatnonzero(val != 0)
-        keep = keep[np.argsort(state[keep], kind="stable")]
-        state, prob, dest = state[keep], prob[keep], dest[keep]
-        counts = np.bincount(state, minlength=s)
-        ptr = np.concatenate(([0], np.cumsum(counts)))
-        col = np.arange(len(state)) - ptr[state]
-        # one padded row per state, so each cumulative sum stays sequential
-        pad = np.zeros((s, int(counts.max())))
-        pad[state, col] = prob
-        acc = np.cumsum(pad, axis=1)[state, col]
-        acc[ptr[1:] - 1] = 1.0
-        rowptr.append(base + ptr[:-1])
-        cum.append(acc)
-        tgt.append(dest)
-        base += len(state)
-    return (np.concatenate(rowptr).astype(np.int64),
-            np.concatenate(cum), np.concatenate(tgt).astype(np.int64),
+        keep = val != 0
+        return s, state[keep], prob[keep], dest[keep]
+
+    return (*_accel.move_table(level(n, s) for n, s in enumerate(sizes)),
             level_of, offsets)
 
 

@@ -155,8 +155,7 @@ class InvarianceReport:
 
 
 def verify_tail_invariance(d: Diagram, m: MeasureSequence,
-                           tol: float = 1e-10, eps: float = 1e-300
-                           ) -> InvarianceReport:
+                           tol: float = 1e-10) -> InvarianceReport:
     """Per-level relative l1 residuals of A_n mu^(n+1) = mu^(n).
 
     Rows whose incidence column was clipped by the window are excluded
@@ -173,7 +172,7 @@ def verify_tail_invariance(d: Diagram, m: MeasureSequence,
         mask = F.interior_cols()
         diff = A @ m.vectors[n + 1] - m.vectors[n]
         num = float(np.abs(diff[mask]).sum())
-        den = max(float(np.abs(m.vectors[n][mask]).sum()), eps)
+        den = max(float(np.abs(m.vectors[n][mask]).sum()), 1e-300)
         residuals.append(num / den if not zero else 0.0)
     passed = all(r < tol for r in residuals)
     return InvarianceReport(tuple(residuals), passed, zero, tol)
@@ -318,13 +317,12 @@ class TowerReport:
     probability: bool
 
 
-def tower_masses(d: Diagram, m: MeasureSequence, tol: float = 1e-10
-                 ) -> TowerReport:
+def tower_masses(d: Diagram, m: MeasureSequence) -> TowerReport:
     """s^(n)_v = mu^(n)_v H^(n)_v plus a check of s^(n+1) Fhat_n = s^(n).
 
     The level sums of s are the total path-space mass and are constant in n
     for an exactly tail-invariant measure; probability=True when they sit
-    at 1 within tol.
+    at 1 within 1e-10.
     """
     if m.kind != "CylinderValues":
         raise DimensionMismatch("tower masses start from CylinderValues")
@@ -341,6 +339,6 @@ def tower_masses(d: Diagram, m: MeasureSequence, tol: float = 1e-10
         den = max(float(np.abs(svecs[n][mask]).sum()), 1e-300)
         residuals.append(float(np.abs(diff[mask]).sum()) / den)
     sums = tuple(float(s.sum()) for s in svecs)
-    prob = all(abs(x - 1.0) < tol for x in sums)
+    prob = all(abs(x - 1.0) < 1e-10 for x in sums)
     masses = MeasureSequence(tuple(svecs), "TowerMasses", dict(m.meta))
     return TowerReport(masses, tuple(residuals), sums, prob)

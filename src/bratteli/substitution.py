@@ -104,13 +104,14 @@ def nat_length_two() -> Substitution:
 
 # ---------------------------------------------------------------- operations
 
-def substitution_matrix(s: Substitution, window=None,
-                        level: int = 0) -> dg.IncidenceMatrix:
+def substitution_matrix(s: Substitution, window=None
+                        ) -> dg.IncidenceMatrix:
     """Occurrence-count matrix: entry (a, b) = #occurrences of b in image(a).
 
     Finite alphabets ignore ``window`` (positions follow ``s.letters``);
     band rules are materialized on the given window, dropping letters that
-    leave it (windowed truncation).
+    leave it (windowed truncation).  The matrix is level 0's; stationary
+    diagrams repeat it.
     """
     is_const, clen = constant_length(s)
     if s.offsets_word is None:
@@ -125,7 +126,7 @@ def substitution_matrix(s: Substitution, window=None,
                 key = (pos[a], pos[b])
                 entries[key] = entries.get(key, 0) + 1
         win = dg.Window(0, len(letters) - 1)
-        return dg.IncidenceMatrix(level, entries, win, win,
+        return dg.IncidenceMatrix(0, entries, win, win,
                                   row_sum_claim=clen if is_const else None)
 
     if window is None:
@@ -165,7 +166,7 @@ def substitution_matrix(s: Substitution, window=None,
         # pure band rule on Z: every row is the shifted offset word
         band = tuple(sorted(band_counts.items()))
     return dg.IncidenceMatrix(
-        level, entries, win, win, band=band,
+        0, entries, win, win, band=band,
         row_sum_claim=len(s.offsets_word) if is_const else None,
         col_sum_claim=len(s.offsets_word) if band is not None else None,
         exterior_rows=frozenset(ext_rows) if ext_rows else None,

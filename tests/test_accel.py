@@ -178,19 +178,14 @@ def ref_hitting(*args):
     return [res for res, _ in ref_hitting_moves(*args)]
 
 
-def ref_chain(cumflat, rowstart, strides, x0, depth, ncyl, s1s, s2s, widths):
-    """Cylinder counts; the scan also stops at the row end, widths[k]."""
+def ref_chain(rowptr, cum, tgt, offsets, strides, x0, ncyl, s1s, s2s):
+    """Cylinder counts, one trial at a time over the move table."""
     counts = [0] * ncyl
     for s1, s2 in zip(s1s.tolist(), s2s.tolist()):
-        cell, idx = int(x0), 0
-        for k in range(depth):
-            s1, s2, u = _next(s1, s2)
-            base = int(rowstart[k, cell])
-            j, end = base, base + widths[k]
-            while j < end - 1 and u >= cumflat[j]:
-                j += 1
-            cell = j - base
-            idx += cell * int(strides[k])
+        state, idx = int(x0), 0
+        for k in range(len(strides)):
+            state, s1, s2 = _step(rowptr, cum, tgt, state, s1, s2)
+            idx += (state - int(offsets[k + 1])) * int(strides[k])
         counts[idx] += 1
     return counts
 
@@ -397,10 +392,47 @@ def _check_chain(monkeypatch, spaces, kernels, x0, depth, trials, seed):
     rep = cl.path_measure_sample(spaces, kernels, x0, depth, seed=seed,
                                  trials=trials)
     (args, counts), = calls
-    widths = [s.m for s in spaces[1:depth + 1]]
-    assert counts.tolist() == ref_chain(*args, widths)
+    assert counts.tolist() == ref_chain(*args)
     assert int(rep.counts.sum()) == trials
     return rep
+
+
+# frozen path_measure_sample counts: kernel_chain() from cell 1, depth 3,
+# seed 4, BLOCK + 500 trials, and uneven_chain() from cell 0, depth 3,
+# seed 21, 3000 trials
+CHAIN_COUNTS = [1228, 130, 1634, 3762, 4557, 514, 1508, 3551]
+UNEVEN_COUNTS = [71, 111, 190, 376, 0, 0, 0, 0, 0, 229, 226, 296,
+                 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                 126, 182, 294, 447, 0, 0, 0, 156, 148, 43, 40, 65]
+
+
+def test_chain_counts_frozen_oracle():
+    spaces, ks = kernel_chain()
+    rep = cl.path_measure_sample(spaces, ks, 1, 3, seed=4,
+                                 trials=_accel.BLOCK + 500)
+    assert rep.counts.ravel().tolist() == CHAIN_COUNTS
+    spaces, ks = uneven_chain()
+    rep = cl.path_measure_sample(spaces, ks, 0, 3, seed=21, trials=3000)
+    assert rep.counts.ravel().tolist() == UNEVEN_COUNTS
+
+
+@pytest.mark.parametrize("chain", [kernel_chain, uneven_chain])
+def test_chain_table_rows_are_kernel_cumsums(monkeypatch, chain):
+    # every kernel entry is a move, zeros included, so each cell's row is
+    # np.cumsum of its kernel row with the last entry forced to 1.0
+    spaces, ks = chain()
+    calls = spy(monkeypatch, "sample_chain_kernel")
+    cl.path_measure_sample(spaces, ks, 0, len(ks), trials=10)
+    (args, _), = calls
+    rowptr, cum, tgt, offsets = args[:4]
+    for k, K in enumerate(ks):
+        acc = np.cumsum(K.array(False), axis=1)
+        acc[:, -1] = 1.0
+        cells = list(range(offsets[k + 1], offsets[k + 2]))
+        for i, row in enumerate(acc):
+            j = rowptr[offsets[k] + i]
+            assert cum[j:j + len(row)].tolist() == row.tolist()
+            assert tgt[j:j + len(row)].tolist() == cells
 
 
 def test_chain_matches_scalar_reference(monkeypatch):

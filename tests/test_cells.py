@@ -308,6 +308,13 @@ def test_sampler_rejects_empty_runs(depth, trials):
         cl.path_measure_sample(spaces, kernels, 0, depth, trials=trials)
 
 
+@pytest.mark.parametrize("x0", [-1, 2])
+def test_sampler_rejects_a_start_outside_space_zero(x0):
+    spaces, kernels = two_cell_chain(2)
+    with pytest.raises(cl.DimensionMismatch, match="start cell"):
+        cl.path_measure_sample(spaces, kernels, x0, 2, trials=10)
+
+
 def test_start_cell_variation_constant_chain_is_zero():
     nu2 = (0.25, 0.75)
     spaces = [cl.CellSpace((0.5, 0.5)), cl.CellSpace(nu2)]
@@ -389,6 +396,11 @@ def test_chain_network_rejects_inconsistent_masses():
     broken[1] = cl.CellSpace((0.9, 0.1))
     with pytest.raises(ValueError):
         cl.chain_network(broken, kernels)
+
+
+def test_chain_network_needs_a_kernel():
+    with pytest.raises(cl.DimensionMismatch, match="at least one kernel"):
+        cl.chain_network([cl.CellSpace((1.0,))], [])
 
 
 def test_chain_energy_doubles_network_energy():

@@ -606,6 +606,28 @@ def test_bad_choice_value_is_usage_error(capsys):
     assert ei.value.code == 2
 
 
+def test_negative_check_seed_is_usage_error(capsys):
+    # numpy's default_rng takes no negative seed; analyze's walk seeds do
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["check", ALLONES, "--seed", "-1"])
+    assert ei.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
+    rc, _ = run(capsys, "check", ALLONES, "--seed", "0")
+    assert rc == 0
+
+
+def test_check_empty_kernel_chain_names_the_chain(capsys, tmp_path):
+    p = _spec(tmp_path, "empty_chain.json", {
+        "matrix": [[1]], "depth": 2,
+        "kernels": {"nu0": [1.0], "chain": []}})
+    rc, d = run_json(capsys, "check", p, "--suite", "kernels",
+                     "--format", "json")
+    assert rc == 1
+    assert d["error"] == {"kind": "DimensionMismatch",
+                          "detail": "a chain network needs at least one "
+                                    "kernel"}
+
+
 def test_operators_suite_holds_one_level_of_dense_kernels(tmp_path):
     """check --suite operators on a 401-vertex band at depth 20 keeps at
     most a few levels' dense kernel pairs alive at once, not one per

@@ -76,11 +76,58 @@ def two_pass_masses(hk):
 
 
 def test_random_networks_build():
-    for seed in (0, 4, 8):
+    for seed in range(12):
         net = lp.build_network(mk.dual_kernels(random_system(seed)))
         assert net.mass_vs_q_dev < 1e-12
         for got, want in zip(net.vertex_mass, two_pass_masses(net.kernels)):
             assert np.array_equal(got, want)
+
+
+def dense_violation(hk):
+    """(level, v, u, delta) of the first level whose dense conductance
+    sides disagree: both scattered to m_n x m_{n+1} arrays, the worst
+    relative gap taken by argmax in C order; None for a dual pair."""
+    for n in range(hk.depth):
+        up = 0.5 * hk.q[n][:, None] * hk.phat[n]
+        down = 0.5 * (hk.q[n + 1][:, None] * hk.qhat[n]).T
+        delta = np.abs(up - down)
+        scale = np.maximum(np.abs(up), 1e-300)
+        if (delta > lp.BALANCE_TOL * scale).any():
+            v, u = np.unravel_index(int(np.argmax(delta / scale)), up.shape)
+            return (n, int(hk.diagram.vertices(n)[v]),
+                    int(hk.diagram.vertices(n + 1)[u]), float(delta[v, u]))
+    return None
+
+
+def skewed(hk, seed, mode):
+    """hk with Q-hat scaled: by 1.1 everywhere, so that near-ties decide
+    the worst edge; by up to 1 + 1e-6 on a random third of the edges; or
+    by 1 + 1e-9 on one edge of the last level only."""
+    rng = np.random.default_rng(seed)
+    qv = [np.array(q) for q in hk.qhat_values]
+    for n, q in enumerate(qv):
+        if mode == "all":
+            q *= 1.1
+        elif mode == "some":
+            hit = rng.random(len(q)) < 0.3
+            q[hit] *= 1 + rng.random(int(hit.sum())) * 1e-6
+        elif n == hk.depth - 1:
+            q[rng.integers(len(q))] *= 1 + 1e-9
+    return mk.HatKernels(hk.diagram, hk.q, hk.phat_values, tuple(qv))
+
+
+@pytest.mark.parametrize("mode", ["all", "some", "one"])
+def test_balance_violation_matches_dense_reference(mode):
+    systems = [random_system(seed) for seed in range(12)]
+    d = dg.band_diagram(DRUNKEN, 8, dg.Window(-30, 30, 2))
+    mu, _ = ms.stationary_pf_measure(d, normalization="probability")
+    systems.append(mk.markov_from_tail_invariant(d, mu))
+    for seed, sysm in enumerate(systems):
+        bad = skewed(mk.dual_kernels(sysm), seed, mode)
+        with pytest.raises(lp.BalanceViolation) as exc:
+            lp.build_network(bad)
+        e = exc.value
+        assert (e.level, e.v, e.u, e.delta) == dense_violation(bad)
 
 
 def _arrays(obj, seen=None):
