@@ -419,10 +419,6 @@ class SampleReport:
     max_z: float
     tv_distance: float
 
-    @property
-    def frequencies(self) -> np.ndarray:
-        return self.counts / self.trials
-
 
 def _chain_shapes(spaces: Sequence[CellSpace],
                   kernels: Sequence[CellKernel], depth: int):

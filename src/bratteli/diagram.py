@@ -261,10 +261,31 @@ class IncidenceMatrix:
         k = self.edge_index(v, w)
         return int(self.csr.mult[k]) if k >= 0 else 0
 
-    def to_dense(self, dtype=np.float64) -> np.ndarray:
-        out = np.zeros((len(self.row_window), len(self.col_window)), dtype=dtype)
+    def to_dense(self) -> np.ndarray:
+        return self.scatter(self.csr.mult)
+
+    # -- the only dense form and per-vertex sum of a level's edge values --
+    def scatter(self, values: np.ndarray, by_source: bool = False
+                ) -> np.ndarray:
+        """One value per ``csr`` entry as a C-ordered float64 array: targets
+        x sources, or sources x targets with ``by_source``.  Q-hat is the .T
+        of a by-source scatter, in Fortran order like P.T, so its products
+        make the same BLAS calls, and round the same, as a transposed P-hat."""
         c = self.csr
-        out[c.rows, c.indices] = c.mult
+        shape = (len(c.colptr) - 1, len(c.indptr) - 1)   # sources, targets
+        out = np.zeros(shape if by_source else shape[::-1])
+        out[(c.indices, c.rows) if by_source else (c.rows, c.indices)] = values
+        return out
+
+    def totals(self, values: np.ndarray, by_source: bool = False
+               ) -> np.ndarray:
+        """Per-target (or per-source) sums of one value per ``csr`` entry,
+        in the values' dtype, each adding its entries one by one in CSR
+        order: exact for Python ints, np.bincount's bits for float64."""
+        c = self.csr
+        out = np.zeros(len(c.colptr if by_source else c.indptr) - 1,
+                       dtype=values.dtype)
+        np.add.at(out, c.indices if by_source else c.rows, values)
         return out
 
     # -- truncation masks ----------------------------------------------
@@ -301,16 +322,12 @@ class IncidenceMatrix:
         return masks[0], masks[1]
 
     def row_sums(self) -> np.ndarray:
-        """Exact row sums, in the dtype of ``csr.mult``."""
-        out = np.zeros(len(self.row_window), dtype=self.csr.mult.dtype)
-        np.add.at(out, self.csr.rows, self.csr.mult)
-        return out
+        """Exact row sums, as Python ints (dtype object)."""
+        return self.totals(self.csr.mult.astype(object))
 
     def col_sums(self) -> np.ndarray:
-        """Exact column sums, in the dtype of ``csr.mult``."""
-        out = np.zeros(len(self.col_window), dtype=self.csr.mult.dtype)
-        np.add.at(out, self.csr.indices, self.csr.mult)
-        return out
+        """Exact column sums, as Python ints (dtype object)."""
+        return self.totals(self.csr.mult.astype(object), by_source=True)
 
 
 def _multiplicity(m, where: str) -> int:
@@ -402,8 +419,7 @@ class Diagram:
         hs = [np.ones(len(self.window(0)), dtype=object)]
         for m in self.matrices:
             c = m.csr
-            hs.append(np.add.reduceat(c.mult.astype(object) * hs[-1][c.indices],
-                                      c.indptr[:-1]))
+            hs.append(m.totals(c.mult.astype(object) * hs[-1][c.indices]))
         return tuple(tuple(h.tolist()) for h in hs)
 
 

@@ -64,9 +64,6 @@ class LevelFunction:
     def depth(self) -> int:
         return len(self.values) - 1
 
-    def level(self, n: int) -> np.ndarray:
-        return self.values[n]
-
     @staticmethod
     def of(vectors: Sequence) -> "LevelFunction":
         return LevelFunction(tuple(np.asarray(v, dtype=np.float64)
@@ -121,8 +118,7 @@ def build_network(hk: HatKernels) -> WeightedNetwork:
             raise BalanceViolation(n, int(hk.diagram.vertices(n)[v]),
                                    int(hk.diagram.vertices(n + 1)[u]),
                                    float(delta[e]))
-        dense = np.zeros((len(hk.q[n]), len(hk.q[n + 1])))
-        dense[c.indices, c.rows] = up
+        dense = hk.diagram.F(n).scatter(up, by_source=True)
         masses[n] += dense.sum(axis=1)
         masses[n + 1] += dense.sum(axis=0)
     dev = 0.0

@@ -23,9 +23,13 @@ matrix) read the edges alone.  The products whose float summation order
 reaches an output stay dense: ``q @ P``, row sums, T_P / T_Q, T_n and
 the Laplacian.  A dense kernel exists only while its level is processed:
 ``hk.phat[n]`` and ``hk.qhat[n]`` scatter a fresh array from the edge
-values on every index, the same array with the same layout that a dense
-computation would hold, so every printed number stays identical while
-memory grows with the number of edges instead of depth x m^2.
+values on every index through ``IncidenceMatrix.scatter`` (Q-hat is the
+transpose of a by-source scatter), the same array with the same layout
+that a dense computation would hold, so every printed number stays
+identical while memory grows with the number of edges instead of
+depth x m^2.  Per-vertex sums of edge values (the clipped-row
+renormalization of an induced system) go through
+``IncidenceMatrix.totals``.
 
 ``MarkovSystem.levels`` owns the one dense sweep over the levels, cached
 on the system: q^(n+1) = q^(n) P-hat_n and each level's largest
@@ -107,17 +111,13 @@ class MarkovSystem:
             self._edges[level] = _frozen(np.array(tots, dtype=np.float64))
         return self._edges[level]
 
-    def phat(self, level: int) -> np.ndarray:
-        """Vertex-level kernel: rows = V_level sources, cols = V_{level+1}."""
-        return _scatter(self.diagram.F(level), self.phat_edges(level), False)
-
     @cached_property
     def levels(self) -> LevelSweep:
         """One dense P-hat per level, dropped before the next; checks nothing."""
         q = [_frozen(np.asarray(self.q0, dtype=np.float64).view())]
         devs = []
         for n in range(self.depth):
-            P = self.phat(n)
+            P = self.diagram.F(n).scatter(self.phat_edges(n), by_source=True)
             devs.append(float(np.abs(P.sum(axis=1) - 1.0).max()))
             q.append(_frozen(q[n] @ P))
             del P
@@ -168,23 +168,6 @@ def shared_value_system(d: Diagram, q0, p_levels: Sequence[np.ndarray],
         phat_values=[d.F(n).csr.mult * p for n, p in enumerate(p_levels)])
 
 
-def _scatter(m: IncidenceMatrix, values: np.ndarray, dual: bool
-             ) -> np.ndarray:
-    """A level's dense kernel from its edge values: sources x targets, or
-    for a dual kernel targets x sources in Fortran order.  Fortran order
-    is the layout of P.T, so dense products with Q-hat make the same BLAS
-    calls, and round the same way, as a transposed P-hat would."""
-    c = m.csr
-    shape = (len(c.colptr) - 1, len(c.indptr) - 1)   # sources, targets
-    if dual:
-        out = np.zeros(shape[::-1], order="F")
-        out[c.rows, c.indices] = values
-    else:
-        out = np.zeros(shape)
-        out[c.indices, c.rows] = values
-    return out
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -220,7 +203,7 @@ def validate_system(ms: MarkovSystem, tol: float = 1e-12) -> None:
             if not all(0 < x < np.inf for x in vals):
                 raise PathInvalid(f"nonpositive or non-finite probability "
                                   f"on edge ({w}->{v}) at level {n}")
-        sums = ms.phat(n).sum(axis=1)
+        sums = m.scatter(ms.phat_edges(n), by_source=True).sum(axis=1)
         j = int(np.argmax(np.abs(sums - 1.0)))   # the worst row
         if abs(sums[j] - 1.0) > tol:
             raise PathInvalid(f"outgoing probabilities at level {n} vertex "
@@ -262,7 +245,8 @@ class _DenseLevels:
         return len(self._values)
 
     def __getitem__(self, n: int) -> np.ndarray:
-        return _scatter(self._diagram.F(n), self._values[n], self._dual)
+        K = self._diagram.F(n).scatter(self._values[n], by_source=True)
+        return K.T if self._dual else K
 
 
 @dataclass(frozen=True)
@@ -342,8 +326,8 @@ def markov_from_tail_invariant(d: Diagram, nu: MeasureSequence
         p = nu.level(n + 1)[c.rows] / nu.level(n)[c.indices]
         # outgoing sums equal (A nu^(n+1))_v / nu^(n)_v = 1 except where the
         # window clipped the row; each sum adds its column in target order
-        sums = np.bincount(c.indices, weights=c.mult * p,
-                           minlength=len(m.sources))
+        sums = m.totals(np.asarray(c.mult * p, dtype=np.float64),
+                        by_source=True)
         clipped = np.abs(sums - 1.0) > CLIP_TOL
         ps.append(p / np.where(clipped, sums, 1.0)[c.indices])
         normalized.extend((n, m.sources[j]) for j in np.flatnonzero(clipped))

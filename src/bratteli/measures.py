@@ -13,11 +13,12 @@ A hat matrix is stored on the edges of its incidence level, in the CSR
 order of ``IncidenceMatrix.csr``: the exact integer numerator H^(n)_w f_vw
 of every edge and the denominator H^(n+1)_v of every row, as Python ints
 (heights outgrow int64 near depth 90).  The row check is the integer
-identity sum_w H^(n)_w f_vw = H^(n+1)_v, and the float value of an entry
-is the Python-int true division of its numerator by its denominator,
-which is correctly rounded like float(Fraction(...)).  Products with a
-hat matrix (``tower_masses``) use its dense form, because their float
-summation order reaches the output.
+identity sum_w H^(n)_w f_vw = H^(n+1)_v, summed exactly by
+``IncidenceMatrix.totals``, and the float value of an entry is the
+Python-int true division of its numerator by its denominator, which is
+correctly rounded like float(Fraction(...)).  Products with a hat matrix
+(``tower_masses``) use its dense form, ``IncidenceMatrix.scatter`` of the
+entry values, because their float summation order reaches the output.
 
 Normalization conventions (the two useful scalings differ by lambda):
   "level0"      : sum of t over the level-0 window is 1
@@ -108,7 +109,7 @@ class HatMatrix:
 
     def row_deviation(self) -> Fraction:
         """max_v |sum_w fhat_vw - 1|, exactly, from integer row sums."""
-        sums = np.add.reduceat(self.num, self.matrix.csr.indptr[:-1])
+        sums = self.matrix.totals(self.num)
         return max((Fraction(abs(s - h), h) for s, h in
                     zip(sums.tolist(), self.den.tolist()) if s != h),
                    default=Fraction(0))
@@ -119,10 +120,7 @@ class HatMatrix:
         return quot.astype(np.float64)
 
     def to_dense(self) -> np.ndarray:
-        c = self.matrix.csr
-        out = np.zeros((len(self.targets), len(self.sources)))
-        out[c.rows, c.indices] = self.values()
-        return out
+        return self.matrix.scatter(self.values())
 
 
 def hat_matrix(d: Diagram, n: int) -> HatMatrix:

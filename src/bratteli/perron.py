@@ -246,10 +246,6 @@ class ReturnSeries:
     a: tuple[int, ...]
     ell: tuple[int, ...]
 
-    @property
-    def horizon(self) -> int:
-        return len(self.a)
-
 
 def _series(fwd, wts, start: int, horizon: int):
     """(a, ell) of the window position ``start``, in exact Python ints."""

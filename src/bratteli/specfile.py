@@ -51,10 +51,29 @@ def _require(cond: bool, msg: str):
 
 
 def _integral(x, where: str) -> int:
-    """x as an int; a number with a fractional part raises SpecError."""
-    _require(not isinstance(x, float) or x.is_integer(),
-             f"{where} must be an integer, got {x!r}")
-    return int(x)
+    """x as an int; a number with a fractional part, or a value that int()
+    refuses, raises SpecError."""
+    try:
+        if not isinstance(x, float) or x.is_integer():
+            return int(x)
+    except (TypeError, ValueError):
+        pass
+    raise SpecError(f"{where} must be an integer, got {x!r}")
+
+
+def _number(x, where: str) -> float:
+    """x as a float; a value that float() refuses raises SpecError."""
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        raise SpecError(f"{where} must be a number, got {x!r}") from None
+
+
+def _numbers(value, where: str) -> tuple[float, ...]:
+    """A list of numbers as floats; anything else raises SpecError."""
+    _require(isinstance(value, (list, tuple)),
+             f"{where} must be a list of numbers, got {value!r}")
+    return tuple(_number(x, f"{where} entry") for x in value)
 
 
 def _check_fields(block: dict, allowed: set, where: str):
@@ -148,7 +167,10 @@ def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
             diagram = dg.stationary_diagram(doc["matrix"], depth, win)
         elif kind == "band":
             _require("window" in doc, "band rules need a window")
-            band = {int(k): v for k, v in doc["band"].items()}
+            _require(isinstance(doc["band"], dict),
+                     "band must map offsets to multiplicities")
+            band = {_integral(k, "band offset"): v
+                    for k, v in doc["band"].items()}
             diagram = dg.band_diagram(band, depth,
                                       _as_window(doc["window"], "window"))
         else:
@@ -193,7 +215,9 @@ def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
                      "explicit markov blocks need q0 and edges")
             _require("normalization" not in blk,
                      "explicit markov blocks take no normalization")
-            edges = []
+            _require(isinstance(blk["edges"], (list, tuple)),
+                     f"markov edges must be a list, got {blk['edges']!r}")
+            edges, seen = [], set()
             for e in blk["edges"]:
                 _require(isinstance(e, (list, tuple)) and len(e) == 4,
                          "markov edges are [level, source, target, p]")
@@ -202,11 +226,15 @@ def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
                 _require(0 <= lvl < diagram.depth,
                          f"markov edge level {e[0]} outside "
                          f"0..{diagram.depth - 1}")
+                _require((lvl, src, tgt) not in seen,
+                         f"markov edge (level {lvl}, source {src}, target "
+                         f"{tgt}) is given more than once")
+                seen.add((lvl, src, tgt))
                 edges.append((lvl, src, tgt,
-                              tuple(float(x) for x in e[3])
+                              _numbers(e[3], "markov edge probability")
                               if isinstance(e[3], (list, tuple))
-                              else float(e[3])))
-            markov = {"q0": tuple(float(x) for x in blk["q0"]),
+                              else _number(e[3], "markov edge probability")))
+            markov = {"q0": _numbers(blk["q0"], "markov q0"),
                       "edges": tuple(edges)}
 
     kernels = None
@@ -216,11 +244,16 @@ def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
         _check_fields(blk, _KERNEL_FIELDS, "kernels")
         _require("nu0" in blk and "chain" in blk,
                  "kernel blocks need nu0 and chain")
-        space = cl.CellSpace(tuple(float(x) for x in blk["nu0"]))
+        space = cl.CellSpace(_numbers(blk["nu0"], "kernels nu0"))
         spaces = [space]
         ks = []
+        _require(isinstance(blk["chain"], (list, tuple)),
+                 "kernels chain must be a list of matrices")
         for i, mat in enumerate(blk["chain"]):
-            k = cl.kernel_from([[float(x) for x in row] for row in mat])
+            _require(isinstance(mat, (list, tuple)),
+                     f"kernel {i} must be a list of rows")
+            k = cl.kernel_from([_numbers(row, f"kernel {i} row")
+                                for row in mat])
             _require(k.shape[0] == spaces[-1].m,
                      f"kernel {i} rows do not match the previous space")
             _require(k.is_probability(),

@@ -193,13 +193,13 @@ def test_energy_batch_scatters_each_level_once(monkeypatch):
     scatters, where 20 single calls make 20 x depth."""
     net = _band_network(20, 7)
     calls = []
-    scatter = mk._scatter
+    scatter = dg.IncidenceMatrix.scatter
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return scatter(*args)
+        return scatter(*args, **kwargs)
 
-    monkeypatch.setattr(mk, "_scatter", counted)
+    monkeypatch.setattr(dg.IncidenceMatrix, "scatter", counted)
     lp.energy_norm(net, _batch(net, 20))
     assert len(calls) == net.depth
 

@@ -380,10 +380,13 @@ def test_vanished_mass_and_bad_rows_keep_their_precedence(capsys, tmp_path):
 
 def test_operators_suite_builds_each_dense_kernel_once(tmp_path, monkeypatch):
     """check --suite operators scatters three dense kernels per level (the
-    level sweep's P-hat, then the P-hat and Q-hat of the samples) and
-    applies each operator once per level, to all 20 samples at once."""
+    level sweep's P-hat, then the P-hat and Q-hat of the samples), each by
+    source, and applies each operator once per level, to all 20 samples
+    at once.  The one other scatter is the Perron solve's dense level."""
+    from bratteli import diagram as dg
     from bratteli import markov as mk
-    calls = dict.fromkeys(("_scatter", "apply_TP", "apply_TQ"), 0)
+    calls = dict.fromkeys(("apply_TP", "apply_TQ"), 0)
+    scatters = []   # by_source of every scatter, in call order
 
     def counted(name, fn):
         def wrapper(*args):
@@ -391,6 +394,12 @@ def test_operators_suite_builds_each_dense_kernel_once(tmp_path, monkeypatch):
             return fn(*args)
         return wrapper
 
+    def scatter(m, values, by_source=False):
+        scatters.append(by_source)
+        return original(m, values, by_source)
+
+    original = dg.IncidenceMatrix.scatter
+    monkeypatch.setattr(dg.IncidenceMatrix, "scatter", scatter)
     for name in calls:
         monkeypatch.setattr(mk, name, counted(name, getattr(mk, name)))
     p = _spec(tmp_path, "band.json", {"band": {"-2": 1, "0": 2, "2": 1},
@@ -398,7 +407,8 @@ def test_operators_suite_builds_each_dense_kernel_once(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         rc = cli.main(["check", p, "--suite", "operators"])
     assert rc == 0, out.getvalue()
-    assert calls == {"_scatter": 3 * 6, "apply_TP": 6, "apply_TQ": 6}
+    assert calls == {"apply_TP": 6, "apply_TQ": 6}
+    assert scatters == [False] + [True] * (3 * 6)
 
 
 def test_check_builds_each_stage_once(tmp_path, monkeypatch):
@@ -520,7 +530,16 @@ MALFORMED = {
         % json.dumps(_uniform_edges((0, -1))), "SpecError"),
     "fractional_band_offset": (
         '{"band": {"0.5": 2, "2": 1}, "window": [-10, 10, 2], "depth": 2}',
-        "ValueError"),
+        "SpecError"),
+    "scalar_q0": (_ALLONES_2 + '"markov": {"q0": 5, "edges": %s}}'
+                  % json.dumps(_uniform_edges((0, 1))), "SpecError"),
+    "scalar_edges": (_ALLONES_2 + '"markov": {"q0": [0.5, 0.5], "edges": 5}}',
+                     "SpecError"),
+    "scalar_nu0": ('{"matrix": [[1]], "depth": 2, "kernels": {"nu0": 1, '
+                   '"chain": [[[1.0]]]}}', "SpecError"),
+    "repeated_edge": (_ALLONES_2 + '"markov": {"q0": [0.5, 0.5], "edges": %s}}'
+                      % json.dumps(_uniform_edges((0, 1)) + [[0, 0, 0, 0.9]]),
+                      "SpecError"),
     "nan_cell_mass": ('{"matrix": [[1]], "depth": 2, "kernels": {"nu0": '
                       '[0.5, NaN], "chain": [[[0.5, 0.5], [0.5, 0.5]]]}}',
                       "SpecError"),
@@ -573,6 +592,22 @@ def test_malformed_spec_is_an_error_object(capsys, tmp_path, name, command):
     got = (report["violations"][0] if command[0] == "validate"
            else report["error"])
     assert got["kind"] == kind
+
+
+def test_repeated_markov_edge_is_refused_in_either_order(capsys, tmp_path):
+    """A Markov edge given twice is an error naming the edge, whichever of
+    its two probabilities comes first; it used to keep the last one."""
+    edges = _uniform_edges((0, 1))
+    for listed in ([[0, 0, 0, 0.9]] + edges, edges + [[0, 0, 0, 0.9]]):
+        p = _spec(tmp_path, "twice.json",
+                  {"matrix": [[1, 1], [1, 1]], "depth": 2,
+                   "markov": {"q0": [0.5, 0.5], "edges": listed}})
+        rc, d = run_json(capsys, "check", p)
+        assert rc == 1
+        assert d["error"] == {
+            "kind": "SpecError",
+            "detail": "markov edge (level 0, source 0, target 0) is given "
+                      "more than once"}
 
 
 # -- usage errors ----------------------------------------------------------------
@@ -672,3 +707,27 @@ def test_huge_multiplicity_loads_without_edge_tables(tmp_path):
             capture_output=True, text=True, timeout=60, preexec_fn=cap,
             env=dict(os.environ, PYTHONPATH=str(src)))
         assert proc.returncode == 0, (argv, proc.stdout, proc.stderr)
+
+
+def test_measure_past_int64_prints_positive_levels(capsys, tmp_path):
+    """Every entry 2^62: the row sums 2^63 overflowed int64, so lambda
+    read -2^63 and the measure's levels were negative."""
+    p = _spec(tmp_path, "big.json", {"matrix": [[2 ** 62] * 2] * 2,
+                                     "depth": 2})
+    rc, d = run_json(capsys, "analyze", p, "measure")
+    assert rc == 0
+    assert d["lambda"] == 2.0 ** 63
+    assert all(x > 0 for level in d["levels"] for x in level)
+    assert d["max_invariance_residual"] == 0.0
+
+
+def test_induced_system_past_int64_multiplicity(capsys, tmp_path):
+    """A multiplicity of 2^70 is held as a Python int; the induced
+    system's outgoing sums used it as np.bincount weights, which raised
+    an uncaught TypeError."""
+    p = _spec(tmp_path, "wide.json", {"matrix": [[2 ** 70, 1], [1, 1]],
+                                      "depth": 2})
+    rc, d = run_json(capsys, "analyze", p, "markov")
+    assert rc == 0
+    assert d["normalized_rows"] == []
+    assert d["stochasticity_deviation"] == 0.0

@@ -222,10 +222,68 @@ def test_heights_satisfy_recursion():
         d = dg.validate(mats)
         hs = [dg.heights(d, n) for n in range(d.depth + 1)]
         for n in range(d.depth):
-            F = np.array(d.F(n).to_dense(dtype=np.int64), dtype=object)
+            F = d.F(n).to_dense().astype(np.int64).astype(object)
             assert list(F @ np.array(hs[n], dtype=object)) == hs[n + 1]
 
     check()
+
+
+def test_row_and_col_sums_exact_past_int64():
+    m = dg.incidence_from_dense(0, [[2 ** 62, 2 ** 62, 3],
+                                    [2 ** 63 - 1, 1, 0]])
+    assert m.csr.mult.dtype == np.int64
+    assert m.row_sums().tolist() == [2 ** 63 + 3, 2 ** 63]
+    assert m.col_sums().tolist() == [2 ** 62 + 2 ** 63 - 1, 2 ** 62 + 1, 3]
+    wide = dg.incidence_from_dense(0, [[2 ** 70, 1], [2 ** 70, 2 ** 64]])
+    assert wide.row_sums().tolist() == [2 ** 70 + 1, 2 ** 70 + 2 ** 64]
+    assert wide.col_sums().tolist() == [2 ** 71, 2 ** 64 + 1]
+    for sums in (m.row_sums(), m.col_sums(), wide.row_sums()):
+        assert all(type(x) is int for x in sums.tolist())
+
+
+def _random_level(rng, n_t, n_s):
+    """A level with random entries, some rows and columns left empty."""
+    flat = rng.choice(n_t * n_s, size=rng.integers(1, n_t * n_s + 1),
+                      replace=False)
+    return dg.IncidenceMatrix(0, {(int(f // n_s), int(f % n_s)): 1
+                                  for f in flat},
+                              dg.Window(0, n_t - 1), dg.Window(0, n_s - 1))
+
+
+def test_totals_match_bincount_bit_for_bit():
+    """``totals`` adds each vertex's entries one by one in CSR order, the
+    order of np.bincount.  Induced Markov systems renormalize clipped rows
+    with these sums, so a numpy whose ufunc.at reordered them would move
+    printed values; this fails first.  Per-source sums see repeated,
+    unsorted indices, and the values span 300 decades of both signs."""
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        m = _random_level(rng, *(int(x) for x in rng.integers(1, 40, 2)))
+        c = m.csr
+        k = len(c.rows)
+        vals = rng.standard_normal(k) * 10.0 ** rng.uniform(-150, 150, k)
+        vals[rng.random(k) < 0.05] = -0.0
+        for by_source, idx in ((False, c.rows), (True, c.indices)):
+            size = len(m.sources if by_source else m.targets)
+            got = m.totals(vals, by_source=by_source)
+            want = np.bincount(idx, weights=vals, minlength=size)
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+
+def test_totals_exact_on_python_ints():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        m = _random_level(rng, *(int(x) for x in rng.integers(1, 12, 2)))
+        c = m.csr
+        vals = np.array([2 ** 64 + int(x) for x in
+                         rng.integers(0, 2 ** 40, len(c.rows))], dtype=object)
+        for by_source, idx in ((False, c.rows), (True, c.indices)):
+            size = len(m.sources if by_source else m.targets)
+            got = m.totals(vals, by_source=by_source).tolist()
+            assert got == [sum(v for v, i in zip(vals.tolist(), idx) if i == j)
+                           for j in range(size)]
+            assert all(type(x) is int for x in got)
 
 
 def test_heights_exact_past_int64():
@@ -285,8 +343,10 @@ def test_array_form_matches_entries(name):
                 assert got == ent.get((v, w), 0) and type(got) is int
         assert m.row_entries(tv[-1] + 1) == [] == m.col_entries(sv[-1] + 1)
         assert m.multiplicity(tv[-1] + 1, sv[0]) == 0
-        assert np.array_equal(m.to_dense(dtype=np.int64), dense)
         assert np.array_equal(m.to_dense(), dense.astype(np.float64))
+        by_source = m.scatter(m.csr.mult, by_source=True)
+        assert np.array_equal(by_source, dense.T)
+        assert by_source.flags.c_contiguous and by_source.dtype == np.float64
         assert np.array_equal(m.row_sums(), dense.sum(axis=1))
         assert np.array_equal(m.col_sums(), dense.sum(axis=0))
 

@@ -408,7 +408,8 @@ def test_phat_edges_match_probs(name):
         edges = sysm.phat_edges(n)
         assert np.array_equal(edges, ref[c.indices, c.rows])
         assert not edges.flags.writeable
-        assert np.array_equal(sysm.phat(n), ref)
+        assert np.array_equal(
+            sysm.diagram.F(n).scatter(edges, by_source=True), ref)
 
 
 @pytest.mark.parametrize("name", sorted(_edge_form_cases()))

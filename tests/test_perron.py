@@ -131,6 +131,15 @@ def test_multiplicity_beyond_int64_gives_exact_sum():
     assert sd.shortcut == "constant-row-and-column-sums"
 
 
+def test_sums_past_int64_of_int64_entries_stay_exact():
+    """Every entry 2^62 fits int64, but the row and column sums 2^63 do
+    not: they wrapped to -2^63 and lambda read -9.2e18."""
+    sd = pf.pf_solve(level([[2 ** 62] * 2] * 2))
+    assert sd.lam == 2.0 ** 63
+    assert sd.shortcut == "constant-row-and-column-sums"
+    assert sd.residual == 0.0
+
+
 # -- return series -----------------------------------------------------------
 
 def test_return_series_allones():

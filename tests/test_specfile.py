@@ -275,6 +275,54 @@ def test_markov_explicit_block():
                    "markov": {"q0": [1.0], "edges": [edge]}})
 
 
+def test_markov_repeated_edge_rejected():
+    edges = [[lv, s, t, 0.5] for lv in (0, 1) for s in (0, 1) for t in (0, 1)]
+    for listed in (edges + [[1, 0, 1, 0.9]], [[1, 0, 1, 0.9]] + edges):
+        with pytest.raises(sf.SpecError, match=re.escape(
+                "markov edge (level 1, source 0, target 1) is given more "
+                "than once")):
+            parse({"matrix": [[1, 1], [1, 1]], "depth": 2,
+                   "markov": {"q0": [0.5, 0.5], "edges": listed}})
+
+
+_EDGES = [[lv, s, t, 0.5] for lv in (0, 1) for s in (0, 1) for t in (0, 1)]
+_CHAIN = [[[0.5, 0.5], [0.5, 0.5]]]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"markov": {"q0": 5, "edges": _EDGES}},
+     "markov q0 must be a list of numbers, got 5"),
+    ({"markov": {"q0": [0.5, 0.5], "edges": 5}},
+     "markov edges must be a list, got 5"),
+    ({"kernels": {"nu0": 1, "chain": _CHAIN}},
+     "kernels nu0 must be a list of numbers, got 1"),
+    ({"markov": {"q0": ["a"], "edges": _EDGES}},
+     "markov q0 entry must be a number, got 'a'"),
+    ({"markov": {"q0": [0.5, 0.5], "edges": [[0, 0, 0, "x"]] + _EDGES[1:]}},
+     "markov edge probability must be a number, got 'x'"),
+    ({"markov": {"q0": [0.5, 0.5],
+                 "edges": [[0, 0, 0, [0.5, "x"]]] + _EDGES[1:]}},
+     "markov edge probability entry must be a number, got 'x'"),
+    ({"markov": {"q0": [0.5, 0.5], "edges": [[0, "a", 0, 0.5]] + _EDGES[1:]}},
+     "markov edge source must be an integer, got 'a'"),
+    ({"kernels": {"nu0": [0.5, 0.5], "chain": [[[0.5, "x"], [0.5, 0.5]]]}},
+     "kernel 0 row entry must be a number, got 'x'"),
+    ({"kernels": {"nu0": [0.5, 0.5], "chain": 5}},
+     "kernels chain must be a list of matrices"),
+    ({"kernels": {"nu0": ["a"], "chain": _CHAIN}},
+     "kernels nu0 entry must be a number, got 'a'"),
+    ({"band": {"a": 1, "0": 2}, "window": [-10, 10]},
+     "band offset must be an integer, got 'a'"),
+], ids=["q0-scalar", "edges-scalar", "nu0-scalar", "q0-entry",
+        "edge-probability", "edge-rank-probability", "edge-source",
+        "chain-entry", "chain-scalar", "nu0-entry", "band-offset"])
+def test_malformed_field_names_the_field(doc, message):
+    base = {"depth": 2} if "band" in doc else {"matrix": [[1, 1], [1, 1]],
+                                               "depth": 2}
+    with pytest.raises(sf.SpecError, match="^" + re.escape(message)):
+        parse({**base, **doc})
+
+
 def test_markov_explicit_needs_q0_and_edges():
     with pytest.raises(sf.SpecError, match="q0 and edges"):
         parse({"matrix": [[1]], "depth": 2, "markov": {"q0": [1.0]}})
