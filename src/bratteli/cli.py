@@ -44,10 +44,76 @@ def _f(x) -> str:
 
 
 def _json(obj) -> str:
-    """Indented JSON with sorted keys.  np.float64 is a float and prints
-    as one; other numpy scalars and arrays go through ``tolist``."""
-    return json.dumps(obj, sort_keys=True, indent=2,
-                      default=lambda o: o.tolist()) + "\n"
+    """Indented JSON with sorted keys, plus a newline: the bytes of
+    ``json.dumps(obj, sort_keys=True, indent=2, default=tolist)``.  With an
+    indent ``json`` runs its pure-Python encoder, so the text is written
+    here, and each list of floats, where the time goes, is handed to json's
+    C encoder with that depth's line break as its item separator.
+    np.float64 is a float and prints as one; other numpy scalars and arrays
+    go through ``tolist``."""
+    out: list[str] = []
+    _encode(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_FLOATS = frozenset({float, np.float64})
+_INF = float("inf")
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _scalar(o) -> str | None:
+    """json's text of a str, None, bool, int or float; None otherwise."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o in (_INF, -_INF):
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    return None
+
+
+def _encode(o, nl: str, out: list) -> None:
+    """Append the JSON text of o, its nested lines starting with nl."""
+    text = _scalar(o)
+    if text is not None:
+        out.append(text)
+    elif isinstance(o, (list, tuple, dict)):
+        inner = nl + "  "
+        if not o:
+            out.append("{}" if isinstance(o, dict) else "[]")
+        elif isinstance(o, dict):
+            out.append("{")
+            for i, (k, v) in enumerate(sorted(o.items())):
+                out.append(("," if i else "") + inner + _quote(_key(k)) + ": ")
+                _encode(v, inner, out)
+            out.append(nl + "}")
+        elif _FLOATS.issuperset(map(type, o)):
+            flat = json.JSONEncoder(separators=("," + inner, ": "))
+            out.append("[" + inner + flat.encode(o)[1:-1] + nl + "]")
+        else:
+            out.append("[")
+            for i, v in enumerate(o):
+                out.append(("," if i else "") + inner)
+                _encode(v, inner, out)
+            out.append(nl + "]")
+    else:
+        _encode(o.tolist(), nl, out)
+
+
+def _key(k) -> str:
+    """A dict key as json writes it: str, float, bool, None or int."""
+    text = k if isinstance(k, str) else _scalar(k)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {k.__class__.__name__}")
+    return text
 
 
 def _emit(args, payload: dict, rows, header: list) -> None:
@@ -313,11 +379,6 @@ def _suite_consistency(ctx: _Context, tol: float, seed: int, out: list):
     out.append(("consistency", "KolmogorovExtension", worst, worst <= tol))
 
 
-def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b|, computed in a's buffer (a is a fresh product)."""
-    return float(np.abs(np.subtract(a, b, out=a), out=a).max())
-
-
 _SAMPLES = 20   # random functions per level (operators) or per suite
 
 
@@ -353,20 +414,27 @@ def _suite_operators(ctx: _Context, tol: float, seed: int, out: list):
                     devqf <= tol))
     rng = np.random.default_rng(seed)
     worst_adj = worst_con = worst_fix = 0.0
-    for n in range(d.depth):   # one dense kernel pair at a time
-        P, Q = hk.phat[n], hk.qhat[n]
+    # one dense kernel pair at a time, each in its own scratch array, and
+    # one source-pair index per CSR: stationary levels share theirs
+    p_scratch, q_scratch, pairs = dg.Scratch(), dg.Scratch(), {}
+    for n in range(d.depth):
+        F = d.F(n)
+        P = p_scratch.scatter(F, hk.phat_values[n], by_source=True)
+        Q = q_scratch.scatter(F, hk.qhat_values[n], by_source=True).T
         adj, con = _operator_samples(P, Q, mk.space(hk, n),
                                      mk.space(hk, n + 1), rng)
         # fold in sample order, so max keeps its first-wins and NaN rules
         worst_adj = max(worst_adj, *adj)
         worst_con = max(worst_con, *con)
         T = mk.compose_Tn(P, Q)
-        del P, Q
+        key = id(F.csr)
+        if key not in pairs:
+            pairs[key] = F.source_pairs()
         worst_fix = max(worst_fix,
                         float(np.abs(T.sum(axis=1) - 1.0).max()),
                         float(np.abs(hk.q[n] @ T - hk.q[n]).max()),
-                        _max_abs_diff(hk.q[n][:, None] * T,
-                                      (hk.q[n][:, None] * T).T))
+                        mk.self_adjoint_gap(T, hk.q[n], pairs[key]))
+        del T   # so the next level's T is not formed beside this one
     out.append(("operators", "Adjointness", worst_adj, worst_adj <= tol))
     out.append(("operators", "Contractivity", worst_con, worst_con <= tol))
     out.append(("operators", "ComposedKernelFixesQ", worst_fix,

@@ -9,8 +9,9 @@ outside the window so that truncation effects can be masked downstream.
 
 A level is given as an ``entries`` dict and stored once as CSR arrays,
 built on first use (``validate`` uses them), which every row, column,
-dense and sum query reads.  Heights are computed once per ``Diagram``, as
-exact Python integers.
+dense and sum query reads.  A loop over the levels scatters each level
+into one reused ``Scratch`` array instead of a fresh one.  Heights are
+computed once per ``Diagram``, as exact Python integers.
 
 Everything here is pure and immutable after construction.
 """
@@ -271,11 +272,18 @@ class IncidenceMatrix:
         x sources, or sources x targets with ``by_source``.  Q-hat is the .T
         of a by-source scatter, in Fortran order like P.T, so its products
         make the same BLAS calls, and round the same, as a transposed P-hat."""
-        c = self.csr
-        shape = (len(c.colptr) - 1, len(c.indptr) - 1)   # sources, targets
-        out = np.zeros(shape if by_source else shape[::-1])
-        out[(c.indices, c.rows) if by_source else (c.rows, c.indices)] = values
+        shape, index = self._layout(by_source)
+        out = np.zeros(shape)
+        out[index] = values
         return out
+
+    def _layout(self, by_source: bool) -> tuple[tuple[int, int], tuple]:
+        """(shape, index) of a scatter: targets x sources, or transposed."""
+        c = self.csr
+        shape = (len(c.indptr) - 1, len(c.colptr) - 1)
+        if by_source:
+            return shape[::-1], (c.indices, c.rows)
+        return shape, (c.rows, c.indices)
 
     def totals(self, values: np.ndarray, by_source: bool = False
                ) -> np.ndarray:
@@ -287,6 +295,27 @@ class IncidenceMatrix:
                        dtype=values.dtype)
         np.add.at(out, c.indices if by_source else c.rows, values)
         return out
+
+    def source_pairs(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Source positions (v, w), v <= w, of every pair of sources that
+        share a target, each pair once and sorted: the only entries where a
+        product through the level, such as T-hat_n = P-hat_n Q-hat_n, can
+        be nonzero.  None when the rows would give more pairs than the
+        sources x sources array has entries, so that reading it whole is
+        cheaper."""
+        c = self.csr
+        k = np.diff(c.indptr)
+        m = len(c.colptr) - 1
+        if int(k @ k) > m * m:
+            return None
+        # entry e meets each of the reps[e] entries of its row, in turn
+        reps = k[c.rows]
+        first = np.repeat(np.arange(len(c.rows)), reps)
+        turn = np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps, reps)
+        second = np.repeat(c.indptr[c.rows], reps) + turn
+        v, w = c.indices[first], c.indices[second]
+        flat = np.unique((v * m + w)[v <= w])
+        return flat // m, flat % m
 
     # -- truncation masks ----------------------------------------------
     def interior_rows(self) -> np.ndarray:
@@ -328,6 +357,39 @@ class IncidenceMatrix:
     def col_sums(self) -> np.ndarray:
         """Exact column sums, as Python ints (dtype object)."""
         return self.totals(self.csr.mult.astype(object), by_source=True)
+
+
+class Scratch:
+    """One float64 buffer that a loop over levels scatters each level into.
+
+    ``scatter`` returns what ``IncidenceMatrix.scatter`` returns, with the
+    same values, dtype, shape and C layout, but as a read-only view of the
+    buffer that holds until the next call.  Each call zeroes only the
+    entries the previous call wrote, so a level costs its edges instead of
+    a fresh m x m zero-fill.  The buffer grows to the largest level and is
+    freed with the object, at the end of the loop that made it.
+    """
+
+    __slots__ = ("_buf", "_last")
+
+    def __init__(self):
+        self._buf = np.zeros(0)
+        self._last = None   # (writable view, index) of the previous call
+
+    def scatter(self, m: IncidenceMatrix, values: np.ndarray,
+                by_source: bool = False) -> np.ndarray:
+        shape, index = m._layout(by_source)
+        size = shape[0] * shape[1]
+        if size > self._buf.size:
+            self._buf = np.zeros(size)
+        elif self._last is not None:
+            self._last[0][self._last[1]] = 0.0
+        out = self._buf[:size].reshape(shape)
+        out[index] = values
+        self._last = (out, index)
+        view = out.view()
+        view.flags.writeable = False
+        return view
 
 
 def _multiplicity(m, where: str) -> int:

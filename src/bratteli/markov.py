@@ -27,9 +27,14 @@ values on every index through ``IncidenceMatrix.scatter`` (Q-hat is the
 transpose of a by-source scatter), the same array with the same layout
 that a dense computation would hold, so every printed number stays
 identical while memory grows with the number of edges instead of
-depth x m^2.  Per-vertex sums of edge values (the clipped-row
+depth x m^2.  The loops that visit every level in turn (the level sweep
+below and the operators check) scatter into one ``diagram.Scratch`` array
+per kernel instead, which gives the same array without a fresh m x m
+zero-fill per level.  Per-vertex sums of edge values (the clipped-row
 renormalization of an induced system) go through
-``IncidenceMatrix.totals``.
+``IncidenceMatrix.totals``.  T_n is dense, but its self-adjointness is read
+only where it can be nonzero, at the source pairs of the level
+(``self_adjoint_gap``).
 
 ``MarkovSystem.levels`` owns the one dense sweep over the levels, cached
 on the system: q^(n+1) = q^(n) P-hat_n and each level's largest
@@ -43,7 +48,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .diagram import Diagram, FinitePath, IncidenceMatrix, path_in_diagram
+from .diagram import (Diagram, FinitePath, IncidenceMatrix, Scratch,
+                      path_in_diagram)
 from .measures import DimensionMismatch, MeasureSequence, hat_matrix
 
 Q_FLOOR = 1e-300  # below this a level mass is treated as identically zero
@@ -113,14 +119,15 @@ class MarkovSystem:
 
     @cached_property
     def levels(self) -> LevelSweep:
-        """One dense P-hat per level, dropped before the next; checks nothing."""
+        """One dense P-hat per level, in one scratch array; checks nothing."""
         q = [_frozen(np.asarray(self.q0, dtype=np.float64).view())]
         devs = []
+        scratch = Scratch()
         for n in range(self.depth):
-            P = self.diagram.F(n).scatter(self.phat_edges(n), by_source=True)
+            P = scratch.scatter(self.diagram.F(n), self.phat_edges(n),
+                                by_source=True)
             devs.append(float(np.abs(P.sum(axis=1) - 1.0).max()))
             q.append(_frozen(q[n] @ P))
-            del P
         return LevelSweep(tuple(q), tuple(devs))
 
 
@@ -436,3 +443,24 @@ def compose_Tn(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
             f"T_n needs a {P.shape[1]}x{P.shape[0]} dual kernel, got "
             f"{Q.shape[0]}x{Q.shape[1]}")
     return P @ Q
+
+
+def self_adjoint_gap(T: np.ndarray, q: np.ndarray, pairs) -> float:
+    """max over v, w of |q_v T(v, w) - q_w T(w, v)|, with T = compose_Tn of
+    level n and q = q^(n): how far T is from self-adjoint in l2(q).
+
+    ``pairs`` is ``diagram.F(n).source_pairs()``, and only those entries
+    are read (|x - y| = |y - x|, so one order of each pair is enough).
+    Every product in an entry of T off the pairs has a zero factor, so
+    while q and the kernels are finite that entry is an exact zero and its
+    gap 0.  A value of q or of the kernels that is not finite makes the
+    diagonal pair of its vertex NaN, and so the dense maximum too.  Either
+    way the maximum over the pairs is the maximum over the whole array,
+    which is read when ``pairs`` is None.
+    """
+    if pairs is None:
+        qT = q[:, None] * T
+        return float(np.abs(qT - qT.T).max())
+    v, w = pairs
+    gap = q[v] * T[v, w] - q[w] * T[w, v]
+    return float(np.abs(gap, out=gap).max())

@@ -33,7 +33,7 @@ from typing import Mapping
 import numpy as np
 
 from . import perron
-from .diagram import Diagram, IncidenceMatrix, heights
+from .diagram import Diagram, IncidenceMatrix, Scratch, heights
 
 
 class DimensionMismatch(Exception):
@@ -164,9 +164,10 @@ def verify_tail_invariance(d: Diagram, m: MeasureSequence,
     _check_lengths(d, m)
     residuals = []
     zero = all(float(np.abs(v).sum()) == 0.0 for v in m.vectors)
+    scratch = Scratch()
     for n in range(d.depth):
         F = d.F(n)
-        A = F.to_dense().T
+        A = scratch.scatter(F, F.csr.mult).T
         mask = F.interior_cols()
         diff = A @ m.vectors[n + 1] - m.vectors[n]
         num = float(np.abs(diff[mask]).sum())

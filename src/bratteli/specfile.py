@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from . import cells as cl
@@ -50,23 +51,37 @@ def _require(cond: bool, msg: str):
         raise SpecError(msg)
 
 
+def _is_number(x) -> bool:
+    """A JSON number: a real, but not a string or a boolean, which float()
+    and int() would also turn into one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _integral(x, where: str) -> int:
-    """x as an int; a number with a fractional part, or a value that int()
-    refuses, raises SpecError."""
-    try:
-        if not isinstance(x, float) or x.is_integer():
-            return int(x)
-    except (TypeError, ValueError):
-        pass
+    """x as an int; anything but an integer or an integral float raises
+    SpecError."""
+    if _is_number(x) and (isinstance(x, numbers.Integral)
+                          or isinstance(x, float) and x.is_integer()):
+        return int(x)
     raise SpecError(f"{where} must be an integer, got {x!r}")
 
 
 def _number(x, where: str) -> float:
-    """x as a float; a value that float() refuses raises SpecError."""
-    try:
+    """x as a float; anything but a number raises SpecError."""
+    if _is_number(x):
         return float(x)
-    except (TypeError, ValueError):
-        raise SpecError(f"{where} must be a number, got {x!r}") from None
+    raise SpecError(f"{where} must be a number, got {x!r}")
+
+
+def _offset(key) -> int:
+    """A band offset: an integer, or the decimal string of one, which is
+    what a JSON object key holds."""
+    if isinstance(key, str):
+        try:
+            return int(key)
+        except ValueError:
+            pass
+    return _integral(key, "band offset")
 
 
 def _numbers(value, where: str) -> tuple[float, ...]:
@@ -169,8 +184,7 @@ def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
             _require("window" in doc, "band rules need a window")
             _require(isinstance(doc["band"], dict),
                      "band must map offsets to multiplicities")
-            band = {_integral(k, "band offset"): v
-                    for k, v in doc["band"].items()}
+            band = {_offset(k): v for k, v in doc["band"].items()}
             diagram = dg.band_diagram(band, depth,
                                       _as_window(doc["window"], "window"))
         else:

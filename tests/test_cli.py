@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from bratteli import cli
@@ -381,12 +382,13 @@ def test_vanished_mass_and_bad_rows_keep_their_precedence(capsys, tmp_path):
 def test_operators_suite_builds_each_dense_kernel_once(tmp_path, monkeypatch):
     """check --suite operators scatters three dense kernels per level (the
     level sweep's P-hat, then the P-hat and Q-hat of the samples), each by
-    source, and applies each operator once per level, to all 20 samples
-    at once.  The one other scatter is the Perron solve's dense level."""
+    source into a loop's scratch array, and applies each operator once per
+    level, to all 20 samples at once.  The one fresh array is the Perron
+    solve's dense level."""
     from bratteli import diagram as dg
     from bratteli import markov as mk
     calls = dict.fromkeys(("apply_TP", "apply_TQ"), 0)
-    scatters = []   # by_source of every scatter, in call order
+    scatters = []   # (kind, by_source) of every scatter, in call order
 
     def counted(name, fn):
         def wrapper(*args):
@@ -394,12 +396,16 @@ def test_operators_suite_builds_each_dense_kernel_once(tmp_path, monkeypatch):
             return fn(*args)
         return wrapper
 
-    def scatter(m, values, by_source=False):
-        scatters.append(by_source)
-        return original(m, values, by_source)
+    def recorded(kind, fn):
+        def scatter(self, *args, by_source=False):
+            scatters.append((kind, by_source))
+            return fn(self, *args, by_source=by_source)
+        return scatter
 
-    original = dg.IncidenceMatrix.scatter
-    monkeypatch.setattr(dg.IncidenceMatrix, "scatter", scatter)
+    monkeypatch.setattr(dg.IncidenceMatrix, "scatter",
+                        recorded("fresh", dg.IncidenceMatrix.scatter))
+    monkeypatch.setattr(dg.Scratch, "scatter",
+                        recorded("scratch", dg.Scratch.scatter))
     for name in calls:
         monkeypatch.setattr(mk, name, counted(name, getattr(mk, name)))
     p = _spec(tmp_path, "band.json", {"band": {"-2": 1, "0": 2, "2": 1},
@@ -408,7 +414,7 @@ def test_operators_suite_builds_each_dense_kernel_once(tmp_path, monkeypatch):
         rc = cli.main(["check", p, "--suite", "operators"])
     assert rc == 0, out.getvalue()
     assert calls == {"apply_TP": 6, "apply_TQ": 6}
-    assert scatters == [False] + [True] * (3 * 6)
+    assert scatters == [("fresh", False)] + [("scratch", True)] * (3 * 6)
 
 
 def test_check_builds_each_stage_once(tmp_path, monkeypatch):
@@ -731,3 +737,138 @@ def test_induced_system_past_int64_multiplicity(capsys, tmp_path):
     assert rc == 0
     assert d["normalized_rows"] == []
     assert d["stochasticity_deviation"] == 0.0
+
+
+def test_operators_suite_builds_one_pair_index_per_level_structure(
+        tmp_path, monkeypatch):
+    """The self-adjointness check reads T-hat_n at the source pairs of the
+    level's CSR; the levels of a stationary band share one CSR, so the
+    pair index is built once, not once per level."""
+    from bratteli import diagram as dg
+    builds = []
+    source_pairs = dg.IncidenceMatrix.source_pairs
+
+    def counted(self):
+        builds.append(self.level)
+        return source_pairs(self)
+
+    monkeypatch.setattr(dg.IncidenceMatrix, "source_pairs", counted)
+    p = _spec(tmp_path, "band.json", {"band": {"-2": 1, "0": 2, "2": 1},
+                                      "window": [-30, 30, 2], "depth": 8})
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = cli.main(["check", p, "--suite", "operators"])
+    assert rc == 0, out.getvalue()
+    assert builds == [0]
+
+
+# -- the JSON writer -------------------------------------------------------------
+
+def _reference_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2,
+                      default=lambda o: o.tolist()) + "\n"
+
+
+_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+           -2.5e-320, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1,
+           1e16, 1e22, 123456789.0, -1.5]
+_INTS = [0, -1, 2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63, 2 ** 64 + 7, -(2 ** 70)]
+_CHARS = ("abc xyz 019 \" \\ / \x00 \x01 \x1f \x7f \x80 \xe9 ÿ   "
+          "☃ \ud800 \U0001f600 \b \f \n \r \t").split(" ") + [" ", ""]
+
+
+def _random_float(rng):
+    if rng.random() < 0.5:
+        return _FLOATS[rng.integers(len(_FLOATS))]
+    return float(np.frombuffer(rng.bytes(8), dtype=np.float64)[0])
+
+
+def _random_str(rng):
+    return "".join(_CHARS[i] for i in rng.integers(len(_CHARS),
+                                                   size=rng.integers(0, 6)))
+
+
+def _random_payload(rng, depth=0):
+    """A random JSON-able value of the kinds the commands print: Python and
+    numpy scalars and arrays inside lists, tuples and dicts."""
+    kinds = 14 if depth < 4 else 8
+    k = int(rng.integers(kinds))
+    if k == 0:
+        return _random_float(rng)
+    if k == 1:
+        return _INTS[rng.integers(len(_INTS))] if rng.random() < 0.5 else \
+            int(rng.integers(-10 ** 9, 10 ** 9))
+    if k == 2:
+        return [True, False, None][rng.integers(3)]
+    if k == 3:
+        return _random_str(rng)
+    if k == 4:
+        return np.float64(_random_float(rng))
+    if k == 5:
+        return [np.int64(rng.integers(-2 ** 62, 2 ** 62)), np.bool_(True),
+                np.bool_(False), np.float32(1.5), np.str_("s\xe9")][
+            rng.integers(5)]
+    if k == 6:
+        shape = [(0,), (3,), (2, 2), (1, 0)][rng.integers(4)]
+        dtype = [np.float64, np.int64, bool][rng.integers(3)]
+        return (rng.standard_normal(shape) * 1e5).astype(dtype)
+    if k == 7:   # a list of floats, as the level vectors are
+        return [_random_float(rng) if rng.random() < 0.7
+                else np.float64(_random_float(rng))
+                for _ in range(rng.integers(1, 40))]
+    size = int(rng.integers(0, 5))
+    if k in (8, 9):
+        items = [_random_payload(rng, depth + 1) for _ in range(size)]
+        return items if k == 8 else tuple(items)
+    if k == 10:
+        return {_random_str(rng): _random_payload(rng, depth + 1)
+                for _ in range(size)}
+    keys = [[int(x) for x in rng.integers(-50, 50, size)],
+            [_random_float(rng) for _ in range(size)],
+            [[None], [True, False]][rng.integers(2)][:size]][k - 11]
+    return {key: _random_payload(rng, depth + 1) for key in keys}
+
+
+def test_json_writer_matches_json_dumps_on_random_payloads():
+    """_json writes what json.dumps(sort_keys=True, indent=2,
+    default=tolist) writes, byte for byte: NaN and infinities, signed
+    zeros, subnormals, integers past int64, non-ASCII and control
+    characters, lone surrogates, empty and nested containers, tuples,
+    numpy scalars and arrays, and dict keys of every kind json takes."""
+    rng = np.random.default_rng(20)
+    for _ in range(2000):
+        obj = _random_payload(rng)
+        assert cli._json(obj) == _reference_json(obj), obj
+
+
+def test_json_writer_rejects_what_json_rejects():
+    for bad in ({(1, 2): 0}, {"a": object()}):
+        with pytest.raises((TypeError, AttributeError)) as want:
+            _reference_json(bad)
+        with pytest.raises(want.type):
+            cli._json(bad)
+
+
+@pytest.mark.parametrize("spec", sorted(p.name for p in SPECS.glob("*.json")))
+def test_json_writer_matches_json_dumps_on_every_command(spec, monkeypatch):
+    """Every payload an example spec's validate, analyze kinds and
+    check --format json build, error objects included, prints as
+    json.dumps prints it."""
+    payloads = []
+    writer = cli._json
+
+    def compared(obj):
+        payloads.append(obj)
+        text = writer(obj)
+        assert text == _reference_json(obj)
+        return text
+
+    monkeypatch.setattr(cli, "_json", compared)
+    path = str(SPECS / spec)
+    commands = [["validate", path], ["validate", path, "--emit-spec"],
+                ["check", path, "--format", "json"]]
+    commands += [["analyze", path, kind, "--trials", "300", "--steps", "20"]
+                 for kind in sorted(cli._ANALYSES)]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+    assert len(payloads) == len(commands)

@@ -286,6 +286,68 @@ def test_totals_exact_on_python_ints():
             assert all(type(x) is int for x in got)
 
 
+def test_scratch_sweep_matches_fresh_scatter():
+    """One Scratch scattering every level of a diagram whose windows grow
+    and shrink gives, at each level and in both orientations, the array a
+    fresh ``scatter`` gives: the same bits, dtype, shape, strides and C
+    layout, read-only.  Each level's values land on the zeros left by the
+    previous one, so a stale entry would show."""
+    for seed in range(12):
+        d = random_system(seed, depth=8, min_m=1, max_m=24).diagram
+        sizes = [len(d.window(n)) for n in range(d.depth + 1)]
+        assert len(set(sizes)) > 2
+        rng = np.random.default_rng(seed)
+        scratch = dg.Scratch()
+        for n in range(d.depth):
+            F = d.F(n)
+            k = len(F.csr.rows)
+            vals = rng.standard_normal(k) * 10.0 ** rng.uniform(-300, 300, k)
+            vals[rng.random(k) < 0.1] = -0.0
+            for values in (vals, F.csr.mult):
+                for by_source in (False, True):
+                    got = scratch.scatter(F, values, by_source=by_source)
+                    want = F.scatter(values, by_source=by_source)
+                    assert got.dtype == want.dtype == np.float64
+                    assert got.shape == want.shape
+                    assert got.strides == want.strides
+                    assert got.flags.c_contiguous
+                    assert not got.flags.writeable
+                    assert got.tobytes() == want.tobytes()
+
+
+def test_scratch_converts_wide_multiplicities_like_scatter():
+    m = dg.IncidenceMatrix(0, {(0, 0): 2 ** 70, (1, 0): 3, (1, 1): 1},
+                           dg.Window(0, 1), dg.Window(0, 1))
+    assert m.csr.mult.dtype == object
+    got = dg.Scratch().scatter(m, m.csr.mult)
+    assert got.tobytes() == m.to_dense().tobytes()
+
+
+def test_source_pairs_are_the_sources_sharing_a_target():
+    """Every pair (v, w), v <= w, of sources with a common target, once and
+    in order; None when the rows would yield more pairs than the sources x
+    sources array has entries."""
+    rng = np.random.default_rng(18)
+    seen_none = seen_pairs = 0
+    for _ in range(200):
+        m = _random_level(rng, *(int(x) for x in rng.integers(1, 30, 2)))
+        c = m.csr
+        k = np.diff(c.indptr)
+        pairs = m.source_pairs()
+        if int(k @ k) > len(m.sources) ** 2:
+            assert pairs is None
+            seen_none += 1
+            continue
+        B = m.scatter(np.ones(len(c.rows))) > 0
+        want = np.argwhere(np.triu(B.T.astype(int) @ B.astype(int)) > 0)
+        assert np.array_equal(np.column_stack(pairs), want)
+        seen_pairs += 1
+    band = dg.band_diagram(DRUNKEN, 2, [-40, 40, 2]).F(0)
+    v, w = band.source_pairs()
+    assert set((w - v).tolist()) == {0, 1, 2}   # offsets 0, 2 and 4
+    assert seen_none and seen_pairs
+
+
 def test_heights_exact_past_int64():
     d = fib_diagram(100)
     fib = [1, 1]

@@ -498,3 +498,67 @@ def test_edge_comparisons_match_dense_reference():
         assert mk.balance_gap(hk, n) == float(np.abs(lhs - rhs).max())
     assert masked > 0
     assert mk.hat_vs_incidence(d, hk) == worst
+
+
+def _dense_gap(q, T):
+    """max |q_v T(v, w) - q_w T(w, v)| over the whole array, the way the
+    operators suite used to form it: two products, subtracted in place."""
+    a, b = q[:, None] * T, (q[:, None] * T).T
+    return float(np.abs(np.subtract(a, b, out=a), out=a).max())
+
+
+def _all_pairs(F):
+    """Brute-force source pairs sharing a target, without the size rule."""
+    B = F.scatter(np.ones(len(F.csr.rows))).astype(int)
+    return tuple(np.nonzero(np.triu(B.T @ B)))
+
+
+def _assert_gap_matches_dense(hk):
+    for n in range(hk.depth):
+        F = hk.diagram.F(n)
+        T = mk.compose_Tn(hk.phat[n], hk.qhat[n])
+        want = np.float64(_dense_gap(hk.q[n], T)).tobytes()
+        for pairs in (F.source_pairs(), _all_pairs(F)):
+            got = mk.self_adjoint_gap(T, hk.q[n], pairs)
+            assert np.float64(got).tobytes() == want, (n, got)
+
+
+def _with(hk, *, p=None, q=None, qv=None):
+    """hk with some edge values or level masses replaced."""
+    return mk.HatKernels(hk.diagram, hk.q if qv is None else qv,
+                         hk.phat_values if p is None else p,
+                         hk.qhat_values if q is None else q)
+
+
+def test_self_adjoint_gap_on_pairs_matches_dense_bit_for_bit():
+    """T-hat_n's q-weighted asymmetry read at the source pairs equals the
+    maximum over the whole array, bit for bit: on random systems, the
+    clipped band, kernels of both signs, overflowing products, and with
+    inf or NaN in an edge value or a level mass, which makes a diagonal
+    pair NaN, as it makes the dense maximum."""
+    band = dg.band_diagram(DRUNKEN, depth=5, window=dg.Window(-30, 30, 2))
+    mu, _ = ms.stationary_pf_measure(band)
+    cases = [mk.dual_kernels(mk.markov_from_tail_invariant(band, mu))]
+    cases += [mk.dual_kernels(random_system(seed, depth=4, max_m=m))
+              for seed in range(12) for m in (6, 30)]
+    rng = np.random.default_rng(19)
+    for hk in list(cases):
+        def signed(values):
+            return tuple(v * rng.choice([-1.0, 1.0], len(v)) for v in values)
+        cases.append(_with(hk, p=signed(hk.phat_values),
+                           q=signed(hk.qhat_values)))
+        cases.append(_with(hk, p=tuple(v * 1e200 for v in hk.phat_values),
+                           q=tuple(v * 1e200 for v in hk.qhat_values)))
+        for bad in (np.inf, -np.inf, np.nan):
+            p = [v.copy() for v in hk.phat_values]
+            p[1][rng.integers(len(p[1]))] = bad
+            cases.append(_with(hk, p=tuple(p)))
+            q = [v.copy() for v in hk.qhat_values]
+            q[0][rng.integers(len(q[0]))] = bad
+            cases.append(_with(hk, q=tuple(q)))
+            qv = [v.copy() for v in hk.q]
+            qv[2][rng.integers(len(qv[2]))] = bad
+            cases.append(_with(hk, qv=tuple(qv)))
+    with np.errstate(over="ignore", invalid="ignore"):   # inf - inf
+        for hk in cases:
+            _assert_gap_matches_dense(hk)

@@ -323,6 +323,54 @@ def test_malformed_field_names_the_field(doc, message):
         parse({**base, **doc})
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"markov": {"q0": ["0.5", "0.5"], "edges": _EDGES}},
+     "markov q0 entry must be a number, got '0.5'"),
+    ({"markov": {"q0": [0.5, 0.5], "edges": [[0, 0, 0, "0.5"]] + _EDGES[1:]}},
+     "markov edge probability must be a number, got '0.5'"),
+    ({"markov": {"q0": [0.5, 0.5],
+                 "edges": [[0, 0, 0, ["0.5"]]] + _EDGES[1:]}},
+     "markov edge probability entry must be a number, got '0.5'"),
+    ({"markov": {"q0": [0.5, True], "edges": _EDGES}},
+     "markov q0 entry must be a number, got True"),
+    ({"markov": {"q0": [0.5, 0.5], "edges": [[0, "0", 0, 0.5]] + _EDGES[1:]}},
+     "markov edge source must be an integer, got '0'"),
+    ({"markov": {"q0": [0.5, 0.5], "edges": [[True, 0, 0, 0.5]] + _EDGES[1:]}},
+     "markov edge level must be an integer, got True"),
+    ({"kernels": {"nu0": [0.5, "nan"], "chain": _CHAIN}},
+     "kernels nu0 entry must be a number, got 'nan'"),
+    ({"kernels": {"nu0": [0.5, 0.5], "chain": [[[0.5, "0.5"], [0.5, 0.5]]]}},
+     "kernel 0 row entry must be a number, got '0.5'"),
+    ({"substitution": {"name": "odometer", "k": "3"}},
+     "odometer 'k' must be an integer, got '3'"),
+], ids=["q0-strings", "edge-probability-string", "edge-rank-string",
+        "q0-boolean", "edge-source-string", "edge-level-boolean",
+        "nu0-nan-string", "chain-string", "odometer-k-string"])
+def test_strings_and_booleans_are_not_numbers(doc, message):
+    """A JSON string or boolean where a number belongs is a SpecError that
+    names the field, not a value float() or int() happens to accept: the
+    string "nan" in nu0 used to reach the kernel chain as a NaN and surface
+    as "support is empty"."""
+    base = {"depth": 2} if "substitution" in doc else {
+        "matrix": [[1, 1], [1, 1]], "depth": 2}
+    with pytest.raises(sf.SpecError, match="^" + re.escape(message) + "$"):
+        parse({**base, **doc})
+
+
+def test_band_offsets_are_decimal_strings():
+    """JSON object keys are strings, so band offsets stay decimal strings
+    (or integers, from Python), and anything else names the offset."""
+    doc = {"window": [-10, 10, 2], "depth": 2}
+    want = parse({"band": {"-2": 1, "0": 2, "2": 1}, **doc}).diagram.F(0)
+    got = parse({"band": {-2: 1, 0: 2, 2: 1}, **doc}).diagram.F(0)
+    assert got.entries == want.entries
+    for key in ("1.5", True):
+        with pytest.raises(sf.SpecError,
+                           match=re.escape(f"band offset must be an integer, "
+                                           f"got {key!r}")):
+            parse({"band": {key: 1, "0": 2}, **doc})
+
+
 def test_markov_explicit_needs_q0_and_edges():
     with pytest.raises(sf.SpecError, match="q0 and edges"):
         parse({"matrix": [[1]], "depth": 2, "markov": {"q0": [1.0]}})
