@@ -3,18 +3,32 @@
 Submodules:
     diagram       -- windows, incidence matrices, paths, orders, telescoping
     substitution  -- substitution rules and their stationary diagrams
-    perron        -- Perron-Frobenius data on matrix windows, recurrence
+    perron        -- Perron-Frobenius data and recurrence of one square
+                     incidence level, read from its CSR arrays
     measures      -- tail-invariant measures, hat matrices, tower masses
     markov        -- Markov path measures, dual kernels, transfer operators
     laplacian     -- weighted networks, harmonic functions, random walks
     cells         -- kernel duality on finite cell spaces
     specfile      -- JSON description of all of the above
     cli           -- command-line front end (``python -m bratteli``)
+
+Each submodule is imported on first use (PEP 562): ``import bratteli``
+loads none of them, and ``bratteli.cells`` or ``from bratteli import
+cells`` loads ``cells``.
 """
-from . import (cells, diagram, laplacian, markov, measures, perron, specfile,
-               substitution)
+import importlib
 
 __all__ = ["cells", "cli", "diagram", "laplacian", "markov", "measures",
            "perron", "specfile", "substitution"]
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

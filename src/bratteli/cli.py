@@ -116,8 +116,9 @@ def _key(k) -> str:
     return text
 
 
-def _emit(args, payload: dict, rows, header: list) -> None:
-    """JSON object, or CSV when requested; only CSV iterates the rows."""
+def _emit(args, payload: dict, rows, header: list) -> int:
+    """JSON object, or CSV when requested; only CSV iterates the rows.
+    The exit code: 1, with an error object, when --out cannot be written."""
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -129,10 +130,15 @@ def _emit(args, payload: dict, rows, header: list) -> None:
     else:
         text = _json(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            return _fail(type(e).__name__,
+                         f"cannot write --out {args.out}: {e.strerror}")
     else:
         sys.stdout.write(text)
+    return 0
 
 
 def _fail(kind: str, detail: str) -> int:
@@ -352,8 +358,7 @@ def cmd_analyze(args) -> int:
         payload, rows, header = _ANALYSES[args.analysis](ctx, args)
     except _ERRORS as e:
         return _fail(type(e).__name__, str(e))
-    _emit(args, payload, rows, header)
-    return 0
+    return _emit(args, payload, rows, header)
 
 
 # ---------------------------------------------------------------- check

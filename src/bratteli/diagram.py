@@ -393,8 +393,10 @@ class Scratch:
 
 
 def _multiplicity(m, where: str) -> int:
-    """m as an int; a non-integral or non-finite m raises WindowMismatch."""
-    if not (isinstance(m, numbers.Integral) or isinstance(m, numbers.Real)
+    """m as an int; a boolean, non-integral or non-finite m raises
+    WindowMismatch."""
+    if isinstance(m, bool) or not (
+            isinstance(m, numbers.Integral) or isinstance(m, numbers.Real)
             and math.isfinite(m) and m % 1 == 0):
         raise WindowMismatch(f"{where} has multiplicity {m!r}")
     return int(m)
@@ -414,7 +416,7 @@ def incidence_from_dense(level: int, matrix, row_window=None,
     for i, v in enumerate(tv):
         for j, w in enumerate(sv):
             m = arr[i][j]
-            if m:
+            if m or m is False:   # false is refused, not read as 0
                 entries[(v, w)] = _multiplicity(
                     m, f"entry ({v},{w}) at level {level}")
     return IncidenceMatrix(level, entries, rw, cw)

@@ -13,7 +13,6 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-from . import cells as cl
 from . import diagram as dg
 from . import measures as ms
 from . import substitution as sb
@@ -66,6 +65,11 @@ def _integral(x, where: str) -> int:
     raise SpecError(f"{where} must be an integer, got {x!r}")
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: an int, but not a boolean."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _number(x, where: str) -> float:
     """x as a float; anything but a number raises SpecError."""
     if _is_number(x):
@@ -98,7 +102,7 @@ def _check_fields(block: dict, allowed: set, where: str):
 
 def _as_window(value, where: str) -> dg.Window:
     _require(isinstance(value, (list, tuple)) and len(value) in (2, 3)
-             and all(isinstance(x, int) for x in value),
+             and all(map(_is_int, value)),
              f"{where} must be [lo, hi] or [lo, hi, step]")
     return dg.window_of(tuple(value))
 
@@ -162,7 +166,7 @@ def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
         by_level: dict[int, dict] = {}
         for t in doc["triplets"]:
             _require(isinstance(t, (list, tuple)) and len(t) == 4
-                     and all(isinstance(x, int) for x in t),
+                     and all(map(_is_int, t)),
                      "triplets are [level, target, source, multiplicity]")
             lvl, tgt, src, mult = t
             _require(0 <= lvl < len(wins) - 1, f"triplet level {lvl} out of range")
@@ -173,7 +177,7 @@ def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
                 for lvl in range(len(wins) - 1)]
         diagram = dg.validate(mats)
     else:
-        _require(isinstance(depth, int) and depth >= 1,
+        _require(_is_int(depth) and depth >= 1,
                  "depth must be a positive integer")
         _require("windows" not in doc, "'windows' only applies to triplets")
         if kind == "matrix":
@@ -253,6 +257,7 @@ def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
 
     kernels = None
     if "kernels" in doc:
+        from . import cells as cl   # only a kernel block needs sampling code
         blk = doc["kernels"]
         _require(isinstance(blk, dict), "kernels must be an object")
         _check_fields(blk, _KERNEL_FIELDS, "kernels")
@@ -311,9 +316,13 @@ def _finite(text: str) -> float:
 
 
 def load_spec(path: str, depth_override: int | None = None) -> ParsedSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, parse_float=_finite, parse_constant=_finite)
-        except json.JSONDecodeError as e:
-            raise SpecError(f"not valid JSON: {e}") from e
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise SpecError(f"cannot read spec {path}: {e.strerror}") from e
+    try:
+        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except json.JSONDecodeError as e:
+        raise SpecError(f"not valid JSON: {e}") from e
     return parse_spec(doc, depth_override)

@@ -268,6 +268,29 @@ def test_analyze_out_file(capsys, tmp_path):
         "PositiveRecurrent"
 
 
+def test_analyze_unwritable_out_is_an_error_object(capsys, tmp_path):
+    dest = tmp_path / "missing" / "pf.json"
+    rc, d = run_json(capsys, "analyze", FIBONACCI, "pf", "--out", str(dest))
+    assert rc == 1
+    assert d["error"] == {
+        "kind": "FileNotFoundError",
+        "detail": f"cannot write --out {dest}: No such file or directory"}
+
+
+@pytest.mark.parametrize("command", [["validate"], ["analyze", "pf"],
+                                     ["check"]])
+def test_missing_spec_file_is_an_error_object(capsys, tmp_path, command):
+    path = tmp_path / "missing.json"
+    rc, d = run_json(capsys, command[0], str(path), *command[1:])
+    assert rc == 1
+    detail = f"cannot read spec {path}: No such file or directory"
+    if command == ["validate"]:
+        assert d == {"valid": False,
+                     "violations": [{"kind": "SpecError", "detail": detail}]}
+    else:
+        assert d["error"] == {"kind": "SpecError", "detail": detail}
+
+
 # -- check ----------------------------------------------------------------------
 
 def test_check_all_pass_text(capsys):
@@ -627,6 +650,58 @@ def test_python_dash_m_bratteli():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["valid"] is True
+
+
+def _fresh(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter on this package."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=SPECS.parent,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_LOADED = ("sorted(m for m in sys.modules "
+           "if m.startswith('bratteli.'))")
+
+
+def test_import_loads_no_submodule():
+    assert _fresh(f"import sys, bratteli; print({_LOADED})") == "[]\n"
+
+
+def test_submodules_load_on_first_use():
+    out = _fresh(
+        "import importlib, bratteli\n"
+        "for name in bratteli.__all__:\n"
+        "    mod = getattr(bratteli, name)\n"
+        "    assert mod is importlib.import_module('bratteli.' + name), name\n"
+        "assert set(bratteli.__all__) <= set(dir(bratteli))\n"
+        "try:\n"
+        "    bratteli.nope\n"
+        "except AttributeError as e:\n"
+        "    print(e)\n")
+    assert out == "module 'bratteli' has no attribute 'nope'\n"
+
+
+def test_star_import_and_from_import():
+    out = _fresh("from bratteli import *\n"
+                 "from bratteli import cells as cl\n"
+                 "print(cells is cl, cli.__name__, substitution.__name__)")
+    assert out == "True bratteli.cli bratteli.substitution\n"
+
+
+def test_diagram_spec_loads_no_sampling_code():
+    out = _fresh("import sys\n"
+                 "from bratteli.specfile import load_spec\n"
+                 "load_spec('examples_specs/fibonacci.json')\n"
+                 f"print({_LOADED})\n"
+                 "spaces, kernels = load_spec("
+                 "'examples_specs/kernels.json').kernels\n"
+                 "print(len(spaces) == len(kernels) + 1)")
+    assert out.splitlines() == [
+        "['bratteli.diagram', 'bratteli.measures', 'bratteli.perron', "
+        "'bratteli.specfile', 'bratteli.substitution']", "True"]
 
 
 def test_unknown_analysis_is_usage_error(capsys):

@@ -126,6 +126,29 @@ def test_depth_must_be_positive_int(depth):
         parse(doc)
 
 
+@pytest.mark.parametrize("doc, error, message", [
+    ({"matrix": [[True, 1], [1, 1]], "depth": 2}, dg.WindowMismatch,
+     "entry (0,0) at level 0 has multiplicity True"),
+    ({"matrix": [[False, 1], [1, 1]], "depth": 2}, dg.WindowMismatch,
+     "entry (0,0) at level 0 has multiplicity False"),
+    ({"matrix": [[1]], "depth": True}, sf.SpecError,
+     "depth must be a positive integer"),
+    ({"matrix": [[1, 1], [1, 1]], "depth": 2, "window": [0, True]},
+     sf.SpecError, "window must be [lo, hi] or [lo, hi, step]"),
+    ({"band": {"0": True}, "window": [-10, 10, 2], "depth": 2},
+     dg.WindowMismatch, "band offset 0 has multiplicity True"),
+    ({"triplets": [[0, 0, 0, True]], "windows": [[0, 0], [0, 0]]},
+     sf.SpecError, "triplets are [level, target, source, multiplicity]"),
+], ids=["matrix-true", "matrix-false", "depth", "window", "band",
+        "triplet-multiplicity"])
+def test_booleans_are_not_integers(doc, error, message):
+    """A JSON boolean where an integer belongs is refused with an error
+    naming the field; true used to read as 1, so a matrix of booleans gave
+    lambda 2."""
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        parse(doc)
+
+
 def test_structure_errors_keep_their_kind():
     # zero row at level 0 is a diagram defect, not a schema defect
     with pytest.raises(dg.ZeroRow):
