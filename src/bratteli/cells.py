@@ -549,9 +549,10 @@ def chain_network(spaces: Sequence[CellSpace],
         Ks.append(K)
     d = validate(mats)
     # cells are numbered from 0, so CSR positions are the cell indices
-    system = mk.shared_value_system(
-        d, nus[0], [K[d.F(k).csr.indices, d.F(k).csr.rows]
-                    for k, K in enumerate(Ks)])
+    system = mk.MarkovSystem(
+        d, np.asarray(nus[0], dtype=np.float64),
+        tuple(K[d.F(k).csr.indices, d.F(k).csr.rows]
+              for k, K in enumerate(Ks)), (None,) * depth)
     return lp.build_network(mk.dual_kernels(system))
 
 

@@ -155,7 +155,7 @@ class _Context:
 
     def __init__(self, spec: ParsedSpec, strict: bool):
         self.spec, self.diagram, self.strict = spec, spec.diagram, strict
-        self.induced = spec.markov is None or "edges" not in spec.markov
+        self.induced = spec.markov is None or "probs" not in spec.markov
         self._measures: dict = {}
 
     def measure(self, normalization: str):
@@ -173,13 +173,8 @@ class _Context:
         if self.induced:
             norm = "probability" if blk is None else blk["normalization"]
             return mk.markov_from_tail_invariant(d, self.measure(norm)[0])
-        probs: list[dict] = [{} for _ in range(d.depth)]
-        for (lvl, src, tgt, p) in blk["edges"]:
-            probs[lvl][(src, tgt)] = p
-        sysm = mk.MarkovSystem(d, np.asarray(blk["q0"], dtype=np.float64),
-                               tuple(probs))
-        mk.validate_system(sysm, tol=1e-12 if self.strict else float("inf"))
-        return sysm
+        return mk.explicit_system(d, blk["q0"], blk["probs"],
+                                  tol=1e-12 if self.strict else float("inf"))
 
     @cached_property
     def kernels(self) -> mk.HatKernels:

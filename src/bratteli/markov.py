@@ -14,27 +14,28 @@ are mutually adjoint contractions between the q-weighted l2 spaces; their
 composition T_n = P-hat Q-hat is row-stochastic, fixes q^(n) on the left
 and is self-adjoint in the level-n weighted inner product.
 
-Stored form.  Both kernels are nonzero only on the edges of the level's
-incidence matrix, so each is kept as one value per edge, in the CSR order
-of ``diagram.F(n).csr``: ``MarkovSystem.phat_edges`` for P-hat, computed
-once per level, and ``HatKernels.qhat_values`` for Q-hat.  Comparisons
+Stored form.  Everything is kept per level in the CSR order of
+``diagram.F(n).csr``.  A system holds its probabilities as arrays
+(``MarkovSystem.p_values``, with rank offsets ``p_ranks`` only where an
+entry gives one value per edge rank); ``explicit_system`` is the one reader
+of {(source, target): value} mappings.  P-hat (``MarkovSystem.phat_edges``)
+and Q-hat (``HatKernels.qhat_values``) are one value per edge.  Comparisons
 that are elementwise (detailed balance, Q-hat against the hat incidence
 matrix) read the edges alone.  The products whose float summation order
-reaches an output stay dense: ``q @ P``, row sums, T_P / T_Q, T_n and
-the Laplacian.  A dense kernel exists only while its level is processed:
+reaches an output stay dense: ``q @ P``, row sums, T_P / T_Q, T_n and the
+Laplacian.  A dense kernel exists only while its level is processed:
 ``hk.phat[n]`` and ``hk.qhat[n]`` scatter a fresh array from the edge
 values on every index through ``IncidenceMatrix.scatter`` (Q-hat is the
-transpose of a by-source scatter), the same array with the same layout
-that a dense computation would hold, so every printed number stays
-identical while memory grows with the number of edges instead of
-depth x m^2.  The loops that visit every level in turn (the level sweep
-below and the operators check) scatter into one ``diagram.Scratch`` array
-per kernel instead, which gives the same array without a fresh m x m
-zero-fill per level.  Per-vertex sums of edge values (the clipped-row
-renormalization of an induced system) go through
-``IncidenceMatrix.totals``.  T_n is dense, but its self-adjointness is read
-only where it can be nonzero, at the source pairs of the level
-(``self_adjoint_gap``).
+transpose of a by-source scatter), the same array with the same layout that
+a dense computation would hold, so every printed number stays identical
+while memory grows with the number of edges instead of depth x m^2.  The
+loops that visit every level in turn (the level sweep below and the
+operators check) scatter into one ``diagram.Scratch`` array per kernel
+instead, which gives the same array without a fresh m x m zero-fill per
+level.  Per-vertex sums of edge values (the clipped-row renormalization of
+an induced system) go through ``IncidenceMatrix.totals``.  T_n is dense,
+but its self-adjointness is read only where it can be nonzero, at the
+source pairs of the level (``self_adjoint_gap``).
 
 ``MarkovSystem.levels`` owns the one dense sweep over the levels, cached
 on the system: q^(n+1) = q^(n) P-hat_n and each level's largest
@@ -42,14 +43,13 @@ on the system: q^(n+1) = q^(n) P-hat_n and each level's largest
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .diagram import (Diagram, FinitePath, IncidenceMatrix, Scratch,
-                      path_in_diagram)
+from .diagram import Diagram, FinitePath, Scratch, path_in_diagram
 from .measures import DimensionMismatch, MeasureSequence, hat_matrix
 
 Q_FLOOR = 1e-300  # below this a level mass is treated as identically zero
@@ -81,24 +81,19 @@ class ZeroMeasureVertex(Exception):
 class MarkovSystem:
     """q^(0) plus edge-resolved transition probabilities per level.
 
-    probs[n] maps a source/target pair (v in V_n, u in V_{n+1}) to either a
-    single float (one shared value for all parallel edges) or a tuple with
-    one value per edge rank.  ``phat_values``, when given, are the levels'
-    ``phat_edges`` arrays, so they are not recomputed from probs.
+    p_values[n] holds level n's probabilities in the CSR order of
+    ``diagram.F(n).csr``.  When p_ranks[n] is None, entry k has the one
+    value p_values[n][k], shared by its mult[k] parallel edges.  Otherwise
+    entry k's values are p_values[n][p_ranks[n][k]:p_ranks[n][k + 1]]:
+    one shared value, or one value per edge rank.  ``explicit_system``
+    builds a checked system from {(source, target): value} mappings.
     """
 
     diagram: Diagram
     q0: np.ndarray
-    probs: tuple[Mapping[tuple[int, int], object], ...]
+    p_values: tuple[np.ndarray, ...]
+    p_ranks: tuple[np.ndarray | None, ...]
     meta: Mapping[str, object] = field(default_factory=dict)
-    phat_values: InitVar[Sequence[np.ndarray] | None] = None
-    # level -> phat_edges(level), filled on first use
-    _edges: dict[int, np.ndarray] = field(default_factory=dict, init=False,
-                                          repr=False, compare=False)
-
-    def __post_init__(self, phat_values):
-        for n, vals in enumerate(phat_values or ()):
-            self._edges[n] = _frozen(np.asarray(vals, dtype=np.float64))
 
     @property
     def depth(self) -> int:
@@ -107,15 +102,9 @@ class MarkovSystem:
     def phat_edges(self, level: int) -> np.ndarray:
         """P-hat at ``level``, one read-only value per edge of
         ``diagram.F(level).csr``: mult * p for a shared value, the sum of
-        the per-rank values otherwise.  Computed once per level."""
-        if level not in self._edges:
-            tots = []
-            for u, v, mult in self.diagram.F(level).triplets():
-                val = self.probs[level][(v, u)]
-                tots.append(mult * float(val) if np.isscalar(val)
-                            else float(sum(val)))
-            self._edges[level] = _frozen(np.array(tots, dtype=np.float64))
-        return self._edges[level]
+        the per-rank values, added left to right, otherwise."""
+        return _phat(self.diagram.F(level).csr.mult, self.p_values[level],
+                     self.p_ranks[level])
 
     @cached_property
     def levels(self) -> LevelSweep:
@@ -138,70 +127,57 @@ class LevelSweep(NamedTuple):
     stochasticity: tuple[float, ...]
 
 
-class _SharedProbs(Mapping):
-    """One level of ``MarkovSystem.probs`` when parallel edges share a
-    value: the per-edge array, in the CSR order of the level, turned into
-    the {(source, target): p} dict on the first lookup or iteration."""
-
-    def __init__(self, m: IncidenceMatrix, p: np.ndarray):
-        self._m, self._p, self._table = m, p, None
-
-    def _dict(self) -> dict:
-        if self._table is None:
-            self._table = {(v, u): x for (u, v, _), x in
-                           zip(self._m.triplets(), self._p.tolist())}
-        return self._table
-
-    def __getitem__(self, key):
-        return (self._table or self._dict())[key]
-
-    def __iter__(self):
-        return iter(self._dict())
-
-    def __len__(self) -> int:
-        return len(self._p)
-
-
-def shared_value_system(d: Diagram, q0, p_levels: Sequence[np.ndarray],
-                        meta: Mapping[str, object] | None = None
-                        ) -> MarkovSystem:
-    """The system with probability p_levels[n][k] on every parallel edge of
-    entry k of ``d.F(n).csr``.  Its ``probs`` dicts are built only if
-    something reads them."""
-    return MarkovSystem(
-        d, np.asarray(q0, dtype=np.float64),
-        tuple(_SharedProbs(d.F(n), p) for n, p in enumerate(p_levels)),
-        {} if meta is None else meta,
-        phat_values=[d.F(n).csr.mult * p for n, p in enumerate(p_levels)])
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
-def validate_system(ms: MarkovSystem, tol: float = 1e-12) -> None:
-    """Finite positive values exactly on edges, stochastic rows within
-    tol."""
-    d = ms.diagram
-    if len(ms.q0) != len(d.window(0)):
+def _phat(mult: np.ndarray, p: np.ndarray, ranks: np.ndarray | None
+          ) -> np.ndarray:
+    """``MarkovSystem.phat_edges`` of one level's arrays."""
+    if ranks is None:
+        return _frozen(np.asarray(mult * p, dtype=np.float64))
+    lo, count = ranks[:-1], np.diff(ranks)
+    out = np.zeros(len(count))
+    for r in range(int(count.max())):   # a sequential sum, as sum() adds
+        live = count > r
+        out[live] += p[lo[live] + r]
+    shared = count == 1
+    out[shared] = mult[shared] * p[lo[shared]]
+    return _frozen(out)
+
+
+def explicit_system(d: Diagram, q0, probs: Sequence[Mapping],
+                    tol: float = 1e-12) -> MarkovSystem:
+    """The system whose probs[n] maps each source/target pair (v in V_n,
+    u in V_{n+1}) to one float shared by its parallel edges or a tuple
+    with one value per edge rank.
+
+    Checks, in this order: q0 against the level-0 window, finite and
+    positive; one mapping per level; then per level, its keys are the
+    level's edge set, each value in mapping order has one value or one
+    per rank, all finite and positive, and each outgoing row sums to 1
+    within tol.
+    """
+    q0 = np.asarray(q0, dtype=np.float64)
+    if len(q0) != len(d.window(0)):
         raise DimensionMismatch("q0 does not match the level-0 window")
-    q0 = np.asarray(ms.q0, dtype=np.float64)
     for j in np.flatnonzero(~np.isfinite(q0))[:1]:
         raise PathInvalid(f"non-finite q0 entry {q0[j]} at level-0 vertex "
                           f"{d.vertices(0)[j]}")
-    if (np.asarray(ms.q0) <= 0).any():
-        raise ZeroMeasureVertex(0, int(d.vertices(0)[int(np.argmin(ms.q0))]))
-    if len(ms.probs) != d.depth:
+    if (q0 <= 0).any():
+        raise ZeroMeasureVertex(0, int(d.vertices(0)[int(np.argmin(q0))]))
+    if len(probs) != d.depth:
         raise DimensionMismatch(
-            f"{len(ms.probs)} probability levels for depth {d.depth}")
-    for n in range(d.depth):
+            f"{len(probs)} probability levels for depth {d.depth}")
+    p_values, p_ranks = [], []
+    for n, level in enumerate(probs):
         m = d.F(n)
         edges = {(w, v): mult for v, w, mult in m.triplets()}
-        if set(ms.probs[n]) != set(edges):
+        if set(level) != set(edges):
             raise PathInvalid(f"level {n} probabilities keyed off the edge "
                               f"set of the diagram")
-        for (w, v), val in ms.probs[n].items():
+        for (w, v), val in level.items():
             vals = (val,) if np.isscalar(val) else tuple(val)
             mult = edges[(w, v)]
             if not np.isscalar(val) and len(vals) != mult:
@@ -210,12 +186,23 @@ def validate_system(ms: MarkovSystem, tol: float = 1e-12) -> None:
             if not all(0 < x < np.inf for x in vals):
                 raise PathInvalid(f"nonpositive or non-finite probability "
                                   f"on edge ({w}->{v}) at level {n}")
-        sums = m.scatter(ms.phat_edges(n), by_source=True).sum(axis=1)
+        entries = [level[key] for key in edges]   # in CSR order
+        if all(map(np.isscalar, entries)):
+            p, ranks = np.array(entries, dtype=np.float64), None
+        else:
+            parts = [np.atleast_1d(x) for x in entries]
+            p = np.concatenate(parts, dtype=np.float64)
+            ranks = np.cumsum([0] + [len(a) for a in parts])
+        sums = m.scatter(_phat(m.csr.mult, p, ranks),
+                         by_source=True).sum(axis=1)
         j = int(np.argmax(np.abs(sums - 1.0)))   # the worst row
         if abs(sums[j] - 1.0) > tol:
             raise PathInvalid(f"outgoing probabilities at level {n} vertex "
                               f"{d.vertices(n)[j]} sum to {float(sums[j])}, "
                               f"not 1")
+        p_values.append(p)
+        p_ranks.append(ranks)
+    return MarkovSystem(d, q0, tuple(p_values), tuple(p_ranks))
 
 
 # ---------------------------------------------------------------- masses
@@ -232,8 +219,12 @@ def cylinder_mass(ms: MarkovSystem, p: FinitePath) -> float:
     # path_in_diagram has checked every rank against its multiplicity; a
     # value is shared by all parallel edges or given per rank
     for (lvl, src, tgt, rank) in p.edges:
-        val = ms.probs[lvl][(src, tgt)]
-        mass *= float(val) if np.isscalar(val) else float(val[rank])
+        k = d.F(lvl).edge_index(tgt, src)
+        ranks = ms.p_ranks[lvl]
+        if ranks is not None:
+            lo, hi = int(ranks[k]), int(ranks[k + 1])
+            k = lo + rank if hi - lo > 1 else lo
+        mass *= float(ms.p_values[lvl][k])
     return mass
 
 
@@ -261,8 +252,8 @@ class HatKernels:
     """P-hat, Q-hat and the level masses of one Markov system.
 
     Each kernel is stored as one read-only value per edge of level n, in
-    the CSR order of ``diagram.F(n).csr``: phat_values[n] is P-hat
-    (``MarkovSystem.phat_edges``), qhat_values[n] the dual value on the
+    the CSR order of ``diagram.F(n).csr``: phat_values[n] is P-hat, the
+    system's ``phat_edges(n)``, and qhat_values[n] the dual value on the
     same edge.  ``phat[n]`` (rows V_n, columns V_{n+1}) and ``qhat[n]``
     (rows V_{n+1}, columns V_n: it runs the chain downwards) build the
     dense kernel afresh on every index.
@@ -310,7 +301,7 @@ def markov_from_tail_invariant(d: Diagram, nu: MeasureSequence
     """The Markov system whose cylinder masses reproduce a tail-invariant
     measure: p^(n) on every edge v -> u equals nu^(n+1)_u / nu^(n)_v.
 
-    All parallel edges share the value (``shared_value_system``).  On
+    All parallel edges share the value, so no level has rank offsets.  On
     windowed truncations the outgoing sums at clipped source vertices fall
     short of 1; those rows are renormalized (and recorded in
     meta["normalized"]) since a window cannot carry the lost mass.
@@ -338,8 +329,9 @@ def markov_from_tail_invariant(d: Diagram, nu: MeasureSequence
         clipped = np.abs(sums - 1.0) > CLIP_TOL
         ps.append(p / np.where(clipped, sums, 1.0)[c.indices])
         normalized.extend((n, m.sources[j]) for j in np.flatnonzero(clipped))
-    return shared_value_system(d, nu.level(0), ps,
-                               {"normalized": tuple(normalized)})
+    return MarkovSystem(d, np.asarray(nu.level(0), dtype=np.float64),
+                        tuple(ps), (None,) * d.depth,
+                        {"normalized": tuple(normalized)})
 
 
 def balance_gap(hk: HatKernels, n: int) -> float:

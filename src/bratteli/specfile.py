@@ -77,15 +77,22 @@ def _number(x, where: str) -> float:
     raise SpecError(f"{where} must be a number, got {x!r}")
 
 
-def _offset(key) -> int:
-    """A band offset: an integer, or the decimal string of one, which is
-    what a JSON object key holds."""
+def _offset(key, where: str) -> int:
+    """An integer, or the decimal string of one, which is what a JSON
+    object key holds; anything else raises SpecError naming ``where``."""
     if isinstance(key, str):
         try:
             return int(key)
         except ValueError:
             pass
-    return _integral(key, "band offset")
+    return _integral(key, where)
+
+
+def _integers(value, where: str) -> tuple[int, ...]:
+    """A list of integers as ints; anything else raises SpecError."""
+    _require(isinstance(value, (list, tuple)),
+             f"{where} must be a list of integers, got {value!r}")
+    return tuple(_integral(x, f"{where} entry") for x in value)
 
 
 def _numbers(value, where: str) -> tuple[float, ...]:
@@ -133,11 +140,18 @@ def _parse_substitution(block) -> sb.Substitution:
             raise SpecError(e.args[0]) from e
     _require("offsets_word" in block, "substitution needs rules, a name, or "
              "an offsets_word")
-    exceptions = {int(k): tuple(v) for k, v in
-                  block.get("exceptions", {}).items()}
-    return sb.band_rule(tuple(block["offsets_word"]),
-                        alphabet=block.get("alphabet", "int"),
-                        exceptions=exceptions)
+    alphabet = block.get("alphabet", "int")
+    _require(alphabet in ("int", "nat"), f"substitution alphabet must be "
+             f"'int' or 'nat', got {alphabet!r}")
+    exceptions = block.get("exceptions", {})
+    _require(isinstance(exceptions, dict), f"substitution exceptions must "
+             f"map letters to offset words, got {exceptions!r}")
+    return sb.band_rule(
+        _integers(block["offsets_word"], "substitution offsets_word"),
+        alphabet=alphabet,
+        exceptions={_offset(k, "substitution exceptions key"):
+                    _integers(v, "substitution exceptions word")
+                    for k, v in exceptions.items()})
 
 
 def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
@@ -161,8 +175,12 @@ def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
         _require(depth_override is None,
                  "--depth cannot override an explicit triplet diagram")
         _require("windows" in doc, "triplets need per-level windows")
+        _require(isinstance(doc["windows"], (list, tuple)),
+                 f"windows must be a list of windows, got {doc['windows']!r}")
         wins = [_as_window(w, "windows[]") for w in doc["windows"]]
         _require(len(wins) >= 2, "windows must cover levels 0..depth")
+        _require(isinstance(doc["triplets"], (list, tuple)),
+                 f"triplets must be a list, got {doc['triplets']!r}")
         by_level: dict[int, dict] = {}
         for t in doc["triplets"]:
             _require(isinstance(t, (list, tuple)) and len(t) == 4
@@ -183,12 +201,19 @@ def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
         if kind == "matrix":
             win = (_as_window(doc["window"], "window")
                    if "window" in doc else None)
-            diagram = dg.stationary_diagram(doc["matrix"], depth, win)
+            rows = doc["matrix"]
+            _require(isinstance(rows, (list, tuple)) and rows
+                     and all(isinstance(r, (list, tuple)) for r in rows),
+                     f"matrix must be a non-empty list of rows, got {rows!r}")
+            _require(len({len(r) for r in rows}) == 1,
+                     "matrix rows must all have the same length")
+            diagram = dg.stationary_diagram(rows, depth, win)
         elif kind == "band":
             _require("window" in doc, "band rules need a window")
             _require(isinstance(doc["band"], dict),
                      "band must map offsets to multiplicities")
-            band = {_offset(k): v for k, v in doc["band"].items()}
+            band = {_offset(k, "band offset"): v
+                    for k, v in doc["band"].items()}
             diagram = dg.band_diagram(band, depth,
                                       _as_window(doc["window"], "window"))
         else:
@@ -235,7 +260,8 @@ def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
                      "explicit markov blocks take no normalization")
             _require(isinstance(blk["edges"], (list, tuple)),
                      f"markov edges must be a list, got {blk['edges']!r}")
-            edges, seen = [], set()
+            # {(source, target): p} per level, in the block's order
+            probs = [{} for _ in range(diagram.depth)]
             for e in blk["edges"]:
                 _require(isinstance(e, (list, tuple)) and len(e) == 4,
                          "markov edges are [level, source, target, p]")
@@ -244,16 +270,15 @@ def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
                 _require(0 <= lvl < diagram.depth,
                          f"markov edge level {e[0]} outside "
                          f"0..{diagram.depth - 1}")
-                _require((lvl, src, tgt) not in seen,
+                _require((src, tgt) not in probs[lvl],
                          f"markov edge (level {lvl}, source {src}, target "
                          f"{tgt}) is given more than once")
-                seen.add((lvl, src, tgt))
-                edges.append((lvl, src, tgt,
-                              _numbers(e[3], "markov edge probability")
-                              if isinstance(e[3], (list, tuple))
-                              else _number(e[3], "markov edge probability")))
+                probs[lvl][(src, tgt)] = (
+                    _numbers(e[3], "markov edge probability")
+                    if isinstance(e[3], (list, tuple))
+                    else _number(e[3], "markov edge probability"))
             markov = {"q0": _numbers(blk["q0"], "markov q0"),
-                      "edges": tuple(edges)}
+                      "probs": tuple(probs)}
 
     kernels = None
     if "kernels" in doc:

@@ -25,16 +25,17 @@ def uniform_allones_system(depth=6):
     """All-ones 2x2 with q0 = (1/2, 1/2) and p = 1/2 on every edge."""
     d = allones_diagram(depth)
     level = {(w, v): 0.5 for w in (0, 1) for v in (0, 1)}
-    return mk.MarkovSystem(d, np.array([0.5, 0.5]), (dict(level),) * depth)
+    return mk.explicit_system(d, [0.5, 0.5], (level,) * depth)
 
 
 def allones_network(depth=6):
     return lp.build_network(mk.dual_kernels(uniform_allones_system(depth)))
 
 
-def random_system(seed, depth=6, min_m=2, max_m=6):
-    """Random valid MarkovSystem: 2-6 vertices per level, every row and
-    column covered, occasional double edges, Dirichlet outgoing rows."""
+def random_probs(seed, depth=6, min_m=2, max_m=6):
+    """(diagram, q0, probs) of a random valid Markov system: 2-6 vertices
+    per level, every row and column covered, occasional double edges,
+    Dirichlet outgoing rows with one value per edge rank."""
     rng = np.random.default_rng(seed)
     sizes = [int(s) for s in rng.integers(min_m, max_m + 1, depth + 1)]
     mats = []
@@ -71,4 +72,9 @@ def random_system(seed, depth=6, min_m=2, max_m=6):
         probs.append(level)
     q0 = rng.dirichlet(np.ones(sizes[0])) + 0.01
     q0 /= q0.sum()
-    return mk.MarkovSystem(d, q0, tuple(probs))
+    return d, q0, tuple(probs)
+
+
+def random_system(seed, depth=6, min_m=2, max_m=6):
+    """The MarkovSystem of ``random_probs``."""
+    return mk.explicit_system(*random_probs(seed, depth, min_m, max_m))

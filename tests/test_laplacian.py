@@ -17,7 +17,7 @@ from conftest import (DRUNKEN, allones_network, random_system,
 def deterministic_network(depth=2):
     d = dg.stationary_diagram([[0, 1], [1, 0]], depth)
     probs = tuple({(0, 1): 1.0, (1, 0): 1.0} for _ in range(depth))
-    sysm = mk.MarkovSystem(d, np.array([0.5, 0.5]), probs)
+    sysm = mk.explicit_system(d, [0.5, 0.5], probs)
     return lp.build_network(mk.dual_kernels(sysm))
 
 

@@ -9,6 +9,8 @@
       edge-only comparisons equal the dense definitions bit for bit
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from bratteli import measures as ms
 from fractions import Fraction
 
 from conftest import (DRUNKEN, GOLDEN, allones_diagram, fib_diagram,
-                      random_system, uniform_allones_system)
+                      random_probs, random_system, uniform_allones_system)
 
 
 def fib_induced(depth=6):
@@ -30,57 +32,91 @@ def fib_induced(depth=6):
 
 # -- validation --------------------------------------------------------------
 
+def _uniform_probs(depth):
+    """One {(source, target): 1/2} mapping per level of the all-ones 2x2."""
+    return [{(w, v): 0.5 for w in (0, 1) for v in (0, 1)}
+            for _ in range(depth)]
+
+
 class TestValidate:
     def test_uniform_allones_valid(self):
-        mk.validate_system(uniform_allones_system(4))
+        sysm = mk.explicit_system(allones_diagram(4), [0.5, 0.5],
+                                  _uniform_probs(4))
+        assert all(r is None for r in sysm.p_ranks)
+        assert all(p.tolist() == [0.5] * 4 for p in sysm.p_values)
 
     def test_q0_must_be_positive(self):
-        sysm = uniform_allones_system(2)
-        bad = mk.MarkovSystem(sysm.diagram, np.array([1.0, 0.0]), sysm.probs)
         with pytest.raises(mk.ZeroMeasureVertex):
-            mk.validate_system(bad)
+            mk.explicit_system(allones_diagram(2), [1.0, 0.0],
+                               _uniform_probs(2))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_q0_must_be_finite(self, value):
-        sysm = uniform_allones_system(2)
-        bad = mk.MarkovSystem(sysm.diagram, np.array([value, 0.5]),
-                              sysm.probs)
         with pytest.raises(mk.PathInvalid, match="non-finite q0"):
-            mk.validate_system(bad)
+            mk.explicit_system(allones_diagram(2), [value, 0.5],
+                               _uniform_probs(2))
 
     @pytest.mark.parametrize("value", [np.nan, (np.nan,)])
     def test_probabilities_must_be_finite(self, value):
-        sysm = uniform_allones_system(2)
-        probs = tuple(dict(p) for p in sysm.probs)
+        probs = _uniform_probs(2)
         probs[1][(0, 1)] = value
         with pytest.raises(mk.PathInvalid, match="non-finite probability"):
-            mk.validate_system(mk.MarkovSystem(sysm.diagram, sysm.q0, probs))
+            mk.explicit_system(allones_diagram(2), [0.5, 0.5], probs)
 
     def test_rows_must_be_stochastic(self):
-        sysm = uniform_allones_system(2)
-        probs = tuple(dict(p) for p in sysm.probs)
+        probs = _uniform_probs(2)
         probs[0][(0, 1)] = 0.4
-        bad = mk.MarkovSystem(sysm.diagram, sysm.q0, probs)
-        with pytest.raises(mk.PathInvalid):
-            mk.validate_system(bad)
+        with pytest.raises(mk.PathInvalid, match="sum to 0.9, not 1"):
+            mk.explicit_system(allones_diagram(2), [0.5, 0.5], probs)
+        # a tolerance of inf admits the row; the level sweep reports it
+        sysm = mk.explicit_system(allones_diagram(2), [0.5, 0.5], probs,
+                                  tol=np.inf)
+        assert sysm.levels.stochasticity[0] == pytest.approx(0.1)
 
     def test_edge_set_must_match(self):
-        sysm = uniform_allones_system(2)
-        probs = tuple(dict(p) for p in sysm.probs)
+        probs = _uniform_probs(2)
         del probs[1][(0, 0)]
-        with pytest.raises(mk.PathInvalid):
-            mk.validate_system(
-                mk.MarkovSystem(sysm.diagram, sysm.q0, probs))
+        with pytest.raises(mk.PathInvalid, match="keyed off the edge set"):
+            mk.explicit_system(allones_diagram(2), [0.5, 0.5], probs)
 
     def test_rank_arity_must_match(self):
         d = dg.stationary_diagram([[2]], 2)
         probs = ({(0, 0): (0.5, 0.3, 0.2)}, {(0, 0): (0.5, 0.5)})
-        with pytest.raises(mk.PathInvalid):
-            mk.validate_system(mk.MarkovSystem(d, np.array([1.0]), probs))
+        with pytest.raises(mk.PathInvalid, match="3 values for 2 edges"):
+            mk.explicit_system(d, [1.0], probs)
 
     def test_random_systems_validate(self):
         for seed in range(5):
-            mk.validate_system(random_system(seed))
+            sysm = random_system(seed)
+            assert len(sysm.p_values) == len(sysm.p_ranks) == sysm.depth
+
+    @pytest.mark.parametrize("q0, levels, edits, kind, match", [
+        ([0.0], 2, [(0, (0, 0), 0.4)], ms.DimensionMismatch,
+         "q0 does not match"),
+        ([np.nan, 0.0], 2, [], mk.PathInvalid, "non-finite q0"),
+        ([0.0, 1.0], 1, [], mk.ZeroMeasureVertex, "level 0 vertex 0"),
+        ([0.5, 0.5], 1, [(0, (0, 0), 0.4)], ms.DimensionMismatch,
+         "1 probability levels for depth 2"),
+        ([0.5, 0.5], 2, [(0, (0, 0), 0.4), (1, (0, 0), None)],
+         mk.PathInvalid, "level 0 vertex 0 sum to 0.9"),
+        ([0.5, 0.5], 2, [(0, (1, 1), 0.0), (0, (0, 0), None)],
+         mk.PathInvalid, "level 0 probabilities keyed off"),
+        ([0.5, 0.5], 2, [(0, (1, 1), 0.0), (0, (1, 0), (0.5, 0.5))],
+         mk.PathInvalid, r"nonpositive .* edge \(1->1\)"),
+        ([0.5, 0.5], 2, [(0, (1, 0), (0.5, 0.5)), (0, (1, 1), 0.0)],
+         mk.PathInvalid, r"edge \(1->0\) at level 0 has 2 values"),
+    ])
+    def test_first_fault_is_reported(self, q0, levels, edits, kind, match):
+        """With several faults, the one named is the first of: q0 length,
+        finiteness, positivity, level count; then per level the edge set,
+        each entry in mapping order, the row sums."""
+        probs = _uniform_probs(levels)
+        for n, key, val in edits:
+            del probs[n][key]
+            if val is not None:
+                probs[n][key] = val   # now the last entry of its level
+        with pytest.raises(kind, match=match):
+            mk.explicit_system(allones_diagram(2), q0, probs)
 
 
 # -- cylinder masses ---------------------------------------------------------
@@ -100,7 +136,7 @@ def test_uniform_depth2_cylinder():
 def test_odometer_bernoulli_cylinders():
     d = dg.stationary_diagram([[2]], 5)
     probs = tuple({(0, 0): (0.5, 0.5)} for _ in range(5))
-    sysm = mk.MarkovSystem(d, np.array([1.0]), probs)
+    sysm = mk.explicit_system(d, [1.0], probs)
     for path in dg.enumerate_cylinders(d, (5, 0)):
         assert mk.cylinder_mass(sysm, path) == 2.0 ** -5
 
@@ -140,7 +176,7 @@ def test_propagate_point_mass_stays_stochastic():
     m0 = len(sysm.diagram.window(0))
     q0 = np.zeros(m0)
     q0[0] = 1.0
-    probed = mk.MarkovSystem(sysm.diagram, q0 + 1e-14, sysm.probs)
+    probed = dataclasses.replace(sysm, q0=q0 + 1e-14)
     for q in probed.levels.q:
         assert abs(q.sum() - 1.0) < 1e-12
 
@@ -187,7 +223,7 @@ def test_dual_reverses_q():
 def test_deterministic_chain_dual_is_permutation():
     d = dg.stationary_diagram([[0, 1], [1, 0]], 3)
     probs = tuple({(0, 1): 1.0, (1, 0): 1.0} for _ in range(3))
-    sysm = mk.MarkovSystem(d, np.array([0.3, 0.7]), probs)
+    sysm = mk.explicit_system(d, [0.3, 0.7], probs)
     hk = mk.dual_kernels(sysm)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     for n in range(3):
@@ -199,7 +235,7 @@ def test_qhat_value_covers_parallel_edges():
     # ranked probabilities 0.25 and 0.75 carries their whole mass
     d = dg.stationary_diagram([[2]], 2)
     probs = tuple({(0, 0): (0.25, 0.75)} for _ in range(2))
-    sysm = mk.MarkovSystem(d, np.array([1.0]), probs)
+    sysm = mk.explicit_system(d, [1.0], probs)
     hk = mk.dual_kernels(sysm)
     assert d.F(0).csr.mult.tolist() == [2]
     assert hk.qhat_values[0].tolist() == [1.0]
@@ -210,7 +246,7 @@ def test_zero_mass_level_detected():
     d = dg.stationary_diagram([[1, 1], [1, 1]], 1)
     probs = ({(0, 0): 1.0 - 1e-320, (0, 1): 1e-320,
               (1, 0): 1.0 - 1e-320, (1, 1): 1e-320},)
-    sysm = mk.MarkovSystem(d, np.array([0.5, 0.5]), probs)
+    sysm = mk.explicit_system(d, [0.5, 0.5], probs)
     assert sysm.levels.q[1][1] < mk.Q_FLOOR   # the sweep itself raises nothing
     with pytest.raises(mk.ZeroMass) as exc:
         mk.dual_kernels(sysm)
@@ -226,7 +262,7 @@ def test_space_names_the_vanished_vertex_by_label():
     induced = mk.markov_from_tail_invariant(d, mu)
     q0 = np.array(induced.q0)
     q0[d.window(0).position(-2)] = 0.0
-    hk = mk.dual_kernels(mk.MarkovSystem(d, q0, induced.probs))
+    hk = mk.dual_kernels(dataclasses.replace(induced, q0=q0))
     with pytest.raises(mk.ZeroMass) as exc:
         mk.space(hk, 0)
     assert (exc.value.level, exc.value.vertex) == (0, -2)
@@ -252,9 +288,9 @@ def test_induced_allones_is_uniform():
     d = allones_diagram(5)
     mu, _ = ms.stationary_pf_measure(d, "probability")
     sysm = mk.markov_from_tail_invariant(d, mu)
-    for n in range(5):
-        for val in sysm.probs[n].values():
-            assert abs(float(val) - 0.5) < 1e-15
+    assert all(r is None for r in sysm.p_ranks)
+    for p in sysm.p_values:
+        assert np.abs(p - 0.5).max() < 1e-15
     assert sysm.meta["normalized"] == ()
 
 
@@ -263,9 +299,9 @@ def test_induced_fibonacci_edge_probabilities():
     t = mu.level(1) * GOLDEN   # proportional to (phi, 1) normalized
     # p on edge v -> u is t_u / (phi t_v)
     for n in range(5):
-        for (v, u), val in sysm.probs[n].items():
+        for (v, u), val in _shared_probs(sysm)[n].items():
             expect = t[u] / (GOLDEN * t[v])
-            assert abs(float(val) - expect) < 1e-12
+            assert abs(val - expect) < 1e-12
 
 
 def test_induced_requires_positive_measure():
@@ -283,7 +319,8 @@ def test_induced_normalizes_clipped_boundary():
     mu, _ = ms.stationary_pf_measure(d)
     sysm = mk.markov_from_tail_invariant(d, mu)
     assert len(sysm.meta["normalized"]) > 0
-    mk.validate_system(sysm)   # rows sum to 1 after the fix-up
+    # rows sum to 1 after the fix-up, within explicit_system's tolerance
+    assert max(sysm.levels.stochasticity) <= 1e-12
 
 
 def test_dual_equals_hat_incidence_for_induced():
@@ -352,7 +389,7 @@ def test_composed_kernel_uniform():
 def test_composed_kernel_deterministic_is_identity():
     d = dg.stationary_diagram([[0, 1], [1, 0]], 2)
     probs = tuple({(0, 1): 1.0, (1, 0): 1.0} for _ in range(2))
-    hk = mk.dual_kernels(mk.MarkovSystem(d, np.array([0.4, 0.6]), probs))
+    hk = mk.dual_kernels(mk.explicit_system(d, [0.4, 0.6], probs))
     assert np.array_equal(mk.compose_Tn(hk.phat[0], hk.qhat[0]), np.eye(2))
 
 
@@ -371,28 +408,39 @@ def test_composed_kernel_fixes_q_and_is_self_adjoint():
 
 # -- stored edge form --------------------------------------------------------
 
+def _shared_probs(sysm):
+    """The {(source, target): p} mapping of each level of a system whose
+    parallel edges all share their value, read off the edge arrays."""
+    assert all(r is None for r in sysm.p_ranks)
+    return [{(v, u): x for (u, v, _), x in
+             zip(sysm.diagram.F(n).triplets(), p.tolist())}
+            for n, p in enumerate(sysm.p_values)]
+
+
 def _edge_form_cases():
+    """name -> (system, the {(source, target): value} mappings it holds)."""
     clipped = dg.band_diagram(DRUNKEN, depth=4, window=dg.Window(-14, 14, 2))
     mu, _ = ms.stationary_pf_measure(clipped)
     induced = mk.markov_from_tail_invariant(clipped, mu)
     assert induced.meta["normalized"]
     # source 0: a double edge with per-rank values and a double edge with
     # one shared value; source 1: a single edge
-    mixed = mk.MarkovSystem(
-        dg.stationary_diagram([[2, 1], [2, 0]], 3), np.array([0.3, 0.7]),
-        tuple({(0, 0): (0.25, 0.35), (0, 1): 0.2, (1, 0): 1.0}
-              for _ in range(3)))
-    return {"random-uneven": random_system(9, depth=4, min_m=1, max_m=7),
-            "explicit-mixed": mixed,
-            "clipped-band": induced}
+    d = dg.stationary_diagram([[2, 1], [2, 0]], 3)
+    mixed = tuple({(0, 0): (0.25, 0.35), (0, 1): 0.2, (1, 0): 1.0}
+                  for _ in range(3))
+    d_rand, q0, rand = random_probs(9, depth=4, min_m=1, max_m=7)
+    return {"random-uneven": (mk.explicit_system(d_rand, q0, rand), rand),
+            "explicit-mixed": (mk.explicit_system(d, [0.3, 0.7], mixed),
+                               mixed),
+            "clipped-band": (induced, _shared_probs(induced))}
 
 
-def _phat_reference(sysm, n):
-    """Dense P-hat from ``probs`` and ``entries`` alone."""
+def _phat_reference(sysm, probs, n):
+    """Dense P-hat from the input mappings and ``entries`` alone."""
     m = sysm.diagram.F(n)
     tv, sv = m.targets, m.sources
     out = np.zeros((len(sv), len(tv)))
-    for (w, v), val in sysm.probs[n].items():
+    for (w, v), val in probs[n].items():
         mult = m.entries[(v, w)]
         out[sv.index(w), tv.index(v)] = (mult * float(val) if np.isscalar(val)
                                          else float(sum(val)))
@@ -401,9 +449,9 @@ def _phat_reference(sysm, n):
 
 @pytest.mark.parametrize("name", sorted(_edge_form_cases()))
 def test_phat_edges_match_probs(name):
-    sysm = _edge_form_cases()[name]
+    sysm, probs = _edge_form_cases()[name]
     for n in range(sysm.depth):
-        ref = _phat_reference(sysm, n)
+        ref = _phat_reference(sysm, probs, n)
         c = sysm.diagram.F(n).csr
         edges = sysm.phat_edges(n)
         assert np.array_equal(edges, ref[c.indices, c.rows])
@@ -413,13 +461,33 @@ def test_phat_edges_match_probs(name):
 
 
 @pytest.mark.parametrize("name", sorted(_edge_form_cases()))
+def test_cylinder_masses_match_probs(name):
+    """Every cylinder's mass is q0 times the mappings' edge values, in
+    path order, bit for bit."""
+    sysm, probs = _edge_form_cases()[name]
+    d = sysm.diagram
+    count = 0
+    for level in range(d.depth + 1):
+        for v in d.vertices(level):
+            for path in dg.enumerate_cylinders(d, (level, v)):
+                lvl0, v0 = path.initial
+                want = float(sysm.q0[d.window(0).position(v0)])
+                for (lvl, src, tgt, rank) in path.edges:
+                    val = probs[lvl][(src, tgt)]
+                    want *= float(val) if np.isscalar(val) else val[rank]
+                assert mk.cylinder_mass(sysm, path) == want
+                count += 1
+    assert count > sum(len(d.vertices(n)) for n in range(d.depth + 1))
+
+
+@pytest.mark.parametrize("name", sorted(_edge_form_cases()))
 def test_dual_kernels_match_dense_formulas(name):
-    sysm = _edge_form_cases()[name]
+    sysm, probs = _edge_form_cases()[name]
     hk = mk.dual_kernels(sysm)
     rng = np.random.default_rng(1)
     q = [np.asarray(sysm.q0, dtype=np.float64)]
     for n in range(sysm.depth):
-        P = _phat_reference(sysm, n)
+        P = _phat_reference(sysm, probs, n)
         q.append(q[n] @ P)
         assert sysm.levels.stochasticity[n] == np.abs(P.sum(axis=1)
                                                       - 1.0).max()
@@ -451,24 +519,6 @@ def test_dense_kernels_are_built_per_index():
         hk.phat[hk.depth]
     for vals in hk.phat_values + hk.qhat_values:
         assert vals.ndim == 1 and not vals.flags.writeable
-
-
-def test_induced_probs_are_built_on_first_read():
-    """An induced system's probs levels stay edge arrays until read, and
-    then give the same dict as the edge values."""
-    d = dg.band_diagram(DRUNKEN, depth=4, window=dg.Window(-14, 14, 2))
-    mu, _ = ms.stationary_pf_measure(d)
-    sysm = mk.markov_from_tail_invariant(d, mu)
-    hk = mk.dual_kernels(sysm)
-    mk.hat_vs_incidence(d, hk)
-    assert all(level._table is None for level in sysm.probs)
-    for n in range(d.depth):
-        m = d.F(n)
-        expect = {(v, u): x / mult for (u, v, mult), x in
-                  zip(m.triplets(), sysm.phat_edges(n).tolist())}
-        # multiplicities are 1 or 2, so dividing by them is exact
-        assert len(sysm.probs[n]) == len(expect)
-        assert dict(sysm.probs[n]) == expect
 
 
 def test_edge_comparisons_match_dense_reference():

@@ -285,10 +285,11 @@ def test_markov_explicit_block():
     ps = parse({"matrix": [[1]], "depth": 2,
                 "markov": {"q0": [1.0], "edges": [[0, 0, 0, 1.0]]}})
     assert ps.markov["q0"] == (1.0,)
-    assert ps.markov["edges"] == ((0, 0, 0, 1.0),)
+    assert ps.markov["probs"] == ({(0, 0): 1.0}, {})
     ps = parse({"matrix": [[1]], "depth": 2,
                 "markov": {"q0": [1.0], "edges": [[0.0, 0, 0.0, 1.0]]}})
-    assert all(type(x) is int for x in ps.markov["edges"][0][:3])
+    (key,) = ps.markov["probs"][0]   # level 0.0 is read as level 0
+    assert all(type(x) is int for x in key)
     for k, what in enumerate(("level", "source", "target")):
         edge = [0, 0, 0, 1.0]
         edge[k] = 0.5
@@ -380,6 +381,61 @@ def test_strings_and_booleans_are_not_numbers(doc, message):
         parse({**base, **doc})
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"matrix": 5, "depth": 2},
+     "matrix must be a non-empty list of rows, got 5"),
+    ({"matrix": [1, 2], "depth": 2},
+     "matrix must be a non-empty list of rows, got [1, 2]"),
+    ({"matrix": [], "depth": 2},
+     "matrix must be a non-empty list of rows, got []"),
+    ({"matrix": [[1, 1], [1]], "depth": 2},
+     "matrix rows must all have the same length"),
+    ({"triplets": 5, "windows": [[0, 0], [0, 0]]},
+     "triplets must be a list, got 5"),
+    ({"triplets": [[0, 0, 0, 1]], "windows": 5},
+     "windows must be a list of windows, got 5"),
+], ids=["matrix-scalar", "matrix-flat", "matrix-empty", "matrix-ragged",
+        "triplets-scalar", "windows-scalar"])
+def test_structural_fields_are_checked(doc, message):
+    """A construction field of the wrong shape is a SpecError naming the
+    field; these used to end in a TypeError or IndexError traceback."""
+    with pytest.raises(sf.SpecError, match="^" + re.escape(message) + "$"):
+        parse(doc)
+
+
+_BAND_RULE = {"offsets_word": [-2, 0, 0, 2]}
+
+
+@pytest.mark.parametrize("block, message", [
+    ({"offsets_word": 5},
+     "substitution offsets_word must be a list of integers, got 5"),
+    ({"offsets_word": [-2, 0.5, 2]},
+     "substitution offsets_word entry must be an integer, got 0.5"),
+    ({"offsets_word": [True, -1]},
+     "substitution offsets_word entry must be an integer, got True"),
+    ({"offsets_word": ["a"]},
+     "substitution offsets_word entry must be an integer, got 'a'"),
+    ({**_BAND_RULE, "alphabet": "foo"},
+     "substitution alphabet must be 'int' or 'nat', got 'foo'"),
+    ({**_BAND_RULE, "exceptions": [5]},
+     "substitution exceptions must map letters to offset words, got [5]"),
+    ({**_BAND_RULE, "exceptions": {"0": 5}},
+     "substitution exceptions word must be a list of integers, got 5"),
+    ({**_BAND_RULE, "exceptions": {"0": [0, 0.5]}},
+     "substitution exceptions word entry must be an integer, got 0.5"),
+    ({**_BAND_RULE, "exceptions": {"x": [0]}},
+     "substitution exceptions key must be an integer, got 'x'"),
+], ids=["word-scalar", "word-fraction", "word-boolean", "word-string",
+        "alphabet", "exceptions-list", "exception-scalar",
+        "exception-fraction", "exception-key"])
+def test_band_rule_fields_are_checked(block, message):
+    """Band-rule substitution fields are read as integers and a known
+    alphabet: a fractional offset used to be truncated and a boolean
+    read as 1, and a scalar word ended in a TypeError traceback."""
+    with pytest.raises(sf.SpecError, match="^" + re.escape(message) + "$"):
+        parse({"substitution": block, "window": [-6, 6, 2], "depth": 2})
+
+
 def test_band_offsets_are_decimal_strings():
     """JSON object keys are strings, so band offsets stay decimal strings
     (or integers, from Python), and anything else names the offset."""
@@ -402,7 +458,7 @@ def test_markov_explicit_needs_q0_and_edges():
 def test_markov_edge_probability_tuple():
     ps = parse({"matrix": [[2]], "depth": 2,
                 "markov": {"q0": [1.0], "edges": [[0, 0, 0, [0.25, 0.75]]]}})
-    assert ps.markov["edges"][0][3] == (0.25, 0.75)
+    assert ps.markov["probs"][0][(0, 0)] == (0.25, 0.75)
 
 
 def test_kernel_chain_block():
