@@ -85,20 +85,10 @@ class CellSpace:
 
 
 @dataclass(frozen=True)
-class CellKernel:
-    """Nonnegative transition matrix between two cell spaces.
-
-    Row x holds the measure K(x, .); the kernel is a probability kernel
-    when every row sums to 1.
-    """
+class _Matrix:
+    """A matrix over two cell spaces, stored as a tuple of row tuples."""
 
     matrix: tuple[tuple, ...]
-
-    def __post_init__(self):
-        if len({len(r) for r in self.matrix}) != 1:
-            raise DimensionMismatch("ragged kernel rows")
-        if any(v < 0 for r in self.matrix for v in r):
-            raise ZeroTotalMass("kernel entries must be nonnegative")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -110,6 +100,32 @@ class CellKernel:
 
     def array(self, exact: bool | None = None) -> np.ndarray:
         return _as_array(self.matrix, self.exact if exact is None else exact)
+
+
+def _rows(a) -> tuple[tuple, ...]:
+    return tuple(tuple(r) for r in a)
+
+
+def _disintegrate(M: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row i of M divided by w[i], or a zero row where w[i] is 0 (w is
+    nonnegative); the zero is int 0 in an object array, 0.0 in floats."""
+    return np.divide(M, w[:, None], out=np.zeros_like(M),
+                     where=(w > 0)[:, None])
+
+
+@dataclass(frozen=True)
+class CellKernel(_Matrix):
+    """Nonnegative transition matrix between two cell spaces.
+
+    Row x holds the measure K(x, .); the kernel is a probability kernel
+    when every row sums to 1.
+    """
+
+    def __post_init__(self):
+        if len({len(r) for r in self.matrix}) != 1:
+            raise DimensionMismatch("ragged kernel rows")
+        if any(v < 0 for r in self.matrix for v in r):
+            raise ZeroTotalMass("kernel entries must be nonnegative")
 
     def row_mass(self, exact: bool | None = None) -> np.ndarray:
         return self.array(exact).sum(axis=1)
@@ -120,7 +136,7 @@ class CellKernel:
 
 
 def kernel_from(matrix) -> CellKernel:
-    return CellKernel(tuple(tuple(v for v in row) for row in matrix))
+    return CellKernel(_rows(matrix))
 
 
 def compose(k1: CellKernel, k2: CellKernel) -> CellKernel:
@@ -128,26 +144,12 @@ def compose(k1: CellKernel, k2: CellKernel) -> CellKernel:
     if k1.shape[1] != k2.shape[0]:
         raise DimensionMismatch("kernel shapes do not chain")
     exact = k1.exact and k2.exact
-    prod = k1.array(exact) @ k2.array(exact)
-    return CellKernel(tuple(tuple(row) for row in prod))
+    return kernel_from(k1.array(exact) @ k2.array(exact))
 
 
 @dataclass(frozen=True)
-class ProductMeasure:
+class ProductMeasure(_Matrix):
     """Measure on the product of two cell spaces, as a matrix."""
-
-    matrix: tuple[tuple, ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.matrix), len(self.matrix[0]))
-
-    @property
-    def exact(self) -> bool:
-        return all(_exact_entry(v) for r in self.matrix for v in r)
-
-    def array(self, exact: bool | None = None) -> np.ndarray:
-        return _as_array(self.matrix, self.exact if exact is None else exact)
 
     def marginal_first(self) -> np.ndarray:
         """Push-forward onto the first factor (row sums)."""
@@ -173,8 +175,10 @@ def dual_kernel(nu1: CellSpace, P: CellKernel
     marginal relations nu1 P = nu2 and nu2 Q = nu1.
 
     Rows of P that do not sum to 1 are normalized first (a finite kernel
-    carries the same disintegration after scaling); a zero row on a
-    mass-carrying cell cannot be normalized and raises ZeroTotalMass.
+    carries the same disintegration after scaling), and Q is rho's
+    transpose disintegrated over nu2, zero on the cells nu2 misses; a
+    zero row on a mass-carrying cell cannot be normalized and raises
+    ZeroTotalMass.
     """
     if P.shape[0] != nu1.m:
         raise DimensionMismatch(
@@ -183,29 +187,15 @@ def dual_kernel(nu1: CellSpace, P: CellKernel
     nu = nu1.nu(exact)
     K = P.array(exact)
     mass = K.sum(axis=1)
-    rows = []
-    for i in range(nu1.m):
-        if mass[i] == 0:
-            if nu[i] > 0:
-                raise ZeroTotalMass(
-                    f"kernel row {i} is zero on a cell of positive mass")
-            rows.append(K[i])
-        elif mass[i] == 1:
-            rows.append(K[i])
-        else:
-            rows.append(K[i] / mass[i])
-    K = np.array(rows, dtype=object if exact else np.float64)
-    rho = nu[:, None] * K
+    for i in np.flatnonzero((mass == 0) & (nu > 0))[:1]:
+        raise ZeroTotalMass(
+            f"kernel row {i} is zero on a cell of positive mass")
+    rho = nu[:, None] * _disintegrate(K, mass)
     nu2 = rho.sum(axis=0)
     if not (nu2 > 0).any():
         raise ZeroTotalMass("product measure has zero total mass")
-    zero = 0 if exact else 0.0
-    Q = np.array([[rho[x, y] / nu2[y] if nu2[y] > 0 else zero
-                   for x in range(nu1.m)] for y in range(P.shape[1])],
-                 dtype=object if exact else np.float64)
-    return (ProductMeasure(tuple(tuple(r) for r in rho)),
-            CellSpace(tuple(nu2)),
-            CellKernel(tuple(tuple(r) for r in Q)))
+    return (ProductMeasure(_rows(rho)), CellSpace(tuple(nu2)),
+            kernel_from(_disintegrate(rho.T, nu2)))
 
 
 def duality_residual(nu1: CellSpace, P: CellKernel,
@@ -247,9 +237,9 @@ def membership_tests(rho: ProductMeasure, nu1: CellSpace, nu2: CellSpace
     """Absolute-continuity membership checks plus kernel recovery.
 
     The recovered kernels are the cellwise ratio derivatives
-    kernel_rows(x, .) = rho(x, .) / nu1(x) and the column analog; they
-    reproduce rho exactly iff the marginals are absolutely continuous
-    with respect to nu1 and nu2.
+    kernel_rows(x, .) = rho(x, .) / nu1(x) and the column analog, zero
+    on the cells where nu1 (nu2) vanishes; they reproduce rho exactly iff
+    the marginals are absolutely continuous with respect to nu1 and nu2.
     """
     if rho.shape != (nu1.m, nu2.m):
         raise DimensionMismatch("product measure shape does not match spaces")
@@ -261,18 +251,11 @@ def membership_tests(rho: ProductMeasure, nu1: CellSpace, nu2: CellSpace
     marg2 = R.sum(axis=0)
     ac = (all(n1[x] > 0 for x in range(nu1.m) if marg1[x] > 0)
           and all(n2[y] > 0 for y in range(nu2.m) if marg2[y] > 0))
-    zero = 0 if exact else 0.0
-    kr = np.array([[R[x, y] / n1[x] if n1[x] > 0 else zero
-                    for y in range(nu2.m)] for x in range(nu1.m)],
-                  dtype=object if exact else np.float64)
-    kc = np.array([[R[x, y] / n2[y] if n2[y] > 0 else zero
-                    for x in range(nu1.m)] for y in range(nu2.m)],
-                  dtype=object if exact else np.float64)
+    kr = _disintegrate(R, n1)
+    kc = _disintegrate(R.T, n2)
     res = max(float(np.abs(n1[:, None] * kr - R).max()),
               float(np.abs((n2[:, None] * kc).T - R).max()))
-    return MembershipReport(ac, res,
-                            CellKernel(tuple(tuple(r) for r in kr)),
-                            CellKernel(tuple(tuple(r) for r in kc)),
+    return MembershipReport(ac, res, kernel_from(kr), kernel_from(kc),
                             tuple(marg1), tuple(marg2))
 
 
@@ -602,19 +585,15 @@ def refine_space(nu: CellSpace, fractions=None) -> CellSpace:
 
 def refine_kernel(P: CellKernel, target_fractions=None) -> CellKernel:
     """Refine both sides of a kernel: source halves inherit their row,
-    target halves split each column by target_fractions."""
+    target halves split each column by target_fractions.  Entries are
+    multiplied as the Python objects they are, so exact stays exact."""
     m1, m2 = P.shape
     if target_fractions is None:
         target_fractions = [Fraction(1, 2)] * m2
-    rows = []
-    for x in range(m1):
-        row = []
-        for y in range(m2):
-            b = target_fractions[y]
-            row += [P.matrix[x][y] * b, P.matrix[x][y] * (1 - b)]
-        rows.append(tuple(row))
-        rows.append(tuple(row))
-    return CellKernel(tuple(rows))
+    A = np.array(P.matrix, dtype=object)
+    b = np.array(list(target_fractions)[:m2], dtype=object)
+    halves = np.stack([A * b, A * (1 - b)], axis=2).reshape(m1, 2 * m2)
+    return kernel_from(np.repeat(halves, 2, axis=0))
 
 
 def aggregate_cells(values) -> tuple:
@@ -626,16 +605,11 @@ def aggregate_cells(values) -> tuple:
 
 
 def aggregate_product(rho: ProductMeasure) -> ProductMeasure:
-    """Merge 2x2 cell blocks of a refined product measure."""
+    """Merge 2x2 cell blocks of a refined product measure, adding each
+    block as ((r00 + r01) + r10) + r11."""
     m1, m2 = rho.shape
     if m1 % 2 or m2 % 2:
         raise DimensionMismatch("odd cell count cannot aggregate in pairs")
-    rows = []
-    for x in range(m1 // 2):
-        row = []
-        for y in range(m2 // 2):
-            row.append(rho.matrix[2 * x][2 * y] + rho.matrix[2 * x][2 * y + 1]
-                       + rho.matrix[2 * x + 1][2 * y]
-                       + rho.matrix[2 * x + 1][2 * y + 1])
-        rows.append(tuple(row))
-    return ProductMeasure(tuple(rows))
+    R = np.array(rho.matrix, dtype=object)
+    return ProductMeasure(_rows(
+        R[::2, ::2] + R[::2, 1::2] + R[1::2, ::2] + R[1::2, 1::2]))

@@ -151,7 +151,9 @@ def _fail(kind: str, detail: str) -> int:
 class _Context:
     """One command's analysis chain over one spec: each stage is built on
     first use and kept for the command, unless it raised.  check is not
-    strict, so a bad explicit row is a failed invariant, not an error."""
+    strict, so an explicit row that sums away from 1 is a failed
+    invariant, not an error; a row whose sum overflows is an error even
+    there."""
 
     def __init__(self, spec: ParsedSpec, strict: bool):
         self.spec, self.diagram, self.strict = spec, spec.diagram, strict

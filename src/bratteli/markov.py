@@ -157,7 +157,7 @@ def explicit_system(d: Diagram, q0, probs: Sequence[Mapping],
     positive; one mapping per level; then per level, its keys are the
     level's edge set, each value in mapping order has one value or one
     per rank, all finite and positive, and each outgoing row sums to 1
-    within tol.
+    within tol; a row whose sum overflows fails at every tol, inf too.
     """
     q0 = np.asarray(q0, dtype=np.float64)
     if len(q0) != len(d.window(0)):
@@ -193,10 +193,11 @@ def explicit_system(d: Diagram, q0, probs: Sequence[Mapping],
             parts = [np.atleast_1d(x) for x in entries]
             p = np.concatenate(parts, dtype=np.float64)
             ranks = np.cumsum([0] + [len(a) for a in parts])
-        sums = m.scatter(_phat(m.csr.mult, p, ranks),
-                         by_source=True).sum(axis=1)
+        with np.errstate(over="ignore"):   # an overflowing row is reported
+            sums = m.scatter(_phat(m.csr.mult, p, ranks),
+                             by_source=True).sum(axis=1)
         j = int(np.argmax(np.abs(sums - 1.0)))   # the worst row
-        if abs(sums[j] - 1.0) > tol:
+        if abs(sums[j] - 1.0) > tol or np.isinf(sums[j]):
             raise PathInvalid(f"outgoing probabilities at level {n} vertex "
                               f"{d.vertices(n)[j]} sum to {float(sums[j])}, "
                               f"not 1")

@@ -56,18 +56,18 @@ def _is_number(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _is_int(x) -> bool:
+    """An integer field's value: an int or an integral float, but not a
+    boolean."""
+    return _is_number(x) and (isinstance(x, numbers.Integral)
+                              or isinstance(x, float) and x.is_integer())
+
+
 def _integral(x, where: str) -> int:
-    """x as an int; anything but an integer or an integral float raises
-    SpecError."""
-    if _is_number(x) and (isinstance(x, numbers.Integral)
-                          or isinstance(x, float) and x.is_integer()):
+    """x as an int; anything ``_is_int`` refuses raises SpecError."""
+    if _is_int(x):
         return int(x)
     raise SpecError(f"{where} must be an integer, got {x!r}")
-
-
-def _is_int(x) -> bool:
-    """A JSON integer: an int, but not a boolean."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _number(x, where: str) -> float:
@@ -186,7 +186,7 @@ def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
             _require(isinstance(t, (list, tuple)) and len(t) == 4
                      and all(map(_is_int, t)),
                      "triplets are [level, target, source, multiplicity]")
-            lvl, tgt, src, mult = t
+            lvl, tgt, src, mult = map(int, t)
             _require(0 <= lvl < len(wins) - 1, f"triplet level {lvl} out of range")
             by_level.setdefault(lvl, {})
             by_level[lvl][(tgt, src)] = by_level[lvl].get((tgt, src), 0) + mult
@@ -197,6 +197,7 @@ def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
     else:
         _require(_is_int(depth) and depth >= 1,
                  "depth must be a positive integer")
+        depth = int(depth)
         _require("windows" not in doc, "'windows' only applies to triplets")
         if kind == "matrix":
             win = (_as_window(doc["window"], "window")

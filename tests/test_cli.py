@@ -311,6 +311,16 @@ def test_check_all_pass_json(capsys):
             "Adjointness", "ConstantsHarmonic", "HarmonicSolve"} <= names
 
 
+@pytest.mark.parametrize("spec", sorted(p.name for p in SPECS.glob("*.json")))
+def test_every_example_passes_check(capsys, spec):
+    rc, out = run(capsys, "check", str(SPECS / spec))
+    assert rc == 0
+    assert out.strip().splitlines()[-1] == "all passed"
+    rc, d = run_json(capsys, "check", str(SPECS / spec), "--format", "json")
+    assert rc == 0
+    assert d["passed"] is True
+
+
 def test_check_consistency_deep_fibonacci(capsys):
     """Heights past 2**53 still satisfy F_n H^(n) = H^(n+1) exactly."""
     rc, d = run_json(capsys, "check", FIBONACCI, "--suite", "consistency",
@@ -493,6 +503,30 @@ def test_stochastic_row_error_names_the_worst_row(capsys, tmp_path):
     assert d["error"] == {"kind": "PathInvalid",
                           "detail": "outgoing probabilities at level 1 "
                                     "vertex 1 sum to 0.6, not 1"}
+
+
+@pytest.mark.parametrize("command", [("check",), ("analyze", "markov")])
+def test_overflowing_row_is_an_error_with_a_quiet_stderr(tmp_path, command):
+    """A row of two 1e308 edges sums to inf: even check, which takes rows
+    that sum away from 1 as failed invariants, refuses it, and the
+    overflow writes no warning."""
+    p = _spec(tmp_path, "overflow.json", {
+        "matrix": [[1, 1], [1, 1]], "depth": 2,
+        "markov": {"q0": [0.5, 0.5],
+                   "edges": [[lv, s, t, 1e308 if (lv, s) == (0, 0) else 0.5]
+                             for lv in (0, 1) for s in (0, 1)
+                             for t in (0, 1)]}})
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bratteli", command[0], p, *command[1:]],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "PathInvalid",
+        "detail": "outgoing probabilities at level 0 vertex 0 sum to inf, "
+                  "not 1"}
 
 
 def test_nonstationary_diagram_measure_and_pf(capsys, tmp_path):

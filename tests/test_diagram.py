@@ -567,6 +567,23 @@ def test_orbit_covers_tower_once():
         assert value == k
 
 
+@pytest.mark.parametrize("stationary", [True, False])
+def test_check_order_reads_each_target_once_per_distinct_level(
+        stationary, monkeypatch):
+    """A stationary order on a stationary diagram is checked on level 0
+    alone; an order given per level is checked on every level."""
+    d = allones_diagram(5)
+    tables = (dict(dg.natural_order(d).orders[0]),) * (1 if stationary else 5)
+    order = dg.EdgeOrder(tables, stationary=stationary)
+    calls = []
+    order_at = dg.EdgeOrder.order_at
+    monkeypatch.setattr(dg.EdgeOrder, "order_at", lambda self, n, v: (
+        calls.append((n, v)) or order_at(self, n, v)))
+    dg.check_order(d, order)
+    levels = range(1 if stationary else d.depth)
+    assert sorted(calls) == [(n, v) for n in levels for v in (0, 1)]
+
+
 def test_check_order_rejects_partial_lists():
     d = allones_diagram(2)
     order = dg.natural_order(d)

@@ -149,6 +149,30 @@ def test_booleans_are_not_integers(doc, error, message):
         parse(doc)
 
 
+TRIPLETS = {"triplets": [[0, 0, 0, 1], [0, 1, 0, 1], [0, 1, 1, 2]],
+            "windows": [[0, 1], [0, 1]]}
+
+
+@pytest.mark.parametrize("doc, floats", [
+    ({"matrix": [[1, 1], [1, 1]], "depth": 2}, {"depth": 2.0}),
+    ({"band": {"-2": 1, "0": 2, "2": 1}, "window": [-8, 8, 2], "depth": 2},
+     {"window": [-8, 8.0, 2.0]}),
+    ({"substitution": {"name": "odometer", "k": 3}, "depth": 2},
+     {"substitution": {"name": "odometer", "k": 3.0}, "depth": 2.0}),
+    (TRIPLETS, {"windows": [[0.0, 1], [0, 1.0]]}),
+    (TRIPLETS, {"triplets": [[0, 0, 0, 1.0], [0.0, 1, 0, 1],
+                             [0, 1.0, 1.0, 2.0]]}),
+], ids=["depth", "window", "odometer-k", "windows", "triplets"])
+def test_integer_fields_take_integral_floats(doc, floats):
+    """Every integer field takes an integral float as the int it equals."""
+    ints, fl = parse(doc).diagram, parse({**doc, **floats}).diagram
+    assert fl.depth == ints.depth and type(fl.depth) is int
+    for n in range(ints.depth):
+        assert fl.window(n) == ints.window(n)
+        assert fl.F(n).entries == ints.F(n).entries
+        assert {type(v) for v in fl.F(n).entries.values()} == {int}
+
+
 def test_structure_errors_keep_their_kind():
     # zero row at level 0 is a diagram defect, not a schema defect
     with pytest.raises(dg.ZeroRow):
