@@ -22,7 +22,7 @@ import numpy as np
 from . import _accel
 from . import laplacian as lp
 from . import markov as mk
-from .diagram import IncidenceMatrix, Window, validate
+from .diagram import IncidenceMatrix, Window, _csr_from_coo, validate
 from .measures import DimensionMismatch
 
 
@@ -525,10 +525,11 @@ def chain_network(spaces: Sequence[CellSpace],
                 > PUSH_TOL * max(nus[k + 1].max(), 1e-300)):
             raise ValueError(f"masses at level {k + 1} are not the "
                              f"push-forward of level {k}")
-        src, tgt = (a.tolist() for a in np.nonzero(K))
-        mats.append(IncidenceMatrix(k, dict.fromkeys(zip(tgt, src), 1),
-                                    Window(0, spaces[k + 1].m - 1),
-                                    Window(0, spaces[k].m - 1)))
+        src, tgt = np.nonzero(K)
+        shape = (spaces[k + 1].m, spaces[k].m)
+        mats.append(IncidenceMatrix(k, _csr_from_coo(tgt, src, 1, shape),
+                                    Window(0, shape[0] - 1),
+                                    Window(0, shape[1] - 1)))
         Ks.append(K)
     d = validate(mats)
     # cells are numbered from 0, so CSR positions are the cell indices

@@ -7,11 +7,12 @@ that are countably infinite in principle (integer- or natural-indexed) are
 materialized on explicit windows; band rules declare how rows continue
 outside the window so that truncation effects can be masked downstream.
 
-A level is given as an ``entries`` dict and stored once as CSR arrays,
-built on first use (``validate`` uses them), which every row, column,
-dense and sum query reads.  A loop over the levels scatters each level
-into one reused ``Scratch`` array instead of a fresh one.  Heights are
-computed once per ``Diagram``, as exact Python integers.
+A level is stored once, as the CSR arrays its builder makes from
+coordinates; a ``{(target, source): multiplicity}`` mapping has one reader,
+``incidence_from_entries``.  Every row, column, dense and sum query reads
+the arrays.  A loop over the levels scatters each level into one reused
+``Scratch`` array instead of a fresh one.  Heights are computed once per
+``Diagram``, as exact Python integers.
 
 Everything here is pure and immutable after construction.
 """
@@ -22,7 +23,7 @@ import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -150,11 +151,41 @@ class CSR(NamedTuple):
     colperm: np.ndarray
 
 
-@dataclass(frozen=True)
+def _csr_from_coo(rows, cols, mult, shape: tuple[int, int]) -> CSR:
+    """A level's arrays from target and source positions and multiplicities
+    (or one for all), in any order: sorted, repeats summed exactly."""
+    rows, cols = (np.asarray(a, dtype=np.int64) for a in (rows, cols))
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    mult = np.broadcast_to(mult, rows.shape)[order]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1)
+                            | np.diff(cols, prepend=-1))
+    if len(starts) < len(rows):
+        rows, cols = rows[starts], cols[starts]
+        mult = np.add.reduceat(mult.astype(object), starts)
+    if mult.dtype != np.int64:
+        wide = len(mult) and mult.max() >= 2**63
+        mult = mult.astype(object if wide else np.int64)
+    colperm = np.argsort(cols, kind="stable")
+    return CSR(np.searchsorted(rows, np.arange(shape[0] + 1)), cols, mult,
+               rows, np.searchsorted(cols[colperm], np.arange(shape[1] + 1)),
+               colperm)
+
+
+def _meet(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e, k) for every e and every k in range(lo[e], hi[e]), by e then k."""
+    reps = hi - lo
+    first = np.repeat(np.arange(len(lo)), reps)
+    turn = np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps, reps)
+    return first, np.repeat(lo, reps) + turn
+
+
+@dataclass(frozen=True, eq=False)
 class IncidenceMatrix:
     """One level of incidence data: target rows over source columns.
 
-    entries : {(target v in V_{n+1}, source w in V_n): multiplicity > 0}
+    csr     : the level's entries, (target v in V_{n+1}, source w in V_n)
+              with multiplicity > 0, as arrays over window positions
     band    : optional ((offset, value), ...) declaration meaning that on the
               untruncated lattice row v has entry ``value`` at source
               ``v + offset``; used to mask truncation at window edges.
@@ -163,11 +194,12 @@ class IncidenceMatrix:
     exterior_{rows,cols} sets list the vertices whose row/column lost
     entries to the window edge.  row_sum_claim / col_sum_claim assert that
     *untruncated* rows/columns all share that sum (e.g. a constant-length
-    substitution), which windowed sums alone cannot reveal.
+    substitution), which windowed sums alone cannot reveal.  ``==`` is
+    identity; ``_matrices_equal`` compares windows and entries.
     """
 
     level: int
-    entries: Mapping[tuple[int, int], int]
+    csr: CSR
     row_window: Window
     col_window: Window
     band: tuple[tuple[int, int], ...] | None = None
@@ -175,37 +207,6 @@ class IncidenceMatrix:
     col_sum_claim: int | None = None
     exterior_rows: frozenset | None = None
     exterior_cols: frozenset | None = None
-
-    @cached_property
-    def csr(self) -> CSR:
-        """The level's arrays, built once from ``entries``.  Raises the
-        error of the first malformed entry in ``entries`` order."""
-        keys, vals = list(self.entries), list(self.entries.values())
-        rpos = {v: i for i, v in enumerate(self.targets)}
-        cpos = {w: j for j, w in enumerate(self.sources)}
-        rows = np.array([rpos.get(v, -1) for v, _ in keys], dtype=np.int64)
-        cols = np.array([cpos.get(w, -1) for _, w in keys], dtype=np.int64)
-        mult = np.array(vals)
-        good = (mult > 0) & (mult % 1 == 0)
-        for k in np.flatnonzero(~good | (rows < 0) | (cols < 0))[:1]:
-            (v, w), lvl = keys[k], self.level
-            if not good[k]:
-                raise WindowMismatch(f"entry ({v},{w}) at level {lvl} has "
-                                     f"multiplicity {vals[k]!r}")
-            if rows[k] < 0:
-                raise WindowMismatch(f"target {v} outside window "
-                                     f"{self.row_window} at level {lvl}")
-            raise InfiniteRow(lvl, v, w)
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        colperm = np.lexsort((rows, cols))
-        ints = [int(x) for x in mult[order]]
-        wide = max(ints, default=0) >= 2**63
-        mult = np.array(ints, dtype=object if wide else np.int64)
-        n_rows, n_cols = len(self.row_window), len(self.col_window)
-        return CSR(np.searchsorted(rows, np.arange(n_rows + 1)), cols, mult,
-                   rows, np.searchsorted(cols[colperm], np.arange(n_cols + 1)),
-                   colperm)
 
     # -- shape helpers -------------------------------------------------
     @property
@@ -308,11 +309,8 @@ class IncidenceMatrix:
         m = len(c.colptr) - 1
         if int(k @ k) > m * m:
             return None
-        # entry e meets each of the reps[e] entries of its row, in turn
-        reps = k[c.rows]
-        first = np.repeat(np.arange(len(c.rows)), reps)
-        turn = np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps, reps)
-        second = np.repeat(c.indptr[c.rows], reps) + turn
+        # each entry meets every entry of its row, in turn
+        first, second = _meet(c.indptr[c.rows], c.indptr[c.rows + 1])
         v, w = c.indices[first], c.indices[second]
         flat = np.unique((v * m + w)[v <= w])
         return flat // m, flat % m
@@ -419,7 +417,32 @@ def incidence_from_dense(level: int, matrix, row_window=None,
             if m or m is False:   # false is refused, not read as 0
                 entries[(v, w)] = _multiplicity(
                     m, f"entry ({v},{w}) at level {level}")
-    return IncidenceMatrix(level, entries, rw, cw)
+    return incidence_from_entries(level, entries, rw, cw)
+
+
+def incidence_from_entries(level: int, entries: Mapping[tuple[int, int], int],
+                           rw: Window, cw: Window) -> IncidenceMatrix:
+    """A level from a ``{(target, source): multiplicity}`` mapping, the form
+    a spec's ``matrix`` and ``triplets`` take.  Raises the error of the
+    first malformed entry in ``entries`` order."""
+    keys, vals = list(entries), list(entries.values())
+    rpos = {v: i for i, v in enumerate(rw.vertices)}
+    cpos = {w: j for j, w in enumerate(cw.vertices)}
+    rows = np.array([rpos.get(v, -1) for v, _ in keys], dtype=np.int64)
+    cols = np.array([cpos.get(w, -1) for _, w in keys], dtype=np.int64)
+    mult = np.array(vals)
+    good = (mult > 0) & (mult % 1 == 0)
+    for k in np.flatnonzero(~good | (rows < 0) | (cols < 0))[:1]:
+        (v, w) = keys[k]
+        if not good[k]:
+            raise WindowMismatch(f"entry ({v},{w}) at level {level} has "
+                                 f"multiplicity {vals[k]!r}")
+        if rows[k] < 0:
+            raise WindowMismatch(f"target {v} outside window {rw} at level "
+                                 f"{level}")
+        raise InfiniteRow(level, v, w)
+    return IncidenceMatrix(level, _csr_from_coo(
+        rows, cols, [int(x) for x in mult], (len(rw), len(cw))), rw, cw)
 
 
 def band_matrix(level: int, window, offsets_values: Mapping[int, int],
@@ -442,14 +465,16 @@ def band_matrix(level: int, window, offsets_values: Mapping[int, int],
     if win.hi - win.lo < 2 * span:
         raise WindowMismatch(
             f"window {win} too small for band offsets spanning +-{span}")
-    entries = {}
-    for v in win.vertices:
-        for o, val in band:
-            w = v + o
-            if w in win:
-                entries[(v, w)] = entries.get((v, w), 0) + val
     total = sum(val for _, val in band)
-    return IncidenceMatrix(level, entries, win, win, band=band,
+    n = len(win)
+    kept = [(o // win.step, val) for o, val in band if o % win.step == 0]
+    # source position by target (row) and kept offset (column): CSR order
+    src = np.arange(n)[:, None] + np.array([d for d, _ in kept], dtype=np.int64)
+    hit = (src >= 0) & (src < n)
+    rows, k = np.nonzero(hit)
+    csr = _csr_from_coo(rows, src[hit], np.array([v for _, v in kept])[k],
+                        (n, n))
+    return IncidenceMatrix(level, csr, win, win, band,
                            row_sum_claim=total, col_sum_claim=total)
 
 
@@ -489,7 +514,7 @@ class Diagram:
 
 def _matrices_equal(a: IncidenceMatrix, b: IncidenceMatrix) -> bool:
     """Same windows and the same CSR entries; copies sharing one ``csr``
-    (as ``stationary_diagram`` makes them) are equal at once."""
+    (as ``replace`` makes them) are equal at once."""
     if a.row_window != b.row_window or a.col_window != b.col_window:
         return False
     ca, cb = a.csr, b.csr
@@ -498,38 +523,37 @@ def _matrices_equal(a: IncidenceMatrix, b: IncidenceMatrix) -> bool:
                         and np.array_equal(ca.mult, cb.mult))
 
 
-def validate(matrices: Sequence[IncidenceMatrix]) -> Diagram:
+def validate(matrices: Iterable[IncidenceMatrix]) -> Diagram:
     """Check the defining structural conditions and assemble a Diagram.
 
-    Raises ZeroRow / ZeroColumn / InfiniteRow / WindowMismatch.  Row
-    finiteness is automatic for sparse storage; emptiness is not.
+    Raises ZeroRow / ZeroColumn / WindowMismatch.  Row finiteness is
+    automatic for sparse storage; emptiness is not.  Each level is checked
+    before the next is taken, so a generator reports its lowest bad level.
     """
-    if not matrices:
-        raise WindowMismatch("a diagram needs at least one incidence matrix")
-    mats = tuple(matrices)
-    for k, m in enumerate(mats):
+    mats: list[IncidenceMatrix] = []
+    for k, m in enumerate(matrices):
         if m.level != k:
             raise WindowMismatch(f"matrix {k} carries level tag {m.level}")
-        if k > 0 and m.col_window != mats[k - 1].row_window:
+        if k > 0 and m.col_window != mats[-1].row_window:
             raise WindowMismatch(
                 f"source window of level {k} ({m.col_window}) differs from the "
-                f"target window of level {k - 1} ({mats[k - 1].row_window})")
+                f"target window of level {k - 1} ({mats[-1].row_window})")
         for i in np.flatnonzero(np.diff(m.csr.indptr) == 0)[:1]:
             raise ZeroRow(k, m.targets[i])
         for j in np.flatnonzero(np.diff(m.csr.colptr) == 0)[:1]:
             raise ZeroColumn(k, m.sources[j])
+        mats.append(m)
+    if not mats:
+        raise WindowMismatch("a diagram needs at least one incidence matrix")
     stationary = all(_matrices_equal(mats[0], m) for m in mats[1:])
-    return Diagram(mats, stationary)
+    return Diagram(tuple(mats), stationary)
 
 
 def stationary_diagram(matrix, depth: int, window=None) -> Diagram:
     """Repeat one dense matrix (or band-built IncidenceMatrix) ``depth`` times."""
     proto = (matrix if isinstance(matrix, IncidenceMatrix)
              else incidence_from_dense(0, matrix, window, window))
-    mats = [replace(proto, level=k) for k in range(depth)]
-    for m in mats[1:]:  # one level repeated: prime each copy's csr cache
-        vars(m)["csr"] = mats[0].csr
-    return validate(mats)
+    return validate(replace(proto, level=k) for k in range(depth))
 
 
 def band_diagram(offsets_values: Mapping[int, int], depth: int,
@@ -540,20 +564,15 @@ def band_diagram(offsets_values: Mapping[int, int], depth: int,
 
 # ---------------------------------------------------------------- telescoping
 
-def _sparse_product(high: IncidenceMatrix, low: IncidenceMatrix,
-                    level: int) -> IncidenceMatrix:
-    """high @ low with exact integer arithmetic (high sits above low)."""
-    if high.col_window != low.row_window:
-        raise WindowMismatch("incompatible windows in telescoping product")
-    by_target: dict[int, list[tuple[int, int]]] = {}
-    for u, w, m in low.triplets():
-        by_target.setdefault(u, []).append((w, m))
-    out: dict[tuple[int, int], int] = {}
-    for v, u, m2 in high.triplets():
-        for w, m1 in by_target.get(u, ()):
-            key = (v, w)
-            out[key] = out.get(key, 0) + m2 * m1
-    return IncidenceMatrix(level, out, high.row_window, low.col_window)
+def _sparse_product(high: CSR, low: CSR) -> CSR:
+    """high @ low in Python ints (high sits above low): each entry of high
+    meets every entry of low's row at its source."""
+    first, second = _meet(low.indptr[high.indices],
+                          low.indptr[high.indices + 1])
+    return _csr_from_coo(high.rows[first], low.indices[second],
+                         high.mult.astype(object)[first]
+                         * low.mult.astype(object)[second],
+                         (len(high.indptr) - 1, len(low.colptr) - 1))
 
 
 def _exterior(block: Sequence[IncidenceMatrix], rows: bool):
@@ -591,15 +610,15 @@ def telescope(d: Diagram, cuts: Sequence[int]) -> Diagram:
     for k in range(len(cuts) - 1):
         lo_cut, hi_cut = cuts[k], cuts[k + 1]
         block = [d.F(n) for n in range(lo_cut, hi_cut)]
-        prod = block[0]
+        prod = block[0].csr
         for f in block[1:]:
-            prod = _sparse_product(f, prod, level=k)
+            prod = _sparse_product(f.csr, prod)
         rclaims = [f.row_sum_claim for f in block]
         cclaims = [f.col_sum_claim for f in block]
         rsum = math.prod(rclaims) if all(c is not None for c in rclaims) else None
         csum = math.prod(cclaims) if all(c is not None for c in cclaims) else None
         mats.append(IncidenceMatrix(
-            k, prod.entries, prod.row_window, prod.col_window,
+            k, prod, block[-1].row_window, block[0].col_window,
             block[0].band if len(block) == 1 else None,
             rsum, csum, _exterior(block, rows=True),
             _exterior(block, rows=False)))

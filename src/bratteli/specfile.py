@@ -190,10 +190,10 @@ def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
             _require(0 <= lvl < len(wins) - 1, f"triplet level {lvl} out of range")
             by_level.setdefault(lvl, {})
             by_level[lvl][(tgt, src)] = by_level[lvl].get((tgt, src), 0) + mult
-        mats = [dg.IncidenceMatrix(lvl, by_level.get(lvl, {}),
-                                   wins[lvl + 1], wins[lvl])
-                for lvl in range(len(wins) - 1)]
-        diagram = dg.validate(mats)
+        diagram = dg.validate(   # reads each level after checking the last
+            dg.incidence_from_entries(lvl, by_level.get(lvl, {}),
+                                      wins[lvl + 1], wins[lvl])
+            for lvl in range(len(wins) - 1))
     else:
         _require(_is_int(depth) and depth >= 1,
                  "depth must be a positive integer")
@@ -312,10 +312,21 @@ def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
                       canonical=emit_canonical(doc))
 
 
+def _ints(x):
+    """x with every integral number in it, within lists and objects, as an
+    int, the form the parser reads an integer field in."""
+    if isinstance(x, dict):
+        return {k: _ints(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_ints(v) for v in x]
+    return int(x) if _is_int(x) else x
+
+
 def emit_canonical(doc: dict) -> dict:
     """Normalized copy of a spec document: sorted keys, band offsets as
-    decimal strings, windows as 3-lists.  Parsing the emitted form yields
-    the same structures as parsing the original."""
+    decimal strings, windows as 3-lists, integer fields as ints (``markov``
+    and ``kernels`` numbers other than edge indices are copied).  Parsing
+    the emitted form yields the same structures as parsing the original."""
     out = {}
     for key in sorted(doc):
         val = doc[key]
@@ -328,8 +339,13 @@ def emit_canonical(doc: dict) -> dict:
         elif key == "windows":
             out[key] = [[dg.window_of(tuple(v)).lo, dg.window_of(tuple(v)).hi,
                          dg.window_of(tuple(v)).step] for v in val]
-        else:
+        elif key == "markov" and "edges" in val:
+            out[key] = {**val, "edges": [_ints(e[:3]) + e[3:]
+                                         for e in val["edges"]]}
+        elif key in ("markov", "kernels"):
             out[key] = val
+        else:
+            out[key] = _ints(val)
     return out
 
 

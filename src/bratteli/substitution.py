@@ -9,6 +9,7 @@ of n is the word n+o_1, n+o_2, ... for a fixed offset word.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -117,16 +118,16 @@ def substitution_matrix(s: Substitution, window=None
     if s.offsets_word is None:
         letters = s.letters or tuple(sorted(s.words))
         pos = {a: i for i, a in enumerate(letters)}
-        entries: dict[tuple[int, int], int] = {}
+        rows, cols = [], []   # one (target, source) per letter occurrence
         for a in letters:
             img = s.image(a)
             if not img:
                 raise EmptyImage(a)
-            for b in img:
-                key = (pos[a], pos[b])
-                entries[key] = entries.get(key, 0) + 1
-        win = dg.Window(0, len(letters) - 1)
-        return dg.IncidenceMatrix(0, entries, win, win,
+            rows += [pos[a]] * len(img)
+            cols += [pos[b] for b in img]
+        win, n = dg.Window(0, len(letters) - 1), len(letters)
+        return dg.IncidenceMatrix(0, dg._csr_from_coo(rows, cols, 1, (n, n)),
+                                  win, win,
                                   row_sum_claim=clen if is_const else None)
 
     if window is None:
@@ -134,20 +135,18 @@ def substitution_matrix(s: Substitution, window=None
     win = dg.window_of(window)
     if s.alphabet == "nat" and win.lo < 0:
         raise dg.WindowMismatch("alphabet 'nat' needs a window with lo >= 0")
-    entries = {}
-    band_counts: dict[int, int] = {}
-    for o in s.offsets_word:
-        band_counts[o] = band_counts.get(o, 0) + 1
+    band_counts = Counter(s.offsets_word)
     ext_rows: set[int] = set()
-    for a in win.vertices:
+    rows, cols = [], []   # window positions, one per kept letter
+    for i, a in enumerate(win.vertices):
         img = s.image(a)
         kept = [b for b in img if b in win]
         if not kept:
             raise EmptyImage(a)
         if len(kept) < len(img):
             ext_rows.add(a)
-        for b in kept:
-            entries[(a, b)] = entries.get((a, b), 0) + 1
+        rows += [i] * len(kept)
+        cols += [win.position(b) for b in kept]
     # a column is exterior when some letter outside the window maps into it
     ext_cols: set[int] = set()
     for w in win.vertices:
@@ -166,7 +165,8 @@ def substitution_matrix(s: Substitution, window=None
         # pure band rule on Z: every row is the shifted offset word
         band = tuple(sorted(band_counts.items()))
     return dg.IncidenceMatrix(
-        0, entries, win, win, band=band,
+        0, dg._csr_from_coo(rows, cols, 1, (len(win), len(win))), win, win,
+        band=band,
         row_sum_claim=len(s.offsets_word) if is_const else None,
         col_sum_claim=len(s.offsets_word) if band is not None else None,
         exterior_rows=frozenset(ext_rows) if ext_rows else None,

@@ -32,13 +32,12 @@ def allones_network(depth=6):
     return lp.build_network(mk.dual_kernels(uniform_allones_system(depth)))
 
 
-def random_probs(seed, depth=6, min_m=2, max_m=6):
-    """(diagram, q0, probs) of a random valid Markov system: 2-6 vertices
-    per level, every row and column covered, occasional double edges,
-    Dirichlet outgoing rows with one value per edge rank."""
-    rng = np.random.default_rng(seed)
+def random_levels(rng, depth=6, min_m=2, max_m=6):
+    """The levels of a random valid diagram as (entries, target window,
+    source window): 2-6 vertices per level, every row and column covered,
+    occasional double edges."""
     sizes = [int(s) for s in rng.integers(min_m, max_m + 1, depth + 1)]
-    mats = []
+    levels = []
     for n in range(depth):
         m_lo, m_hi = sizes[n], sizes[n + 1]
         entries = {}
@@ -53,9 +52,19 @@ def random_probs(seed, depth=6, min_m=2, max_m=6):
         for key in sorted(entries):
             if rng.random() < 0.2:
                 entries[key] = 2
-        mats.append(dg.IncidenceMatrix(n, entries, dg.Window(0, m_hi - 1),
-                                       dg.Window(0, m_lo - 1)))
-    d = dg.validate(mats)
+        levels.append((entries, dg.Window(0, m_hi - 1),
+                       dg.Window(0, m_lo - 1)))
+    return levels
+
+
+def random_probs(seed, depth=6, min_m=2, max_m=6):
+    """(diagram, q0, probs) of a random valid Markov system: the levels of
+    ``random_levels``, with Dirichlet outgoing rows with one value per edge
+    rank."""
+    rng = np.random.default_rng(seed)
+    levels = random_levels(rng, depth, min_m, max_m)
+    d = dg.validate(dg.incidence_from_entries(n, *level)
+                    for n, level in enumerate(levels))
     probs = []
     for n in range(depth):
         m = d.F(n)
@@ -70,7 +79,7 @@ def random_probs(seed, depth=6, min_m=2, max_m=6):
                 level[(w, v)] = tuple(float(x) for x in raw[i:i + mult])
                 i += mult
         probs.append(level)
-    q0 = rng.dirichlet(np.ones(sizes[0])) + 0.01
+    q0 = rng.dirichlet(np.ones(len(d.window(0)))) + 0.01
     q0 /= q0.sum()
     return d, q0, tuple(probs)
 

@@ -73,6 +73,62 @@ def test_validate_bad_json_file(capsys, tmp_path):
     assert rep["violations"][0]["kind"] == "SpecError"
 
 
+_TRIPLETS_2 = {"triplets": [[0, 0, 0, 2], [0, 0, 1, 1], [0, 1, 0, 1],
+                            [1, 0, 0, 1], [1, 0, 1, 1]],
+               "windows": [[0, 1], [0, 1], [0, 0]]}
+_NUMBER_FIELDS = {
+    "depth": ({"matrix": [[1, 1], [1, 0]], "depth": 2},
+              {"matrix": [[1, 1], [1, 0]], "depth": 2.0}),
+    "matrix": ({"matrix": [[2, 1], [1, 0]], "depth": 2},
+               {"matrix": [[2.0, 1.0], [1, 0.0]], "depth": 2}),
+    "window": ({"band": {"-2": 1, "0": 2, "2": 1}, "window": [-6, 6, 2],
+                "depth": 2},
+               {"band": {"-2": 1, "0": 2.0, "2": 1}, "window": [-6.0, 6, 2.0],
+                "depth": 2}),
+    "triplets": (_TRIPLETS_2,
+                 {**_TRIPLETS_2, "triplets": [[0.0, 0, 0, 2.0],
+                                              [0, 0.0, 1.0, 1],
+                                              [0, 1, 0, 1], [1.0, 0, 0, 1],
+                                              [1, 0, 1, 1.0]],
+                  "windows": [[0, 1.0], [0.0, 1], [0, 0]]}),
+    "odometer-k": ({"substitution": {"name": "odometer", "k": 2}, "depth": 2},
+                   {"substitution": {"name": "odometer", "k": 2.0},
+                    "depth": 2}),
+    "offsets-word": ({"substitution": {"offsets_word": [-2, 0, 2]},
+                      "window": [-6, 6, 2], "depth": 2},
+                     {"substitution": {"offsets_word": [-2.0, 0, 2.0]},
+                      "window": [-6, 6, 2], "depth": 2}),
+    "exceptions": tuple(
+        {"substitution": {"offsets_word": [-2, 1], "alphabet": "nat",
+                          "exceptions": {"0": [0, 1], "1": [0, kind(2)]}},
+         "window": [0, 12], "depth": 2}
+        for kind in (int, float)),
+    "markov-edges": tuple(
+        {"matrix": [[1, 1], [1, 1]], "depth": 1,
+         "markov": {"q0": [0.5, 0.5],
+                    "edges": [[kind(0), kind(s), kind(t), 0.5]
+                              for s in (0, 1) for t in (0, 1)]}}
+        for kind in (int, float)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NUMBER_FIELDS))
+def test_emit_spec_writes_numbers_as_read(capsys, tmp_path, name):
+    """Specs that differ only by 2 against 2.0 in one integer field build
+    the same objects, so they emit the same bytes, with ints.  The emitted
+    form emits itself again."""
+    outs = []
+    for i, doc in enumerate(_NUMBER_FIELDS[name]):
+        rc, out = run(capsys, "validate", _spec(tmp_path, f"{i}.json", doc),
+                      "--emit-spec")
+        assert rc == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    again = tmp_path / "canon.json"
+    again.write_text(outs[0])
+    assert run(capsys, "validate", str(again), "--emit-spec") == (0, outs[0])
+
+
 def test_emit_spec_is_canonical_and_idempotent(capsys, tmp_path):
     src = tmp_path / "messy.json"
     src.write_text(json.dumps({"window": [-4, 4, 2], "depth": 3,
@@ -609,6 +665,12 @@ MALFORMED = {
     "negative_cell_mass": ('{"matrix": [[1]], "depth": 2, "kernels": {"nu0": '
                            '[0.5, -0.5], "chain": [[[0.5, 0.5], '
                            '[0.5, 0.5]]]}}', "ZeroTotalMass"),
+    # level 1 has a source outside its window, but level 0, read first,
+    # has an empty column: the lower level's error is the one reported
+    "lower_level_error_first": ('{"triplets": [[0, 0, 0, 1], [0, 1, 0, 1], '
+                                '[1, 0, 0, 1], [1, 0, 1, 1], [1, 0, 7, 1]], '
+                                '"windows": [[0, 1], [0, 1], [0, 0]]}',
+                                "ZeroColumn"),
     "fractional_matrix_entry": ('{"matrix": [[1.5, 1], [1, 1]], "depth": 2}',
                                 "WindowMismatch"),
     "fractional_band_value": ('{"band": {"-2": 1, "0": 1.5, "2": 1}, '

@@ -6,19 +6,23 @@ Claimed behaviour checked here:
     - band rules materialize with truncation masks at the window edges
     - telescoping multiplies blocks in descending order (heights survive)
     - H^(n) counts paths exactly (integer arithmetic, no overflow)
-    - the stored array form answers every row/column/sum query exactly as
-      the ``entries`` dict it was built from
+    - every builder's arrays equal those the mapping reader makes from the
+      same entries, and every row/column/sum query answers as that mapping
     - the successor visits a full odometer tower in binary-counter order
 """
+
+import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bratteli import cells as cl
 from bratteli import diagram as dg
 from bratteli import substitution as sb
 
 from conftest import (ALL_ONES, DRUNKEN, FIB, allones_diagram, fib_diagram,
-                      random_system)
+                      random_levels, random_system)
 
 
 # -- windows -----------------------------------------------------------------
@@ -96,10 +100,9 @@ def test_window_chain_mismatch_rejected():
 
 
 def test_entry_outside_source_window_is_infinite_row():
-    m = dg.IncidenceMatrix(0, {(0, 0): 1, (1, 0): 1, (0, 5): 1},
-                           dg.Window(0, 1), dg.Window(0, 1))
     with pytest.raises(dg.InfiniteRow):
-        dg.validate([m])
+        dg.incidence_from_entries(0, {(0, 0): 1, (1, 0): 1, (0, 5): 1},
+                                  dg.Window(0, 1), dg.Window(0, 1))
 
 
 def test_drunken_band_diagram_valid():
@@ -245,9 +248,10 @@ def _random_level(rng, n_t, n_s):
     """A level with random entries, some rows and columns left empty."""
     flat = rng.choice(n_t * n_s, size=rng.integers(1, n_t * n_s + 1),
                       replace=False)
-    return dg.IncidenceMatrix(0, {(int(f // n_s), int(f % n_s)): 1
-                                  for f in flat},
-                              dg.Window(0, n_t - 1), dg.Window(0, n_s - 1))
+    return dg.incidence_from_entries(0, {(int(f // n_s), int(f % n_s)): 1
+                                         for f in flat},
+                                     dg.Window(0, n_t - 1),
+                                     dg.Window(0, n_s - 1))
 
 
 def test_totals_match_bincount_bit_for_bit():
@@ -316,8 +320,8 @@ def test_scratch_sweep_matches_fresh_scatter():
 
 
 def test_scratch_converts_wide_multiplicities_like_scatter():
-    m = dg.IncidenceMatrix(0, {(0, 0): 2 ** 70, (1, 0): 3, (1, 1): 1},
-                           dg.Window(0, 1), dg.Window(0, 1))
+    m = dg.incidence_from_entries(0, {(0, 0): 2 ** 70, (1, 0): 3, (1, 1): 1},
+                                  dg.Window(0, 1), dg.Window(0, 1))
     assert m.csr.mult.dtype == object
     got = dg.Scratch().scatter(m, m.csr.mult)
     assert got.tobytes() == m.to_dense().tobytes()
@@ -363,29 +367,160 @@ def test_heights_exact_past_int64():
 
 # -- stored array form -------------------------------------------------------
 
-def _array_form_cases():
-    nat = sb.substitution_matrix(sb.nat_length_two(), dg.Window(0, 12))
-    assert nat.exterior_rows and nat.exterior_cols
-    band = dg.band_diagram(DRUNKEN, depth=2, window=dg.Window(-20, 20, 2))
+def _band_entries(band, win):
+    """A band rule's mapping, entry by entry: row v has ``value`` at source
+    v + offset when that source is in ``win``."""
+    entries = {}
+    for v in win.vertices:
+        for o, val in band:
+            if v + o in win:
+                entries[(v, v + o)] = entries.get((v, v + o), 0) + val
+    return entries
+
+
+def _substitution_entries(s, win=None):
+    """Occurrence counts, letter by letter: positions for a finite
+    alphabet, letters inside ``win`` for a band rule."""
+    entries = {}
+    if s.offsets_word is None:
+        letters = s.letters or tuple(sorted(s.words))
+        pos = {a: i for i, a in enumerate(letters)}
+        pairs = [(pos[a], pos[b]) for a in letters for b in s.image(a)]
+    else:
+        pairs = [(a, b) for a in win.vertices for b in s.image(a) if b in win]
+    for key in pairs:
+        entries[key] = entries.get(key, 0) + 1
+    return entries
+
+
+def _product_entries(high, low):
+    """high @ low, entry by entry, in Python ints."""
+    out = {}
+    for (v, u), m2 in high.items():
+        for (t, w), m1 in low.items():
+            if t == u:
+                out[(v, w)] = out.get((v, w), 0) + m2 * m1
+    return out
+
+
+def _telescoped(d, refs, cuts):
+    """The telescoped diagram, each level with its product of mappings."""
+    prods = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        prod = refs[lo]
+        for n in range(lo + 1, hi):
+            prod = _product_entries(refs[n], prod)
+        prods.append(prod)
+    return dg.telescope(d, cuts), prods
+
+
+def _random_band(rng, step):
+    """A random band rule on a window of ``step`` that clips it."""
+    offsets = rng.choice(np.arange(-3, 4), size=rng.integers(1, 5),
+                         replace=False) * step
+    band = {int(o): int(rng.integers(1, 4)) for o in offsets}
+    span = max(abs(o) for o in band)
+    lo = int(rng.integers(-20, 5)) * step
+    win = dg.Window(lo - 1, lo + 2 * span + int(rng.integers(0, 12)) * step,
+                    step)
+    return dg.band_matrix(0, win, band), _band_entries(
+        sorted(band.items()), win)
+
+
+def _chain_levels():
+    """Chain-network levels of a random kernel chain with zero entries."""
+    rng = np.random.default_rng(12)
+    spaces, kernels = [cl.CellSpace((0.2, 0.3, 0.5))], []
+    for m in (4, 2, 5):
+        shape = (spaces[-1].m, m)
+        K = rng.random(shape) * (rng.random(shape) < 0.6)
+        K[np.arange(len(K)), rng.integers(m, size=len(K))] += 1.0   # rows
+        K[rng.integers(len(K), size=m), np.arange(m)] += 1.0        # columns
+        kernels.append(cl.kernel_from((K / K.sum(axis=1)[:, None]).tolist()))
+        spaces.append(cl.CellSpace(tuple(spaces[-1].nu(False)
+                                         @ kernels[-1].array(False))))
+    assert any((k.array(False) == 0).any() for k in kernels)
+    d = cl.chain_network(spaces, kernels).kernels.diagram
+    refs = []
+    for k in kernels:
+        src, tgt = np.nonzero(k.array(False))
+        refs.append(dict.fromkeys(zip(tgt.tolist(), src.tolist()), 1))
+    return d, refs
+
+
+@functools.cache
+def _reference_cases():
+    """name -> (diagram or None, [(level, its mapping made entry by
+    entry)]), built once for all the tests that read them."""
+    cases = {}
+    for name, seed, kw in (("random-0", 0, {}),
+                           ("random-9", 9, dict(depth=4, min_m=1, max_m=7))):
+        d = random_system(seed, **kw).diagram
+        refs = [e for e, _, _ in random_levels(np.random.default_rng(seed),
+                                                **kw)]
+        cases[name] = (d, list(zip(d.matrices, refs)))
+    win = dg.Window(-20, 20, 2)
+    band = dg.band_diagram(DRUNKEN, depth=2, window=win)
     assert not band.F(0).interior_rows().all()
-    return {
-        "random-0": random_system(0).diagram,
-        "random-9": random_system(9, depth=4, min_m=1, max_m=7).diagram,
-        "band-clipped": band,
-        "nat-substitution": dg.stationary_diagram(nat, 2),
-        "telescoped": dg.telescope(random_system(5).diagram, (0, 2, 5, 6)),
-    }
+    cases["band-clipped"] = (band, [(m, _band_entries(sorted(DRUNKEN.items()),
+                                                      win))
+                                    for m in band.matrices])
+    rng = np.random.default_rng(21)
+    for step in (1, 2):
+        cases[f"random-bands-step-{step}"] = (
+            None, [_random_band(rng, step) for _ in range(30)])
+    # offset 1 is not a multiple of the step: it lands on no vertex
+    off_step, win = {-2: 1, 1: 3, 2: 1}, dg.Window(-11, 10, 2)
+    cases["band-offset-off-step"] = (None, [(
+        dg.band_matrix(0, win, off_step),
+        _band_entries(sorted(off_step.items()), win))])
+    nat_win = dg.Window(0, 12)
+    nat = sb.substitution_matrix(sb.nat_length_two(), nat_win)
+    assert nat.exterior_rows and nat.exterior_cols
+    nat_d = dg.stationary_diagram(nat, 2)
+    nat_ref = _substitution_entries(sb.nat_length_two(), nat_win)
+    cases["nat-substitution"] = (nat_d, [(m, nat_ref)
+                                         for m in nat_d.matrices])
+    walk_win = dg.Window(-10, 10, 2)
+    finite = sb.from_strings({"a": "abca", "b": "cc", "c": "baa"})
+    cases["substitutions"] = (None, [
+        (sb.substitution_matrix(sb.drunkard_walk(), walk_win),
+         _substitution_entries(sb.drunkard_walk(), walk_win)),
+        (sb.substitution_matrix(finite), _substitution_entries(finite))])
+    refs = [e for e, _, _ in random_levels(np.random.default_rng(5))]
+    tele, prods = _telescoped(random_system(5).diagram, refs, (0, 2, 5, 6))
+    cases["telescoped"] = (tele, list(zip(tele.matrices, prods)))
+    wide = dg.stationary_diagram([[2 ** 40, 3], [1, 2 ** 33]], 4)
+    tele, prods = _telescoped(wide, [{(0, 0): 2 ** 40, (0, 1): 3, (1, 0): 1,
+                                      (1, 1): 2 ** 33}] * 4, (0, 1, 4))
+    assert tele.F(1).csr.mult.dtype == object
+    # no query test: its edge order would list 2^120 parallel edges
+    cases["telescoped-past-int64"] = (None, list(zip(tele.matrices, prods)))
+    chain, refs = _chain_levels()
+    cases["chain-network"] = (chain, list(zip(chain.matrices, refs)))
+    return cases
 
 
-@pytest.mark.parametrize("name", sorted(_array_form_cases()))
+@pytest.mark.parametrize("name", sorted(_reference_cases()))
+def test_builders_match_mapping_reader(name):
+    """Each builder's arrays are, array for array and dtype for dtype, the
+    ones the mapping reader makes from the same entries."""
+    for m, ref in _reference_cases()[name][1]:
+        want = dg.incidence_from_entries(m.level, ref, m.row_window,
+                                         m.col_window).csr
+        for field, got in zip(dg.CSR._fields, m.csr):
+            assert got.dtype == getattr(want, field).dtype, field
+            assert np.array_equal(got, getattr(want, field)), field
+
+
+@pytest.mark.parametrize("name", sorted(
+    k for k, (d, _) in _reference_cases().items() if d is not None))
 def test_array_form_matches_entries(name):
-    """Every array-backed query agrees with a reference built from
-    ``entries`` alone, with plain Python ints for labels and counts."""
-    d = _array_form_cases()[name]
+    """Every array-backed query agrees with a reference built from the
+    level's mapping alone, with plain Python ints for labels and counts."""
+    d, levels = _reference_cases()[name]
     order = dg.natural_order(d)
-    for n in range(d.depth):
-        m = d.F(n)
-        ent = dict(m.entries)
+    for n, (m, ent) in enumerate(levels):
         tv, sv = m.targets, m.sources
         dense = np.zeros((len(tv), len(sv)), dtype=np.int64)
         for (v, w), k in ent.items():
@@ -416,9 +551,9 @@ def test_array_form_matches_entries(name):
 def _interior_cases():
     band = ((-2, 1), (0, 2), (2, 1))
     rw, cw = dg.Window(-8, 8, 2), dg.Window(-9, 9)
-    rect = dg.IncidenceMatrix(
+    rect = replace(dg.incidence_from_entries(
         0, {(v, v + o): k for v in rw.vertices for o, k in band
-            if v + o in cw}, rw, cw, band=band)
+            if v + o in cw}, rw, cw), band=band)
     nat = sb.substitution_matrix(sb.nat_length_two(), dg.Window(0, 12))
     assert nat.exterior_rows and nat.exterior_cols
     return {

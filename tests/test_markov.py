@@ -436,12 +436,13 @@ def _edge_form_cases():
 
 
 def _phat_reference(sysm, probs, n):
-    """Dense P-hat from the input mappings and ``entries`` alone."""
+    """Dense P-hat from the input mappings and the level's triplets alone."""
     m = sysm.diagram.F(n)
     tv, sv = m.targets, m.sources
+    mults = {(v, w): k for v, w, k in m.triplets()}
     out = np.zeros((len(sv), len(tv)))
     for (w, v), val in probs[n].items():
-        mult = m.entries[(v, w)]
+        mult = mults[(v, w)]
         out[sv.index(w), tv.index(v)] = (mult * float(val) if np.isscalar(val)
                                          else float(sum(val)))
     return out
@@ -537,7 +538,7 @@ def test_edge_comparisons_match_dense_reference():
         masked += len(tv) - len(clean)
         h_lo, h_hi = dg.heights(d, n), dg.heights(d, n + 1)
         fhat = np.zeros((len(tv), len(sv)))
-        for (v, w), mult in F.entries.items():
+        for v, w, mult in F.triplets():
             i, j = tv.index(v), sv.index(w)
             fhat[i, j] = float(Fraction(h_lo[j] * mult, h_hi[i]))
         rows = [tv.index(v) for v in sorted(clean)]

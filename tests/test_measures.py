@@ -61,7 +61,7 @@ def test_hat_values_are_rounded_fractions_past_int64():
         tv, sv = m.targets, m.sources
         h_lo, h_hi = dg.heights(d, n), dg.heights(d, n + 1)
         exact = {(v, w): Fraction(h_lo[sv.index(w)] * k, h_hi[tv.index(v)])
-                 for (v, w), k in m.entries.items()}
+                 for v, w, k in m.triplets()}
         ref = np.zeros((len(tv), len(sv)))
         for (v, w), x in exact.items():
             ref[tv.index(v), sv.index(w)] = float(x)
@@ -81,10 +81,10 @@ def test_corrupted_hat_row_reports_exact_deviation():
     num[k] += 3
     bad = dataclasses.replace(hm, num=num)
     h_lo, h_hi = dg.heights(d, 2), dg.heights(d, 3)
-    fracs = {key: Fraction(h_lo[m.sources.index(key[1])] * mult
-                           + (3 if key == (v, w) else 0),
-                           h_hi[m.targets.index(key[0])])
-             for key, mult in m.entries.items()}
+    fracs = {(t, s): Fraction(h_lo[m.sources.index(s)] * mult
+                              + (3 if (t, s) == (v, w) else 0),
+                              h_hi[m.targets.index(t)])
+             for t, s, mult in m.triplets()}
     ref = max(abs(sum(x for (t, _), x in fracs.items() if t == u) - 1)
               for u in m.targets)
     assert ref == Fraction(3, h_hi[m.targets.index(v)])

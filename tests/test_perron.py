@@ -60,8 +60,8 @@ class TestIrreducibility:
         assert rep.ok and rep.period == 1
 
     def test_non_square_level_rejected(self):
-        m = dg.IncidenceMatrix(0, {(0, 0): 1, (1, 1): 1, (2, 0): 1},
-                               dg.Window(0, 2), dg.Window(0, 1))
+        m = dg.incidence_from_entries(0, {(0, 0): 1, (1, 1): 1, (2, 0): 1},
+                                      dg.Window(0, 2), dg.Window(0, 1))
         with pytest.raises(ValueError, match="equal source/target windows"):
             pf.check_irreducible_aperiodic(m)
 

@@ -22,7 +22,7 @@ def test_identity_substitution():
 
 def test_odometer_matrix():
     m = sb.substitution_matrix(sb.odometer(3))
-    assert m.entries == {(0, 0): 3}
+    assert m.triplets() == [(0, 0, 3)]
 
 
 def test_drunkard_band_rows():
