@@ -20,11 +20,15 @@ shared mapping.  With one CPU, too little work, or no fork on the
 platform, a kernel runs in-process.  sample_chain_kernel always runs
 in-process: its jobs are too short to repay a fork.
 
-In each process at most BLOCK trials walk at once, which bounds that
-process's working memory independently of the trial count.  Fixed-length
-walks and chains run block after block (_lockstep); absorbed walks share
-one pool that a finished trial's slot refills from the unstarted ones of
-its shard.  Results depend on none of this: every trial has its stream.
+In each process at most BLOCK trials walk at once, and a kernel derives
+their seed words from (seed, trial range) only when they start, so a
+process's seed words and working arrays stay within a bound independent of
+the trial count.  The per-trial results (8 bytes a trial for the walks,
+none for chains) are outside that bound.  Fixed-length walks and chains run
+block after block (_lockstep); absorbed walks share one pool that a
+finished trial's slot refills from a reservoir of at most BLOCK unstarted
+trials of its shard.  Results depend on none of this: every trial has its
+stream.
 """
 from __future__ import annotations
 
@@ -56,9 +60,12 @@ _QUOTA_FILES = (("/sys/fs/cgroup/cpu.max",),
                  "/sys/fs/cgroup/cpu/cpu.cfs_period_us"))
 
 
-def trial_seeds(seed: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """Independent (s1, s2) state pairs per trial, exact uint64 mixing."""
-    idx = np.arange(trials, dtype=np.uint64)
+def trial_seeds(seed: int, hi: int, lo: int = 0
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Independent (s1, s2) state pairs of trials lo..hi-1, exact uint64
+    mixing of each trial's index alone: trial_seeds(seed, hi, lo) equals
+    trial_seeds(seed, hi)[lo:]."""
+    idx = np.arange(lo, hi, dtype=np.uint64)
     # The seed's words are Python ints reduced mod 2**64: a numpy scalar
     # product wraps the same way but warns about overflow, and a numpy
     # integer seed cannot hold 2**64.
@@ -133,13 +140,12 @@ def move_table(levels):
             np.concatenate(tgt).astype(np.int64))
 
 
-def _lockstep(rowptr, cum, tgt, start, steps, s1s, s2s, lo, hi):
+def _lockstep(rowptr, cum, tgt, start, steps, seed, lo, hi):
     """Trials lo..hi-1 walk `steps` moves each from `start`, BLOCK at a
     time: yields (b, k, states after move k) for the block from trial b."""
     width = np.diff(rowptr, append=cum.shape[0])
     for b in range(lo, hi, BLOCK):
-        e = min(b + BLOCK, hi)
-        s1, s2 = _words(s1s[b:e]), _words(s2s[b:e])
+        s1, s2 = map(_words, trial_seeds(seed, min(b + BLOCK, hi), b))
         t = np.empty_like(s1)
         state = np.full(s1.shape[0], start, dtype=np.int64)
         for k in range(steps):
@@ -248,27 +254,26 @@ def _fan_out(name, trials, work, run):
     return out
 
 
-def walk_returns_kernel(rowptr, cum, tgt, start, steps, s1s, s2s):
-    """Run every trial `steps` moves from `start`.
+def walk_returns_kernel(rowptr, cum, tgt, start, steps, seed, trials):
+    """Run trials 0..trials-1 of `seed` `steps` moves each from `start`.
 
     Returns (returns per trial, trial 0's states), the second of length
     steps + 1 starting at `start`.
     """
     path = np.empty(steps + 1, dtype=np.int64)
     path[0] = start
-    trials = s1s.shape[0]
     out = _fan_out("walk_returns_kernel", trials, trials * steps,
                    partial(_walk_returns_range, rowptr, cum, tgt, start,
-                           steps, s1s, s2s, path))
+                           steps, seed, path))
     return out, path
 
 
-def _walk_returns_range(rowptr, cum, tgt, start, steps, s1s, s2s, path,
+def _walk_returns_range(rowptr, cum, tgt, start, steps, seed, path,
                         lo, hi, out):
     """Trials lo..hi-1 of walk_returns_kernel, block after block: their
     returns into out[lo:hi], and trial 0's states into path if lo is 0."""
     out[lo:hi] = 0
-    for b, k, state in _lockstep(rowptr, cum, tgt, start, steps, s1s, s2s,
+    for b, k, state in _lockstep(rowptr, cum, tgt, start, steps, seed,
                                  lo, hi):
         out[b:b + state.shape[0]] += state == start
         if b == 0:
@@ -276,15 +281,15 @@ def _walk_returns_range(rowptr, cum, tgt, start, steps, s1s, s2s, path,
 
 
 def walk_hitting_kernel(rowptr, cum, tgt, level_of, start, bot, top,
-                        max_steps, s1s, s2s):
-    """Absorb at the bottom or top level; 1 = top, 0 = bottom, -1 = timeout.
+                        max_steps, seed, trials):
+    """Absorb at the bottom or top level; 1 = top, 0 = bottom, -1 = timeout,
+    for each of trials 0..trials-1 of `seed`.
 
     A trial is checked after 0..max_steps moves.  Up to BLOCK trials of a
     shard walk at once; a finished trial's slot goes to the shard's next
     unstarted one, which times out max_steps moves after it joined, so a
     shard has a single straggler tail however many trials it has.
     """
-    trials = s1s.shape[0]
     first = level_of[start]
     # Every trial starts at `start`, so the check before its first move
     # (absorbed, or out of steps) is the same for all of them: made once.
@@ -297,23 +302,23 @@ def walk_hitting_kernel(rowptr, cum, tgt, level_of, start, bot, top,
     moves = min(max_steps, (first - bot) * (top - first))
     return _fan_out("walk_hitting_kernel", trials, trials * moves,
                     partial(_walk_hitting_range, rowptr, width, cum, tgt,
-                            level_of, start, bot, top, max_steps, s1s, s2s))
+                            level_of, start, bot, top, max_steps, seed))
 
 
 def _walk_hitting_range(rowptr, width, cum, tgt, level_of, start, bot, top,
-                        max_steps, s1s, s2s, lo, hi, out):
+                        max_steps, seed, lo, hi, out):
     """Trials lo..hi-1 of walk_hitting_kernel, one refilled pool: their
     results into out[lo:hi]."""
-    out, s1s, s2s = out[lo:hi], s1s[lo:hi], s2s[lo:hi]
-    out[:] = -1
-    trials = hi - lo
-    n = min(trials, BLOCK)
-    idx = np.arange(n)
+    out[lo:hi] = -1
+    n = min(hi - lo, BLOCK)
+    idx = np.arange(lo, lo + n)
     state = np.full(n, start, dtype=np.int64)
-    s1, s2 = _words(s1s[:n]), _words(s2s[:n])
+    s1, s2 = map(_words, trial_seeds(seed, lo + n, lo))
     t = np.empty_like(s1)
     deadline = np.full(n, max_steps, dtype=np.int64)
-    joined = n
+    # trials joined.. have not started; the reservoir holds the words of
+    # trials r0..r1-1, derived BLOCK at a time as the pool drains it
+    joined = r0 = r1 = lo + n
     k = 0
     while idx.shape[0]:
         state = _move(rowptr, width, cum, tgt, state, s1, s2, t)
@@ -325,13 +330,15 @@ def _walk_hitting_range(rowptr, width, cum, tgt, level_of, start, bot, top,
             continue
         out[idx[hit]] = lvl[hit] == top
         free = np.flatnonzero(done)
-        new = min(free.shape[0], trials - joined)
+        new = min(free.shape[0], hi - joined)
         if new:
-            slot = free[:new]
+            if r1 < joined + new:
+                r0, r1 = joined, min(joined + BLOCK, hi)
+                w1, w2 = trial_seeds(seed, r1, r0)
+            slot, take = free[:new], slice(joined - r0, joined - r0 + new)
             idx[slot] = np.arange(joined, joined + new)
             state[slot] = start
-            s1[slot] = s1s[joined:joined + new]
-            s2[slot] = s2s[joined:joined + new]
+            s1[slot], s2[slot] = w1[take], w2[take]
             deadline[slot] = k + max_steps
             joined += new
         if new < free.shape[0]:
@@ -343,14 +350,15 @@ def _walk_hitting_range(rowptr, width, cum, tgt, level_of, start, bot, top,
 
 
 def sample_chain_kernel(rowptr, cum, tgt, offsets, strides, x0, ncyl,
-                        s1s, s2s):
-    """Cylinder counts of a chain whose move table takes the cells of space
-    k, table-wide states offsets[k] on, to those of space k + 1.  Every
-    trial moves len(strides) times from cell x0; its cylinder index is the
-    sum over steps k of (state - offsets[k + 1]) * strides[k]."""
+                        seed, trials):
+    """Cylinder counts of trials 0..trials-1 of `seed` on a chain whose move
+    table takes the cells of space k, table-wide states offsets[k] on, to
+    those of space k + 1.  Every trial moves len(strides) times from cell
+    x0; its cylinder index is the sum over steps k of
+    (state - offsets[k + 1]) * strides[k]."""
     counts = np.zeros(ncyl, dtype=np.int64)
-    for _, k, state in _lockstep(rowptr, cum, tgt, x0, len(strides), s1s,
-                                 s2s, 0, s1s.shape[0]):
+    for _, k, state in _lockstep(rowptr, cum, tgt, x0, len(strides), seed,
+                                 0, trials):
         cell = (state - offsets[k + 1]) * strides[k]
         idx = cell if k == 0 else idx + cell
         if k == len(strides) - 1:

@@ -461,9 +461,8 @@ def path_measure_sample(spaces: Sequence[CellSpace],
     for k in range(depth - 2, -1, -1):
         strides[k] = strides[k + 1] * shape[k + 1]
     ncyl = int(np.prod(shape))
-    s1s, s2s = _accel.trial_seeds(seed, trials)
     counts = _accel.sample_chain_kernel(rowptr, cum, tgt, offsets, strides,
-                                        x0, ncyl, s1s, s2s)
+                                        x0, ncyl, seed, trials)
     emp = counts / trials
     p = exact.ravel()
     se = np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / trials)

@@ -104,7 +104,7 @@ class Window:
 
     @cached_property
     def vertices(self) -> tuple[int, ...]:
-        first = math.ceil(self.lo / self.step) * self.step
+        first = -(-self.lo // self.step) * self.step  # exact past 2**53
         return tuple(range(first, self.hi + 1, self.step))
 
     def __len__(self) -> int:

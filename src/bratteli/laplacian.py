@@ -396,9 +396,8 @@ def walk(net: WeightedNetwork, start: tuple[int, int], steps: int,
                          f"got steps={steps}, trials={trials}")
     rowptr, cum, tgt, level_of, offsets = _flatten(net)
     s0 = _state_of(net, start, offsets)
-    s1s, s2s = _accel.trial_seeds(seed, trials)
     returns, path = _accel.walk_returns_kernel(rowptr, cum, tgt, s0, steps,
-                                               s1s, s2s)
+                                               seed, trials)
     d = net.kernels.diagram
     states = []
     for st in path:
@@ -428,9 +427,8 @@ def hitting_probability(net: WeightedNetwork, start: tuple[int, int],
         raise ValueError(f"max_steps must be at least 0, got {max_steps}")
     rowptr, cum, tgt, level_of, offsets = _flatten(net)
     s0 = _state_of(net, start, offsets)
-    s1s, s2s = _accel.trial_seeds(seed, trials)
     res = _accel.walk_hitting_kernel(rowptr, cum, tgt, level_of, s0, 0,
-                                     net.depth, max_steps, s1s, s2s)
+                                     net.depth, max_steps, seed, trials)
     top = int(np.sum(res == 1))
     bot = int(np.sum(res == 0))
     out = int(np.sum(res == -1))

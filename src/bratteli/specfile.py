@@ -71,10 +71,14 @@ def _integral(x, where: str) -> int:
 
 
 def _number(x, where: str) -> float:
-    """x as a float; anything but a number raises SpecError."""
-    if _is_number(x):
+    """x as a float; anything but a number, or an integer past the float
+    range, raises SpecError."""
+    if not _is_number(x):
+        raise SpecError(f"{where} must be a number, got {x!r}")
+    try:
         return float(x)
-    raise SpecError(f"{where} must be a number, got {x!r}")
+    except OverflowError:
+        raise SpecError(f"{where} is too large for a float") from None
 
 
 def _offset(key, where: str) -> int:

@@ -4,7 +4,9 @@ runs one trial at a time."""
 
 import math
 import os
+import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -38,6 +40,20 @@ def test_trial_seeds_prefix_stable():
     a1, a2 = _accel.trial_seeds(7, 10)
     b1, b2 = _accel.trial_seeds(7, 1000)
     assert np.array_equal(a1, b1[:10]) and np.array_equal(a2, b2[:10])
+
+
+@pytest.mark.parametrize("seed", [7, -3, 2 ** 64 + 5])
+@pytest.mark.parametrize("lo, hi", [
+    (0, 0), (5, 5), (3, 40), (_accel.BLOCK - 7, _accel.BLOCK + 9),
+    (_accel.BLOCK, 2 * _accel.BLOCK + 37),
+    (2 * _accel.BLOCK - 1, 3 * _accel.BLOCK + 1)])
+def test_trial_seeds_range_is_a_slice(seed, lo, hi):
+    # a kernel derives each block's words when the block starts; they must
+    # be the words the whole range would give those trials
+    whole = _accel.trial_seeds(seed, hi)
+    for w, part in zip(whole, _accel.trial_seeds(seed, hi, lo)):
+        assert part.dtype == np.int64
+        assert np.array_equal(part, w[lo:])
 
 
 def test_trial_seeds_in_range():
@@ -141,10 +157,15 @@ def _step(rowptr, cum, tgt, state, s1, s2):
     return int(tgt[j]), s1, s2
 
 
-def ref_walk(rowptr, cum, tgt, start, steps, s1s, s2s):
+def ref_streams(seed, trials):
+    """Each trial's first generator words, as Python ints."""
+    return zip(*(s.tolist() for s in _accel.trial_seeds(seed, trials)))
+
+
+def ref_walk(rowptr, cum, tgt, start, steps, seed, trials):
     """Returns per trial, and trial 0's states."""
     returns, paths = [], []
-    for s1, s2 in zip(s1s.tolist(), s2s.tolist()):
+    for s1, s2 in ref_streams(seed, trials):
         state, cnt, path = int(start), 0, [int(start)]
         for _ in range(steps):
             state, s1, s2 = _step(rowptr, cum, tgt, state, s1, s2)
@@ -156,10 +177,10 @@ def ref_walk(rowptr, cum, tgt, start, steps, s1s, s2s):
 
 
 def ref_hitting_moves(rowptr, cum, tgt, level_of, start, bot, top,
-                      max_steps, s1s, s2s):
+                      max_steps, seed, trials):
     """(result, moves) per trial; a timeout counts its max_steps moves."""
     out = []
-    for s1, s2 in zip(s1s.tolist(), s2s.tolist()):
+    for s1, s2 in ref_streams(seed, trials):
         state, res, moves = int(start), -1, 0
         for moves in range(max_steps + 1):
             lvl = level_of[state]
@@ -178,10 +199,10 @@ def ref_hitting(*args):
     return [res for res, _ in ref_hitting_moves(*args)]
 
 
-def ref_chain(rowptr, cum, tgt, offsets, strides, x0, ncyl, s1s, s2s):
+def ref_chain(rowptr, cum, tgt, offsets, strides, x0, ncyl, seed, trials):
     """Cylinder counts, one trial at a time over the move table."""
     counts = [0] * ncyl
-    for s1, s2 in zip(s1s.tolist(), s2s.tolist()):
+    for s1, s2 in ref_streams(seed, trials):
         state, idx = int(x0), 0
         for k in range(len(strides)):
             state, s1, s2 = _step(rowptr, cum, tgt, state, s1, s2)
@@ -450,6 +471,43 @@ def test_chain_uneven_widths_matches_scalar_reference(monkeypatch, x0):
     spaces, ks = uneven_chain()
     rep = _check_chain(monkeypatch, spaces, ks, x0, 3, 3000, 21)
     assert rep.shape == (3, 4, 3)
+
+
+# -- memory: flat in the trial count, but for 8-byte per-trial results ---------
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def chain_sample(trials):
+    spaces, ks = kernel_chain()
+    cl.path_measure_sample(spaces, ks, 1, 3, seed=4, trials=trials)
+
+
+def walk_sample(trials):
+    lp.walk(allones_network(4), (1, 0), steps=2, trials=trials, seed=3)
+
+
+def hitting_sample(trials):
+    lp.hitting_probability(allones_network(4), (1, 0), trials=trials, seed=3)
+
+
+@pytest.mark.parametrize("sample, result_bytes", [
+    (chain_sample, 0), (walk_sample, 8), (hitting_sample, 8)])
+def test_sampler_memory_is_flat_in_the_trial_count(monkeypatch, sample,
+                                                   result_bytes):
+    # seed words and working arrays are bounded by BLOCK; only the
+    # per-trial results (walk returns, hitting outcomes) may grow.  One
+    # CPU keeps every shard in this process, where tracemalloc sees it.
+    cpus(monkeypatch, 1)
+    small, big = (_traced_peak(partial(sample, m * _accel.BLOCK))
+                  for m in (4, 64))
+    assert big - small <= result_bytes * 60 * _accel.BLOCK + 2 ** 20
 
 
 # -- shards: forked children give the answers of one process -----------------

@@ -45,6 +45,17 @@ def test_validate_ok(capsys):
     assert rep["has_markov"] is True and rep["has_kernels"] is False
 
 
+def test_validate_window_past_2_53(capsys, tmp_path):
+    """Window vertices are found in integers: a float quotient put the
+    first vertex of [2^60 + 1, 2^60 + 2] at 2^60 and reported a valid spec
+    as a WindowMismatch."""
+    p = _spec(tmp_path, "far.json", {"matrix": [[1, 1], [1, 1]],
+                                     "window": [2 ** 60 + 1, 2 ** 60 + 2],
+                                     "depth": 2})
+    rc, rep = run_json(capsys, "validate", p)
+    assert (rc, rep["valid"], rep["level_sizes"]) == (0, True, [2, 2, 2])
+
+
 def test_validate_reports_structure_violation(capsys, tmp_path):
     p = tmp_path / "zero_row.json"
     p.write_text(json.dumps({"matrix": [[1, 0], [0, 0]], "depth": 2}))
@@ -583,6 +594,27 @@ def test_overflowing_row_is_an_error_with_a_quiet_stderr(tmp_path, command):
         "kind": "PathInvalid",
         "detail": "outgoing probabilities at level 0 vertex 0 sum to inf, "
                   "not 1"}
+
+
+@pytest.mark.parametrize("command", [("validate",), ("analyze", "markov")])
+def test_huge_integer_number_is_an_error_with_a_quiet_stderr(tmp_path,
+                                                             command):
+    """An integer beyond the float range in a number field is a SpecError
+    naming the field; float() on it used to end in an OverflowError
+    traceback."""
+    doc = json.loads((SPECS / "explicit_markov.json").read_text())
+    doc["markov"]["q0"][0] = 10 ** 400
+    p = _spec(tmp_path, "huge.json", doc)
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bratteli", command[0], p, *command[1:]],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    error = {"kind": "SpecError",
+             "detail": "markov q0 entry is too large for a float"}
+    d = json.loads(proc.stdout)
+    assert d.get("error") == error or d["violations"] == [error]
 
 
 def test_nonstationary_diagram_measure_and_pf(capsys, tmp_path):

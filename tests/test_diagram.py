@@ -35,6 +35,16 @@ def test_window_vertices_step_two():
     assert w.position(-4) == 0 and w.position(4) == 4
 
 
+def test_window_vertices_exact_past_2_53():
+    # the first vertex is found in integers: a float quotient rounds
+    # 2**60 + 1 down to 2**60, outside the window
+    w = dg.Window(2 ** 60 + 1, 2 ** 60 + 5)
+    assert w.vertices == tuple(range(2 ** 60 + 1, 2 ** 60 + 6))
+    assert all(v in w for v in w.vertices)
+    assert dg.Window(2 ** 60 + 1, 2 ** 60 + 5, 2).vertices == (
+        2 ** 60 + 2, 2 ** 60 + 4)
+
+
 def test_window_position_outside_raises():
     with pytest.raises(KeyError):
         dg.Window(0, 3).position(7)
