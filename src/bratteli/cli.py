@@ -233,7 +233,7 @@ def _analyze_pf(ctx: _Context, args):
 
 def _analyze_measure(ctx: _Context, args):
     mu, rep = ctx.measure(args.normalization)
-    inv = ms.verify_tail_invariance(ctx.diagram, mu, tol=args.tol)
+    inv = ms.verify_tail_invariance(ctx.diagram, mu)
     payload = {"kind": mu.kind,
                "normalization": args.normalization if rep else None,
                "lambda": rep.lam if rep else None,
@@ -550,7 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("spec")
     pa.add_argument("analysis", choices=sorted(_ANALYSES))
     pa.add_argument("--depth", type=int, default=None)
-    pa.add_argument("--tol", type=float, default=1e-10)
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--trials", type=int, default=10_000)
     pa.add_argument("--steps", type=int, default=1_000)

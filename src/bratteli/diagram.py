@@ -4,13 +4,14 @@ A diagram is a sequence of sparse nonnegative-integer incidence matrices
 F_0, F_1, ... where ``F_n[(v, w)]`` counts the edges between the source
 vertex ``w`` on level n and the target vertex ``v`` on level n+1.  Levels
 that are countably infinite in principle (integer- or natural-indexed) are
-materialized on explicit windows; band rules declare how rows continue
-outside the window so that truncation effects can be masked downstream.
+materialized on explicit windows; each level's builder marks the rows and
+columns the window clipped, so that truncation effects can be masked
+downstream.
 
 A level is stored once, as the CSR arrays its builder makes from
-coordinates; a ``{(target, source): multiplicity}`` mapping has one reader,
-``incidence_from_entries``.  Every row, column, dense and sum query reads
-the arrays.  A loop over the levels scatters each level into one reused
+coordinates and the interior masks it sets; a ``{(target, source):
+multiplicity}`` mapping has one reader, ``incidence_from_entries``.  Every
+row, column, dense and sum query reads the arrays.  A loop over the levels scatters each level into one reused
 ``Scratch`` array instead of a fresh one.  Heights are computed once per
 ``Diagram``, as exact Python integers.
 
@@ -184,15 +185,17 @@ def _meet(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class IncidenceMatrix:
     """One level of incidence data: target rows over source columns.
 
-    csr     : the level's entries, (target v in V_{n+1}, source w in V_n)
-              with multiplicity > 0, as arrays over window positions
-    band    : optional ((offset, value), ...) declaration meaning that on the
-              untruncated lattice row v has entry ``value`` at source
-              ``v + offset``; used to mask truncation at window edges.
+    csr           : the level's entries, (target v in V_{n+1}, source w in
+                    V_n) with multiplicity > 0, as arrays over window
+                    positions
+    interior_rows : read-only bool per target position, True where the
+                    window row equals the untruncated row
+    interior_cols : read-only bool per source position, True where the
+                    window column receives every untruncated edge
 
-    For truncations of infinite matrices that are not pure band rules, the
-    exterior_{rows,cols} sets list the vertices whose row/column lost
-    entries to the window edge.  row_sum_claim / col_sum_claim assert that
+    The builder that clips a level sets its masks; one that clips nothing
+    passes none, and every row and column is interior.  ``replace`` copies
+    share the arrays.  row_sum_claim / col_sum_claim assert that
     *untruncated* rows/columns all share that sum (e.g. a constant-length
     substitution), which windowed sums alone cannot reveal.  ``==`` is
     identity; ``_matrices_equal`` compares windows and entries.
@@ -202,11 +205,19 @@ class IncidenceMatrix:
     csr: CSR
     row_window: Window
     col_window: Window
-    band: tuple[tuple[int, int], ...] | None = None
     row_sum_claim: int | None = None
     col_sum_claim: int | None = None
-    exterior_rows: frozenset | None = None
-    exterior_cols: frozenset | None = None
+    interior_rows: np.ndarray | None = None
+    interior_cols: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name, win in (("interior_rows", self.row_window),
+                          ("interior_cols", self.col_window)):
+            mask = getattr(self, name)
+            if mask is None:
+                mask = np.ones(len(win), dtype=bool)
+                object.__setattr__(self, name, mask)
+            mask.flags.writeable = False
 
     # -- shape helpers -------------------------------------------------
     @property
@@ -315,39 +326,6 @@ class IncidenceMatrix:
         flat = np.unique((v * m + w)[v <= w])
         return flat // m, flat % m
 
-    # -- truncation masks ----------------------------------------------
-    def interior_rows(self) -> np.ndarray:
-        """True where the window row equals the untruncated row."""
-        return self._interior[0]
-
-    def interior_cols(self) -> np.ndarray:
-        """True where the window column receives every untruncated edge."""
-        return self._interior[1]
-
-    @cached_property
-    def _interior(self) -> tuple[np.ndarray, np.ndarray]:
-        """(row mask, column mask), built once and read-only.  A band row v
-        is interior when every v + offset lies in the source window, a band
-        column w when every w - offset lies in the target window."""
-        tv, sv = np.array(self.targets), np.array(self.sources)
-        masks = []
-        for verts, exterior, other, sign in (
-                (tv, self.exterior_rows, self.col_window, 1),
-                (sv, self.exterior_cols, self.row_window, -1)):
-            if exterior is not None:
-                ok = ~np.isin(verts, list(exterior))
-            elif self.band is None:
-                ok = np.ones(len(verts), dtype=bool)
-            else:
-                ok = np.ones(len(verts), dtype=bool)
-                for o, _ in self.band:
-                    x = verts + sign * o
-                    ok &= ((other.lo <= x) & (x <= other.hi)
-                           & (x % other.step == 0))
-            ok.flags.writeable = False
-            masks.append(ok)
-        return masks[0], masks[1]
-
     def row_sums(self) -> np.ndarray:
         """Exact row sums, as Python ints (dtype object)."""
         return self.totals(self.csr.mult.astype(object))
@@ -449,8 +427,10 @@ def band_matrix(level: int, window, offsets_values: Mapping[int, int],
                 ) -> IncidenceMatrix:
     """Materialize a band rule on a window (same window for both levels).
 
-    Sources that fall outside the window are truncated away; the band
-    declaration is kept so that the resulting boundary rows can be masked.
+    Sources that fall outside the window are truncated away.  Row v is
+    interior when every v + offset is a vertex, column w when every
+    w - offset is; an offset off the step reaches no vertex, so it leaves
+    no row or column interior.
     """
     win = window_of(window)
     band = tuple(sorted((int(o), _multiplicity(v, f"band offset {o}"))
@@ -474,8 +454,12 @@ def band_matrix(level: int, window, offsets_values: Mapping[int, int],
     rows, k = np.nonzero(hit)
     csr = _csr_from_coo(rows, src[hit], np.array([v for _, v in kept])[k],
                         (n, n))
-    return IncidenceMatrix(level, csr, win, win, band,
-                           row_sum_claim=total, col_sum_claim=total)
+    inner = np.zeros((2, n), dtype=bool)   # rows, columns
+    if len(kept) == len(band):
+        lo, hi = kept[0][0], kept[-1][0]
+        inner[0, max(0, -lo):n - max(0, hi)] = True
+        inner[1, max(0, hi):n + min(0, lo)] = True
+    return IncidenceMatrix(level, csr, win, win, total, total, *inner)
 
 
 # ---------------------------------------------------------------- diagram
@@ -575,30 +559,31 @@ def _sparse_product(high: CSR, low: CSR) -> CSR:
                          (len(high.indptr) - 1, len(low.colptr) - 1))
 
 
-def _exterior(block: Sequence[IncidenceMatrix], rows: bool):
-    """Vertices whose row (column) of the block product lost entries to a
-    window edge: exterior on their own level, or joined to such a vertex
-    on the level below (above).  None when there are none."""
+def _interior(block: Sequence[IncidenceMatrix], rows: bool) -> np.ndarray:
+    """Mask of the block product's rows (columns) that lost no entry to a
+    window edge: interior on their own level, and joined only to interior
+    rows (columns) on the level below (above)."""
     mats = block if rows else block[::-1]
-    bad = None
+    ok = None
     for f in mats:
-        c = f.csr
-        own = ~(f.interior_rows() if rows else f.interior_cols())
-        if bad is not None:
+        own = f.interior_rows if rows else f.interior_cols
+        if ok is not None:
+            c = f.csr
             here, there = (c.rows, c.indices) if rows else (c.indices, c.rows)
-            own[here[bad[there]]] = True
-        bad = own
-    verts = mats[-1].targets if rows else mats[-1].sources
-    return frozenset(v for v, b in zip(verts, bad) if b) or None
+            own = own.copy()
+            own[here[~ok[there]]] = False
+        ok = own
+    return ok
 
 
 def telescope(d: Diagram, cuts: Sequence[int]) -> Diagram:
     """Collapse level blocks: F'_k = F_{n_{k+1}-1} ... F_{n_k}.
 
     The product is taken in descending level order so the height recursion
-    survives telescoping: F'_k H^(n_k) = H^(n_{k+1}).  Truncation masks
+    survives telescoping: F'_k H^(n_k) = H^(n_{k+1}).  Interior masks
     compose (a product row is interior only when every row it multiplies
-    through is) and constant-sum claims multiply.
+    through is; a one-level block keeps its level's arrays) and constant-sum
+    claims multiply.
     """
     cuts = list(cuts)
     if (not cuts or cuts[0] != 0 or any(b <= a for a, b in zip(cuts, cuts[1:]))
@@ -618,10 +603,8 @@ def telescope(d: Diagram, cuts: Sequence[int]) -> Diagram:
         rsum = math.prod(rclaims) if all(c is not None for c in rclaims) else None
         csum = math.prod(cclaims) if all(c is not None for c in cclaims) else None
         mats.append(IncidenceMatrix(
-            k, prod, block[-1].row_window, block[0].col_window,
-            block[0].band if len(block) == 1 else None,
-            rsum, csum, _exterior(block, rows=True),
-            _exterior(block, rows=False)))
+            k, prod, block[-1].row_window, block[0].col_window, rsum, csum,
+            _interior(block, rows=True), _interior(block, rows=False)))
     return validate(mats)
 
 
@@ -764,7 +747,8 @@ class EdgeOrder:
 class _Incoming(Mapping):
     """Each target's incoming edges as (source, rank), by source then rank,
     built for one target at a time on lookup: a level's table would hold
-    one pair per parallel edge."""
+    one pair per parallel edge.  A target with more than DEFAULT_PATH_CAP
+    incoming edges raises TooManyPaths."""
 
     def __init__(self, m: IncidenceMatrix):
         self._m = m
@@ -772,8 +756,11 @@ class _Incoming(Mapping):
     def __getitem__(self, v: int) -> tuple[tuple[int, int], ...]:
         if v not in self._m.row_window:
             raise KeyError(v)
-        return tuple((w, r) for w, mult in self._m.row_entries(v)
-                     for r in range(mult))
+        row = self._m.row_entries(v)
+        count = sum(mult for _, mult in row)
+        if count > DEFAULT_PATH_CAP:
+            raise TooManyPaths(DEFAULT_PATH_CAP, count)
+        return tuple((w, r) for w, mult in row for r in range(mult))
 
     def __iter__(self):
         return iter(self._m.targets)

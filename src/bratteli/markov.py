@@ -358,7 +358,7 @@ def hat_vs_incidence(d: Diagram, hk: HatKernels) -> float:
     for n in range(d.depth):
         F = d.F(n)
         c = F.csr
-        ok = clean & F.interior_cols()
+        ok = clean & F.interior_cols
         # a target stays clean when every source in its row is
         mask = np.logical_and.reduceat(ok[c.indices], c.indptr[:-1])
         if mask.any():

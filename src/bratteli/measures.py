@@ -168,7 +168,7 @@ def verify_tail_invariance(d: Diagram, m: MeasureSequence,
     for n in range(d.depth):
         F = d.F(n)
         A = scratch.scatter(F, F.csr.mult).T
-        mask = F.interior_cols()
+        mask = F.interior_cols
         diff = A @ m.vectors[n + 1] - m.vectors[n]
         num = float(np.abs(diff[mask]).sum())
         den = max(float(np.abs(m.vectors[n][mask]).sum()), 1e-300)
@@ -276,7 +276,7 @@ def _uniform_sum(m: IncidenceMatrix, rows: bool) -> int | None:
     if claim is not None:
         return int(claim)
     sums = m.row_sums() if rows else m.col_sums()
-    mask = m.interior_rows() if rows else m.interior_cols()
+    mask = m.interior_rows if rows else m.interior_cols
     vals = {int(s) for s, ok in zip(sums, mask) if ok}
     return vals.pop() if len(vals) == 1 else None
 
@@ -334,7 +334,7 @@ def tower_masses(d: Diagram, m: MeasureSequence) -> TowerReport:
     for n in range(d.depth):
         fhat = hat_matrix(d, n).to_dense()
         diff = svecs[n + 1] @ fhat - svecs[n]
-        mask = d.F(n).interior_cols()
+        mask = d.F(n).interior_cols
         den = max(float(np.abs(svecs[n][mask]).sum()), 1e-300)
         residuals.append(float(np.abs(diff[mask]).sum()) / den)
     sums = tuple(float(s.sum()) for s in svecs)

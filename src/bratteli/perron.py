@@ -50,7 +50,7 @@ def _constant_of(sums: np.ndarray):
 
 
 def _truncated(m: IncidenceMatrix) -> bool:
-    return not (m.interior_rows().all() and m.interior_cols().all())
+    return not (m.interior_rows.all() and m.interior_cols.all())
 
 
 def _adjacency(m: IncidenceMatrix):
@@ -220,8 +220,8 @@ def pf_solve(m: IncidenceMatrix) -> SpectralData:
         s = s / (s @ t)
 
     # -- residual on interior rows/columns -------------------------------
-    rt = np.abs(A @ t - lam * t)[m.interior_cols()]
-    rs = np.abs(s @ A - lam * s)[m.interior_rows()]
+    rt = np.abs(A @ t - lam * t)[m.interior_cols]
+    rs = np.abs(s @ A - lam * s)[m.interior_rows]
     residual = max(rt.max(initial=0.0) / np.abs(t).max(),
                    rs.max(initial=0.0) / np.abs(s).max())
 
@@ -287,7 +287,7 @@ def _safe_horizon(m: IncidenceMatrix, fwd, start: int, horizon: int) -> int:
     at distance d contaminates lengths >= d+1.
     """
     dist = _bfs(fwd, start, horizon)
-    bad = dist[(dist >= 0) & ~m.interior_cols()]
+    bad = dist[(dist >= 0) & ~m.interior_cols]
     return int(bad.min(initial=horizon))
 
 

@@ -22,6 +22,10 @@ class SpecError(Exception):
     pass
 
 
+# one level record is built per level, so a deeper diagram is refused
+MAX_DEPTH = 10**6
+
+
 _TOP_FIELDS = {"matrix", "triplets", "band", "substitution", "depth",
                "window", "windows", "order", "markov", "kernels"}
 _SUB_FIELDS = {"rules", "name", "k", "offsets_word", "alphabet", "exceptions"}
@@ -201,6 +205,7 @@ def parse_spec(doc: dict, depth_override: int | None = None) -> ParsedSpec:
     else:
         _require(_is_int(depth) and depth >= 1,
                  "depth must be a positive integer")
+        _require(depth <= MAX_DEPTH, f"depth must be at most {MAX_DEPTH}")
         depth = int(depth)
         _require("windows" not in doc, "'windows' only applies to triplets")
         if kind == "matrix":

@@ -9,9 +9,10 @@ of n is the word n+o_1, n+o_2, ... for a fixed offset word.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from . import diagram as dg
 
@@ -111,8 +112,11 @@ def substitution_matrix(s: Substitution, window=None
 
     Finite alphabets ignore ``window`` (positions follow ``s.letters``);
     band rules are materialized on the given window, dropping letters that
-    leave it (windowed truncation).  The matrix is level 0's; stationary
-    diagrams repeat it.
+    leave it (windowed truncation).  Their interior masks are set here: a
+    row is interior when its whole image word lies in the window, a column
+    when every letter that maps into it does, counting the exceptions and
+    the generic letters on the window's step.  The matrix is level 0's;
+    stationary diagrams repeat it.
     """
     is_const, clen = constant_length(s)
     if s.offsets_word is None:
@@ -135,42 +139,34 @@ def substitution_matrix(s: Substitution, window=None
     win = dg.window_of(window)
     if s.alphabet == "nat" and win.lo < 0:
         raise dg.WindowMismatch("alphabet 'nat' needs a window with lo >= 0")
-    band_counts = Counter(s.offsets_word)
-    ext_rows: set[int] = set()
+    n = len(win)
+    interior_rows = np.ones(n, dtype=bool)
     rows, cols = [], []   # window positions, one per kept letter
     for i, a in enumerate(win.vertices):
         img = s.image(a)
         kept = [b for b in img if b in win]
         if not kept:
             raise EmptyImage(a)
-        if len(kept) < len(img):
-            ext_rows.add(a)
+        interior_rows[i] = len(kept) == len(img)
         rows += [i] * len(kept)
         cols += [win.position(b) for b in kept]
-    # a column is exterior when some letter outside the window maps into it
-    ext_cols: set[int] = set()
-    for w in win.vertices:
+    # a column is interior when every letter that maps into it is in the
+    # window
+    interior_cols = np.ones(n, dtype=bool)
+    for j, w in enumerate(win.vertices):
         contributors = [a for a, word in s.words.items() if w in word]
         for o in set(s.offsets_word):
             a = w - o
-            if a in s.words or a % win.step:
-                continue
-            if s.alphabet == "nat" and a < 0:
-                continue
-            contributors.append(a)
-        if any(a not in win for a in contributors):
-            ext_cols.add(w)
-    band = None
-    if not s.words and s.alphabet == "int":
-        # pure band rule on Z: every row is the shifted offset word
-        band = tuple(sorted(band_counts.items()))
+            if a % win.step == 0 and a not in s.words and (
+                    s.alphabet == "int" or a >= 0):
+                contributors.append(a)
+        interior_cols[j] = all(a in win for a in contributors)
+    pure_band = not s.words and s.alphabet == "int"   # no exceptions on Z
     return dg.IncidenceMatrix(
-        0, dg._csr_from_coo(rows, cols, 1, (len(win), len(win))), win, win,
-        band=band,
+        0, dg._csr_from_coo(rows, cols, 1, (n, n)), win, win,
         row_sum_claim=len(s.offsets_word) if is_const else None,
-        col_sum_claim=len(s.offsets_word) if band is not None else None,
-        exterior_rows=frozenset(ext_rows) if ext_rows else None,
-        exterior_cols=frozenset(ext_cols) if ext_cols else None)
+        col_sum_claim=len(s.offsets_word) if pure_band else None,
+        interior_rows=interior_rows, interior_cols=interior_cols)
 
 
 def reading_order(s: Substitution, matrix: dg.IncidenceMatrix) -> dg.EdgeOrder:

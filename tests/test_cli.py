@@ -76,6 +76,26 @@ def test_validate_reports_schema_violation(capsys, tmp_path):
     assert rep["violations"][0]["kind"] == "SpecError"
 
 
+def test_depth_past_the_limit_is_refused_at_once(capsys, tmp_path):
+    """A depth above MAX_DEPTH is a SpecError naming depth, before any
+    level is built; the 401-digit depth once ran until it was killed."""
+    deep = _spec(tmp_path, "deep.json", {"matrix": [[1, 1], [1, 1]],
+                                         "depth": 10 ** 400})
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "bratteli", "validate", deep],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    want = {"kind": "SpecError", "detail": "depth must be at most 1000000"}
+    assert json.loads(proc.stdout)["violations"] == [want]
+    rc, rep = run_json(capsys, "validate", ALLONES, "--depth", "1000001")
+    assert (rc, rep["violations"]) == (1, [want])
+    for argv in (["analyze", ALLONES, "pf"], ["check", ALLONES]):
+        rc, d = run_json(capsys, *argv, "--depth", "1000001",
+                         *(["--format", "json"] if argv[0] == "check" else []))
+        assert (rc, d["error"]) == (1, want)
+
+
 def test_validate_bad_json_file(capsys, tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{ nope")
@@ -848,6 +868,14 @@ def test_bad_choice_value_is_usage_error(capsys):
     with pytest.raises(SystemExit) as ei:
         cli.main(["check", ALLONES, "--suite", "nope"])
     assert ei.value.code == 2
+
+
+def test_analyze_takes_no_tol(capsys):
+    # only check has a tolerance: it gates every invariant there
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["analyze", ALLONES, "measure", "--tol", "1e-3"])
+    assert ei.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_negative_check_seed_is_usage_error(capsys):

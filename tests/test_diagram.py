@@ -12,8 +12,6 @@ Claimed behaviour checked here:
 """
 
 import functools
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -125,7 +123,7 @@ def test_drunken_band_diagram_valid():
     assert m.multiplicity(0, 0) == 2
     assert m.multiplicity(0, 2) == 1
     assert m.row_entries(-20) == [(-20, 2), (-18, 1)]
-    interior = m.interior_rows()
+    interior = m.interior_rows
     assert not interior[0] and not interior[-1]
     assert interior[1:-1].all()
 
@@ -166,16 +164,32 @@ def test_telescope_bad_cuts():
 
 
 def test_telescope_propagates_truncation():
-    # a product row (column) is exterior when it is clipped itself or
+    # a product row (column) is non-interior when it is clipped itself or
     # reaches a clipped row (column) through the other level
     d = dg.band_diagram(DRUNKEN, 3, dg.Window(-20, 20, 2))
     t = dg.telescope(d, (0, 2, 3))
     two, one = t.F(0), t.F(1)
-    assert two.band is None and one.band == d.F(0).band
-    assert two.exterior_rows == two.exterior_cols == {-20, -18, 18, 20}
-    assert one.exterior_rows == one.exterior_cols == {-20, 20}
+    for m, clipped in ((two, {-20, -18, 18, 20}), (one, {-20, 20})):
+        for mask, verts in ((m.interior_rows, m.targets),
+                            (m.interior_cols, m.sources)):
+            assert mask.dtype == bool and not mask.flags.writeable
+            assert {v for v, ok in zip(verts, mask) if not ok} == clipped
+    # a one-level block keeps its level's arrays
+    assert one.interior_rows is d.F(2).interior_rows
+    assert one.interior_cols is d.F(2).interior_cols
     assert two.row_sum_claim == two.col_sum_claim == 16
     assert not t.stationary
+
+
+def test_stationary_levels_share_one_mask_pair():
+    for d in (dg.band_diagram(DRUNKEN, 4, dg.Window(-20, 20, 2)),
+              dg.stationary_diagram(sb.substitution_matrix(
+                  sb.nat_length_two(), dg.Window(0, 12)), 4),
+              dg.stationary_diagram(ALL_ONES, 4)):
+        first = d.F(0)
+        for m in d.matrices[1:]:
+            assert m.interior_rows is first.interior_rows
+            assert m.interior_cols is first.interior_cols
 
 
 def test_telescope_preserves_heights():
@@ -424,15 +438,21 @@ def _telescoped(d, refs, cuts):
     return dg.telescope(d, cuts), prods
 
 
-def _random_band(rng, step):
-    """A random band rule on a window of ``step`` that clips it."""
+def _random_band_rule(rng, step):
+    """(window of ``step``, {offset: value}): a random band rule that the
+    window clips."""
     offsets = rng.choice(np.arange(-3, 4), size=rng.integers(1, 5),
                          replace=False) * step
     band = {int(o): int(rng.integers(1, 4)) for o in offsets}
     span = max(abs(o) for o in band)
     lo = int(rng.integers(-20, 5)) * step
-    win = dg.Window(lo - 1, lo + 2 * span + int(rng.integers(0, 12)) * step,
-                    step)
+    return dg.Window(lo - 1, lo + 2 * span + int(rng.integers(0, 12)) * step,
+                     step), band
+
+
+def _random_band(rng, step):
+    """A random band rule's level and its mapping."""
+    win, band = _random_band_rule(rng, step)
     return dg.band_matrix(0, win, band), _band_entries(
         sorted(band.items()), win)
 
@@ -471,7 +491,7 @@ def _reference_cases():
         cases[name] = (d, list(zip(d.matrices, refs)))
     win = dg.Window(-20, 20, 2)
     band = dg.band_diagram(DRUNKEN, depth=2, window=win)
-    assert not band.F(0).interior_rows().all()
+    assert not band.F(0).interior_rows.all()
     cases["band-clipped"] = (band, [(m, _band_entries(sorted(DRUNKEN.items()),
                                                       win))
                                     for m in band.matrices])
@@ -486,7 +506,7 @@ def _reference_cases():
         _band_entries(sorted(off_step.items()), win))])
     nat_win = dg.Window(0, 12)
     nat = sb.substitution_matrix(sb.nat_length_two(), nat_win)
-    assert nat.exterior_rows and nat.exterior_cols
+    assert not nat.interior_rows.all() and not nat.interior_cols.all()
     nat_d = dg.stationary_diagram(nat, 2)
     nat_ref = _substitution_entries(sb.nat_length_two(), nat_win)
     cases["nat-substitution"] = (nat_d, [(m, nat_ref)
@@ -558,39 +578,74 @@ def test_array_form_matches_entries(name):
         assert np.array_equal(m.col_sums(), dense.sum(axis=0))
 
 
+def _band_interior(m, band):
+    """Reference masks of a band rule on one window: row v is interior
+    when every v + offset is a vertex, column w when every w - offset is."""
+    win = m.row_window
+    return ([all(v + o in win for o in band) for v in win.vertices],
+            [all(w - o in win for o in band) for w in win.vertices])
+
+
+def _substitution_interior(m, s):
+    """Reference masks of a band-rule substitution, letter by letter: row a
+    is interior when its whole image lies in the window, column w when
+    every letter whose image holds w does.  The letters are the
+    exceptions and the alphabet's multiples of the window's step."""
+    win = m.row_window
+    reach = max(abs(o) for o in s.offsets_word)
+    letters = {a for a in range(win.lo - reach, win.hi + reach + 1)
+               if a % win.step == 0 and (s.alphabet == "int" or a >= 0)}
+    letters |= set(s.words)
+    return ([all(b in win for b in s.image(a)) for a in win.vertices],
+            [all(a in win for a in letters if w in s.image(a))
+             for w in win.vertices])
+
+
 def _interior_cases():
-    band = ((-2, 1), (0, 2), (2, 1))
-    rw, cw = dg.Window(-8, 8, 2), dg.Window(-9, 9)
-    rect = replace(dg.incidence_from_entries(
-        0, {(v, v + o): k for v in rw.vertices for o, k in band
-            if v + o in cw}, rw, cw), band=band)
-    nat = sb.substitution_matrix(sb.nat_length_two(), dg.Window(0, 12))
-    assert nat.exterior_rows and nat.exterior_cols
-    return {
-        "band-step-2": dg.band_matrix(0, dg.Window(-20, 20, 2), DRUNKEN),
-        "band-other-windows": rect,
-        "exterior-sets": nat,
-        "unbanded": random_system(9, depth=2, min_m=1, max_m=7).diagram.F(1),
-    }
+    """name -> [(level, reference row mask, reference column mask)]."""
+    rng = np.random.default_rng(23)
+    bands = [(f"random-bands-step-{step}", _random_band_rule(rng, step))
+             for step in (1, 2) for _ in range(30)]
+    bands += [("band-step-2", (dg.Window(-20, 20, 2), DRUNKEN)),
+              # offset 1 is not a multiple of the step: it lands on no vertex
+              ("band-offset-off-step", (dg.Window(-11, 10, 2),
+                                        {-2: 1, 1: 3, 2: 1}))]
+    cases = {}
+    for name, (win, band) in bands:
+        m = dg.band_matrix(0, win, band)
+        cases.setdefault(name, []).append((m, *_band_interior(m, band)))
+    subs = {"nat-length-two": (sb.nat_length_two(), dg.Window(0, 12)),
+            "drunkard-walk": (sb.drunkard_walk(), dg.Window(-10, 10, 2)),
+            "int-band-rule-exceptions": (sb.band_rule(
+                (-1, 2), exceptions={0: (0,), 3: (-5, 1, 1), 9: (8,)}),
+                dg.Window(-8, 8)),
+            # n + 1 is off the step: it clips every row, but as a letter
+            # it lies outside the alphabet the window samples
+            "substitution-offset-off-step": (sb.band_rule((-2, 1, 2)),
+                                             dg.Window(-10, 10, 2))}
+    for name, (s, win) in subs.items():
+        m = sb.substitution_matrix(s, win)
+        cases[name] = [(m, *_substitution_interior(m, s))]
+    chain, _ = _chain_levels()
+    untruncated = [
+        dg.incidence_from_dense(0, [[1, 2, 0], [0, 1, 1]]),
+        sb.substitution_matrix(sb.fibonacci()),
+        *random_system(9, depth=2, min_m=1, max_m=7).diagram.matrices,
+        *chain.matrices]
+    cases["unbanded"] = [(m, [True] * len(m.targets),
+                          [True] * len(m.sources)) for m in untruncated]
+    return cases
 
 
 @pytest.mark.parametrize("name", sorted(_interior_cases()))
 def test_interior_masks_match_vertex_definition(name):
-    m = _interior_cases()[name]
-
-    def inside(x, exterior, other, sign):
-        if exterior is not None:
-            return x not in exterior
-        return m.band is None or all(x + sign * o in other for o, _ in m.band)
-
-    rows = [inside(v, m.exterior_rows, m.col_window, 1) for v in m.targets]
-    cols = [inside(w, m.exterior_cols, m.row_window, -1) for w in m.sources]
-    for got, want in ((m.interior_rows(), rows), (m.interior_cols(), cols)):
-        assert got.dtype == bool and not got.flags.writeable
-        assert got.tolist() == want
-    if m.band is not None:
-        assert not all(rows) and any(rows)
-        assert not all(cols) and any(cols)
+    clipped = False
+    for m, rows, cols in _interior_cases()[name]:
+        for got, want in ((m.interior_rows, rows), (m.interior_cols, cols)):
+            assert got.dtype == bool and not got.flags.writeable
+            assert got.tolist() == want
+        clipped |= not all(rows) or not all(cols)
+    assert clipped == (name != "unbanded")
 
 
 # -- paths and cylinders -----------------------------------------------------
@@ -710,6 +765,25 @@ def test_orbit_covers_tower_once():
     for k, p in enumerate(orbit):
         value = sum(r << i for i, (_, _, _, r) in enumerate(p.edges))
         assert value == k
+
+
+def test_natural_order_refuses_more_edges_than_the_cap(monkeypatch):
+    # 2^120 parallel edges into one target: counted, not listed
+    d = dg.telescope(dg.stationary_diagram([[2 ** 60]], 2), (0, 2))
+    order = dg.natural_order(d)
+    with pytest.raises(dg.TooManyPaths) as err:
+        order.order_at(0, 0)
+    assert err.value.count == 2 ** 120
+    assert err.value.cap == dg.DEFAULT_PATH_CAP
+    monkeypatch.setattr(dg, "DEFAULT_PATH_CAP", 4)
+
+    def one_row(row):
+        return dg.natural_order(dg.validate([dg.incidence_from_dense(
+            0, [row], dg.Window(0, 0), dg.Window(0, 1))]))
+
+    assert one_row([1, 3]).order_at(0, 0) == ((0, 0), (1, 0), (1, 1), (1, 2))
+    with pytest.raises(dg.TooManyPaths):
+        one_row([2, 3]).order_at(0, 0)
 
 
 @pytest.mark.parametrize("stationary", [True, False])

@@ -533,7 +533,7 @@ def test_edge_comparisons_match_dense_reference():
     for n in range(d.depth):
         F = d.F(n)
         tv, sv = F.targets, F.sources
-        ok = {w for w, inner in zip(sv, F.interior_cols()) if inner} & clean
+        ok = {w for w, inner in zip(sv, F.interior_cols) if inner} & clean
         clean = {v for v in tv if all(w in ok for w, _ in F.row_entries(v))}
         masked += len(tv) - len(clean)
         h_lo, h_hi = dg.heights(d, n), dg.heights(d, n + 1)

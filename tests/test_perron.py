@@ -178,7 +178,7 @@ def _dict_series(m, vertex, horizon):
 def _dict_horizon(m, vertex, horizon):
     """Reference: BFS from the vertex through interior rows of A only; the
     first non-interior row met at distance d bounds the horizon by d."""
-    interior = dict(zip(m.sources, m.interior_cols()))
+    interior = dict(zip(m.sources, m.interior_cols))
     nbr = {}
     for v, w, _ in m.triplets():
         nbr.setdefault(w, []).append(v)

@@ -33,7 +33,16 @@ def test_matrix_with_window():
 def test_band_construction():
     ps = parse({"band": {"-2": 1, "0": 2, "2": 1}, "depth": 3,
                 "window": [-10, 10, 2]})
-    assert ps.diagram.F(0).band == ((-2, 1), (0, 2), (2, 1))
+    _assert_drunken_band(ps.diagram.F(0))
+
+
+def _assert_drunken_band(m):
+    """The (1, 2, 1) band on offsets (-2, 0, 2): its rows, claims and the
+    two clipped edge vertices."""
+    assert m.row_entries(0) == [(-2, 1), (0, 2), (2, 1)]
+    assert m.row_sum_claim == m.col_sum_claim == 4
+    edges = [False] + [True] * (len(m.targets) - 2) + [False]
+    assert m.interior_rows.tolist() == m.interior_cols.tolist() == edges
 
 
 def test_band_needs_window():
@@ -68,7 +77,7 @@ def test_substitution_band_rule_needs_window():
     with pytest.raises(sf.SpecError, match="window"):
         parse(doc)
     ps = parse({**doc, "window": [-8, 8, 2]})
-    assert ps.diagram.F(0).band == ((-2, 1), (0, 2), (2, 1))
+    _assert_drunken_band(ps.diagram.F(0))
 
 
 def test_substitution_unknown_name():
@@ -199,8 +208,11 @@ def test_integral_float_multiplicities_stored_as_ints():
     assert ps.diagram.F(0).csr.mult.dtype == np.int64
     band = parse({"band": {"-2": 1, "0": 2.0, "2": 1}, "window": [-10, 10, 2],
                   "depth": 2})
-    assert band.diagram.F(0).band == ((-2, 1), (0, 2), (2, 1))
-    assert type(band.diagram.F(0).band[1][1]) is int
+    m = band.diagram.F(0)
+    _assert_drunken_band(m)
+    assert m.csr.mult.dtype == np.int64
+    assert all(type(k) is int for _, k in m.row_entries(0))
+    assert type(m.row_sum_claim) is int and type(m.col_sum_claim) is int
 
 
 def test_markov_edge_level_must_be_below_depth():

@@ -27,11 +27,13 @@ def test_odometer_matrix():
 
 def test_drunkard_band_rows():
     m = sb.substitution_matrix(sb.drunkard_walk(), dg.Window(-10, 10, 2))
-    assert m.band == ((-2, 1), (0, 2), (2, 1))
     assert m.multiplicity(0, -2) == 1
     assert m.multiplicity(0, 0) == 2
     assert m.multiplicity(0, 2) == 1
-    assert m.row_sum_claim == 4
+    assert m.row_sum_claim == m.col_sum_claim == 4
+    # only the two edge letters lose a neighbour to the window
+    edges = [False] + [True] * 9 + [False]
+    assert m.interior_rows.tolist() == m.interior_cols.tolist() == edges
 
 
 def test_nat_length_two_matrix():
@@ -39,8 +41,8 @@ def test_nat_length_two_matrix():
     assert m.multiplicity(0, 0) == 1 and m.multiplicity(0, 1) == 1
     assert m.multiplicity(1, 0) == 1 and m.multiplicity(1, 2) == 1
     assert m.multiplicity(5, 3) == 1 and m.multiplicity(5, 6) == 1
-    # rows whose image leaves the window are flagged exterior
-    interior = m.interior_rows()
+    # rows whose image leaves the window are not interior
+    interior = m.interior_rows
     assert not interior[-1] and interior[0]
 
 
