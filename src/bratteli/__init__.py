@@ -15,6 +15,9 @@ Submodules:
 Each submodule is imported on first use (PEP 562): ``import bratteli``
 loads none of them, and ``bratteli.cells`` or ``from bratteli import
 cells`` loads ``cells``.
+
+``Error`` is the base of every error a command reports as an error object
+rather than a traceback; the object's kind is the class name.
 """
 import importlib
 
@@ -22,6 +25,10 @@ __all__ = ["cells", "cli", "diagram", "laplacian", "markov", "measures",
            "perron", "specfile", "substitution"]
 
 __version__ = "1.0.0"
+
+
+class Error(Exception):
+    """A failure the CLI reports as an error object, kind = class name."""
 
 
 def __getattr__(name: str):

@@ -19,18 +19,18 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _accel
+from . import Error, _accel
 from . import laplacian as lp
 from . import markov as mk
 from .diagram import IncidenceMatrix, Window, _csr_from_coo, validate
 from .measures import DimensionMismatch
 
 
-class ZeroTotalMass(Exception):
+class ZeroTotalMass(Error):
     pass
 
 
-class NotPSD(Exception):
+class NotPSD(Error):
     def __init__(self, detail: str, value: float | None = None):
         super().__init__(detail)
         self.value = value

@@ -21,20 +21,16 @@ from functools import cached_property
 
 import numpy as np
 
-from . import cells as cl
+from . import Error
 from . import diagram as dg
-from . import laplacian as lp
-from . import markov as mk
 from . import measures as ms
 from . import perron as pf
-from . import substitution as sb
 from .specfile import ParsedSpec, SpecError, load_spec
 
-# every error a command reports as an error object instead of a traceback
-_ERRORS = (SpecError, dg.DiagramError, sb.EmptyImage, pf.NoConvergence,
-           ms.PFFailed, ms.DimensionMismatch, mk.PathInvalid, mk.ZeroMass,
-           mk.ZeroMeasureVertex, lp.BalanceViolation, cl.ZeroTotalMass,
-           cl.NotPSD, ValueError)
+# every error a command reports as an error object instead of a traceback;
+# cells, laplacian and markov are imported by the stages that use them, so
+# that validate and analyze pf load none of the sampling code
+_ERRORS = (Error, ValueError)
 
 
 # ---------------------------------------------------------------- output
@@ -171,6 +167,7 @@ class _Context:
 
     @cached_property
     def system(self) -> mk.MarkovSystem:
+        from . import markov as mk
         d, blk = self.diagram, self.spec.markov
         if self.induced:
             norm = "probability" if blk is None else blk["normalization"]
@@ -180,10 +177,12 @@ class _Context:
 
     @cached_property
     def kernels(self) -> mk.HatKernels:
+        from . import markov as mk
         return mk.dual_kernels(self.system)
 
     @cached_property
     def network(self) -> lp.WeightedNetwork:
+        from . import laplacian as lp
         return lp.build_network(self.kernels)
 
 
@@ -259,6 +258,7 @@ def _analyze_markov(ctx: _Context, args):
 
 
 def _analyze_laplacian(ctx: _Context, args):
+    from . import laplacian as lp
     net = ctx.network
     sol = lp.solve_harmonic(net, 0.0, 1.0)
     payload = {"residual": sol.residual,
@@ -271,6 +271,7 @@ def _analyze_laplacian(ctx: _Context, args):
 
 
 def _analyze_energy(ctx: _Context, args):
+    from . import laplacian as lp
     net = ctx.network
     sol = lp.solve_harmonic(net, 0.0, 1.0)
     er = lp.energy_norm(net, sol.f)
@@ -283,6 +284,7 @@ def _analyze_energy(ctx: _Context, args):
 
 
 def _analyze_walk(ctx: _Context, args):
+    from . import laplacian as lp
     net = ctx.network
     level = args.start_level
     if not 0 <= level <= net.depth:
@@ -303,6 +305,7 @@ def _cell_duality(spaces, kernels) -> list[dict]:
     """Per-level diagnostics of each kernel's dual pair: the duality and
     marginal residuals, the asymmetry of the two symmetric measures, and
     the smallest eigenvalue of the singleton Gram matrix."""
+    from . import cells as cl
     levels = []
     for k, K in enumerate(kernels):
         _, nu2, Q = cl.dual_kernel(spaces[k], K)
@@ -320,6 +323,7 @@ def _cell_duality(spaces, kernels) -> list[dict]:
 
 
 def _analyze_kernels(ctx: _Context, args):
+    from . import cells as cl
     if ctx.spec.kernels is None:
         raise SpecError("spec has no kernels block")
     spaces, kernels = ctx.spec.kernels
@@ -391,6 +395,7 @@ def _operator_samples(P, Q, sp_lo, sp_hi, rng) -> tuple[list, list]:
     f then g, the values of alternating per-sample draws.  The stacks are
     freed on return, before the level's m x m products are formed, so they
     do not sit between those in the heap."""
+    from . import markov as mk
     m = P.shape[0]
     FG = rng.standard_normal((_SAMPLES, m + P.shape[1]))
     F, G = FG[:, :m], FG[:, m:]
@@ -402,6 +407,7 @@ def _operator_samples(P, Q, sp_lo, sp_hi, rng) -> tuple[list, list]:
 
 
 def _suite_operators(ctx: _Context, tol: float, seed: int, out: list):
+    from . import markov as mk
     d = ctx.diagram
     dev = max(ctx.system.levels.stochasticity)
     out.append(("operators", "StochasticityViolation", dev, dev <= tol))
@@ -444,6 +450,7 @@ def _suite_operators(ctx: _Context, tol: float, seed: int, out: list):
 
 
 def _suite_laplacian(ctx: _Context, tol: float, seed: int, out: list):
+    from . import laplacian as lp
     try:
         net = ctx.network
     except lp.BalanceViolation as e:
@@ -471,6 +478,8 @@ def _suite_laplacian(ctx: _Context, tol: float, seed: int, out: list):
 
 
 def _suite_kernels(ctx: _Context, tol: float, seed: int, out: list):
+    from . import cells as cl
+    from . import laplacian as lp
     if ctx.spec.kernels is None:
         return
     spaces, kernels = ctx.spec.kernels

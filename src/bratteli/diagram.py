@@ -28,12 +28,14 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import Error
+
 DEFAULT_PATH_CAP = 10**6
 
 
 # ---------------------------------------------------------------- errors
 
-class DiagramError(Exception):
+class DiagramError(Error):
     """Base class for structural diagram violations."""
 
 
@@ -102,6 +104,9 @@ class Window:
             raise WindowMismatch(f"window step must be >= 1, got {self.step}")
         if self.hi < self.lo:
             raise WindowMismatch(f"empty window [{self.lo}, {self.hi}]")
+        if -(-self.lo // self.step) * self.step > self.hi:   # exact past 2**53
+            raise WindowMismatch(f"window [{self.lo}, {self.hi}] holds no "
+                                 f"multiple of its step {self.step}")
 
     @cached_property
     def vertices(self) -> tuple[int, ...]:

@@ -36,12 +36,12 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _accel
+from . import Error, _accel
 from .markov import HatKernels, apply_TP
 from .measures import DimensionMismatch
 
 
-class BalanceViolation(Exception):
+class BalanceViolation(Error):
     def __init__(self, level: int, v: int, u: int, delta: float):
         super().__init__(f"conductance asymmetry {delta:.3e} between level-"
                          f"{level} vertex {v} and level-{level + 1} vertex {u}")

@@ -49,6 +49,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import Error
 from .diagram import Diagram, FinitePath, Scratch, path_in_diagram
 from .measures import DimensionMismatch, MeasureSequence, hat_matrix
 
@@ -56,11 +57,11 @@ Q_FLOOR = 1e-300  # below this a level mass is treated as identically zero
 CLIP_TOL = 1e-9   # outgoing sums further than this from 1 mark a clipped row
 
 
-class PathInvalid(Exception):
+class PathInvalid(Error):
     pass
 
 
-class ZeroMass(Exception):
+class ZeroMass(Error):
     def __init__(self, level: int, vertex: int):
         super().__init__(f"level mass q^({level})_{vertex} vanished; dual "
                          f"kernel rows into it are undefined")
@@ -68,7 +69,7 @@ class ZeroMass(Exception):
         self.vertex = vertex
 
 
-class ZeroMeasureVertex(Exception):
+class ZeroMeasureVertex(Error):
     def __init__(self, level: int, vertex: int):
         super().__init__(f"measure vanishes at level {level} vertex {vertex}")
         self.level = level

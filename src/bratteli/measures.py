@@ -32,16 +32,15 @@ from typing import Mapping
 
 import numpy as np
 
-from . import perron
+from . import Error, perron
 from .diagram import Diagram, IncidenceMatrix, Scratch, heights
 
 
-class DimensionMismatch(Exception):
+class DimensionMismatch(Error):
     pass
 
 
-class PFFailed(Exception):
-    pass
+PFFailed = perron.PFFailed
 
 
 # ---------------------------------------------------------------- types
@@ -206,10 +205,7 @@ def stationary_pf_measure(d: Diagram, normalization: str = "level0",
     """
     if not d.stationary:
         raise PFFailed("stationary_pf_measure needs a stationary diagram")
-    try:
-        sd = perron.pf_solve(d.F(0))
-    except (perron.NoConvergence, ValueError) as exc:
-        raise PFFailed(str(exc)) from exc
+    sd = perron.pf_solve(d.F(0))
     t_raw = sd.right
     raw_sum = float(t_raw.sum())
     if normalization == "level0":

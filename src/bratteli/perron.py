@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import Error
 from .diagram import IncidenceMatrix
 
 
@@ -35,12 +36,17 @@ _MARGIN = 0.25       # half-width of the Unknown band around exponent 1
 
 # ---------------------------------------------------------------- errors
 
-class NoConvergence(Exception):
+class NoConvergence(Error):
     def __init__(self, iterations: int, residual: float):
         super().__init__(f"power iteration did not converge in {iterations} "
                          f"iterations (residual {residual:.3e})")
         self.iterations = iterations
         self.residual = residual
+
+
+class PFFailed(Error, ValueError):
+    """No Perron data: the level is reducible or periodic on its window, or
+    the diagram is not stationary."""
 
 
 # ---------------------------------------------------------------- graph
@@ -173,8 +179,8 @@ def pf_solve(m: IncidenceMatrix) -> SpectralData:
     """
     chk = check_irreducible_aperiodic(m)
     if not chk.ok:
-        raise ValueError(f"matrix fails irreducibility/aperiodicity on the "
-                         f"largest window: {chk.note}")
+        raise PFFailed(f"matrix fails irreducibility/aperiodicity on the "
+                       f"largest window: {chk.note}")
 
     A = m.to_dense().T   # rows are sources; a Fortran-ordered view
     size = A.shape[0]

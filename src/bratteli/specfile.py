@@ -13,12 +13,13 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
+from . import Error
 from . import diagram as dg
 from . import measures as ms
 from . import substitution as sb
 
 
-class SpecError(Exception):
+class SpecError(Error):
     pass
 
 

@@ -1,23 +1,23 @@
 """Substitutions on finite or countable alphabets and their diagrams.
 
-A substitution sends each letter to a nonempty word.  Its matrix counts, for
-every target letter a, how often each source letter b occurs in the image
-word of a; reading the image word left to right also equips every vertex
-with a total order on its incoming edges.  Countable alphabets are supported
-through band rules: away from finitely many exceptional letters, the image
-of n is the word n+o_1, n+o_2, ... for a fixed offset word.
+A substitution sends each letter to a nonempty word; a band rule sends
+letter n of a countable alphabet to n+o_1, n+o_2, ... for a fixed offset
+word, save finitely many exceptions.  The image words are read once, into
+arrays over their letters, which give the matrix (how often each source
+occurs in each target's word) and the reading order of incoming edges.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import diagram as dg
+from . import Error, diagram as dg
 
 
-class EmptyImage(Exception):
+class EmptyImage(Error):
     def __init__(self, letter):
         super().__init__(f"substitution image of {letter!r} is empty")
         self.letter = letter
@@ -106,92 +106,91 @@ def nat_length_two() -> Substitution:
 
 # ---------------------------------------------------------------- operations
 
+def _letters(s: Substitution, window):
+    """The window, and per letter of every image word (by target, then in
+    word order) its target position ``tgt`` and source position ``src``,
+    -1 where the window drops it.  Band letters that are no exception read
+    the offset word, vectorised; a target that keeps none is EmptyImage."""
+    if s.offsets_word is None:
+        letters, offsets = s.letters or tuple(sorted(s.words)), ()
+        pos = {a: i for i, a in enumerate(letters)}
+        win = dg.Window(0, len(letters) - 1)
+        words = {pos[a]: [pos[b] for b in s.image(a)] for a in letters}
+    elif window is None:
+        raise dg.WindowMismatch("band substitutions need an explicit window")
+    elif s.alphabet == "nat" and dg.window_of(window).lo < 0:
+        raise dg.WindowMismatch("alphabet 'nat' needs a window with lo >= 0")
+    else:
+        win, offsets = dg.window_of(window), s.offsets_word
+        letters = win.vertices
+        words = {win.position(a): [win.position(b) if b in win else -1
+                                   for b in w]
+                 for a, w in s.words.items() if a in win}
+    n = len(win)
+    lengths = np.full(n, len(offsets))
+    lengths[list(words)] = [len(w) for w in words.values()]
+    starts = np.cumsum(lengths) - lengths
+    src = np.empty(lengths.sum(), dtype=np.int64)
+    rows = np.delete(np.arange(n), list(words))
+    for k, o in enumerate(offsets):   # a shift of n or more lands nowhere
+        j = rows + (min(max(o // win.step, -n), n) if o % win.step == 0 else n)
+        src[starts[rows] + k] = np.where((j >= 0) & (j < n), j, -1)
+    for i, w in words.items():
+        src[starts[i]:starts[i] + len(w)] = w
+    tgt = np.repeat(np.arange(n), lengths)
+    kept = np.bincount(tgt[src >= 0], minlength=n)
+    if not kept.all():
+        raise EmptyImage(letters[int(kept.argmin())])
+    return win, tgt, src
+
+
 def substitution_matrix(s: Substitution, window=None
                         ) -> dg.IncidenceMatrix:
     """Occurrence-count matrix: entry (a, b) = #occurrences of b in image(a).
 
-    Finite alphabets ignore ``window`` (positions follow ``s.letters``);
-    band rules are materialized on the given window, dropping letters that
-    leave it (windowed truncation).  Their interior masks are set here: a
-    row is interior when its whole image word lies in the window, a column
-    when every letter that maps into it does, counting the exceptions and
-    the generic letters on the window's step.  The matrix is level 0's;
-    stationary diagrams repeat it.
+    Finite alphabets ignore ``window``; band rules are materialized on it
+    as level 0, dropping the letters that leave it.  A row is interior when
+    its image lies in the window, a column when all letters mapping into it
+    do (the exceptions and the generic letters on the window's step).
     """
-    is_const, clen = constant_length(s)
-    if s.offsets_word is None:
-        letters = s.letters or tuple(sorted(s.words))
-        pos = {a: i for i, a in enumerate(letters)}
-        rows, cols = [], []   # one (target, source) per letter occurrence
-        for a in letters:
-            img = s.image(a)
-            if not img:
-                raise EmptyImage(a)
-            rows += [pos[a]] * len(img)
-            cols += [pos[b] for b in img]
-        win, n = dg.Window(0, len(letters) - 1), len(letters)
-        return dg.IncidenceMatrix(0, dg._csr_from_coo(rows, cols, 1, (n, n)),
-                                  win, win,
-                                  row_sum_claim=clen if is_const else None)
-
-    if window is None:
-        raise dg.WindowMismatch("band substitutions need an explicit window")
-    win = dg.window_of(window)
-    if s.alphabet == "nat" and win.lo < 0:
-        raise dg.WindowMismatch("alphabet 'nat' needs a window with lo >= 0")
-    n = len(win)
-    interior_rows = np.ones(n, dtype=bool)
-    rows, cols = [], []   # window positions, one per kept letter
-    for i, a in enumerate(win.vertices):
-        img = s.image(a)
-        kept = [b for b in img if b in win]
-        if not kept:
-            raise EmptyImage(a)
-        interior_rows[i] = len(kept) == len(img)
-        rows += [i] * len(kept)
-        cols += [win.position(b) for b in kept]
-    # a column is interior when every letter that maps into it is in the
-    # window
-    interior_cols = np.ones(n, dtype=bool)
-    for j, w in enumerate(win.vertices):
-        contributors = [a for a, word in s.words.items() if w in word]
-        for o in set(s.offsets_word):
-            a = w - o
-            if a % win.step == 0 and a not in s.words and (
-                    s.alphabet == "int" or a >= 0):
-                contributors.append(a)
-        interior_cols[j] = all(a in win for a in contributors)
-    pure_band = not s.words and s.alphabet == "int"   # no exceptions on Z
+    win, tgt, src = _letters(s, window)
+    n, step, nat = len(win), win.step, s.alphabet == "nat"
+    count = np.zeros(n, dtype=np.int64)   # letters outside feeding a column
+    shifts = {o // step for o in s.offsets_word or () if o % step == 0}
+    for d in shifts:   # column j's generic sender is j - d (>= 0 on 'nat')
+        count[max(d - win.vertices[0] // step, 0) if nat else 0:max(d, 0)] += 1
+        count[max(n + d, 0):] += 1
+    for a, word in s.words.items() if s.offsets_word is not None else ():
+        if a not in win:   # a reads its word, not the offset word
+            generic = {a + d * step for d in shifts if not nat or a >= 0}
+            for c, bs in ((-1, generic), (1, set(word))):
+                for b in filter(win.__contains__, bs):
+                    count[win.position(b)] += c
+    kept, clen = src >= 0, constant_length(s)[1]
     return dg.IncidenceMatrix(
-        0, dg._csr_from_coo(rows, cols, 1, (n, n)), win, win,
-        row_sum_claim=len(s.offsets_word) if is_const else None,
-        col_sum_claim=len(s.offsets_word) if pure_band else None,
-        interior_rows=interior_rows, interior_cols=interior_cols)
+        0, dg._csr_from_coo(tgt[kept], src[kept], 1, (n, n)), win, win,
+        row_sum_claim=clen, interior_cols=count == 0,
+        col_sum_claim=clen if s.alphabet == "int" and not s.words else None,
+        interior_rows=np.bincount(tgt[~kept], minlength=n) == 0)
 
 
 def reading_order(s: Substitution, matrix: dg.IncidenceMatrix) -> dg.EdgeOrder:
-    """Left-to-right order on incoming edges from reading the image words."""
-    table: dict[int, tuple[tuple[int, int], ...]] = {}
-    if s.offsets_word is None:
-        letters = s.letters or tuple(sorted(s.words))
-        pos = {a: i for i, a in enumerate(letters)}
-        decode = {i: a for a, i in pos.items()}
-    else:
-        decode = None
-    for v in matrix.targets:
-        a = decode[v] if decode else v
-        img = s.image(a)
-        counts: dict[int, int] = {}
-        pairs = []
-        for b in img:
-            w = pos[b] if decode else b
-            if not matrix.multiplicity(v, w):
-                continue  # letter truncated by the window
-            r = counts.get(w, 0)
-            counts[w] = r + 1
-            pairs.append((w, r))
-        table[v] = tuple(pairs)
-    return dg.EdgeOrder((table,), stationary=True)
+    """Left-to-right order on incoming edges from reading the image words:
+    each letter the window keeps is the edge (source, rank), its rank
+    counting the earlier letters of its word with the same source."""
+    verts = matrix.row_window.vertices
+    _, tgt, src = _letters(s, matrix.row_window)
+    tgt, src = tgt[src >= 0], src[src >= 0]
+    edge = tgt * len(verts) + src
+    # a letter's rank: its place in edge order less its edge's first place
+    by_edge = np.argsort(edge, kind="stable")   # word order within an edge
+    rank = np.argsort(by_edge) - np.searchsorted(edge[by_edge], edge)
+    counts = np.bincount(tgt).tolist()   # every target keeps a letter
+    del tgt, edge, by_edge   # the table below is the peak of the memory
+    # memoryview yields Python ints without a list of them
+    pairs = zip(map(verts.__getitem__, memoryview(src)), memoryview(rank))
+    return dg.EdgeOrder(({v: tuple(islice(pairs, k))
+                          for v, k in zip(verts, counts)},), stationary=True)
 
 
 def build_ordered_diagram(s: Substitution, depth: int, window=None

@@ -637,6 +637,45 @@ def test_huge_integer_number_is_an_error_with_a_quiet_stderr(tmp_path,
     assert d.get("error") == error or d["violations"] == [error]
 
 
+_NO_VERTEX = {"band": {"band": {"0": 1}, "window": [1, 1, 2], "depth": 2},
+              "triplets": {"triplets": [], "windows": [[1, 1, 2], [1, 1, 2]]}}
+
+
+@pytest.mark.parametrize("name", sorted(_NO_VERTEX))
+@pytest.mark.parametrize("command", [("validate",), ("check",),
+                                     ("analyze", "pf")])
+def test_window_without_a_vertex_is_an_error(tmp_path, name, command):
+    """[1, 1] holds no multiple of 2: such a spec validated with empty
+    levels, and check and analyze pf ended in an IndexError traceback."""
+    p = _spec(tmp_path, f"{name}.json", _NO_VERTEX[name])
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bratteli", command[0], p, *command[1:]],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    error = {"kind": "WindowMismatch",
+             "detail": "window [1, 1] holds no multiple of its step 2"}
+    d = json.loads(proc.stdout)
+    assert d.get("error") == error or d["violations"] == [error]
+
+
+def test_perron_failure_has_one_kind(capsys, tmp_path):
+    """A periodic band fails the Perron solve; analyze pf printed it as a
+    ValueError while measure, markov and check wrapped it as PFFailed."""
+    p = _spec(tmp_path, "periodic.json", {
+        "band": {"-2": 1, "1": 3, "2": 1}, "window": [-11, 10, 2],
+        "depth": 3})
+    error = {"kind": "PFFailed",
+             "detail": "matrix fails irreducibility/aperiodicity on the "
+                       "largest window: period 2"}
+    for command in (("analyze", p, "pf"), ("analyze", p, "measure"),
+                    ("analyze", p, "markov"), ("check", p, "--format",
+                                               "json")):
+        rc, d = run_json(capsys, *command)
+        assert (rc, d["error"]) == (1, error), command
+
+
 def test_nonstationary_diagram_measure_and_pf(capsys, tmp_path):
     """A triplet diagram takes the tail-invariant solve, which has no
     Perron normalization; pf analysis refuses it."""
@@ -850,6 +889,36 @@ def test_diagram_spec_loads_no_sampling_code():
     assert out.splitlines() == [
         "['bratteli.diagram', 'bratteli.measures', 'bratteli.perron', "
         "'bratteli.specfile', 'bratteli.substitution']", "True"]
+
+
+def test_validate_and_pf_load_no_sampling_code():
+    """cli catches one Error base class, so it needs cells, laplacian and
+    markov only in the stages that use them."""
+    out = _fresh("import contextlib, io, sys\n"
+                 "from bratteli import cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    cli.main(['validate', 'examples_specs/fibonacci.json'])\n"
+                 "    cli.main(['analyze', 'examples_specs/fibonacci.json', "
+                 "'pf'])\n"
+                 f"print({_LOADED})\n")
+    assert out.splitlines() == [
+        "['bratteli.cli', 'bratteli.diagram', 'bratteli.measures', "
+        "'bratteli.perron', 'bratteli.specfile', 'bratteli.substitution']"]
+
+
+def test_reported_errors_share_one_base_class():
+    import bratteli
+    from bratteli import (cells, diagram, laplacian, markov, measures,
+                          perron, specfile, substitution)
+    reported = (specfile.SpecError, diagram.DiagramError,
+                substitution.EmptyImage, perron.NoConvergence,
+                perron.PFFailed, measures.DimensionMismatch,
+                markov.PathInvalid, markov.ZeroMass, markov.ZeroMeasureVertex,
+                laplacian.BalanceViolation, cells.ZeroTotalMass, cells.NotPSD)
+    assert all(issubclass(e, bratteli.Error) for e in reported)
+    assert measures.PFFailed is perron.PFFailed
+    assert issubclass(perron.PFFailed, ValueError)
+    assert cli._ERRORS == (bratteli.Error, ValueError)
 
 
 def test_unknown_analysis_is_usage_error(capsys):

@@ -53,6 +53,15 @@ def test_window_empty_rejected():
         dg.Window(5, 2)
 
 
+@pytest.mark.parametrize("lo, hi, step", [(1, 1, 2), (-5, -4, 3),
+                                          (2 ** 60 + 1, 2 ** 60 + 1, 2)])
+def test_window_without_a_multiple_of_its_step_rejected(lo, hi, step):
+    # past 2**53 a float quotient would find 2**60 in [2**60 + 1, 2**60 + 1]
+    with pytest.raises(dg.WindowMismatch, match="holds no multiple"):
+        dg.Window(lo, hi, step)
+    assert len(dg.Window(lo, hi + 1, step)) == 1
+
+
 def test_window_of_tuple():
     assert dg.window_of((0, 3)) == dg.Window(0, 3)
     assert dg.window_of(dg.Window(1, 2)) == dg.Window(1, 2)
@@ -450,6 +459,25 @@ def _random_band_rule(rng, step):
                      step), band
 
 
+def _random_band_substitution(rng):
+    """(substitution, window): a random band-rule substitution on 'int' or
+    'nat', with offsets on and off a step of 1-3 and exceptions inside
+    and outside the window, whose every row keeps a letter."""
+    step = int(rng.integers(1, 4))
+    alphabet = "nat" if rng.random() < 0.4 else "int"
+    lo = int(rng.integers(0, 6) if alphabet == "nat" else rng.integers(-20, 0))
+    win = dg.Window(lo, lo + step * int(rng.integers(3, 10)), step)
+    offsets = [0, *(int(o) for o in rng.integers(-3 * step, 3 * step + 1,
+                                                 int(rng.integers(1, 4))))]
+    keys = rng.integers(win.lo - 3 * step, win.hi + 3 * step + 1,
+                        int(rng.integers(0, 4)))
+    exceptions = {int(a): (int(rng.choice(win.vertices)), *(
+        int(b) for b in rng.integers(win.lo - 2 * step, win.hi + 2 * step + 1,
+                                     int(rng.integers(0, 3)))))
+                  for a in keys}
+    return sb.band_rule(offsets, alphabet, exceptions), win
+
+
 def _random_band(rng, step):
     """A random band rule's level and its mapping."""
     win, band = _random_band_rule(rng, step)
@@ -626,6 +654,10 @@ def _interior_cases():
     for name, (s, win) in subs.items():
         m = sb.substitution_matrix(s, win)
         cases[name] = [(m, *_substitution_interior(m, s))]
+    for s, win in (_random_band_substitution(rng) for _ in range(30)):
+        m = sb.substitution_matrix(s, win)
+        cases.setdefault("random-band-substitutions", []).append(
+            (m, *_substitution_interior(m, s)))
     chain, _ = _chain_levels()
     untruncated = [
         dg.incidence_from_dense(0, [[1, 2, 0], [0, 1, 1]]),
