@@ -11,9 +11,15 @@ downstream.
 A level is stored once, as the CSR arrays its builder makes from
 coordinates and the interior masks it sets; a ``{(target, source):
 multiplicity}`` mapping has one reader, ``incidence_from_entries``.  Every
-row, column, dense and sum query reads the arrays.  A loop over the levels scatters each level into one reused
-``Scratch`` array instead of a fresh one.  Heights are computed once per
-``Diagram``, as exact Python integers.
+row, column, dense and sum query reads the arrays.  A loop over the levels
+scatters each level into one reused ``Scratch`` array instead of a fresh
+one.  Heights are computed once per ``Diagram``, as exact Python integers.
+
+An edge order is stored once too: per distinct level, nothing for the
+natural order (by target, source and rank, as the CSR lists the edges),
+or one int64 array of natural edge positions.  One reader maps a
+target's slice of it to (source, rank) pairs through the level's
+cumulative multiplicities.
 
 Everything here is pure and immutable after construction.
 """
@@ -278,6 +284,18 @@ class IncidenceMatrix:
         """Edges between target v and source w."""
         k = self.edge_index(v, w)
         return int(self.csr.mult[k]) if k >= 0 else 0
+
+    @cached_property
+    def edge_starts(self) -> np.ndarray:
+        """Natural position of each entry's first edge, then the level's
+        edge count: edges are numbered as ``csr`` lists them, by target,
+        then source, then rank.  int64, or Python ints (dtype object) when
+        the count might not fit."""
+        mult = self.csr.mult
+        wide = mult.dtype == object or len(mult) and (
+            int(mult.max()) * len(mult) >= 2**63)
+        return np.concatenate(
+            ([0], np.cumsum(mult.astype(object) if wide else mult)))
 
     def to_dense(self) -> np.ndarray:
         return self.scatter(self.csr.mult)
@@ -685,6 +703,17 @@ def path_in_diagram(d: Diagram, p: FinitePath) -> bool:
     return True
 
 
+def _vertex(d: Diagram, vertex: tuple[int, int]) -> tuple[int, int]:
+    """``vertex`` = (level, index), checked: a level outside 0..depth raises
+    CutsOutOfRange, a vertex off its level KeyError."""
+    level, v = vertex
+    if level < 0 or level > d.depth:
+        raise CutsOutOfRange(f"level {level} outside diagram")
+    if v not in d.window(level):
+        raise KeyError(f"vertex {v} not on level {level}")
+    return level, v
+
+
 def enumerate_cylinders(d: Diagram, vertex: tuple[int, int],
                         cap: int = DEFAULT_PATH_CAP) -> list[FinitePath]:
     """All paths from level 0 ending at ``vertex`` = (level, index).
@@ -692,11 +721,7 @@ def enumerate_cylinders(d: Diagram, vertex: tuple[int, int],
     The count equals the height H^(level)_index; enumeration refuses to
     build more than ``cap`` paths.
     """
-    level, v = vertex
-    if level < 0 or level > d.depth:
-        raise CutsOutOfRange(f"level {level} outside diagram")
-    if v not in d.window(level):
-        raise KeyError(f"vertex {v} not on level {level}")
+    level, v = _vertex(d, vertex)
     h = heights(d, level)[d.window(level).position(v)]
     if h > cap:
         raise TooManyPaths(cap, h)
@@ -733,75 +758,104 @@ def tail_equivalent(p: FinitePath, q: FinitePath):
 
 # ---------------------------------------------------------------- order / Vershik
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeOrder:
     """Total order on incoming edges r^{-1}(v), per edge level and target.
 
-    orders[level][target] lists (source, rank) pairs from minimal to
-    maximal.  A stationary order stores level 0 only and reuses it.
+    A level's edges are numbered as its ``csr`` lists them, target by
+    target, then by source, then by rank: an edge's natural position (see
+    ``IncidenceMatrix.edge_starts``).  ``perms`` holds, per distinct level,
+    None for the natural order itself, or a read-only int64 array listing
+    the natural positions of the level's edges, target by target, each
+    target's from minimal to maximal.  A stationary order holds level 0
+    only and reuses it on every level.
     """
 
-    orders: tuple[Mapping[int, tuple[tuple[int, int], ...]], ...]
+    perms: tuple[np.ndarray | None, ...]
     stationary: bool = False
 
-    def order_at(self, level: int, target: int) -> tuple[tuple[int, int], ...]:
-        table = self.orders[0] if self.stationary else self.orders[level]
-        return table[target]
+    def __post_init__(self):
+        for perm in self.perms:
+            if perm is not None:
+                perm.flags.writeable = False
 
-
-class _Incoming(Mapping):
-    """Each target's incoming edges as (source, rank), by source then rank,
-    built for one target at a time on lookup: a level's table would hold
-    one pair per parallel edge.  A target with more than DEFAULT_PATH_CAP
-    incoming edges raises TooManyPaths."""
-
-    def __init__(self, m: IncidenceMatrix):
-        self._m = m
-
-    def __getitem__(self, v: int) -> tuple[tuple[int, int], ...]:
-        if v not in self._m.row_window:
-            raise KeyError(v)
-        row = self._m.row_entries(v)
-        count = sum(mult for _, mult in row)
+    def order_at(self, d: Diagram, level: int, target: int
+                 ) -> tuple[tuple[int, int], ...]:
+        """Target's incoming (source, rank) pairs on ``level``, minimal
+        first; more than DEFAULT_PATH_CAP edges raise TooManyPaths."""
+        m, lo, starts, seq = _incoming(d, self, level, target)
+        count = int(starts[-1])
         if count > DEFAULT_PATH_CAP:
             raise TooManyPaths(DEFAULT_PATH_CAP, count)
-        return tuple((w, r) for w, mult in row for r in range(mult))
-
-    def __iter__(self):
-        return iter(self._m.targets)
-
-    def __len__(self) -> int:
-        return len(self._m.targets)
+        return tuple(_pairs(m, lo, starts,
+                            np.arange(count) if seq is None else seq))
 
 
 def natural_order(d: Diagram) -> EdgeOrder:
-    """Sort incoming edges by (source, rank); stationary diagrams share it.
-    Nothing is built until ``order_at`` asks for a target."""
-    if d.stationary:
-        return EdgeOrder((_Incoming(d.F(0)),), stationary=True)
-    return EdgeOrder(tuple(_Incoming(d.F(n)) for n in range(d.depth)))
+    """Incoming edges by (source, rank), on every diagram: builds nothing."""
+    return EdgeOrder((None,), stationary=True)
 
 
 def check_order(d: Diagram, order: EdgeOrder) -> None:
-    """Each order list must be a bijection with the incoming edge set.  A
-    stationary order on a stationary diagram repeats level 0 on every
-    level, so level 0 is the only one checked."""
+    """Each level's array must be a permutation of its natural positions
+    that keeps every edge inside its target's block.  A stationary order on
+    a stationary diagram repeats level 0 on every level, so level 0 is the
+    only one checked."""
     for n in range(1 if d.stationary and order.stationary else d.depth):
-        for v, expect in _Incoming(d.F(n)).items():
-            listed = order.order_at(n, v)
-            if set(listed) != set(expect) or len(listed) != len(expect):
-                raise WindowMismatch(
-                    f"order at level {n}, target {v} is not a bijection with "
-                    f"the incoming edges")
+        perm, m = order.perms[0 if order.stationary else n], d.F(n)
+        if perm is None:
+            continue
+        bounds = m.edge_starts[m.csr.indptr]   # each target's block
+        if len(perm) != bounds[-1]:
+            raise WindowMismatch(f"order at level {n} lists {len(perm)} "
+                                 f"edges, not {bounds[-1]}")
+        target = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        # an entry out of range fails the sort test; the clip lets it index
+        bad = (np.sort(perm) != np.arange(len(perm))) | (
+            target[np.clip(perm, 0, len(perm) - 1)] != target)
+        for p in np.flatnonzero(bad)[:1]:
+            raise WindowMismatch(
+                f"order at level {n}, target {m.targets[target[p]]} is not a "
+                f"bijection with the incoming edges")
+
+
+def _incoming(d: Diagram, order: EdgeOrder, level: int, target: int):
+    """Target's incoming edges on one edge level: the level's matrix, the
+    row's first CSR entry, the row's edge starts from 0 (its edge count
+    last), and the row's natural positions in the order's sequence, or
+    None when that is the natural one."""
+    if not 0 <= level < d.depth:
+        raise CutsOutOfRange(f"edge level {level} outside 0..{d.depth - 1}")
+    m = d.F(level)
+    i = m.row_window.position(target)
+    lo, hi = m.csr.indptr[i:i + 2].tolist()
+    starts = m.edge_starts[lo:hi + 1]
+    perm = order.perms[0 if order.stationary else level]
+    seq = None if perm is None else perm[starts[0]:starts[-1]] - starts[0]
+    return m, lo, starts - starts[0], seq
+
+
+def _pairs(m: IncidenceMatrix, lo: int, starts: np.ndarray,
+           positions: np.ndarray) -> list[tuple[int, int]]:
+    """(source, rank) of the edges at the row's natural ``positions``,
+    through the cumulative multiplicities ``starts``."""
+    k = np.searchsorted(starts, positions, side="right") - 1
+    src = m.sources
+    return list(zip(map(src.__getitem__, m.csr.indices[lo + k].tolist()),
+                    (positions - starts[k]).tolist()))
 
 
 def minimal_path(d: Diagram, order: EdgeOrder, vertex: tuple[int, int]
                  ) -> FinitePath:
-    level, v = vertex
+    """The path into ``vertex`` = (level, index) that takes each target's
+    minimal incoming edge."""
+    level, v = _vertex(d, vertex)
     edges = []
     cur = v
     for lvl in range(level - 1, -1, -1):
-        src, rank = order.order_at(lvl, cur)[0]
+        m, lo, starts, seq = _incoming(d, order, lvl, cur)
+        (src, rank), = _pairs(m, lo, starts,
+                              np.arange(1) if seq is None else seq[:1])
         edges.append((lvl, src, cur, rank))
         cur = src
     return FinitePath(tuple(reversed(edges)), start=(0, v) if not edges else None)
@@ -811,13 +865,20 @@ def vershik_successor(d: Diagram, order: EdgeOrder, p: FinitePath):
     """Adic successor: bump the first non-maximal edge, minimal prefix below.
 
     Returns None when every edge is maximal (the path is the last one of its
-    tower in the lexicographic order).
+    tower in the lexicographic order).  An edge not in the diagram raises
+    ValueError.
     """
+    for e in p.edges:
+        lvl, src, tgt, rank = e
+        if not (0 <= lvl < d.depth and rank < d.F(lvl).multiplicity(tgt, src)):
+            raise ValueError(f"edge {e} is not in the diagram")
     for k, (lvl, src, tgt, rank) in enumerate(p.edges):
-        lst = order.order_at(lvl, tgt)
-        pos = lst.index((src, rank))
-        if pos + 1 < len(lst):
-            nsrc, nrank = lst[pos + 1]
+        m, lo, starts, seq = _incoming(d, order, lvl, tgt)
+        pos = starts[m.edge_index(tgt, src) - lo] + rank   # natural position
+        place = pos if seq is None else int(np.flatnonzero(seq == pos)[0])
+        if place + 1 < starts[-1]:
+            nxt = place + 1 if seq is None else seq[place + 1]
+            (nsrc, nrank), = _pairs(m, lo, starts, np.array([nxt]))
             prefix = minimal_path(d, order, (lvl, nsrc)).edges
             return FinitePath(prefix + ((lvl, nsrc, tgt, nrank),)
                               + p.edges[k + 1:])

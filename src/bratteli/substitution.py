@@ -9,7 +9,6 @@ occurs in each target's word) and the reading order of incoming edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -151,18 +150,20 @@ def substitution_matrix(s: Substitution, window=None
     Finite alphabets ignore ``window``; band rules are materialized on it
     as level 0, dropping the letters that leave it.  A row is interior when
     its image lies in the window, a column when all letters mapping into it
-    do (the exceptions and the generic letters on the window's step).
+    do: the exceptions, and the generic letters, on the window's step or
+    off it (an off-step letter is never a vertex), and >= 0 on 'nat'.
     """
     win, tgt, src = _letters(s, window)
     n, step, nat = len(win), win.step, s.alphabet == "nat"
     count = np.zeros(n, dtype=np.int64)   # letters outside feeding a column
-    shifts = {o // step for o in s.offsets_word or () if o % step == 0}
-    for d in shifts:   # column j's generic sender is j - d (>= 0 on 'nat')
-        count[max(d - win.vertices[0] // step, 0) if nat else 0:max(d, 0)] += 1
-        count[max(n + d, 0):] += 1
+    for o in set(s.offsets_word or ()):   # column j's generic sender: v_j - o
+        floor = -((win.vertices[0] - o) // step) if nat else 0   # v_j >= o
+        count[max(floor, 0):] += 1
+        if o % step == 0:   # a vertex for columns o/step .. n - 1 + o/step
+            count[max(o // step, 0):max(n + o // step, 0)] -= 1
     for a, word in s.words.items() if s.offsets_word is not None else ():
         if a not in win:   # a reads its word, not the offset word
-            generic = {a + d * step for d in shifts if not nat or a >= 0}
+            generic = {a + o for o in s.offsets_word if not nat or a >= 0}
             for c, bs in ((-1, generic), (1, set(word))):
                 for b in filter(win.__contains__, bs):
                     count[win.position(b)] += c
@@ -177,20 +178,13 @@ def substitution_matrix(s: Substitution, window=None
 def reading_order(s: Substitution, matrix: dg.IncidenceMatrix) -> dg.EdgeOrder:
     """Left-to-right order on incoming edges from reading the image words:
     each letter the window keeps is the edge (source, rank), its rank
-    counting the earlier letters of its word with the same source."""
-    verts = matrix.row_window.vertices
+    counting the earlier letters of its word with the same source.  Sorting
+    the kept letters stably by (target, source) lists them in natural
+    order, so a letter's place in that sort is its natural position."""
     _, tgt, src = _letters(s, matrix.row_window)
-    tgt, src = tgt[src >= 0], src[src >= 0]
-    edge = tgt * len(verts) + src
-    # a letter's rank: its place in edge order less its edge's first place
-    by_edge = np.argsort(edge, kind="stable")   # word order within an edge
-    rank = np.argsort(by_edge) - np.searchsorted(edge[by_edge], edge)
-    counts = np.bincount(tgt).tolist()   # every target keeps a letter
-    del tgt, edge, by_edge   # the table below is the peak of the memory
-    # memoryview yields Python ints without a list of them
-    pairs = zip(map(verts.__getitem__, memoryview(src)), memoryview(rank))
-    return dg.EdgeOrder(({v: tuple(islice(pairs, k))
-                          for v, k in zip(verts, counts)},), stationary=True)
+    edge = (tgt * len(matrix.row_window) + src)[src >= 0]
+    natural = np.argsort(edge, kind="stable")   # word order within an edge
+    return dg.EdgeOrder((np.argsort(natural),), stationary=True)
 
 
 def build_ordered_diagram(s: Substitution, depth: int, window=None

@@ -12,6 +12,7 @@ Claimed behaviour checked here:
 """
 
 import functools
+import re
 import numpy as np
 import pytest
 
@@ -586,7 +587,7 @@ def test_array_form_matches_entries(name):
         for v in tv:
             row = sorted((w, k) for (t, w), k in ent.items() if t == v)
             assert m.row_entries(v) == row
-            assert order.order_at(n, v) == tuple(
+            assert order.order_at(d, n, v) == tuple(
                 (w, r) for w, k in row for r in range(k))
             assert all(type(x) is int for pair in row for x in pair)
         for w in sv:
@@ -618,11 +619,12 @@ def _substitution_interior(m, s):
     """Reference masks of a band-rule substitution, letter by letter: row a
     is interior when its whole image lies in the window, column w when
     every letter whose image holds w does.  The letters are the
-    exceptions and the alphabet's multiples of the window's step."""
+    exceptions and every integer of the alphabet, on the window's step or
+    off it, as in ``_band_interior``."""
     win = m.row_window
     reach = max(abs(o) for o in s.offsets_word)
     letters = {a for a in range(win.lo - reach, win.hi + reach + 1)
-               if a % win.step == 0 and (s.alphabet == "int" or a >= 0)}
+               if s.alphabet == "int" or a >= 0}
     letters |= set(s.words)
     return ([all(b in win for b in s.image(a)) for a in win.vertices],
             [all(a in win for a in letters if w in s.image(a))
@@ -647,8 +649,8 @@ def _interior_cases():
             "int-band-rule-exceptions": (sb.band_rule(
                 (-1, 2), exceptions={0: (0,), 3: (-5, 1, 1), 9: (8,)}),
                 dg.Window(-8, 8)),
-            # n + 1 is off the step: it clips every row, but as a letter
-            # it lies outside the alphabet the window samples
+            # n + 1 is off the step: it clips every row, and the
+            # off-step letter w - 1 feeds every column from outside
             "substitution-offset-off-step": (sb.band_rule((-2, 1, 2)),
                                              dg.Window(-10, 10, 2))}
     for name, (s, win) in subs.items():
@@ -804,41 +806,110 @@ def test_natural_order_refuses_more_edges_than_the_cap(monkeypatch):
     d = dg.telescope(dg.stationary_diagram([[2 ** 60]], 2), (0, 2))
     order = dg.natural_order(d)
     with pytest.raises(dg.TooManyPaths) as err:
-        order.order_at(0, 0)
+        order.order_at(d, 0, 0)
     assert err.value.count == 2 ** 120
     assert err.value.cap == dg.DEFAULT_PATH_CAP
     monkeypatch.setattr(dg, "DEFAULT_PATH_CAP", 4)
 
     def one_row(row):
-        return dg.natural_order(dg.validate([dg.incidence_from_dense(
-            0, [row], dg.Window(0, 0), dg.Window(0, 1))]))
+        d = dg.validate([dg.incidence_from_dense(
+            0, [row], dg.Window(0, 0), dg.Window(0, 1))])
+        return dg.natural_order(d).order_at(d, 0, 0)
 
-    assert one_row([1, 3]).order_at(0, 0) == ((0, 0), (1, 0), (1, 1), (1, 2))
+    assert one_row([1, 3]) == ((0, 0), (1, 0), (1, 1), (1, 2))
     with pytest.raises(dg.TooManyPaths):
-        one_row([2, 3]).order_at(0, 0)
+        one_row([2, 3])
 
 
 @pytest.mark.parametrize("stationary", [True, False])
-def test_check_order_reads_each_target_once_per_distinct_level(
-        stationary, monkeypatch):
+def test_check_order_reads_each_target_once_per_distinct_level(stationary):
     """A stationary order on a stationary diagram is checked on level 0
-    alone; an order given per level is checked on every level."""
+    alone; an order given per level is checked on every level.  A level's
+    cumulative multiplicities are read only when it is checked."""
     d = allones_diagram(5)
-    tables = (dict(dg.natural_order(d).orders[0]),) * (1 if stationary else 5)
-    order = dg.EdgeOrder(tables, stationary=stationary)
-    calls = []
-    order_at = dg.EdgeOrder.order_at
-    monkeypatch.setattr(dg.EdgeOrder, "order_at", lambda self, n, v: (
-        calls.append((n, v)) or order_at(self, n, v)))
-    dg.check_order(d, order)
-    levels = range(1 if stationary else d.depth)
-    assert sorted(calls) == [(n, v) for n in levels for v in (0, 1)]
+    perms = (np.arange(4),) * (1 if stationary else 5)
+    dg.check_order(d, dg.EdgeOrder(perms, stationary=stationary))
+    read = [n for n in range(d.depth) if "edge_starts" in vars(d.F(n))]
+    assert read == list(range(1 if stationary else d.depth))
 
 
 def test_check_order_rejects_partial_lists():
+    """Each target's list less its last edge is too short an array."""
     d = allones_diagram(2)
-    order = dg.natural_order(d)
-    table = {v: order.order_at(0, v)[:-1] for v in (0, 1)}
-    bad = dg.EdgeOrder((table,), stationary=True)
-    with pytest.raises(dg.WindowMismatch):
-        dg.check_order(d, bad)
+    with pytest.raises(dg.WindowMismatch, match="lists 2 edges, not 4"):
+        dg.check_order(d, dg.EdgeOrder((np.array([0, 2]),), stationary=True))
+
+
+# target 0 of [[1, 2], [1, 1]] has natural positions 0..2, target 1 3..4
+_BAD_ORDERS = {
+    "missing edge": ([0, 1, 7, 3, 4], "target 0"),
+    "repeated edge": ([0, 1, 1, 3, 4], "target 0"),
+    "edge in another block": ([0, 1, 3, 2, 4], "target 0"),
+    "too short": ([0, 1, 2, 3], "lists 4 edges, not 5"),
+    "too long": ([0, 1, 2, 3, 4, 4], "lists 6 edges, not 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ORDERS))
+def test_check_order_rejects(case):
+    perm, message = _BAD_ORDERS[case]
+    d = dg.stationary_diagram([[1, 2], [1, 1]], 4)
+    order = dg.EdgeOrder((np.array(perm),), stationary=True)
+    with pytest.raises(dg.WindowMismatch, match=f"level 0.*{message}"):
+        dg.check_order(d, order)
+
+
+def test_check_order_rejects_a_per_level_order_bad_on_one_level():
+    d = dg.stationary_diagram([[1, 2], [1, 1]], 5)
+    perms = [np.arange(5), None, np.array([2, 1, 0, 4, 3]),
+             np.array([0, 1, 3, 2, 4]), np.arange(5)]
+    with pytest.raises(dg.WindowMismatch, match="level 3, target 0"):
+        dg.check_order(d, dg.EdgeOrder(tuple(perms)))
+    perms[3] = None
+    dg.check_order(d, dg.EdgeOrder(tuple(perms)))
+
+
+def test_order_array_lists_natural_positions():
+    """A block reversed in the array is read back reversed, rank by rank,
+    on every level of a stationary order."""
+    d = dg.stationary_diagram([[1, 2], [1, 1]], 3)
+    order = dg.EdgeOrder((np.array([2, 1, 0, 4, 3]),), stationary=True)
+    dg.check_order(d, order)
+    for n in range(3):
+        assert order.order_at(d, n, 0) == ((1, 1), (1, 0), (0, 0))
+        assert order.order_at(d, n, 1) == ((1, 0), (0, 0))
+    assert dg.minimal_path(d, order, (2, 0)).edges == ((0, 1, 1, 0),
+                                                      (1, 1, 0, 1))
+    with pytest.raises(ValueError, match="read-only"):
+        order.perms[0][0] = 0
+
+
+@pytest.mark.parametrize("level", [-1, 4, 7])
+def test_minimal_path_refuses_a_level_off_the_diagram(level):
+    d = dg.stationary_diagram([[2]], 3)
+    with pytest.raises(dg.CutsOutOfRange):
+        dg.minimal_path(d, dg.natural_order(d), (level, 0))
+
+
+@pytest.mark.parametrize("level", [-1, 3])
+def test_order_at_refuses_an_edge_level_off_the_diagram(level):
+    d = dg.stationary_diagram([[2]], 3)
+    with pytest.raises(dg.CutsOutOfRange):
+        dg.natural_order(d).order_at(d, level, 0)
+
+
+def test_minimal_path_refuses_a_vertex_off_its_level():
+    d = dg.stationary_diagram([[2]], 3)
+    with pytest.raises(KeyError):
+        dg.minimal_path(d, dg.natural_order(d), (2, 5))
+
+
+@pytest.mark.parametrize("edges,bad", [
+    (((0, 0, 0, 0), (1, 0, 0, 3)), (1, 0, 0, 3)),   # rank past the edges
+    (((0, 0, 0, 0), (1, 0, 1, 0)), (1, 0, 1, 0)),   # target off its level
+    (((0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)), (2, 0, 0, 0)),   # too deep
+])
+def test_successor_refuses_an_edge_not_in_the_diagram(edges, bad):
+    d = dg.stationary_diagram([[2]], 2)
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
+        dg.vershik_successor(d, dg.natural_order(d), dg.FinitePath(edges))

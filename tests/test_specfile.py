@@ -265,7 +265,7 @@ def test_reading_order_from_substitution():
     ps = parse({"substitution": {"rules": {"a": "ba", "b": "a"}}, "depth": 3,
                 "order": "reading"})
     # image of a is "ba": the b-edge comes first, unlike the natural order
-    assert ps.order.order_at(0, 0) == ((1, 0), (0, 0))
+    assert ps.order.order_at(ps.diagram, 0, 0) == ((1, 0), (0, 0))
 
 
 def test_reading_order_requires_substitution():

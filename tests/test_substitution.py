@@ -75,29 +75,29 @@ def test_constant_length(rule, expect):
 def test_reading_order_fibonacci():
     s = sb.fibonacci()
     m = sb.substitution_matrix(s)
-    order = sb.reading_order(s, m)
-    assert order.order_at(0, 0) == ((0, 0), (1, 0))   # a reads "ab"
-    assert order.order_at(0, 1) == ((0, 0),)          # b reads "a"
+    d, order = dg.stationary_diagram(m, 1), sb.reading_order(s, m)
+    assert order.order_at(d, 0, 0) == ((0, 0), (1, 0))   # a reads "ab"
+    assert order.order_at(d, 0, 1) == ((0, 0),)          # b reads "a"
 
 
 def test_reading_order_differs_from_natural():
     s = sb.from_strings({"a": "ba", "b": "a"})
     m = sb.substitution_matrix(s)
-    order = sb.reading_order(s, m)
-    assert order.order_at(0, 0) == ((1, 0), (0, 0))
+    d, order = dg.stationary_diagram(m, 1), sb.reading_order(s, m)
+    assert order.order_at(d, 0, 0) == ((1, 0), (0, 0))
 
 
 def test_reading_order_repeated_letter_ranks():
     s = sb.odometer(2)
     m = sb.substitution_matrix(s)
-    order = sb.reading_order(s, m)
-    assert order.order_at(0, 0) == ((0, 0), (0, 1))
+    d, order = dg.stationary_diagram(m, 1), sb.reading_order(s, m)
+    assert order.order_at(d, 0, 0) == ((0, 0), (0, 1))
 
 
 def test_build_ordered_diagram_fibonacci():
     d, order = sb.build_ordered_diagram(sb.fibonacci(), depth=4)
     assert d.stationary and d.depth == 4
-    assert len(order.order_at(2, 0)) == 2
+    assert len(order.order_at(d, 2, 0)) == 2
     dg.check_order(d, order)
 
 
@@ -105,7 +105,7 @@ def test_build_ordered_diagram_band():
     d, order = sb.build_ordered_diagram(sb.drunkard_walk(), depth=2,
                                         window=dg.Window(-8, 8, 2))
     # interior vertex: 4 ordered incoming edges read off (n-2) n n (n+2)
-    assert order.order_at(0, 0) == ((-2, 0), (0, 0), (0, 1), (2, 0))
+    assert order.order_at(d, 0, 0) == ((-2, 0), (0, 0), (0, 1), (2, 0))
 
 
 # -- successor bijection -----------------------------------------------------
@@ -132,3 +132,17 @@ def test_orbit_length_equals_height():
         start = dg.minimal_path(d, order, (5, v))
         orbit = dg.vershik_orbit(d, order, start)
         assert len(orbit) == h5[v]
+
+
+def test_reading_order_orbits_cover_towers_with_parallel_edges():
+    """The drunkard walk's reading order holds each doubled n -> n edge as
+    two ranks.  From every top vertex's minimal path the orbit visits each
+    path of the tower once, in as many steps as the vertex's height."""
+    d, order = sb.build_ordered_diagram(sb.drunkard_walk(), depth=3,
+                                        window=dg.Window(-8, 8, 2))
+    assert order.perms[0] is not None
+    for v, h in zip(d.vertices(3), dg.heights(d, 3)):
+        orbit = dg.vershik_orbit(d, order, dg.minimal_path(d, order, (3, v)))
+        assert len(orbit) == h
+        assert {p.edges for p in orbit} == {
+            p.edges for p in dg.enumerate_cylinders(d, (3, v))}

@@ -6,8 +6,10 @@ replaced, kept as references.  On seeded random rules, finite and band
 rules on ``int`` and ``nat``, with exceptions inside and outside the window,
 repeated letters, steps 1-3, offsets off the step and a window past 2**63,
 both must give the same CSR arrays and dtypes, masks, claims, windows and
-reading-order tables, or the same error kind and text.
+reading orders (read target by target), or the same error kind and text.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -56,8 +58,7 @@ def ref_substitution_matrix(s, window=None):
         contributors = [a for a, word in s.words.items() if w in word]
         for o in set(s.offsets_word):
             a = w - o
-            if a % win.step == 0 and a not in s.words and (
-                    s.alphabet == "int" or a >= 0):
+            if a not in s.words and (s.alphabet == "int" or a >= 0):
                 contributors.append(a)
         interior_cols[j] = all(a in win for a in contributors)
     pure_band = not s.words and s.alphabet == "int"
@@ -89,7 +90,17 @@ def ref_reading_order(s, matrix):
             counts[w] = r + 1
             pairs.append((w, r))
         table[v] = tuple(pairs)
-    return dg.EdgeOrder((table,), stationary=True)
+    return table
+
+
+def _same_order(s, m, table):
+    """The builder's reading order passes ``check_order`` and lists, target
+    by target through ``order_at``, the reference table's pairs.  The
+    one-level diagram is not validated: a random rule may leave a column
+    empty."""
+    d, order = dg.Diagram((m,), stationary=True), sb.reading_order(s, m)
+    dg.check_order(d, order)
+    assert {v: order.order_at(d, 0, v) for v in m.targets} == table
 
 
 # -- seeded rules -----------------------------------------------------------------
@@ -171,9 +182,7 @@ def test_letter_arrays_match_per_letter_loops(seed):
             assert got[1] == want[1]
             continue
         _same_matrix(got[1], want[1])
-        order = sb.reading_order(s, got[1]).orders[0]
-        expect = ref_reading_order(s, want[1]).orders[0]
-        assert list(order.items()) == list(expect.items())
+        _same_order(s, got[1], ref_reading_order(s, want[1]))
     assert "ok" in kinds and "EmptyImage" in kinds
 
 
@@ -210,8 +219,35 @@ def test_offsets_and_exceptions_far_past_the_window(alphabet):
     got = sb.substitution_matrix(s, win)
     _same_matrix(got, ref_substitution_matrix(s, win))
     assert not got.interior_rows.any()
-    assert list(sb.reading_order(s, got).orders[0].items()) == list(
-        ref_reading_order(s, got).orders[0].items())
+    _same_order(s, got, ref_reading_order(s, got))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_int_band_rules_match_band_matrix(seed):
+    """Without exceptions an 'int' band rule is a band: the substitution
+    builder gives the arrays, masks and claims ``band_matrix`` gives for
+    the same offsets, offsets off the window's step included."""
+    rng = np.random.default_rng(seed)
+    off_step = 0
+    for _ in range(40):
+        step = int(rng.integers(1, 4))
+        span = step * int(rng.integers(1, 4))
+        word = [0, span * int(rng.choice([-1, 1]))] + rng.integers(
+            -span, span + 1, int(rng.integers(0, 5))).tolist()
+        rng.shuffle(word)
+        lo = int(rng.integers(-12, 4))
+        win = dg.Window(lo, lo + 2 * span + int(rng.integers(0, 3 * step)),
+                        step)
+        _same_matrix(sb.substitution_matrix(sb.band_rule(word), win),
+                     dg.band_matrix(0, win, Counter(word)))
+        off_step += any(o % step for o in word)
+    assert off_step
+
+
+def test_off_step_offset_leaves_no_column_interior():
+    m = sb.substitution_matrix(sb.band_rule((-2, 0, 1, 2)),
+                               dg.Window(-10, 10, 2))
+    assert not m.interior_rows.any() and not m.interior_cols.any()
 
 
 def test_band_rules_need_their_window():
