@@ -2,13 +2,16 @@
 
 The RNG is a combined multiplicative congruential generator (L'Ecuyer
 1988).  Each trial owns its own stream, derived affinely from (seed, trial
-index), so all trials advance together as one float64 array per state
-word.  The words are exact integers: every product a*s stays below 2**47,
-well inside float64's 53-bit mantissa, and a*s mod m is formed as
-a*s - floor(a*s/m)*m, whose floor is exact (see _advance).  The inverse-CDF
-scan advances a trial's row cursor only while its uniform is at or past
-the cumulative entry, which is exactly the comparison sequence of a scalar
-loop: every trajectory is the one a trial would follow on its own.
+index), so all trials advance together: their two state words are the rows
+of one float64 array, which one call advances with a multiplier and a
+modulus per row, in exact integer arithmetic (see _advance).  A trial
+carries the row position of its state in the move table; move j leads to
+row position nxt[j].  The inverse-CDF scan advances a trial's cursor only
+while its uniform is at or past the cumulative entry, exactly as a scalar
+loop does, so every trajectory is the one a trial would follow on its own.
+Rows end in 1.0 > u, so a scan as long as the longest row trials can
+occupy, fixed before the walk, stops every cursor.  Absorbed walks read
+from per-move tables whether a move ends the walk and at which end.
 
 The two walk kernels split their trials into contiguous shards, one per
 available CPU, when the call has enough work to repay a fork: each shard
@@ -43,6 +46,8 @@ M1 = 2147483563
 M2 = 2147483399
 A1 = 40014
 A2 = 40692
+# the multipliers and the moduli of the two words, as columns
+_A, _M = np.array([[[A1], [A2]], [[M1], [M2]]], dtype=np.float64)
 
 BLOCK = 1 << 14
 # A forked shard costs milliseconds (the fork, copy-on-write faults, the
@@ -78,39 +83,38 @@ def trial_seeds(seed: int, hi: int, lo: int = 0
            (s2 + np.uint64(1)).astype(np.int64)
 
 
-def _advance(s: np.ndarray, a: int, m: int, t: np.ndarray) -> None:
+def _advance(s: np.ndarray, a, m, t: np.ndarray) -> None:
     """s <- a*s mod m in place, on float64 words; t is scratch.
 
     a*s < 2**47, so the product and floor(a*s/m)*m are exact.  m is prime
-    and 0 < s < m, so a*s/m is never an integer: its fractional part is at
-    least 1/m (about 4.7e-10), far above the rounding of a quotient below
-    2**16 (at most 2**-37), and the floor is the exact quotient."""
+    and 0 < s < m, so a*s/m lies at least 1/m (about 4.7e-10) from any
+    integer, far above the error of the quotient below 2**16 taken as a*s
+    times the rounded 1/m (at most 2**-35): the floor is the exact one."""
     np.multiply(s, a, out=t)
-    np.divide(t, m, out=s)
+    np.multiply(t, 1 / m, out=s)
     np.floor(s, out=s)
     s *= m
     np.subtract(t, s, out=s)
 
 
-def _uniform(s1: np.ndarray, s2: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Advance both generator words in place; one uniform in [0, 1) each:
-    ((s1 - s2) mod (M1 - 1)) / M1."""
-    _advance(s1, A1, M1, t)
-    _advance(s2, A2, M2, t)
-    u = s1 - s2
+def _uniform(w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Advance both generator words, the rows (s1, s2) of w, in place; one
+    uniform in [0, 1) per column: ((s1 - s2) mod (M1 - 1)) / M1."""
+    _advance(w, _A, _M, t)
+    u = w[0] - w[1]
     u += (u < 0) * (M1 - 1.0)
     u /= M1
     return u
 
 
-def _move(rowptr, width, cum, tgt, state, s1, s2, t):
-    """One inverse-CDF step for every trial in the arrays.  Every row ends
-    in 1.0 > u, so the longest row's length - 1 passes stop every cursor."""
-    j = rowptr[state]
-    u = _uniform(s1, s2, t)
-    for _ in range(int(width[state].max()) - 1):
+def _move(cum, j, w, t, passes):
+    """One inverse-CDF step for every trial: advances the words w, and each
+    cursor j in place from its row position to the move drawn; returns j.
+    passes >= the longest occupied row's length - 1 stops every cursor."""
+    u = _uniform(w, t)
+    for _ in range(passes):
         j += u >= cum[j]
-    return tgt[j]
+    return j
 
 
 def move_table(levels):
@@ -140,22 +144,28 @@ def move_table(levels):
             np.concatenate(tgt).astype(np.int64))
 
 
-def _lockstep(rowptr, cum, tgt, start, steps, seed, lo, hi):
-    """Trials lo..hi-1 walk `steps` moves each from `start`, BLOCK at a
-    time: yields (b, k, states after move k) for the block from trial b."""
-    width = np.diff(rowptr, append=cum.shape[0])
+def _rows(rowptr, cum, tgt):
+    """(nxt, width): move j leads to row position nxt[j], and state g has
+    width[g] moves.  A target without moves (a chain's last space) gets
+    a row position it never leaves."""
+    return (rowptr.take(tgt, mode="clip"),
+            np.diff(rowptr, append=cum.shape[0]))
+
+
+def _lockstep(nxt, cum, p0, passes, seed, lo, hi):
+    """Trials lo..hi-1 walk len(passes) moves each from row position p0,
+    BLOCK at a time, move k a scan of passes[k]: yields (b, k, the moves
+    drawn, the row positions they lead to) for the block from trial b."""
+    words, scratch = np.empty((2, 2, min(hi - lo, BLOCK)))
     for b in range(lo, hi, BLOCK):
-        s1, s2 = map(_words, trial_seeds(seed, min(b + BLOCK, hi), b))
-        t = np.empty_like(s1)
-        state = np.full(s1.shape[0], start, dtype=np.int64)
-        for k in range(steps):
-            state = _move(rowptr, width, cum, tgt, state, s1, s2, t)
-            yield b, k, state
-
-
-def _words(s: np.ndarray) -> np.ndarray:
-    """A float64 copy of generator words; exact, since they are < 2**31."""
-    return s.astype(np.float64)
+        n = min(hi - b, BLOCK)
+        w, t = words[:, :n], scratch[:, :n]
+        w[0], w[1] = trial_seeds(seed, b + n, b)
+        pos = np.full(n, p0, dtype=np.int64)
+        for k, p in enumerate(passes):
+            j = _move(cum, pos, w, t, p)
+            pos = nxt[j]
+            yield b, k, j, pos
 
 
 def _cpu_quota():
@@ -258,26 +268,27 @@ def walk_returns_kernel(rowptr, cum, tgt, start, steps, seed, trials):
     """Run trials 0..trials-1 of `seed` `steps` moves each from `start`.
 
     Returns (returns per trial, trial 0's states), the second of length
-    steps + 1 starting at `start`.
+    steps + 1 starting at `start`.  Every state has a move, so a row
+    position names its state.
     """
+    nxt, width = _rows(rowptr, cum, tgt)
     path = np.empty(steps + 1, dtype=np.int64)
     path[0] = start
     out = _fan_out("walk_returns_kernel", trials, trials * steps,
-                   partial(_walk_returns_range, rowptr, cum, tgt, start,
-                           steps, seed, path))
+                   partial(_walk_returns_range, nxt, cum, tgt,
+                           int(rowptr[start]), [int(width.max()) - 1] * steps,
+                           seed, path))
     return out, path
 
 
-def _walk_returns_range(rowptr, cum, tgt, start, steps, seed, path,
-                        lo, hi, out):
+def _walk_returns_range(nxt, cum, tgt, p0, passes, seed, path, lo, hi, out):
     """Trials lo..hi-1 of walk_returns_kernel, block after block: their
     returns into out[lo:hi], and trial 0's states into path if lo is 0."""
     out[lo:hi] = 0
-    for b, k, state in _lockstep(rowptr, cum, tgt, start, steps, seed,
-                                 lo, hi):
-        out[b:b + state.shape[0]] += state == start
+    for b, k, j, pos in _lockstep(nxt, cum, p0, passes, seed, lo, hi):
+        out[b:b + pos.shape[0]] += pos == p0
         if b == 0:
-            path[k + 1] = state[0]
+            path[k + 1] = tgt[j[0]]
 
 
 def walk_hitting_kernel(rowptr, cum, tgt, level_of, start, bot, top,
@@ -297,56 +308,62 @@ def walk_hitting_kernel(rowptr, cum, tgt, level_of, start, bot, top,
         return np.full(trials, int(first == top), dtype=np.int64)
     if max_steps <= 0:
         return np.full(trials, -1, dtype=np.int64)
-    width = np.diff(rowptr, append=cum.shape[0])
+    nxt, width = _rows(rowptr, cum, tgt)
+    lvl = level_of[tgt]   # whether move j ends its walk, and at which end
+    stop, at_top = (lvl == bot) | (lvl == top), lvl == top
     # the mean number of moves of an unbiased +-1 walk between the levels
     moves = min(max_steps, (first - bot) * (top - first))
     return _fan_out("walk_hitting_kernel", trials, trials * moves,
-                    partial(_walk_hitting_range, rowptr, width, cum, tgt,
-                            level_of, start, bot, top, max_steps, seed))
+                    partial(_walk_hitting_range, nxt, cum, stop, at_top,
+                            int(rowptr[start]), int(width.max()) - 1,
+                            max_steps, seed))
 
 
-def _walk_hitting_range(rowptr, width, cum, tgt, level_of, start, bot, top,
-                        max_steps, seed, lo, hi, out):
+def _walk_hitting_range(nxt, cum, stop, at_top, p0, passes, max_steps, seed,
+                        lo, hi, out):
     """Trials lo..hi-1 of walk_hitting_kernel, one refilled pool: their
     results into out[lo:hi]."""
     out[lo:hi] = -1
     n = min(hi - lo, BLOCK)
     idx = np.arange(lo, lo + n)
-    state = np.full(n, start, dtype=np.int64)
-    s1, s2 = map(_words, trial_seeds(seed, lo + n, lo))
-    t = np.empty_like(s1)
+    pos = np.full(n, p0, dtype=np.int64)
+    w = np.array(trial_seeds(seed, lo + n, lo), dtype=np.float64)
+    t = np.empty_like(w)
     deadline = np.full(n, max_steps, dtype=np.int64)
+    due = max_steps   # no live deadline falls before step `due`
     # trials joined.. have not started; the reservoir holds the words of
     # trials r0..r1-1, derived BLOCK at a time as the pool drains it
     joined = r0 = r1 = lo + n
     k = 0
     while idx.shape[0]:
-        state = _move(rowptr, width, cum, tgt, state, s1, s2, t)
+        j = _move(cum, pos, w, t, passes)
+        pos = nxt[j]
         k += 1
-        lvl = level_of[state]
-        hit = (lvl == bot) | (lvl == top)
-        done = hit | (deadline == k)
-        if not done.any():
+        done = hit = stop[j]
+        if k == due:
+            done = hit | (deadline == k)
+            due = deadline[~done].min(initial=k + max_steps)
+        elif not np.count_nonzero(hit):
             continue
-        out[idx[hit]] = lvl[hit] == top
+        out[idx[hit]] = at_top[j[hit]]
         free = np.flatnonzero(done)
         new = min(free.shape[0], hi - joined)
         if new:
             if r1 < joined + new:
                 r0, r1 = joined, min(joined + BLOCK, hi)
-                w1, w2 = trial_seeds(seed, r1, r0)
-            slot, take = free[:new], slice(joined - r0, joined - r0 + new)
+                res = np.array(trial_seeds(seed, r1, r0), dtype=np.float64)
+            slot = free[:new]
             idx[slot] = np.arange(joined, joined + new)
-            state[slot] = start
-            s1[slot], s2[slot] = w1[take], w2[take]
+            pos[slot] = p0
+            w[:, slot] = res[:, joined - r0:joined - r0 + new]
             deadline[slot] = k + max_steps
             joined += new
         if new < free.shape[0]:
             live = ~done
             live[free[:new]] = True
-            idx, state, s1, s2, deadline = (
-                a[live] for a in (idx, state, s1, s2, deadline))
-            t = t[:idx.shape[0]]
+            idx, pos, deadline = idx[live], pos[live], deadline[live]
+            w = np.compress(live, w, axis=1)
+            t = np.empty_like(w)
 
 
 def sample_chain_kernel(rowptr, cum, tgt, offsets, strides, x0, ncyl,
@@ -356,11 +373,14 @@ def sample_chain_kernel(rowptr, cum, tgt, offsets, strides, x0, ncyl,
     those of space k + 1.  Every trial moves len(strides) times from cell
     x0; its cylinder index is the sum over steps k of
     (state - offsets[k + 1]) * strides[k]."""
+    nxt, width = _rows(rowptr, cum, tgt)
+    passes = (np.maximum.reduceat(width, offsets[:len(strides)]) - 1).tolist()
+    step = np.searchsorted(offsets, tgt, side="right") - 2   # of each move
+    term = (tgt - offsets[step + 1]) * strides[step]   # its cylinder term
     counts = np.zeros(ncyl, dtype=np.int64)
-    for _, k, state in _lockstep(rowptr, cum, tgt, x0, len(strides), seed,
-                                 0, trials):
-        cell = (state - offsets[k + 1]) * strides[k]
-        idx = cell if k == 0 else idx + cell
-        if k == len(strides) - 1:
+    for _, k, j, _ in _lockstep(nxt, cum, int(rowptr[x0]), passes, seed,
+                                0, trials):
+        idx = term[j] if k == 0 else idx + term[j]
+        if k == len(passes) - 1:
             counts += np.bincount(idx, minlength=ncyl)
     return counts

@@ -43,17 +43,18 @@ def _json(obj) -> str:
     """Indented JSON with sorted keys, plus a newline: the bytes of
     ``json.dumps(obj, sort_keys=True, indent=2, default=tolist)``.  With an
     indent ``json`` runs its pure-Python encoder, so the text is written
-    here, and each list of floats, where the time goes, is handed to json's
-    C encoder with that depth's line break as its item separator.
+    here, and each list of floats or ints, where the time goes, is handed to
+    json's C encoder with that depth's line break as its item separator.
     np.float64 is a float and prints as one; other numpy scalars and arrays
-    go through ``tolist``."""
+    go through ``tolist``.  Element types match exactly, so a list holding
+    a bool or a numpy integer takes the element path."""
     out: list[str] = []
     _encode(obj, "\n", out)
     out.append("\n")
     return "".join(out)
 
 
-_FLOATS = frozenset({float, np.float64})
+_FLAT = frozenset({float, np.float64, int})
 _INF = float("inf")
 _quote = json.encoder.encode_basestring_ascii
 
@@ -90,7 +91,7 @@ def _encode(o, nl: str, out: list) -> None:
                 out.append(("," if i else "") + inner + _quote(_key(k)) + ": ")
                 _encode(v, inner, out)
             out.append(nl + "}")
-        elif _FLOATS.issuperset(map(type, o)):
+        elif _FLAT.issuperset(map(type, o)):
             flat = json.JSONEncoder(separators=("," + inner, ": "))
             out.append("[" + inner + flat.encode(o)[1:-1] + nl + "]")
         else:

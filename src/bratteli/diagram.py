@@ -692,14 +692,16 @@ class FinitePath:
 
 
 def path_in_diagram(d: Diagram, p: FinitePath) -> bool:
-    if not p.edges:
-        lvl, v = p.terminal
-        return lvl <= d.depth and v in d.window(lvl)
-    for (lvl, src, tgt, rank) in p.edges:
-        if lvl >= d.depth:
-            return False
-        if rank >= d.F(lvl).multiplicity(tgt, src):
-            return False
+    """Whether every vertex of p lies on a level of d, and every edge rank
+    below its multiplicity."""
+    try:
+        _vertex(d, p.initial)
+        for (lvl, src, tgt, rank) in p.edges:
+            _vertex(d, (lvl + 1, tgt))
+            if rank >= d.F(lvl).multiplicity(tgt, src):
+                return False
+    except (CutsOutOfRange, KeyError):
+        return False
     return True
 
 

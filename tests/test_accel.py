@@ -135,9 +135,9 @@ def test_float_uniform_matches_integer_formula():
             (M1 - 1, M2 - 1), (12345, 678910)]
     s1 = _preimages(_accel.A1, M1, [e[0] for e in ends])
     s2 = _preimages(_accel.A2, M2, [e[1] for e in ends])
-    f1, f2 = np.array(s1, dtype=np.float64), np.array(s2, dtype=np.float64)
-    u = _accel._uniform(f1, f2, np.empty_like(f1))
-    assert [(int(x), int(y)) for x, y in zip(f1, f2)] == ends
+    w = np.array([s1, s2], dtype=np.float64)
+    u = _accel._uniform(w, np.empty_like(w))
+    assert [(int(x), int(y)) for x, y in zip(*w)] == ends
     assert u.tolist() == [_next(x, y)[2] for x, y in zip(s1, s2)]
 
 
@@ -293,6 +293,25 @@ def test_walk_returns_frozen_oracle():
     st = lp.walk(allones_network(6), (2, 0), steps=200, trials=500, seed=42)
     assert st.returns[:10].tolist() == RETURNS_HEAD
     assert int(st.returns.sum()) == RETURNS_TOTAL
+
+
+# hitting_probability(allones depth 8, start (4,0), 2 * BLOCK + 37 trials,
+# seed 8, max_steps 30): the first 16 and last 8 per-trial outcomes, and
+# the top, bottom and timeout counts
+HITTING_HEAD = [0, 1, 1, 1, 0, 0, 0, -1, 1, 1, 0, -1, 1, 0, 0, 1]
+HITTING_TAIL = [-1, 0, 0, 1, 0, 0, 1, 0]
+HITTING_COUNTS = (14524, 14511, 3770)
+
+
+def test_hitting_frozen_oracle(monkeypatch):
+    calls = spy(monkeypatch, "walk_hitting_kernel")
+    est = lp.hitting_probability(allones_network(8), (4, 0),
+                                 trials=2 * _accel.BLOCK + 37, seed=8,
+                                 max_steps=30)
+    (_, res), = calls
+    assert res[:16].tolist() == HITTING_HEAD
+    assert res[-8:].tolist() == HITTING_TAIL
+    assert (est.top_hits, est.bottom_hits, est.timeouts) == HITTING_COUNTS
 
 
 # -- lockstep equals the scalar reference ------------------------------------

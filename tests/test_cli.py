@@ -1140,6 +1140,17 @@ def test_json_writer_matches_json_dumps_on_random_payloads():
         assert cli._json(obj) == _reference_json(obj), obj
 
 
+@pytest.mark.parametrize("obj", [
+    _INTS, [-3, 0, 5, -(2 ** 64) - 1, 2 ** 64, 2 ** 200],
+    [True, 1, 0, False], [1, True], [False, 0], [1, 2.5, -3],
+    [[1, 2], [], [[-1, [2 ** 65]], 3]], [], [[]], {"a": [0, -7, 2 ** 64]},
+    [np.int64(4), 5], [1, None, 2]])
+def test_json_writer_matches_json_dumps_on_int_lists(obj):
+    """Lists of Python ints go to json's C encoder in one piece, as float
+    lists do; bools and numpy integers among them take the element path."""
+    assert cli._json(obj) == _reference_json(obj)
+
+
 def test_json_writer_rejects_what_json_rejects():
     for bad in ({(1, 2): 0}, {"a": object()}):
         with pytest.raises((TypeError, AttributeError)) as want:

@@ -726,6 +726,20 @@ def test_empty_path_needs_start():
         dg.FinitePath(()).terminal
 
 
+@pytest.mark.parametrize("path", [
+    dg.FinitePath((), (-1, 0)),                 # empty, at a negative level
+    dg.FinitePath(((-1, 1, 0, 0),), (-1, 1)),   # an edge below level 0
+    dg.FinitePath((), (3, 0)),                  # empty, above the top
+    dg.FinitePath(((0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0))),  # too deep
+    dg.FinitePath(((0, 2, 0, 0),)),             # a source off its level
+])
+def test_path_in_diagram_refuses_levels_off_the_diagram(path):
+    d = dg.stationary_diagram([[1, 1], [0, 1]], 2)
+    assert not dg.path_in_diagram(d, path)
+    assert dg.path_in_diagram(d, dg.FinitePath((), (2, 1)))
+    assert dg.path_in_diagram(d, dg.FinitePath(((0, 1, 0, 0), (1, 0, 0, 0))))
+
+
 # -- tail equivalence --------------------------------------------------------
 
 def test_tail_equivalent_identical():
