@@ -526,7 +526,7 @@ def chain_network(spaces: Sequence[CellSpace],
                              f"push-forward of level {k}")
         src, tgt = np.nonzero(K)
         shape = (spaces[k + 1].m, spaces[k].m)
-        mats.append(IncidenceMatrix(k, _csr_from_coo(tgt, src, 1, shape),
+        mats.append(IncidenceMatrix(_csr_from_coo(tgt, src, 1, shape),
                                     Window(0, shape[0] - 1),
                                     Window(0, shape[1] - 1)))
         Ks.append(K)

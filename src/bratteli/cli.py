@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -368,8 +368,7 @@ def cmd_analyze(args) -> int:
 def _suite_consistency(ctx: _Context, tol: float, seed: int, out: list):
     d = ctx.diagram
     # H^(n+1)_v = sum_w f_vw H^(n)_w exactly iff every hat row sums to 1
-    worst = max([0] + [ms.hat_matrix(d, n).row_deviation()
-                       for n in range(d.depth)])
+    worst = max([0] + [hm.row_deviation() for hm in ms.hat_matrices(d)])
     ok = worst == 0
     out.append(("consistency", "HeightRecursion", 0.0 if ok else 1.0, ok))
 
@@ -423,9 +422,8 @@ def _suite_operators(ctx: _Context, tol: float, seed: int, out: list):
                     devqf <= tol))
     rng = np.random.default_rng(seed)
     worst_adj = worst_con = worst_fix = 0.0
-    # one dense kernel pair at a time, each in its own scratch array, and
-    # one source-pair index per CSR: stationary levels share theirs
-    p_scratch, q_scratch, pairs = dg.Scratch(), dg.Scratch(), {}
+    # one dense kernel pair at a time, each in its own scratch array
+    p_scratch, q_scratch = dg.Scratch(), dg.Scratch()
     for n in range(d.depth):
         F = d.F(n)
         P = p_scratch.scatter(F, hk.phat_values[n], by_source=True)
@@ -436,13 +434,10 @@ def _suite_operators(ctx: _Context, tol: float, seed: int, out: list):
         worst_adj = max(worst_adj, *adj)
         worst_con = max(worst_con, *con)
         T = mk.compose_Tn(P, Q)
-        key = id(F.csr)
-        if key not in pairs:
-            pairs[key] = F.source_pairs()
         worst_fix = max(worst_fix,
                         float(np.abs(T.sum(axis=1) - 1.0).max()),
                         float(np.abs(hk.q[n] @ T - hk.q[n]).max()),
-                        mk.self_adjoint_gap(T, hk.q[n], pairs[key]))
+                        mk.self_adjoint_gap(T, hk.q[n], F.source_pairs))
         del T   # so the next level's T is not formed beside this one
     out.append(("operators", "Adjointness", worst_adj, worst_adj <= tol))
     out.append(("operators", "Contractivity", worst_con, worst_con <= tol))
@@ -543,6 +538,7 @@ def non_negative(text: str) -> int:
     return value
 
 
+@cache   # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="bratteli",

@@ -13,7 +13,9 @@ coordinates and the interior masks it sets; a ``{(target, source):
 multiplicity}`` mapping has one reader, ``incidence_from_entries``.  Every
 row, column, dense and sum query reads the arrays.  A loop over the levels
 scatters each level into one reused ``Scratch`` array instead of a fresh
-one.  Heights are computed once per ``Diagram``, as exact Python integers.
+one.  A diagram holds its distinct levels and its depth: a stationary
+diagram holds one level record.  Exact heights are Python integers,
+computed from the level below whenever they are read.
 
 An edge order is stored once too: per distinct level, nothing for the
 natural order (by target, source and rank, as the CSR lists the edges),
@@ -28,9 +30,10 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -205,14 +208,13 @@ class IncidenceMatrix:
                     window column receives every untruncated edge
 
     The builder that clips a level sets its masks; one that clips nothing
-    passes none, and every row and column is interior.  ``replace`` copies
-    share the arrays.  row_sum_claim / col_sum_claim assert that
-    *untruncated* rows/columns all share that sum (e.g. a constant-length
-    substitution), which windowed sums alone cannot reveal.  ``==`` is
+    passes none, and every row and column is interior.  row_sum_claim /
+    col_sum_claim assert that *untruncated* rows/columns all share that sum
+    (e.g. a constant-length substitution), which windowed sums alone cannot
+    reveal.  ``==`` is
     identity; ``_matrices_equal`` compares windows and entries.
     """
 
-    level: int
     csr: CSR
     row_window: Window
     col_window: Window
@@ -331,6 +333,7 @@ class IncidenceMatrix:
         np.add.at(out, c.indices if by_source else c.rows, values)
         return out
 
+    @cached_property
     def source_pairs(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Source positions (v, w), v <= w, of every pair of sources that
         share a target, each pair once and sorted: the only entries where a
@@ -365,15 +368,17 @@ class Scratch:
     same values, dtype, shape and C layout, but as a read-only view of the
     buffer that holds until the next call.  Each call zeroes only the
     entries the previous call wrote, so a level costs its edges instead of
-    a fresh m x m zero-fill.  The buffer grows to the largest level and is
-    freed with the object, at the end of the loop that made it.
+    a fresh m x m zero-fill; the same level in the same layout, as a
+    stationary diagram gives on every level, overwrites those entries.  The
+    buffer grows to the largest level and is freed with the object, at the
+    end of the loop that made it.
     """
 
     __slots__ = ("_buf", "_last")
 
     def __init__(self):
         self._buf = np.zeros(0)
-        self._last = None   # (writable view, index) of the previous call
+        self._last = None   # (writable view, index, layout) of the last call
 
     def scatter(self, m: IncidenceMatrix, values: np.ndarray,
                 by_source: bool = False) -> np.ndarray:
@@ -381,11 +386,11 @@ class Scratch:
         size = shape[0] * shape[1]
         if size > self._buf.size:
             self._buf = np.zeros(size)
-        elif self._last is not None:
+        elif self._last is not None and self._last[2] != (m, by_source):
             self._last[0][self._last[1]] = 0.0
         out = self._buf[:size].reshape(shape)
         out[index] = values
-        self._last = (out, index)
+        self._last = (out, index, (m, by_source))
         view = out.view()
         view.flags.writeable = False
         return view
@@ -442,11 +447,11 @@ def incidence_from_entries(level: int, entries: Mapping[tuple[int, int], int],
             raise WindowMismatch(f"target {v} outside window {rw} at level "
                                  f"{level}")
         raise InfiniteRow(level, v, w)
-    return IncidenceMatrix(level, _csr_from_coo(
+    return IncidenceMatrix(_csr_from_coo(
         rows, cols, [int(x) for x in mult], (len(rw), len(cw))), rw, cw)
 
 
-def band_matrix(level: int, window, offsets_values: Mapping[int, int],
+def band_matrix(window, offsets_values: Mapping[int, int]
                 ) -> IncidenceMatrix:
     """Materialize a band rule on a window (same window for both levels).
 
@@ -482,46 +487,44 @@ def band_matrix(level: int, window, offsets_values: Mapping[int, int],
         lo, hi = kept[0][0], kept[-1][0]
         inner[0, max(0, -lo):n - max(0, hi)] = True
         inner[1, max(0, hi):n + min(0, lo)] = True
-    return IncidenceMatrix(level, csr, win, win, total, total, *inner)
+    return IncidenceMatrix(csr, win, win, total, total, *inner)
 
 
 # ---------------------------------------------------------------- diagram
 
 @dataclass(frozen=True)
 class Diagram:
-    """Validated sequence of incidence matrices, levels 0 .. depth."""
+    """Validated incidence matrices of levels 0 .. depth - 1.
 
-    matrices: tuple[IncidenceMatrix, ...]
+    ``levels`` holds the distinct level records: one for a diagram built
+    stationary, which repeats it on every level, or one per level.
+    ``stationary`` is True when every level has the same windows and
+    entries.
+    """
+
+    levels: tuple[IncidenceMatrix, ...]
+    depth: int
     stationary: bool
 
-    @property
-    def depth(self) -> int:
-        return len(self.matrices)
-
     def F(self, n: int) -> IncidenceMatrix:
-        return self.matrices[n]
+        """Level n's matrix, indexed as a sequence of ``depth`` levels."""
+        if len(self.levels) > 1:
+            return self.levels[n]
+        if -self.depth <= n < self.depth:
+            return self.levels[0]
+        raise IndexError(f"level {n} outside depth {self.depth}")
 
     def window(self, n: int) -> Window:
         if n < self.depth:
-            return self.matrices[n].col_window
-        return self.matrices[-1].row_window
+            return self.F(n).col_window
+        return self.levels[-1].row_window
 
     def vertices(self, n: int) -> tuple[int, ...]:
         return self.window(n).vertices
 
-    @cached_property
-    def _heights(self) -> tuple[tuple[int, ...], ...]:
-        """H^(0..depth) as Python ints, one CSR product per level."""
-        hs = [np.ones(len(self.window(0)), dtype=object)]
-        for m in self.matrices:
-            c = m.csr
-            hs.append(m.totals(c.mult.astype(object) * hs[-1][c.indices]))
-        return tuple(tuple(h.tolist()) for h in hs)
-
 
 def _matrices_equal(a: IncidenceMatrix, b: IncidenceMatrix) -> bool:
-    """Same windows and the same CSR entries; copies sharing one ``csr``
-    (as ``replace`` makes them) are equal at once."""
+    """Same windows and the same CSR entries."""
     if a.row_window != b.row_window or a.col_window != b.col_window:
         return False
     ca, cb = a.csr, b.csr
@@ -539,8 +542,6 @@ def validate(matrices: Iterable[IncidenceMatrix]) -> Diagram:
     """
     mats: list[IncidenceMatrix] = []
     for k, m in enumerate(matrices):
-        if m.level != k:
-            raise WindowMismatch(f"matrix {k} carries level tag {m.level}")
         if k > 0 and m.col_window != mats[-1].row_window:
             raise WindowMismatch(
                 f"source window of level {k} ({m.col_window}) differs from the "
@@ -553,20 +554,22 @@ def validate(matrices: Iterable[IncidenceMatrix]) -> Diagram:
     if not mats:
         raise WindowMismatch("a diagram needs at least one incidence matrix")
     stationary = all(_matrices_equal(mats[0], m) for m in mats[1:])
-    return Diagram(tuple(mats), stationary)
+    return Diagram(tuple(mats), len(mats), stationary)
 
 
 def stationary_diagram(matrix, depth: int, window=None) -> Diagram:
-    """Repeat one dense matrix (or band-built IncidenceMatrix) ``depth`` times."""
+    """Repeat one dense matrix (or band-built IncidenceMatrix) ``depth``
+    times, as one level record: validated as level 0 and, when a level
+    follows, as the level above itself."""
     proto = (matrix if isinstance(matrix, IncidenceMatrix)
              else incidence_from_dense(0, matrix, window, window))
-    return validate(replace(proto, level=k) for k in range(depth))
+    validate([proto] * min(depth, 2))
+    return Diagram((proto,), depth, True)
 
 
 def band_diagram(offsets_values: Mapping[int, int], depth: int,
                  window) -> Diagram:
-    proto = band_matrix(0, window, offsets_values)
-    return stationary_diagram(proto, depth)
+    return stationary_diagram(band_matrix(window, offsets_values), depth)
 
 
 # ---------------------------------------------------------------- telescoping
@@ -626,22 +629,35 @@ def telescope(d: Diagram, cuts: Sequence[int]) -> Diagram:
         rsum = math.prod(rclaims) if all(c is not None for c in rclaims) else None
         csum = math.prod(cclaims) if all(c is not None for c in cclaims) else None
         mats.append(IncidenceMatrix(
-            k, prod, block[-1].row_window, block[0].col_window, rsum, csum,
+            prod, block[-1].row_window, block[0].col_window, rsum, csum,
             _interior(block, rows=True), _interior(block, rows=False)))
     return validate(mats)
 
 
 # ---------------------------------------------------------------- heights
 
+def all_heights(d: Diagram) -> Iterator[np.ndarray]:
+    """H^(0), H^(1), ..., H^(depth) in turn, each an object array of
+    Python ints computed from the one before by one CSR product, so that
+    two levels are live however deep the diagram is."""
+    h = np.ones(len(d.window(0)), dtype=object)
+    yield h
+    for n in range(d.depth):
+        m = d.F(n)
+        h = m.totals(m.csr.mult.astype(object) * h[m.csr.indices])
+        yield h
+
+
 def heights(d: Diagram, n: int) -> list[int]:
     """H^(n) = F_{n-1} ... F_0 1, exact integers aligned to vertices(n).
 
     H^(n)_v counts the paths from level 0 into v; Python integers make
-    overflow a non-issue.  Returns a copy of the diagram's cached level.
+    overflow a non-issue.  Computed on each call, through levels 0 .. n;
+    a loop over the levels reads ``all_heights`` instead.
     """
     if n < 0 or n > d.depth:
         raise CutsOutOfRange(f"level {n} outside 0..{d.depth}")
-    return list(d._heights[n])
+    return next(islice(all_heights(d), n, None)).tolist()
 
 
 # ---------------------------------------------------------------- paths

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import Error
 from .diagram import Diagram, FinitePath, Scratch, path_in_diagram
-from .measures import DimensionMismatch, MeasureSequence, hat_matrix
+from .measures import DimensionMismatch, MeasureSequence, hat_matrices
 
 Q_FLOOR = 1e-300  # below this a level mass is treated as identically zero
 CLIP_TOL = 1e-9   # outgoing sums further than this from 1 mark a clipped row
@@ -356,15 +356,16 @@ def hat_vs_incidence(d: Diagram, hk: HatKernels) -> float:
     """
     worst = 0.0
     clean = np.ones(len(d.vertices(0)), dtype=bool)
-    for n in range(d.depth):
-        F = d.F(n)
+    for n, fhat in enumerate(hat_matrices(d)):
+        F = fhat.matrix
         c = F.csr
         ok = clean & F.interior_cols
         # a target stays clean when every source in its row is
         mask = np.logical_and.reduceat(ok[c.indices], c.indptr[:-1])
-        if mask.any():
-            diff = np.abs(hk.qhat_values[n] - hat_matrix(d, n).values())
-            worst = max(worst, float(diff[mask[c.rows]].max()))
+        if not mask.any():
+            break   # and no later level has a clean target
+        diff = np.abs(hk.qhat_values[n] - fhat.values())
+        worst = max(worst, float(diff[mask[c.rows]].max()))
         clean = mask
     return worst
 
@@ -443,7 +444,7 @@ def self_adjoint_gap(T: np.ndarray, q: np.ndarray, pairs) -> float:
     """max over v, w of |q_v T(v, w) - q_w T(w, v)|, with T = compose_Tn of
     level n and q = q^(n): how far T is from self-adjoint in l2(q).
 
-    ``pairs`` is ``diagram.F(n).source_pairs()``, and only those entries
+    ``pairs`` is ``diagram.F(n).source_pairs``, and only those entries
     are read (|x - y| = |y - x|, so one order of each pair is enough).
     Every product in an entry of T off the pairs has a zero factor, so
     while q and the kernels are finite that entry is an exact zero and its

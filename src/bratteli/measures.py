@@ -5,9 +5,8 @@ v the same value mu^(n)_v, and the per-level vectors are linked by the
 transposed incidence matrices: A_n mu^(n+1) = mu^(n) with A_n = F_n^T.
 This module verifies that recursion, builds the stationary Perron measure
 mu^(n) = t / lambda^(n-1), solves the nonstationary problem by backward
-propagation from a deep anchor, converts cylinder values to tower masses
-s^(n) = mu^(n) * H^(n), and exposes the exactly row-stochastic hat matrices
-fhat_vw = (H^(n)_w / H^(n+1)_v) f_vw.
+propagation from a deep anchor, and exposes the exactly row-stochastic hat
+matrices fhat_vw = (H^(n)_w / H^(n+1)_v) f_vw.
 
 A hat matrix is stored on the edges of its incidence level, in the CSR
 order of ``IncidenceMatrix.csr``: the exact integer numerator H^(n)_w f_vw
@@ -16,9 +15,8 @@ of every edge and the denominator H^(n+1)_v of every row, as Python ints
 identity sum_w H^(n)_w f_vw = H^(n+1)_v, summed exactly by
 ``IncidenceMatrix.totals``, and the float value of an entry is the
 Python-int true division of its numerator by its denominator, which is
-correctly rounded like float(Fraction(...)).  Products with a hat matrix
-(``tower_masses``) use its dense form, ``IncidenceMatrix.scatter`` of the
-entry values, because their float summation order reaches the output.
+correctly rounded like float(Fraction(...)).  A loop over every level reads
+``hat_matrices``, which streams the exact heights, two levels at a time.
 
 Normalization conventions (the two useful scalings differ by lambda):
   "level0"      : sum of t over the level-0 window is 1
@@ -28,12 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from itertools import islice
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from . import Error, perron
-from .diagram import Diagram, IncidenceMatrix, Scratch, heights
+from .diagram import (CutsOutOfRange, Diagram, IncidenceMatrix, Scratch,
+                      all_heights, heights)
 
 
 class DimensionMismatch(Error):
@@ -123,11 +123,23 @@ class HatMatrix:
 
 
 def hat_matrix(d: Diagram, n: int) -> HatMatrix:
-    m = d.F(n)
-    c = m.csr
-    h_lo = np.array(heights(d, n), dtype=object)
-    num = c.mult.astype(object) * h_lo[c.indices]
-    return HatMatrix(n, num, np.array(heights(d, n + 1), dtype=object), m)
+    """Level n's hat matrix, computed through levels 0 .. n; a loop over
+    the levels reads ``hat_matrices`` instead."""
+    if not 0 <= n < d.depth:
+        raise CutsOutOfRange(f"edge level {n} outside 0..{d.depth - 1}")
+    return next(islice(hat_matrices(d), n, None))
+
+
+def hat_matrices(d: Diagram) -> Iterator[HatMatrix]:
+    """The hat matrix of every level in turn, from one pass of the exact
+    heights."""
+    hs = all_heights(d)
+    h_lo = next(hs)
+    for n, h_hi in enumerate(hs):
+        m = d.F(n)
+        yield HatMatrix(n, m.csr.mult.astype(object) * h_lo[m.csr.indices],
+                        h_hi, m)
+        h_lo = h_hi
 
 
 # ---------------------------------------------------------------- verify
@@ -284,8 +296,8 @@ def ers_ecs_classify(d: Diagram) -> SumClassification:
     sum mu^(0) = 1 are pinned: sum_v mu^(n+1)_v = (r_0 ... r_n)^-1, reported
     here as exact fractions.
     """
-    rows = [_uniform_sum(m, True) for m in d.matrices]
-    cols = [_uniform_sum(m, False) for m in d.matrices]
+    rows = [_uniform_sum(d.F(n), True) for n in range(d.depth)]
+    cols = [_uniform_sum(d.F(n), False) for n in range(d.depth)]
     ers = all(r is not None for r in rows)
     ecs = all(c is not None for c in cols)
     level_sums = None
@@ -300,40 +312,3 @@ def ers_ecs_classify(d: Diagram) -> SumClassification:
                              tuple(rows) if ers else None,
                              tuple(cols) if ecs else None,
                              level_sums)
-
-
-# ---------------------------------------------------------------- towers
-
-@dataclass(frozen=True)
-class TowerReport:
-    masses: MeasureSequence
-    recursion_residuals: tuple[float, ...]
-    level_sums: tuple[float, ...]
-    probability: bool
-
-
-def tower_masses(d: Diagram, m: MeasureSequence) -> TowerReport:
-    """s^(n)_v = mu^(n)_v H^(n)_v plus a check of s^(n+1) Fhat_n = s^(n).
-
-    The level sums of s are the total path-space mass and are constant in n
-    for an exactly tail-invariant measure; probability=True when they sit
-    at 1 within 1e-10.
-    """
-    if m.kind != "CylinderValues":
-        raise DimensionMismatch("tower masses start from CylinderValues")
-    _check_lengths(d, m)
-    svecs = []
-    for n in range(d.depth + 1):
-        h = np.array([float(x) for x in heights(d, n)])
-        svecs.append(m.vectors[n] * h)
-    residuals = []
-    for n in range(d.depth):
-        fhat = hat_matrix(d, n).to_dense()
-        diff = svecs[n + 1] @ fhat - svecs[n]
-        mask = d.F(n).interior_cols
-        den = max(float(np.abs(svecs[n][mask]).sum()), 1e-300)
-        residuals.append(float(np.abs(diff[mask]).sum()) / den)
-    sums = tuple(float(s.sum()) for s in svecs)
-    prob = all(abs(x - 1.0) < 1e-10 for x in sums)
-    masses = MeasureSequence(tuple(svecs), "TowerMasses", dict(m.meta))
-    return TowerReport(masses, tuple(residuals), sums, prob)

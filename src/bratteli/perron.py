@@ -144,6 +144,8 @@ def _power(dense: np.ndarray):
     The +1 shift keeps the iteration monotone-friendly for matrices with
     zero diagonal; the stopping test is on |Bv - lam v|, not on the lambda
     increments, because downstream tolerances need the *vector* converged.
+    An iterate equal to the last, bit for bit, repeats forever: polishing
+    stops there.
     """
     m = dense.shape[0]
     B = dense + np.eye(m)
@@ -157,13 +159,14 @@ def _power(dense: np.ndarray):
         Bw = B @ w
         lam = (w @ Bw) / (w @ w)
         res = np.abs(Bw - lam * w).max() / np.abs(w).max()
+        fixed = w.tobytes() == v.tobytes()
         v = w
         if best is None or res < best[3]:
             best = (lam - 1.0, v, it, res)
         if res < 1e-13 * max(1.0, lam):
             # converged; keep iterating briefly in case round-off still shrinks
             polish += 1
-            if polish >= 40 or res == 0.0:
+            if polish >= 40 or res == 0.0 or fixed:
                 return best[:3]
     if polish:
         return best[:3]

@@ -169,7 +169,7 @@ def substitution_matrix(s: Substitution, window=None
                     count[win.position(b)] += c
     kept, clen = src >= 0, constant_length(s)[1]
     return dg.IncidenceMatrix(
-        0, dg._csr_from_coo(tgt[kept], src[kept], 1, (n, n)), win, win,
+        dg._csr_from_coo(tgt[kept], src[kept], 1, (n, n)), win, win,
         row_sum_claim=clen, interior_cols=count == 0,
         col_sum_claim=clen if s.alphabet == "int" and not s.words else None,
         interior_rows=np.bincount(tgt[~kept], minlength=n) == 0)

@@ -839,6 +839,31 @@ def test_python_dash_m_bratteli():
     assert json.loads(proc.stdout)["valid"] is True
 
 
+def test_one_parser_serves_every_command_of_a_process():
+    """main builds its parser once per process.  Commands run one after
+    another in this process, a usage error among them, give the stdout,
+    stderr and exit code each gives in a fresh interpreter."""
+    commands = [["validate", ALLONES], ["analyze", ALLONES, "spectrum"],
+                ["analyze", FIBONACCI, "pf"], ["check", FIBONACCI],
+                ["check", ALLONES, "--seed", "-1"],
+                ["validate", FIBONACCI, "--depth", "3"]]
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as e:
+                rc = e.code
+        proc = subprocess.run([sys.executable, "-m", "bratteli", *argv],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert (rc, out.getvalue(), err.getvalue()) == (
+            proc.returncode, proc.stdout, proc.stderr), argv
+        assert rc == (2 if "spectrum" in argv or "-1" in argv else 0)
+    assert cli.build_parser() is cli.build_parser()
+
+
 def _fresh(code: str) -> str:
     """stdout of ``code`` run in a fresh interpreter on this package."""
     src = pathlib.Path(cli.__file__).resolve().parents[1]
@@ -1042,23 +1067,27 @@ def test_induced_system_past_int64_multiplicity(capsys, tmp_path):
 def test_operators_suite_builds_one_pair_index_per_level_structure(
         tmp_path, monkeypatch):
     """The self-adjointness check reads T-hat_n at the source pairs of the
-    level's CSR; the levels of a stationary band share one CSR, so the
-    pair index is built once, not once per level."""
+    level; a stationary band holds one level record, so the pair index is
+    built once, not once per level."""
+    from functools import cached_property
+
     from bratteli import diagram as dg
     builds = []
-    source_pairs = dg.IncidenceMatrix.source_pairs
+    source_pairs = dg.IncidenceMatrix.source_pairs.func
 
     def counted(self):
-        builds.append(self.level)
+        builds.append(self)
         return source_pairs(self)
 
-    monkeypatch.setattr(dg.IncidenceMatrix, "source_pairs", counted)
+    prop = cached_property(counted)
+    prop.__set_name__(dg.IncidenceMatrix, "source_pairs")
+    monkeypatch.setattr(dg.IncidenceMatrix, "source_pairs", prop)
     p = _spec(tmp_path, "band.json", {"band": {"-2": 1, "0": 2, "2": 1},
                                       "window": [-30, 30, 2], "depth": 8})
     with contextlib.redirect_stdout(io.StringIO()) as out:
         rc = cli.main(["check", p, "--suite", "operators"])
     assert rc == 0, out.getvalue()
-    assert builds == [0]
+    assert len(builds) == 1
 
 
 # -- the JSON writer -------------------------------------------------------------

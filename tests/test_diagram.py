@@ -140,7 +140,7 @@ def test_drunken_band_diagram_valid():
 
 def test_band_window_too_small():
     with pytest.raises(dg.WindowMismatch):
-        dg.band_matrix(0, dg.Window(0, 2, 2), DRUNKEN)
+        dg.band_matrix(dg.Window(0, 2, 2), DRUNKEN)
 
 
 # -- telescoping -------------------------------------------------------------
@@ -197,9 +197,54 @@ def test_stationary_levels_share_one_mask_pair():
                   sb.nat_length_two(), dg.Window(0, 12)), 4),
               dg.stationary_diagram(ALL_ONES, 4)):
         first = d.F(0)
-        for m in d.matrices[1:]:
+        for m in map(d.F, range(1, d.depth)):
             assert m.interior_rows is first.interior_rows
             assert m.interior_cols is first.interior_cols
+
+
+def test_stationary_diagram_holds_one_level_record():
+    """Depth is a count: a million levels are one record, which F returns
+    for every level; F indexes like a sequence of depth levels."""
+    depth = 10 ** 6
+    d = dg.stationary_diagram(ALL_ONES, depth)
+    assert (d.depth, d.stationary, len(d.levels)) == (depth, True, 1)
+    assert d.F(0) is d.F(depth - 1) is d.F(-depth) is d.levels[0]
+    assert d.window(depth) == d.window(0) == dg.Window(0, 1)
+    for n in (depth, -depth - 1):
+        with pytest.raises(IndexError):
+            d.F(n)
+
+
+_BAD_LEVELS = {"zero row": [[1, 0], [0, 0]], "zero column": [[1, 0], [1, 0]],
+               "wider than tall": [[1, 1, 1]]}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5])
+@pytest.mark.parametrize("case", sorted(_BAD_LEVELS))
+def test_stationary_diagram_reports_what_validate_reports(case, depth):
+    """The one level record is checked once, as level 0 and, when a level
+    follows, against its own windows; the error is the one ``validate``
+    gives on the level repeated depth times."""
+    dense = _BAD_LEVELS[case]
+
+    def outcome(build):
+        try:
+            d = build()
+        except dg.DiagramError as e:
+            return type(e), str(e), getattr(e, "level", None)
+        return d.depth, d.stationary
+
+    got = outcome(lambda: dg.stationary_diagram(dense, depth))
+    assert got == outcome(lambda: dg.validate(
+        [dg.incidence_from_dense(n, dense) for n in range(depth)]))
+    if case != "wider than tall":
+        assert got[0] is {"zero row": dg.ZeroRow,
+                          "zero column": dg.ZeroColumn}[case]
+        assert got[2] == 0
+    else:
+        assert got == ((1, True) if depth == 1 else (
+            dg.WindowMismatch, "source window of level 1 ([0, 2]) differs "
+            "from the target window of level 0 ([0, 0])", None))
 
 
 def test_telescope_preserves_heights():
@@ -263,6 +308,25 @@ def test_heights_satisfy_recursion():
             assert list(F @ np.array(hs[n], dtype=object)) == hs[n + 1]
 
     check()
+
+
+def test_streamed_heights_match_the_integer_recursion():
+    """all_heights and heights give H^(n+1)_v = sum_w f_vw H^(n)_w, read
+    entry by entry in plain Python ints, on seeded non-stationary diagrams
+    and on stationary ones whose heights pass 2^64."""
+    cases = [random_system(seed, depth=6, min_m=1, max_m=9).diagram
+             for seed in range(8)]
+    cases += [dg.stationary_diagram([[2 ** 40, 3], [1, 2 ** 33]], 5),
+              fib_diagram(120)]
+    for d in cases:
+        want = [[1] * len(d.window(0))]
+        for n in range(d.depth):
+            F, below = d.F(n), dict(zip(d.vertices(n), want[-1]))
+            want.append([sum(k * below[w] for w, k in F.row_entries(v))
+                         for v in F.targets])
+        assert [h.tolist() for h in dg.all_heights(d)] == want
+        assert [dg.heights(d, n) for n in range(d.depth + 1)] == want
+    assert min(max(dg.heights(d, d.depth)) for d in cases[-2:]) > 2 ** 64
 
 
 def test_row_and_col_sums_exact_past_int64():
@@ -351,6 +415,18 @@ def test_scratch_sweep_matches_fresh_scatter():
                     assert got.flags.c_contiguous
                     assert not got.flags.writeable
                     assert got.tobytes() == want.tobytes()
+    # a stationary diagram is one record on every level: a level scattered
+    # again in the same layout overwrites the entries the last one wrote
+    d = dg.band_diagram(DRUNKEN, 4, dg.Window(-20, 20, 2))
+    rng = np.random.default_rng(0)
+    scratch = dg.Scratch()
+    for n in range(d.depth):
+        F = d.F(n)
+        for by_source in (False, False, True, True, False):
+            vals = rng.standard_normal(len(F.csr.rows))
+            vals[rng.random(len(vals)) < 0.2] = -0.0
+            got = scratch.scatter(F, vals, by_source=by_source)
+            assert got.tobytes() == F.scatter(vals, by_source).tobytes()
 
 
 def test_scratch_converts_wide_multiplicities_like_scatter():
@@ -371,7 +447,7 @@ def test_source_pairs_are_the_sources_sharing_a_target():
         m = _random_level(rng, *(int(x) for x in rng.integers(1, 30, 2)))
         c = m.csr
         k = np.diff(c.indptr)
-        pairs = m.source_pairs()
+        pairs = m.source_pairs
         if int(k @ k) > len(m.sources) ** 2:
             assert pairs is None
             seen_none += 1
@@ -381,7 +457,7 @@ def test_source_pairs_are_the_sources_sharing_a_target():
         assert np.array_equal(np.column_stack(pairs), want)
         seen_pairs += 1
     band = dg.band_diagram(DRUNKEN, 2, [-40, 40, 2]).F(0)
-    v, w = band.source_pairs()
+    v, w = band.source_pairs
     assert set((w - v).tolist()) == {0, 1, 2}   # offsets 0, 2 and 4
     assert seen_none and seen_pairs
 
@@ -482,7 +558,7 @@ def _random_band_substitution(rng):
 def _random_band(rng, step):
     """A random band rule's level and its mapping."""
     win, band = _random_band_rule(rng, step)
-    return dg.band_matrix(0, win, band), _band_entries(
+    return dg.band_matrix(win, band), _band_entries(
         sorted(band.items()), win)
 
 
@@ -517,13 +593,13 @@ def _reference_cases():
         d = random_system(seed, **kw).diagram
         refs = [e for e, _, _ in random_levels(np.random.default_rng(seed),
                                                 **kw)]
-        cases[name] = (d, list(zip(d.matrices, refs)))
+        cases[name] = (d, list(zip(d.levels, refs)))
     win = dg.Window(-20, 20, 2)
     band = dg.band_diagram(DRUNKEN, depth=2, window=win)
     assert not band.F(0).interior_rows.all()
     cases["band-clipped"] = (band, [(m, _band_entries(sorted(DRUNKEN.items()),
                                                       win))
-                                    for m in band.matrices])
+                                    for m in map(band.F, range(2))])
     rng = np.random.default_rng(21)
     for step in (1, 2):
         cases[f"random-bands-step-{step}"] = (
@@ -531,7 +607,7 @@ def _reference_cases():
     # offset 1 is not a multiple of the step: it lands on no vertex
     off_step, win = {-2: 1, 1: 3, 2: 1}, dg.Window(-11, 10, 2)
     cases["band-offset-off-step"] = (None, [(
-        dg.band_matrix(0, win, off_step),
+        dg.band_matrix(win, off_step),
         _band_entries(sorted(off_step.items()), win))])
     nat_win = dg.Window(0, 12)
     nat = sb.substitution_matrix(sb.nat_length_two(), nat_win)
@@ -539,7 +615,7 @@ def _reference_cases():
     nat_d = dg.stationary_diagram(nat, 2)
     nat_ref = _substitution_entries(sb.nat_length_two(), nat_win)
     cases["nat-substitution"] = (nat_d, [(m, nat_ref)
-                                         for m in nat_d.matrices])
+                                         for m in map(nat_d.F, range(2))])
     walk_win = dg.Window(-10, 10, 2)
     finite = sb.from_strings({"a": "abca", "b": "cc", "c": "baa"})
     cases["substitutions"] = (None, [
@@ -548,15 +624,15 @@ def _reference_cases():
         (sb.substitution_matrix(finite), _substitution_entries(finite))])
     refs = [e for e, _, _ in random_levels(np.random.default_rng(5))]
     tele, prods = _telescoped(random_system(5).diagram, refs, (0, 2, 5, 6))
-    cases["telescoped"] = (tele, list(zip(tele.matrices, prods)))
+    cases["telescoped"] = (tele, list(zip(tele.levels, prods)))
     wide = dg.stationary_diagram([[2 ** 40, 3], [1, 2 ** 33]], 4)
     tele, prods = _telescoped(wide, [{(0, 0): 2 ** 40, (0, 1): 3, (1, 0): 1,
                                       (1, 1): 2 ** 33}] * 4, (0, 1, 4))
     assert tele.F(1).csr.mult.dtype == object
     # no query test: its edge order would list 2^120 parallel edges
-    cases["telescoped-past-int64"] = (None, list(zip(tele.matrices, prods)))
+    cases["telescoped-past-int64"] = (None, list(zip(tele.levels, prods)))
     chain, refs = _chain_levels()
-    cases["chain-network"] = (chain, list(zip(chain.matrices, refs)))
+    cases["chain-network"] = (chain, list(zip(chain.levels, refs)))
     return cases
 
 
@@ -565,7 +641,7 @@ def test_builders_match_mapping_reader(name):
     """Each builder's arrays are, array for array and dtype for dtype, the
     ones the mapping reader makes from the same entries."""
     for m, ref in _reference_cases()[name][1]:
-        want = dg.incidence_from_entries(m.level, ref, m.row_window,
+        want = dg.incidence_from_entries(0, ref, m.row_window,
                                          m.col_window).csr
         for field, got in zip(dg.CSR._fields, m.csr):
             assert got.dtype == getattr(want, field).dtype, field
@@ -642,7 +718,7 @@ def _interior_cases():
                                         {-2: 1, 1: 3, 2: 1}))]
     cases = {}
     for name, (win, band) in bands:
-        m = dg.band_matrix(0, win, band)
+        m = dg.band_matrix(win, band)
         cases.setdefault(name, []).append((m, *_band_interior(m, band)))
     subs = {"nat-length-two": (sb.nat_length_two(), dg.Window(0, 12)),
             "drunkard-walk": (sb.drunkard_walk(), dg.Window(-10, 10, 2)),
@@ -664,8 +740,8 @@ def _interior_cases():
     untruncated = [
         dg.incidence_from_dense(0, [[1, 2, 0], [0, 1, 1]]),
         sb.substitution_matrix(sb.fibonacci()),
-        *random_system(9, depth=2, min_m=1, max_m=7).diagram.matrices,
-        *chain.matrices]
+        *random_system(9, depth=2, min_m=1, max_m=7).diagram.levels,
+        *chain.levels]
     cases["unbanded"] = [(m, [True] * len(m.targets),
                           [True] * len(m.sources)) for m in untruncated]
     return cases
@@ -839,12 +915,20 @@ def test_natural_order_refuses_more_edges_than_the_cap(monkeypatch):
 def test_check_order_reads_each_target_once_per_distinct_level(stationary):
     """A stationary order on a stationary diagram is checked on level 0
     alone; an order given per level is checked on every level.  A level's
-    cumulative multiplicities are read only when it is checked."""
-    d = allones_diagram(5)
-    perms = (np.arange(4),) * (1 if stationary else 5)
-    dg.check_order(d, dg.EdgeOrder(perms, stationary=stationary))
-    read = [n for n in range(d.depth) if "edge_starts" in vars(d.F(n))]
+    cumulative multiplicities are read only when it is checked, and once
+    per level record: a diagram built stationary holds one record."""
+    order = dg.EdgeOrder((np.arange(4),) * (1 if stationary else 5),
+                         stationary=stationary)
+    # five equal levels, built one by one: a stationary diagram whose
+    # levels are five records
+    d = dg.validate([dg.incidence_from_dense(n, ALL_ONES) for n in range(5)])
+    assert d.stationary and len(d.levels) == 5
+    dg.check_order(d, order)
+    read = [n for n, m in enumerate(d.levels) if "edge_starts" in vars(m)]
     assert read == list(range(1 if stationary else d.depth))
+    built = allones_diagram(5)
+    dg.check_order(built, order)
+    assert len(built.levels) == 1 and "edge_starts" in vars(built.levels[0])
 
 
 def test_check_order_rejects_partial_lists():

@@ -569,7 +569,7 @@ def _assert_gap_matches_dense(hk):
         F = hk.diagram.F(n)
         T = mk.compose_Tn(hk.phat[n], hk.qhat[n])
         want = np.float64(_dense_gap(hk.q[n], T)).tobytes()
-        for pairs in (F.source_pairs(), _all_pairs(F)):
+        for pairs in (F.source_pairs, _all_pairs(F)):
             got = mk.self_adjoint_gap(T, hk.q[n], pairs)
             assert np.float64(got).tobytes() == want, (n, got)
 

@@ -11,7 +11,8 @@ import pytest
 from bratteli import diagram as dg
 from bratteli import measures as ms
 
-from conftest import DRUNKEN, GOLDEN, allones_diagram, fib_diagram
+from conftest import (DRUNKEN, GOLDEN, allones_diagram, fib_diagram,
+                      random_system)
 
 ERS_232 = [
     [[1, 1], [2, 0]],   # row sums 2
@@ -33,6 +34,26 @@ def test_hat_rows_sum_to_one_exactly():
         hm = ms.hat_matrix(d, n)
         for v in hm.targets:
             assert hm.row_sum(v) == Fraction(1)
+
+
+def test_hat_matrices_stream_the_levels_hat_matrix_gives():
+    """One pass over the levels gives, level by level, the numerators and
+    denominators that ``hat_matrix`` computes for that level alone."""
+    cases = [random_system(seed, depth=5, min_m=1, max_m=8).diagram
+             for seed in range(6)]
+    cases += [fib_diagram(30), dg.band_diagram(DRUNKEN, 4,
+                                               dg.Window(-10, 10, 2))]
+    for d in cases:
+        streamed = list(ms.hat_matrices(d))
+        assert len(streamed) == d.depth
+        for n, hm in enumerate(streamed):
+            one = ms.hat_matrix(d, n)
+            assert (hm.level, hm.matrix) == (n, d.F(n))
+            assert hm.num.tolist() == one.num.tolist()
+            assert hm.den.tolist() == one.den.tolist() == dg.heights(d, n + 1)
+    for n in (-1, d.depth):
+        with pytest.raises(dg.CutsOutOfRange):
+            ms.hat_matrix(d, n)
 
 
 def test_hat_rows_exact_on_clipped_band():
@@ -255,27 +276,34 @@ def test_classify_ers_level_sums():
 
 
 # -- tower masses ------------------------------------------------------------
+# The tower masses s^(n) = mu^(n) H^(n) satisfy s^(n+1) Fhat_n = s^(n):
+# that is tail invariance multiplied through by H^(n), which
+# verify_tail_invariance checks.  Their level sums are the total mass.
+
+def _tower_masses(d, mu):
+    return [mu.level(n) * h.astype(np.float64)
+            for n, h in enumerate(dg.all_heights(d))]
+
 
 def test_tower_masses_allones_probability():
     d = allones_diagram(6)
     mu, _ = ms.stationary_pf_measure(d, "probability")
-    rep = ms.tower_masses(d, mu)
-    assert rep.probability
-    for n in range(7):
-        assert np.allclose(rep.masses.level(n), 0.5, rtol=0, atol=1e-15)
-    assert max(rep.recursion_residuals) < 1e-15
+    rep = ms.verify_tail_invariance(d, mu)
+    assert rep.passed and max(rep.residuals) < 1e-15
+    for s in _tower_masses(d, mu):
+        assert np.allclose(s, 0.5, rtol=0, atol=1e-15)
 
 
 def test_tower_masses_level0_equals_mu():
     d = fib_diagram(4)
     mu, _ = ms.stationary_pf_measure(d)
-    rep = ms.tower_masses(d, mu)
-    assert np.array_equal(rep.masses.level(0), mu.level(0))
+    assert ms.verify_tail_invariance(d, mu).passed
+    assert np.array_equal(_tower_masses(d, mu)[0], mu.level(0))
 
 
 def test_tower_masses_fibonacci_sums_constant():
     d = fib_diagram(8)
     mu, _ = ms.stationary_pf_measure(d, "probability", tol=1e-12)
-    rep = ms.tower_masses(d, mu)
-    sums = np.array(rep.level_sums)
-    assert np.abs(sums - sums[0]).max() < 1e-12
+    assert ms.verify_tail_invariance(d, mu, tol=1e-12).passed
+    sums = np.array([s.sum() for s in _tower_masses(d, mu)])
+    assert np.abs(sums - 1.0).max() < 1e-12

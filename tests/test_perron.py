@@ -19,7 +19,7 @@ def level(A):
 def drunken_window(lo, hi):
     """The DRUNKEN band on the window [lo, hi] of step 2 (symmetric, so
     A = F^T = F)."""
-    return dg.band_matrix(0, dg.Window(lo, hi, 2), DRUNKEN)
+    return dg.band_matrix(dg.Window(lo, hi, 2), DRUNKEN)
 
 
 def nat_window(hi):
@@ -97,6 +97,59 @@ class TestClosedForms:
     def test_rejects_reducible(self):
         with pytest.raises(ValueError):
             pf.pf_solve(level([[1, 0], [0, 1]]))
+
+
+def _power_reference(dense):
+    """The power iteration without its fixed-point exit: a converged loop
+    polishes 40 iterates, or stops at a zero residual."""
+    m = dense.shape[0]
+    B = dense + np.eye(m)
+    v = np.ones(m)
+    best = None
+    polish = 0
+    for it in range(1, pf._MAXITER + 1):
+        w = B @ v
+        w /= np.abs(w).max()
+        Bw = B @ w
+        lam = (w @ Bw) / (w @ w)
+        res = np.abs(Bw - lam * w).max() / np.abs(w).max()
+        v = w
+        if best is None or res < best[3]:
+            best = (lam - 1.0, v, it, res)
+        if res < 1e-13 * max(1.0, lam):
+            polish += 1
+            if polish >= 40 or res == 0.0:
+                return best[:3]
+    raise AssertionError("the reference did not converge")
+
+
+def _primitive(rng):
+    """A random primitive matrix: a cycle through every vertex, a loop and
+    random extra entries."""
+    k = int(rng.integers(1, 12))
+    A = rng.integers(0, 4, (k, k)) * (rng.random((k, k)) < 0.3)
+    A[np.arange(k), (np.arange(k) + 1) % k] += 1
+    A[0, 0] += 1
+    return A.astype(float)
+
+
+def test_power_iteration_stops_at_a_fixed_point_with_the_same_answer():
+    """Stopping where an iterate repeats its predecessor bit for bit gives
+    the lambda, vector and iteration count, to the bit, that polishing on
+    gives: on both orientations of the examples' levels and of seeded
+    random primitive matrices."""
+    rng = np.random.default_rng(41)
+    mats = [np.array(A, dtype=float) for A in
+            (FIB, [[1, 1], [1, 1]], [[2, 1], [1, 1]], [[1]])]
+    mats += [m.to_dense() for m in (drunken_window(-30, 30), nat_window(12),
+                                    sb.substitution_matrix(sb.fibonacci()))]
+    mats += [_primitive(rng) for _ in range(40)]
+    for A in mats:
+        for dense in (A.T, A):
+            lam, vec, its = pf._power(dense)
+            ref_lam, ref_vec, ref_its = _power_reference(dense)
+            assert (lam.hex(), its) == (ref_lam.hex(), ref_its)
+            assert vec.tobytes() == ref_vec.tobytes()
 
 
 def test_power_iteration_matches_eigh_on_random_symmetric():

@@ -33,7 +33,7 @@ def ref_substitution_matrix(s, window=None):
             rows += [pos[a]] * len(img)
             cols += [pos[b] for b in img]
         win, n = dg.Window(0, len(letters) - 1), len(letters)
-        return dg.IncidenceMatrix(0, dg._csr_from_coo(rows, cols, 1, (n, n)),
+        return dg.IncidenceMatrix(dg._csr_from_coo(rows, cols, 1, (n, n)),
                                   win, win,
                                   row_sum_claim=clen if is_const else None)
 
@@ -63,7 +63,7 @@ def ref_substitution_matrix(s, window=None):
         interior_cols[j] = all(a in win for a in contributors)
     pure_band = not s.words and s.alphabet == "int"
     return dg.IncidenceMatrix(
-        0, dg._csr_from_coo(rows, cols, 1, (n, n)), win, win,
+        dg._csr_from_coo(rows, cols, 1, (n, n)), win, win,
         row_sum_claim=len(s.offsets_word) if is_const else None,
         col_sum_claim=len(s.offsets_word) if pure_band else None,
         interior_rows=interior_rows, interior_cols=interior_cols)
@@ -98,7 +98,7 @@ def _same_order(s, m, table):
     by target through ``order_at``, the reference table's pairs.  The
     one-level diagram is not validated: a random rule may leave a column
     empty."""
-    d, order = dg.Diagram((m,), stationary=True), sb.reading_order(s, m)
+    d, order = dg.Diagram((m,), 1, True), sb.reading_order(s, m)
     dg.check_order(d, order)
     assert {v: order.order_at(d, 0, v) for v in m.targets} == table
 
@@ -239,7 +239,7 @@ def test_int_band_rules_match_band_matrix(seed):
         win = dg.Window(lo, lo + 2 * span + int(rng.integers(0, 3 * step)),
                         step)
         _same_matrix(sb.substitution_matrix(sb.band_rule(word), win),
-                     dg.band_matrix(0, win, Counter(word)))
+                     dg.band_matrix(win, Counter(word)))
         off_step += any(o % step for o in word)
     assert off_step
 
