@@ -22,7 +22,6 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import Error
-from . import diagram as dg
 from . import measures as ms
 from . import perron as pf
 from .specfile import ParsedSpec, SpecError, load_spec
@@ -389,21 +388,21 @@ _SAMPLES = 20   # random functions per level (operators) or per suite
 
 
 def _operator_samples(P, Q, sp_lo, sp_hi, rng) -> tuple[list, list]:
-    """One level's random samples, in sample order: |<f, T_P g> - <T_Q f, g>|
-    per sample, and ||T_P g|| - ||g||, ||T_Q f|| - ||f|| per sample,
-    interleaved.  Row s of one (_SAMPLES, m_n + m_{n+1}) draw is sample s's
-    f then g, the values of alternating per-sample draws.  The stacks are
-    freed on return, before the level's m x m products are formed, so they
-    do not sit between those in the heap."""
+    """A batch's random samples, by level and sample: |<f, T_P g> -
+    <T_Q f, g>|, and ||T_P g|| - ||g||, ||T_Q f|| - ||f|| interleaved.
+    Row s of level i of one (b, _SAMPLES, m_n + m_{n+1}) draw is sample
+    s's f then g, the values of alternating per-sample draws.  The stacks
+    are freed on return, before the batch's m x m products are formed, so
+    they do not sit between those in the heap."""
     from . import markov as mk
-    m = P.shape[0]
-    FG = rng.standard_normal((_SAMPLES, m + P.shape[1]))
-    F, G = FG[:, :m], FG[:, m:]
+    m = P.shape[-2]
+    FG = rng.standard_normal((len(P), _SAMPLES, m + P.shape[-1]))
+    F, G = FG[..., :m], FG[..., m:]
     PG, QF = mk.apply_TP(P, G), mk.apply_TQ(Q, F)
     adj = np.abs(sp_lo.inner(F, PG) - sp_hi.inner(QF, G))
-    con = np.column_stack((sp_lo.norm(PG) - sp_hi.norm(G),
-                           sp_hi.norm(QF) - sp_lo.norm(F)))
-    return adj.tolist(), con.ravel().tolist()
+    con = np.stack((sp_lo.norm(PG) - sp_hi.norm(G),
+                    sp_hi.norm(QF) - sp_lo.norm(F)), axis=-1)
+    return adj.ravel().tolist(), con.ravel().tolist()
 
 
 def _suite_operators(ctx: _Context, tol: float, seed: int, out: list):
@@ -422,23 +421,20 @@ def _suite_operators(ctx: _Context, tol: float, seed: int, out: list):
                     devqf <= tol))
     rng = np.random.default_rng(seed)
     worst_adj = worst_con = worst_fix = 0.0
-    # one dense kernel pair at a time, each in its own scratch array
-    p_scratch, q_scratch = dg.Scratch(), dg.Scratch()
-    for n in range(d.depth):
-        F = d.F(n)
-        P = p_scratch.scatter(F, hk.phat_values[n], by_source=True)
-        Q = q_scratch.scatter(F, hk.qhat_values[n], by_source=True).T
-        adj, con = _operator_samples(P, Q, mk.space(hk, n),
-                                     mk.space(hk, n + 1), rng)
-        # fold in sample order, so max keeps its first-wins and NaN rules
+    for n, P, Q in hk.batches():   # one stack of dense kernel pairs
+        sp_lo, sp_hi = mk.space(hk, n, len(P)), mk.space(hk, n + 1, len(P))
+        adj, con = _operator_samples(P, Q, sp_lo, sp_hi, rng)
+        q_lo = sp_lo.weights[:, 0]
+        # fold in level and sample order: max keeps first-wins and NaN rules
         worst_adj = max(worst_adj, *adj)
         worst_con = max(worst_con, *con)
         T = mk.compose_Tn(P, Q)
-        worst_fix = max(worst_fix,
-                        float(np.abs(T.sum(axis=1) - 1.0).max()),
-                        float(np.abs(hk.q[n] @ T - hk.q[n]).max()),
-                        mk.self_adjoint_gap(T, hk.q[n], F.source_pairs))
-        del T   # so the next level's T is not formed beside this one
+        fix = np.stack((np.abs(T.sum(axis=-1) - 1.0).max(axis=-1),
+                        np.abs((q_lo[:, None] @ T)[:, 0] - q_lo).max(axis=-1),
+                        mk.self_adjoint_gap(T, q_lo, d.F(n).source_pairs)),
+                       axis=-1)
+        worst_fix = max(worst_fix, *fix.ravel().tolist())
+        del T   # so the next batch's T is not formed beside this one
     out.append(("operators", "Adjointness", worst_adj, worst_adj <= tol))
     out.append(("operators", "Contractivity", worst_con, worst_con <= tol))
     out.append(("operators", "ComposedKernelFixesQ", worst_fix,

@@ -309,18 +309,19 @@ class IncidenceMatrix:
         x sources, or sources x targets with ``by_source``.  Q-hat is the .T
         of a by-source scatter, in Fortran order like P.T, so its products
         make the same BLAS calls, and round the same, as a transposed P-hat."""
-        shape, index = self._layout(by_source)
+        shape, index = self._layout(values, by_source)
         out = np.zeros(shape)
         out[index] = values
         return out
 
-    def _layout(self, by_source: bool) -> tuple[tuple[int, int], tuple]:
-        """(shape, index) of a scatter: targets x sources, or transposed."""
+    def _layout(self, values, by_source: bool) -> tuple[tuple, tuple]:
+        """(shape, index) of a scatter of ``values``, or of a stack of them."""
         c = self.csr
         shape = (len(c.indptr) - 1, len(c.colptr) - 1)
+        lead = np.shape(values)[:-1]
         if by_source:
-            return shape[::-1], (c.indices, c.rows)
-        return shape, (c.rows, c.indices)
+            return lead + shape[::-1], (..., c.indices, c.rows)
+        return lead + shape, (..., c.rows, c.indices)
 
     def totals(self, values: np.ndarray, by_source: bool = False
                ) -> np.ndarray:
@@ -366,12 +367,12 @@ class Scratch:
 
     ``scatter`` returns what ``IncidenceMatrix.scatter`` returns, with the
     same values, dtype, shape and C layout, but as a read-only view of the
-    buffer that holds until the next call.  Each call zeroes only the
-    entries the previous call wrote, so a level costs its edges instead of
-    a fresh m x m zero-fill; the same level in the same layout, as a
-    stationary diagram gives on every level, overwrites those entries.  The
-    buffer grows to the largest level and is freed with the object, at the
-    end of the loop that made it.
+    buffer that holds until the next call; a stack of levels gives a stack.
+    Each call zeroes only the entries the previous call wrote, so a level
+    costs its edges instead of a fresh m x m zero-fill; the same level in
+    the same layout and shape, as a stationary diagram gives on every
+    level, overwrites those entries.  The buffer grows to the largest call
+    and is freed with the object, at the end of the loop that made it.
     """
 
     __slots__ = ("_buf", "_last")
@@ -382,15 +383,15 @@ class Scratch:
 
     def scatter(self, m: IncidenceMatrix, values: np.ndarray,
                 by_source: bool = False) -> np.ndarray:
-        shape, index = m._layout(by_source)
-        size = shape[0] * shape[1]
+        shape, index = m._layout(values, by_source)
+        size, key = math.prod(shape), (m, by_source, shape)
         if size > self._buf.size:
             self._buf = np.zeros(size)
-        elif self._last is not None and self._last[2] != (m, by_source):
+        elif self._last is not None and self._last[2] != key:
             self._last[0][self._last[1]] = 0.0
         out = self._buf[:size].reshape(shape)
         out[index] = values
-        self._last = (out, index, (m, by_source))
+        self._last = (out, index, key)
         view = out.view()
         view.flags.writeable = False
         return view

@@ -17,13 +17,13 @@ neighbours; solve_harmonic eliminates it directly, level by level, with
 no tolerance or iteration budget.
 
 The network keeps no dense kernel: ``HatKernels`` stores P-hat and Q-hat
-as edge values, and every level loop here builds its level's dense
-``hk.phat[n]`` / ``hk.qhat[n]`` once, uses it, and drops it.  energy_norm
-also takes a batch of functions, one (B, m_n) array per level, and
-builds each level's kernel once for the whole batch; every function's
-energies keep the bits they have alone.  The walk's move table and
-build_network's balance test read the edge values directly.  solve_harmonic
-still keeps every elimination block G_n, so its memory grows as depth x m^2.
+as edge values, and every level loop here reads them a batch of levels
+at a time (``HatKernels.batches``), per-level vectors stacked alike, so a
+stationary diagram costs numpy calls per batch, not per level; each level
+keeps its bits.  energy_norm also takes B functions, a (B, m_n) array per
+level.  The walk's move table and build_network's balance test read the
+edge values.  solve_harmonic still keeps every elimination block G_n, so
+its memory grows as depth x m^2.
 
 The random walk runs on a move table of all (level, vertex) states with
 the lockstep kernels from _accel; per-trial seeds fix every trajectory.
@@ -37,7 +37,9 @@ from typing import Sequence
 import numpy as np
 
 from . import Error, _accel
-from .markov import HatKernels, apply_TP
+from .diagram import Scratch
+from .markov import (BATCH_FLOATS, HatKernels, apply_TP, apply_TQ,
+                     level_batches)
 from .measures import DimensionMismatch
 
 
@@ -95,37 +97,45 @@ def build_network(hk: HatKernels) -> WeightedNetwork:
     The conductance c_n(v, u) is computed on the edges from both
     detailed-balance sides independently; a relative mismatch beyond
     BALANCE_TOL means the supplied kernels are not a dual pair and raises
-    BalanceViolation.  The conductances themselves are not kept: each
-    level's are scattered into one dense array, whose row sums go to the
-    masses of V_n and its column sums to those of V_{n+1}.  On two-sided
+    BalanceViolation.  The conductances themselves are not kept: a batch's
+    are scattered into one dense stack, whose row sums go to the masses of
+    V_n and its column sums to those of V_{n+1}.  On two-sided
     levels the masses reproduce q^(n) and the worst deviation is kept as a
     diagnostic.
     """
     if hk.depth < 1:
         raise DimensionMismatch("a network needs at least two levels")
+    d = hk.diagram
     masses = [np.zeros(len(q)) for q in hk.q]
-    for n in range(hk.depth):
-        c = hk.diagram.F(n).csr
-        up = 0.5 * hk.q[n][c.indices] * hk.phat_values[n]
-        down = 0.5 * (hk.q[n + 1][c.rows] * hk.qhat_values[n])
+    devs = []   # per level; level 0 is one-sided and left out
+    scratch = Scratch()
+    for lo, hi in level_batches(d):   # (b, edges) edge arrays per batch
+        c, b = d.F(lo).csr, hi - lo
+        q_lo, q_hi = np.stack(hk.q[lo:hi]), np.stack(hk.q[lo + 1:hi + 1])
+        up = 0.5 * q_lo[:, c.indices] * np.stack(hk.phat_values[lo:hi])
+        down = 0.5 * (q_hi[:, c.rows] * np.stack(hk.qhat_values[lo:hi]))
         delta = np.abs(up - down)
         scale = np.maximum(np.abs(up), 1e-300)
-        if (delta > BALANCE_TOL * scale).any():
+        bad = (delta > BALANCE_TOL * scale).any(axis=-1)
+        if bad.any():
             # the first worst edge in (source, target) order, the
             # row-major order of a sources x targets array
-            e = c.colperm[int(np.argmax((delta / scale)[c.colperm]))]
+            i = int(np.argmax(bad))
+            e = c.colperm[int(np.argmax((delta[i] / scale[i])[c.colperm]))]
             v, u = c.indices[e], c.rows[e]
-            raise BalanceViolation(n, int(hk.diagram.vertices(n)[v]),
-                                   int(hk.diagram.vertices(n + 1)[u]),
-                                   float(delta[e]))
-        dense = hk.diagram.F(n).scatter(up, by_source=True)
-        masses[n] += dense.sum(axis=1)
-        masses[n + 1] += dense.sum(axis=0)
-    dev = 0.0
-    for n in range(1, hk.depth):
-        dev = max(dev, float(np.abs(masses[n] - hk.q[n]).max()
-                             / max(hk.q[n].max(), 1e-300)))
-    return WeightedNetwork(hk, tuple(masses), dev)
+            raise BalanceViolation(lo + i, int(d.vertices(lo + i)[v]),
+                                   int(d.vertices(lo + i + 1)[u]),
+                                   float(delta[i, e]))
+        dense = scratch.scatter(d.F(lo), up, by_source=True)
+        rows, cols = dense.sum(axis=-1), dense.sum(axis=-2)
+        # level n's mass adds level n - 1's column sums, then its row sums
+        masses[lo] += rows[0]
+        if b > 1:
+            masses[lo + 1:hi] = np.zeros_like(rows[1:]) + cols[:-1] + rows[1:]
+        masses[hi] += cols[-1]
+        devs += (np.abs(np.stack(masses[lo:hi]) - q_lo).max(axis=-1)
+                 / np.maximum(q_lo.max(axis=-1), 1e-300)).tolist()
+    return WeightedNetwork(hk, tuple(masses), max([0.0] + devs[1:]))
 
 
 # ---------------------------------------------------------------- operators
@@ -148,17 +158,19 @@ def apply_M(net: WeightedNetwork, f: LevelFunction) -> LevelFunction:
     """Mf_n = (1/2)(phat_n f_{n+1} + qhat_{n-1} f_{n-1}) on interior levels;
     the boundary rows take their one side with full weight."""
     _check_f(net, f)
-    hk = net.kernels
-    N = net.depth
-    out = []
-    for n in range(N + 1):
-        up = hk.phat[n] @ f.values[n + 1] if n < N else None
-        dn = hk.qhat[n - 1] @ f.values[n - 1] if n > 0 else None
-        if up is not None and dn is not None:
-            out.append(0.5 * (up + dn))
-        else:
-            out.append(up if up is not None else dn)
-    return LevelFunction(tuple(out))
+    return LevelFunction(tuple(
+        u if w is None else w if u is None else 0.5 * (u + w)
+        for u, w in zip(*_sides(net.kernels, f.values))))
+
+
+def _sides(hk: HatKernels, v: Sequence) -> tuple[list, list]:
+    """Per level n: phat_n v_{n+1}, qhat_{n-1} v_{n-1}; None off the ends."""
+    up, dn = [None] * len(v), [None] * len(v)
+    for n, P, Q in hk.batches():
+        b = len(P)
+        up[n:n + b] = apply_TP(P, np.stack(v[n + 1:n + b + 1]))
+        dn[n + 1:n + b + 1] = apply_TQ(Q, np.stack(v[n:n + b]))
+    return up, dn
 
 
 def apply_Delta(net: WeightedNetwork, f: LevelFunction) -> LevelFunction:
@@ -175,14 +187,15 @@ def qM_identity_residual(net: WeightedNetwork) -> float:
     down-component is the duality identity, so this is a round-off check.
     """
     hk = net.kernels
-    worst = 0.0
-    for n in range(1, net.depth):
-        up = hk.q[n] @ (0.5 * hk.phat[n])
-        dn = hk.q[n] @ (0.5 * hk.qhat[n - 1])
-        worst = max(worst,
-                    float(np.abs(up - 0.5 * hk.q[n + 1]).max()),
-                    float(np.abs(dn - 0.5 * hk.q[n - 1]).max()))
-    return worst
+    devs = np.zeros((len(hk.q), 2))   # per level: up and down deviations
+    for n, P, Q in hk.batches():
+        b = len(P)
+        q_lo, q_hi = np.stack(hk.q[n:n + b]), np.stack(hk.q[n + 1:n + b + 1])
+        up = (q_lo[:, None] @ (0.5 * P))[:, 0]   # levels n..n+b-1
+        dn = (q_hi[:, None] @ (0.5 * Q))[:, 0]   # levels n+1..n+b
+        devs[n:n + b, 0] = np.abs(up - 0.5 * q_hi).max(axis=-1)
+        devs[n + 1:n + b + 1, 1] = np.abs(dn - 0.5 * q_lo).max(axis=-1)
+    return max([0.0] + devs[1:-1].ravel().tolist())
 
 
 # ---------------------------------------------------------------- harmonic
@@ -223,18 +236,28 @@ def solve_harmonic(net: WeightedNetwork, bottom, top) -> HarmonicSolution:
     G = np.zeros((len(hk.q[0]), len(hk.q[1])))
     g = f[0]
     eliminated = [None]
+    levels = (PQ for _, P, Q in hk.batches() for PQ in zip(P, Q))
+    _, Q = next(levels)
     for n in range(1, N):
-        Q = hk.qhat[n - 1]
-        D = 2.0 * np.eye(len(hk.q[n])) - Q @ G
-        Gg = np.linalg.solve(D, np.column_stack((hk.phat[n], Q @ g)))
+        # level n - 1's Q-hat, read before the next slice can move its batch
+        D, Qg = 2.0 * np.eye(len(hk.q[n])) - Q @ G, Q @ g
+        P, Q = next(levels)
+        Gg = np.linalg.solve(D, np.column_stack((P, Qg)))
         G, g = Gg[:, :-1], Gg[:, -1]
         eliminated.append((G, g))
+    levels.close()   # frees its stacks before the residual's
     for n in range(N - 1, 0, -1):
         G, g = eliminated[n]
         f[n] = g + G @ f[n + 1]
-    residual = max(float(np.abs(2.0 * f[n] - hk.phat[n] @ f[n + 1]
-                                - hk.qhat[n - 1] @ f[n - 1]).max())
-                   for n in range(1, N))
+    up, dn = _sides(hk, f)
+    res = []   # the interior levels' residuals, a batch at a time
+    for lo, hi in level_batches(hk.diagram):
+        lo = max(lo, 1)   # level 0 is pinned
+        if lo < hi:
+            r = (2.0 * np.stack(f[lo:hi]) - np.stack(up[lo:hi])
+                 - np.stack(dn[lo:hi]))
+            res += np.abs(r).max(axis=-1).tolist()
+    residual = max(res)
     lo = min(float(f[0].min()), float(f[N].min()))
     hi = max(float(f[0].max()), float(f[N].max()))
     ok = all(float(v.min()) >= lo - 1e-12 and float(v.max()) <= hi + 1e-12
@@ -257,25 +280,24 @@ class EnergyReport:
         return abs(self.direct - self.operator_form) / (1.0 + abs(self.direct))
 
 
-ENERGY_CHUNK = 2 ** 16   # elements per block of direct-term temporaries
-
-
 def _direct_terms(q: np.ndarray, P: np.ndarray, fn: np.ndarray,
                   fn1: np.ndarray) -> np.ndarray:
     """(1/2) sum over v, u of q_v P(v, u) (fn(v) - fn1(u))^2, one value per
-    row of the (B, m_n) and (B, m_{n+1}) stacks fn, fn1.  Each row's
-    m_n x m_{n+1} terms are summed as one contiguous block, as np.sum sums
-    them for one function.  The terms are formed for a block of rows at a
-    time, at most ENERGY_CHUNK elements but one row at least, so a batch
-    peaks at the memory of one function."""
-    qP = q[:, None] * P
-    out = np.empty(len(fn))
-    step = max(1, ENERGY_CHUNK // P.size)
-    for s in range(0, len(fn), step):
-        diff = fn[s:s + step, :, None] - fn1[s:s + step, None, :]
+    row of the (B, m_n) and (B, m_{n+1}) stacks fn, fn1, or (b, B) values
+    for a stack of b levels.  Each row's m_n x m_{n+1} terms are summed as
+    one contiguous block, as np.sum sums them for one function.  The terms
+    are formed for a block of rows at a time, at most BATCH_FLOATS elements
+    but one row of every level at least, so a batch of functions peaks at
+    the memory of one function."""
+    qP = (q[..., :, None] * P)[..., None, :, :]
+    out = np.empty(fn.shape[:-1])
+    step = max(1, BATCH_FLOATS // P.size)
+    for s in range(0, fn.shape[-2], step):
+        diff = fn[..., s:s + step, :, None] - fn1[..., s:s + step, None, :]
         np.square(diff, out=diff)
         diff *= qP
-        out[s:s + step] = 0.5 * diff.reshape(len(diff), -1).sum(axis=-1)
+        out[..., s:s + step] = 0.5 * diff.reshape(
+            diff.shape[:-2] + (-1,)).sum(axis=-1)
     return out
 
 
@@ -289,7 +311,7 @@ def energy_norm(net: WeightedNetwork, f: LevelFunction) -> EnergyReport:
 
     f is one function, giving floats, or a batch of B functions whose
     levels are (B, m_n) arrays, giving arrays of B values; the sample axis
-    leads.  Each level's P-hat is scattered once for the whole batch.
+    leads.  Each batch of levels is scattered once for all functions.
     Every function keeps its own accumulators, added in level order, and
     each of its sums reduces the same values in the same order as when it
     is alone, so a batch gives each function's energies bit for bit.
@@ -297,16 +319,19 @@ def energy_norm(net: WeightedNetwork, f: LevelFunction) -> EnergyReport:
     _check_f(net, f, batch=True)
     hk = net.kernels
     vals = [np.atleast_2d(v) for v in f.values]   # (B, m_n) per level
-    direct = np.zeros(len(vals[0]))
-    oper = np.zeros(len(vals[0]))
-    for n in range(net.depth):
-        fn, fn1 = vals[n], vals[n + 1]
-        P = hk.phat[n]
-        direct += _direct_terms(hk.q[n], P, fn, fn1)
-        nn = np.sum(hk.q[n] * fn * fn, axis=-1)
-        cross = np.sum(hk.q[n] * fn * apply_TP(P, fn1), axis=-1)
-        nn1 = np.sum(hk.q[n + 1] * fn1 * fn1, axis=-1)
-        oper += 0.5 * (nn - 2.0 * cross + nn1)
+    acc = np.zeros((1, 2, len(vals[0])))   # direct, operator form
+    for n, P, _ in hk.batches():
+        b = len(P)
+        q, q1 = np.stack(hk.q[n:n + b]), np.stack(hk.q[n + 1:n + b + 1])
+        fn, fn1 = np.stack(vals[n:n + b]), np.stack(vals[n + 1:n + b + 1])
+        nn = np.sum(q[:, None] * fn * fn, axis=-1)
+        cross = np.sum(q[:, None] * fn * apply_TP(P, fn1), axis=-1)
+        nn1 = np.sum(q1[:, None] * fn1 * fn1, axis=-1)
+        terms = np.stack((_direct_terms(q, P, fn, fn1),
+                          0.5 * (nn - 2.0 * cross + nn1)), axis=1)
+        # np.add.accumulate adds the batch's levels one after another
+        acc = np.add.accumulate(np.concatenate((acc, terms)))[-1:]
+    direct, oper = acc[0]
     if f.values[0].ndim == 1:
         return EnergyReport(float(direct[0]), float(oper[0]))
     return EnergyReport(direct, oper)

@@ -23,16 +23,16 @@ and Q-hat (``HatKernels.qhat_values``) are one value per edge.  Comparisons
 that are elementwise (detailed balance, Q-hat against the hat incidence
 matrix) read the edges alone.  The products whose float summation order
 reaches an output stay dense: ``q @ P``, row sums, T_P / T_Q, T_n and the
-Laplacian.  A dense kernel exists only while its level is processed:
-``hk.phat[n]`` and ``hk.qhat[n]`` scatter a fresh array from the edge
-values on every index through ``IncidenceMatrix.scatter`` (Q-hat is the
-transpose of a by-source scatter), the same array with the same layout that
-a dense computation would hold, so every printed number stays identical
-while memory grows with the number of edges instead of depth x m^2.  The
-loops that visit every level in turn (the level sweep below and the
-operators check) scatter into one ``diagram.Scratch`` array per kernel
-instead, which gives the same array without a fresh m x m zero-fill per
-level.  Per-vertex sums of edge values (the clipped-row renormalization of
+Laplacian.  A dense kernel exists only while its levels are processed: the
+loops over the levels (the level sweep below, the operators check and the
+Laplacian) take batches (``HatKernels.batches``), runs of levels that share
+one level record, as many as fit in BATCH_FLOATS floats, scattered into
+reused (b, m_n, m_{n+1}) ``diagram.Scratch`` stacks.  Each slice is the
+array a dense computation holds, in its layout (Q-hat is the transpose of a
+by-source scatter), and matmul on a stack makes each slice's own BLAS call,
+so every printed number stays identical while memory grows with the edges,
+not depth x m^2.  ``hk.phat[n]`` and ``hk.qhat[n]`` scatter one level
+afresh.  Per-vertex sums of edge values (the clipped-row renormalization of
 an induced system) go through ``IncidenceMatrix.totals``.  T_n is dense,
 but its self-adjointness is read only where it can be nonzero, at the
 source pairs of the level (``self_adjoint_gap``).
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,15 +109,16 @@ class MarkovSystem:
 
     @cached_property
     def levels(self) -> LevelSweep:
-        """One dense P-hat per level, in one scratch array; checks nothing."""
+        """One dense P-hat per level, batch by batch; checks nothing."""
         q = [_frozen(np.asarray(self.q0, dtype=np.float64).view())]
         devs = []
         scratch = Scratch()
-        for n in range(self.depth):
-            P = scratch.scatter(self.diagram.F(n), self.phat_edges(n),
-                                by_source=True)
-            devs.append(float(np.abs(P.sum(axis=1) - 1.0).max()))
-            q.append(_frozen(q[n] @ P))
+        for lo, hi in level_batches(self.diagram):
+            P = scratch.scatter(self.diagram.F(lo), np.stack(
+                [self.phat_edges(n) for n in range(lo, hi)]), by_source=True)
+            devs += np.abs(P.sum(axis=-1) - 1.0).max(axis=-1).tolist()
+            for Pn in P:
+                q.append(_frozen(q[-1] @ Pn))
         return LevelSweep(tuple(q), tuple(devs))
 
 
@@ -155,10 +156,11 @@ def explicit_system(d: Diagram, q0, probs: Sequence[Mapping],
     with one value per edge rank.
 
     Checks, in this order: q0 against the level-0 window, finite and
-    positive; one mapping per level; then per level, its keys are the
-    level's edge set, each value in mapping order has one value or one
-    per rank, all finite and positive, and each outgoing row sums to 1
-    within tol; a row whose sum overflows fails at every tol, inf too.
+    positive; one mapping per level, the last one not empty; then per
+    level, its keys are the level's edge set, each value in mapping order
+    has one value or one per rank, all finite and positive, and each
+    outgoing row sums to 1 within tol; a row whose sum overflows fails at
+    every tol, inf too.
     """
     q0 = np.asarray(q0, dtype=np.float64)
     if len(q0) != len(d.window(0)):
@@ -171,6 +173,10 @@ def explicit_system(d: Diagram, q0, probs: Sequence[Mapping],
     if len(probs) != d.depth:
         raise DimensionMismatch(
             f"{len(probs)} probability levels for depth {d.depth}")
+    given = next((n for n in range(d.depth, 0, -1) if probs[n - 1]), 0)
+    if given < d.depth:   # a spec run deeper than its markov block
+        raise DimensionMismatch(f"probabilities given for levels 0.."
+                                f"{given - 1}, not for depth {d.depth}")
     p_values, p_ranks = [], []
     for n, level in enumerate(probs):
         m = d.F(n)
@@ -232,6 +238,18 @@ def cylinder_mass(ms: MarkovSystem, p: FinitePath) -> float:
 
 # ---------------------------------------------------------------- duals
 
+BATCH_FLOATS = 2 ** 16   # floats per stack of dense levels
+
+
+def level_batches(d: Diagram) -> Iterator[tuple[int, int]]:
+    """(lo, hi) per batch of levels lo..hi-1, in order: as many as fit in
+    BATCH_FLOATS floats of dense m x m kernel (one at least) on a diagram
+    of one level record, a stationary one, else one level at a time."""
+    m = len(d.window(0))
+    b = max(1, BATCH_FLOATS // (m * m)) if len(d.levels) == 1 else 1
+    return ((n, min(n + b, d.depth)) for n in range(0, d.depth, b))
+
+
 class _DenseLevels:
     """``hk.phat`` / ``hk.qhat``: indexing by level scatters a fresh dense
     kernel from the edge values; nothing is cached."""
@@ -258,7 +276,7 @@ class HatKernels:
     system's ``phat_edges(n)``, and qhat_values[n] the dual value on the
     same edge.  ``phat[n]`` (rows V_n, columns V_{n+1}) and ``qhat[n]``
     (rows V_{n+1}, columns V_n: it runs the chain downwards) build the
-    dense kernel afresh on every index.
+    dense kernel afresh on every index; ``batches`` stacks the levels.
     """
 
     diagram: Diagram
@@ -277,6 +295,15 @@ class HatKernels:
     @property
     def qhat(self) -> _DenseLevels:
         return _DenseLevels(self.diagram, self.qhat_values, True)
+
+    def batches(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """(n, P, Q) per batch of levels n..n+b-1: P[i], Q[i] are phat[n + i],
+        qhat[n + i] in read-only stacks that the next batch overwrites."""
+        kernels = (Scratch(), self.phat_values), (Scratch(), self.qhat_values)
+        for lo, hi in level_batches(self.diagram):
+            P, Q = (s.scatter(self.diagram.F(lo), np.stack(v[lo:hi]),
+                              by_source=True) for s, v in kernels)
+            yield lo, P, Q.swapaxes(-1, -2)
 
 
 def dual_kernels(ms: MarkovSystem) -> HatKernels:
@@ -378,7 +405,8 @@ class WeightedSeqSpace:
 
     ``inner`` and ``norm`` reduce over the last axis: two vectors give a
     float, two stacks of B vectors (shape (B, m)) give B values, each the
-    same float that its pair of vectors alone gives.
+    same float that its pair of vectors alone gives.  ``space(hk, n, b)``
+    stacks b levels: (b, 1, m) weights take (b, B, m) stacks to (b, B).
     """
 
     level: int
@@ -387,8 +415,8 @@ class WeightedSeqSpace:
 
     def __post_init__(self):
         if (self.weights <= 0).any():
-            raise ZeroMass(self.level,
-                           int(self.vertices[int(np.argmin(self.weights))]))
+            i, j = divmod(int(np.argmin(self.weights)), len(self.vertices))
+            raise ZeroMass(self.level + i, int(self.vertices[j]))
 
     def inner(self, f, g):
         r = np.sum(self.weights * np.asarray(f) * np.asarray(g), axis=-1)
@@ -399,19 +427,23 @@ class WeightedSeqSpace:
         return float(r) if r.ndim == 0 else r
 
 
-def space(hk: HatKernels, n: int) -> WeightedSeqSpace:
-    return WeightedSeqSpace(n, hk.q[n], hk.diagram.vertices(n))
+def space(hk: HatKernels, n: int, b: int | None = None) -> WeightedSeqSpace:
+    w = hk.q[n] if b is None else np.stack(hk.q[n:n + b])[:, None]
+    return WeightedSeqSpace(n, w, hk.diagram.vertices(n))
 
 
 def _stack_product(K: np.ndarray, f, where: str) -> np.ndarray:
-    """K applied to a vector, or to each row of a (B, k) stack.  The stack
-    goes through matmul as B column vectors, so each row makes the same
-    gemv call that the row alone makes and gets the same bits; a
-    ``K @ F.T`` would be one gemm, which rounds differently."""
+    """K applied to a vector or each row of a (B, k) stack, per level for a
+    stack of levels K.  The stack goes through matmul as column vectors, so
+    each row makes the same gemv call that the row alone makes and gets the
+    same bits; a ``K @ F.T`` would be one gemm, which rounds differently."""
     f = np.asarray(f, dtype=np.float64)
-    if f.ndim not in (1, 2) or f.shape[-1] != K.shape[1]:
+    lead = K.shape[:-2]
+    if (f.ndim - len(lead) not in (1, 2) or f.shape[:len(lead)] != lead
+            or f.shape[-1] != K.shape[-1]):
         raise DimensionMismatch(
-            f"{where} ({K.shape[1]} vertices), got shape {f.shape}")
+            f"{where} ({K.shape[-1]} vertices), got shape {f.shape}")
+    K = K[..., None, :, :] if lead and f.ndim == K.ndim else K
     return (K @ f[..., None])[..., 0]
 
 
@@ -432,11 +464,11 @@ def apply_TQ(Q: np.ndarray, g) -> np.ndarray:
 def compose_Tn(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """T-hat_n = P-hat_n Q-hat_n, from P = hk.phat[n] and Q = hk.qhat[n]:
     row-stochastic, fixes q^(n) on the left, self-adjoint in the
-    q^(n)-weighted inner product."""
-    if Q.shape != P.shape[::-1]:
+    q^(n)-weighted inner product.  Stacks of levels give stacks."""
+    if Q.shape[:-2] + Q.shape[-2:][::-1] != P.shape:
         raise DimensionMismatch(
-            f"T_n needs a {P.shape[1]}x{P.shape[0]} dual kernel, got "
-            f"{Q.shape[0]}x{Q.shape[1]}")
+            f"T_n needs a {P.shape[-1]}x{P.shape[-2]} dual kernel, got "
+            f"{Q.shape[-2]}x{Q.shape[-1]}")
     return P @ Q
 
 
@@ -451,11 +483,13 @@ def self_adjoint_gap(T: np.ndarray, q: np.ndarray, pairs) -> float:
     gap 0.  A value of q or of the kernels that is not finite makes the
     diagonal pair of its vertex NaN, and so the dense maximum too.  Either
     way the maximum over the pairs is the maximum over the whole array,
-    which is read when ``pairs`` is None.
+    which is read when ``pairs`` is None.  Stacks of b levels give b gaps.
     """
     if pairs is None:
-        qT = q[:, None] * T
-        return float(np.abs(qT - qT.T).max())
-    v, w = pairs
-    gap = q[v] * T[v, w] - q[w] * T[w, v]
-    return float(np.abs(gap, out=gap).max())
+        qT = q[..., :, None] * T
+        gap = np.abs(qT - qT.swapaxes(-1, -2)).max(axis=(-2, -1))
+    else:
+        v, w = pairs
+        gap = q[..., v] * T[..., v, w] - q[..., w] * T[..., w, v]
+        gap = np.abs(gap, out=gap).max(axis=-1)
+    return float(gap) if gap.ndim == 0 else gap

@@ -256,8 +256,15 @@ class ReturnSeries:
     ell: tuple[int, ...]
 
 
-def _series(fwd, wts, start: int, horizon: int):
-    """(a, ell) of the window position ``start``, in exact Python ints."""
+def return_series(m: IncidenceMatrix, vertex: int | None = None,
+                  horizon: int = 12) -> ReturnSeries:
+    """The series of ``vertex``, by default the window's centre; exact."""
+    fwd, wts, _ = _adjacency(m)
+    verts = m.col_window.vertices
+    if vertex is None:
+        vertex = verts[len(verts) // 2]
+    start = m.col_window.position(vertex)
+
     def step(row):
         out: dict[int, int] = {}
         for k, wgt in row.items():
@@ -273,21 +280,11 @@ def _series(fwd, wts, start: int, horizon: int):
     for _ in range(horizon):
         ell.append(first.pop(start, 0))
         first = step(first)
-    return tuple(a), tuple(ell)
+    return ReturnSeries(vertex, tuple(a), tuple(ell))
 
 
-def return_series(m: IncidenceMatrix, vertex: int | None = None,
-                  horizon: int = 12) -> ReturnSeries:
-    fwd, wts, _ = _adjacency(m)
-    verts = m.col_window.vertices
-    if vertex is None:
-        vertex = verts[len(verts) // 2]
-    a, ell = _series(fwd, wts, m.col_window.position(vertex), horizon)
-    return ReturnSeries(vertex, a, ell)
-
-
-def _safe_horizon(m: IncidenceMatrix, fwd, start: int, horizon: int) -> int:
-    """Largest n such that length-n paths from ``start`` only cross
+def _safe_horizon(m: IncidenceMatrix, vertex: int, horizon: int) -> int:
+    """Largest n such that length-n paths from ``vertex`` only cross
     interior rows of A (so the windowed series equals the infinite one).
 
     A shortest path to the nearest non-interior row crosses interior rows
@@ -295,7 +292,7 @@ def _safe_horizon(m: IncidenceMatrix, fwd, start: int, horizon: int) -> int:
     matter: length-n paths step from rows at distance <= n-1, so a bad row
     at distance d contaminates lengths >= d+1.
     """
-    dist = _bfs(fwd, start, horizon)
+    dist = _bfs(_adjacency(m)[0], m.col_window.position(vertex), horizon)
     bad = dist[(dist >= 0) & ~m.interior_cols]
     return int(bad.min(initial=horizon))
 
@@ -341,13 +338,10 @@ def classify_recurrence(m: IncidenceMatrix, lam: float, horizon: int = 32,
     inside the band is reported as Unknown.  Finite fully-interior
     irreducible matrices short-circuit to PositiveRecurrent.
     """
-    fwd, wts, _ = _adjacency(m)
-    verts = m.col_window.vertices
-    if vertex is None:
-        vertex = verts[len(verts) // 2]
-    start = m.col_window.position(vertex)
+    rs = return_series(m, vertex, horizon)   # each cut below is a prefix
     if not _truncated(m) and check_irreducible_aperiodic(m).strongly_connected:
-        a, ell = _series(fwd, wts, start, min(horizon, 2 * len(verts) + 4))
+        h = min(horizon, 2 * len(m.col_window) + 4)
+        a, ell = rs.a[:h], rs.ell[:h]
         ns = range(1, len(a) + 1)
         return RecurrenceReport(
             "PositiveRecurrent", None, None, len(a),
@@ -355,10 +349,10 @@ def classify_recurrence(m: IncidenceMatrix, lam: float, horizon: int = 32,
             sum(n * e * lam ** -n for n, e in zip(ns, ell)),
             None, "finite irreducible matrix")
 
-    h = _safe_horizon(m, fwd, start, horizon)
+    h = _safe_horizon(m, rs.vertex, horizon)
     note = "" if h == horizon else (
         f"horizon reduced to {h}: longer paths leave the interior window")
-    a, ell = _series(fwd, wts, start, h)
+    a, ell = rs.a[:h], rs.ell[:h]
     ns = list(range(1, h + 1))
     loglam = math.log(lam)
     u = [math.exp(math.log(x) - n * loglam) if x > 0 else 0.0

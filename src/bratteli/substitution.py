@@ -187,16 +187,6 @@ def reading_order(s: Substitution, matrix: dg.IncidenceMatrix) -> dg.EdgeOrder:
     return dg.EdgeOrder((np.argsort(natural),), stationary=True)
 
 
-def build_ordered_diagram(s: Substitution, depth: int, window=None
-                          ) -> tuple[dg.Diagram, dg.EdgeOrder]:
-    """Stationary diagram of the substitution plus its reading order."""
-    proto = substitution_matrix(s, window)
-    d = dg.stationary_diagram(proto, depth)
-    order = reading_order(s, proto)
-    dg.check_order(d, order)
-    return d, order
-
-
 def constant_length(s: Substitution):
     """(True, L) when every image word has length L, else (False, None)."""
     lengths = {len(tuple(w)) for w in s.words.values()}

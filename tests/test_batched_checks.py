@@ -189,19 +189,28 @@ def _batch(net, k, seed=0):
 
 
 def test_energy_batch_scatters_each_level_once(monkeypatch):
-    """20 functions in one call scatter each level's P-hat once: depth
-    scatters, where 20 single calls make 20 x depth."""
+    """20 functions in one call scatter each level once, a batch of levels
+    at a time: the 7 levels of a 21-vertex band fit in one batch, one
+    stack of P-hat and one of Q-hat, and with one level per batch there
+    are 7 of each.  20 single calls would make 20 times as many."""
     net = _band_network(20, 7)
-    calls = []
-    scatter = dg.IncidenceMatrix.scatter
+    calls = []   # the stack height of every scatter
+    fresh, scratch = dg.IncidenceMatrix.scatter, dg.Scratch.scatter
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return scatter(*args, **kwargs)
+    def counted(fn):
+        def scatter(self, *args, **kwargs):
+            calls.append(len(args[-1]))   # the values follow the level
+            return fn(self, *args, **kwargs)
+        return scatter
 
-    monkeypatch.setattr(dg.IncidenceMatrix, "scatter", counted)
+    monkeypatch.setattr(dg.IncidenceMatrix, "scatter", counted(fresh))
+    monkeypatch.setattr(dg.Scratch, "scatter", counted(scratch))
     lp.energy_norm(net, _batch(net, 20))
-    assert len(calls) == net.depth
+    assert calls == [net.depth] * 2
+    calls.clear()
+    monkeypatch.setattr(mk, "BATCH_FLOATS", 1)
+    lp.energy_norm(net, _batch(net, 20))
+    assert calls == [1] * (2 * net.depth)
 
 
 def test_energy_batch_memory_stays_one_sample_wide():

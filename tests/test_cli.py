@@ -502,13 +502,15 @@ def test_vanished_mass_and_bad_rows_keep_their_precedence(capsys, tmp_path):
 def test_operators_suite_builds_each_dense_kernel_once(tmp_path, monkeypatch):
     """check --suite operators scatters three dense kernels per level (the
     level sweep's P-hat, then the P-hat and Q-hat of the samples), each by
-    source into a loop's scratch array, and applies each operator once per
-    level, to all 20 samples at once.  The one fresh array is the Perron
-    solve's dense level."""
+    source into a loop's scratch array, a batch of levels at a time, and
+    applies each operator once per batch, to all 20 samples of every
+    level at once.  The 6 levels of a 21-vertex band fit in one batch;
+    with one level per batch each count is per level.  The one fresh
+    array is the Perron solve's dense level."""
     from bratteli import diagram as dg
     from bratteli import markov as mk
     calls = dict.fromkeys(("apply_TP", "apply_TQ"), 0)
-    scatters = []   # (kind, by_source) of every scatter, in call order
+    scatters = []   # (kind, by_source, stack height) of every scatter
 
     def counted(name, fn):
         def wrapper(*args):
@@ -518,7 +520,9 @@ def test_operators_suite_builds_each_dense_kernel_once(tmp_path, monkeypatch):
 
     def recorded(kind, fn):
         def scatter(self, *args, by_source=False):
-            scatters.append((kind, by_source))
+            values = args[-1]   # after the level, for a Scratch
+            height = len(values) if np.ndim(values) == 2 else None
+            scatters.append((kind, by_source, height))
             return fn(self, *args, by_source=by_source)
         return scatter
 
@@ -530,11 +534,17 @@ def test_operators_suite_builds_each_dense_kernel_once(tmp_path, monkeypatch):
         monkeypatch.setattr(mk, name, counted(name, getattr(mk, name)))
     p = _spec(tmp_path, "band.json", {"band": {"-2": 1, "0": 2, "2": 1},
                                       "window": [-20, 20, 2], "depth": 6})
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        rc = cli.main(["check", p, "--suite", "operators"])
-    assert rc == 0, out.getvalue()
-    assert calls == {"apply_TP": 6, "apply_TQ": 6}
-    assert scatters == [("fresh", False)] + [("scratch", True)] * (3 * 6)
+    for per_batch in (6, 1):
+        monkeypatch.setattr(mk, "BATCH_FLOATS", 21 * 21 * per_batch)
+        calls.update(dict.fromkeys(calls, 0))
+        scatters.clear()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            rc = cli.main(["check", p, "--suite", "operators"])
+        assert rc == 0, out.getvalue()
+        batches = 6 // per_batch
+        assert calls == {"apply_TP": batches, "apply_TQ": batches}
+        assert scatters == ([("fresh", False, None)]
+                            + [("scratch", True, per_batch)] * (3 * batches))
 
 
 def test_check_builds_each_stage_once(tmp_path, monkeypatch):
@@ -635,6 +645,23 @@ def test_huge_integer_number_is_an_error_with_a_quiet_stderr(tmp_path,
              "detail": "markov q0 entry is too large for a float"}
     d = json.loads(proc.stdout)
     assert d.get("error") == error or d["violations"] == [error]
+
+
+@pytest.mark.parametrize("command", [("check",), ("analyze", "markov")])
+def test_depth_beyond_the_markov_block_names_its_levels(capsys, command):
+    """explicit_markov.json gives levels 0..2: run at depth 60, the error
+    names those levels and the depth, where it used to report level 3 as
+    keyed off the edge set.  At the spec's own depth the example passes."""
+    spec = str(SPECS / "explicit_markov.json")
+    rc, d = run_json(capsys, command[0], spec, *command[1:],
+                     "--depth", "60", *(("--format", "json")
+                                        if command == ("check",) else ()))
+    assert rc == 1
+    assert d["error"] == {
+        "kind": "DimensionMismatch",
+        "detail": "probabilities given for levels 0..2, not for depth 60"}
+    rc, _ = run(capsys, command[0], spec, *command[1:], "--depth", "3")
+    assert rc == 0
 
 
 _NO_VERTEX = {"band": {"band": {"0": 1}, "window": [1, 1, 2], "depth": 2},

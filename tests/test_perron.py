@@ -196,10 +196,19 @@ def test_sums_past_int64_of_int64_entries_stay_exact():
 # -- return series -----------------------------------------------------------
 
 def test_return_series_allones():
-    rs = pf.return_series(level([[1, 1], [1, 1]]), 0, horizon=6)
+    m = level([[1, 1], [1, 1]])
+    rs = pf.return_series(m, 0, horizon=6)
     # a^(n)_00 = 2^(n-1); first returns stay inside {1}, so l(n) = 1
     assert rs.a == (1, 2, 4, 8, 16, 32)
     assert rs.ell == (1, 1, 1, 1, 1, 1)
+    # analyze pf's classification reads the same series: a finite
+    # irreducible level sums its first 2 * 2 + 4 terms
+    rep = pf.classify_recurrence(m, 2.0, vertex=0)
+    rs = pf.return_series(m, 0, horizon=8)
+    assert rep.horizon == 8
+    assert rep.partial_a == sum(x * 2.0 ** -n for n, x in enumerate(rs.a, 1))
+    assert rep.partial_ell == sum(n * e * 2.0 ** -n
+                                  for n, e in enumerate(rs.ell, 1))
 
 
 def _dict_series(m, vertex, horizon):

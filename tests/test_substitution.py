@@ -6,6 +6,7 @@ import pytest
 
 from bratteli import diagram as dg
 from bratteli import substitution as sb
+from bratteli.specfile import parse_spec
 
 
 # -- matrices ----------------------------------------------------------------
@@ -94,16 +95,26 @@ def test_reading_order_repeated_letter_ranks():
     assert order.order_at(d, 0, 0) == ((0, 0), (0, 1))
 
 
-def test_build_ordered_diagram_fibonacci():
-    d, order = sb.build_ordered_diagram(sb.fibonacci(), depth=4)
+def reading_spec(name, depth, window=None):
+    """The stationary diagram and reading order that a spec with a named
+    substitution and ``"order": "reading"`` builds."""
+    doc = {"substitution": {"name": name}, "depth": depth,
+           "order": "reading"}
+    if window is not None:
+        doc["window"] = window
+    spec = parse_spec(doc)
+    return spec.diagram, spec.order
+
+
+def test_reading_order_spec_fibonacci():
+    d, order = reading_spec("fibonacci", depth=4)
     assert d.stationary and d.depth == 4
     assert len(order.order_at(d, 2, 0)) == 2
     dg.check_order(d, order)
 
 
-def test_build_ordered_diagram_band():
-    d, order = sb.build_ordered_diagram(sb.drunkard_walk(), depth=2,
-                                        window=dg.Window(-8, 8, 2))
+def test_reading_order_spec_band():
+    d, order = reading_spec("drunkard_walk", depth=2, window=[-8, 8, 2])
     # interior vertex: 4 ordered incoming edges read off (n-2) n n (n+2)
     assert order.order_at(d, 0, 0) == ((-2, 0), (0, 0), (0, 1), (2, 0))
 
@@ -113,7 +124,7 @@ def test_build_ordered_diagram_band():
 def test_successor_bijection_on_fibonacci_towers():
     """The successor maps non-maximal depth-3 paths bijectively onto the
     non-minimal ones, tower by tower."""
-    d, order = sb.build_ordered_diagram(sb.fibonacci(), depth=3)
+    d, order = reading_spec("fibonacci", depth=3)
     for v in (0, 1):
         paths = dg.enumerate_cylinders(d, (3, v))
         succ = {p.edges: dg.vershik_successor(d, order, p) for p in paths}
@@ -126,7 +137,7 @@ def test_successor_bijection_on_fibonacci_towers():
 
 
 def test_orbit_length_equals_height():
-    d, order = sb.build_ordered_diagram(sb.fibonacci(), depth=5)
+    d, order = reading_spec("fibonacci", depth=5)
     h5 = dg.heights(d, 5)
     for v in (0, 1):
         start = dg.minimal_path(d, order, (5, v))
@@ -138,8 +149,7 @@ def test_reading_order_orbits_cover_towers_with_parallel_edges():
     """The drunkard walk's reading order holds each doubled n -> n edge as
     two ranks.  From every top vertex's minimal path the orbit visits each
     path of the tower once, in as many steps as the vertex's height."""
-    d, order = sb.build_ordered_diagram(sb.drunkard_walk(), depth=3,
-                                        window=dg.Window(-8, 8, 2))
+    d, order = reading_spec("drunkard_walk", depth=3, window=[-8, 8, 2])
     assert order.perms[0] is not None
     for v, h in zip(d.vertices(3), dg.heights(d, 3)):
         orbit = dg.vershik_orbit(d, order, dg.minimal_path(d, order, (3, v)))
