@@ -5,7 +5,7 @@ Submodules:
     substitution  -- substitution rules and their stationary diagrams
     perron        -- Perron-Frobenius data and recurrence of one square
                      incidence level, read from its CSR arrays
-    measures      -- tail-invariant measures, hat matrices, tower masses
+    measures      -- tail-invariant measures, hat matrices
     markov        -- Markov path measures, dual kernels, transfer operators
     laplacian     -- weighted networks, harmonic functions, random walks
     cells         -- kernel duality on finite cell spaces

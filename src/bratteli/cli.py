@@ -175,6 +175,13 @@ class _Context:
         return mk.explicit_system(d, blk["q0"], blk["probs"],
                                   tol=1e-12 if self.strict else float("inf"))
 
+    @property
+    def cell_kernels(self):
+        """The spec's (spaces, kernels) block; a SpecError without one."""
+        if self.spec.kernels is None:
+            raise SpecError("spec has no kernels block")
+        return self.spec.kernels
+
     @cached_property
     def kernels(self) -> mk.HatKernels:
         from . import markov as mk
@@ -324,9 +331,7 @@ def _cell_duality(spaces, kernels) -> list[dict]:
 
 def _analyze_kernels(ctx: _Context, args):
     from . import cells as cl
-    if ctx.spec.kernels is None:
-        raise SpecError("spec has no kernels block")
-    spaces, kernels = ctx.spec.kernels
+    spaces, kernels = ctx.cell_kernels
     per_level = [{key: lvl[key] for key in ("duality_residual",
                                             "marginal_residual",
                                             "gram_min_eigenvalue")}
@@ -472,9 +477,7 @@ def _suite_laplacian(ctx: _Context, tol: float, seed: int, out: list):
 def _suite_kernels(ctx: _Context, tol: float, seed: int, out: list):
     from . import cells as cl
     from . import laplacian as lp
-    if ctx.spec.kernels is None:
-        return
-    spaces, kernels = ctx.spec.kernels
+    spaces, kernels = ctx.cell_kernels
     levels = _cell_duality(spaces, kernels)
     worst_dual, worst_marg, worst_sym = (
         max([0.0] + [lvl[key] for lvl in levels])
@@ -498,10 +501,13 @@ _SUITES = {"consistency": _suite_consistency, "operators": _suite_operators,
 
 
 def cmd_check(args) -> int:
-    names = (list(_SUITES) if args.suite == "all" else [args.suite])
     results: list[tuple[str, str, float, bool]] = []
     try:
         ctx = _Context(load_spec(args.spec, args.depth), strict=False)
+        # --suite all runs the kernels suite only where there are kernels
+        names = ([args.suite] if args.suite != "all" else
+                 [n for n in _SUITES
+                  if n != "kernels" or ctx.spec.kernels is not None])
         for name in names:
             _SUITES[name](ctx, args.tol, args.seed, results)
     except _ERRORS as e:

@@ -49,8 +49,10 @@ PFFailed = perron.PFFailed
 class MeasureSequence:
     """Per-level nonnegative vectors aligned to the diagram windows.
 
-    kind is "CylinderValues" (mu^(n), one value per cylinder through the
-    vertex) or "TowerMasses" (s^(n) = mu^(n) * H^(n), one value per tower).
+    Every builder here makes kind "CylinderValues": mu^(n), one value per
+    cylinder through the vertex.  A sequence built outside this module may
+    carry another kind, which the functions that read cylinder values
+    refuse.
     """
 
     vectors: tuple[np.ndarray, ...]

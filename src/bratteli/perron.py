@@ -45,8 +45,8 @@ class NoConvergence(Error):
 
 
 class PFFailed(Error, ValueError):
-    """No Perron data: the level is reducible or periodic on its window, or
-    the diagram is not stationary."""
+    """No Perron data: the level is not square, or reducible or periodic on
+    its window, or the diagram is not stationary."""
 
 
 # ---------------------------------------------------------------- graph
@@ -64,7 +64,9 @@ def _adjacency(m: IncidenceMatrix):
     an edge from source i to target j.  Returns the forward targets, their
     multiplicities (exact ints) and the backward sources, each ascending."""
     if m.row_window != m.col_window:
-        raise ValueError("transpose snapshots need equal source/target windows")
+        raise PFFailed(f"Perron data needs equal source and target "
+                       f"windows, got {len(m.col_window)} source and "
+                       f"{len(m.row_window)} target vertices")
     c = m.csr
     size = len(m.col_window)
     cp, rp = c.colptr.tolist(), c.indptr.tolist()
@@ -128,6 +130,11 @@ def check_irreducible_aperiodic(m: IncidenceMatrix) -> IrreducibilityReport:
 
 @dataclass(frozen=True)
 class SpectralData:
+    """Perron eigendata of one level.  ``iterations`` is the index of the
+    best iterate of each power solve, summed over the right and the left
+    solves that ran, so 0 when both shortcuts hold; it is not the loop
+    count, since polishing runs on past the best iterate."""
+
     lam: float
     left: np.ndarray
     right: np.ndarray

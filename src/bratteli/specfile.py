@@ -23,7 +23,9 @@ class SpecError(Error):
     pass
 
 
-# one level record is built per level, so a deeper diagram is refused
+# a stationary diagram is one level record, but the analyses still take a
+# loop step and keep one vector per level (analyze measure prints them all),
+# so time and output grow with depth: a deeper diagram is refused
 MAX_DEPTH = 10**6
 
 

@@ -341,9 +341,20 @@ def test_analyze_kernels_rejects_empty_runs(capsys, trials):
 
 
 def test_analyze_kernels_missing_block(capsys):
+    """analyze kernels and check --suite kernels refuse a spec without a
+    kernels block (check once passed with no invariant); a full check
+    skips the suite."""
+    error = {"kind": "SpecError", "detail": "spec has no kernels block"}
     rc, d = run_json(capsys, "analyze", FIBONACCI, "kernels")
-    assert rc == 1
-    assert d["error"]["kind"] == "SpecError"
+    assert (rc, d["error"]) == (1, error)
+    for fmt in ("json", "text"):
+        rc, d = run_json(capsys, "check", FIBONACCI, "--suite", "kernels",
+                         "--format", fmt)
+        assert (rc, d["error"]) == (1, error)
+    rc, d = run_json(capsys, "check", FIBONACCI, "--format", "json")
+    assert rc == 0 and d["passed"]
+    assert {r["suite"] for r in d["results"]} == {
+        "consistency", "operators", "laplacian"}
 
 
 def test_analyze_out_file(capsys, tmp_path):
@@ -689,18 +700,24 @@ def test_window_without_a_vertex_is_an_error(tmp_path, name, command):
 
 def test_perron_failure_has_one_kind(capsys, tmp_path):
     """A periodic band fails the Perron solve; analyze pf printed it as a
-    ValueError while measure, markov and check wrapped it as PFFailed."""
-    p = _spec(tmp_path, "periodic.json", {
+    ValueError while measure, markov and check wrapped it as PFFailed.  A
+    non-square stationary level was a ValueError from every command."""
+    periodic = _spec(tmp_path, "periodic.json", {
         "band": {"-2": 1, "1": 3, "2": 1}, "window": [-11, 10, 2],
         "depth": 3})
-    error = {"kind": "PFFailed",
-             "detail": "matrix fails irreducibility/aperiodicity on the "
-                       "largest window: period 2"}
-    for command in (("analyze", p, "pf"), ("analyze", p, "measure"),
-                    ("analyze", p, "markov"), ("check", p, "--format",
-                                               "json")):
-        rc, d = run_json(capsys, *command)
-        assert (rc, d["error"]) == (1, error), command
+    non_square = _spec(tmp_path, "non_square.json",
+                       {"matrix": [[1, 1]], "depth": 1})
+    for p, detail in (
+            (periodic, "matrix fails irreducibility/aperiodicity on the "
+                       "largest window: period 2"),
+            (non_square, "Perron data needs equal source and target "
+                         "windows, got 2 source and 1 target vertices")):
+        for command in (("analyze", p, "pf"), ("analyze", p, "measure"),
+                        ("analyze", p, "markov"), ("analyze", p, "laplacian"),
+                        ("check", p, "--format", "json")):
+            rc, d = run_json(capsys, *command)
+            assert (rc, d["error"]) == (1, {"kind": "PFFailed",
+                                            "detail": detail}), command
 
 
 def test_nonstationary_diagram_measure_and_pf(capsys, tmp_path):

@@ -62,7 +62,7 @@ class TestIrreducibility:
     def test_non_square_level_rejected(self):
         m = dg.incidence_from_entries(0, {(0, 0): 1, (1, 1): 1, (2, 0): 1},
                                       dg.Window(0, 2), dg.Window(0, 1))
-        with pytest.raises(ValueError, match="equal source/target windows"):
+        with pytest.raises(pf.PFFailed, match="got 2 source and 3 target"):
             pf.check_irreducible_aperiodic(m)
 
 
