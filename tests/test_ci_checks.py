@@ -3,6 +3,7 @@ runner's per-child maxrss on real children."""
 import importlib.util
 import json
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -33,7 +34,7 @@ def checks():
     return {name: check for name, _, check in ci.rows(["kernels", "pf"])}
 
 
-def reading(*args, code=0, stdout="", stderr="", mb=40.0, ncpus=2):
+def reading(*args, code=0, stdout=b"", stderr=b"", mb=40.0, ncpus=2):
     return ci.Run(("python", "-m", "bratteli", *args), code, stdout, stderr,
                   0.1, mb, ncpus)
 
@@ -63,20 +64,24 @@ def test_bound_fails_just_above_its_number_and_passes_at_it(checks, name):
 
 def test_walk_needs_equal_bytes_on_two_cpus(checks):
     check = checks[WALK]
-    out = "{\n  \"mean\": 0.5\n}\n"
+    out = b'{\n  "mean": 0.5\n}\n'
     assert check([reading(ncpus=1, stdout=out), reading(stdout=out)])[0]
     assert not check([reading(ncpus=1, stdout=out),
-                      reading(stdout=out.replace("5", "6"))])[0]
+                      reading(stdout=out.replace(b"5", b"6"))])[0]
+    # bytes that are no UTF-8 differ too, though both decode to U+FFFD
+    assert not check([reading(ncpus=1, stdout=b"\xff"),
+                      reading(stdout=b"\xfe")])[0]
     assert not check([reading(ncpus=1, stdout=out),
                       reading(ncpus=1, stdout=out)])[0]
     assert not check([reading(ncpus=1, stdout=out),
                       reading(stdout=out, code=1)])[0]
 
 
-def _example_runs(emit='{\n  "depth": 2\n}\n', again=None):
+def _example_runs(emit=b'{\n  "depth": 2\n}\n', again=None):
     spec = "examples_specs/allones.json"
-    ok = json.dumps({"passed": True}, indent=2) + "\n"
-    err = json.dumps({"error": {"kind": "SpecError"}}, indent=2) + "\n"
+    ok = json.dumps({"passed": True}, indent=2).encode() + b"\n"
+    err = json.dumps({"error": {"kind": "SpecError"}}, indent=2).encode()
+    err += b"\n"
     return [reading("validate", spec, stdout=ok),
             reading("validate", spec, "--emit-spec", stdout=emit),
             reading("check", spec, "--format", "json", stdout=ok),
@@ -90,21 +95,22 @@ def test_example_commands(checks):
     check = checks[EXAMPLE]
     assert check(_example_runs())[0]
     # floats are read as floats in markov and kernels only
-    assert check(_example_runs('{\n  "markov": {\n    "q0": [\n      0.5\n'
-                               '    ]\n  }\n}\n'))[0]
-    assert not check(_example_runs('{\n  "depth": 2.0\n}\n'))[0]
-    assert not check(_example_runs(again='{\n  "depth": 3\n}\n'))[0]
+    assert check(_example_runs(b'{\n  "markov": {\n    "q0": [\n      0.5\n'
+                               b'    ]\n  }\n}\n'))[0]
+    assert not check(_example_runs(b'{\n  "depth": 2.0\n}\n'))[0]
+    assert not check(_example_runs(again=b'{\n  "depth": 3\n}\n'))[0]
 
 
 @pytest.mark.parametrize("i, change", [
-    (0, {"stderr": "RuntimeWarning: overflow\n"}),
-    (3, {"stderr": "Traceback\n"}),
+    (0, {"stderr": b"RuntimeWarning: overflow\n"}),
+    (3, {"stderr": b"Traceback\n"}),
     (0, {"code": 1}),
     (2, {"code": 1}),
     (3, {"code": 2}),
-    (4, {"stdout": '{"passed": true}\n'}),
-    (4, {"stdout": "not json\n"}),
-    (4, {"stdout": '{\n  "passed": true\n}'}),
+    (4, {"stdout": b'{"passed": true}\n'}),
+    (4, {"stdout": b"not json\n"}),
+    (4, {"stdout": b'{\n  "passed": true\n}'}),
+    (4, {"stdout": b'{\n  "passed": "\xff"\n}\n'}),
 ])
 def test_example_command_faults(checks, i, change):
     runs = _example_runs()
@@ -118,22 +124,24 @@ def test_run_reads_each_childs_own_maxrss():
     runner runs in a fresh process, since Linux counts the caller's peak
     RSS into a child's at exec, and this test process is large."""
     code = f"""if True:
-        import json, os, sys
+        import os, pickle, sys
         sys.path.insert(0, {str(TOOL.parent)!r})
         from ci_checks import run
         big = run([sys.executable, "-c", "import os, sys; "
                    "b = b'x' * (50 << 20); "
                    "print(len(os.sched_getaffinity(0))); "
-                   "sys.stderr.write('e'); sys.exit(3)"],
+                   "sys.stderr.buffer.write(bytes([255])); sys.exit(3)"],
                   cpus={{min(os.sched_getaffinity(0))}})
         small = run([sys.executable, "-c", "pass"])
-        print(json.dumps([big, small]))"""
+        sys.stdout.buffer.write(pickle.dumps([tuple(big), tuple(small)]))"""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=60)
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr
-    big, small = (ci.Run(*r) for r in json.loads(proc.stdout))
-    assert (big.code, big.stdout, big.stderr, big.ncpus) == (3, "1\n", "e", 1)
-    assert (small.code, small.stdout, small.stderr) == (0, "", "")
+    big, small = (ci.Run(*r) for r in pickle.loads(proc.stdout))
+    # stderr keeps the byte that is no UTF-8
+    assert (big.code, big.stdout, big.stderr, big.ncpus) == (3, b"1\n",
+                                                             b"\xff", 1)
+    assert (small.code, small.stdout, small.stderr) == (0, b"", b"")
     assert big.maxrss_mb > 50
     assert small.maxrss_mb < big.maxrss_mb - 40
     assert big.wall_s > 0 and small.wall_s > 0

@@ -19,36 +19,42 @@ BRATTELI = (sys.executable, "-m", "bratteli")
 Run = namedtuple("Run", "argv code stdout stderr wall_s maxrss_mb ncpus")
 
 
-def run(argv, cpus=None, env=None) -> Run:
-    """Run ``argv`` in a fresh process, on the CPU set ``cpus`` and with the
-    environment ``env`` when given.  maxrss is the child's own (os.wait4),
-    but never below the caller's peak RSS, which Linux records at exec."""
-    pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
+def run(argv, cpus=None) -> Run:
+    """Run ``argv`` in a fresh process, on the CPU set ``cpus`` when given.
+    stdout and stderr are the bytes the child wrote.  maxrss is the child's
+    own (os.wait4), but never below the caller's peak RSS, which Linux
+    records at exec."""
+    pin = (None if cpus is None
+           else functools.partial(os.sched_setaffinity, 0, cpus))
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         start = time.perf_counter()
-        proc = subprocess.Popen(argv, stdout=out, stderr=err, env=env,
-                                preexec_fn=pin)
+        proc = subprocess.Popen(argv, stdout=out, stderr=err, preexec_fn=pin)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
-        out.seek(0), err.seek(0)
-        return Run(tuple(argv), proc.returncode, *(
-            fh.read().decode(errors="replace") for fh in (out, err)), wall,
-            usage.ru_maxrss / 1024, len(cpus or os.sched_getaffinity(0)))
+        out.seek(0)
+        err.seek(0)
+        return Run(tuple(argv), proc.returncode, out.read(), err.read(),
+                   wall, usage.ru_maxrss / 1024,
+                   len(cpus or os.sched_getaffinity(0)))
 
 
-def run_on(text: str, command: str, *args) -> Run:
-    """``python -m bratteli command <a spec file holding text> args``."""
-    with tempfile.NamedTemporaryFile("w", suffix=".json") as fh:
-        fh.write(text)
+def run_on(spec: bytes, command: str, *args) -> Run:
+    """``python -m bratteli command <a spec file holding spec> args``."""
+    with tempfile.NamedTemporaryFile(suffix=".json") as fh:
+        fh.write(spec)
         fh.flush()
         return run([*BRATTELI, command, fh.name, *args])
 
 
 def _exits(runs, codes=(0,)) -> str:
+    """Each run whose exit code is not in ``codes`` (None: any)."""
+    if codes is None:
+        return ""
     return "".join(f"; {' '.join(r.argv[3:])}: exit code {r.code}, "
-                   f"{len(r.stderr)} characters on stderr\n{r.stderr}"
-                   for r in runs if codes is not None and r.code not in codes)
+                   f"{len(r.stderr)} bytes on stderr\n"
+                   f"{r.stderr.decode(errors='replace')}"
+                   for r in runs if r.code not in codes)
 
 
 def maxrss(bound, codes=(0,)):
@@ -56,20 +62,24 @@ def maxrss(bound, codes=(0,)):
     first's; each exit code in ``codes`` (None: any)."""
     def check(runs):
         mb = [r.maxrss_mb for r in runs]
-        pair = len(mb) == 2
-        over = mb[1] - mb[0] if pair else mb[0]
+        reading = f"maxrss {' / '.join(f'{x:.1f}' for x in mb)} MB"
+        over = mb[0]
+        if len(mb) == 2:
+            over = mb[1] - mb[0]
+            reading += f", growth {over:.1f} MB"
         err = _exits(runs, codes)
-        return not err and over <= bound, (
-            f"maxrss {' / '.join(f'{x:.1f}' for x in mb)} MB"
-            f"{f', growth {over:.1f} MB' * pair} (bound {bound} MB){err}")
+        return not err and over <= bound, f"{reading} (bound {bound} MB){err}"
     return check
 
 
 def same_bytes(runs):
-    """The same stdout on one CPU and on every CPU, at least two."""
+    """The same stdout bytes on one CPU and on every CPU, at least two."""
     one, every = runs
-    err = _exits(runs) + "; a single CPU runs one shard" * (every.ncpus < 2)
-    err += "; the bytes differ" * (one.stdout != every.stdout)
+    err = _exits(runs)
+    if every.ncpus < 2:
+        err += "; a single CPU runs one shard"
+    if one.stdout != every.stdout:
+        err += "; the bytes differ"
     return not err, (f"{len(one.stdout)} bytes on 1 CPU, {len(every.stdout)}"
                      f" on {every.ncpus}{err or ', equal'}")
 
@@ -78,9 +88,10 @@ def _fault(r: Run) -> str:
     """Why one command on an example spec fails, or "" if it passes."""
     if r.code not in ((0, 1) if r.argv[3] == "analyze" else (0,)) or r.stderr:
         return _exits([r], ())
-    try:
-        canonical = r.stdout == json.dumps(json.loads(r.stdout),
-                                           sort_keys=True, indent=2) + "\n"
+    try:   # strict UTF-8: a stray byte is not JSON
+        text = r.stdout.decode()
+        canonical = text == json.dumps(json.loads(text), sort_keys=True,
+                                       indent=2) + "\n"
     except ValueError:
         canonical = False
     return "" if canonical else f"; {' '.join(r.argv[3:])}: not canonical JSON"
@@ -140,7 +151,8 @@ def rows(kinds):
         # level, so a reading order costs about as much memory as the
         # natural order, which builds nothing.
         ("validate the drunkard walk, natural then reading order",
-         lambda: [run_on(json.dumps({**drunkard, "order": order}), "validate")
+         lambda: [run_on(json.dumps({**drunkard, "order": order}).encode(),
+                         "validate")
                   for order in ("natural", "reading")], maxrss(15)),
         # A stationary diagram holds one level record and exact heights
         # stream, so depth costs time, not memory.  Fibonacci's masses
@@ -157,8 +169,8 @@ def rows(kinds):
         # so a level wider than the budget is a batch of one and depth
         # costs time, not memory, on the 801-vertex band.
         ("check --suite operators on the band, depth 2 then 20",
-         lambda: [run_on(json.dumps({**band, "depth": depth}), "check",
-                         "--suite", "operators", "--format", "json")
+         lambda: [run_on(json.dumps({**band, "depth": depth}).encode(),
+                         "check", "--suite", "operators", "--format", "json")
                   for depth in (2, 20)], maxrss(8)),
     ] + [(f"{spec}: every command", functools.partial(_example, spec, kinds),
           json_bytes) for spec in sorted(glob.glob("examples_specs/*.json",
@@ -175,7 +187,8 @@ def main() -> int:
         check=True, capture_output=True, text=True).stdout.split()
     failed = 0
     for name, measure, check in rows(kinds):
-        passed, reading = check(runs := measure())
+        runs = measure()
+        passed, reading = check(runs)
         print(f"{'ok' if passed else '::error::FAIL'} {name}: {reading} "
               f"[{sum(r.wall_s for r in runs):.1f} s]", flush=True)
         failed += not passed
