@@ -239,7 +239,8 @@ def membership_tests(rho: ProductMeasure, nu1: CellSpace, nu2: CellSpace
     The recovered kernels are the cellwise ratio derivatives
     kernel_rows(x, .) = rho(x, .) / nu1(x) and the column analog, zero
     on the cells where nu1 (nu2) vanishes; they reproduce rho exactly iff
-    the marginals are absolutely continuous with respect to nu1 and nu2.
+    the marginals are absolutely continuous with respect to nu1 and nu2:
+    test_built_pair_is_member, test_zero_cell_breaks_membership.
     """
     if rho.shape != (nu1.m, nu2.m):
         raise DimensionMismatch("product measure shape does not match spaces")
@@ -288,6 +289,9 @@ def symmetric_measures(P: CellKernel, Q: CellKernel,
             form(P.array(exact), nu1.nu(exact)))
 
 
+GRAM_TOL = 1e-10   # negative spectrum a PSD Gram matrix may show
+
+
 @dataclass(frozen=True)
 class GramReport:
     matrix: np.ndarray
@@ -295,7 +299,7 @@ class GramReport:
 
     @property
     def psd(self) -> bool:
-        return self.min_eigenvalue >= -1e-10
+        return self.min_eigenvalue >= -GRAM_TOL
 
 
 def rkhs_gram(lambda1: np.ndarray, sets: Sequence[Sequence[int]]
@@ -346,7 +350,7 @@ def factorization_check(R_hat, nu1: CellSpace, basis: str = "natural",
     P = G Phi^T diag(nu2) and Q = Phi G^T diag(nu1) with P Q = R_hat and
     the duality identity holding identically.  The residual is basis
     independent; "random" draws Phi from a seeded orthogonal rotation to
-    demonstrate that.
+    demonstrate that: test_factorize_* tests.
     """
     R = np.asarray(R_hat, dtype=np.float64)
     m = R.shape[0]
@@ -546,7 +550,8 @@ def measurable_laplacian(net: lp.WeightedNetwork, F: lp.LevelFunction
     For probability kernels the row masses are 1 each way, so the weight
     is 2 on two-sided levels and 1 at the ends; equivalently twice the
     averaging defect against M.  (The network Laplacian is the same
-    vector scaled cellwise by nu/2.)
+    vector scaled cellwise by nu/2.)  Constants are harmonic:
+    test_measurable_laplacian_of_constants_vanishes.
     """
     mf = lp.apply_M(net, F)
     N = net.depth
@@ -586,7 +591,8 @@ def refine_space(nu: CellSpace, fractions=None) -> CellSpace:
 def refine_kernel(P: CellKernel, target_fractions=None) -> CellKernel:
     """Refine both sides of a kernel: source halves inherit their row,
     target halves split each column by target_fractions.  Entries are
-    multiplied as the Python objects they are, so exact stays exact."""
+    multiplied as the Python objects they are, so exact stays exact.
+    Refinement keeps kernels stochastic: test_refine_kernel_preserves_rows."""
     m1, m2 = P.shape
     if target_fractions is None:
         target_fractions = [Fraction(1, 2)] * m2
@@ -597,7 +603,8 @@ def refine_kernel(P: CellKernel, target_fractions=None) -> CellKernel:
 
 
 def aggregate_cells(values) -> tuple:
-    """Merge consecutive cell pairs back (inverse of refine_space)."""
+    """Merge consecutive cell pairs back (inverse of refine_space):
+    test_refine_space_halves."""
     vals = list(values)
     if len(vals) % 2:
         raise DimensionMismatch("odd cell count cannot aggregate in pairs")
@@ -606,7 +613,8 @@ def aggregate_cells(values) -> tuple:
 
 def aggregate_product(rho: ProductMeasure) -> ProductMeasure:
     """Merge 2x2 cell blocks of a refined product measure, adding each
-    block as ((r00 + r01) + r10) + r11."""
+    block as ((r00 + r01) + r10) + r11.  Refining a dual pair commutes
+    with aggregation: test_refinement_commutes_with_aggregation."""
     m1, m2 = rho.shape
     if m1 % 2 or m2 % 2:
         raise DimensionMismatch("odd cell count cannot aggregate in pairs")

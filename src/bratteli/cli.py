@@ -240,7 +240,7 @@ def _analyze_pf(ctx: _Context, args):
 def _analyze_measure(ctx: _Context, args):
     mu, rep = ctx.measure(args.normalization)
     inv = ms.verify_tail_invariance(ctx.diagram, mu)
-    payload = {"kind": mu.kind,
+    payload = {"kind": "CylinderValues",
                "normalization": args.normalization if rep else None,
                "lambda": rep.lam if rep else None,
                "max_invariance_residual": max(inv.residuals),
@@ -487,7 +487,8 @@ def _suite_kernels(ctx: _Context, tol: float, seed: int, out: list):
     out.append(("kernels", "MarginalPushforward", worst_marg,
                 worst_marg <= tol))
     out.append(("kernels", "SymmetricMeasures", worst_sym, worst_sym == 0.0))
-    out.append(("kernels", "GramPSD", float(min_eig), min_eig >= -1e-10))
+    out.append(("kernels", "GramPSD", float(min_eig),
+                min_eig >= -cl.GRAM_TOL))
     net = cl.chain_network(spaces, kernels)
     F = lp.LevelFunction.of([np.random.default_rng(seed).standard_normal(s.m)
                              for s in spaces])

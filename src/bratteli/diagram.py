@@ -13,15 +13,19 @@ coordinates and the interior masks it sets; a ``{(target, source):
 multiplicity}`` mapping has one reader, ``incidence_from_entries``.  Every
 row, column, dense and sum query reads the arrays.  A loop over the levels
 scatters each level into one reused ``Scratch`` array instead of a fresh
-one.  A diagram holds its distinct levels and its depth: a stationary
-diagram holds one level record.  Exact heights are Python integers,
-computed from the level below whenever they are read.
+one.  A diagram holds its distinct levels and its depth: ``validate``
+stores levels that are all equal, in windows, entries, interior masks
+and sum claims, as one record, and a diagram is stationary exactly when
+it holds one.  Exact heights are Python integers, computed from the
+level below whenever they are read.
 
 An edge order is stored once too: per distinct level, nothing for the
 natural order (by target, source and rank, as the CSR lists the edges),
-or one int64 array of natural edge positions.  One reader maps a
-target's slice of it to (source, rank) pairs through the level's
-cumulative multiplicities.
+or one int64 array of natural edge positions; an order of one record
+repeats it on every level.  One reader maps a target's slice of it to
+(source, rank) pairs through the level's cumulative multiplicities.
+The cylinders into a vertex are one tower of the Vershik map: the orbit
+of the natural order's minimal path.
 
 Everything here is pure and immutable after construction.
 """
@@ -134,7 +138,7 @@ class Window:
             raise KeyError(f"vertex {idx} not in window {self}")
         return (idx - self.vertices[0]) // self.step
 
-    def __str__(self):  # pragma: no cover - cosmetic
+    def __str__(self):
         s = f"[{self.lo}, {self.hi}]"
         return s if self.step == 1 else s + f"/{self.step}"
 
@@ -211,8 +215,8 @@ class IncidenceMatrix:
     passes none, and every row and column is interior.  row_sum_claim /
     col_sum_claim assert that *untruncated* rows/columns all share that sum
     (e.g. a constant-length substitution), which windowed sums alone cannot
-    reveal.  ``==`` is
-    identity; ``_matrices_equal`` compares windows and entries.
+    reveal.  ``==`` is identity; ``_matrices_equal`` compares windows,
+    entries, masks and claims.
     """
 
     csr: CSR
@@ -497,15 +501,16 @@ def band_matrix(window, offsets_values: Mapping[int, int]
 class Diagram:
     """Validated incidence matrices of levels 0 .. depth - 1.
 
-    ``levels`` holds the distinct level records: one for a diagram built
-    stationary, which repeats it on every level, or one per level.
-    ``stationary`` is True when every level has the same windows and
-    entries.
+    ``levels`` holds the distinct level records: one, which a stationary
+    diagram repeats on every level, or one per level.
     """
 
     levels: tuple[IncidenceMatrix, ...]
     depth: int
-    stationary: bool
+
+    @property
+    def stationary(self) -> bool:
+        return len(self.levels) == 1
 
     def F(self, n: int) -> IncidenceMatrix:
         """Level n's matrix, indexed as a sequence of ``depth`` levels."""
@@ -525,13 +530,17 @@ class Diagram:
 
 
 def _matrices_equal(a: IncidenceMatrix, b: IncidenceMatrix) -> bool:
-    """Same windows and the same CSR entries."""
-    if a.row_window != b.row_window or a.col_window != b.col_window:
+    """Same windows, sum claims, CSR entries and interior masks."""
+    if a is b:
+        return True
+    if (a.row_window, a.col_window, a.row_sum_claim, a.col_sum_claim) != (
+            b.row_window, b.col_window, b.row_sum_claim, b.col_sum_claim):
         return False
     ca, cb = a.csr, b.csr
-    return ca is cb or (np.array_equal(ca.indptr, cb.indptr)
-                        and np.array_equal(ca.indices, cb.indices)
-                        and np.array_equal(ca.mult, cb.mult))
+    return all(np.array_equal(x, y) for x, y in (
+        (ca.indptr, cb.indptr), (ca.indices, cb.indices), (ca.mult, cb.mult),
+        (a.interior_rows, b.interior_rows),
+        (a.interior_cols, b.interior_cols)))
 
 
 def validate(matrices: Iterable[IncidenceMatrix]) -> Diagram:
@@ -540,6 +549,7 @@ def validate(matrices: Iterable[IncidenceMatrix]) -> Diagram:
     Raises ZeroRow / ZeroColumn / WindowMismatch.  Row finiteness is
     automatic for sparse storage; emptiness is not.  Each level is checked
     before the next is taken, so a generator reports its lowest bad level.
+    Levels that all equal level 0 are stored as its one record.
     """
     mats: list[IncidenceMatrix] = []
     for k, m in enumerate(matrices):
@@ -554,8 +564,9 @@ def validate(matrices: Iterable[IncidenceMatrix]) -> Diagram:
         mats.append(m)
     if not mats:
         raise WindowMismatch("a diagram needs at least one incidence matrix")
-    stationary = all(_matrices_equal(mats[0], m) for m in mats[1:])
-    return Diagram(tuple(mats), len(mats), stationary)
+    if all(_matrices_equal(mats[0], m) for m in mats[1:]):
+        return Diagram((mats[0],), len(mats))
+    return Diagram(tuple(mats), len(mats))
 
 
 def stationary_diagram(matrix, depth: int, window=None) -> Diagram:
@@ -565,7 +576,7 @@ def stationary_diagram(matrix, depth: int, window=None) -> Diagram:
     proto = (matrix if isinstance(matrix, IncidenceMatrix)
              else incidence_from_dense(0, matrix, window, window))
     validate([proto] * min(depth, 2))
-    return Diagram((proto,), depth, True)
+    return Diagram((proto,), depth)
 
 
 def band_diagram(offsets_values: Mapping[int, int], depth: int,
@@ -610,7 +621,7 @@ def telescope(d: Diagram, cuts: Sequence[int]) -> Diagram:
     survives telescoping: F'_k H^(n_k) = H^(n_{k+1}).  Interior masks
     compose (a product row is interior only when every row it multiplies
     through is; a one-level block keeps its level's arrays) and constant-sum
-    claims multiply.
+    claims multiply.  Heights survive: test_telescope_preserves_heights.
     """
     cuts = list(cuts)
     if (not cuts or cuts[0] != 0 or any(b <= a for a, b in zip(cuts, cuts[1:]))
@@ -735,34 +746,26 @@ def _vertex(d: Diagram, vertex: tuple[int, int]) -> tuple[int, int]:
 
 def enumerate_cylinders(d: Diagram, vertex: tuple[int, int],
                         cap: int = DEFAULT_PATH_CAP) -> list[FinitePath]:
-    """All paths from level 0 ending at ``vertex`` = (level, index).
+    """All paths from level 0 ending at ``vertex`` = (level, index): the
+    Vershik orbit of the natural order's minimal path, whose top edge
+    varies slowest.
 
     The count equals the height H^(level)_index; enumeration refuses to
-    build more than ``cap`` paths.
+    build more than ``cap`` paths, or than the orbit's DEFAULT_PATH_CAP.
     """
     level, v = _vertex(d, vertex)
     h = heights(d, level)[d.window(level).position(v)]
     if h > cap:
         raise TooManyPaths(cap, h)
-    if level == 0:
-        return [FinitePath((), start=(0, v))]
-    partial: list[tuple[tuple, int]] = [((), v)]
-    for lvl in range(level - 1, -1, -1):
-        m = d.F(lvl)
-        nxt = []
-        for (suffix, cur) in partial:
-            for (w, mult) in m.row_entries(cur):
-                for rank in range(mult):
-                    nxt.append((((lvl, w, cur, rank),) + suffix, w))
-        partial = nxt
-    return [FinitePath(edges) for (edges, _) in partial]
+    order = natural_order(d)
+    return vershik_orbit(d, order, minimal_path(d, order, vertex))
 
 
 def tail_equivalent(p: FinitePath, q: FinitePath):
     """Smallest m with identical edges from position m on, else None.
 
     None means not equivalent within the truncation (the paths still differ
-    at their last edge).
+    at their last edge).  Tail equivalence: test_tail_equivalent_* tests.
     """
     if len(p) != len(q):
         raise LengthMismatch(f"path lengths {len(p)} != {len(q)}")
@@ -786,17 +789,20 @@ class EdgeOrder:
     ``IncidenceMatrix.edge_starts``).  ``perms`` holds, per distinct level,
     None for the natural order itself, or a read-only int64 array listing
     the natural positions of the level's edges, target by target, each
-    target's from minimal to maximal.  A stationary order holds level 0
-    only and reuses it on every level.
+    target's from minimal to maximal.  A stationary order holds one
+    record and reuses it on every level.
     """
 
     perms: tuple[np.ndarray | None, ...]
-    stationary: bool = False
 
     def __post_init__(self):
         for perm in self.perms:
             if perm is not None:
                 perm.flags.writeable = False
+
+    @property
+    def stationary(self) -> bool:
+        return len(self.perms) == 1
 
     def order_at(self, d: Diagram, level: int, target: int
                  ) -> tuple[tuple[int, int], ...]:
@@ -812,7 +818,7 @@ class EdgeOrder:
 
 def natural_order(d: Diagram) -> EdgeOrder:
     """Incoming edges by (source, rank), on every diagram: builds nothing."""
-    return EdgeOrder((None,), stationary=True)
+    return EdgeOrder((None,))
 
 
 def check_order(d: Diagram, order: EdgeOrder) -> None:
@@ -907,7 +913,8 @@ def vershik_successor(d: Diagram, order: EdgeOrder, p: FinitePath):
 def vershik_orbit(d: Diagram, order: EdgeOrder, start: FinitePath
                   ) -> list[FinitePath]:
     """Iterate the successor from ``start`` until the maximal path; more
-    than DEFAULT_PATH_CAP paths raise TooManyPaths."""
+    than DEFAULT_PATH_CAP paths raise TooManyPaths.  A tower is one orbit,
+    each path once: test_criterion_09_odometer_enumeration."""
     out = [start]
     cur = start
     while True:

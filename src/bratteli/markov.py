@@ -216,7 +216,8 @@ def explicit_system(d: Diagram, q0, probs: Sequence[Mapping],
 # ---------------------------------------------------------------- masses
 
 def cylinder_mass(ms: MarkovSystem, p: FinitePath) -> float:
-    """m([e]) = q0 at the start vertex times the edge probabilities."""
+    """m([e]) = q0 at the start vertex times the edge probabilities.
+    Kolmogorov consistency: test_criterion_03_extension_sums."""
     d = ms.diagram
     if not path_in_diagram(d, p):
         raise PathInvalid(f"path not in diagram: {p}")
@@ -243,10 +244,11 @@ BATCH_FLOATS = 2 ** 16   # floats per stack of dense levels
 
 def level_batches(d: Diagram) -> Iterator[tuple[int, int]]:
     """(lo, hi) per batch of levels lo..hi-1, in order: as many as fit in
-    BATCH_FLOATS floats of dense m x m kernel (one at least) on a diagram
-    of one level record, a stationary one, else one level at a time."""
+    BATCH_FLOATS floats of dense m x m kernel (one at least) on a
+    stationary diagram, which holds one level record however it was given
+    (``validate`` stores equal levels as one), else one level at a time."""
     m = len(d.window(0))
-    b = max(1, BATCH_FLOATS // (m * m)) if len(d.levels) == 1 else 1
+    b = max(1, BATCH_FLOATS // (m * m)) if d.stationary else 1
     return ((n, min(n + b, d.depth)) for n in range(0, d.depth, b))
 
 
@@ -335,8 +337,6 @@ def markov_from_tail_invariant(d: Diagram, nu: MeasureSequence
     short of 1; those rows are renormalized (and recorded in
     meta["normalized"]) since a window cannot carry the lost mass.
     """
-    if nu.kind != "CylinderValues":
-        raise DimensionMismatch("need CylinderValues to induce a system")
     if nu.depth != d.depth:
         raise DimensionMismatch(
             f"measure depth {nu.depth} != diagram depth {d.depth}")

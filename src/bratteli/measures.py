@@ -24,10 +24,10 @@ Normalization conventions (the two useful scalings differ by lambda):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -47,17 +47,10 @@ PFFailed = perron.PFFailed
 
 @dataclass(frozen=True)
 class MeasureSequence:
-    """Per-level nonnegative vectors aligned to the diagram windows.
-
-    Every builder here makes kind "CylinderValues": mu^(n), one value per
-    cylinder through the vertex.  A sequence built outside this module may
-    carry another kind, which the functions that read cylinder values
-    refuse.
-    """
+    """Per-level nonnegative vectors aligned to the diagram windows: mu^(n),
+    one value per cylinder through the vertex."""
 
     vectors: tuple[np.ndarray, ...]
-    kind: str
-    meta: Mapping[str, object] = field(default_factory=dict)
 
     @property
     def depth(self) -> int:
@@ -93,21 +86,6 @@ class HatMatrix:
     def sources(self) -> tuple[int, ...]:
         return self.matrix.sources
 
-    @property
-    def entries(self) -> dict[tuple[int, int], Fraction]:
-        """{(v, w): fhat_vw} as exact fractions."""
-        rows = self.matrix.csr.rows.tolist()
-        return {(v, w): Fraction(a, self.den[i]) for (v, w, _), a, i in
-                zip(self.matrix.triplets(), self.num.tolist(), rows)}
-
-    def row_sum(self, v: int) -> Fraction:
-        if v not in self.matrix.row_window:
-            return Fraction(0)
-        c = self.matrix.csr
-        i = self.matrix.row_window.position(v)
-        return Fraction(sum(self.num[c.indptr[i]:c.indptr[i + 1]].tolist()),
-                        self.den[i])
-
     def row_deviation(self) -> Fraction:
         """max_v |sum_w fhat_vw - 1|, exactly, from integer row sums."""
         sums = self.matrix.totals(self.num)
@@ -119,9 +97,6 @@ class HatMatrix:
         """fhat per edge as float64, each correctly rounded."""
         quot = self.num / self.den[self.matrix.csr.rows]
         return quot.astype(np.float64)
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.scatter(self.values())
 
 
 def hat_matrix(d: Diagram, n: int) -> HatMatrix:
@@ -172,8 +147,6 @@ def verify_tail_invariance(d: Diagram, m: MeasureSequence,
     Rows whose incidence column was clipped by the window are excluded
     from both sides of the norm, so truncation cannot fail the check.
     """
-    if m.kind != "CylinderValues":
-        raise DimensionMismatch("tail invariance applies to CylinderValues")
     _check_lengths(d, m)
     residuals = []
     zero = all(float(np.abs(v).sum()) == 0.0 for v in m.vectors)
@@ -233,10 +206,8 @@ def stationary_pf_measure(d: Diagram, normalization: str = "level0",
     vectors = tuple(t * sd.lam ** (1 - n) for n in range(d.depth + 1))
     total = (float(vectors[1] @ np.array([float(h) for h in heights(d, 1)]))
              if d.depth >= 1 else float(t.sum()))
-    meas = MeasureSequence(vectors, "CylinderValues",
-                           {"lam": sd.lam, "normalization": normalization})
     report = NormalizationReport(sd.lam, float(t.sum()), total)
-    return meas, report
+    return MeasureSequence(vectors), report
 
 
 def solve_tail_invariant(d: Diagram, anchor=None) -> MeasureSequence:
@@ -259,7 +230,7 @@ def solve_tail_invariant(d: Diagram, anchor=None) -> MeasureSequence:
     for n in range(d.depth - 1, -1, -1):
         A = d.F(n).to_dense().T
         vecs.append(A @ vecs[-1])
-    return MeasureSequence(tuple(reversed(vecs)), "CylinderValues")
+    return MeasureSequence(tuple(reversed(vecs)))
 
 
 # ---------------------------------------------------------------- ERS/ECS
@@ -270,14 +241,6 @@ class SumClassification:
     row_sums: tuple[int, ...] | None
     col_sums: tuple[int, ...] | None
     ers_level_sums: tuple[Fraction, ...] | None
-
-    @property
-    def is_ers(self) -> bool:
-        return self.kind in ("ERS", "both")
-
-    @property
-    def is_ecs(self) -> bool:
-        return self.kind in ("ECS", "both")
 
 
 def _uniform_sum(m: IncidenceMatrix, rows: bool) -> int | None:
@@ -296,7 +259,7 @@ def ers_ecs_classify(d: Diagram) -> SumClassification:
 
     For ERS(r_n) diagrams the level sums of any tail-invariant measure with
     sum mu^(0) = 1 are pinned: sum_v mu^(n+1)_v = (r_0 ... r_n)^-1, reported
-    here as exact fractions.
+    here as exact fractions: test_criterion_10_ers_level_sums.
     """
     rows = [_uniform_sum(d.F(n), True) for n in range(d.depth)]
     cols = [_uniform_sum(d.F(n), False) for n in range(d.depth)]

@@ -184,7 +184,7 @@ def reading_order(s: Substitution, matrix: dg.IncidenceMatrix) -> dg.EdgeOrder:
     _, tgt, src = _letters(s, matrix.row_window)
     edge = (tgt * len(matrix.row_window) + src)[src >= 0]
     natural = np.argsort(edge, kind="stable")   # word order within an edge
-    return dg.EdgeOrder((np.argsort(natural),), stationary=True)
+    return dg.EdgeOrder((np.argsort(natural),))
 
 
 def constant_length(s: Substitution):

@@ -2,7 +2,8 @@
 heights, cylinder enumeration, and the adic successor.
 
 Claimed behaviour checked here:
-    - validation rejects empty rows/columns and window mismatches
+    - validation rejects empty rows/columns and window mismatches, and
+      stores levels equal in entries, masks and claims as one record
     - band rules materialize with truncation masks at the window edges
     - telescoping multiplies blocks in descending order (heights survive)
     - H^(n) counts paths exactly (integer arithmetic, no overflow)
@@ -11,6 +12,7 @@ Claimed behaviour checked here:
     - the successor visits a full odometer tower in binary-counter order
 """
 
+import dataclasses
 import functools
 import re
 import numpy as np
@@ -94,6 +96,18 @@ def test_stationarity_compares_levels_not_their_storage():
                            ).stationary
 
 
+@pytest.mark.parametrize("change", [
+    {"interior_rows": np.ones(21, dtype=bool)},
+    {"interior_cols": np.ones(21, dtype=bool)},
+    {"row_sum_claim": None}, {"col_sum_claim": 5}])
+def test_levels_equal_in_entries_alone_stay_two_records(change):
+    """Levels are one record only when their masks and claims agree too."""
+    band = dg.band_matrix(dg.Window(-20, 20, 2), DRUNKEN)
+    assert len(dg.validate([band, dataclasses.replace(band)]).levels) == 1
+    d = dg.validate([band, dataclasses.replace(band, **change)])
+    assert not d.stationary and len(d.levels) == 2
+
+
 def test_zero_row_rejected():
     m = dg.incidence_from_dense(0, [[1, 0], [0, 0]])
     with pytest.raises(dg.ZeroRow) as exc:
@@ -112,8 +126,10 @@ def test_zero_column_rejected():
 def test_window_chain_mismatch_rejected():
     m0 = dg.incidence_from_dense(0, [[1, 1], [1, 1]])
     m1 = dg.incidence_from_dense(1, [[1, 1, 1]], row_window=dg.Window(0, 0),
-                                 col_window=dg.Window(0, 2))
-    with pytest.raises(dg.WindowMismatch):
+                                 col_window=dg.Window(0, 4, 2))
+    with pytest.raises(dg.WindowMismatch, match=re.escape(
+            "source window of level 1 ([0, 4]/2) differs from the target "
+            "window of level 0 ([0, 1])")):
         dg.validate([m0, m1])
 
 
@@ -913,29 +929,29 @@ def test_natural_order_refuses_more_edges_than_the_cap(monkeypatch):
 
 @pytest.mark.parametrize("stationary", [True, False])
 def test_check_order_reads_each_target_once_per_distinct_level(stationary):
-    """A stationary order on a stationary diagram is checked on level 0
-    alone; an order given per level is checked on every level.  A level's
-    cumulative multiplicities are read only when it is checked, and once
-    per level record: a diagram built stationary holds one record."""
-    order = dg.EdgeOrder((np.arange(4),) * (1 if stationary else 5),
-                         stationary=stationary)
-    # five equal levels, built one by one: a stationary diagram whose
-    # levels are five records
-    d = dg.validate([dg.incidence_from_dense(n, ALL_ONES) for n in range(5)])
-    assert d.stationary and len(d.levels) == 5
-    dg.check_order(d, order)
-    read = [n for n, m in enumerate(d.levels) if "edge_starts" in vars(m)]
-    assert read == list(range(1 if stationary else d.depth))
-    built = allones_diagram(5)
-    dg.check_order(built, order)
-    assert len(built.levels) == 1 and "edge_starts" in vars(built.levels[0])
+    """An order checks every level record it meets, and a level's cumulative
+    multiplicities are read once per record: five equal levels built one
+    by one are one record, five alternating ones are five."""
+    order = dg.EdgeOrder((np.arange(4),) * (1 if stationary else 5))
+    assert order.stationary == stationary
+    equal = dg.validate([dg.incidence_from_dense(n, ALL_ONES)
+                         for n in range(5)])
+    assert equal.stationary and len(equal.levels) == 1
+    dg.check_order(equal, order)
+    assert "edge_starts" in vars(equal.levels[0])
+    other = [[2, 1], [0, 1]]   # four edges, three of them into target 0
+    mixed = dg.validate([dg.incidence_from_dense(n, other if n % 2 else
+                                                 ALL_ONES) for n in range(5)])
+    assert not mixed.stationary and len(mixed.levels) == 5
+    dg.check_order(mixed, order)
+    assert all("edge_starts" in vars(m) for m in mixed.levels)
 
 
 def test_check_order_rejects_partial_lists():
     """Each target's list less its last edge is too short an array."""
     d = allones_diagram(2)
     with pytest.raises(dg.WindowMismatch, match="lists 2 edges, not 4"):
-        dg.check_order(d, dg.EdgeOrder((np.array([0, 2]),), stationary=True))
+        dg.check_order(d, dg.EdgeOrder((np.array([0, 2]),)))
 
 
 # target 0 of [[1, 2], [1, 1]] has natural positions 0..2, target 1 3..4
@@ -952,7 +968,7 @@ _BAD_ORDERS = {
 def test_check_order_rejects(case):
     perm, message = _BAD_ORDERS[case]
     d = dg.stationary_diagram([[1, 2], [1, 1]], 4)
-    order = dg.EdgeOrder((np.array(perm),), stationary=True)
+    order = dg.EdgeOrder((np.array(perm),))
     with pytest.raises(dg.WindowMismatch, match=f"level 0.*{message}"):
         dg.check_order(d, order)
 
@@ -971,7 +987,7 @@ def test_order_array_lists_natural_positions():
     """A block reversed in the array is read back reversed, rank by rank,
     on every level of a stationary order."""
     d = dg.stationary_diagram([[1, 2], [1, 1]], 3)
-    order = dg.EdgeOrder((np.array([2, 1, 0, 4, 3]),), stationary=True)
+    order = dg.EdgeOrder((np.array([2, 1, 0, 4, 3]),))
     dg.check_order(d, order)
     for n in range(3):
         assert order.order_at(d, n, 0) == ((1, 1), (1, 0), (0, 0))

@@ -18,6 +18,7 @@ import pytest
 from bratteli import cli
 from bratteli import diagram as dg
 from bratteli import markov as mk
+from bratteli import specfile as sf
 
 from conftest import random_system
 
@@ -75,6 +76,28 @@ def test_batches_split_runs_by_record_and_budget(monkeypatch):
     # one record per level: no two levels share a batch
     d = random_system(0, depth=5).diagram
     assert list(mk.level_batches(d)) == [(n, n + 1) for n in range(5)]
+
+
+def test_equal_triplet_levels_are_the_matrix_they_repeat():
+    """triplets.json lists allones.json's level six times: validate stores
+    it as one record, which forms one batch, and every command that visits
+    the levels prints the matrix spec's bytes."""
+    d = sf.load_spec(str(SPECS / "triplets.json")).diagram
+    assert d.stationary and len(d.levels) == 1
+    assert list(mk.level_batches(d)) == [(0, d.depth)]
+
+    def outputs(spec):
+        out = []
+        for argv in (["validate"], ["check", "--format", "json"],
+                     ["analyze", "measure"], ["analyze", "markov"],
+                     ["analyze", "laplacian"]):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                rc = cli.main([argv[0], str(SPECS / spec), *argv[1:]])
+            out.append((rc, buf.getvalue()))
+        return out
+
+    assert outputs("triplets.json") == outputs("allones.json")
 
 
 def _stationary_kernels(seed):

@@ -310,7 +310,7 @@ def test_induced_requires_positive_measure():
     vecs = vecs[:2] + (np.array([0.25, 0.0]),) + vecs[3:]
     with pytest.raises(mk.ZeroMeasureVertex):
         mk.markov_from_tail_invariant(
-            d, ms.MeasureSequence(vecs, "CylinderValues"))
+            d, ms.MeasureSequence(vecs))
 
 
 def test_induced_normalizes_clipped_boundary():

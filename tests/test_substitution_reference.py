@@ -98,7 +98,7 @@ def _same_order(s, m, table):
     by target through ``order_at``, the reference table's pairs.  The
     one-level diagram is not validated: a random rule may leave a column
     empty."""
-    d, order = dg.Diagram((m,), 1, True), sb.reading_order(s, m)
+    d, order = dg.Diagram((m,), 1), sb.reading_order(s, m)
     dg.check_order(d, order)
     assert {v: order.order_at(d, 0, v) for v in m.targets} == table
 
