@@ -256,7 +256,7 @@ def _analyze_markov(ctx: _Context, args):
     qs = ctx.kernels.q   # ZeroMass where a level mass vanished
     payload = {"q0": list(map(float, sysm.q0)),
                "stochasticity_deviation": max(sysm.levels.stochasticity),
-               "normalized_rows": list(sysm.meta.get("normalized", ())),
+               "normalized_rows": list(sysm.normalized),
                "q": [list(map(float, q)) for q in qs]}
     rows = ((n, v, float(qs[n][i]))
             for n in range(sysm.depth + 1)

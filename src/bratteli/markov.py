@@ -18,7 +18,7 @@ Stored form.  Everything is kept per level in the CSR order of
 ``diagram.F(n).csr``.  A system holds its probabilities as arrays
 (``MarkovSystem.p_values``, with rank offsets ``p_ranks`` only where an
 entry gives one value per edge rank); ``explicit_system`` is the one reader
-of {(source, target): value} mappings.  P-hat (``MarkovSystem.phat_edges``)
+of {(source, target): value} mappings.  P-hat (``MarkovSystem.levels.phat``)
 and Q-hat (``HatKernels.qhat_values``) are one value per edge.  Comparisons
 that are elementwise (detailed balance, Q-hat against the hat incidence
 matrix) read the edges alone.  The products whose float summation order
@@ -38,12 +38,13 @@ but its self-adjointness is read only where it can be nonzero, at the
 source pairs of the level (``self_adjoint_gap``).
 
 ``MarkovSystem.levels`` owns the one dense sweep over the levels, cached
-on the system: q^(n+1) = q^(n) P-hat_n and each level's largest
-|row sum - 1|.  Every reader of the masses or row deviations uses it.
+on the system: each level's P-hat edge values, q^(n+1) = q^(n) P-hat_n and
+each level's largest |row sum - 1|.  Every reader of P-hat, the masses or
+the row deviations uses it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -88,45 +89,47 @@ class MarkovSystem:
     entry k's values are p_values[n][p_ranks[n][k]:p_ranks[n][k + 1]]:
     one shared value, or one value per edge rank.  ``explicit_system``
     builds a checked system from {(source, target): value} mappings.
+    ``normalized`` lists the (level, source vertex) rows that
+    ``markov_from_tail_invariant`` renormalized.
     """
 
     diagram: Diagram
     q0: np.ndarray
     p_values: tuple[np.ndarray, ...]
     p_ranks: tuple[np.ndarray | None, ...]
-    meta: Mapping[str, object] = field(default_factory=dict)
+    normalized: tuple[tuple[int, int], ...] = ()
 
     @property
     def depth(self) -> int:
         return self.diagram.depth
 
-    def phat_edges(self, level: int) -> np.ndarray:
-        """P-hat at ``level``, one read-only value per edge of
-        ``diagram.F(level).csr``: mult * p for a shared value, the sum of
-        the per-rank values, added left to right, otherwise."""
-        return _phat(self.diagram.F(level).csr.mult, self.p_values[level],
-                     self.p_ranks[level])
-
     @cached_property
     def levels(self) -> LevelSweep:
         """One dense P-hat per level, batch by batch; checks nothing."""
         q = [_frozen(np.asarray(self.q0, dtype=np.float64).view())]
-        devs = []
+        devs, phat = [], []
         scratch = Scratch()
         for lo, hi in level_batches(self.diagram):
-            P = scratch.scatter(self.diagram.F(lo), np.stack(
-                [self.phat_edges(n) for n in range(lo, hi)]), by_source=True)
+            edges = [_phat(self.diagram.F(n).csr.mult, self.p_values[n],
+                           self.p_ranks[n]) for n in range(lo, hi)]
+            phat += edges
+            P = scratch.scatter(self.diagram.F(lo), np.stack(edges),
+                                by_source=True)
             devs += np.abs(P.sum(axis=-1) - 1.0).max(axis=-1).tolist()
             for Pn in P:
                 q.append(_frozen(q[-1] @ Pn))
-        return LevelSweep(tuple(q), tuple(devs))
+        return LevelSweep(tuple(q), tuple(devs), tuple(phat))
 
 
 class LevelSweep(NamedTuple):
     """Read-only q^(0..depth) (q[0] views q0) and, per level n,
-    stochasticity[n] = max_v |sum_u P-hat_n(v, u) - 1|."""
+    stochasticity[n] = max_v |sum_u P-hat_n(v, u) - 1| and phat[n], P-hat
+    as one read-only value per edge of ``diagram.F(n).csr``: mult * p for
+    a shared value, the sum of the per-rank values, added left to right,
+    otherwise."""
     q: tuple[np.ndarray, ...]
     stochasticity: tuple[float, ...]
+    phat: tuple[np.ndarray, ...]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -136,7 +139,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _phat(mult: np.ndarray, p: np.ndarray, ranks: np.ndarray | None
           ) -> np.ndarray:
-    """``MarkovSystem.phat_edges`` of one level's arrays."""
+    """``LevelSweep.phat`` of one level's arrays."""
     if ranks is None:
         return _frozen(np.asarray(mult * p, dtype=np.float64))
     lo, count = ranks[:-1], np.diff(ranks)
@@ -275,7 +278,7 @@ class HatKernels:
 
     Each kernel is stored as one read-only value per edge of level n, in
     the CSR order of ``diagram.F(n).csr``: phat_values[n] is P-hat, the
-    system's ``phat_edges(n)``, and qhat_values[n] the dual value on the
+    system's ``levels.phat[n]``, and qhat_values[n] the dual value on the
     same edge.  ``phat[n]`` (rows V_n, columns V_{n+1}) and ``qhat[n]``
     (rows V_{n+1}, columns V_n: it runs the chain downwards) build the
     dense kernel afresh on every index; ``batches`` stacks the levels.
@@ -313,13 +316,12 @@ def dual_kernels(ms: MarkovSystem) -> HatKernels:
 
     The level masses are ``ms.levels.q``; ZeroMass names the first level
     whose mass vanished somewhere.  The Q-hat edge values come from the
-    edge values of P-hat, so nothing dense is built here.
+    sweep's edge values of P-hat, so nothing dense is built here.
     """
-    q = ms.levels.q
+    q, pvals = ms.levels.q, ms.levels.phat
     for n in range(1, ms.depth + 1):
         if (q[n] < Q_FLOOR).any():
             raise ZeroMass(n, int(ms.diagram.vertices(n)[q[n].argmin()]))
-    pvals = tuple(ms.phat_edges(n) for n in range(ms.depth))
     qvals = []
     for n, p in enumerate(pvals):
         c = ms.diagram.F(n).csr
@@ -334,8 +336,8 @@ def markov_from_tail_invariant(d: Diagram, nu: MeasureSequence
 
     All parallel edges share the value, so no level has rank offsets.  On
     windowed truncations the outgoing sums at clipped source vertices fall
-    short of 1; those rows are renormalized (and recorded in
-    meta["normalized"]) since a window cannot carry the lost mass.
+    short of 1; those rows are renormalized (and listed in ``normalized``)
+    since a window cannot carry the lost mass.
     """
     if nu.depth != d.depth:
         raise DimensionMismatch(
@@ -359,8 +361,7 @@ def markov_from_tail_invariant(d: Diagram, nu: MeasureSequence
         ps.append(p / np.where(clipped, sums, 1.0)[c.indices])
         normalized.extend((n, m.sources[j]) for j in np.flatnonzero(clipped))
     return MarkovSystem(d, np.asarray(nu.level(0), dtype=np.float64),
-                        tuple(ps), (None,) * d.depth,
-                        {"normalized": tuple(normalized)})
+                        tuple(ps), (None,) * d.depth, tuple(normalized))
 
 
 def balance_gap(hk: HatKernels, n: int) -> float:

@@ -186,6 +186,11 @@ def pf_solve(m: IncidenceMatrix) -> SpectralData:
     The right vector is anchored to 1 at the window's center vertex.  On
     untruncated levels the left vector is scaled so that s.t = 1; on
     truncated ones it is anchored too.
+
+    A sum claim is a fact about the infinite matrix.  On a truncated
+    window a column claim alone does not pin lambda: the clipped window's
+    own Perron value lies below it, so lambda, t and s all come from power
+    iteration on the window and no shortcut is taken.
     """
     chk = check_irreducible_aperiodic(m)
     if not chk.ok:
@@ -207,6 +212,10 @@ def pf_solve(m: IncidenceMatrix) -> SpectralData:
             row_sum = _constant_of(m.col_sums())
         if col_sum is None:
             col_sum = _constant_of(m.row_sums())
+    elif row_sum is None:
+        # a column claim alone is a fact about the infinite matrix; the
+        # window's Perron value is below it, so the window gives the pair
+        col_sum = None
 
     # -- lambda and right vector ---------------------------------------
     if row_sum is not None:

@@ -1,7 +1,9 @@
-"""tools/ci_checks.py: every row's check on fabricated readings, and the
-runner's per-child maxrss on real children."""
+"""tools/ci_checks.py: every row's check on fabricated readings, every moved
+command through a recorder, and the runner's per-child maxrss on real
+children."""
 import importlib.util
 import json
+import os
 import pathlib
 import pickle
 import subprocess
@@ -27,11 +29,26 @@ BOUNDS = {
 }
 WALK = "analyze walk on one CPU and on every CPU"
 EXAMPLE = "examples_specs/allones.json: every command"
+PROPERTY = "property tests with hypothesis"
+SELF_TEST = "benchmark self-test"
+# the frozen-answer rows: workload and whether it runs pinned to one CPU
+FROZEN = {
+    **{f"frozen answers of {w}": (w, False)
+       for w in ("deep_fib", "wide_band", "walk_fixed", "walk_hitting")},
+    **{f"frozen answers of {w} on one CPU": (w, True)
+       for w in ("walk_fixed", "walk_hitting")},
+}
 
 
 @pytest.fixture(scope="module")
-def checks():
-    return {name: check for name, _, check in ci.rows(["kernels", "pf"])}
+def table():
+    return {name: (measure, check)
+            for name, measure, check in ci.rows(["kernels", "pf"])}
+
+
+@pytest.fixture(scope="module")
+def checks(table):
+    return {name: check for name, (_, check) in table.items()}
 
 
 def reading(*args, code=0, stdout=b"", stderr=b"", mb=40.0, ncpus=2):
@@ -41,7 +58,8 @@ def reading(*args, code=0, stdout=b"", stderr=b"", mb=40.0, ncpus=2):
 
 def test_every_row_is_covered(checks):
     examples = {n for n in checks if n.startswith("examples_specs/")}
-    assert set(checks) - examples == {*BOUNDS, WALK}
+    assert set(checks) - examples == {*BOUNDS, WALK, PROPERTY, SELF_TEST,
+                                      *FROZEN}
     assert EXAMPLE in examples and len(examples) >= 5
 
 
@@ -116,6 +134,102 @@ def test_example_command_faults(checks, i, change):
     runs = _example_runs()
     runs[i] = runs[i]._replace(**change)
     assert not checks[EXAMPLE](runs)[0]
+
+
+def tool(*args, code=0, stdout=b""):
+    return ci.Run(("python", *args), code, stdout, b"", 0.1, 40.0, 2)
+
+
+def benchmark_output(last):
+    """perfbench/run.py's stdout: summary, a failure, then the two JSON
+    lines, the run record and ``last``."""
+    return (b"deep_fib seed 0: 2 rounds, 1 of 8 operations failed\n"
+            b"  round 0 check: answer differs\n"
+            b'{"run": {"workload": "deep_fib"}}\n' + last)
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+@pytest.mark.parametrize("stdout, code, passed", [
+    (benchmark_output(b'{"correct": true, "failed": 0}\n'), 0, True),
+    (benchmark_output(b'{"correct": false, "failed": 1}\n'), 0, False),
+    (benchmark_output(b'{"correct": 1}\n'), 0, False),
+    (benchmark_output(b'{"failed": 0}\n'), 0, False),
+    (benchmark_output(b'[true]\n'), 0, False),
+    (benchmark_output(b"Traceback (most recent call last):\n"), 0, False),
+    (b"", 0, False),
+    (benchmark_output(b'{"correct": true, "failed": 0}\n'), 1, False),
+], ids=["correct", "not-correct", "correct-1", "no-key", "not-an-object",
+        "not-json", "empty", "exit-1"])
+def test_frozen_answers(checks, name, stdout, code, passed):
+    verdict, text = checks[name]([tool("perfbench/run.py", code=code,
+                                       stdout=stdout)])
+    assert verdict is passed
+    if stdout:   # every line but the last two, as head -n -2 gives
+        assert text.splitlines()[:2] == [
+            "deep_fib seed 0: 2 rounds, 1 of 8 operations failed",
+            "  round 0 check: answer differs"]
+        assert "{" not in text and "[true]" not in text
+
+
+@pytest.mark.parametrize("stdout, code, passed", [
+    (b"..\n2 passed in 1.50s\n", 0, True),
+    (b"..\n2 passed, 1 warning in 1.50s\n", 0, True),
+    (b"ss\n2 skipped in 0.10s\n", 0, False),
+    (b".s\n1 passed, 1 skipped in 0.80s\n", 0, False),
+    (b"F.\n1 failed, 1 passed in 0.90s\n", 1, False),
+    (b"..\n2 passed in 1.50s\n", 1, False),
+    (b"", 0, False),
+], ids=["passed", "passed-warning", "skipped", "one-skipped", "one-failed",
+        "exit-1", "empty"])
+def test_property_tests_pass_only_when_both_ran(checks, stdout, code, passed):
+    verdict, text = checks[PROPERTY]([tool("-m", "pytest", code=code,
+                                           stdout=stdout)])
+    assert verdict is passed
+    # the summary line, or all of pytest's stdout on a failure
+    assert text.startswith(stdout.decode() if not passed
+                           else "2 passed")
+
+
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_self_test_must_exit_zero(checks, code):
+    out = b"ok  a case: failed\nall checks bite\n"
+    verdict, text = checks[SELF_TEST]([tool("perfbench/selftest.py",
+                                            code=code, stdout=out)])
+    assert verdict is (code == 0)
+    assert text.startswith("all checks bite" if code == 0 else
+                           "ok  a case: failed\nall checks bite\n")
+
+
+def test_moved_commands_and_cpu_sets(monkeypatch, table):
+    """The commands the tier-1 workflow once ran inline, unchanged: a row
+    whose command moves fails here.  The sampled workloads run a second
+    time on the one CPU that the walk row pins."""
+    calls = []
+
+    def recorder(argv, cpus=None):
+        calls.append((tuple(argv), cpus))
+        return tool()
+
+    monkeypatch.setattr(ci, "run", recorder)
+    table[WALK][0]()
+    pinned = calls[0][1]
+    assert len(pinned) == 1 and pinned <= os.sched_getaffinity(0)
+    py = sys.executable
+    expected = {
+        PROPERTY: ((py, "-m", "pytest", "-q",
+                    "tests/test_cells.py::"
+                    "test_refinement_commutes_with_aggregation",
+                    "tests/test_diagram.py::test_heights_satisfy_recursion"),
+                   None),
+        SELF_TEST: ((py, "perfbench/selftest.py"), None),
+        **{name: ((py, "perfbench/run.py", "--workload", w, "--seed", "0",
+                   "--seconds", "1"), pinned if one else None)
+           for name, (w, one) in FROZEN.items()},
+    }
+    for name, call in expected.items():
+        calls.clear()
+        table[name][0]()
+        assert calls == [call], name
 
 
 def test_run_reads_each_childs_own_maxrss():

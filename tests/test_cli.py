@@ -187,9 +187,9 @@ def test_analyze_pf_fibonacci(capsys):
                                                           abs=1e-9)
 
 
-# one spec per solve branch, pinned to the values the solver has always
-# printed: both sums known, column sums only, no shortcut, and a truncated
-# substitution window whose column-sum claim leaves a long right-vector solve
+# one spec per solve branch, pinned to the values the solver prints: both
+# sums known, column sums only, no shortcut, and a truncated substitution
+# window, whose column-sum claim alone leaves the whole pair to the window
 PF_BRANCHES = {
     "allones": (None, 2.0, "constant-row-and-column-sums", 0, 0.0,
                 "PositiveRecurrent"),
@@ -200,7 +200,7 @@ PF_BRANCHES = {
                   "PositiveRecurrent"),
     "nat_window": ({"substitution": {"name": "nat_length_two"},
                     "window": [0, 60], "depth": 2},
-                   2.0, "constant-column-sums", 827, 2.643046068372988e-13,
+                   2.000000000000234, None, 1394, 3.4372493424348206e-13,
                    "Unknown"),
 }
 
@@ -417,6 +417,20 @@ def test_every_example_passes_check(capsys, spec):
     rc, d = run_json(capsys, "check", str(SPECS / spec), "--format", "json")
     assert rc == 0
     assert d["passed"] is True
+
+
+@pytest.mark.parametrize("order", ["natural", "reading"])
+@pytest.mark.parametrize("depth", ["4", "60"])
+def test_check_passes_on_a_clipped_nat_window(capsys, tmp_path, order, depth):
+    """The window's own Perron pair, not the infinite matrix's lambda 2
+    with the window's vector, which failed TailInvariance at 3.2e-4."""
+    spec = tmp_path / "nat.json"
+    spec.write_text(json.dumps({"substitution": {"name": "nat_length_two"},
+                                "window": [0, 12], "order": order}))
+    rc, d = run_json(capsys, "check", str(spec), "--depth", depth,
+                     "--format", "json")
+    failed = [r["invariant"] for r in d["results"] if not r["passed"]]
+    assert (rc, d["passed"], failed) == (0, True, [])
 
 
 def test_check_consistency_deep_fibonacci(capsys):

@@ -398,7 +398,7 @@ def clipped_band_network():
     d = dg.band_diagram(DRUNKEN, 4, dg.Window(-12, 12, 2))
     mu, _ = ms.stationary_pf_measure(d, normalization="probability")
     sysm = mk.markov_from_tail_invariant(d, mu)
-    assert sysm.meta["normalized"]
+    assert sysm.normalized
     return lp.build_network(mk.dual_kernels(sysm))
 
 

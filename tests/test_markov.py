@@ -270,15 +270,17 @@ def test_space_names_the_vanished_vertex_by_label():
 
 
 def test_level_sweep_is_cached_and_read_only():
-    """The sweep runs once per system; its masses are shared with every
-    dual built from it, so they are read-only, q0 included."""
+    """The sweep runs once per system; its masses and P-hat edge values
+    are shared with every dual built from it, so they are read-only, q0
+    included."""
     sysm = random_system(4)
     sweep = sysm.levels
     assert sysm.levels is sweep
-    assert mk.dual_kernels(sysm).q is sweep.q
+    hk = mk.dual_kernels(sysm)
+    assert hk.q is sweep.q and hk.phat_values is sweep.phat
     assert len(sweep.q) == sysm.depth + 1
-    assert len(sweep.stochasticity) == sysm.depth
-    assert not any(q.flags.writeable for q in sweep.q)
+    assert len(sweep.stochasticity) == len(sweep.phat) == sysm.depth
+    assert not any(a.flags.writeable for a in sweep.q + sweep.phat)
     assert sysm.q0.flags.writeable
 
 
@@ -291,7 +293,7 @@ def test_induced_allones_is_uniform():
     assert all(r is None for r in sysm.p_ranks)
     for p in sysm.p_values:
         assert np.abs(p - 0.5).max() < 1e-15
-    assert sysm.meta["normalized"] == ()
+    assert sysm.normalized == ()
 
 
 def test_induced_fibonacci_edge_probabilities():
@@ -318,7 +320,7 @@ def test_induced_normalizes_clipped_boundary():
     d = dg.band_diagram(DRUNKEN, depth=3, window=dg.Window(-10, 10, 2))
     mu, _ = ms.stationary_pf_measure(d)
     sysm = mk.markov_from_tail_invariant(d, mu)
-    assert len(sysm.meta["normalized"]) > 0
+    assert len(sysm.normalized) > 0
     # rows sum to 1 after the fix-up, within explicit_system's tolerance
     assert max(sysm.levels.stochasticity) <= 1e-12
 
@@ -422,7 +424,7 @@ def _edge_form_cases():
     clipped = dg.band_diagram(DRUNKEN, depth=4, window=dg.Window(-14, 14, 2))
     mu, _ = ms.stationary_pf_measure(clipped)
     induced = mk.markov_from_tail_invariant(clipped, mu)
-    assert induced.meta["normalized"]
+    assert induced.normalized
     # source 0: a double edge with per-rank values and a double edge with
     # one shared value; source 1: a single edge
     d = dg.stationary_diagram([[2, 1], [2, 0]], 3)
@@ -454,7 +456,7 @@ def test_phat_edges_match_probs(name):
     for n in range(sysm.depth):
         ref = _phat_reference(sysm, probs, n)
         c = sysm.diagram.F(n).csr
-        edges = sysm.phat_edges(n)
+        edges = sysm.levels.phat[n]
         assert np.array_equal(edges, ref[c.indices, c.rows])
         assert not edges.flags.writeable
         assert np.array_equal(

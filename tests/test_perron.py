@@ -178,6 +178,32 @@ def test_asymmetric_matrix_vectors_are_right_and_left():
     assert np.abs(sd.left @ A - sd.lam * sd.left).max() < 1e-12
 
 
+# untruncated levels, a band clipped on both sides with both sum claims,
+# and clipped nat windows whose column-sum claim is the infinite matrix's
+ONE_EIGENPAIR = {
+    "fibonacci": lambda: level(FIB),
+    "odometer-3": lambda: sb.substitution_matrix(sb.odometer(3)),
+    "drunkard-walk": lambda: sb.substitution_matrix(sb.drunkard_walk(),
+                                                    dg.Window(-20, 20, 2)),
+    "nat-12": lambda: nat_window(12),
+    "nat-40": lambda: nat_window(40),
+    "nat-200": lambda: nat_window(200),
+    "drunken-band": lambda: drunken_window(-30, 30),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_EIGENPAIR))
+def test_lambda_and_right_vector_are_one_eigenpair(name):
+    """A t = lambda t on the interior columns, relative to max |t|: on a
+    clipped nat window the claimed lambda 2 once came with the window's
+    own vector, 3.2e-4 off on [0, 12]."""
+    m = ONE_EIGENPAIR[name]()
+    sd = pf.pf_solve(m)
+    A = m.to_dense().T
+    gap = np.abs(A @ sd.right - sd.lam * sd.right)[m.interior_cols]
+    assert gap.max(initial=0.0) / np.abs(sd.right).max() < 1e-10
+
+
 def test_multiplicity_beyond_int64_gives_exact_sum():
     sd = pf.pf_solve(level([[2 ** 70]]))
     assert sd.lam == float(2 ** 70)

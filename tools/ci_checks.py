@@ -1,8 +1,11 @@
-"""The CI checks that need fresh processes: memory bounds and output bytes.
+"""Every CI check after tier-1, each in fresh processes: memory bounds,
+output bytes, the hypothesis property tests, the benchmark's self-test and
+its frozen answers.
 
-Each row of ``rows()`` runs ``python -m bratteli`` in fresh processes, and a
-pure function of their readings decides it.  ``python tools/ci_checks.py``
-prints every row's reading and exits 1 if any row fails.
+Each row of ``rows()`` runs its commands (``python -m bratteli``, pytest or
+a ``perfbench`` script) in fresh processes, and a pure function of their
+readings decides it.  ``python tools/ci_checks.py`` prints every row's
+reading and exits 1 if any row fails.
 """
 import functools
 import glob
@@ -16,6 +19,12 @@ from collections import namedtuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BRATTELI = (sys.executable, "-m", "bratteli")
+# the hypothesis property tests, which skip in tier-1 without hypothesis
+PROPERTY_TESTS = (
+    "tests/test_cells.py::test_refinement_commutes_with_aggregation",
+    "tests/test_diagram.py::test_heights_satisfy_recursion")
+WORKLOADS = ("deep_fib", "wide_band", "walk_fixed", "walk_hitting")
+SAMPLED = ("walk_fixed", "walk_hitting")   # their kernels may run in shards
 Run = namedtuple("Run", "argv code stdout stderr wall_s maxrss_mb ncpus")
 
 
@@ -39,6 +48,11 @@ def run(argv, cpus=None) -> Run:
                    len(cpus or os.sched_getaffinity(0)))
 
 
+def one_cpu() -> set:
+    """One CPU of this process's set, on which a walk runs unsharded."""
+    return {min(os.sched_getaffinity(0))}
+
+
 def run_on(spec: bytes, command: str, *args) -> Run:
     """``python -m bratteli command <a spec file holding spec> args``."""
     with tempfile.NamedTemporaryFile(suffix=".json") as fh:
@@ -47,11 +61,17 @@ def run_on(spec: bytes, command: str, *args) -> Run:
         return run([*BRATTELI, command, fh.name, *args])
 
 
+def _command(r: Run) -> str:
+    """The run's command line, without the interpreter and -m bratteli."""
+    skip = len(BRATTELI) if r.argv[1:3] == BRATTELI[1:] else 1
+    return " ".join(r.argv[skip:])
+
+
 def _exits(runs, codes=(0,)) -> str:
     """Each run whose exit code is not in ``codes`` (None: any)."""
     if codes is None:
         return ""
-    return "".join(f"; {' '.join(r.argv[3:])}: exit code {r.code}, "
+    return "".join(f"; {_command(r)}: exit code {r.code}, "
                    f"{len(r.stderr)} bytes on stderr\n"
                    f"{r.stderr.decode(errors='replace')}"
                    for r in runs if r.code not in codes)
@@ -94,7 +114,7 @@ def _fault(r: Run) -> str:
                                        indent=2) + "\n"
     except ValueError:
         canonical = False
-    return "" if canonical else f"; {' '.join(r.argv[3:])}: not canonical JSON"
+    return "" if canonical else f"; {_command(r)}: not canonical JSON"
 
 
 def _ints_only(x) -> bool:
@@ -115,6 +135,58 @@ def json_bytes(runs):
         "" if len(emitted) == 1 and _ints_only(json.loads(emitted.pop()))
         else "; --emit-spec is no fixpoint, or emits a float as an int")
     return not faults, faults[2:] or f"{len(runs)} commands pass"
+
+
+def _lines(r: Run) -> list:
+    return r.stdout.decode(errors="replace").splitlines()
+
+
+def _verdict(lines, err):
+    """(passed, reading): the lines, then why the row fails, if it does."""
+    return not err, "\n".join([*lines, err[2:]] if err else lines)
+
+
+def property_tests(runs):
+    """pytest exits 0 and a summary line starts with "2 passed": a skip,
+    as where hypothesis is missing, is not a pass.  The reading is the
+    summary, or pytest's whole stdout when the row fails."""
+    (r,) = runs
+    lines = _lines(r)
+    err = _exits(runs)
+    if not any(line.startswith("2 passed") for line in lines):
+        err += "; not both tests passed"
+    return _verdict(lines if err else lines[-1:], err)
+
+
+def self_test(runs):
+    """perfbench/selftest.py exits 0: every check of the benchmark bites.
+    The reading is its last line, or its whole stdout when it fails."""
+    (r,) = runs
+    lines = _lines(r)
+    err = _exits(runs)
+    return _verdict(lines if err else lines[-1:], err)
+
+
+def frozen_answers(runs):
+    """perfbench/run.py exits 0 whether or not its answers are right, so
+    the verdict is its last stdout line, the result JSON, whose "correct"
+    must be true.  The reading is every line but the two JSON lines at
+    the end: the run's summary and its failures."""
+    (r,) = runs
+    lines = _lines(r)
+    try:
+        correct = json.loads(lines[-1])["correct"] is True
+    except (IndexError, KeyError, TypeError, ValueError):
+        correct = False
+    err = _exits(runs) + ("" if correct else "; the answers are not correct")
+    return _verdict(lines[:-2], err)
+
+
+def _frozen(workload, pinned=False):
+    """One seed-0 benchmark run of ``workload``, on one CPU if pinned."""
+    return [run([sys.executable, "perfbench/run.py", "--workload", workload,
+                 "--seed", "0", "--seconds", "1"],
+                cpus=one_cpu() if pinned else None)]
 
 
 def _example(spec, kinds):
@@ -145,7 +217,7 @@ def rows(kinds):
         # depend on how its trials are split into shards: one on one CPU
         # (and one BLAS thread), 2 or more when it may fork on every CPU.
         ("analyze walk on one CPU and on every CPU",
-         lambda: [run(walk, cpus={min(os.sched_getaffinity(0))}), run(walk)],
+         lambda: [run(walk, cpus=one_cpu()), run(walk)],
          same_bytes),
         # An edge order is one int64 array of natural edge positions per
         # level, so a reading order costs about as much memory as the
@@ -174,7 +246,23 @@ def rows(kinds):
                   for depth in (2, 20)], maxrss(8)),
     ] + [(f"{spec}: every command", functools.partial(_example, spec, kinds),
           json_bytes) for spec in sorted(glob.glob("examples_specs/*.json",
-                                                   root_dir=ROOT))]
+                                                   root_dir=ROOT))] + [
+        # tier-1 runs without hypothesis, where the two property tests
+        # skip; here both must run and pass
+        ("property tests with hypothesis",
+         lambda: [run([sys.executable, "-m", "pytest", "-q",
+                       *PROPERTY_TESTS])], property_tests),
+        ("benchmark self-test",
+         lambda: [run([sys.executable, "perfbench/selftest.py"])], self_test),
+        # At seed 0 every workload's answers are frozen bit for bit.  With
+        # several CPUs the walk kernels run in forked shards, so the sampled
+        # workloads run again on one CPU, where they run in-process, and
+        # must give the same frozen answers.
+    ] + [(f"frozen answers of {w}", functools.partial(_frozen, w),
+          frozen_answers) for w in WORKLOADS] + [
+        (f"frozen answers of {w} on one CPU",
+         functools.partial(_frozen, w, pinned=True), frozen_answers)
+        for w in SAMPLED]
 
 
 def main() -> int:
