@@ -252,13 +252,12 @@ def _analyze_measure(ctx: _Context, args):
 
 
 def _analyze_markov(ctx: _Context, args):
-    sysm = ctx.system
-    qs = ctx.kernels.q   # ZeroMass where a level mass vanished
+    sysm, hk = ctx.system, ctx.kernels   # ZeroMass where a mass vanished
     payload = {"q0": list(map(float, sysm.q0)),
-               "stochasticity_deviation": max(sysm.levels.stochasticity),
+               "stochasticity_deviation": max(hk.stochasticity),
                "normalized_rows": list(sysm.normalized),
-               "q": [list(map(float, q)) for q in qs]}
-    rows = ((n, v, float(qs[n][i]))
+               "q": [list(map(float, q)) for q in hk.q]}
+    rows = ((n, v, float(hk.q[n][i]))
             for n in range(sysm.depth + 1)
             for i, v in enumerate(ctx.diagram.vertices(n)))
     return payload, rows, ["level", "vertex", "q"]

@@ -18,7 +18,7 @@ Stored form.  Everything is kept per level in the CSR order of
 ``diagram.F(n).csr``.  A system holds its probabilities as arrays
 (``MarkovSystem.p_values``, with rank offsets ``p_ranks`` only where an
 entry gives one value per edge rank); ``explicit_system`` is the one reader
-of {(source, target): value} mappings.  P-hat (``MarkovSystem.levels.phat``)
+of {(source, target): value} mappings.  P-hat (``HatKernels.phat_values``)
 and Q-hat (``HatKernels.qhat_values``) are one value per edge.  Comparisons
 that are elementwise (detailed balance, Q-hat against the hat incidence
 matrix) read the edges alone.  The products whose float summation order
@@ -38,15 +38,17 @@ but its self-adjointness is read only where it can be nonzero, at the
 source pairs of the level (``self_adjoint_gap``).
 
 ``MarkovSystem.levels`` owns the one dense sweep over the levels, cached
-on the system: each level's P-hat edge values, q^(n+1) = q^(n) P-hat_n and
-each level's largest |row sum - 1|.  Every reader of P-hat, the masses or
-the row deviations uses it.
+on the system, and returns the system's ``HatKernels``: each level's P-hat
+edge values, q^(n+1) = q^(n) P-hat_n, each level's largest |row sum - 1|
+and the Q-hat edge values formed from the batch's P-hat edges and masses.
+Every reader of P-hat, Q-hat, the masses or the row deviations uses it;
+``dual_kernels`` only checks that no mass vanished before handing it out.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -104,32 +106,30 @@ class MarkovSystem:
         return self.diagram.depth
 
     @cached_property
-    def levels(self) -> LevelSweep:
-        """One dense P-hat per level, batch by batch; checks nothing."""
+    def levels(self) -> HatKernels:
+        """P-hat, Q-hat and the masses, batch by batch; checks nothing.  A
+        vanished mass gives inf or NaN Q-hat values into its vertex, which
+        ``dual_kernels`` reports as ZeroMass."""
         q = [_frozen(np.asarray(self.q0, dtype=np.float64).view())]
-        devs, phat = [], []
+        devs, phat, qhat = [], [], []
         scratch = Scratch()
         for lo, hi in level_batches(self.diagram):
-            edges = [_phat(self.diagram.F(n).csr.mult, self.p_values[n],
-                           self.p_ranks[n]) for n in range(lo, hi)]
-            phat += edges
-            P = scratch.scatter(self.diagram.F(lo), np.stack(edges),
-                                by_source=True)
+            F = self.diagram.F(lo)
+            edges = np.stack([_phat(self.diagram.F(n).csr.mult,
+                                    self.p_values[n], self.p_ranks[n])
+                              for n in range(lo, hi)])
+            P = scratch.scatter(F, edges, by_source=True)
             devs += np.abs(P.sum(axis=-1) - 1.0).max(axis=-1).tolist()
             for Pn in P:
                 q.append(_frozen(q[-1] @ Pn))
-        return LevelSweep(tuple(q), tuple(devs), tuple(phat))
-
-
-class LevelSweep(NamedTuple):
-    """Read-only q^(0..depth) (q[0] views q0) and, per level n,
-    stochasticity[n] = max_v |sum_u P-hat_n(v, u) - 1| and phat[n], P-hat
-    as one read-only value per edge of ``diagram.F(n).csr``: mult * p for
-    a shared value, the sum of the per-rank values, added left to right,
-    otherwise."""
-    q: tuple[np.ndarray, ...]
-    stochasticity: tuple[float, ...]
-    phat: tuple[np.ndarray, ...]
+            c = F.csr
+            with np.errstate(divide="ignore", invalid="ignore"):
+                Q = (edges * np.stack(q[lo:hi])[:, c.indices]
+                     / np.stack(q[lo + 1:hi + 1])[:, c.rows])
+            phat.extend(_frozen(edges))
+            qhat.extend(_frozen(Q))
+        return HatKernels(self.diagram, tuple(q), tuple(phat), tuple(qhat),
+                          tuple(devs))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -139,9 +139,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _phat(mult: np.ndarray, p: np.ndarray, ranks: np.ndarray | None
           ) -> np.ndarray:
-    """``LevelSweep.phat`` of one level's arrays."""
+    """``HatKernels.phat_values`` of one level's arrays."""
     if ranks is None:
-        return _frozen(np.asarray(mult * p, dtype=np.float64))
+        return np.asarray(mult * p, dtype=np.float64)
     lo, count = ranks[:-1], np.diff(ranks)
     out = np.zeros(len(count))
     for r in range(int(count.max())):   # a sequential sum, as sum() adds
@@ -149,7 +149,7 @@ def _phat(mult: np.ndarray, p: np.ndarray, ranks: np.ndarray | None
         out[live] += p[lo[live] + r]
     shared = count == 1
     out[shared] = mult[shared] * p[lo[shared]]
-    return _frozen(out)
+    return out
 
 
 def explicit_system(d: Diagram, q0, probs: Sequence[Mapping],
@@ -274,20 +274,25 @@ class _DenseLevels:
 
 @dataclass(frozen=True)
 class HatKernels:
-    """P-hat, Q-hat and the level masses of one Markov system.
+    """P-hat, Q-hat and the level masses of one Markov system, as
+    ``MarkovSystem.levels`` builds them.
 
-    Each kernel is stored as one read-only value per edge of level n, in
-    the CSR order of ``diagram.F(n).csr``: phat_values[n] is P-hat, the
-    system's ``levels.phat[n]``, and qhat_values[n] the dual value on the
-    same edge.  ``phat[n]`` (rows V_n, columns V_{n+1}) and ``qhat[n]``
-    (rows V_{n+1}, columns V_n: it runs the chain downwards) build the
-    dense kernel afresh on every index; ``batches`` stacks the levels.
+    q[n] is the read-only q^(n) (q[0] views the system's q0).  Each kernel
+    is stored as one read-only value per edge of level n, in the CSR order
+    of ``diagram.F(n).csr``: phat_values[n] is P-hat (mult * p for a
+    shared value, the sum of the per-rank values, added left to right,
+    otherwise) and qhat_values[n] the dual value on the same edge.
+    stochasticity[n] is max_v |sum_u P-hat_n(v, u) - 1|.  ``phat[n]``
+    (rows V_n, columns V_{n+1}) and ``qhat[n]`` (rows V_{n+1}, columns
+    V_n: it runs the chain downwards) build the dense kernel afresh on
+    every index; ``batches`` stacks the levels.
     """
 
     diagram: Diagram
     q: tuple[np.ndarray, ...]
     phat_values: tuple[np.ndarray, ...]
     qhat_values: tuple[np.ndarray, ...]
+    stochasticity: tuple[float, ...]
 
     @property
     def depth(self) -> int:
@@ -312,21 +317,14 @@ class HatKernels:
 
 
 def dual_kernels(ms: MarkovSystem) -> HatKernels:
-    """Backward kernels qhat_n(u, v) = (q^(n)_v / q^(n+1)_u) phat_n(v, u).
-
-    The level masses are ``ms.levels.q``; ZeroMass names the first level
-    whose mass vanished somewhere.  The Q-hat edge values come from the
-    sweep's edge values of P-hat, so nothing dense is built here.
-    """
-    q, pvals = ms.levels.q, ms.levels.phat
+    """Backward kernels qhat_n(u, v) = (q^(n)_v / q^(n+1)_u) phat_n(v, u),
+    from the system's sweep ``ms.levels``, after ZeroMass has named the
+    first level whose mass vanished somewhere."""
+    q = ms.levels.q
     for n in range(1, ms.depth + 1):
         if (q[n] < Q_FLOOR).any():
             raise ZeroMass(n, int(ms.diagram.vertices(n)[q[n].argmin()]))
-    qvals = []
-    for n, p in enumerate(pvals):
-        c = ms.diagram.F(n).csr
-        qvals.append(_frozen(p * q[n][c.indices] / q[n + 1][c.rows]))
-    return HatKernels(ms.diagram, q, pvals, tuple(qvals))
+    return ms.levels
 
 
 def markov_from_tail_invariant(d: Diagram, nu: MeasureSequence

@@ -78,14 +78,6 @@ class HatMatrix:
     den: np.ndarray
     matrix: IncidenceMatrix
 
-    @property
-    def targets(self) -> tuple[int, ...]:
-        return self.matrix.targets
-
-    @property
-    def sources(self) -> tuple[int, ...]:
-        return self.matrix.sources
-
     def row_deviation(self) -> Fraction:
         """max_v |sum_w fhat_vw - 1|, exactly, from integer row sums."""
         sums = self.matrix.totals(self.num)
@@ -137,7 +129,6 @@ class InvarianceReport:
     residuals: tuple[float, ...]
     passed: bool
     zero_measure: bool
-    tol: float
 
 
 def verify_tail_invariance(d: Diagram, m: MeasureSequence,
@@ -160,7 +151,7 @@ def verify_tail_invariance(d: Diagram, m: MeasureSequence,
         den = max(float(np.abs(m.vectors[n][mask]).sum()), 1e-300)
         residuals.append(num / den if not zero else 0.0)
     passed = all(r < tol for r in residuals)
-    return InvarianceReport(tuple(residuals), passed, zero, tol)
+    return InvarianceReport(tuple(residuals), passed, zero)
 
 
 # ---------------------------------------------------------------- builders

@@ -3,6 +3,7 @@ specs, exit codes (0 ok, 1 failed validation or invariant, 2 usage), CSV
 versus JSON output, canonical spec emission, and seeded determinism."""
 
 import contextlib
+import dataclasses
 import csv
 import io
 import json
@@ -11,6 +12,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -249,8 +251,7 @@ def test_analyze_markov(capsys):
 
 
 def test_analyze_markov_reports_vanished_mass(capsys, tmp_path):
-    """analyze markov builds no dual kernel, yet still reports a level mass
-    that vanished, as the dual kernel would."""
+    """analyze markov and laplacian report a level mass that vanished."""
     edges = [[lv, s, t, 1e-320 if t else 1.0] for lv in (0, 1)
              for s in (0, 1) for t in (0, 1)]
     p = tmp_path / "vanishing.json"
@@ -261,6 +262,28 @@ def test_analyze_markov_reports_vanished_mass(capsys, tmp_path):
         assert rc == 1
         assert d["error"]["kind"] == "ZeroMass"
         assert d["error"]["detail"].startswith("level mass q^(1)_1 vanished")
+
+
+def test_exactly_vanished_mass_is_one_error_object(capsys, tmp_path):
+    """q^(1)_1 is exactly 0.0, so Q-hat into it is 0/0: each command that
+    reads the dual kernels prints the ZeroMass error object and exits 1,
+    with no warning, also where warnings are errors."""
+    edges = [[lv, s, t, 5e-324 if t else 1.0] for lv in (0, 1)
+             for s in (0, 1) for t in (0, 1)]
+    p = str(tmp_path / "vanished.json")
+    pathlib.Path(p).write_text(json.dumps(
+        {"matrix": [[1, 1], [1, 1]], "depth": 2,
+         "markov": {"q0": [0.5, 0.5], "edges": edges}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["analyze", p, "markov"], ["analyze", p, "laplacian"],
+                     ["check", p, "--format", "json"]):
+            rc = cli.main(argv)
+            out, err = capsys.readouterr()
+            assert (rc, err) == (1, "")
+            d = json.loads(out)["error"]
+            assert d["kind"] == "ZeroMass"
+            assert d["detail"].startswith("level mass q^(1)_1 vanished;")
 
 
 def test_analyze_laplacian_and_energy(capsys):
@@ -762,8 +785,8 @@ def test_laplacian_suite_reports_conductance_asymmetry(capsys, monkeypatch):
 
     def skewed(sysm):
         hk = dual(sysm)
-        return mk.HatKernels(hk.diagram, hk.q, hk.phat_values,
-                             tuple(q * 1.1 for q in hk.qhat_values))
+        return dataclasses.replace(
+            hk, qhat_values=tuple(q * 1.1 for q in hk.qhat_values))
 
     monkeypatch.setattr(mk, "dual_kernels", skewed)
     with pytest.raises(lp.BalanceViolation) as exc:

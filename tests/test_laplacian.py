@@ -1,6 +1,8 @@
 """Network layer: conductances, the averaging kernel M, the Laplacian,
 harmonic solving, energy forms, and the compiled random walk."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,7 +56,7 @@ def test_deterministic_chain_conductance():
 def test_balance_violation_detected():
     hk = mk.dual_kernels(uniform_allones_system(2))
     skew = tuple(q * 1.1 for q in hk.qhat_values)
-    bad = mk.HatKernels(hk.diagram, hk.q, hk.phat_values, skew)
+    bad = dataclasses.replace(hk, qhat_values=skew)
     with pytest.raises(lp.BalanceViolation) as exc:
         lp.build_network(bad)
     assert exc.value.level == 0
@@ -113,7 +115,7 @@ def skewed(hk, seed, mode):
             q[hit] *= 1 + rng.random(int(hit.sum())) * 1e-6
         elif n == hk.depth - 1:
             q[rng.integers(len(q))] *= 1 + 1e-9
-    return mk.HatKernels(hk.diagram, hk.q, hk.phat_values, tuple(qv))
+    return dataclasses.replace(hk, qhat_values=tuple(qv))
 
 
 @pytest.mark.parametrize("mode", ["all", "some", "one"])

@@ -8,6 +8,7 @@ depend on how the levels are batched, which the commands below check by
 running once with one level per batch and once at the default budget.
 """
 import contextlib
+import dataclasses
 import io
 import json
 import pathlib
@@ -18,6 +19,7 @@ import pytest
 from bratteli import cli
 from bratteli import diagram as dg
 from bratteli import markov as mk
+from bratteli import measures as ms
 from bratteli import specfile as sf
 
 from conftest import random_system
@@ -101,15 +103,17 @@ def test_equal_triplet_levels_are_the_matrix_they_repeat():
 
 
 def _stationary_kernels(seed):
-    """A stationary 7-vertex band with random, unequal edge values per
-    level, as the dual kernels of a system would hold them."""
+    """The dual kernels of the induced system on a stationary 7-vertex
+    band, with random, unequal edge values and masses per level."""
     d = dg.band_diagram({-2: 1, 0: 2, 2: 1}, 9, dg.Window(-6, 6, 2))
+    mu, _ = ms.stationary_pf_measure(d)
+    hk = mk.dual_kernels(mk.markov_from_tail_invariant(d, mu))
     rng = np.random.default_rng(seed)
     E = len(d.F(0).csr.rows)
     q = tuple(rng.uniform(0.5, 2.0, 7) for _ in range(10))
     p = tuple(rng.uniform(0.1, 1.0, E) for _ in range(9))
     qv = tuple(rng.uniform(0.1, 1.0, E) for _ in range(9))
-    return mk.HatKernels(d, q, p, qv)
+    return dataclasses.replace(hk, q=q, phat_values=p, qhat_values=qv)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -169,3 +173,44 @@ def test_stack_product_checks_the_level_axis():
     _, P, Q = next(hk.batches())
     with pytest.raises(mk.DimensionMismatch, match="dual kernel"):
         mk.compose_Tn(P, Q[:-1])
+
+
+def _folded_systems():
+    """name -> a builder of a fresh system (its sweep is cached), so each
+    batching sweeps anew: random systems with per-rank values, the
+    clipped band, an explicit spec with per-rank values and the
+    non-stationary example."""
+    def band():
+        d = dg.band_diagram({-2: 1, 0: 2, 2: 1}, 8, dg.Window(-30, 30, 2))
+        mu, _ = ms.stationary_pf_measure(d, normalization="probability")
+        return mk.markov_from_tail_invariant(d, mu)
+
+    def spec(name):
+        return lambda: cli._Context(sf.load_spec(str(SPECS / name)),
+                                    strict=True).system
+
+    cases = {f"random-{seed}": (lambda s=seed: random_system(s))
+             for seed in range(10)}
+    cases.update({"clipped-band": band,
+                  "explicit-markov": spec("explicit_markov.json"),
+                  "nonstationary": spec("nonstationary.json")})
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_folded_systems()))
+def test_sweep_qhat_is_the_elementwise_dual_bit_for_bit(name, monkeypatch):
+    """The sweep's Q-hat on every level is p * q^(n)_v / q^(n+1)_u of its
+    own P-hat edge values and masses, bit for bit, at the default budget
+    and with one level per batch."""
+    build = _folded_systems()[name]
+    seen = []
+    for floats in (mk.BATCH_FLOATS, 1):
+        monkeypatch.setattr(mk, "BATCH_FLOATS", floats)
+        hk = build().levels
+        for n, p in enumerate(hk.phat_values):
+            c = hk.diagram.F(n).csr
+            want = p * hk.q[n][c.indices] / hk.q[n + 1][c.rows]
+            assert np.array_equal(hk.qhat_values[n].view(np.uint64),
+                                  want.view(np.uint64)), n
+        seen.append([v.tobytes() for v in hk.qhat_values])
+    assert seen[0] == seen[1]

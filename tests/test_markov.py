@@ -10,6 +10,7 @@
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,22 @@ def test_zero_mass_level_detected():
     assert (exc.value.level, exc.value.vertex) == (1, 1)
 
 
+def test_exactly_vanished_mass_is_zero_mass_without_a_warning():
+    """p = 5e-324 into vertex 1 makes q^(1)_1 exactly 0.0, so the sweep's
+    Q-hat into it is 0/0: the sweep warns nothing, and dual_kernels names
+    the vanished mass."""
+    d = dg.stationary_diagram([[1, 1], [1, 1]], 2)
+    level = {(0, 0): 1.0, (0, 1): 5e-324, (1, 0): 1.0, (1, 1): 5e-324}
+    sysm = mk.explicit_system(d, [0.5, 0.5], (level, level))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hk = sysm.levels
+        assert hk.q[1][1] == 0.0
+        with pytest.raises(mk.ZeroMass) as exc:
+            mk.dual_kernels(sysm)
+    assert (exc.value.level, exc.value.vertex) == (1, 1)
+
+
 def test_space_names_the_vanished_vertex_by_label():
     """A level-0 mass of zero passes dual_kernels (it checks levels 1..N)
     and is caught by the weighted space, which names the vertex label,
@@ -270,17 +287,18 @@ def test_space_names_the_vanished_vertex_by_label():
 
 
 def test_level_sweep_is_cached_and_read_only():
-    """The sweep runs once per system; its masses and P-hat edge values
-    are shared with every dual built from it, so they are read-only, q0
-    included."""
+    """The sweep runs once per system and is the system's dual kernels:
+    its masses and edge values are shared with every reader, so they are
+    read-only, q0 included."""
     sysm = random_system(4)
     sweep = sysm.levels
     assert sysm.levels is sweep
-    hk = mk.dual_kernels(sysm)
-    assert hk.q is sweep.q and hk.phat_values is sweep.phat
+    assert mk.dual_kernels(sysm) is sweep
     assert len(sweep.q) == sysm.depth + 1
-    assert len(sweep.stochasticity) == len(sweep.phat) == sysm.depth
-    assert not any(a.flags.writeable for a in sweep.q + sweep.phat)
+    assert (len(sweep.stochasticity) == len(sweep.phat_values)
+            == len(sweep.qhat_values) == sysm.depth)
+    assert not any(a.flags.writeable for a in
+                   sweep.q + sweep.phat_values + sweep.qhat_values)
     assert sysm.q0.flags.writeable
 
 
@@ -456,7 +474,7 @@ def test_phat_edges_match_probs(name):
     for n in range(sysm.depth):
         ref = _phat_reference(sysm, probs, n)
         c = sysm.diagram.F(n).csr
-        edges = sysm.levels.phat[n]
+        edges = sysm.levels.phat_values[n]
         assert np.array_equal(edges, ref[c.indices, c.rows])
         assert not edges.flags.writeable
         assert np.array_equal(
@@ -578,9 +596,9 @@ def _assert_gap_matches_dense(hk):
 
 def _with(hk, *, p=None, q=None, qv=None):
     """hk with some edge values or level masses replaced."""
-    return mk.HatKernels(hk.diagram, hk.q if qv is None else qv,
-                         hk.phat_values if p is None else p,
-                         hk.qhat_values if q is None else q)
+    return dataclasses.replace(hk, q=hk.q if qv is None else qv,
+                               phat_values=hk.phat_values if p is None else p,
+                               qhat_values=hk.qhat_values if q is None else q)
 
 
 def test_self_adjoint_gap_on_pairs_matches_dense_bit_for_bit():
