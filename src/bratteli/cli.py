@@ -24,6 +24,7 @@ import numpy as np
 from . import Error
 from . import measures as ms
 from . import perron as pf
+from .diagram import LevelRows
 from .specfile import ParsedSpec, SpecError, load_spec
 
 # every error a command reports as an error object instead of a traceback;
@@ -183,6 +184,12 @@ class _Context:
         return self.spec.kernels
 
     @cached_property
+    def hats(self) -> ms.HatSweep:
+        """Every level's hat matrix, from the command's one pass of the
+        exact heights."""
+        return ms.hat_sweep(self.diagram)
+
+    @cached_property
     def kernels(self) -> mk.HatKernels:
         from . import markov as mk
         return mk.dual_kernels(self.system)
@@ -254,7 +261,7 @@ def _analyze_measure(ctx: _Context, args):
 def _analyze_markov(ctx: _Context, args):
     sysm, hk = ctx.system, ctx.kernels   # ZeroMass where a mass vanished
     payload = {"q0": list(map(float, sysm.q0)),
-               "stochasticity_deviation": max(hk.stochasticity),
+               "stochasticity_deviation": max(hk.stochasticity.tolist()),
                "normalized_rows": list(sysm.normalized),
                "q": [list(map(float, q)) for q in hk.q]}
     rows = ((n, v, float(hk.q[n][i]))
@@ -371,7 +378,7 @@ def cmd_analyze(args) -> int:
 def _suite_consistency(ctx: _Context, tol: float, seed: int, out: list):
     d = ctx.diagram
     # H^(n+1)_v = sum_w f_vw H^(n)_w exactly iff every hat row sums to 1
-    worst = max([0] + [hm.row_deviation() for hm in ms.hat_matrices(d)])
+    worst = ctx.hats.row_deviation
     ok = worst == 0
     out.append(("consistency", "HeightRecursion", 0.0 if ok else 1.0, ok))
 
@@ -382,9 +389,10 @@ def _suite_consistency(ctx: _Context, tol: float, seed: int, out: list):
     out.append(("consistency", "HatRowsSumToOne", float(worst), ok))
 
     # the extension q^(n) @ phat(n) is q^(n+1): compare level totals
-    tot = [q.sum() for q in ctx.system.levels.q]
-    worst = max([0.0] + [float(np.abs(b - a) / max(a, 1e-300))
-                         for a, b in zip(tot, tot[1:])])
+    tot = ctx.system.levels.q.per_row(lambda q: q.sum(axis=-1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel = np.abs(tot[1:] - tot[:-1]) / np.maximum(tot[:-1], 1e-300)
+    worst = max([0.0] + rel.tolist())
     out.append(("consistency", "KolmogorovExtension", worst, worst <= tol))
 
 
@@ -412,15 +420,15 @@ def _operator_samples(P, Q, sp_lo, sp_hi, rng) -> tuple[list, list]:
 def _suite_operators(ctx: _Context, tol: float, seed: int, out: list):
     from . import markov as mk
     d = ctx.diagram
-    dev = max(ctx.system.levels.stochasticity)
+    dev = max(ctx.system.levels.stochasticity.tolist())
     out.append(("operators", "StochasticityViolation", dev, dev <= tol))
     if dev > tol:
         return
     hk = ctx.kernels
-    bal = max(mk.balance_gap(hk, n) for n in range(d.depth))
+    bal = max(mk.balance_gaps(hk).tolist())
     out.append(("operators", "DetailedBalance", bal, bal <= tol))
     if ctx.induced:
-        devqf = mk.hat_vs_incidence(d, hk)
+        devqf = mk.hat_vs_incidence(d, hk, ctx.hats.values)
         out.append(("operators", "DualEqualsHatIncidence", devqf,
                     devqf <= tol))
     rng = np.random.default_rng(seed)
@@ -458,7 +466,8 @@ def _suite_laplacian(ctx: _Context, tol: float, seed: int, out: list):
     qm = lp.qM_identity_residual(net)
     out.append(("laplacian", "QHalfSumIdentity", qm, qm <= tol))
     dc = lp.apply_Delta(net, lp.LevelFunction.constant(net, 1.0))
-    cres = max(float(np.abs(v).max()) for v in dc.values)
+    cres = max(LevelRows.of(dc.values).per_row(
+        lambda v: np.abs(v).max(axis=-1)).tolist())
     out.append(("laplacian", "ConstantsHarmonic", cres, cres <= tol))
     # row s holds sample s's levels in order: the draws of one call per
     # sample and level

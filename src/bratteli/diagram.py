@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import groupby, islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -96,6 +96,26 @@ class TooManyPaths(DiagramError):
 
 class LengthMismatch(DiagramError):
     pass
+
+
+class DenseTooLarge(DiagramError):
+    """A dense form of a level that cannot be allocated."""
+
+    def __init__(self, level: int, shape: tuple[int, ...]):
+        self.level = level
+        self.shape = tuple(shape)
+        self.gib = math.prod(self.shape) * 8 / 2**30
+        super().__init__(f"a dense {' x '.join(map(str, self.shape))} "
+                         f"float64 form of level {level} needs "
+                         f"{self.gib:.1f} GiB, more than can be allocated")
+
+
+def _zeros(shape: tuple[int, ...], level: int) -> np.ndarray:
+    """np.zeros(shape), or DenseTooLarge when it cannot be allocated."""
+    try:
+        return np.zeros(shape)
+    except MemoryError:
+        raise DenseTooLarge(level, shape) from None
 
 
 # ---------------------------------------------------------------- windows
@@ -303,18 +323,20 @@ class IncidenceMatrix:
         return np.concatenate(
             ([0], np.cumsum(mult.astype(object) if wide else mult)))
 
-    def to_dense(self) -> np.ndarray:
-        return self.scatter(self.csr.mult)
+    def to_dense(self, level: int = 0) -> np.ndarray:
+        return self.scatter(self.csr.mult, level=level)
 
     # -- the only dense form and per-vertex sum of a level's edge values --
-    def scatter(self, values: np.ndarray, by_source: bool = False
-                ) -> np.ndarray:
+    def scatter(self, values: np.ndarray, by_source: bool = False,
+                level: int = 0) -> np.ndarray:
         """One value per ``csr`` entry as a C-ordered float64 array: targets
         x sources, or sources x targets with ``by_source``.  Q-hat is the .T
         of a by-source scatter, in Fortran order like P.T, so its products
-        make the same BLAS calls, and round the same, as a transposed P-hat."""
+        make the same BLAS calls, and round the same, as a transposed P-hat.
+        An array that cannot be allocated raises DenseTooLarge, naming
+        ``level``, the level the record stands for."""
         shape, index = self._layout(values, by_source)
-        out = np.zeros(shape)
+        out = _zeros(shape, level)
         out[index] = values
         return out
 
@@ -331,11 +353,16 @@ class IncidenceMatrix:
                ) -> np.ndarray:
         """Per-target (or per-source) sums of one value per ``csr`` entry,
         in the values' dtype, each adding its entries one by one in CSR
-        order: exact for Python ints, np.bincount's bits for float64."""
+        order: exact for Python ints, np.bincount's bits for float64.  A
+        (b, entries) stack of levels gives (b, vertices) sums, each row
+        added as the row alone adds, in one np.add.at."""
         c = self.csr
-        out = np.zeros(len(c.colptr if by_source else c.indptr) - 1,
-                       dtype=values.dtype)
-        np.add.at(out, c.indices if by_source else c.rows, values)
+        index = c.indices if by_source else c.rows
+        size = len(c.colptr if by_source else c.indptr) - 1
+        out = np.zeros(values.shape[:-1] + (size,), dtype=values.dtype)
+        if values.ndim > 1:   # each row's sums in its own stretch of out
+            index = (np.arange(len(values))[:, None] * size + index).ravel()
+        np.add.at(out.reshape(-1), index, values.reshape(-1))
         return out
 
     @cached_property
@@ -376,7 +403,9 @@ class Scratch:
     costs its edges instead of a fresh m x m zero-fill; the same level in
     the same layout and shape, as a stationary diagram gives on every
     level, overwrites those entries.  The buffer grows to the largest call
-    and is freed with the object, at the end of the loop that made it.
+    and is freed with the object, at the end of the loop that made it; a
+    buffer that cannot be allocated raises DenseTooLarge, naming ``level``,
+    the first level of the call.
     """
 
     __slots__ = ("_buf", "_last")
@@ -386,11 +415,11 @@ class Scratch:
         self._last = None   # (writable view, index, layout) of the last call
 
     def scatter(self, m: IncidenceMatrix, values: np.ndarray,
-                by_source: bool = False) -> np.ndarray:
+                by_source: bool = False, level: int = 0) -> np.ndarray:
         shape, index = m._layout(values, by_source)
         size, key = math.prod(shape), (m, by_source, shape)
         if size > self._buf.size:
-            self._buf = np.zeros(size)
+            self._buf = _zeros(shape, level).reshape(-1)
         elif self._last is not None and self._last[2] != key:
             self._last[0][self._last[1]] = 0.0
         out = self._buf[:size].reshape(shape)
@@ -399,6 +428,74 @@ class Scratch:
         view = out.view()
         view.flags.writeable = False
         return view
+
+
+class LevelRows(Sequence):
+    """One vector per level, stored as 2-D blocks: each run of consecutive
+    levels whose vectors share a shape and dtype is one read-only, C-ordered
+    array, levels first.  A stationary diagram's levels are one run, so every
+    batch of ``markov.level_batches`` is a slice of one array.
+
+    ``rows[n]`` is a row view of its run; ``rows[lo:hi]`` is a 2-D view
+    when lo..hi-1 lie in one run, as a batch always does, and a tuple of
+    row views otherwise.  The constructor takes the runs' blocks in level
+    order and joins consecutive blocks of one row shape and dtype;
+    ``LevelRows.of`` takes one vector per level.
+    """
+
+    __slots__ = ("blocks", "_ends")
+
+    def __init__(self, blocks: Iterable[np.ndarray]):
+        runs: list[list[np.ndarray]] = []
+        for b in blocks:
+            if runs and (b.shape[1:], b.dtype) == (runs[-1][0].shape[1:],
+                                                   runs[-1][0].dtype):
+                runs[-1].append(b)
+            else:
+                runs.append([b])
+        self.blocks = tuple(np.ascontiguousarray(r[0]) if len(r) == 1
+                            else np.concatenate(r) for r in runs)
+        for b in self.blocks:
+            b.flags.writeable = False
+        self._ends = np.cumsum([len(b) for b in self.blocks]).tolist()
+
+    @classmethod
+    def of(cls, rows: Iterable) -> "LevelRows":
+        """The rows of a sequence of per-level vectors, or the sequence
+        itself when it is a LevelRows."""
+        if isinstance(rows, LevelRows):
+            return rows
+        runs = groupby(map(np.asarray, rows), lambda r: (r.shape, r.dtype))
+        return cls(np.stack(list(run)) for _, run in runs)
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        for b in self.blocks:
+            yield from b
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            lo, hi, step = n.indices(len(self))
+            k = bisect_right(self._ends, lo)
+            if step == 1 and lo < hi and hi <= self._ends[k]:
+                start = self._ends[k] - len(self.blocks[k])
+                return self.blocks[k][lo - start:hi - start]
+            return tuple(self[i] for i in range(lo, hi, step))
+        if len(self.blocks) == 1:
+            return self.blocks[0][n]
+        i = n + len(self) if n < 0 else n
+        if not 0 <= i < len(self):
+            raise IndexError(f"level {n} outside 0..{len(self) - 1}")
+        k = bisect_right(self._ends, i)
+        return self.blocks[k][i - self._ends[k] + len(self.blocks[k])]
+
+    def per_row(self, fn) -> np.ndarray:
+        """fn of every run, joined: fn maps a (levels, ...) block to one
+        value per level, so a reduction over each row gives every level
+        the bits of that reduction over the level's vector alone."""
+        return np.concatenate([fn(b) for b in self.blocks])
 
 
 def _multiplicity(m, where: str) -> int:

@@ -18,12 +18,14 @@ no tolerance or iteration budget.
 
 The network keeps no dense kernel: ``HatKernels`` stores P-hat and Q-hat
 as edge values, and every level loop here reads them a batch of levels
-at a time (``HatKernels.batches``), per-level vectors stacked alike, so a
-stationary diagram costs numpy calls per batch, not per level; each level
-keeps its bits.  energy_norm also takes B functions, a (B, m_n) array per
-level.  The walk's move table and build_network's balance test read the
-edge values.  solve_harmonic still keeps every elimination block G_n, so
-its memory grows as depth x m^2.
+at a time (``HatKernels.batches``), per-level vectors as slices of their
+``LevelRows`` (the masses and the vertex masses are stored so, and the
+harmonic solution while its residual is read), so a stationary diagram
+costs numpy calls per batch, not per level; each level keeps its bits.
+energy_norm also takes B functions, a (B, m_n) array per level.  The
+walk's move table and build_network's balance test read the edge
+values.  solve_harmonic still keeps every elimination block G_n, so its
+memory grows as depth x m^2.
 
 The random walk runs on a move table of all (level, vertex) states with
 the lockstep kernels from _accel; per-trial seeds fix every trajectory.
@@ -32,14 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import Error, _accel
-from .diagram import Scratch
+from .diagram import LevelRows, Scratch
 from .markov import (BATCH_FLOATS, HatKernels, apply_TP, apply_TQ,
-                     level_batches)
+                     level_batches, shift_in)
 from .measures import DimensionMismatch
 
 
@@ -73,14 +75,14 @@ class LevelFunction:
 
     @staticmethod
     def constant(net: "WeightedNetwork", value: float) -> "LevelFunction":
-        return LevelFunction(tuple(np.full(len(q), float(value))
-                                   for q in net.kernels.q))
+        return LevelFunction(tuple(LevelRows(
+            np.full(q.shape, float(value)) for q in net.kernels.q.blocks)))
 
 
 @dataclass(frozen=True)
 class WeightedNetwork:
     kernels: HatKernels
-    vertex_mass: tuple[np.ndarray, ...]   # total conductance at each vertex
+    vertex_mass: LevelRows   # total conductance at each vertex
     mass_vs_q_dev: float
 
     @property
@@ -106,14 +108,14 @@ def build_network(hk: HatKernels) -> WeightedNetwork:
     if hk.depth < 1:
         raise DimensionMismatch("a network needs at least two levels")
     d = hk.diagram
-    masses = [np.zeros(len(q)) for q in hk.q]
-    devs = []   # per level; level 0 is one-sided and left out
+    masses, devs = [], []   # per batch; level 0 is one-sided and left out
+    carry = np.zeros(len(hk.q[0]))   # the column sums of the level below
     scratch = Scratch()
     for lo, hi in level_batches(d):   # (b, edges) edge arrays per batch
-        c, b = d.F(lo).csr, hi - lo
-        q_lo, q_hi = np.stack(hk.q[lo:hi]), np.stack(hk.q[lo + 1:hi + 1])
-        up = 0.5 * q_lo[:, c.indices] * np.stack(hk.phat_values[lo:hi])
-        down = 0.5 * (q_hi[:, c.rows] * np.stack(hk.qhat_values[lo:hi]))
+        c = d.F(lo).csr
+        q_lo, q_hi = hk.q[lo:hi], hk.q[lo + 1:hi + 1]
+        up = 0.5 * q_lo[:, c.indices] * hk.phat_values[lo:hi]
+        down = 0.5 * (q_hi[:, c.rows] * hk.qhat_values[lo:hi])
         delta = np.abs(up - down)
         scale = np.maximum(np.abs(up), 1e-300)
         bad = (delta > BALANCE_TOL * scale).any(axis=-1)
@@ -126,16 +128,17 @@ def build_network(hk: HatKernels) -> WeightedNetwork:
             raise BalanceViolation(lo + i, int(d.vertices(lo + i)[v]),
                                    int(d.vertices(lo + i + 1)[u]),
                                    float(delta[i, e]))
-        dense = scratch.scatter(d.F(lo), up, by_source=True)
+        dense = scratch.scatter(d.F(lo), up, by_source=True, level=lo)
         rows, cols = dense.sum(axis=-1), dense.sum(axis=-2)
         # level n's mass adds level n - 1's column sums, then its row sums
-        masses[lo] += rows[0]
-        if b > 1:
-            masses[lo + 1:hi] = np.zeros_like(rows[1:]) + cols[:-1] + rows[1:]
-        masses[hi] += cols[-1]
-        devs += (np.abs(np.stack(masses[lo:hi]) - q_lo).max(axis=-1)
-                 / np.maximum(q_lo.max(axis=-1), 1e-300)).tolist()
-    return WeightedNetwork(hk, tuple(masses), max([0.0] + devs[1:]))
+        mass = np.zeros_like(rows) + shift_in(carry, cols) + rows
+        carry = cols[-1]
+        masses.append(mass)
+        devs.append(np.abs(mass - q_lo).max(axis=-1)
+                    / np.maximum(q_lo.max(axis=-1), 1e-300))
+    masses.append(np.zeros_like(carry)[None] + carry)
+    devs = np.concatenate(devs).tolist()
+    return WeightedNetwork(hk, LevelRows(masses), max([0.0] + devs[1:]))
 
 
 # ---------------------------------------------------------------- operators
@@ -149,8 +152,8 @@ def _check_f(net: WeightedNetwork, f: LevelFunction, batch: bool = False):
     lead = f.values[0].shape[:-1]
     if lead and not (batch and len(lead) == 1):
         raise DimensionMismatch(f"level 0 has shape {f.values[0].shape}")
-    for n, vec in enumerate(f.values):
-        if vec.shape != lead + net.kernels.q[n].shape:
+    for n, (vec, q) in enumerate(zip(f.values, net.kernels.q)):
+        if vec.shape != lead + q.shape:
             raise DimensionMismatch(f"level {n} length mismatch")
 
 
@@ -158,26 +161,48 @@ def apply_M(net: WeightedNetwork, f: LevelFunction) -> LevelFunction:
     """Mf_n = (1/2)(phat_n f_{n+1} + qhat_{n-1} f_{n-1}) on interior levels;
     the boundary rows take their one side with full weight."""
     _check_f(net, f)
-    return LevelFunction(tuple(
-        u if w is None else w if u is None else 0.5 * (u + w)
-        for u, w in zip(*_sides(net.kernels, f.values))))
+    return LevelFunction(tuple(_averaged(net.kernels, _rows(f))))
 
 
-def _sides(hk: HatKernels, v: Sequence) -> tuple[list, list]:
-    """Per level n: phat_n v_{n+1}, qhat_{n-1} v_{n-1}; None off the ends."""
-    up, dn = [None] * len(v), [None] * len(v)
+def _rows(f: LevelFunction) -> LevelRows:
+    """f's levels as float64 ``LevelRows``, so that a batch is a slice."""
+    return LevelRows.of(np.asarray(v, dtype=np.float64) for v in f.values)
+
+
+def _interior(d) -> Iterator[tuple[int, int]]:
+    """(lo, hi) per batch of the interior levels 1..N-1, in order."""
+    return ((max(lo, 1), hi) for lo, hi in level_batches(d)
+            if max(lo, 1) < hi)
+
+
+def _averaged(hk: HatKernels, v: LevelRows) -> LevelRows:
+    """M v, a batch of levels at a time (see apply_M)."""
+    up, dn = _sides(hk, v)
+    mid = (0.5 * (up[lo:hi] + dn[lo - 1:hi - 1])
+           for lo, hi in _interior(hk.diagram))
+    return LevelRows([up[0][None], *mid, dn[hk.depth - 1][None]])
+
+
+def _sides(hk: HatKernels, v: Sequence) -> tuple[LevelRows, LevelRows]:
+    """phat_n v_{n+1} for levels n = 0..N-1 and qhat_{n-1} v_{n-1} for
+    levels n = 1..N (at index n - 1), a batch at a time."""
+    up, dn = [], []
     for n, P, Q in hk.batches():
         b = len(P)
-        up[n:n + b] = apply_TP(P, np.stack(v[n + 1:n + b + 1]))
-        dn[n + 1:n + b + 1] = apply_TQ(Q, np.stack(v[n:n + b]))
-    return up, dn
+        up.append(apply_TP(P, v[n + 1:n + b + 1]))
+        dn.append(apply_TQ(Q, v[n:n + b]))
+    return LevelRows(up), LevelRows(dn)
 
 
 def apply_Delta(net: WeightedNetwork, f: LevelFunction) -> LevelFunction:
     """Delta f = c (f - Mf) with c the vertex conductance mass."""
-    mf = apply_M(net, f)
-    return LevelFunction(tuple(c * (fv - mv) for c, fv, mv in
-                               zip(net.vertex_mass, f.values, mf.values)))
+    _check_f(net, f)
+    fv = _rows(f)
+    mv = _averaged(net.kernels, fv)
+    # one shape per level in all three, so their runs are the same
+    return LevelFunction(tuple(LevelRows(
+        c * (a - b) for c, a, b in zip(net.vertex_mass.blocks, fv.blocks,
+                                       mv.blocks))))
 
 
 def qM_identity_residual(net: WeightedNetwork) -> float:
@@ -190,7 +215,7 @@ def qM_identity_residual(net: WeightedNetwork) -> float:
     devs = np.zeros((len(hk.q), 2))   # per level: up and down deviations
     for n, P, Q in hk.batches():
         b = len(P)
-        q_lo, q_hi = np.stack(hk.q[n:n + b]), np.stack(hk.q[n + 1:n + b + 1])
+        q_lo, q_hi = hk.q[n:n + b], hk.q[n + 1:n + b + 1]
         up = (q_lo[:, None] @ (0.5 * P))[:, 0]   # levels n..n+b-1
         dn = (q_hi[:, None] @ (0.5 * Q))[:, 0]   # levels n+1..n+b
         devs[n:n + b, 0] = np.abs(up - 0.5 * q_hi).max(axis=-1)
@@ -238,9 +263,12 @@ def solve_harmonic(net: WeightedNetwork, bottom, top) -> HarmonicSolution:
     eliminated = [None]
     levels = (PQ for _, P, Q in hk.batches() for PQ in zip(P, Q))
     _, Q = next(levels)
+    two = np.zeros((0, 0))   # 2I of the last level's size
     for n in range(1, N):
+        if len(two) != len(hk.q[n]):
+            two = 2.0 * np.eye(len(hk.q[n]))
         # level n - 1's Q-hat, read before the next slice can move its batch
-        D, Qg = 2.0 * np.eye(len(hk.q[n])) - Q @ G, Q @ g
+        D, Qg = two - Q @ G, Q @ g
         P, Q = next(levels)
         Gg = np.linalg.solve(D, np.column_stack((P, Qg)))
         G, g = Gg[:, :-1], Gg[:, -1]
@@ -249,19 +277,18 @@ def solve_harmonic(net: WeightedNetwork, bottom, top) -> HarmonicSolution:
     for n in range(N - 1, 0, -1):
         G, g = eliminated[n]
         f[n] = g + G @ f[n + 1]
+    f = LevelRows.of(f)
     up, dn = _sides(hk, f)
     res = []   # the interior levels' residuals, a batch at a time
-    for lo, hi in level_batches(hk.diagram):
-        lo = max(lo, 1)   # level 0 is pinned
-        if lo < hi:
-            r = (2.0 * np.stack(f[lo:hi]) - np.stack(up[lo:hi])
-                 - np.stack(dn[lo:hi]))
-            res += np.abs(r).max(axis=-1).tolist()
+    for lo, hi in _interior(hk.diagram):
+        r = 2.0 * f[lo:hi] - up[lo:hi] - dn[lo - 1:hi - 1]
+        res += np.abs(r).max(axis=-1).tolist()
     residual = max(res)
     lo = min(float(f[0].min()), float(f[N].min()))
     hi = max(float(f[0].max()), float(f[N].max()))
-    ok = all(float(v.min()) >= lo - 1e-12 and float(v.max()) <= hi + 1e-12
-             for v in f[1:N])
+    low = f.per_row(lambda v: v.min(axis=-1))[1:N]
+    high = f.per_row(lambda v: v.max(axis=-1))[1:N]
+    ok = bool((low >= lo - 1e-12).all() and (high <= hi + 1e-12).all())
     return HarmonicSolution(LevelFunction(tuple(f)), residual, ok)
 
 
@@ -322,7 +349,7 @@ def energy_norm(net: WeightedNetwork, f: LevelFunction) -> EnergyReport:
     acc = np.zeros((1, 2, len(vals[0])))   # direct, operator form
     for n, P, _ in hk.batches():
         b = len(P)
-        q, q1 = np.stack(hk.q[n:n + b]), np.stack(hk.q[n + 1:n + b + 1])
+        q, q1 = hk.q[n:n + b], hk.q[n + 1:n + b + 1]
         fn, fn1 = np.stack(vals[n:n + b]), np.stack(vals[n + 1:n + b + 1])
         nn = np.sum(q[:, None] * fn * fn, axis=-1)
         cross = np.sum(q[:, None] * fn * apply_TP(P, fn1), axis=-1)

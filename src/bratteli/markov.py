@@ -15,27 +15,37 @@ composition T_n = P-hat Q-hat is row-stochastic, fixes q^(n) on the left
 and is self-adjoint in the level-n weighted inner product.
 
 Stored form.  Everything is kept per level in the CSR order of
-``diagram.F(n).csr``.  A system holds its probabilities as arrays
-(``MarkovSystem.p_values``, with rank offsets ``p_ranks`` only where an
-entry gives one value per edge rank); ``explicit_system`` is the one reader
-of {(source, target): value} mappings.  P-hat (``HatKernels.phat_values``)
-and Q-hat (``HatKernels.qhat_values``) are one value per edge.  Comparisons
-that are elementwise (detailed balance, Q-hat against the hat incidence
-matrix) read the edges alone.  The products whose float summation order
-reaches an output stay dense: ``q @ P``, row sums, T_P / T_Q, T_n and the
-Laplacian.  A dense kernel exists only while its levels are processed: the
-loops over the levels (the level sweep below, the operators check and the
-Laplacian) take batches (``HatKernels.batches``), runs of levels that share
-one level record, as many as fit in BATCH_FLOATS floats, scattered into
+``diagram.F(n).csr``, and every per-level record is a ``diagram.LevelRows``:
+one read-only 2-D array per run of levels whose vectors share a shape, so
+the whole depth of a stationary diagram is one array, a level is a row
+view of it and a batch of levels a 2-D slice.  A system holds its
+probabilities so (``MarkovSystem.p_values``, with rank offsets ``p_ranks``
+only where an entry gives one value per edge rank); ``explicit_system`` is
+the one reader of {(source, target): value} mappings.  P-hat
+(``HatKernels.phat_values``) and Q-hat (``HatKernels.qhat_values``) are one
+value per edge, and the masses ``HatKernels.q`` one vector per level, in
+the same form.  Every loop over the levels runs over ``level_batches``,
+runs of levels that share one level record, as many as fit in BATCH_FLOATS
+floats of dense kernel: elementwise expressions and reductions over the
+last axis of a batch's slices give each level the bits of its own 1-D
+computation, so the induced system, the mass scan, the balance gaps and
+Q-hat against the hat incidence matrix cost numpy calls per batch, not
+per level.  Levels that cannot share a batch (a nonstationary diagram, a
+level wider than the budget) run the same code with batches of one.  The
+products whose float summation order reaches an output stay dense: ``q @
+P``, row sums, T_P / T_Q, T_n and the Laplacian.  A dense kernel exists
+only while its batch is processed: the level sweep below, the operators
+check and the Laplacian scatter a batch (``HatKernels.batches``) into
 reused (b, m_n, m_{n+1}) ``diagram.Scratch`` stacks.  Each slice is the
-array a dense computation holds, in its layout (Q-hat is the transpose of a
-by-source scatter), and matmul on a stack makes each slice's own BLAS call,
-so every printed number stays identical while memory grows with the edges,
-not depth x m^2.  ``hk.phat[n]`` and ``hk.qhat[n]`` scatter one level
-afresh.  Per-vertex sums of edge values (the clipped-row renormalization of
-an induced system) go through ``IncidenceMatrix.totals``.  T_n is dense,
-but its self-adjointness is read only where it can be nonzero, at the
-source pairs of the level (``self_adjoint_gap``).
+array a dense computation holds, in its layout (Q-hat is the transpose of
+a by-source scatter), and matmul on a stack makes each slice's own BLAS
+call, so every printed number stays identical while memory grows with
+the edges, not depth x m^2.  ``hk.phat[n]`` and ``hk.qhat[n]`` scatter
+one level afresh.  Per-vertex sums of edge values (the clipped-row
+renormalization of an induced system) go through
+``IncidenceMatrix.totals``, one np.add.at per batch.  T_n is dense, but
+its self-adjointness is read only where it can be nonzero, at the source
+pairs of the level (``self_adjoint_gap``).
 
 ``MarkovSystem.levels`` owns the one dense sweep over the levels, cached
 on the system, and returns the system's ``HatKernels``: each level's P-hat
@@ -53,8 +63,9 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from . import Error
-from .diagram import Diagram, FinitePath, Scratch, path_in_diagram
-from .measures import DimensionMismatch, MeasureSequence, hat_matrices
+from .diagram import (Diagram, FinitePath, LevelRows, Scratch,
+                      path_in_diagram)
+from .measures import DimensionMismatch, MeasureSequence, hat_sweep
 
 Q_FLOOR = 1e-300  # below this a level mass is treated as identically zero
 CLIP_TOL = 1e-9   # outgoing sums further than this from 1 mark a clipped row
@@ -86,60 +97,79 @@ class MarkovSystem:
     """q^(0) plus edge-resolved transition probabilities per level.
 
     p_values[n] holds level n's probabilities in the CSR order of
-    ``diagram.F(n).csr``.  When p_ranks[n] is None, entry k has the one
-    value p_values[n][k], shared by its mult[k] parallel edges.  Otherwise
-    entry k's values are p_values[n][p_ranks[n][k]:p_ranks[n][k + 1]]:
-    one shared value, or one value per edge rank.  ``explicit_system``
-    builds a checked system from {(source, target): value} mappings.
-    ``normalized`` lists the (level, source vertex) rows that
-    ``markov_from_tail_invariant`` renormalized.
+    ``diagram.F(n).csr``: a read-only float64 row of a ``LevelRows``, so
+    that the levels of a batch are one 2-D slice (any sequence of
+    per-level arrays given is stored so).  When p_ranks[n] is None, entry
+    k has the one value p_values[n][k], shared by its mult[k] parallel
+    edges.  Otherwise entry k's values are
+    p_values[n][p_ranks[n][k]:p_ranks[n][k + 1]]: one shared value, or one
+    value per edge rank.  ``explicit_system`` builds a checked system from
+    {(source, target): value} mappings.  ``normalized`` lists the (level,
+    source vertex) rows that ``markov_from_tail_invariant`` renormalized.
     """
 
     diagram: Diagram
     q0: np.ndarray
-    p_values: tuple[np.ndarray, ...]
+    p_values: LevelRows
     p_ranks: tuple[np.ndarray | None, ...]
     normalized: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self):
+        if not isinstance(self.p_values, LevelRows):
+            object.__setattr__(self, "p_values", LevelRows.of(
+                np.asarray(p, dtype=np.float64) for p in self.p_values))
 
     @property
     def depth(self) -> int:
         return self.diagram.depth
+
+    def _phat(self, lo: int, hi: int) -> np.ndarray:
+        """(hi - lo, edges) P-hat edge values of a batch of levels."""
+        mult, ranks = self.diagram.F(lo).csr.mult, self.p_ranks[lo:hi]
+        if all(r is None for r in ranks):
+            return _phat(mult, self.p_values[lo:hi], None)
+        return np.stack([_phat(mult, self.p_values[n], r)
+                         for n, r in zip(range(lo, hi), ranks)])
 
     @cached_property
     def levels(self) -> HatKernels:
         """P-hat, Q-hat and the masses, batch by batch; checks nothing.  A
         vanished mass gives inf or NaN Q-hat values into its vertex, which
         ``dual_kernels`` reports as ZeroMass."""
-        q = [_frozen(np.asarray(self.q0, dtype=np.float64).view())]
-        devs, phat, qhat = [], [], []
+        d = self.diagram
+        q_n = np.asarray(self.q0, dtype=np.float64)
+        q, devs, phat, qhat = [q_n[None]], [], [], []
         scratch = Scratch()
-        for lo, hi in level_batches(self.diagram):
-            F = self.diagram.F(lo)
-            edges = np.stack([_phat(self.diagram.F(n).csr.mult,
-                                    self.p_values[n], self.p_ranks[n])
-                              for n in range(lo, hi)])
-            P = scratch.scatter(F, edges, by_source=True)
-            devs += np.abs(P.sum(axis=-1) - 1.0).max(axis=-1).tolist()
-            for Pn in P:
-                q.append(_frozen(q[-1] @ Pn))
+        for lo, hi in level_batches(d):
+            F = d.F(lo)
             c = F.csr
+            edges = self._phat(lo, hi)
+            P = scratch.scatter(F, edges, by_source=True, level=lo)
+            devs.append(np.abs(P.sum(axis=-1) - 1.0).max(axis=-1))
+            q_hi = np.empty((hi - lo, P.shape[-1]))
+            for Pn, row in zip(P, q_hi):
+                q_n = row[:] = q_n @ Pn
+            q_lo = shift_in(q[-1][-1], q_hi)
             with np.errstate(divide="ignore", invalid="ignore"):
-                Q = (edges * np.stack(q[lo:hi])[:, c.indices]
-                     / np.stack(q[lo + 1:hi + 1])[:, c.rows])
-            phat.extend(_frozen(edges))
-            qhat.extend(_frozen(Q))
-        return HatKernels(self.diagram, tuple(q), tuple(phat), tuple(qhat),
-                          tuple(devs))
+                qhat.append(edges * q_lo[:, c.indices] / q_hi[:, c.rows])
+            q.append(q_hi)
+            phat.append(edges)
+        return HatKernels(d, LevelRows(q), LevelRows(phat), LevelRows(qhat),
+                          np.concatenate(devs))
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def shift_in(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows of levels lo..hi-1 from level lo's row and the (hi - lo)
+    rows of levels lo+1..hi: a batch of several levels has one window."""
+    if len(rows) == 1:   # the window may change from level to level
+        return first[None]
+    return np.concatenate((first[None], rows[:-1]))
 
 
 def _phat(mult: np.ndarray, p: np.ndarray, ranks: np.ndarray | None
           ) -> np.ndarray:
-    """``HatKernels.phat_values`` of one level's arrays."""
+    """``HatKernels.phat_values`` of one level's arrays, or of a stack of
+    levels without rank offsets."""
     if ranks is None:
         return np.asarray(mult * p, dtype=np.float64)
     lo, count = ranks[:-1], np.diff(ranks)
@@ -204,8 +234,8 @@ def explicit_system(d: Diagram, q0, probs: Sequence[Mapping],
             p = np.concatenate(parts, dtype=np.float64)
             ranks = np.cumsum([0] + [len(a) for a in parts])
         with np.errstate(over="ignore"):   # an overflowing row is reported
-            sums = m.scatter(_phat(m.csr.mult, p, ranks),
-                             by_source=True).sum(axis=1)
+            sums = m.scatter(_phat(m.csr.mult, p, ranks), by_source=True,
+                             level=n).sum(axis=1)
         j = int(np.argmax(np.abs(sums - 1.0)))   # the worst row
         if abs(sums[j] - 1.0) > tol or np.isinf(sums[j]):
             raise PathInvalid(f"outgoing probabilities at level {n} vertex "
@@ -261,14 +291,15 @@ class _DenseLevels:
 
     __slots__ = ("_diagram", "_values", "_dual")
 
-    def __init__(self, diagram: Diagram, values: tuple, dual: bool):
+    def __init__(self, diagram: Diagram, values: LevelRows, dual: bool):
         self._diagram, self._values, self._dual = diagram, values, dual
 
     def __len__(self) -> int:
         return len(self._values)
 
     def __getitem__(self, n: int) -> np.ndarray:
-        K = self._diagram.F(n).scatter(self._values[n], by_source=True)
+        K = self._diagram.F(n).scatter(self._values[n], by_source=True,
+                                       level=n)
         return K.T if self._dual else K
 
 
@@ -277,22 +308,32 @@ class HatKernels:
     """P-hat, Q-hat and the level masses of one Markov system, as
     ``MarkovSystem.levels`` builds them.
 
-    q[n] is the read-only q^(n) (q[0] views the system's q0).  Each kernel
-    is stored as one read-only value per edge of level n, in the CSR order
-    of ``diagram.F(n).csr``: phat_values[n] is P-hat (mult * p for a
+    q, phat_values and qhat_values are ``LevelRows``: per level one
+    read-only row, and a batch of levels one 2-D slice.  q[n] is q^(n).
+    Each kernel is stored as one value per edge of level n, in the CSR
+    order of ``diagram.F(n).csr``: phat_values[n] is P-hat (mult * p for a
     shared value, the sum of the per-rank values, added left to right,
     otherwise) and qhat_values[n] the dual value on the same edge.
-    stochasticity[n] is max_v |sum_u P-hat_n(v, u) - 1|.  ``phat[n]``
-    (rows V_n, columns V_{n+1}) and ``qhat[n]`` (rows V_{n+1}, columns
-    V_n: it runs the chain downwards) build the dense kernel afresh on
-    every index; ``batches`` stacks the levels.
+    stochasticity is one read-only float array, with stochasticity[n] =
+    max_v |sum_u P-hat_n(v, u) - 1|.  Any sequence of per-level arrays
+    given for a field is stored in these forms.  ``phat[n]`` (rows V_n,
+    columns V_{n+1}) and ``qhat[n]`` (rows V_{n+1}, columns V_n: it runs
+    the chain downwards) build the dense kernel afresh on every index;
+    ``batches`` scatters the levels of a batch into one stack.
     """
 
     diagram: Diagram
-    q: tuple[np.ndarray, ...]
-    phat_values: tuple[np.ndarray, ...]
-    qhat_values: tuple[np.ndarray, ...]
-    stochasticity: tuple[float, ...]
+    q: LevelRows
+    phat_values: LevelRows
+    qhat_values: LevelRows
+    stochasticity: np.ndarray
+
+    def __post_init__(self):
+        for name in ("q", "phat_values", "qhat_values"):
+            object.__setattr__(self, name, LevelRows.of(getattr(self, name)))
+        dev = np.array(self.stochasticity, dtype=np.float64)
+        dev.flags.writeable = False
+        object.__setattr__(self, "stochasticity", dev)
 
     @property
     def depth(self) -> int:
@@ -311,8 +352,8 @@ class HatKernels:
         qhat[n + i] in read-only stacks that the next batch overwrites."""
         kernels = (Scratch(), self.phat_values), (Scratch(), self.qhat_values)
         for lo, hi in level_batches(self.diagram):
-            P, Q = (s.scatter(self.diagram.F(lo), np.stack(v[lo:hi]),
-                              by_source=True) for s, v in kernels)
+            P, Q = (s.scatter(self.diagram.F(lo), v[lo:hi], by_source=True,
+                              level=lo) for s, v in kernels)
             yield lo, P, Q.swapaxes(-1, -2)
 
 
@@ -321,9 +362,9 @@ def dual_kernels(ms: MarkovSystem) -> HatKernels:
     from the system's sweep ``ms.levels``, after ZeroMass has named the
     first level whose mass vanished somewhere."""
     q = ms.levels.q
-    for n in range(1, ms.depth + 1):
-        if (q[n] < Q_FLOOR).any():
-            raise ZeroMass(n, int(ms.diagram.vertices(n)[q[n].argmin()]))
+    low = q.per_row(lambda v: (v < Q_FLOOR).any(axis=-1))
+    for n in np.flatnonzero(low[1:])[:1] + 1:
+        raise ZeroMass(int(n), int(ms.diagram.vertices(n)[q[n].argmin()]))
     return ms.levels
 
 
@@ -335,42 +376,49 @@ def markov_from_tail_invariant(d: Diagram, nu: MeasureSequence
     All parallel edges share the value, so no level has rank offsets.  On
     windowed truncations the outgoing sums at clipped source vertices fall
     short of 1; those rows are renormalized (and listed in ``normalized``)
-    since a window cannot carry the lost mass.
+    since a window cannot carry the lost mass.  Each batch of levels is
+    one pass of array expressions over its rows.
     """
     if nu.depth != d.depth:
         raise DimensionMismatch(
             f"measure depth {nu.depth} != diagram depth {d.depth}")
-    for n in range(d.depth + 1):
-        vec = nu.level(n)
-        if (vec <= 0).any():
-            raise ZeroMeasureVertex(
-                n, int(d.vertices(n)[int(np.argmin(vec))]))
+    mu = nu.vectors
+    for n in np.flatnonzero(mu.per_row(lambda v: (v <= 0).any(axis=-1)))[:1]:
+        raise ZeroMeasureVertex(int(n),
+                                int(d.vertices(n)[int(np.argmin(mu[n]))]))
     ps = []
     normalized: list[tuple[int, int]] = []
-    for n in range(d.depth):
-        m = d.F(n)
+    for lo, hi in level_batches(d):
+        m = d.F(lo)
         c = m.csr
-        p = nu.level(n + 1)[c.rows] / nu.level(n)[c.indices]
+        p = mu[lo + 1:hi + 1][:, c.rows] / mu[lo:hi][:, c.indices]
         # outgoing sums equal (A nu^(n+1))_v / nu^(n)_v = 1 except where the
         # window clipped the row; each sum adds its column in target order
         sums = m.totals(np.asarray(c.mult * p, dtype=np.float64),
                         by_source=True)
         clipped = np.abs(sums - 1.0) > CLIP_TOL
-        ps.append(p / np.where(clipped, sums, 1.0)[c.indices])
-        normalized.extend((n, m.sources[j]) for j in np.flatnonzero(clipped))
-    return MarkovSystem(d, np.asarray(nu.level(0), dtype=np.float64),
-                        tuple(ps), (None,) * d.depth, tuple(normalized))
+        ps.append(p / np.where(clipped, sums, 1.0)[:, c.indices])
+        normalized.extend((lo + int(i), m.sources[j])
+                          for i, j in zip(*np.nonzero(clipped)))
+    return MarkovSystem(d, np.array(mu[0], dtype=np.float64), LevelRows(ps),
+                        (None,) * d.depth, tuple(normalized))
 
 
-def balance_gap(hk: HatKernels, n: int) -> float:
-    """max |q^(n)_v phat_n(v, u) - q^(n+1)_u qhat_n(u, v)| over the edges
-    of level n; off the edges both kernels of a dual pair vanish."""
-    c = hk.diagram.F(n).csr
-    return float(np.abs(hk.q[n][c.indices] * hk.phat_values[n]
-                        - hk.q[n + 1][c.rows] * hk.qhat_values[n]).max())
+def balance_gaps(hk: HatKernels) -> np.ndarray:
+    """Per level n, max |q^(n)_v phat_n(v, u) - q^(n+1)_u qhat_n(u, v)|
+    over the edges of level n, a batch of levels at a time; off the edges
+    both kernels of a dual pair vanish."""
+    gaps = []
+    for lo, hi in level_batches(hk.diagram):
+        c = hk.diagram.F(lo).csr
+        gaps.append(np.abs(hk.q[lo:hi][:, c.indices] * hk.phat_values[lo:hi]
+                           - hk.q[lo + 1:hi + 1][:, c.rows]
+                           * hk.qhat_values[lo:hi]).max(axis=-1))
+    return np.concatenate(gaps)
 
 
-def hat_vs_incidence(d: Diagram, hk: HatKernels) -> float:
+def hat_vs_incidence(d: Diagram, hk: HatKernels,
+                     fhat: LevelRows | None = None) -> float:
     """max |Q-hat_n - F-hat_n| over rows unaffected by truncation.
 
     For systems induced by a tail-invariant measure this is a round-off
@@ -378,21 +426,35 @@ def hat_vs_incidence(d: Diagram, hk: HatKernels) -> float:
     windowed truncations the identity only holds where the level masses
     propagated without touching a clipped source row, so such rows are
     masked level by level.  Both kernels vanish off the edges, so only
-    edges are compared.
+    edges are compared.  ``fhat`` is ``measures.hat_sweep(d).values``,
+    computed here when not given.
     """
+    if fhat is None:
+        fhat = hat_sweep(d).values
     worst = 0.0
     clean = np.ones(len(d.vertices(0)), dtype=bool)
-    for n, fhat in enumerate(hat_matrices(d)):
-        F = fhat.matrix
+    for lo, hi in level_batches(d):
+        F = d.F(lo)
         c = F.csr
-        ok = clean & F.interior_cols
-        # a target stays clean when every source in its row is
-        mask = np.logical_and.reduceat(ok[c.indices], c.indptr[:-1])
-        if not mask.any():
-            break   # and no later level has a clean target
-        diff = np.abs(hk.qhat_values[n] - fhat.values())
-        worst = max(worst, float(diff[mask[c.rows]].max()))
-        clean = mask
+        edges = []   # per level of the batch: the edges into clean targets
+        for n in range(lo, hi):
+            # a target stays clean when every source in its row is
+            mask = np.logical_and.reduceat((clean & F.interior_cols)[c.indices],
+                                           c.indptr[:-1])
+            if not mask.any():
+                break   # and no later level has a clean target
+            edges.append(mask[c.rows])
+            if np.array_equal(mask, clean):   # F's step fixes the mask
+                edges += edges[-1:] * (hi - n - 1)
+                break
+            clean = mask
+        if edges:
+            b = len(edges)
+            diff = np.abs(hk.qhat_values[lo:lo + b] - fhat[lo:lo + b])
+            worst = max(worst, *np.where(edges, diff, -np.inf)
+                        .max(axis=-1).tolist())
+        if len(edges) < hi - lo:
+            break
     return worst
 
 
@@ -427,7 +489,7 @@ class WeightedSeqSpace:
 
 
 def space(hk: HatKernels, n: int, b: int | None = None) -> WeightedSeqSpace:
-    w = hk.q[n] if b is None else np.stack(hk.q[n:n + b])[:, None]
+    w = hk.q[n] if b is None else hk.q[n:n + b][:, None]
     return WeightedSeqSpace(n, w, hk.diagram.vertices(n))
 
 

@@ -32,8 +32,8 @@ from typing import Iterator
 import numpy as np
 
 from . import Error, perron
-from .diagram import (CutsOutOfRange, Diagram, IncidenceMatrix, Scratch,
-                      all_heights, heights)
+from .diagram import (CutsOutOfRange, Diagram, IncidenceMatrix, LevelRows,
+                      Scratch, all_heights, heights)
 
 
 class DimensionMismatch(Error):
@@ -48,9 +48,14 @@ PFFailed = perron.PFFailed
 @dataclass(frozen=True)
 class MeasureSequence:
     """Per-level nonnegative vectors aligned to the diagram windows: mu^(n),
-    one value per cylinder through the vertex."""
+    one value per cylinder through the vertex.  ``vectors`` is a
+    ``LevelRows`` (any sequence of per-level arrays given is stored as
+    one), so a batch of levels is one 2-D slice."""
 
-    vectors: tuple[np.ndarray, ...]
+    vectors: LevelRows
+
+    def __post_init__(self):
+        object.__setattr__(self, "vectors", LevelRows.of(self.vectors))
 
     @property
     def depth(self) -> int:
@@ -111,6 +116,33 @@ def hat_matrices(d: Diagram) -> Iterator[HatMatrix]:
         h_lo = h_hi
 
 
+@dataclass(frozen=True)
+class HatSweep:
+    """Every level's hat matrix, read in one pass of the exact heights:
+    ``values`` holds fhat per edge of every level (``HatMatrix.values``,
+    a batch of levels one 2-D slice) and ``row_deviation`` the largest
+    ``HatMatrix.row_deviation`` of any level."""
+
+    values: LevelRows
+    row_deviation: Fraction
+
+
+def hat_sweep(d: Diagram) -> HatSweep:
+    """``hat_matrices`` read once, with two levels of exact heights live:
+    each level's rows are checked exactly and its float values written
+    into its batch's row (``markov.level_batches``)."""
+    from .markov import level_batches
+    hats = hat_matrices(d)
+    worst, values = Fraction(0), []
+    for lo, hi in level_batches(d):
+        block = np.empty((hi - lo, len(d.F(lo).csr.rows)))
+        for row, hm in zip(block, islice(hats, hi - lo)):
+            worst = max(worst, hm.row_deviation())
+            row[:] = hm.values()
+        values.append(block)
+    return HatSweep(LevelRows(values), worst)
+
+
 # ---------------------------------------------------------------- verify
 
 def _check_lengths(d: Diagram, m: MeasureSequence):
@@ -136,20 +168,28 @@ def verify_tail_invariance(d: Diagram, m: MeasureSequence,
     """Per-level relative l1 residuals of A_n mu^(n+1) = mu^(n).
 
     Rows whose incidence column was clipped by the window are excluded
-    from both sides of the norm, so truncation cannot fail the check.
+    from both sides of the norm, so truncation cannot fail the check.  A
+    batch of levels (``markov.level_batches``) takes one scatter of A and
+    one product, with the batch's mu^(n+1) as column vectors, so that each
+    level makes the gemv call, and gets the bits, of A @ mu^(n+1) alone.
     """
+    from .markov import level_batches
     _check_lengths(d, m)
+    mu = m.vectors
+    zero = bool((mu.per_row(lambda v: np.abs(v).sum(axis=-1)) == 0.0).all())
     residuals = []
-    zero = all(float(np.abs(v).sum()) == 0.0 for v in m.vectors)
     scratch = Scratch()
-    for n in range(d.depth):
-        F = d.F(n)
-        A = scratch.scatter(F, F.csr.mult).T
+    for lo, hi in level_batches(d):
+        F = d.F(lo)
+        A = scratch.scatter(F, F.csr.mult, level=lo).T
         mask = F.interior_cols
-        diff = A @ m.vectors[n + 1] - m.vectors[n]
-        num = float(np.abs(diff[mask]).sum())
-        den = max(float(np.abs(m.vectors[n][mask]).sum()), 1e-300)
-        residuals.append(num / den if not zero else 0.0)
+        diff = (A @ mu[lo + 1:hi + 1][..., None])[..., 0] - mu[lo:hi]
+        # compress keeps each row contiguous, so each sums as its row alone
+        num = np.abs(np.compress(mask, diff, axis=-1)).sum(axis=-1)
+        den = np.maximum(np.abs(np.compress(mask, mu[lo:hi], axis=-1))
+                         .sum(axis=-1), 1e-300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residuals += (num / den).tolist() if not zero else [0.0] * len(num)
     passed = all(r < tol for r in residuals)
     return InvarianceReport(tuple(residuals), passed, zero)
 
@@ -194,7 +234,8 @@ def stationary_pf_measure(d: Diagram, normalization: str = "level0",
         t = t_raw
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
-    vectors = tuple(t * sd.lam ** (1 - n) for n in range(d.depth + 1))
+    scale = np.array([sd.lam ** (1 - n) for n in range(d.depth + 1)])
+    vectors = LevelRows([scale[:, None] * t])
     total = (float(vectors[1] @ np.array([float(h) for h in heights(d, 1)]))
              if d.depth >= 1 else float(t.sum()))
     report = NormalizationReport(sd.lam, float(t.sum()), total)
@@ -219,7 +260,7 @@ def solve_tail_invariant(d: Diagram, anchor=None) -> MeasureSequence:
         raise ValueError("anchor must be nonnegative")
     vecs = [anchor]
     for n in range(d.depth - 1, -1, -1):
-        A = d.F(n).to_dense().T
+        A = d.F(n).to_dense(level=n).T
         vecs.append(A @ vecs[-1])
     return MeasureSequence(tuple(reversed(vecs)))
 

@@ -24,6 +24,7 @@ BOUNDS = {
         (15, True, (0,)),
     "check fibonacci.json --suite consistency --depth 40000":
         (80, False, None),
+    "check fibonacci.json --seed 1 at depth 60, then 1400": (10, True, (0,)),
     "validate allones.json --depth 1000000": (100, False, (0,)),
     "check --suite operators on the band, depth 2 then 20": (8, True, (0,)),
 }

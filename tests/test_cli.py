@@ -547,6 +547,32 @@ def test_vanished_mass_and_bad_rows_keep_their_precedence(capsys, tmp_path):
         "consistency", "KolmogorovExtension", "0.099999999999999978", "FAIL"]
 
 
+@pytest.mark.parametrize("analysis", ["pf", "measure"])
+def test_a_window_too_wide_for_its_dense_form_is_an_error_object(
+        capsys, tmp_path, monkeypatch, analysis):
+    """The Perron solve of the 100001-vertex window asks for a dense
+    100001 x 100001 level, 74.5 GiB: where that cannot be allocated (here
+    numpy's MemoryError is injected above 10**8 elements), the command
+    prints an error object naming the level, the shape and the size."""
+    real = np.zeros
+
+    def zeros(shape, *args, **kwargs):
+        if int(np.prod(shape)) > 10**8:
+            raise MemoryError("injected")
+        return real(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    p = _spec(tmp_path, "wide.json",
+              {"substitution": {"name": "drunkard_walk"}, "depth": 4,
+               "window": [-100000, 100000, 2]})
+    rc, d = run_json(capsys, "analyze", p, analysis)
+    assert rc == 1
+    assert d == {"error": {
+        "kind": "DenseTooLarge",
+        "detail": "a dense 100001 x 100001 float64 form of level 0 needs "
+                  "74.5 GiB, more than can be allocated"}}
+
+
 def test_operators_suite_builds_each_dense_kernel_once(tmp_path, monkeypatch):
     """check --suite operators scatters three dense kernels per level (the
     level sweep's P-hat, then the P-hat and Q-hat of the samples), each by
@@ -567,11 +593,11 @@ def test_operators_suite_builds_each_dense_kernel_once(tmp_path, monkeypatch):
         return wrapper
 
     def recorded(kind, fn):
-        def scatter(self, *args, by_source=False):
+        def scatter(self, *args, by_source=False, level=0):
             values = args[-1]   # after the level, for a Scratch
             height = len(values) if np.ndim(values) == 2 else None
             scatters.append((kind, by_source, height))
-            return fn(self, *args, by_source=by_source)
+            return fn(self, *args, by_source=by_source, level=level)
         return scatter
 
     monkeypatch.setattr(dg.IncidenceMatrix, "scatter",

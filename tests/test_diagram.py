@@ -453,6 +453,45 @@ def test_scratch_converts_wide_multiplicities_like_scatter():
     assert got.tobytes() == m.to_dense().tobytes()
 
 
+def _refuse_big_zeros(monkeypatch, limit=10**6):
+    """np.zeros raises MemoryError above ``limit`` elements, as numpy does
+    when the system cannot hold the array."""
+    real = np.zeros
+
+    def zeros(shape, *args, **kwargs):
+        if int(np.prod(shape)) > limit:
+            raise MemoryError("injected")
+        return real(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", zeros)
+
+
+def test_a_dense_form_that_cannot_be_allocated_is_an_error(monkeypatch):
+    """scatter and Scratch.scatter turn numpy's MemoryError into
+    DenseTooLarge, which names the level, the shape and the GiB asked for;
+    smaller forms are untouched."""
+    big = sb.substitution_matrix(sb.drunkard_walk(),
+                                 dg.Window(-4000, 4000, 2))   # 4001 vertices
+    small = fib_diagram(3).F(0)
+    _refuse_big_zeros(monkeypatch)
+    assert small.to_dense().shape == (2, 2)
+    for dense in (lambda: big.to_dense(level=7),
+                  lambda: big.scatter(big.csr.mult, by_source=True, level=7),
+                  lambda: dg.Scratch().scatter(big, big.csr.mult, level=7)):
+        with pytest.raises(dg.DenseTooLarge) as exc:
+            dense()
+        err = exc.value
+        assert (err.level, err.shape) == (7, (4001, 4001))
+        assert err.gib == 4001 * 4001 * 8 / 2**30
+        assert str(err) == ("a dense 4001 x 4001 float64 form of level 7 "
+                            "needs 0.1 GiB, more than can be allocated")
+        assert isinstance(err, dg.DiagramError)
+    stack = np.ones((3, len(big.csr.rows)))
+    with pytest.raises(dg.DenseTooLarge) as exc:
+        dg.Scratch().scatter(big, stack, by_source=True, level=2)
+    assert (exc.value.level, exc.value.shape) == (2, (3, 4001, 4001))
+
+
 def test_source_pairs_are_the_sources_sharing_a_target():
     """Every pair (v, w), v <= w, of sources with a common target, once and
     in order; None when the rows would yield more pairs than the sources x

@@ -134,7 +134,7 @@ def test_balance_violation_matches_dense_reference(mode):
 
 def _arrays(obj, seen=None):
     """Every ndarray reachable from obj through containers and the
-    attributes of package objects."""
+    attributes of package objects; a LevelRows gives its per-level rows."""
     seen = set() if seen is None else seen
     if id(obj) in seen:
         return
@@ -142,7 +142,9 @@ def _arrays(obj, seen=None):
     if isinstance(obj, np.ndarray):
         yield obj
         return
-    if isinstance(obj, dict):
+    if isinstance(obj, dg.LevelRows):   # stored as (levels, ...) blocks
+        children = list(obj)
+    elif isinstance(obj, dict):
         children = [*obj.keys(), *obj.values()]
     elif isinstance(obj, (tuple, list, set, frozenset)):
         children = obj

@@ -298,7 +298,7 @@ def test_level_sweep_is_cached_and_read_only():
     assert (len(sweep.stochasticity) == len(sweep.phat_values)
             == len(sweep.qhat_values) == sysm.depth)
     assert not any(a.flags.writeable for a in
-                   sweep.q + sweep.phat_values + sweep.qhat_values)
+                   (*sweep.q, *sweep.phat_values, *sweep.qhat_values))
     assert sysm.q0.flags.writeable
 
 
@@ -538,7 +538,7 @@ def test_dense_kernels_are_built_per_index():
     assert np.array_equal(hk.qhat[-1], hk.qhat[hk.depth - 1])
     with pytest.raises(IndexError):
         hk.phat[hk.depth]
-    for vals in hk.phat_values + hk.qhat_values:
+    for vals in (*hk.phat_values, *hk.qhat_values):
         assert vals.ndim == 1 and not vals.flags.writeable
 
 
@@ -566,7 +566,7 @@ def test_edge_comparisons_match_dense_reference():
             worst = max(worst, float(np.abs(hk.qhat[n] - fhat)[rows].max()))
         lhs = hk.q[n][:, None] * hk.phat[n]
         rhs = (hk.q[n + 1][:, None] * hk.qhat[n]).T
-        assert mk.balance_gap(hk, n) == float(np.abs(lhs - rhs).max())
+        assert mk.balance_gaps(hk)[n] == float(np.abs(lhs - rhs).max())
     assert masked > 0
     assert mk.hat_vs_incidence(d, hk) == worst
 

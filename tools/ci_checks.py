@@ -233,6 +233,14 @@ def rows(kinds):
          lambda: [run([*BRATTELI, "check", "examples_specs/fibonacci.json",
                        "--suite", "consistency", "--depth", "40000"])],
          maxrss(80, codes=None)),
+        # The induced system, its sweep, the checks and the network keep
+        # one row per level in one array per batch, and the dense kernels
+        # live a batch at a time, so a full check grows with depth only
+        # by those rows.
+        ("check fibonacci.json --seed 1 at depth 60, then 1400",
+         lambda: [run([*BRATTELI, "check", "examples_specs/fibonacci.json",
+                       "--seed", "1", "--depth", str(depth)])
+                  for depth in (60, 1400)], maxrss(10)),
         ("validate allones.json --depth 1000000",
          lambda: [run([*BRATTELI, "validate", "examples_specs/allones.json",
                        "--depth", "1000000"])], maxrss(100)),
