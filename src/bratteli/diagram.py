@@ -431,16 +431,17 @@ class Scratch:
 
 
 class LevelRows(Sequence):
-    """One vector per level, stored as 2-D blocks: each run of consecutive
-    levels whose vectors share a shape and dtype is one read-only, C-ordered
-    array, levels first.  A stationary diagram's levels are one run, so every
-    batch of ``markov.level_batches`` is a slice of one array.
+    """One float64 vector per level, stored as 2-D blocks: each run of
+    consecutive levels whose vectors share a shape is one read-only,
+    C-ordered float64 array, levels first.  A stationary diagram's levels
+    are one run, so every batch of ``markov.level_batches`` is a slice of
+    one array.
 
     ``rows[n]`` is a row view of its run; ``rows[lo:hi]`` is a 2-D view
-    when lo..hi-1 lie in one run, as a batch always does, and a tuple of
-    row views otherwise.  The constructor takes the runs' blocks in level
-    order and joins consecutive blocks of one row shape and dtype;
-    ``LevelRows.of`` takes one vector per level.
+    when lo..hi-1 lie in one run, as a batch always does, and an
+    IndexError otherwise.  The constructor takes the runs' blocks in level
+    order, stores them as float64 and joins consecutive blocks of one row
+    shape; ``LevelRows.of`` takes one vector per level.
     """
 
     __slots__ = ("blocks", "_ends")
@@ -448,13 +449,13 @@ class LevelRows(Sequence):
     def __init__(self, blocks: Iterable[np.ndarray]):
         runs: list[list[np.ndarray]] = []
         for b in blocks:
-            if runs and (b.shape[1:], b.dtype) == (runs[-1][0].shape[1:],
-                                                   runs[-1][0].dtype):
+            if runs and b.shape[1:] == runs[-1][0].shape[1:]:
                 runs[-1].append(b)
             else:
                 runs.append([b])
-        self.blocks = tuple(np.ascontiguousarray(r[0]) if len(r) == 1
-                            else np.concatenate(r) for r in runs)
+        self.blocks = tuple(np.ascontiguousarray(
+            r[0] if len(r) == 1 else np.concatenate(r), dtype=np.float64)
+            for r in runs)
         for b in self.blocks:
             b.flags.writeable = False
         self._ends = np.cumsum([len(b) for b in self.blocks]).tolist()
@@ -465,7 +466,7 @@ class LevelRows(Sequence):
         itself when it is a LevelRows."""
         if isinstance(rows, LevelRows):
             return rows
-        runs = groupby(map(np.asarray, rows), lambda r: (r.shape, r.dtype))
+        runs = groupby(map(np.asarray, rows), lambda r: r.shape)
         return cls(np.stack(list(run)) for _, run in runs)
 
     def __len__(self) -> int:
@@ -478,11 +479,12 @@ class LevelRows(Sequence):
     def __getitem__(self, n):
         if isinstance(n, slice):
             lo, hi, step = n.indices(len(self))
-            k = bisect_right(self._ends, lo)
-            if step == 1 and lo < hi and hi <= self._ends[k]:
-                start = self._ends[k] - len(self.blocks[k])
-                return self.blocks[k][lo - start:hi - start]
-            return tuple(self[i] for i in range(lo, hi, step))
+            k = min(bisect_right(self._ends, lo), len(self.blocks) - 1)
+            if step != 1 or k < 0 or hi > max(self._ends[k], lo):
+                raise IndexError(f"rows[{lo}:{hi}:{step}] is not a slice "
+                                 f"of one run of levels")
+            start = self._ends[k] - len(self.blocks[k])
+            return self.blocks[k][lo - start:max(hi, lo) - start]
         if len(self.blocks) == 1:
             return self.blocks[0][n]
         i = n + len(self) if n < 0 else n

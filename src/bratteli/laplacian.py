@@ -166,7 +166,7 @@ def apply_M(net: WeightedNetwork, f: LevelFunction) -> LevelFunction:
 
 def _rows(f: LevelFunction) -> LevelRows:
     """f's levels as float64 ``LevelRows``, so that a batch is a slice."""
-    return LevelRows.of(np.asarray(v, dtype=np.float64) for v in f.values)
+    return LevelRows.of(f.values)
 
 
 def _interior(d) -> Iterator[tuple[int, int]]:

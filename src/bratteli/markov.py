@@ -16,9 +16,9 @@ and is self-adjoint in the level-n weighted inner product.
 
 Stored form.  Everything is kept per level in the CSR order of
 ``diagram.F(n).csr``, and every per-level record is a ``diagram.LevelRows``:
-one read-only 2-D array per run of levels whose vectors share a shape, so
-the whole depth of a stationary diagram is one array, a level is a row
-view of it and a batch of levels a 2-D slice.  A system holds its
+one read-only float64 2-D array per run of levels whose vectors share a
+shape, so the whole depth of a stationary diagram is one array, a level
+is a row view of it and a batch of levels a 2-D slice.  A system holds its
 probabilities so (``MarkovSystem.p_values``, with rank offsets ``p_ranks``
 only where an entry gives one value per edge rank); ``explicit_system`` is
 the one reader of {(source, target): value} mappings.  P-hat
@@ -58,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -65,7 +66,7 @@ import numpy as np
 from . import Error
 from .diagram import (Diagram, FinitePath, LevelRows, Scratch,
                       path_in_diagram)
-from .measures import DimensionMismatch, MeasureSequence, hat_sweep
+from .measures import DimensionMismatch, MeasureSequence, hat_matrices
 
 Q_FLOOR = 1e-300  # below this a level mass is treated as identically zero
 CLIP_TOL = 1e-9   # outgoing sums further than this from 1 mark a clipped row
@@ -115,9 +116,7 @@ class MarkovSystem:
     normalized: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.p_values, LevelRows):
-            object.__setattr__(self, "p_values", LevelRows.of(
-                np.asarray(p, dtype=np.float64) for p in self.p_values))
+        object.__setattr__(self, "p_values", LevelRows.of(self.p_values))
 
     @property
     def depth(self) -> int:
@@ -308,8 +307,8 @@ class HatKernels:
     """P-hat, Q-hat and the level masses of one Markov system, as
     ``MarkovSystem.levels`` builds them.
 
-    q, phat_values and qhat_values are ``LevelRows``: per level one
-    read-only row, and a batch of levels one 2-D slice.  q[n] is q^(n).
+    q, phat_values and qhat_values are float64 ``LevelRows``: per level
+    one read-only row, and a batch of levels one 2-D slice.  q[n] is q^(n).
     Each kernel is stored as one value per edge of level n, in the CSR
     order of ``diagram.F(n).csr``: phat_values[n] is P-hat (mult * p for a
     shared value, the sum of the per-rank values, added left to right,
@@ -417,8 +416,7 @@ def balance_gaps(hk: HatKernels) -> np.ndarray:
     return np.concatenate(gaps)
 
 
-def hat_vs_incidence(d: Diagram, hk: HatKernels,
-                     fhat: LevelRows | None = None) -> float:
+def hat_vs_incidence(d: Diagram, hk: HatKernels) -> float:
     """max |Q-hat_n - F-hat_n| over rows unaffected by truncation.
 
     For systems induced by a tail-invariant measure this is a round-off
@@ -426,11 +424,10 @@ def hat_vs_incidence(d: Diagram, hk: HatKernels,
     windowed truncations the identity only holds where the level masses
     propagated without touching a clipped source row, so such rows are
     masked level by level.  Both kernels vanish off the edges, so only
-    edges are compared.  ``fhat`` is ``measures.hat_sweep(d).values``,
-    computed here when not given.
+    edges are compared.  The exact heights are read up to the last level
+    with a clean target.
     """
-    if fhat is None:
-        fhat = hat_sweep(d).values
+    hats = hat_matrices(d)
     worst = 0.0
     clean = np.ones(len(d.vertices(0)), dtype=bool)
     for lo, hi in level_batches(d):
@@ -450,7 +447,8 @@ def hat_vs_incidence(d: Diagram, hk: HatKernels,
             clean = mask
         if edges:
             b = len(edges)
-            diff = np.abs(hk.qhat_values[lo:lo + b] - fhat[lo:lo + b])
+            fhat = np.stack([hm.values() for hm in islice(hats, b)])
+            diff = np.abs(hk.qhat_values[lo:lo + b] - fhat)
             worst = max(worst, *np.where(edges, diff, -np.inf)
                         .max(axis=-1).tolist())
         if len(edges) < hi - lo:

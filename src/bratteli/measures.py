@@ -48,7 +48,7 @@ PFFailed = perron.PFFailed
 @dataclass(frozen=True)
 class MeasureSequence:
     """Per-level nonnegative vectors aligned to the diagram windows: mu^(n),
-    one value per cylinder through the vertex.  ``vectors`` is a
+    one value per cylinder through the vertex.  ``vectors`` is a float64
     ``LevelRows`` (any sequence of per-level arrays given is stored as
     one), so a batch of levels is one 2-D slice."""
 
@@ -114,33 +114,6 @@ def hat_matrices(d: Diagram) -> Iterator[HatMatrix]:
         yield HatMatrix(n, m.csr.mult.astype(object) * h_lo[m.csr.indices],
                         h_hi, m)
         h_lo = h_hi
-
-
-@dataclass(frozen=True)
-class HatSweep:
-    """Every level's hat matrix, read in one pass of the exact heights:
-    ``values`` holds fhat per edge of every level (``HatMatrix.values``,
-    a batch of levels one 2-D slice) and ``row_deviation`` the largest
-    ``HatMatrix.row_deviation`` of any level."""
-
-    values: LevelRows
-    row_deviation: Fraction
-
-
-def hat_sweep(d: Diagram) -> HatSweep:
-    """``hat_matrices`` read once, with two levels of exact heights live:
-    each level's rows are checked exactly and its float values written
-    into its batch's row (``markov.level_batches``)."""
-    from .markov import level_batches
-    hats = hat_matrices(d)
-    worst, values = Fraction(0), []
-    for lo, hi in level_batches(d):
-        block = np.empty((hi - lo, len(d.F(lo).csr.rows)))
-        for row, hm in zip(block, islice(hats, hi - lo)):
-            worst = max(worst, hm.row_deviation())
-            row[:] = hm.values()
-        values.append(block)
-    return HatSweep(LevelRows(values), worst)
 
 
 # ---------------------------------------------------------------- verify

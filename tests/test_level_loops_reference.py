@@ -246,13 +246,7 @@ def test_sweep_checks_and_network(name):
     assert _same_rows(hk.qhat_values, qhat)
     assert _bits(hk.stochasticity, devs)
     assert _bits(mk.balance_gaps(hk), ref_balance_gaps(hk))
-    sweep = ms.hat_sweep(d)
-    assert sweep.row_deviation == ref_row_deviation(d)
-    assert _same_rows(sweep.values, [hm.values()
-                                     for hm in ms.hat_matrices(d)])
-    worst = ref_hat_vs_incidence(d, hk)
-    assert mk.hat_vs_incidence(d, hk) == worst
-    assert mk.hat_vs_incidence(d, hk, sweep.values) == worst
+    assert mk.hat_vs_incidence(d, hk) == ref_hat_vs_incidence(d, hk)
     net = lp.build_network(hk)
     masses, dev = ref_vertex_mass(hk)
     assert _same_rows(net.vertex_mass, masses)
@@ -309,16 +303,51 @@ def test_zero_mass_names_the_first_level(name):
 
 
 def test_level_rows_read_as_the_sequence_they_store():
-    rows = [np.arange(3.0), np.arange(3.0) + 1, np.arange(2.0), -np.ones(2)]
+    rows = [np.arange(3.0), np.arange(3) + 1, np.arange(2.0), -np.ones(2)]
     lr = dg.LevelRows.of(rows)
     assert [b.shape for b in lr.blocks] == [(2, 3), (2, 2)]
+    assert all(b.dtype == np.float64 for b in lr.blocks)
     assert len(lr) == 4 and _same_rows(list(lr), rows)
     for n in range(-4, 4):
         assert _bits(lr[n], rows[n]) and not lr[n].flags.writeable
     assert lr[1].base is lr.blocks[0] or lr[1].base is lr.blocks[0].base
     assert _bits(lr[2:4], np.stack(rows[2:4]))
-    assert _same_rows(lr[1:3], rows[1:3]) and isinstance(lr[1:3], tuple)
-    assert lr[4:] == () and dg.LevelRows.of(lr) is lr
-    with pytest.raises(IndexError):
-        lr[4]
+    assert lr[4:].shape == (0, 2) and dg.LevelRows.of(lr) is lr
+    for bad in (np.s_[1:3], np.s_[::2], np.s_[4]):
+        with pytest.raises(IndexError):
+            lr[bad]
     assert _bits(lr.per_row(lambda b: b.sum(axis=-1)), [3.0, 6.0, 1.0, -2.0])
+
+
+def test_a_measure_of_mixed_dtypes_reads_as_float64():
+    """Integer and float level vectors of one shape are one float64 run,
+    so a batch of a stationary diagram is still one slice."""
+    d = parse_spec(json.loads((SPECS / "fibonacci.json").read_text()),
+                   2).diagram
+    vecs = (np.ones(2), np.array([1, 1]), np.ones(2))
+    mixed = ms.MeasureSequence(vecs)
+    assert len(mixed.vectors.blocks) == 1
+    floats = ms.MeasureSequence([np.asarray(v, dtype=np.float64)
+                                 for v in vecs])
+    got = ms.verify_tail_invariance(d, mixed)
+    assert _bits(got.residuals, ref_verify_tail_invariance(d, vecs)[0])
+    assert got == ms.verify_tail_invariance(d, floats)
+    assert _same_rows(mk.markov_from_tail_invariant(d, mixed).p_values,
+                      mk.markov_from_tail_invariant(d, floats).p_values)
+
+
+def test_hat_vs_incidence_reads_heights_only_while_a_target_is_clean(
+        monkeypatch):
+    doc = {**BAND, "window": [-20, 20, 2], "depth": 40}
+    d = parse_spec(doc, None).diagram
+    hk = mk.dual_kernels(mk.markov_from_tail_invariant(
+        d, ms.stationary_pf_measure(d, normalization="probability")[0]))
+    read = []
+
+    def counted(d):
+        for hm in ms.hat_matrices(d):
+            read.append(hm.level)
+            yield hm
+    monkeypatch.setattr(mk, "hat_matrices", counted)
+    assert mk.hat_vs_incidence(d, hk) == ref_hat_vs_incidence(d, hk)
+    assert 0 < len(read) < d.depth
