@@ -22,8 +22,8 @@ level below whenever they are read.
 An edge order is stored once too: per distinct level, nothing for the
 natural order (by target, source and rank, as the CSR lists the edges),
 or one int64 array of natural edge positions; an order of one record
-repeats it on every level.  One reader maps a target's slice of it to
-(source, rank) pairs through the level's cumulative multiplicities.
+repeats it on every level.  A bisect in a level's cumulative multiplicities
+decodes an edge's position; one resolver finds a path's edges in the CSR.
 The cylinders into a vertex are one tower of the Vershik map: the orbit
 of the natural order's minimal path.
 
@@ -305,11 +305,6 @@ class IncidenceMatrix:
         lo, hi = c.indptr[i:i + 2].tolist()
         k = bisect_left(c.indices, j, lo, hi)
         return k if k < hi and c.indices[k] == j else -1
-
-    def multiplicity(self, v: int, w: int) -> int:
-        """Edges between target v and source w."""
-        k = self.edge_index(v, w)
-        return int(self.csr.mult[k]) if k >= 0 else 0
 
     @cached_property
     def edge_starts(self) -> np.ndarray:
@@ -747,16 +742,21 @@ def telescope(d: Diagram, cuts: Sequence[int]) -> Diagram:
 
 # ---------------------------------------------------------------- heights
 
-def all_heights(d: Diagram) -> Iterator[np.ndarray]:
-    """H^(0), H^(1), ..., H^(depth) in turn, each an object array of
-    Python ints computed from the one before by one CSR product, so that
-    two levels are live however deep the diagram is."""
+def height_steps(d: Diagram) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(num, H^(n+1)) for each level n in turn, as Python ints: num is
+    mult * H^(n)[source] per entry of level n, and H^(n+1) its row sums."""
     h = np.ones(len(d.window(0)), dtype=object)
-    yield h
     for n in range(d.depth):
         m = d.F(n)
-        h = m.totals(m.csr.mult.astype(object) * h[m.csr.indices])
-        yield h
+        num = m.csr.mult.astype(object) * h[m.csr.indices]
+        h = m.totals(num)
+        yield num, h
+
+
+def all_heights(d: Diagram) -> Iterator[np.ndarray]:
+    """H^(0), H^(1), ..., H^(depth) in turn, two levels live at a time."""
+    yield np.ones(len(d.window(0)), dtype=object)
+    yield from (h for _, h in height_steps(d))
 
 
 def heights(d: Diagram, n: int) -> list[int]:
@@ -818,16 +818,27 @@ class FinitePath:
         return self.terminal
 
 
+def path_entries(d: Diagram, p: FinitePath) -> list[int]:
+    """Each edge's entry in its level's ``csr``; the first edge not in the
+    diagram, or an empty path's vertex off it, raises ValueError."""
+    level, v = p.initial
+    if not (p.edges or 0 <= level <= d.depth and v in d.window(level)):
+        raise ValueError(f"vertex {p.initial} is not in the diagram")
+    entries = []
+    for e in p.edges:
+        lvl, src, tgt, rank = e
+        k = d.F(lvl).edge_index(tgt, src) if 0 <= lvl < d.depth else -1
+        if k < 0 or rank >= int(d.F(lvl).csr.mult[k]):
+            raise ValueError(f"edge {e} is not in the diagram")
+        entries.append(k)
+    return entries
+
+
 def path_in_diagram(d: Diagram, p: FinitePath) -> bool:
-    """Whether every vertex of p lies on a level of d, and every edge rank
-    below its multiplicity."""
+    """Whether ``path_entries`` finds every vertex and edge of p in d."""
     try:
-        _vertex(d, p.initial)
-        for (lvl, src, tgt, rank) in p.edges:
-            _vertex(d, (lvl + 1, tgt))
-            if rank >= d.F(lvl).multiplicity(tgt, src):
-                return False
-    except (CutsOutOfRange, KeyError):
+        path_entries(d, p)
+    except ValueError:
         return False
     return True
 
@@ -849,11 +860,12 @@ def enumerate_cylinders(d: Diagram, vertex: tuple[int, int],
     Vershik orbit of the natural order's minimal path, whose top edge
     varies slowest.
 
-    The count equals the height H^(level)_index; enumeration refuses to
-    build more than ``cap`` paths, or than the orbit's DEFAULT_PATH_CAP.
+    The count equals the height H^(level)_index; a count above ``cap`` or
+    DEFAULT_PATH_CAP raises TooManyPaths before any path is built.
     """
     level, v = _vertex(d, vertex)
     h = heights(d, level)[d.window(level).position(v)]
+    cap = min(cap, DEFAULT_PATH_CAP)
     if h > cap:
         raise TooManyPaths(cap, h)
     order = natural_order(d)
@@ -907,12 +919,12 @@ class EdgeOrder:
                  ) -> tuple[tuple[int, int], ...]:
         """Target's incoming (source, rank) pairs on ``level``, minimal
         first; more than DEFAULT_PATH_CAP edges raise TooManyPaths."""
-        m, lo, starts, seq = _incoming(d, self, level, target)
-        count = int(starts[-1])
+        m, block = _block(d, self, level, target)
+        count = (block.stop - block.start if isinstance(block, range)
+                 else len(block))   # len() of a range stops at 2**63
         if count > DEFAULT_PATH_CAP:
             raise TooManyPaths(DEFAULT_PATH_CAP, count)
-        return tuple(_pairs(m, lo, starts,
-                            np.arange(count) if seq is None else seq))
+        return tuple(_edge(m, pos) for pos in block)
 
 
 def natural_order(d: Diagram) -> EdgeOrder:
@@ -943,30 +955,22 @@ def check_order(d: Diagram, order: EdgeOrder) -> None:
                 f"bijection with the incoming edges")
 
 
-def _incoming(d: Diagram, order: EdgeOrder, level: int, target: int):
-    """Target's incoming edges on one edge level: the level's matrix, the
-    row's first CSR entry, the row's edge starts from 0 (its edge count
-    last), and the row's natural positions in the order's sequence, or
-    None when that is the natural one."""
+def _block(d: Diagram, order: EdgeOrder, level: int, target: int):
+    """Edge level ``level``'s matrix and target's incoming natural edge
+    positions on it in order: a range, or a list read from the order."""
     if not 0 <= level < d.depth:
         raise CutsOutOfRange(f"edge level {level} outside 0..{d.depth - 1}")
     m = d.F(level)
     i = m.row_window.position(target)
-    lo, hi = m.csr.indptr[i:i + 2].tolist()
-    starts = m.edge_starts[lo:hi + 1]
+    lo, hi = m.edge_starts[m.csr.indptr[i:i + 2]].tolist()
     perm = order.perms[0 if order.stationary else level]
-    seq = None if perm is None else perm[starts[0]:starts[-1]] - starts[0]
-    return m, lo, starts - starts[0], seq
+    return m, range(lo, hi) if perm is None else perm[lo:hi].tolist()
 
 
-def _pairs(m: IncidenceMatrix, lo: int, starts: np.ndarray,
-           positions: np.ndarray) -> list[tuple[int, int]]:
-    """(source, rank) of the edges at the row's natural ``positions``,
-    through the cumulative multiplicities ``starts``."""
-    k = np.searchsorted(starts, positions, side="right") - 1
-    src = m.sources
-    return list(zip(map(src.__getitem__, m.csr.indices[lo + k].tolist()),
-                    (positions - starts[k]).tolist()))
+def _edge(m: IncidenceMatrix, pos: int) -> tuple[int, int]:
+    """(source, rank) of the edge at natural position ``pos`` of m."""
+    k = bisect_right(m.edge_starts, pos) - 1
+    return m.sources[m.csr.indices[k]], pos - int(m.edge_starts[k])
 
 
 def minimal_path(d: Diagram, order: EdgeOrder, vertex: tuple[int, int]
@@ -975,34 +979,29 @@ def minimal_path(d: Diagram, order: EdgeOrder, vertex: tuple[int, int]
     minimal incoming edge."""
     level, v = _vertex(d, vertex)
     edges = []
-    cur = v
     for lvl in range(level - 1, -1, -1):
-        m, lo, starts, seq = _incoming(d, order, lvl, cur)
-        (src, rank), = _pairs(m, lo, starts,
-                              np.arange(1) if seq is None else seq[:1])
-        edges.append((lvl, src, cur, rank))
-        cur = src
-    return FinitePath(tuple(reversed(edges)), start=(0, v) if not edges else None)
+        m, block = _block(d, order, lvl, v)
+        src, rank = _edge(m, block[0])
+        edges.append((lvl, src, v, rank))
+        v = src
+    return FinitePath(tuple(reversed(edges)), start=None if edges else (0, v))
 
 
 def vershik_successor(d: Diagram, order: EdgeOrder, p: FinitePath):
     """Adic successor: bump the first non-maximal edge, minimal prefix below.
 
     Returns None when every edge is maximal (the path is the last one of its
-    tower in the lexicographic order).  An edge not in the diagram raises
-    ValueError.
+    tower in the lexicographic order).  An edge not in the diagram, or a
+    path that starts above level 0, raises ValueError.
     """
-    for e in p.edges:
-        lvl, src, tgt, rank = e
-        if not (0 <= lvl < d.depth and rank < d.F(lvl).multiplicity(tgt, src)):
-            raise ValueError(f"edge {e} is not in the diagram")
-    for k, (lvl, src, tgt, rank) in enumerate(p.edges):
-        m, lo, starts, seq = _incoming(d, order, lvl, tgt)
-        pos = starts[m.edge_index(tgt, src) - lo] + rank   # natural position
-        place = pos if seq is None else int(np.flatnonzero(seq == pos)[0])
-        if place + 1 < starts[-1]:
-            nxt = place + 1 if seq is None else seq[place + 1]
-            (nsrc, nrank), = _pairs(m, lo, starts, np.array([nxt]))
+    entries = path_entries(d, p)
+    if p.edges and p.initial[0] != 0:
+        raise ValueError(f"path starts at level {p.initial[0]}, not 0")
+    for k, ((lvl, _, tgt, rank), e) in enumerate(zip(p.edges, entries)):
+        m, block = _block(d, order, lvl, tgt)
+        pos = int(m.edge_starts[e]) + rank   # natural position
+        if pos != block[-1]:
+            nsrc, nrank = _edge(m, block[block.index(pos) + 1])
             prefix = minimal_path(d, order, (lvl, nsrc)).edges
             return FinitePath(prefix + ((lvl, nsrc, tgt, nrank),)
                               + p.edges[k + 1:])

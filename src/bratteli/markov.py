@@ -64,8 +64,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from . import Error
-from .diagram import (Diagram, FinitePath, LevelRows, Scratch,
-                      path_in_diagram)
+from .diagram import Diagram, FinitePath, LevelRows, Scratch, path_entries
 from .measures import DimensionMismatch, MeasureSequence, hat_matrices
 
 Q_FLOOR = 1e-300  # below this a level mass is treated as identically zero
@@ -251,16 +250,16 @@ def cylinder_mass(ms: MarkovSystem, p: FinitePath) -> float:
     """m([e]) = q0 at the start vertex times the edge probabilities.
     Kolmogorov consistency: test_criterion_03_extension_sums."""
     d = ms.diagram
-    if not path_in_diagram(d, p):
-        raise PathInvalid(f"path not in diagram: {p}")
     lvl0, v0 = p.initial
+    try:
+        entries = path_entries(d, p)
+    except ValueError:
+        raise PathInvalid(f"path not in diagram: {p}") from None
     if lvl0 != 0:
         raise PathInvalid("cylinder masses are rooted at level 0")
     mass = float(ms.q0[d.window(0).position(v0)])
-    # path_in_diagram has checked every rank against its multiplicity; a
-    # value is shared by all parallel edges or given per rank
-    for (lvl, src, tgt, rank) in p.edges:
-        k = d.F(lvl).edge_index(tgt, src)
+    # a value is shared by all parallel edges or given per rank
+    for (lvl, _, _, rank), k in zip(p.edges, entries):
         ranks = ms.p_ranks[lvl]
         if ranks is not None:
             lo, hi = int(ranks[k]), int(ranks[k + 1])

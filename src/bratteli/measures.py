@@ -33,7 +33,7 @@ import numpy as np
 
 from . import Error, perron
 from .diagram import (CutsOutOfRange, Diagram, IncidenceMatrix, LevelRows,
-                      Scratch, all_heights, heights)
+                      Scratch, height_steps, heights)
 
 
 class DimensionMismatch(Error):
@@ -106,14 +106,9 @@ def hat_matrix(d: Diagram, n: int) -> HatMatrix:
 
 def hat_matrices(d: Diagram) -> Iterator[HatMatrix]:
     """The hat matrix of every level in turn, from one pass of the exact
-    heights."""
-    hs = all_heights(d)
-    h_lo = next(hs)
-    for n, h_hi in enumerate(hs):
-        m = d.F(n)
-        yield HatMatrix(n, m.csr.mult.astype(object) * h_lo[m.csr.indices],
-                        h_hi, m)
-        h_lo = h_hi
+    heights: each step's numerators are the ones its heights sum."""
+    for n, (num, h) in enumerate(height_steps(d)):
+        yield HatMatrix(n, num, h, d.F(n))
 
 
 # ---------------------------------------------------------------- verify

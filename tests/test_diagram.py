@@ -145,9 +145,7 @@ def test_drunken_band_diagram_valid():
     m = d.F(0)
     # interior rows carry the full (1, 2, 1) profile, boundary rows are
     # clipped but still nonempty
-    assert m.multiplicity(0, -2) == 1
-    assert m.multiplicity(0, 0) == 2
-    assert m.multiplicity(0, 2) == 1
+    assert m.row_entries(0) == [(-2, 1), (0, 2), (2, 1)]
     assert m.row_entries(-20) == [(-20, 2), (-18, 1)]
     interior = m.interior_rows
     assert not interior[0] and not interior[-1]
@@ -726,10 +724,11 @@ def test_array_form_matches_entries(name):
                 (v, k) for (v, s), k in ent.items() if s == w)
         for v in tv:
             for w in sv + (sv[-1] + 1,):
-                got = m.multiplicity(v, w)
-                assert got == ent.get((v, w), 0) and type(got) is int
+                k = m.edge_index(v, w)
+                assert (k >= 0) == ((v, w) in ent)
+                assert k < 0 or m.csr.mult[k] == ent[(v, w)]
         assert m.row_entries(tv[-1] + 1) == [] == m.col_entries(sv[-1] + 1)
-        assert m.multiplicity(tv[-1] + 1, sv[0]) == 0
+        assert m.edge_index(tv[-1] + 1, sv[0]) == -1
         assert np.array_equal(m.to_dense(), dense.astype(np.float64))
         by_source = m.scatter(m.csr.mult, by_source=True)
         assert np.array_equal(by_source, dense.T)
@@ -841,6 +840,22 @@ def test_enumerate_cap():
     d = allones_diagram(6)
     with pytest.raises(dg.TooManyPaths):
         dg.enumerate_cylinders(d, (6, 0), cap=10)
+
+
+def test_enumerate_refuses_past_the_orbit_cap_before_any_successor(
+        monkeypatch):
+    """A cap above DEFAULT_PATH_CAP cannot lift the orbit's own cap, so a
+    tower taller than that is refused from its height, not after building
+    DEFAULT_PATH_CAP paths."""
+    monkeypatch.setattr(dg, "DEFAULT_PATH_CAP", 2000)
+    calls = []
+    successor = dg.vershik_successor
+    monkeypatch.setattr(dg, "vershik_successor",
+                        lambda *a: calls.append(a) or successor(*a))
+    with pytest.raises(dg.TooManyPaths) as err:
+        dg.enumerate_cylinders(allones_diagram(12), (12, 0), cap=10**6)
+    assert (err.value.cap, err.value.count) == (2000, 2**12)
+    assert calls == []
 
 
 def test_path_chaining_enforced():
@@ -1066,3 +1081,22 @@ def test_successor_refuses_an_edge_not_in_the_diagram(edges, bad):
     d = dg.stationary_diagram([[2]], 2)
     with pytest.raises(ValueError, match=re.escape(str(bad))):
         dg.vershik_successor(d, dg.natural_order(d), dg.FinitePath(edges))
+
+
+def test_successor_refuses_a_path_rooted_above_level_0():
+    """Its minimal prefix would run down to level 0, so the successor of a
+    path from level 1 would be a longer path from level 0."""
+    d = dg.stationary_diagram([[2]], 4)
+    p = dg.FinitePath(((1, 0, 0, 1), (2, 0, 0, 0)), start=(1, 0))
+    assert dg.path_in_diagram(d, p)
+    with pytest.raises(ValueError, match="starts at level 1"):
+        dg.vershik_successor(d, dg.natural_order(d), p)
+
+
+def test_orbit_refuses_a_path_rooted_above_level_0():
+    """The tower of (3, 0) from level 1 has 4 paths; the orbit held 7, of
+    two lengths, before it refused such a start."""
+    d = dg.stationary_diagram([[2]], 4)
+    p = dg.FinitePath(((1, 0, 0, 0), (2, 0, 0, 0)), start=(1, 0))
+    with pytest.raises(ValueError, match="starts at level 1"):
+        dg.vershik_orbit(d, dg.natural_order(d), p)

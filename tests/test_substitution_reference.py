@@ -84,7 +84,7 @@ def ref_reading_order(s, matrix):
         pairs = []
         for b in img:
             w = pos[b] if decode else b
-            if not matrix.multiplicity(v, w):
+            if matrix.edge_index(v, w) < 0:
                 continue
             r = counts.get(w, 0)
             counts[w] = r + 1
