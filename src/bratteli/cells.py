@@ -22,7 +22,8 @@ import numpy as np
 from . import Error, _accel
 from . import laplacian as lp
 from . import markov as mk
-from .diagram import IncidenceMatrix, Window, _csr_from_coo, validate
+from .diagram import (IncidenceMatrix, LevelRows, Window, _csr_from_coo,
+                      validate)
 from .measures import DimensionMismatch
 
 
@@ -554,12 +555,13 @@ def measurable_laplacian(net: lp.WeightedNetwork, F: lp.LevelFunction
     test_measurable_laplacian_of_constants_vanishes.
     """
     mf = lp.apply_M(net, F)
-    N = net.depth
-    out = []
-    for n in range(N + 1):
-        w = 2.0 if 0 < n < N else 1.0
-        out.append(w * (F.values[n] - mf.values[n]))
-    return lp.LevelFunction(tuple(out))
+    w = np.full(len(F.rows), 2.0)
+    w[[0, -1]] = 1.0
+    ends = np.cumsum([len(a) for a in F.rows.blocks])[:-1]
+    # apply_M checked F's shapes, so F and MF have the same runs
+    return lp.LevelFunction(LevelRows(
+        v[:, None] * (a - b) for v, a, b in zip(
+            np.split(w, ends), F.rows.blocks, mf.rows.blocks)))
 
 
 def chain_energy(net: lp.WeightedNetwork, F: lp.LevelFunction

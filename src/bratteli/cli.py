@@ -24,7 +24,6 @@ import numpy as np
 from . import Error
 from . import measures as ms
 from . import perron as pf
-from .diagram import LevelRows
 from .specfile import ParsedSpec, SpecError, load_spec
 
 # every error a command reports as an error object instead of a traceback;
@@ -270,8 +269,8 @@ def _analyze_laplacian(ctx: _Context, args):
     sol = lp.solve_harmonic(net, 0.0, 1.0)
     payload = {"residual": sol.residual,
                "max_principle_ok": sol.max_principle_ok,
-               "levels": [list(v) for v in sol.f.values]}
-    rows = ((n, v, float(sol.f.values[n][i]))
+               "levels": [list(v) for v in sol.f.rows]}
+    rows = ((n, v, float(sol.f.rows[n][i]))
             for n in range(net.depth + 1)
             for i, v in enumerate(ctx.diagram.vertices(n)))
     return payload, rows, ["level", "vertex", "value"]
@@ -460,14 +459,13 @@ def _suite_laplacian(ctx: _Context, tol: float, seed: int, out: list):
     qm = lp.qM_identity_residual(net)
     out.append(("laplacian", "QHalfSumIdentity", qm, qm <= tol))
     dc = lp.apply_Delta(net, lp.LevelFunction.constant(net, 1.0))
-    cres = max(LevelRows.of(dc.values).per_row(
-        lambda v: np.abs(v).max(axis=-1)).tolist())
+    cres = max(dc.rows.per_row(lambda v: np.abs(v).max(axis=-1)).tolist())
     out.append(("laplacian", "ConstantsHarmonic", cres, cres <= tol))
     # row s holds sample s's levels in order: the draws of one call per
     # sample and level
     sizes = [len(q) for q in net.kernels.q]
     X = np.random.default_rng(seed).standard_normal((_SAMPLES, sum(sizes)))
-    f = lp.LevelFunction(tuple(np.split(X, np.cumsum(sizes)[:-1], axis=1)))
+    f = lp.LevelFunction(np.split(X, np.cumsum(sizes)[:-1], axis=1))
     worst = max(0.0, *lp.energy_norm(net, f).agreement.tolist())
     out.append(("laplacian", "EnergyFormsAgree", worst, worst <= tol))
     if net.depth >= 2:
@@ -492,8 +490,8 @@ def _suite_kernels(ctx: _Context, tol: float, seed: int, out: list):
     out.append(("kernels", "GramPSD", float(min_eig),
                 min_eig >= -cl.GRAM_TOL))
     net = cl.chain_network(spaces, kernels)
-    F = lp.LevelFunction.of([np.random.default_rng(seed).standard_normal(s.m)
-                             for s in spaces])
+    F = lp.LevelFunction([np.random.default_rng(seed).standard_normal(s.m)
+                          for s in spaces])
     er = cl.chain_energy(net, F)
     out.append(("kernels", "ChainEnergyAgreement", er.agreement,
                 er.agreement <= tol))

@@ -777,26 +777,29 @@ def heights(d: Diagram, n: int) -> list[int]:
 class FinitePath:
     """Edge list (level, source, target, edge_rank) from level 0 upward.
 
-    ``start`` is only used for empty paths (a bare level-0 vertex, which
-    still determines a cylinder).
+    An empty path is a bare level-0 vertex, which still determines a
+    cylinder; ``start`` names it, and only it: a path with edges takes no
+    start.
     """
 
     edges: tuple[tuple[int, int, int, int], ...]
     start: tuple[int, int] | None = None
 
     def __post_init__(self):
-        prev = None
-        for k, (lvl, src, tgt, rank) in enumerate(self.edges):
+        if self.edges and self.start is not None:
+            raise ValueError(f"a path with edges takes no start vertex, got "
+                             f"{self.start}")
+        if self.initial is None:
+            raise ValueError("an empty path needs a start vertex")
+        if self.initial[0] != 0:
+            raise ValueError(f"path starts at level {self.initial[0]}, not 0")
+        for k, (lvl, src, _, rank) in enumerate(self.edges):
             if rank < 0:
                 raise ValueError(f"negative edge rank at position {k}")
-            if prev is not None:
-                plvl, _, ptgt, _ = prev
-                if lvl != plvl + 1 or src != ptgt:
-                    raise ValueError(
-                        f"edge {k} does not chain: {prev} -> {self.edges[k]}")
-            elif lvl != 0 and self.start is None:
-                raise ValueError("paths must start at level 0")
-            prev = self.edges[k]
+            prev = self.edges[k - 1]
+            if k and (lvl, src) != (prev[0] + 1, prev[2]):
+                raise ValueError(
+                    f"edge {k} does not chain: {prev} -> {self.edges[k]}")
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -806,8 +809,6 @@ class FinitePath:
         if self.edges:
             lvl, _, tgt, _ = self.edges[-1]
             return (lvl + 1, tgt)
-        if self.start is None:
-            raise ValueError("empty path without a start vertex")
         return self.start
 
     @property
@@ -815,14 +816,14 @@ class FinitePath:
         if self.edges:
             lvl, src, _, _ = self.edges[0]
             return (lvl, src)
-        return self.terminal
+        return self.start
 
 
 def path_entries(d: Diagram, p: FinitePath) -> list[int]:
     """Each edge's entry in its level's ``csr``; the first edge not in the
     diagram, or an empty path's vertex off it, raises ValueError."""
-    level, v = p.initial
-    if not (p.edges or 0 <= level <= d.depth and v in d.window(level)):
+    _, v = p.initial
+    if not (p.edges or v in d.window(0)):
         raise ValueError(f"vertex {p.initial} is not in the diagram")
     entries = []
     for e in p.edges:
@@ -991,12 +992,10 @@ def vershik_successor(d: Diagram, order: EdgeOrder, p: FinitePath):
     """Adic successor: bump the first non-maximal edge, minimal prefix below.
 
     Returns None when every edge is maximal (the path is the last one of its
-    tower in the lexicographic order).  An edge not in the diagram, or a
-    path that starts above level 0, raises ValueError.
+    tower in the lexicographic order).  An edge not in the diagram raises
+    ValueError.
     """
     entries = path_entries(d, p)
-    if p.edges and p.initial[0] != 0:
-        raise ValueError(f"path starts at level {p.initial[0]}, not 0")
     for k, ((lvl, _, tgt, rank), e) in enumerate(zip(p.edges, entries)):
         m, block = _block(d, order, lvl, tgt)
         pos = int(m.edge_starts[e]) + rank   # natural position

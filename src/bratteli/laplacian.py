@@ -19,13 +19,13 @@ no tolerance or iteration budget.
 The network keeps no dense kernel: ``HatKernels`` stores P-hat and Q-hat
 as edge values, and every level loop here reads them a batch of levels
 at a time (``HatKernels.batches``), per-level vectors as slices of their
-``LevelRows`` (the masses and the vertex masses are stored so, and the
-harmonic solution while its residual is read), so a stationary diagram
-costs numpy calls per batch, not per level; each level keeps its bits.
-energy_norm also takes B functions, a (B, m_n) array per level.  The
-walk's move table and build_network's balance test read the edge
-values.  solve_harmonic still keeps every elimination block G_n, so its
-memory grows as depth x m^2.
+``LevelRows`` (the masses, the vertex masses and every ``LevelFunction``
+are stored so), so a stationary diagram costs numpy calls per batch, not
+per level; each level keeps its bits.  energy_norm also takes B
+functions, a (B, m_n) array per level, and reads one function as a batch
+of one.  The walk's move table and build_network's balance test read the
+edge values.  solve_harmonic still keeps every elimination block G_n, so
+its memory grows as depth x m^2.
 
 The random walk runs on a move table of all (level, vertex) states with
 the lockstep kernels from _accel; per-trial seeds fix every trajectory.
@@ -59,24 +59,29 @@ class BalanceViolation(Error):
 
 @dataclass(frozen=True)
 class LevelFunction:
-    """One real vector per level, 0..N; for a batch of B functions (which
-    energy_norm takes), one (B, m_n) array per level."""
+    """One real vector per level, 0..N, as ``LevelRows``; for a batch of B
+    functions (which energy_norm takes), one (B, m_n) array per level.
+    The constructor takes any sequence of levels."""
 
-    values: tuple[np.ndarray, ...]
+    rows: LevelRows
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", LevelRows.of(self.rows))
+
+    @property
+    def values(self) -> tuple[np.ndarray, ...]:
+        """The levels as a tuple of read-only row views, for readers that
+        take a list or tuple of levels."""
+        return tuple(self.rows)
 
     @property
     def depth(self) -> int:
-        return len(self.values) - 1
-
-    @staticmethod
-    def of(vectors: Sequence) -> "LevelFunction":
-        return LevelFunction(tuple(np.asarray(v, dtype=np.float64)
-                                   for v in vectors))
+        return len(self.rows) - 1
 
     @staticmethod
     def constant(net: "WeightedNetwork", value: float) -> "LevelFunction":
-        return LevelFunction(tuple(LevelRows(
-            np.full(q.shape, float(value)) for q in net.kernels.q.blocks)))
+        return LevelFunction(LevelRows(
+            np.full(q.shape, float(value)) for q in net.kernels.q.blocks))
 
 
 @dataclass(frozen=True)
@@ -149,10 +154,10 @@ def _check_f(net: WeightedNetwork, f: LevelFunction, batch: bool = False):
     if f.depth != net.depth:
         raise DimensionMismatch(
             f"function has {f.depth + 1} levels, network {net.depth + 1}")
-    lead = f.values[0].shape[:-1]
+    lead = f.rows[0].shape[:-1]
     if lead and not (batch and len(lead) == 1):
-        raise DimensionMismatch(f"level 0 has shape {f.values[0].shape}")
-    for n, (vec, q) in enumerate(zip(f.values, net.kernels.q)):
+        raise DimensionMismatch(f"level 0 has shape {f.rows[0].shape}")
+    for n, (vec, q) in enumerate(zip(f.rows, net.kernels.q)):
         if vec.shape != lead + q.shape:
             raise DimensionMismatch(f"level {n} length mismatch")
 
@@ -161,12 +166,7 @@ def apply_M(net: WeightedNetwork, f: LevelFunction) -> LevelFunction:
     """Mf_n = (1/2)(phat_n f_{n+1} + qhat_{n-1} f_{n-1}) on interior levels;
     the boundary rows take their one side with full weight."""
     _check_f(net, f)
-    return LevelFunction(tuple(_averaged(net.kernels, _rows(f))))
-
-
-def _rows(f: LevelFunction) -> LevelRows:
-    """f's levels as float64 ``LevelRows``, so that a batch is a slice."""
-    return LevelRows.of(f.values)
+    return LevelFunction(_averaged(net.kernels, f.rows))
 
 
 def _interior(d) -> Iterator[tuple[int, int]]:
@@ -197,12 +197,11 @@ def _sides(hk: HatKernels, v: Sequence) -> tuple[LevelRows, LevelRows]:
 def apply_Delta(net: WeightedNetwork, f: LevelFunction) -> LevelFunction:
     """Delta f = c (f - Mf) with c the vertex conductance mass."""
     _check_f(net, f)
-    fv = _rows(f)
-    mv = _averaged(net.kernels, fv)
+    mv = _averaged(net.kernels, f.rows)
     # one shape per level in all three, so their runs are the same
-    return LevelFunction(tuple(LevelRows(
-        c * (a - b) for c, a, b in zip(net.vertex_mass.blocks, fv.blocks,
-                                       mv.blocks))))
+    return LevelFunction(LevelRows(
+        c * (a - b) for c, a, b in zip(net.vertex_mass.blocks, f.rows.blocks,
+                                       mv.blocks)))
 
 
 def qM_identity_residual(net: WeightedNetwork) -> float:
@@ -289,7 +288,7 @@ def solve_harmonic(net: WeightedNetwork, bottom, top) -> HarmonicSolution:
     low = f.per_row(lambda v: v.min(axis=-1))[1:N]
     high = f.per_row(lambda v: v.max(axis=-1))[1:N]
     ok = bool((low >= lo - 1e-12).all() and (high <= hi + 1e-12).all())
-    return HarmonicSolution(LevelFunction(tuple(f)), residual, ok)
+    return HarmonicSolution(LevelFunction(f), residual, ok)
 
 
 # ---------------------------------------------------------------- energy
@@ -345,12 +344,16 @@ def energy_norm(net: WeightedNetwork, f: LevelFunction) -> EnergyReport:
     """
     _check_f(net, f, batch=True)
     hk = net.kernels
-    vals = [np.atleast_2d(v) for v in f.values]   # (B, m_n) per level
-    acc = np.zeros((1, 2, len(vals[0])))   # direct, operator form
+    rows = f.rows
+    single = rows[0].ndim == 1   # one function, read as a batch of one
+    B = 1 if single else len(rows[0])
+    acc = np.zeros((1, 2, B))   # direct, operator form
     for n, P, _ in hk.batches():
         b = len(P)
         q, q1 = hk.q[n:n + b], hk.q[n + 1:n + b + 1]
-        fn, fn1 = np.stack(vals[n:n + b]), np.stack(vals[n + 1:n + b + 1])
+        fn, fn1 = rows[n:n + b], rows[n + 1:n + b + 1]   # (b, B, m) stacks
+        if single:
+            fn, fn1 = fn[:, None], fn1[:, None]
         nn = np.sum(q[:, None] * fn * fn, axis=-1)
         cross = np.sum(q[:, None] * fn * apply_TP(P, fn1), axis=-1)
         nn1 = np.sum(q1[:, None] * fn1 * fn1, axis=-1)
@@ -359,7 +362,7 @@ def energy_norm(net: WeightedNetwork, f: LevelFunction) -> EnergyReport:
         # np.add.accumulate adds the batch's levels one after another
         acc = np.add.accumulate(np.concatenate((acc, terms)))[-1:]
     direct, oper = acc[0]
-    if f.values[0].ndim == 1:
+    if single:
         return EnergyReport(float(direct[0]), float(oper[0]))
     return EnergyReport(direct, oper)
 

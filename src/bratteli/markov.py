@@ -250,14 +250,11 @@ def cylinder_mass(ms: MarkovSystem, p: FinitePath) -> float:
     """m([e]) = q0 at the start vertex times the edge probabilities.
     Kolmogorov consistency: test_criterion_03_extension_sums."""
     d = ms.diagram
-    lvl0, v0 = p.initial
     try:
         entries = path_entries(d, p)
     except ValueError:
         raise PathInvalid(f"path not in diagram: {p}") from None
-    if lvl0 != 0:
-        raise PathInvalid("cylinder masses are rooted at level 0")
-    mass = float(ms.q0[d.window(0).position(v0)])
+    mass = float(ms.q0[d.window(0).position(p.initial[1])])
     # a value is shared by all parallel edges or given per rank
     for (lvl, _, _, rank), k in zip(p.edges, entries):
         ranks = ms.p_ranks[lvl]

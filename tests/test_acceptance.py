@@ -175,8 +175,8 @@ def test_criterion_06_laplacian_suite():
     rng = np.random.default_rng(6)
     worst_energy = 0.0
     for _ in range(100):
-        f = lp.LevelFunction.of([rng.standard_normal(len(q))
-                                 for q in net10.kernels.q])
+        f = lp.LevelFunction([rng.standard_normal(len(q))
+                              for q in net10.kernels.q])
         worst_energy = max(worst_energy, lp.energy_norm(net10, f).agreement)
     assert worst_energy <= 1e-10
 

@@ -128,7 +128,7 @@ def test_energy_batch_rows_equal_single_functions(case):
     assert batch.direct.shape == batch.operator_form.shape == (5,)
     for s in range(5):
         f = [lvl[s].copy() for lvl in levels]
-        one = lp.energy_norm(net, lp.LevelFunction.of(f))
+        one = lp.energy_norm(net, lp.LevelFunction(f))
         assert type(one.direct) is float and type(one.operator_form) is float
         assert (one.direct, one.operator_form) == reference_energy(net, f)
         assert (batch.direct[s], batch.operator_form[s]) == reference_energy(

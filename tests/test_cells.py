@@ -334,7 +334,7 @@ def test_chain_network_and_measurable_laplacian():
     net = cl.chain_network(spaces, kernels)
     assert net.depth == 3
     rng = np.random.default_rng(8)
-    F = lp.LevelFunction.of([rng.standard_normal(2) for _ in range(4)])
+    F = lp.LevelFunction([rng.standard_normal(2) for _ in range(4)])
     delta = cl.measurable_laplacian(net, F)
     # spell the definition out: (c+d) F - P F_up - Q F_down
     for n in range(4):
@@ -407,7 +407,7 @@ def test_chain_energy_doubles_network_energy():
     spaces, kernels = two_cell_chain(3)
     net = cl.chain_network(spaces, kernels)
     rng = np.random.default_rng(10)
-    F = lp.LevelFunction.of([rng.standard_normal(2) for _ in range(4)])
+    F = lp.LevelFunction([rng.standard_normal(2) for _ in range(4)])
     ce = cl.chain_energy(net, F)
     ne = lp.energy_norm(net, F)
     assert ce.direct == 2.0 * ne.direct

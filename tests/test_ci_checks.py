@@ -1,6 +1,7 @@
 """tools/ci_checks.py: every row's check on fabricated readings, every moved
 command through a recorder, and the runner's per-child maxrss on real
-children."""
+children; tools/golden.py: its comparison on fabricated readings and its
+command list."""
 import importlib.util
 import json
 import os
@@ -15,6 +16,12 @@ TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "ci_checks.py"
 _spec = importlib.util.spec_from_file_location("ci_checks", TOOL)
 ci = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ci)
+# tools/golden.py imports ci_checks; it gets the module loaded above
+sys.modules.setdefault("ci_checks", ci)
+_gspec = importlib.util.spec_from_file_location("golden",
+                                                TOOL.parent / "golden.py")
+golden = importlib.util.module_from_spec(_gspec)
+_gspec.loader.exec_module(golden)
 
 # the bound rows: (bound in MB, whether the bound is on growth over a first
 # run, the exit codes allowed or None for any); no bound may move
@@ -260,3 +267,76 @@ def test_run_reads_each_childs_own_maxrss():
     assert big.maxrss_mb > 50
     assert small.maxrss_mb < big.maxrss_mb - 40
     assert big.wall_s > 0 and small.wall_s > 0
+
+
+# -- tools/golden.py ----------------------------------------------------------
+
+def _golden_runs():
+    pf = b'{\n  "lam": 1.618033988749895\n}\n'
+    return [reading("check", "a.json", stdout=b"all passed\n"),
+            reading("analyze", "a.json", "pf", stdout=pf),
+            reading("analyze", "a.json", "kernels", code=1,
+                    stdout=b'{"error": {}}\n')]
+
+
+def test_golden_passes_equal_readings():
+    assert golden.differences(_golden_runs(), _golden_runs()) == []
+
+
+@pytest.mark.parametrize("i, change, said", [
+    (1, {"stdout": b'{\n  "lam": 1.618033988749894\n}\n'},
+     "analyze a.json pf: stdout from line 2"),
+    (2, {"code": 0}, "analyze a.json kernels: exit code 1 -> 0"),
+    (0, {"stderr": b"RuntimeWarning: overflow\n"},
+     "check a.json: stderr from line 1"),
+    (0, {"stdout": b"all passed\nand more\n"},
+     "check a.json: stdout from line 2"),
+])
+def test_golden_names_each_difference(i, change, said):
+    new = _golden_runs()
+    new[i] = new[i]._replace(**change)
+    assert golden.differences(_golden_runs(), new) == [said]
+
+
+def test_golden_command_list():
+    argvs = golden.commands(["a.json", "b.json"], ["pf", "walk"],
+                            "band.json", "nat.json")
+    assert len(argvs) == len({tuple(a) for a in argvs}) == 2 * 7 + 6
+    for spec in ("a.json", "b.json"):
+        for argv in (["validate", spec], ["validate", spec, "--emit-spec"],
+                     ["check", spec], ["analyze", spec, "pf"],
+                     ["analyze", spec, "walk"],
+                     *(["check", spec, "--format", "json", "--seed", seed]
+                       for seed in ("0", "7"))):
+            assert argv in argvs
+    assert ["check", "band.json"] in argvs
+    assert ["analyze", "band.json", "energy"] in argvs
+    assert ["check", "nat.json", "--depth", "20"] in argvs
+    assert ["check", golden.FIBONACCI, "--depth", "60", "--seed",
+            "1"] in argvs
+
+
+def test_golden_runs_both_trees_at_both_thread_settings(monkeypatch, capsys):
+    """Each command runs on REV's tree and on the working tree, at one BLAS
+    thread and at the default; a difference counts once per setting."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    calls = []
+
+    def recorder(argv, cpus=None, env=None):
+        tree = env["PYTHONPATH"].split(os.pathsep)[0]
+        calls.append((argv[-1], tree, env.get("OPENBLAS_NUM_THREADS")))
+        old = tree == "REV/src" and argv[-1] == "b"
+        return ci.Run(tuple(argv), 0, b"old" if old else b"same", b"", 0.1,
+                      40.0, 2)
+
+    monkeypatch.setattr(ci, "run", recorder)
+    assert golden.compare("REV", [["a"], ["b"]]) == 2
+    here = os.path.join(ci.ROOT, "src")
+    assert calls == [(argv, tree, threads)
+                     for threads in ("1", None) for argv in "ab"
+                     for tree in ("REV/src", here)]
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["OPENBLAS_NUM_THREADS=1: b: stdout from line 1",
+                   "OPENBLAS_NUM_THREADS=1: 1 of 2 commands differ",
+                   "machine default: b: stdout from line 1",
+                   "machine default: 1 of 2 commands differ"]

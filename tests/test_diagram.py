@@ -873,17 +873,37 @@ def test_empty_path_needs_start():
 
 
 @pytest.mark.parametrize("path", [
-    dg.FinitePath((), (-1, 0)),                 # empty, at a negative level
-    dg.FinitePath(((-1, 1, 0, 0),), (-1, 1)),   # an edge below level 0
-    dg.FinitePath((), (3, 0)),                  # empty, above the top
-    dg.FinitePath(((0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0))),  # too deep
-    dg.FinitePath(((0, 2, 0, 0),)),             # a source off its level
+    ((), (-1, 0)),                 # empty, at a negative level
+    (((-1, 1, 0, 0),), None),      # an edge below level 0
+    ((), (3, 0)),                  # empty, above the top
+    (((0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)), None),  # too deep
+    (((0, 2, 0, 0),), None),       # a source off its level
 ])
 def test_path_in_diagram_refuses_levels_off_the_diagram(path):
+    """A path that starts off level 0 is refused when it is built; the
+    others are built and are not in the diagram."""
     d = dg.stationary_diagram([[1, 1], [0, 1]], 2)
-    assert not dg.path_in_diagram(d, path)
-    assert dg.path_in_diagram(d, dg.FinitePath((), (2, 1)))
+    edges, start = path
+    if (edges[0][0] if edges else start[0]) != 0:
+        with pytest.raises(ValueError, match="not 0"):
+            dg.FinitePath(edges, start)
+    else:
+        assert not dg.path_in_diagram(d, dg.FinitePath(edges, start))
+    assert dg.path_in_diagram(d, dg.FinitePath((), (0, 1)))
     assert dg.path_in_diagram(d, dg.FinitePath(((0, 1, 0, 0), (1, 0, 0, 0))))
+
+
+def test_a_path_starts_at_level_0_from_its_edges_or_its_start():
+    """A start beside edges was ignored, and made a path unequal to the same
+    edges without one; an empty path's start is its level-0 vertex."""
+    with pytest.raises(ValueError, match="takes no start"):
+        dg.FinitePath(((0, 0, 0, 0),), start=(0, 1))
+    with pytest.raises(ValueError, match="takes no start"):
+        dg.FinitePath(((1, 0, 0, 0),), start=(7, 3))
+    with pytest.raises(ValueError, match="starts at level 2, not 0"):
+        dg.FinitePath((), start=(2, 0))
+    p = dg.FinitePath(((0, 0, 0, 0),))
+    assert (p.initial, p.terminal) == ((0, 0), (1, 0))
 
 
 # -- tail equivalence --------------------------------------------------------
@@ -1085,18 +1105,17 @@ def test_successor_refuses_an_edge_not_in_the_diagram(edges, bad):
 
 def test_successor_refuses_a_path_rooted_above_level_0():
     """Its minimal prefix would run down to level 0, so the successor of a
-    path from level 1 would be a longer path from level 0."""
-    d = dg.stationary_diagram([[2]], 4)
-    p = dg.FinitePath(((1, 0, 0, 1), (2, 0, 0, 0)), start=(1, 0))
-    assert dg.path_in_diagram(d, p)
+    path from level 1 would be a longer path from level 0; no such path
+    can be built."""
     with pytest.raises(ValueError, match="starts at level 1"):
-        dg.vershik_successor(d, dg.natural_order(d), p)
+        dg.FinitePath(((1, 0, 0, 1), (2, 0, 0, 0)))
 
 
 def test_orbit_refuses_a_path_rooted_above_level_0():
     """The tower of (3, 0) from level 1 has 4 paths; the orbit held 7, of
-    two lengths, before it refused such a start."""
-    d = dg.stationary_diagram([[2]], 4)
-    p = dg.FinitePath(((1, 0, 0, 0), (2, 0, 0, 0)), start=(1, 0))
+    two lengths, before such a start was refused; now it cannot be built,
+    with a start or without."""
+    with pytest.raises(ValueError, match="takes no start"):
+        dg.FinitePath(((1, 0, 0, 0), (2, 0, 0, 0)), start=(1, 0))
     with pytest.raises(ValueError, match="starts at level 1"):
-        dg.vershik_orbit(d, dg.natural_order(d), p)
+        dg.FinitePath(((1, 0, 0, 0), (2, 0, 0, 0)))

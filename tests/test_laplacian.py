@@ -24,7 +24,7 @@ def deterministic_network(depth=2):
 
 
 def alternating(net):
-    return lp.LevelFunction.of(
+    return lp.LevelFunction(
         [np.full(len(q), (-1.0) ** n) for n, q in enumerate(net.kernels.q)])
 
 
@@ -208,9 +208,32 @@ def test_qM_identity():
 
 def test_function_shape_checked():
     net = allones_network(3)
-    f = lp.LevelFunction.of([np.zeros(2)] * 3)
+    f = lp.LevelFunction([np.zeros(2)] * 3)
     with pytest.raises(lp.DimensionMismatch):
         lp.apply_M(net, f)
+    # a batch whose B differs between levels
+    ragged = lp.LevelFunction([np.zeros((3, 2))] * 2 + [np.zeros((4, 2))] * 2)
+    with pytest.raises(lp.DimensionMismatch, match="level 2"):
+        lp.energy_norm(net, ragged)
+    # a level of 3 dimensions, in a batch or alone
+    cube = lp.LevelFunction([np.zeros((1, 3, 2))] + [np.zeros((3, 2))] * 3)
+    with pytest.raises(lp.DimensionMismatch, match="level 0 has shape"):
+        lp.energy_norm(net, cube)
+    with pytest.raises(lp.DimensionMismatch):
+        lp.energy_norm(net, lp.LevelFunction([np.zeros((1, 1, 2))] * 4))
+    with pytest.raises(lp.DimensionMismatch):
+        lp.apply_M(net, lp.LevelFunction([np.zeros(2)] * 3
+                                         + [np.zeros((1, 2))]))
+
+
+def test_level_function_stores_level_rows_without_a_copy():
+    rows = dg.LevelRows.of([np.arange(2.0), np.ones(2), np.zeros(2)])
+    f = lp.LevelFunction(rows)
+    assert f.rows is rows and f.depth == 2
+    g = lp.LevelFunction([np.arange(2), (1, 1), [0.0, 0.0]])
+    assert [b.dtype for b in g.rows.blocks] == [np.float64]
+    assert all(map(np.array_equal, g.values, rows))
+    assert type(g.values) is tuple
 
 
 # -- harmonic solving ----------------------------------------------------------
@@ -308,7 +331,7 @@ def test_energy_forms_agree_on_random_functions():
     rng = np.random.default_rng(41)
     net = lp.build_network(mk.dual_kernels(random_system(3)))
     for _ in range(50):
-        f = lp.LevelFunction.of(
+        f = lp.LevelFunction(
             [rng.standard_normal(len(q)) for q in net.kernels.q])
         er = lp.energy_norm(net, f)
         assert er.agreement < 1e-10

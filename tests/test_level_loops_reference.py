@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bratteli import cells as cl
 from bratteli import diagram as dg
 from bratteli import laplacian as lp
 from bratteli import markov as mk
@@ -159,6 +160,27 @@ def ref_harmonic_checks(hk, f):
     return max(res), ok
 
 
+def ref_apply_M(hk, f):
+    """M f level by level; the boundary levels take their one side with
+    full weight."""
+    N = hk.depth
+    return ([hk.phat[0] @ f[1]]
+            + [0.5 * (hk.phat[n] @ f[n + 1] + hk.qhat[n - 1] @ f[n - 1])
+               for n in range(1, N)]
+            + [hk.qhat[N - 1] @ f[N - 1]])
+
+
+def ref_apply_Delta(hk, f):
+    masses = ref_vertex_mass(hk)[0]
+    return [c * (a - b) for c, a, b in zip(masses, f, ref_apply_M(hk, f))]
+
+
+def ref_measurable_laplacian(hk, f):
+    N = hk.depth
+    return [(2.0 if 0 < n < N else 1.0) * (a - b)
+            for n, (a, b) in enumerate(zip(f, ref_apply_M(hk, f)))]
+
+
 # -- the systems ----------------------------------------------------------------
 
 BAND = {"band": {"-2": 1, "0": 2, "2": 1}}
@@ -253,9 +275,25 @@ def test_sweep_checks_and_network(name):
     assert net.mass_vs_q_dev == dev
     if d.depth >= 2:
         sol = lp.solve_harmonic(net, 0.0, 1.0)
-        f = [np.array(v) for v in sol.f.values]
+        f = [np.array(v) for v in sol.f.rows]
         assert (sol.residual, sol.max_principle_ok) == ref_harmonic_checks(
             hk, f)
+
+
+@pytest.mark.parametrize("name", sorted(_systems()))
+def test_averaging_and_laplacians_match_the_level_loops(name):
+    """apply_M, apply_Delta and the measurable Laplacian read a function's
+    levels a batch at a time; each level keeps the bits of its own
+    products with hk.phat[n] and hk.qhat[n]."""
+    hk = mk.dual_kernels(_systems()[name]())
+    net = lp.build_network(hk)
+    rng = np.random.default_rng(len(name))
+    f = [rng.standard_normal(len(q)) for q in hk.q]
+    F = lp.LevelFunction(f)
+    assert _same_rows(lp.apply_M(net, F).rows, ref_apply_M(hk, f))
+    assert _same_rows(lp.apply_Delta(net, F).rows, ref_apply_Delta(hk, f))
+    assert _same_rows(cl.measurable_laplacian(net, F).rows,
+                      ref_measurable_laplacian(hk, f))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -143,10 +143,11 @@ def test_odometer_bernoulli_cylinders():
 
 
 def test_cylinder_must_start_at_level0():
-    sysm = uniform_allones_system(3)
-    p = dg.FinitePath(((1, 0, 0, 0),), start=(1, 0))
-    with pytest.raises(mk.PathInvalid):
-        mk.cylinder_mass(sysm, p)
+    """A path above level 0 cannot be built, so it has no cylinder."""
+    with pytest.raises(ValueError, match="starts at level 1"):
+        dg.FinitePath(((1, 0, 0, 0),))
+    with pytest.raises(ValueError, match="starts at level 1"):
+        dg.FinitePath((), start=(1, 0))
 
 
 def test_extension_sum_identity():

@@ -28,8 +28,9 @@ SAMPLED = ("walk_fixed", "walk_hitting")   # their kernels may run in shards
 Run = namedtuple("Run", "argv code stdout stderr wall_s maxrss_mb ncpus")
 
 
-def run(argv, cpus=None) -> Run:
-    """Run ``argv`` in a fresh process, on the CPU set ``cpus`` when given.
+def run(argv, cpus=None, env=None) -> Run:
+    """Run ``argv`` in a fresh process, on the CPU set ``cpus`` when given,
+    in the environment ``env`` when given (else this process's).
     stdout and stderr are the bytes the child wrote.  maxrss is the child's
     own (os.wait4), but never below the caller's peak RSS, which Linux
     records at exec."""
@@ -37,7 +38,8 @@ def run(argv, cpus=None) -> Run:
            else functools.partial(os.sched_setaffinity, 0, cpus))
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         start = time.perf_counter()
-        proc = subprocess.Popen(argv, stdout=out, stderr=err, preexec_fn=pin)
+        proc = subprocess.Popen(argv, stdout=out, stderr=err, preexec_fn=pin,
+                                env=env)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
@@ -273,16 +275,21 @@ def rows(kinds):
         for w in SAMPLED]
 
 
+def analysis_kinds(env=None) -> list:
+    """Every ``analyze`` kind, read in a child (in the environment ``env``
+    when given), so that this process never imports numpy."""
+    return subprocess.run(
+        [sys.executable, "-c", "from bratteli import cli; "
+         "print(*sorted(cli._ANALYSES))"],
+        check=True, capture_output=True, text=True, env=env).stdout.split()
+
+
 def main() -> int:
     os.chdir(ROOT)
     os.environ["PYTHONPATH"] = os.pathsep.join(
         filter(None, ["src", os.environ.get("PYTHONPATH")]))
-    kinds = subprocess.run(   # in a child: this process never imports numpy
-        [sys.executable, "-c", "from bratteli import cli; "
-         "print(*sorted(cli._ANALYSES))"],
-        check=True, capture_output=True, text=True).stdout.split()
     failed = 0
-    for name, measure, check in rows(kinds):
+    for name, measure, check in rows(analysis_kinds()):
         runs = measure()
         passed, reading = check(runs)
         print(f"{'ok' if passed else '::error::FAIL'} {name}: {reading} "
